@@ -8,10 +8,11 @@
 - :mod:`repro.compile.pipeline` — the explicit parse → analyze → codegen
   stages behind :func:`repro.codegen.compile_kernel`, with serializable
   per-stage artifacts and warm-hit diagnostic replay.
-- :mod:`repro.compile.driver` — :func:`compile_many`, a supervised
-  multi-process batch compiler with per-job timeouts.
 - :mod:`repro.compile.pool` — :class:`CompilePool`, the supervised
-  persistent worker pool (retry/backoff, quarantine, backpressure).
+  persistent worker pool (retry/backoff, quarantine, backpressure) — the
+  one driver of compile workers.
+- :mod:`repro.compile.driver` — jobs, outcomes, and :func:`compile_many`
+  (one batch on a transient pool).
 - :mod:`repro.compile.service` — :class:`CompileService`
   (submit/poll/collect), the ``python -m repro.eval serve`` front door.
 - :mod:`repro.compile.chaos` — the service-level chaos harness behind
@@ -54,12 +55,10 @@ __all__ = [
     "CompileService",
     "PoolConfig",
     "ServiceOverloaded",
-    "pool_stats",
 ]
 
 _POOL_NAMES = (
-    "CompilePool", "CompileQuarantined", "PoolConfig",
-    "ServiceOverloaded", "pool_stats",
+    "CompilePool", "CompileQuarantined", "PoolConfig", "ServiceOverloaded",
 )
 
 

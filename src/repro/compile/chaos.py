@@ -8,7 +8,7 @@ contract the DESIGN doc promises:
   compiled through any number of worker kills, stalls, cache
   corruptions, or disk faults fingerprints exactly like the baseline;
 - **every failure is typed** — anything a scenario surfaces is an
-  :class:`~repro.runtime.procexec.ExecutorError` subclass, never a bare
+  :class:`~repro.supervise.ExecutorError` subclass, never a bare
   exception or a hang;
 - **nothing leaks** — after every scenario all pool workers are reaped
   (no orphan processes) and the cache directory holds no stray ``*.tmp``
@@ -46,7 +46,7 @@ from hashlib import sha256
 from typing import Callable, Optional
 
 from ..diag import DiagnosticSink
-from ..runtime.procexec import ExecutorError
+from ..supervise import ExecutorError
 from . import driver as _driver
 from .cache import PlanCache, PlanCacheConfig
 from .driver import CompileJob, _build_for_job

@@ -1,18 +1,19 @@
-"""Concurrent batch compilation under supervision.
+"""Concurrent batch compilation: jobs, outcomes, and the batch entry point.
 
-:func:`compile_many` compiles a batch of :class:`CompileJob`\\ s across
-forked worker processes, one worker per *distinct* plan key — duplicate
-jobs (same source/params/nprocs/backend/strictness) share one
-compilation, and jobs already in the plan cache never spawn a worker at
-all.  Supervision reuses the :mod:`repro.runtime.procexec` patterns and
-its typed error family:
+:func:`compile_many` compiles a batch of :class:`CompileJob`\\ s on a
+transient :class:`~repro.compile.pool.CompilePool` — the one supervisor of
+compile workers.  Duplicate jobs (same source/params/nprocs/backend/
+strictness) share one compilation, and jobs already in the plan cache
+never reach a worker at all.  Failures are typed, from the
+:mod:`repro.supervise` family:
 
 - a worker that raises reports :class:`CompileFailed` (deterministic —
   carries the original exception type, message, and traceback);
-- a worker that dies without delivering (SIGKILL, segfault, poisoned
-  job) reports :class:`~repro.runtime.procexec.WorkerCrashed`;
-- a worker that outlives its per-job deadline is SIGKILLed and reports
-  :class:`~repro.runtime.procexec.WorkerTimeout`.
+- a job whose worker dies without delivering (SIGKILL, segfault) is
+  retried on a fresh worker; one that keeps killing workers resolves
+  :class:`~repro.compile.pool.CompileQuarantined` with its crash history;
+- a job that outlives its deadline has its worker SIGKILLed and reports
+  :class:`~repro.supervise.WorkerTimeout`.
 
 A failed job never kills the batch: every job gets a
 :class:`CompileOutcome` (kernel or typed error), in input order.
@@ -23,29 +24,22 @@ the same batch is all warm hits.
 from __future__ import annotations
 
 import os
-import signal
-import sys
-import time
-import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ..diag import DiagnosticSink
-from ..runtime.procexec import (
+from ..supervise import (
     ExecutorError,
     ExecutorUnavailable,
     WorkerCrashed,
     WorkerTimeout,
 )
-from .cache import PlanCache, active_cache
+from .cache import PlanCache
 from .key import PlanKey
-from .pipeline import KernelArtifact, _loads, _replay
+from .pipeline import KernelArtifact
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..codegen.spmd import CompiledKernel
-
-_EXIT_GRACE = 2.0  # seconds a clean exit may keep its result in flight
-_POLL = 0.02
 
 
 class CompileFailed(ExecutorError):
@@ -161,271 +155,35 @@ def _build_for_job(job: CompileJob) -> bytes:
     return _dumps(KernelArtifact(kernel=kernel))
 
 
-def _worker_main(job: CompileJob, digest: str, ctrl) -> None:
-    """Entry point of one forked compile worker."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        payload = _build_for_job(job)
-        ctrl.put(("done", digest, payload))
-    except BaseException as exc:  # noqa: BLE001 - report, then die nonzero
-        try:
-            ctrl.put((
-                "err", digest, type(exc).__name__, str(exc),
-                traceback.format_exc(),
-            ))
-        except Exception:
-            pass
-        sys.exit(1)
-
-
-@dataclass
-class _Slot:
-    """One live worker and its supervision state."""
-
-    proc: object
-    digest: str
-    started: float
-    deadline: Optional[float]
-    exit_seen: Optional[float] = None
-
-
-def _deliver(
-    outcomes: list[CompileOutcome],
-    indices: list[int],
-    jobs: list[CompileJob],
-    payload: bytes,
-    *,
-    cached: bool,
-) -> None:
-    """Materialize one artifact payload into every sharing job's outcome
-    (each gets its own deserialized kernel — no aliasing)."""
-    for n, idx in enumerate(indices):
-        art = _loads(payload)
-        if not isinstance(art, KernelArtifact):
-            outcomes[idx].error = CompileFailed(
-                "cached artifact failed to deserialize", etype="PickleError"
-            )
-            continue
-        sink = DiagnosticSink(strict=jobs[idx].strict)
-        outcomes[idx].kernel = _replay(art.kernel, sink)
-        outcomes[idx].sink = sink
-        outcomes[idx].cached = cached
-        outcomes[idx].shared = n > 0
-    del indices[:]
-
-
-def _fail(
-    outcomes: list[CompileOutcome],
-    indices: list[int],
-    error: ExecutorError,
-) -> None:
-    for idx in indices:
-        outcomes[idx].error = error
-    del indices[:]
-
-
 def compile_many(
     jobs: "list[CompileJob]",
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
     cache: Optional[PlanCache] = None,
     progress: Optional[Callable[[CompileOutcome], None]] = None,
-    pool=None,
 ) -> list[CompileOutcome]:
     """Compile every job, concurrently, under supervision.
 
-    ``workers`` bounds concurrent worker processes (default
+    ``workers`` sizes the transient worker pool (default
     ``min(4, cpu_count)``); ``timeout`` is the default per-job deadline
     (``job.timeout`` overrides; None means unbounded); ``cache`` defaults
     to the active plan cache (pass one explicitly for hermetic runs).
-    ``progress`` is called with each :class:`CompileOutcome` as it
-    resolves.  Returns outcomes in input order; failures are typed on the
-    outcome, never raised — a poisoned job cannot kill the batch.
+    ``progress`` is called with each :class:`CompileOutcome`, in input
+    order, as it resolves.  Returns outcomes in input order; failures are
+    typed on the outcome, never raised — a poisoned job cannot kill the
+    batch.  The pool is gone when this returns: on an exception (Ctrl-C,
+    a raising ``progress``) its workers are killed and reaped at once.
 
-    ``pool`` routes the batch through a persistent
-    :class:`~repro.compile.pool.CompilePool` instead of forking one
-    worker per distinct plan key — same outcome contract, plus the
-    pool's retry/quarantine/backpressure policies and amortized forks
-    (``workers``/``timeout``/``cache`` are then the pool's, and the
-    keyword arguments here are ignored except ``timeout``/``progress``).
+    A caller that compiles more than one batch should own a
+    :class:`~repro.compile.pool.CompilePool` and call its ``run_batch``.
     """
-    import multiprocessing as mp
+    from .pool import CompilePool, PoolConfig  # pool imports this module
 
-    if pool is not None:
-        return pool.run_batch(list(jobs), timeout=timeout, progress=progress)
-
-    jobs = list(jobs)
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if cache is None:
-        cache = active_cache()
-
-    outcomes = [CompileOutcome(job=j, index=i) for i, j in enumerate(jobs)]
-    #: kernel digest -> indices of jobs awaiting that artifact
-    waiting: dict[str, list[int]] = {}
-    digests: list[str] = []
-    for i, job in enumerate(jobs):
-        digest = job.key().kernel_digest
-        digests.append(digest)
-        waiting.setdefault(digest, []).append(i)
-
-    # warm hits resolve without a worker
-    t0 = time.monotonic()
-    for digest in list(waiting):
-        payload = cache.get(digest) if cache is not None else None
-        if payload is None:
-            continue
-        art = _loads(payload)
-        if not isinstance(art, KernelArtifact):
-            continue  # stale layout: recompile below
-        indices = waiting.pop(digest)
-        _deliver(outcomes, indices, jobs, payload, cached=True)
-
-    if "fork" not in mp.get_all_start_methods():  # pragma: no cover - platform
-        if waiting:
-            raise ExecutorUnavailable(
-                "compile_many needs the fork start method for its workers"
-            )
-    ctx = mp.get_context("fork")
-    ctrl = ctx.Queue()
-    queue: list[str] = list(waiting)  # distinct digests still to compile
-    slots: list[_Slot] = []
-
-    def _launch(digest: str) -> None:
-        job = jobs[waiting[digest][0]]
-        p = ctx.Process(
-            target=_worker_main, args=(job, digest, ctrl), daemon=True,
-            name=f"compile-worker-{digest[:8]}",
-        )
-        p.start()
-        per_job = job.timeout if job.timeout is not None else timeout
-        slots.append(_Slot(
-            proc=p, digest=digest, started=time.monotonic(),
-            deadline=None if per_job is None
-            else time.monotonic() + per_job,
-        ))
-
-    def _drain(block: bool) -> None:
-        import queue as _q
-
-        first = True
-        while True:
-            try:
-                if block and first:
-                    msg = ctrl.get(timeout=_POLL)
-                else:
-                    msg = ctrl.get_nowait()
-            except _q.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn queue
-                return
-            except Exception:  # pragma: no cover - corrupted frame
-                continue
-            finally:
-                first = False
-            kind, digest = msg[0], msg[1]
-            if digest not in waiting:  # already resolved (timeout raced)
-                continue
-            if kind == "done":
-                payload = msg[2]
-                if cache is not None:
-                    cache.put(digest, payload)
-                indices = waiting.pop(digest)
-                _deliver(outcomes, indices, jobs, payload, cached=False)
-            else:  # "err"
-                _, _, etype, emsg, tb = msg
-                _fail(outcomes, waiting.pop(digest), CompileFailed(
-                    f"compilation raised {etype}: {emsg}", etype=etype, tb=tb,
-                ))
-
-    try:
-        while queue or slots:
-            while queue and len(slots) < workers:
-                _launch(queue.pop(0))
-            _drain(block=True)
-            now = time.monotonic()
-            live: list[_Slot] = []
-            for slot in slots:
-                if slot.digest not in waiting:
-                    # resolved (done or err); reap the worker
-                    slot.proc.join(timeout=5.0)
-                    for idx in [
-                        i for i, d in enumerate(digests) if d == slot.digest
-                    ]:
-                        if outcomes[idx].elapsed == 0.0:
-                            outcomes[idx].elapsed = now - slot.started
-                    continue
-                if slot.deadline is not None and now > slot.deadline:
-                    _kill(slot.proc)
-                    slot.proc.join(timeout=5.0)
-                    _fail(outcomes, waiting.pop(slot.digest), WorkerTimeout(
-                        f"compile job "
-                        f"{jobs[digests.index(slot.digest)].describe()} "
-                        f"exceeded its deadline "
-                        f"({now - slot.started:.1f}s elapsed)",
-                    ))
-                    continue
-                ec = slot.proc.exitcode
-                if ec is None:
-                    live.append(slot)
-                    continue
-                # exited: grace window for an in-flight result, then crash
-                if slot.exit_seen is None:
-                    slot.exit_seen = now
-                _drain(block=False)
-                if slot.digest not in waiting:
-                    live.append(slot)  # resolved; reaped next pass
-                    continue
-                if ec == 0 and now - slot.exit_seen < _EXIT_GRACE:
-                    live.append(slot)
-                    continue
-                what = (
-                    f"killed by signal {-ec}" if ec < 0 else
-                    f"exited with code {ec}" if ec else
-                    "exited cleanly without delivering a result"
-                )
-                _fail(outcomes, waiting.pop(slot.digest), WorkerCrashed(
-                    f"compile worker for "
-                    f"{jobs[digests.index(slot.digest)].describe()} {what}",
-                    exitcode=ec,
-                ))
-            slots = live
-            if progress is not None:
-                for out in outcomes:
-                    if (out.kernel is not None or out.error is not None) \
-                            and not getattr(out, "_reported", False):
-                        out._reported = True  # type: ignore[attr-defined]
-                        progress(out)
-    finally:
-        for slot in slots:
-            _kill(slot.proc)
-            slot.proc.join(timeout=5.0)
-        try:
-            ctrl.close()
-            ctrl.join_thread()
-        except Exception:  # pragma: no cover - best-effort release
-            pass
-
-    now = time.monotonic()
-    for out in outcomes:
-        if out.elapsed == 0.0:
-            out.elapsed = now - t0 if not out.cached else 0.0
-        if progress is not None and not getattr(out, "_reported", False):
-            out._reported = True  # type: ignore[attr-defined]
-            progress(out)
-    return outcomes
-
-
-def _kill(proc) -> None:
-    """SIGKILL a worker (not SIGTERM: fells stuck workers too, and no
-    child-side cleanup is needed — artifacts are delivered atomically)."""
-    if proc.pid is not None and proc.is_alive():
-        try:
-            os.kill(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:  # pragma: no cover - raced exit
-            pass
+    config = PoolConfig(workers=workers, timeout=timeout)
+    with CompilePool(config, cache=cache) as pool:
+        return pool.run_batch(list(jobs), progress=progress)
 
 
 __all__ = [

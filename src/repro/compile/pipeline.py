@@ -282,29 +282,6 @@ def _analyze_direct(
     )
 
 
-def stage_analyze(
-    sub: "Subroutine",
-    nprocs: int,
-    params: dict,
-    budget=None,
-) -> AnalysisArtifact:
-    """Analysis stage (strict): CP selection, NEW/LOCALIZE propagation,
-    comm-sensitive grouping, and communication analysis over every nest.
-
-    Without a *budget* this routes through the rank-symbolic split —
-    :func:`stage_select` at the canonical processor count, then
-    :func:`stage_specialize` at *nprocs* — so cold compiles and
-    selection-tier cache hits are identical by construction.  With a
-    budget, or when no canonical count exists, it runs the legacy
-    per-``nprocs`` analysis directly.
-    """
-    if budget is None:
-        selart = stage_select(sub, params)
-        if selart is not None:
-            return stage_specialize(selart, nprocs, params)
-    return _analyze_direct(sub, nprocs, params, budget=budget)
-
-
 def stage_codegen(
     art: AnalysisArtifact,
     nprocs: int,

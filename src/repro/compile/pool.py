@@ -1,19 +1,16 @@
 """Crash-only compile service core: a supervised persistent worker pool.
 
-:func:`repro.compile.driver.compile_many` forks one worker per distinct
-plan key — correct, but a fork per job, and a policy vacuum: no retry
-when a worker dies, no admission control, and a poisoned job costs a
-fresh crash on every submission.  This module keeps a fixed gang of
-long-lived forked compile workers and layers the service policies the
-ROADMAP's "heavy traffic" north star needs on top:
+The only code that supervises compile workers.  It keeps a fixed gang of
+long-lived forked workers and layers the service policies the ROADMAP's
+"heavy traffic" north star needs on top:
 
 - **persistence** — workers loop over a per-worker task queue, so a
   thousand-job warm-up pays ``workers`` forks, not a thousand;
-- **supervision** — the same heartbeat/typed-error discipline as
-  :mod:`repro.runtime.procexec`: every worker beats from a daemon thread
-  into a shared slab, a stale beat means a *frozen* process (SIGSTOP,
-  kernel wedge) and is typed :class:`WorkerTimeout`, a death is typed
-  :class:`WorkerCrashed`, and either one respawns a replacement worker;
+- **supervision** — on the core shared with the real-process executor
+  (:mod:`repro.supervise`): every worker beats from a daemon thread into
+  a shared slab, a stale beat means a *frozen* process (SIGSTOP, kernel
+  wedge), an exit without a result is a *crash*, and either one respawns
+  a replacement worker;
 - **retry + backoff** — a job whose worker crashed is retried up to
   ``max_attempts`` times with exponential backoff and *deterministic
   seeded jitter* (``Random(f"{seed}:{digest}:{attempt}")``), so two runs
@@ -34,7 +31,8 @@ ROADMAP's "heavy traffic" north star needs on top:
   on request, cancels with a typed :class:`CompileCancelled`) queued
   work, sends every worker its sentinel, and reaps all children.  No
   exit path — clean, ``KeyboardInterrupt``, or parent death — leaves an
-  orphan: an ``atexit`` sweep backstops the parent, and workers exit on
+  orphan: leaving the ``with`` block on an exception kills and reaps at
+  once, an ``atexit`` sweep backstops the parent, and workers exit on
   their own when the parent disappears (they watch ``getppid``).
 
 Deterministic compile *errors* (the compiler raised — retrying cannot
@@ -42,14 +40,15 @@ help) are reported by a live worker over the control queue as
 :class:`~repro.compile.driver.CompileFailed` and do **not** cost the
 worker its life or the job a retry.
 
-The pool is the engine behind :class:`repro.compile.service.CompileService`
-and ``compile_many(pool=...)``; ``python -m repro.eval chaos --service``
+The pool is the engine behind :class:`repro.compile.service.CompileService`,
+:func:`repro.compile.driver.compile_many` (a transient pool per batch) and
+``python -m repro.eval serve``; ``python -m repro.eval chaos --service``
 drives it under seeded faults (:mod:`repro.compile.chaos`).
 """
 
 from __future__ import annotations
 
-import atexit
+import dataclasses
 import os
 import queue as _queue
 import random
@@ -58,17 +57,12 @@ import sys
 import threading
 import time
 import traceback
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .. import supervise
 from ..diag import E_QUARANTINE, I_RETRY, CompileDiagnostic, DiagnosticSink, Severity
-from ..runtime.procexec import (
-    ExecutorError,
-    ExecutorUnavailable,
-    WorkerCrashed,
-    WorkerTimeout,
-)
+from ..supervise import ExecutorError, WorkerTimeout
 from .cache import PlanCache, active_cache
 from .driver import CompileFailed, CompileJob, CompileOutcome
 from .pipeline import KernelArtifact, _loads, _replay
@@ -151,8 +145,6 @@ class PoolConfig:
     jitter_seed: int = 0
     max_queue: int = 64
     overload: str = "block"
-    exit_grace: float = 2.0
-    poll_interval: float = 0.02
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -213,16 +205,6 @@ class PoolStats:
         }
 
 
-#: process-wide aggregate across every pool constructed in this process
-GLOBAL_STATS = PoolStats()
-
-
-def pool_stats() -> dict:
-    """Aggregate counters of every :class:`CompilePool` this process has
-    created (the ``eval diffstats`` surface)."""
-    return GLOBAL_STATS.as_dict()
-
-
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
@@ -233,46 +215,30 @@ def _pool_worker_main(wid: int, task_q, ctrl_q, hb, hb_interval: float) -> None:
     continues — only the shutdown sentinel (or a lost parent) ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
-    stop = threading.Event()
-
-    def _beat_loop() -> None:
-        while not stop.is_set():
-            hb[wid] = time.monotonic()
-            stop.wait(hb_interval)
-
-    threading.Thread(target=_beat_loop, daemon=True,
-                     name=f"pool-heartbeat-{wid}").start()
-    try:
-        while True:
-            try:
-                item = task_q.get(timeout=1.0)
-            except _queue.Empty:
-                if os.getppid() != parent:  # orphaned: parent died abruptly
-                    break
-                continue
-            except (EOFError, OSError):  # pragma: no cover - torn queue
+    supervise.start_beating(hb, wid, hb_interval)
+    while True:
+        try:
+            item = task_q.get(timeout=1.0)
+        except _queue.Empty:
+            if os.getppid() != parent:  # orphaned: parent died abruptly
                 break
-            if item is None:  # shutdown sentinel
-                break
-            seq, job = item
-            try:
-                # resolved at call time so a test/chaos harness that
-                # patched the build function before forking this worker
-                # (or before a respawn) is honored
-                from . import driver as _driver
+            continue
+        except (EOFError, OSError):  # pragma: no cover - torn queue
+            break
+        if item is None:  # shutdown sentinel
+            break
+        seq, job = item
+        try:
+            # resolved at call time so a test/chaos harness that
+            # patched the build function before forking this worker
+            # (or before a respawn) is honored
+            from . import driver as _driver
 
-                payload = _driver._build_for_job(job)
-                ctrl_q.put(("done", wid, seq, payload))
-            except BaseException as exc:  # noqa: BLE001 - typed report
-                try:
-                    ctrl_q.put((
-                        "err", wid, seq, type(exc).__name__, str(exc),
-                        traceback.format_exc(),
-                    ))
-                except Exception:  # pragma: no cover - torn queue
-                    break
-    finally:
-        stop.set()
+            payload = _driver._build_for_job(job)
+            ctrl_q.put(("done", wid, seq, payload))
+        except BaseException as exc:  # noqa: BLE001 - typed report
+            if not supervise.report_error(ctrl_q, exc, wid, seq):
+                break  # pragma: no cover - torn queue
     sys.exit(0)
 
 
@@ -303,7 +269,6 @@ class PoolTicket:
     deadline: Optional[float] = None
     submitted_at: float = 0.0
     resolved_at: float = 0.0
-    waiters: int = 0
 
     @property
     def done(self) -> bool:
@@ -316,30 +281,14 @@ class PoolTicket:
         return max(self.resolved_at - self.submitted_at, 0.0)
 
 
-@dataclass
-class _Worker:
+class _Worker(supervise.Supervised):
     """One live pool worker and what it is doing."""
 
-    wid: int
-    proc: object
-    task_q: object
-    busy: Optional[str] = None  # digest in flight
-    started: float = 0.0  # when the in-flight job was dispatched
-    exit_seen: Optional[float] = None
-
-
-_LIVE_POOLS: "weakref.WeakSet[CompilePool]" = weakref.WeakSet()
-
-
-def _atexit_sweep() -> None:  # pragma: no cover - exercised on abrupt exit
-    for pool in list(_LIVE_POOLS):
-        try:
-            pool.shutdown(wait=False)
-        except Exception:
-            pass
-
-
-atexit.register(_atexit_sweep)
+    def __init__(self, proc, beats, wid: int, task_q):
+        super().__init__(proc, beats, slot=wid)
+        self.task_q = task_q
+        self.busy: Optional[str] = None  # digest in flight
+        self.started = 0.0  # when the in-flight job was dispatched
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +307,13 @@ class CompilePool:
         self,
         config: Optional[PoolConfig] = None,
         cache: Optional[PlanCache] = None,
-        use_active_cache: bool = True,
     ):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():  # pragma: no cover
-            raise ExecutorUnavailable(
-                "CompilePool needs the fork start method for its workers"
-            )
         self.config = config or PoolConfig()
         self.stats = PoolStats()
-        self._cache = cache if cache is not None else (
-            active_cache() if use_active_cache else None
-        )
-        self._ctx = mp.get_context("fork")
+        self._cache = cache if cache is not None else active_cache()
+        self._ctx = supervise.fork_context()
         self._ctrl = self._ctx.Queue()
-        self._hb = self._ctx.Array("d", self.config.workers, lock=False)
+        self._hb = supervise.heartbeat_slab(self._ctx, self.config.workers)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)  # ticket resolutions
         self._space = threading.Condition(self._lock)  # admission slots
@@ -384,15 +324,13 @@ class CompilePool:
         self._seq = 0
         self._closed = False
         self._stopped = False
-        now = time.monotonic()
         for wid in range(self.config.workers):
-            self._hb[wid] = now
             self._workers.append(self._spawn(wid))
         self._supervisor = threading.Thread(
             target=self._supervise, daemon=True, name="compile-pool"
         )
         self._supervisor.start()
-        _LIVE_POOLS.add(self)
+        supervise.guard(self, _abort)
 
     # -- client surface ----------------------------------------------------
     def submit(self, job: CompileJob, block: Optional[bool] = None) -> PoolTicket:
@@ -410,7 +348,6 @@ class CompilePool:
         blocking = self.config.overload == "block" if block is None else block
         with self._lock:
             self.stats.submitted += 1
-            GLOBAL_STATS.submitted += 1
             if self._closed:
                 raise PoolClosed("compile pool is shut down")
             ticket = self._share_locked(digest)
@@ -419,7 +356,6 @@ class CompilePool:
             err = self._quarantine.get(digest)
             if err is not None:
                 self.stats.quarantine_rejections += 1
-                GLOBAL_STATS.quarantine_rejections += 1
                 ticket = PoolTicket(
                     digest=digest, job=job, state="failed", error=err,
                     submitted_at=time.monotonic(),
@@ -442,7 +378,6 @@ class CompilePool:
                     )
                     self._tickets[digest] = ticket
                     self.stats.warm_hits += 1
-                    GLOBAL_STATS.warm_hits += 1
                 return ticket
         with self._space:
             if self._closed:
@@ -453,7 +388,6 @@ class CompilePool:
             while len(self._queue) >= self.config.max_queue:
                 if not blocking:
                     self.stats.rejected += 1
-                    GLOBAL_STATS.rejected += 1
                     raise ServiceOverloaded(
                         f"compile queue is full "
                         f"({len(self._queue)}/{self.config.max_queue} pending)",
@@ -471,9 +405,6 @@ class CompilePool:
             self.stats.queue_depth = depth
             self.stats.peak_queue_depth = max(
                 self.stats.peak_queue_depth, depth
-            )
-            GLOBAL_STATS.peak_queue_depth = max(
-                GLOBAL_STATS.peak_queue_depth, depth
             )
             self._wake.notify_all()  # supervisor may be idle-waiting
             return ticket
@@ -502,22 +433,29 @@ class CompilePool:
         """The ``compile_many`` surface on pool workers: submit every job
         (blocking admission — a batch never self-rejects), wait for all,
         return outcomes in input order with ``shared`` marked on
-        duplicate-digest riders."""
+        duplicate-digest riders.  Always one outcome per job: when a
+        drain begins mid-admission, the refused job and every later one
+        resolve as typed :class:`CompileCancelled`."""
         tickets: list[PoolTicket] = []
         for job in jobs:
             if timeout is not None and job.timeout is None:
-                job = CompileJob(
-                    source=job.source, nprocs=job.nprocs, params=job.params,
-                    backend=job.backend, strict=job.strict, label=job.label,
-                    timeout=timeout,
-                )
-            tickets.append(self.submit(job, block=True))
+                job = dataclasses.replace(job, timeout=timeout)
+            try:
+                tickets.append(self.submit(job, block=True))
+            except PoolClosed:
+                break  # draining: this job and the rest are cancelled below
         outcomes: list[CompileOutcome] = []
         first_of: dict[str, int] = {}
-        for i, (job, ticket) in enumerate(zip(jobs, tickets)):
-            out = self.wait(ticket)
+        for i, job in enumerate(jobs):
+            if i < len(tickets):
+                out = self.wait(tickets[i])
+                out.shared = first_of.setdefault(tickets[i].digest, i) != i
+            else:
+                out = CompileOutcome(job=job, index=i, error=CompileCancelled(
+                    f"compile job {job.describe()} was not admitted "
+                    f"(pool draining)"
+                ))
             out.job, out.index = job, i
-            out.shared = first_of.setdefault(ticket.digest, i) != i
             outcomes.append(out)
             if progress is not None:
                 progress(out)
@@ -562,34 +500,26 @@ class CompilePool:
             self._stopped = True
             workers = list(self._workers)
         self._supervisor.join(timeout=10.0)
-        for w in workers:  # sentinel per worker: exit after current job
-            try:
-                w.task_q.put(None)
-            except Exception:  # pragma: no cover - torn queue
-                pass
-        deadline = time.monotonic() + (10.0 if wait else 2.0)
-        for w in workers:
-            w.proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if w.proc.exitcode is None:
-                _kill_pid(w.proc.pid)
-                w.proc.join(timeout=5.0)
-            try:
-                w.task_q.close()
-                w.task_q.join_thread()
-            except Exception:  # pragma: no cover - best-effort release
-                pass
-        try:
-            self._ctrl.close()
-            self._ctrl.join_thread()
-        except Exception:  # pragma: no cover - best-effort release
-            pass
-        _LIVE_POOLS.discard(self)
+        if wait:  # sentinel per worker: a clean exit, all of them idle
+            for w in workers:
+                try:
+                    w.task_q.put(None)
+                except Exception:  # pragma: no cover - torn queue
+                    pass
+            deadline = time.monotonic() + 10.0
+            for w in workers:
+                w.proc.join(timeout=max(deadline - time.monotonic(), 0.1))
+        supervise.kill_and_reap(w.proc for w in workers)
+        supervise.release_queues(*(w.task_q for w in workers), self._ctrl)
+        supervise.unguard(self)
 
     def __enter__(self) -> "CompilePool":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # an exception (Ctrl-C, a raising progress callback) must not
+        # wait for the queue to compile first: kill and reap at once
+        self.shutdown(wait=exc_type is None)
 
     # -- introspection (chaos harness + tests) -----------------------------
     def worker_pids(self) -> "list[int]":
@@ -620,11 +550,8 @@ class CompilePool:
             return None  # deterministic/timeout failure: allow resubmission
         if not ticket.done:
             self.stats.coalesced += 1
-            GLOBAL_STATS.coalesced += 1
         elif quarantined:
             self.stats.quarantine_rejections += 1
-            GLOBAL_STATS.quarantine_rejections += 1
-        ticket.waiters += 1
         return ticket
 
     def _spawn(self, wid: int) -> _Worker:
@@ -638,8 +565,7 @@ class CompilePool:
         self._hb[wid] = time.monotonic()
         proc.start()
         self.stats.forks += 1
-        GLOBAL_STATS.forks += 1
-        return _Worker(wid=wid, proc=proc, task_q=task_q)
+        return _Worker(proc, self._hb, wid, task_q)
 
     def _materialize(self, ticket: PoolTicket) -> CompileOutcome:
         out = CompileOutcome(job=ticket.job, index=0)
@@ -683,10 +609,8 @@ class CompilePool:
         ticket.state = "done"
         ticket.resolved_at = time.monotonic()
         self.stats.completed += 1
-        GLOBAL_STATS.completed += 1
         if ticket.history:
             self.stats.retries += len(ticket.history)
-            GLOBAL_STATS.retries += len(ticket.history)
         self._wake.notify_all()
 
     def _resolve_failure_locked(
@@ -698,7 +622,6 @@ class CompilePool:
         ticket.state = "failed"
         ticket.resolved_at = time.monotonic()
         self.stats.failed += 1
-        GLOBAL_STATS.failed += 1
         self._wake.notify_all()
 
     def _cancel_queued_locked(self) -> None:
@@ -709,7 +632,6 @@ class CompilePool:
                 f"(pool draining)"
             ))
             self.stats.cancelled += 1
-            GLOBAL_STATS.cancelled += 1
         self._queue.clear()
         self.stats.queue_depth = 0
         self._space.notify_all()
@@ -725,7 +647,6 @@ class CompilePool:
         ))
         counter = "crashes" if kind == "crash" else "stalls"
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        setattr(GLOBAL_STATS, counter, getattr(GLOBAL_STATS, counter) + 1)
         if ticket.attempts >= self.config.max_attempts:
             err = CompileQuarantined(
                 f"compile job {ticket.job.describe()} killed its worker "
@@ -735,7 +656,6 @@ class CompilePool:
             )
             self._quarantine[ticket.digest] = err
             self.stats.quarantined += 1
-            GLOBAL_STATS.quarantined += 1
             self._resolve_failure_locked(ticket, err)
             return
         ticket.state = "queued"
@@ -758,26 +678,14 @@ class CompilePool:
                 self._police()
             except Exception:  # pragma: no cover - defensive
                 traceback.print_exc(file=sys.stderr)
-                time.sleep(self.config.poll_interval)
+                time.sleep(supervise.POLL_INTERVAL)
 
     def _drain_ctrl(self, block: bool) -> None:
-        first = True
-        while True:
-            try:
-                if block and first:
-                    msg = self._ctrl.get(timeout=self.config.poll_interval)
-                else:
-                    msg = self._ctrl.get_nowait()
-            except _queue.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn queue
-                return
-            finally:
-                first = False
+        for msg in supervise.drain(self._ctrl, block):
             kind, wid, seq = msg[0], msg[1], msg[2]
             with self._lock:
                 worker = next(
-                    (w for w in self._workers if w.wid == wid), None
+                    (w for w in self._workers if w.slot == wid), None
                 )
                 digest = worker.busy if worker is not None else None
                 ticket = self._tickets.get(digest) if digest else None
@@ -785,7 +693,6 @@ class CompilePool:
                         or ticket.state != "running"):
                     continue  # a stale result (timeout or retry raced it)
                 worker.busy = None
-                worker.exit_seen = None
                 self._space.notify_all()
                 if kind == "done":
                     payload = msg[3]
@@ -848,39 +755,23 @@ class CompilePool:
                 return
             for w in self._workers:
                 ticket = self._tickets.get(w.busy) if w.busy else None
-                ec = w.proc.exitcode
+                state, detail = w.verdict(now, self.config.heartbeat_timeout)
                 if (ticket is not None and ticket.deadline is not None
-                        and now > ticket.deadline and ec is None):
+                        and now > ticket.deadline
+                        and w.proc.exitcode is None):
                     kill.append((w, "timeout",
                                  f"{now - w.started:.1f}s elapsed"))
-                    continue
-                stale = now - float(self._hb[w.wid])
-                if ec is None and stale > self.config.heartbeat_timeout:
-                    kill.append((
-                        w, "stall",
-                        f"no heartbeat for {stale:.1f}s (frozen process)",
-                    ))
-                    continue
-                if ec is not None:
-                    if w.busy is None:
-                        kill.append((w, "idle-exit",
-                                     f"exited with code {ec}"))
-                        continue
-                    # exited with a job in flight: grace for a result
-                    # already on the control queue, then rule it a crash
-                    if w.exit_seen is None:
-                        w.exit_seen = now
-                    if ec == 0 and now - w.exit_seen < self.config.exit_grace:
-                        continue
-                    what = (f"killed by signal {-ec}" if ec < 0
-                            else f"exited with code {ec}" if ec
-                            else "exited cleanly without delivering")
-                    kill.append((w, "crash", what))
-        if not kill:
-            return
+                elif state == supervise.FROZEN:
+                    kill.append((w, "stall", detail))
+                elif state == supervise.CRASHED or (
+                    state == supervise.PENDING and w.busy is None
+                ):
+                    # dead; with a job in flight, PENDING first waits
+                    # for a result already on the control queue.  An
+                    # idle worker has none coming: replace it at once
+                    kill.append((w, "crash", detail))
         for w, kind, detail in kill:
-            _kill_pid(w.proc.pid)
-            w.proc.join(timeout=5.0)
+            supervise.kill_and_reap([w.proc])
             with self._lock:
                 if self._stopped:
                     return
@@ -888,39 +779,22 @@ class CompilePool:
                 if ticket is not None and ticket.state == "running":
                     if kind == "timeout":
                         self.stats.timeouts += 1
-                        GLOBAL_STATS.timeouts += 1
                         self._resolve_failure_locked(ticket, WorkerTimeout(
                             f"compile job {ticket.job.describe()} exceeded "
                             f"its deadline ({detail})",
                         ))
                     else:
-                        self._fatal_attempt(
-                            ticket,
-                            "stall" if kind == "stall" else "crash",
-                            detail, now,
-                        )
+                        self._fatal_attempt(ticket, kind, detail, now)
                 idx = self._workers.index(w)
                 self.stats.respawns += 1
-                GLOBAL_STATS.respawns += 1
-                self._workers[idx] = self._spawn(w.wid)
+                self._workers[idx] = self._spawn(w.slot)
                 self._space.notify_all()
-            # release the dead worker's queue resources
-            try:
-                w.task_q.close()
-                w.task_q.join_thread()
-            except Exception:  # pragma: no cover - best-effort release
-                pass
+            supervise.release_queues(w.task_q)
 
 
-def _kill_pid(pid: Optional[int]) -> None:
-    """SIGKILL (works on SIGSTOPped processes too; a pool worker needs no
-    child-side cleanup — results are delivered atomically)."""
-    if pid is None:
-        return
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):  # pragma: no cover
-        pass
+def _abort(pool: CompilePool) -> None:
+    """The ``atexit`` backstop of a pool nobody shut down."""
+    pool.shutdown(wait=False)
 
 
 __all__ = [
@@ -928,11 +802,9 @@ __all__ = [
     "CompileCancelled",
     "CompilePool",
     "CompileQuarantined",
-    "GLOBAL_STATS",
     "PoolClosed",
     "PoolConfig",
     "PoolStats",
     "PoolTicket",
     "ServiceOverloaded",
-    "pool_stats",
 ]

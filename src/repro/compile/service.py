@@ -1,9 +1,8 @@
 """The compilation-service front door: submit / poll / collect.
 
 :class:`CompileService` is the programmatic shape of "millions of users
-submitting kernels" — and since PR 10 it runs on the supervised
-persistent worker pool (:mod:`repro.compile.pool`) instead of forking a
-fresh worker per batch:
+submitting kernels": a source-level face on the supervised persistent
+worker pool (:mod:`repro.compile.pool`), holding no state of its own:
 
     svc = CompileService(workers=4)
     ticket = svc.submit(source, nprocs=4, params={"n": 64})
@@ -12,11 +11,11 @@ fresh worker per batch:
         kernel = svc.collect(ticket).kernel
     svc.shutdown()
 
-Tickets are plan keys: submitting the same source/params/nprocs/backend
-twice returns the same ticket, and the pool extends that dedupe across
-the whole queue (*single-flight*: a stampede of identical submissions
-shares one build, even while the first is still compiling).  Through the
-pool the service is crash-only:
+Tickets are the pool's, one per plan key: submitting the same
+source/params/nprocs/backend twice returns the same ticket, across the
+whole queue (*single-flight*: a stampede of identical submissions shares
+one build, even while the first is still compiling).  Through the pool
+the service is crash-only:
 
 - a submission whose worker dies is retried with seeded exponential
   backoff; after ``max_attempts`` worker kills it is quarantined with a
@@ -34,22 +33,21 @@ pool the service is crash-only:
   orphan process.
 
 ``python -m repro.eval serve`` is the CLI face: it reads job specs from
-a JSON file, compiles them through the service (``--pool``) or the
-fork-per-job driver, drains gracefully on SIGTERM, and exits nonzero
-iff any job failed.
+a JSON file, compiles them on a pool, drains gracefully on SIGTERM, and
+exits nonzero iff any job failed.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .cache import PlanCache, active_cache
+from .cache import PlanCache
 from .driver import CompileJob, CompileOutcome
 from .pool import (
     CompileCancelled,
     CompilePool,
     CompileQuarantined,
+    PoolClosed,
     PoolConfig,
     PoolTicket,
     ServiceOverloaded,
@@ -57,30 +55,6 @@ from .pool import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..codegen.spmd import CompiledKernel
-
-
-class Ticket:
-    """Handle for one submission: the job, its plan digest, and state
-    (``queued`` → ``running`` → ``done`` | ``failed``; a retry bounces a
-    ticket back to ``queued``)."""
-
-    def __init__(self, digest: str, job: CompileJob, pticket: PoolTicket):
-        self.digest = digest
-        self.job = job
-        self._pticket = pticket
-
-    @property
-    def state(self) -> str:
-        return self._pticket.state
-
-    @property
-    def done(self) -> bool:
-        """True once the submission reached a terminal state."""
-        return self._pticket.done
-
-
-class ServiceClosed(RuntimeError):
-    """The service was shut down; no further submissions are accepted."""
 
 
 class CompileService:
@@ -108,14 +82,7 @@ class CompileService:
                 workers=workers, timeout=timeout,
                 max_queue=max_queue, overload=overload,
             )
-        self._pool = CompilePool(
-            pool_config,
-            cache=cache if cache is not None else active_cache(),
-            use_active_cache=False,
-        )
-        self._lock = threading.Lock()
-        self._tickets: dict[str, Ticket] = {}
-        self._closed = False
+        self._pool = CompilePool(pool_config, cache=cache)
 
     # -- client surface ----------------------------------------------------
     def submit(
@@ -127,46 +94,36 @@ class CompileService:
         strict: bool = True,
         label: Optional[str] = None,
         timeout: Optional[float] = None,
-    ) -> Ticket:
-        """Enqueue one compilation; returns its :class:`Ticket`.
+    ) -> PoolTicket:
+        """Enqueue one compilation; returns its ticket (``.digest``,
+        ``.job``, ``.state``: ``queued`` → ``running`` → ``done`` |
+        ``failed``, a retry bouncing it back to ``queued``; ``.done``).
 
         Identical submissions (same plan key) coalesce onto one ticket —
         including while the first is still building (single-flight).
-        Raises :class:`ServiceClosed` after shutdown, and (under the
-        ``"reject"`` admission policy, queue full) a typed
+        Raises :class:`~repro.compile.pool.PoolClosed` after shutdown,
+        and (under the ``"reject"`` admission policy, queue full) a typed
         :class:`~repro.compile.pool.ServiceOverloaded`.
         """
-        job = CompileJob(
+        return self._pool.submit(CompileJob(
             source=source, nprocs=nprocs, params=dict(params or {}),
             backend=backend, strict=strict, label=label, timeout=timeout,
-        )
-        digest = job.key().kernel_digest
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("service is shut down")
-            known = self._tickets.get(digest)
-        pticket = self._pool.submit(job)
-        with self._lock:
-            if known is not None and known._pticket is pticket:
-                return known
-            ticket = Ticket(digest, job, pticket)
-            self._tickets[digest] = ticket
-            return ticket
+        ))
 
-    def poll(self, ticket: Ticket) -> Ticket:
-        """Refresh and return the ticket (``ticket.done`` when terminal)."""
-        with self._lock:
-            return self._tickets.get(ticket.digest, ticket)
+    def poll(self, ticket: PoolTicket) -> PoolTicket:
+        """Return the ticket (``ticket.done`` when terminal); its state
+        is live, so this is a convenience for polling loops."""
+        return ticket
 
     def collect(
-        self, ticket: Ticket, timeout: Optional[float] = None
+        self, ticket: PoolTicket, timeout: Optional[float] = None
     ) -> CompileOutcome:
         """Block until the ticket resolves and return its outcome.
 
         Raises ``TimeoutError`` if *timeout* seconds pass first; a failed
         compilation returns normally with ``outcome.error`` set.
         """
-        return self._pool.wait(ticket._pticket, timeout=timeout)
+        return self._pool.wait(ticket, timeout=timeout)
 
     def compile(self, *args, **kw) -> "CompiledKernel":
         """Synchronous convenience: submit + collect; raises the typed
@@ -193,22 +150,19 @@ class CompileService:
         ``cancel_queued`` sheds still-queued jobs with typed
         :class:`~repro.compile.pool.CompileCancelled` failures instead
         (the SIGTERM drain policy).  All workers are reaped."""
-        with self._lock:
-            self._closed = True
         self._pool.shutdown(wait=wait, cancel_queued=cancel_queued)
 
     def __enter__(self) -> "CompileService":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.shutdown()
+        self._pool.__exit__(*exc)  # drains; on an exception kills at once
 
 
 __all__ = [
     "CompileCancelled",
     "CompileQuarantined",
     "CompileService",
-    "ServiceClosed",
+    "PoolClosed",
     "ServiceOverloaded",
-    "Ticket",
 ]

@@ -117,19 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--serve-out", default=None, metavar="FILE",
                     help="serve: write per-job results as JSON to FILE")
     ap.add_argument("--workers", type=int, default=4,
-                    help="serve: concurrent compile worker processes")
-    ap.add_argument("--pool", action="store_true",
-                    help="serve: compile through the persistent supervised "
-                         "worker pool (retry/backoff, quarantine, bounded "
-                         "queue, graceful SIGTERM drain) instead of forking "
-                         "one worker per job")
-    ap.add_argument("--max-queue", type=int, default=64,
-                    help="serve --pool: admission bound (distinct pending "
-                         "compilations)")
-    ap.add_argument("--throughput", default=None, metavar="FILE",
-                    help="serve: measure warm-batch throughput (pool vs "
-                         "fork-per-job driver) over the job set and write "
-                         "the comparison as JSON to FILE")
+                    help="serve: compile worker processes in the supervised "
+                         "pool (retry/backoff, quarantine, bounded queue, "
+                         "graceful SIGTERM drain)")
     ap.add_argument("--prewarm", default=None, choices=["nas"],
                     help="serve: compile the built-in NAS/paper kernel jobs "
                          "(declared grids plus a wildcard-grid rank sweep "
@@ -475,8 +465,11 @@ def main(argv: list[str] | None = None) -> int:
             print(warm.report())
     elif args.target == "serve":
         import json
+        import signal
+        import threading
 
-        from ..compile.driver import CompileJob, compile_many, prewarm_jobs
+        from ..compile.driver import CompileJob, prewarm_jobs
+        from ..compile.pool import CompilePool, PoolConfig
         from ..nas import kernels as nas_kernels
         from .bench import atomic_write_text
 
@@ -521,119 +514,39 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  [serve] {out.job.describe()}: {status} "
                   f"[{how}, {out.elapsed:.2f}s]", flush=True)
 
-        if args.throughput:
-            import tempfile
-            import time as _time
+        drainer: list = []
 
-            from ..compile import PlanCache, PlanCacheConfig, use_cache
-            from ..compile.pool import CompilePool, PoolConfig
-
-            cache = PlanCache(PlanCacheConfig(
-                directory=tempfile.mkdtemp(prefix="repro-serve-tp-")
-            ))
-            with use_cache(cache):
-                print(f"  [serve] populating plan cache "
-                      f"({len(jobs)} jobs)", flush=True)
-                t0 = _time.monotonic()
-                outcomes = compile_many(
-                    jobs, workers=args.workers, timeout=args.timeout,
-                    cache=cache,
-                )
-                cold_s = _time.monotonic() - t0
-                if not all(o.ok for o in outcomes):
-                    print("  [serve] populate pass failed; aborting")
-                    return 1
-                fork_warm_s = float("inf")
-                for _ in range(max(args.repeat, 3)):  # best-of: warm passes are noise-bound
-                    t0 = _time.monotonic()
-                    fork_out = compile_many(
-                        jobs, workers=args.workers, cache=cache,
-                    )
-                    fork_warm_s = min(fork_warm_s, _time.monotonic() - t0)
-                pool_warm_s = float("inf")
-                for _ in range(max(args.repeat, 3)):
-                    # fresh pool per pass: each pays its own ticket
-                    # admission, exactly like a fresh service instance
-                    with CompilePool(
-                        PoolConfig(workers=args.workers), cache=cache,
-                    ) as pool:
-                        t0 = _time.monotonic()
-                        pool_out = pool.run_batch(list(jobs))
-                        pool_warm_s = min(
-                            pool_warm_s, _time.monotonic() - t0
-                        )
-            ok = (all(o.ok for o in fork_out)
-                  and all(o.ok for o in pool_out))
-            result = {
-                "jobs": len(jobs),
-                "workers": args.workers,
-                "cold_populate_s": round(cold_s, 4),
-                "fork_warm_s": round(fork_warm_s, 4),
-                "pool_warm_s": round(pool_warm_s, 4),
-                "pool_vs_fork_warm_speedup": round(
-                    fork_warm_s / pool_warm_s, 3
-                ) if pool_warm_s > 0 else None,
-                "ok": ok,
-            }
-            atomic_write_text(
-                args.throughput,
-                json.dumps(result, indent=2, sort_keys=True) + "\n",
+        def _on_term(signum, frame):
+            # graceful drain: stop admitting, finish in-flight work,
+            # shed the still-queued tail with typed CompileCancelled
+            # failures, reap every worker.  run_batch's waiters see
+            # the resolutions and return; cancelled jobs count as
+            # failures in the exit code.
+            print("  [serve] SIGTERM: draining (finishing in-flight, "
+                  "cancelling queued)", flush=True)
+            t = threading.Thread(
+                target=pool.shutdown,
+                kwargs={"wait": True, "cancel_queued": True},
+                daemon=True,
             )
-            print(f"  [serve] warm batch: fork {fork_warm_s:.3f}s, "
-                  f"pool {pool_warm_s:.3f}s "
-                  f"({result['pool_vs_fork_warm_speedup']}x)")
-            print(f"wrote {args.throughput}")
-            return 0 if ok else 1
+            t.start()
+            drainer.append(t)
 
-        if args.pool:
-            import signal as _signal
-            import threading as _threading
-
-            from ..compile.pool import CompilePool, PoolConfig
-
-            pool = CompilePool(PoolConfig(
-                workers=args.workers, timeout=args.timeout,
-                max_queue=args.max_queue,
-            ))
-            drainer: list = []
-
-            def _on_term(signum, frame):
-                # graceful drain: stop admitting, finish in-flight work,
-                # shed the still-queued tail with typed CompileCancelled
-                # failures, reap every worker.  run_batch's waiters see
-                # the resolutions and return; cancelled jobs count as
-                # failures in the exit code.
-                print("  [serve] SIGTERM: draining (finishing in-flight, "
-                      "cancelling queued)", flush=True)
-                t = _threading.Thread(
-                    target=pool.shutdown,
-                    kwargs={"wait": True, "cancel_queued": True},
-                    daemon=True,
-                )
-                t.start()
-                drainer.append(t)
-
-            prev = _signal.signal(_signal.SIGTERM, _on_term)
+        with CompilePool(PoolConfig(
+            workers=args.workers, timeout=args.timeout,
+        )) as pool:
+            prev = signal.signal(signal.SIGTERM, _on_term)
             try:
-                outcomes = compile_many(
-                    jobs, timeout=args.timeout, progress=_report, pool=pool,
-                )
+                outcomes = pool.run_batch(jobs, progress=_report)
             finally:
-                _signal.signal(_signal.SIGTERM, prev)
+                signal.signal(signal.SIGTERM, prev)
                 if drainer:
                     drainer[0].join(timeout=60.0)
-                else:
-                    pool.shutdown(wait=True)
-            s = pool.stats
-            print(f"  [serve] pool: {s.forks} forks, {s.warm_hits} warm, "
-                  f"{s.coalesced} coalesced, {s.retries} retries, "
-                  f"{s.quarantined} quarantined, "
-                  f"peak queue {s.peak_queue_depth}", flush=True)
-        else:
-            outcomes = compile_many(
-                jobs, workers=args.workers, timeout=args.timeout,
-                progress=_report,
-            )
+        s = pool.stats
+        print(f"  [serve] pool: {s.forks} forks, {s.warm_hits} warm, "
+              f"{s.coalesced} coalesced, {s.retries} retries, "
+              f"{s.quarantined} quarantined, "
+              f"peak queue {s.peak_queue_depth}", flush=True)
         rows = []
         for out in outcomes:
             rows.append({

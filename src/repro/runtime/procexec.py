@@ -16,9 +16,11 @@ node programs on actual OS processes:
   same physical numpy buffers (see :func:`run_kernel`).
 
 Real workers fail in real ways — crashes, hangs, partial writes — so the
-backend is supervised from day one.  The parent-side monitor watches a
-shared-memory heartbeat slab, each worker's exit code, and an overall
-wall-clock deadline.  Every worker beats from a tiny daemon thread (and
+backend is supervised from day one, on the same core as the compile pool
+(:mod:`repro.supervise`: heartbeat slab, verdict, drain, reaping, typed
+errors).  The parent-side monitor watches the heartbeat slab, each
+worker's exit code, and an overall wall-clock deadline.  Every worker
+beats from a tiny daemon thread (and
 additionally on every rank-API call), so a live worker keeps beating
 even through a long rank-API-free vectorized compute nest; a stale
 heartbeat therefore means a *frozen* process — SIGSTOPped, wedged in the
@@ -57,12 +59,10 @@ is missing, so a torn write can never be resumed from.
 
 from __future__ import annotations
 
-import atexit
 import os
 import queue as _queue
 import signal
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -70,73 +70,17 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .. import supervise
+from ..supervise import (  # noqa: F401 - the typed family is re-exported here
+    ExecutorError,
+    ExecutorTimeout,
+    ExecutorUnavailable,
+    WorkerCrashed,
+    WorkerTimeout,
+)
 from .model import MachineModel, TEST_MACHINE
 
 _SEG_PREFIX = "repro_px"
-
-
-# ---------------------------------------------------------------------------
-# typed failures
-# ---------------------------------------------------------------------------
-
-class ExecutorError(RuntimeError):
-    """A failure of (or inside) the real-process execution backend.
-
-    ``rank``/``phase``/``last_heartbeat`` identify the failing worker:
-    which rank, what application phase it last reported, and how many
-    wall-clock seconds before detection it last proved liveness.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        rank: Optional[int] = None,
-        phase: Optional[str] = None,
-        last_heartbeat: Optional[float] = None,
-    ):
-        detail = []
-        if rank is not None:
-            detail.append(f"rank {rank}")
-        if phase:
-            detail.append(f"phase {phase!r}")
-        if last_heartbeat is not None:
-            detail.append(f"last heartbeat {last_heartbeat:.2f}s ago")
-        if detail:
-            message = f"{message} ({', '.join(detail)})"
-        super().__init__(message)
-        self.rank = rank
-        self.phase = phase
-        self.last_heartbeat = last_heartbeat
-
-
-class ExecutorUnavailable(ExecutorError):
-    """The process backend cannot run here (no fork start method)."""
-
-
-class WorkerCrashed(ExecutorError):
-    """A worker process died (signal, nonzero exit, or a clean exit that
-    never delivered a result — a partial write)."""
-
-    def __init__(self, message: str, *, exitcode: Optional[int] = None, **kw):
-        super().__init__(message, **kw)
-        self.exitcode = exitcode
-
-
-class WorkerTimeout(ExecutorError):
-    """A worker stopped heartbeating.
-
-    Workers beat from a background thread, so this means the process is
-    *frozen* (SIGSTOP, kernel wedge) — a live worker stuck in a long
-    compute keeps beating and is bounded by ``timeout=`` instead."""
-
-
-class ExecutorTimeout(ExecutorError):
-    """The overall wall-clock ``timeout=`` budget was exhausted.
-
-    Raised by both executors — the process supervisor and the virtual
-    machine's ``run(timeout=...)`` guard — so harnesses catch one type.
-    """
 
 
 @dataclass(frozen=True)
@@ -173,17 +117,13 @@ class ProcConfig:
     ``heartbeat_interval`` (plus every rank-API call), so only a frozen
     process — not a long compute nest — trips it.  ``max_restarts`` bounds
     gang restarts after crashes/timeouts; each waits
-    ``restart_backoff * 2**attempt`` seconds first.  ``exit_grace`` is how
-    long a cleanly-exited worker's result may stay in flight before the
-    exit is ruled a crash.
+    ``restart_backoff * 2**attempt`` seconds first.
     """
 
     heartbeat_interval: float = 0.05
     heartbeat_timeout: float = 20.0
     max_restarts: int = 2
     restart_backoff: float = 0.05
-    poll_interval: float = 0.02
-    exit_grace: float = 2.0
     start_method: str = "fork"
 
     def __post_init__(self) -> None:
@@ -193,8 +133,8 @@ class ProcConfig:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
-        if self.restart_backoff < 0 or self.poll_interval <= 0:
-            raise ValueError("restart_backoff/poll_interval out of range")
+        if self.restart_backoff < 0:
+            raise ValueError("restart_backoff out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +163,7 @@ class ProcRank:
         nprocs: int,
         model: MachineModel,
         inboxes: list,
-        hb: np.ndarray,
+        hb,
         ctrl,
         hb_interval: float,
     ):
@@ -332,7 +272,7 @@ def _worker_main(
     node_fn: Callable,
     inboxes: list,
     ctrl,
-    hb: np.ndarray,
+    hb,
     model: MachineModel,
     checkpoint,
     hb_interval: float,
@@ -342,18 +282,9 @@ def _worker_main(
     # of every child racing it to a half-flushed queue
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        # liveness beats: a daemon thread stamps the slab every interval,
-        # so a worker deep in a rank-API-free compute nest never goes
-        # stale (SIGSTOP/kernel freezes stop this thread too, which is
-        # exactly what WorkerTimeout is meant to detect)
-        def _liveness_beats() -> None:
-            while True:
-                hb[rank_id] = time.monotonic()
-                time.sleep(hb_interval)
-
-        threading.Thread(
-            target=_liveness_beats, daemon=True, name="procexec-beater"
-        ).start()
+        # beats come from a thread, so a worker deep in a rank-API-free
+        # compute nest never goes stale
+        supervise.start_beating(hb, rank_id, hb_interval)
         if checkpoint is not None:
             checkpoint.store._publish = (
                 lambda it, r, state: ctrl.put(("ckpt", it, r, state))
@@ -362,15 +293,7 @@ def _worker_main(
         result = node_fn(rank)
         ctrl.put(("done", rank_id, result))
     except BaseException as exc:  # noqa: BLE001 - report, then die nonzero
-        import traceback
-
-        try:
-            ctrl.put((
-                "err", rank_id, type(exc).__name__, str(exc),
-                traceback.format_exc(),
-            ))
-        except Exception:
-            pass
+        supervise.report_error(ctrl, exc, rank_id)
         sys.exit(1)
 
 
@@ -381,27 +304,12 @@ def _worker_main(
 class _Gang:
     """One launched generation of workers plus its plumbing."""
 
-    def __init__(self, procs, inboxes, ctrl, shm, hb):
-        self.procs = procs
+    def __init__(self, workers, inboxes, ctrl):
+        self.workers: list[supervise.Supervised] = workers  # by rank
         self.inboxes = inboxes
         self.ctrl = ctrl
-        self.shm = shm
-        self.hb = hb
         self.t0 = time.monotonic()
         self.iters: dict[int, int] = {}   # rank -> newest checkpointed iter
-        self.exit_seen: dict[int, float] = {}
-
-
-#: gangs whose children/segments must be reaped if the parent dies mid-run
-_LIVE_GANGS: "set[ProcessExecutor]" = set()
-
-
-def _atexit_sweep() -> None:  # pragma: no cover - exercised only on abrupt exit
-    for ex in list(_LIVE_GANGS):
-        ex._emergency_cleanup()
-
-
-atexit.register(_atexit_sweep)
 
 
 def leaked_segments(prefix: str | None = None) -> list[str]:
@@ -438,15 +346,7 @@ class ProcessExecutor:
         self._segment_counter = 0
         #: test hook: called once per supervision poll (chaos/CTRL-C tests)
         self._poll_hook: Optional[Callable[[], None]] = None
-        import multiprocessing as mp
-
-        if self.config.start_method not in mp.get_all_start_methods():
-            raise ExecutorUnavailable(
-                f"start method {self.config.start_method!r} is unavailable "
-                f"(have {mp.get_all_start_methods()}); the process backend "
-                "needs fork to inherit node-program closures"
-            )
-        self._ctx = mp.get_context(self.config.start_method)
+        self._ctx = supervise.fork_context(self.config.start_method)
 
     # -- lifecycle -------------------------------------------------------------
     def run(
@@ -508,57 +408,37 @@ class ProcessExecutor:
         return f"{_SEG_PREFIX}_{os.getpid()}_{self._segment_counter}"
 
     def _launch(self, node_fn: Callable, checkpoint) -> None:
-        from multiprocessing import shared_memory
-
         cfg = self.config
         inboxes = [self._ctx.Queue() for _ in range(self.nprocs)]
         ctrl = self._ctx.Queue()
-        shm = shared_memory.SharedMemory(
-            create=True, name=self._segment_name(), size=self.nprocs * 8
-        )
-        hb = np.ndarray((self.nprocs,), dtype=np.float64, buffer=shm.buf)
-        hb[:] = time.monotonic()
-        procs = []
-        for r in range(self.nprocs):
-            p = self._ctx.Process(
+        hb = supervise.heartbeat_slab(self._ctx, self.nprocs)
+        workers = [
+            supervise.Supervised(self._ctx.Process(
                 target=_worker_main,
                 args=(r, self.nprocs, node_fn, inboxes, ctrl, hb, self.model,
                       checkpoint, cfg.heartbeat_interval),
                 daemon=True,
                 name=f"procexec-rank-{r}",
-            )
-            procs.append(p)
-        self._gang = _Gang(procs, inboxes, ctrl, shm, hb)
-        _LIVE_GANGS.add(self)
-        for p in procs:
-            p.start()
+            ), hb, r)
+            for r in range(self.nprocs)
+        ]
+        self._gang = _Gang(workers, inboxes, ctrl)
+        supervise.guard(self, ProcessExecutor._teardown)
+        for w in workers:
+            w.proc.start()
 
     # -- supervision -----------------------------------------------------------
     def _drain(self, done: dict, phases: dict, checkpoint, block: bool) -> None:
         """Pull control messages: results, errors, checkpoints, phases.
 
-        A SIGKILLed worker can tear its last message mid-pipe; unpickling
-        garbage is treated as a lost message (safe: coordinated-complete
+        A message torn by a SIGKILLed writer is dropped by
+        :func:`repro.supervise.drain` — safe: coordinated-complete
         checkpoint semantics ignore iterations missing any rank, and a
-        lost ``done`` is re-detected as a crash).
+        lost ``done`` is re-detected as a crash.
         """
         gang = self._gang
         assert gang is not None
-        first = True
-        while True:
-            try:
-                if block and first:
-                    msg = gang.ctrl.get(timeout=self.config.poll_interval)
-                else:
-                    msg = gang.ctrl.get_nowait()
-            except _queue.Empty:
-                return
-            except (EOFError, OSError):  # queue torn down under us
-                return
-            except Exception:  # corrupted frame from a killed writer
-                continue
-            finally:
-                first = False
+        for msg in supervise.drain(gang.ctrl, block):
             kind = msg[0]
             if kind == "done":
                 done[msg[1]] = msg[2]
@@ -588,7 +468,7 @@ class ProcessExecutor:
     def _fire_fault(self, fault: ProcFault) -> None:
         gang = self._gang
         assert gang is not None
-        p = gang.procs[fault.rank]
+        p = gang.workers[fault.rank].proc
         if p.pid is None or not p.is_alive():  # pragma: no cover - raced exit
             return
         sig = signal.SIGKILL if fault.kind == "kill" else signal.SIGSTOP
@@ -616,63 +496,44 @@ class ProcessExecutor:
                     f"run exceeded its wall-clock budget with rank(s) "
                     f"{waiting} unfinished",
                     rank=waiting[0], phase=phases.get(waiting[0]),
-                    last_heartbeat=now - float(gang.hb[waiting[0]]),
+                    last_heartbeat=gang.workers[waiting[0]].since_beat(now),
                 )
             if fault is not None and not fault_state["fired"] \
                     and self._fault_due(fault, now):
                 fault_state["fired"] = True
                 self._fire_fault(fault)
-            for r, p in enumerate(gang.procs):
+            for r, w in enumerate(gang.workers):
                 if r in done:
                     continue
-                ec = p.exitcode
-                if ec is None:
-                    stale = now - float(gang.hb[r])
-                    if stale > cfg.heartbeat_timeout:
-                        raise WorkerTimeout(
-                            f"rank {r} stopped heartbeating",
-                            rank=r, phase=phases.get(r), last_heartbeat=stale,
-                        )
+                state, what = w.verdict(now, cfg.heartbeat_timeout)
+                if state == supervise.ALIVE:
                     continue
-                # exited: give a clean exit a grace window for its result
-                # message to finish traveling, then rule it a crash
-                seen = gang.exit_seen.setdefault(r, now)
+                if state == supervise.FROZEN:
+                    raise WorkerTimeout(
+                        f"rank {r} stopped heartbeating",
+                        rank=r, phase=phases.get(r),
+                        last_heartbeat=w.since_beat(now),
+                    )
+                # exited: its result may already be on the control queue
                 self._drain(done, phases, checkpoint, block=False)
-                if r in done:
+                if r in done or state == supervise.PENDING:
                     continue
-                if ec == 0 and now - seen < cfg.exit_grace:
-                    continue
-                what = (
-                    f"killed by signal {-ec}" if ec < 0 else
-                    f"exited with code {ec}" if ec else
-                    "exited cleanly without delivering a result"
-                )
                 raise WorkerCrashed(
                     f"rank {r} {what}",
-                    exitcode=ec, rank=r, phase=phases.get(r),
-                    last_heartbeat=now - float(gang.hb[r]),
+                    exitcode=w.proc.exitcode, rank=r, phase=phases.get(r),
+                    last_heartbeat=w.since_beat(now),
                 )
 
     # -- cleanup ---------------------------------------------------------------
     def _teardown(self, checkpoint=None) -> None:
         """Kill and reap every child, salvage buffered checkpoint messages,
-        release queues and the heartbeat segment.  Safe to call twice."""
+        release the queues.  Safe to call twice."""
         gang = self._gang
         if gang is None:
             return
         self._gang = None
-        _LIVE_GANGS.discard(self)
-        for p in gang.procs:
-            if p.pid is not None and p.is_alive():
-                try:
-                    # SIGKILL (not terminate/SIGTERM): it also fells
-                    # SIGSTOPped workers, and nothing here needs to run
-                    # child-side cleanup
-                    os.kill(p.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-        for p in gang.procs:
-            p.join(timeout=5.0)
+        supervise.unguard(self)
+        supervise.kill_and_reap(w.proc for w in gang.workers)
         # checkpoints already in the pipe survive their writer's death;
         # bank them so the next gang resumes as far forward as possible
         if checkpoint is not None:
@@ -681,27 +542,7 @@ class ProcessExecutor:
                 self._drain({}, {}, checkpoint, block=False)
             finally:
                 self._gang = None
-        for q in gang.inboxes + [gang.ctrl]:
-            try:
-                q.close()
-                q.join_thread()
-            except Exception:  # pragma: no cover - best-effort release
-                pass
-        gang.hb = None  # drop the exported buffer so the mmap can unmap
-        try:
-            gang.shm.close()
-        except Exception:  # pragma: no cover - BufferError on exotic refs
-            pass
-        try:
-            gang.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
-
-    def _emergency_cleanup(self) -> None:  # pragma: no cover - atexit path
-        try:
-            self._teardown()
-        except Exception:
-            pass
+        supervise.release_queues(*gang.inboxes, gang.ctrl)
 
 
 # ---------------------------------------------------------------------------

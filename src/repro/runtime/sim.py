@@ -38,7 +38,7 @@ import numpy as np
 
 from .faults import FaultPlan, RankCrashed
 from .model import MachineModel, TEST_MACHINE
-from .procexec import ExecutorTimeout
+from ..supervise import ExecutorTimeout
 from .reliable import ReliableConfig, ReliableTransport
 from .trace import Trace, TraceEvent
 
@@ -378,7 +378,7 @@ class VirtualMachine:
 
         ``timeout`` is an overall *wall-clock* budget in host seconds: when
         it expires, blocked ranks are woken and unwound, and the run raises
-        a typed :class:`~repro.runtime.procexec.ExecutorTimeout` (the same
+        a typed :class:`~repro.supervise.ExecutorTimeout` (the same
         error the real-process executor raises) naming the unfinished
         ranks.  A rank stuck in pure compute cannot be unwound — its daemon
         thread is abandoned — so a pathological kernel still cannot hang

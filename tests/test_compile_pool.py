@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.compile import PlanCache, PlanCacheConfig, use_cache
-from repro.compile.driver import CompileJob, compile_many
+from repro.compile.driver import CompileJob
 from repro.compile.pool import (
     CompileCancelled,
     CompilePool,
@@ -31,7 +31,7 @@ from repro.compile.pool import (
     PoolConfig,
     ServiceOverloaded,
 )
-from repro.runtime.procexec import WorkerTimeout
+from repro.supervise import WorkerTimeout
 
 TEMPLATE = """
       subroutine k(n)
@@ -344,22 +344,48 @@ class TestShutdown:
         assert isinstance(out_b.error, CompileCancelled)
         assert pool.stats.cancelled == 1
 
+    def test_drain_during_blocked_admission_keeps_the_batch(
+        self, cache, monkeypatch,
+    ):
+        """A drain that starts while run_batch is blocked in admission
+        (SIGTERM under ``eval serve`` with more than max_queue jobs
+        pending) must not lose the batch to PoolClosed: the in-flight job
+        finishes, the refused job and every later one come back as typed
+        CompileCancelled outcomes, one outcome per job."""
+        import threading
+
+        import repro.compile.driver as driver
+
+        real = driver._build_for_job
+
+        def slow(job):
+            time.sleep(0.5)
+            return real(job)
+
+        monkeypatch.setattr(driver, "_build_for_job", slow)
+        jobs = _jobs(5)
+        pool = CompilePool(_fast_config(workers=1, max_queue=1), cache=cache)
+        timer = threading.Timer(
+            0.3, pool.shutdown, kwargs={"cancel_queued": True},
+        )
+        timer.start()
+        try:
+            outcomes = pool.run_batch(jobs)
+        finally:
+            timer.join(timeout=60)
+            pool.shutdown(wait=False)
+        assert not timer.is_alive()
+        assert [o.index for o in outcomes] == [0, 1, 2, 3, 4]
+        assert [o.job.label for o in outcomes] == [j.label for j in jobs]
+        assert outcomes[0].ok  # already on the worker: finished
+        for out in outcomes[1:]:
+            assert isinstance(out.error, CompileCancelled)
+
     def test_submit_after_shutdown_raises(self, cache):
         pool = CompilePool(_fast_config(workers=1), cache=cache)
         pool.shutdown()
         with pytest.raises(PoolClosed):
             pool.submit(_jobs(1)[0])
-
-
-class TestCompileManyPoolPath:
-    def test_pool_arg_routes_batch_through_pool(self, cache):
-        jobs = _jobs(3) + _jobs(1)  # index 3 duplicates index 0
-        with CompilePool(_fast_config(workers=2), cache=cache) as pool:
-            outcomes = compile_many(jobs, cache=cache, pool=pool)
-            assert [o.index for o in outcomes] == [0, 1, 2, 3]
-            assert all(o.ok for o in outcomes)
-            assert outcomes[3].shared
-            assert pool.stats.submitted == 4
 
 
 class TestDeterminism:

@@ -7,8 +7,10 @@ the rest of the batch.  ``CompileService`` layers ticket-based
 coalescing on top.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -17,10 +19,10 @@ from repro.compile import PlanCache, PlanCacheConfig, use_cache
 from repro.compile.driver import (
     CompileFailed,
     CompileJob,
-    WorkerCrashed,
     WorkerTimeout,
     compile_many,
 )
+from repro.compile.pool import CompileQuarantined, PoolClosed, PoolConfig
 
 TEMPLATE = """
       subroutine k(n)
@@ -45,6 +47,13 @@ def _jobs(n):
         CompileJob(TEMPLATE.format(const=f"{i}.0"), 4, {"n": 8},
                    label=f"k{i}")
         for i in range(n)
+    ]
+
+
+def _pool_leftovers():
+    """Live child processes and pool supervisor threads."""
+    return multiprocessing.active_children() + [
+        t for t in threading.enumerate() if t.name == "compile-pool"
     ]
 
 
@@ -153,7 +162,13 @@ class TestCompileMany:
                             label="poison")
         outcomes = compile_many(jobs + [poison], workers=3, cache=cache)
         assert outcomes[0].ok and outcomes[1].ok
-        assert isinstance(outcomes[2].error, WorkerCrashed)
+        # a dying worker is retried; a job that keeps killing its worker
+        # is quarantined with one crash record per attempt
+        err = outcomes[2].error
+        assert isinstance(err, CompileQuarantined)
+        assert len(err.history) == PoolConfig().max_attempts
+        assert all(a.kind == "crash" for a in err.history)
+        assert outcomes[2].sink.by_code("E-QUARANTINE")
 
     def test_duplicate_digest_jobs_both_time_out(self, cache, monkeypatch):
         """Jobs that coalesced onto one hung build must all surface the
@@ -201,6 +216,43 @@ class TestCompileMany:
         assert all(o.ok and o.cached for o in outcomes)
         assert not record.exists()
 
+    def test_leaves_no_worker_or_supervisor_behind(self, cache):
+        outcomes = compile_many(_jobs(2), workers=2, cache=cache)
+        assert all(o.ok for o in outcomes)
+        assert _pool_leftovers() == []
+
+    def test_raising_progress_kills_the_pool_at_once(
+        self, cache, monkeypatch, tmp_path,
+    ):
+        """An exception out of the batch (Ctrl-C, a raising progress
+        callback) must kill and reap the transient pool immediately, not
+        compile the rest of the queue first."""
+        import repro.compile.driver as driver
+
+        record = tmp_path / "builds.txt"
+        real = driver._build_for_job
+
+        def slow_recording(job):
+            with open(record, "a") as fh:
+                fh.write(f"{job.label}\n")
+            time.sleep(1.0)
+            return real(job)
+
+        monkeypatch.setattr(driver, "_build_for_job", slow_recording)
+
+        def boom(outcome):
+            raise RuntimeError("progress callback failed")
+
+        jobs = _jobs(5)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="progress callback failed"):
+            compile_many(jobs, workers=1, cache=cache, progress=boom)
+        assert time.monotonic() - t0 < 4.5  # five queued builds sleep >= 5 s
+        assert _pool_leftovers() == []
+        # the first job finished, the next may have started; the rest
+        # of the queue never reached a worker
+        assert record.read_text().count("\n") <= 2
+
     def test_empty_batch(self, cache):
         assert compile_many([], workers=2, cache=cache) == []
 
@@ -236,6 +288,25 @@ class TestCompileService:
             assert out.ok
             assert svc.poll(t1).done
 
+    def test_ticket_carries_job_and_digest(self, cache):
+        """The service hands out the pool's own ticket: callers read the
+        submitted job (``ticket.job.label``), its digest and live state
+        off it, cold or warm."""
+        from repro.compile.service import CompileService
+
+        src = TEMPLATE.format(const="4.0")
+        with CompileService(workers=1, cache=cache) as svc:
+            first = svc.submit(src, 4, {"n": 8}, label="first")
+            assert svc.submit(src, 4, {"n": 8}, label="second") is first
+            assert first.job.label == "first"
+            assert first.digest == first.job.key().kernel_digest
+            assert svc.collect(first, timeout=120).ok
+            assert first.done and first.state == "done"
+        with CompileService(workers=1, cache=cache) as svc:
+            warm = svc.submit(src, 4, {"n": 8}, label="warm")
+            assert warm.done and warm.job.label == "warm"
+            assert svc.submit(src, 4, {"n": 8}) is warm
+
     def test_sync_compile_raises_typed(self, cache):
         from repro.compile.service import CompileService
 
@@ -250,11 +321,11 @@ class TestCompileService:
             assert k.python_source("mpi")
 
     def test_shutdown_rejects_new_work(self, cache):
-        from repro.compile.service import CompileService, ServiceClosed
+        from repro.compile.service import CompileService
 
         svc = CompileService(workers=1, cache=cache)
         svc.shutdown()
-        with pytest.raises(ServiceClosed):
+        with pytest.raises(PoolClosed):
             svc.submit(TEMPLATE.format(const="1.0"), 4, {"n": 8})
 
     def test_stampede_launches_one_build(self, cache, monkeypatch, tmp_path):
