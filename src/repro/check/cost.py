@@ -28,8 +28,9 @@ affine paper kernel and the NAS class-S pipelines.
 
 Advisory diagnostics (:func:`cost_advisories`) surface the findings with
 stable codes merged into :func:`repro.check.verify_kernel` reports:
-``W-REPLICATED`` (fallback nests), ``W-SCALAR-WAVEFRONT`` (vector-backend
-demotions), ``W-IMBALANCE`` (uneven block ownership), and — when a
+``W-REPLICATED`` (fallback nests), ``W-SCALAR-WAVEFRONT`` (statements the
+vector backend left without any vector level, with the planner's
+reason), ``W-IMBALANCE`` (uneven block ownership), and — when a
 machine model is supplied — ``W-COMM-HOT`` (a dominant communication
 statement) and ``I-SCALE-LIMIT`` (a predicted speedup knee).
 """
@@ -563,13 +564,23 @@ def cost_advisories(
         except Exception:
             pass
         for sid, rep in sorted(getattr(kernel, "vector_report", {}).items()):
-            if getattr(rep, "status", "vector") == "vector":
+            # a sunk wavefront reports "vector" (its sequential loops are
+            # named in the reason): only statements left without any
+            # vector level run one Python iteration per point
+            status = getattr(rep, "status", "vector")
+            if status == "vector":
                 continue
-            reason = getattr(rep, "reason", "") or "statement-level fallback"
+            what = (
+                "runs as a scalar Python loop" if status == "scalar"
+                else "keeps statements "
+                f"{', '.join(f's{x}' for x in rep.scalar_sids)} in a scalar "
+                "mini-loop"
+            )
+            reason = getattr(rep, "reason", "") or "no vector level"
             out.append(Diagnostic(
                 Severity.WARN, W_SCALAR_WAVEFRONT,
-                f"loop {getattr(rep, 'loop_var', '?')} demoted to scalar "
-                f"execution by the vector backend: {reason}",
+                f"loop {getattr(rep, 'loop_var', '?')} {what} under the "
+                f"vector backend: {reason}",
                 stmt_sid=sid,
             ))
     imb = cost.imbalance()

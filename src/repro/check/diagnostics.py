@@ -46,7 +46,7 @@ I_FALLBACK = "I-FALLBACK"   # an analyzer took a conservative fallback
 #: advisory codes of the static LogGP cost analyzer (repro.check.cost)
 W_COMM_HOT = "W-COMM-HOT"            # one statement dominates predicted comm time
 W_REPLICATED = "W-REPLICATED"        # a nest runs replicated (fallback CP)
-W_SCALAR_WAVEFRONT = "W-SCALAR-WAVEFRONT"  # vector backend demoted a loop
+W_SCALAR_WAVEFRONT = "W-SCALAR-WAVEFRONT"  # statements left with no vector level
 W_IMBALANCE = "W-IMBALANCE"          # uneven per-rank block ownership
 I_SCALE_LIMIT = "I-SCALE-LIMIT"      # predicted speedup knee in T(nprocs)
 

@@ -2,10 +2,12 @@
 
 The scalar backend emits one Python statement per loop iteration per
 assignment.  This pass proves, per innermost affine loop — or per
-perfectly-nested rectangular chain of loops — that executing each
-assignment over its whole admissible index block at once is
-observationally identical to the scalar interleaving, then emits NumPy
-slice assignments over :meth:`FortranArray.vget`/``vset`` instead.
+rectangular nest of loops — that executing each assignment over a whole
+admissible index block at once is observationally identical to the scalar
+interleaving, then emits NumPy slice assignments over
+:meth:`FortranArray.vget`/``vset`` instead.  In a nest only the loops that
+carry a dependence stay Python loops; every other loop is a dimension of
+each statement's block.
 
 Safety argument (see DESIGN.md "Vectorizing backend"):
 
@@ -22,18 +24,36 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   iteration order, and NumPy materializes the full right-hand side of each
   box before any element is stored.  An anti dependence carried by an
   *outer* vectorized level can cross cover boxes against iteration order
-  (guard holes split rows into blocks), so it forces a shallower nest.
+  (guard holes split rows into blocks), so that level stays sequential.
+* **Loop sinking.**  In a rectangular nest, all vector loops move inside
+  all sequential ones, relative order kept within each class; the vector
+  loops are then distributed over the body items and each statement runs
+  over its whole box.  A dependence carried at a sequential level l has
+  ``=`` on every loop outside l, so after the move the same loop still
+  carries it with only ``=`` in front; and a loop that moves across a
+  sequential one carries *nothing*, so distribution meets only level-0
+  (textually forward) edges — the loop-distribution argument above.  The
+  two tolerated carried edges (forward cross-statement, innermost anti)
+  are honoured only on a loop with no sequential loop inside it: a
+  forward edge ``(<, *)`` on ``(j, i)`` may have ``i1 > i2``, and with
+  ``j`` sunk inside a sequential ``i`` its sink would run first.  A loop
+  one statement's subscripts cannot slice (coupled or diagonal, as in
+  ``lhs(q,q,2,i,j,k)``) runs sequentially for that statement alone, around
+  its cover loop; it carries at most the tolerated edges, so running it in
+  order for one statement is distribution again.
 * **Scalar expansion.**  A scalar written once per iteration and only read
   afterwards becomes a block-shaped vector temporary.  Under computation-
   partition guards this is bitwise-safe only when every reader's guard is
   subsumed by the writer's (checked via ON_HOME-term subsumption), so no
   reader ever observes a stale value that the scalar backend would have
-  kept from an earlier admitted iteration.
+  kept from an earlier admitted iteration.  Nests expand scalars only when
+  no loop is sequential (the temporaries are shaped for one whole block).
 * **Guard covers.**  Per-statement CP guards are realized as maximal
   contiguous runs of admissible innermost indices (:meth:`Guards.segments`)
   or, for multi-level blocks, as an exact lexicographically-ordered box
-  cover (:meth:`Guards.boxes`), so each guarded statement is a short loop
-  over slices, not over points.
+  cover (:meth:`Guards.boxes`) at the vector positions for fixed
+  sequential indices, so each guarded statement is a short loop over
+  slices, not over points.
 * **Statement merging.**  Consecutive vectorized statements whose guards
   have the same canonical data partition (§5 ``cp_key``) and with no
   carried dependence between them share one cover loop: per box they
@@ -41,18 +61,23 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   dependences, and carried dependences between group members are excluded
   outright.
 * **Orientation.**  Fortran's column-major subscript order means the
-  innermost loop index usually indexes the *first* array axis.  Each nest
-  adopts the axis order of its first store as the block orientation; every
-  other reference must use a subsequence of that order (NumPy keeps slice
-  axes in array order), and lower-dimensional sections are broadcast-
-  lifted with unit axes at the orientation positions they do not vary
-  with.
+  innermost loop index usually indexes the *first* array axis.  Each
+  statement's block adopts the axis order of its store (expanded
+  temporaries that of the nest's first store); every other reference must
+  use a subsequence of that order (NumPy keeps slice axes in array order),
+  and lower-dimensional sections are broadcast-lifted with unit axes at
+  the orientation positions they do not vary with.
 
-Everything unprovable falls back level-by-level (an N-deep block plan
-that fails is retried one loop deeper in), then statement-by-statement
-(scalar mini-loops inside the vectorized innermost loop), then loop-wise
-to the scalar backend; the decision log is kept on the kernel as
-``vector_report``.
+A loop heads a nest plan only if it passes a syntactic screen
+(:func:`_nest_tree`: a loop beneath it, every store beneath it sliceable
+along it, every scalar write expandable) — the dependence pass over a
+whole nest is the expensive step, and a loop that fails the screen could
+only ever be sequential.  Everything unprovable falls back level-by-level
+(a loop that cannot head a plan, or would be sequential in it, is emitted
+as a Python loop and planning restarts in its body), then
+statement-by-statement (scalar mini-loops inside the vectorized innermost
+loop), then loop-wise to the scalar backend; the decision log is kept on
+the kernel as ``vector_report``.
 """
 
 from __future__ import annotations
@@ -73,7 +98,17 @@ if TYPE_CHECKING:
 
 class VectorUnsupported(Exception):
     """A statement (or loop) cannot be proven safe to vectorize; the caller
-    falls back to scalar emission.  The message is the fallback reason."""
+    falls back to scalar emission.  The message is the fallback reason.
+
+    ``var`` names the one loop index the access rules cannot slice (a
+    coupled or diagonal subscript, a non-positive stride, a store that does
+    not vary with it, an orientation clash): the nest planner then runs
+    that loop sequentially *for this statement* and retries.  ``None``
+    means no choice of vector levels helps."""
+
+    def __init__(self, message: str, var: Optional[str] = None):
+        super().__init__(message)
+        self.var = var
 
 
 #: intrinsics with an elementwise numpy equivalent that matches the scalar
@@ -149,6 +184,13 @@ class _StmtPlan:
     #: ('array', name, subs_src) | ('expand', name, temp) — plus rhs_src
     payload: tuple | None = None
     rhs_src: str = ""
+    #: nest plans only — the statement's vector levels as ``(depth, loop)``
+    #: pairs, outermost first; the loops that run sequentially for this
+    #: statement alone (emitted around its cover loop); and its block's
+    #: orientation (vector loop indices in array-axis order)
+    vec: tuple = ()
+    own: tuple = ()
+    orient: tuple = ()
 
 
 @dataclass
@@ -162,6 +204,8 @@ class LoopReport:
     vector_sids: tuple = ()
     scalar_sids: tuple = ()
     expanded: tuple = ()
+    #: nest plans: the loops kept as Python loops around the blocks
+    sequential: tuple = ()
 
     def __repr__(self) -> str:
         extra = f" ({self.reason})" if self.reason else ""
@@ -185,12 +229,16 @@ class LoopPlan:
 
 @dataclass
 class NestPlan:
-    """A perfectly-nested rectangular loop chain emitted as N-d blocks."""
+    """A rectangular loop nest emitted as N-d blocks: the loops in ``seq``
+    stay Python loops (outermost, relative order kept), every other loop is
+    a vector dimension of each statement's guard boxes."""
 
-    chain: list              # DoLoops, outermost first
-    groups: list             # list[list[_StmtPlan]] sharing one cover loop
-    expanded: dict           # scalar name -> temp name
-    orient: tuple            # loop indices in array-axis order
+    top: DoLoop
+    seq: frozenset           # sids of the loops sequential for the whole nest
+    stmts: dict              # sid -> _StmtPlan
+    #: carried (src_sid, dst_sid) pairs between distinct statements — these
+    #: must not share a merged cover loop
+    carried_pairs: frozenset = frozenset()
     report: LoopReport = None  # type: ignore[assignment]
 
 
@@ -271,13 +319,13 @@ def _slice_src(s: Expr, ref_name: str, var: str, lo: str, hi: str, ctx: _Ctx) ->
     a = to_affine(s)
     if a is None:
         raise VectorUnsupported(
-            f"non-affine subscript {s} of {ref_name} uses {var}"
+            f"non-affine subscript {s} of {ref_name} uses {var}", var
         )
     c = a.coeff(var)
     rest = a - LinExpr({var: c})
     if c <= 0:
         raise VectorUnsupported(
-            f"subscript {s} of {ref_name}: non-positive stride {c} in {var}"
+            f"subscript {s} of {ref_name}: non-positive stride {c} in {var}", var
         )
     _check_plain({v.lower() for v in rest.vars()}, ctx, f"subscript {s}")
     rest_src = emit_expr(from_affine(rest), ctx.locals_)
@@ -298,13 +346,13 @@ def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tupl
         if len(vec_here) > 1:
             raise VectorUnsupported(
                 f"subscript {s} of {ref.name} couples loop indices "
-                f"{'/'.join(vec_here)}"
+                f"{'/'.join(vec_here)}", vec_here[-1]
             )
         if vec_here:
             v = vec_here[0]
             if v in used:
                 raise VectorUnsupported(
-                    f"{ref.name}: multiple subscripts use the loop index {v}"
+                    f"{ref.name}: multiple subscripts use the loop index {v}", v
                 )
             lo, hi = ctx.range_of(v)
             subs_src.append(_slice_src(s, ref.name, v, lo, hi, ctx))
@@ -317,14 +365,15 @@ def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tupl
         # against the nest's orientation would need an axis swap — fall back
         raise VectorUnsupported(
             f"{ref.name}: loop indices appear in {tuple(used)} order but "
-            f"the nest's store orientation is {ctx.orient}"
+            f"the nest's store orientation is {ctx.orient}",
+            next(v for v in reversed(vecs) if v in used),
         )
     if write:
-        missing = set(vecs) - set(used)
+        missing = [v for v in vecs if v not in used]
         if missing:
             raise VectorUnsupported(
                 f"store to {ref.name} does not vary with "
-                f"{'/'.join(sorted(missing))}"
+                f"{'/'.join(sorted(missing))}", missing[-1]
             )
     return ", ".join(subs_src), tuple(used)
 
@@ -473,6 +522,11 @@ def _classify(
     return plans
 
 
+def _unit_step(loop: DoLoop) -> bool:
+    step = to_affine(loop.step)
+    return step is not None and step.is_constant() and step.constant == 1
+
+
 def plan_loop(kernel: "CompiledKernel", loop: DoLoop, locals_: set) -> LoopPlan:
     """Decide, statement by statement, how to emit one innermost loop."""
 
@@ -484,8 +538,7 @@ def plan_loop(kernel: "CompiledKernel", loop: DoLoop, locals_: set) -> LoopPlan:
     for c in loop.body:
         if not isinstance(c, (Assign, Continue)):
             return bail(f"{type(c).__name__} in loop body")
-    step = to_affine(loop.step)
-    if step is None or not step.is_constant() or step.constant != 1:
+    if not _unit_step(loop):
         return bail("non-unit loop step")
     assigns = [s for s in loop.body if isinstance(s, Assign)]
     if not assigns:
@@ -565,110 +618,260 @@ def plan_loop(kernel: "CompiledKernel", loop: DoLoop, locals_: set) -> LoopPlan:
     return plan
 
 
-def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
-    """Plan a perfectly-nested rectangular loop chain starting at *top* as
-    one N-d vector block; returns a :class:`NestPlan` or None (the caller
-    descends one loop deeper and retries, bottoming out at the 1-d
-    per-statement planner).
+def _store_slices(ref: ArrayRef, var: str) -> bool:
+    """Exactly one subscript of the store mentions *var*, affinely and with
+    a positive coefficient — what ``_emit_array_access(write=True)`` will
+    demand of every vector level."""
+    hits = [s for s in ref.subscripts if var in _var_names(s)]
+    if len(hits) != 1:
+        return False
+    a = to_affine(hits[0])
+    return a is not None and a.coeff(var) > 0
 
-    Full distribution of *all* chain loops around every statement is legal
-    iff no carried dependence (any level) runs backward textually.  Per
-    statement, only anti dependences carried by the *innermost* level are
-    allowed (box cover executes in lexicographic iteration order + NumPy's
-    full-RHS materialization); a carried flow/output dependence, or an
-    anti dependence carried by an outer level, fails the nest.  Scalar
-    writes become block-shaped expanded temporaries when every reader's
-    guard is subsumed by the writer's."""
-    chain = [top]
-    node = top
-    while True:
-        kids = [c for c in node.body if not isinstance(c, Continue)]
-        if len(kids) == 1 and isinstance(kids[0], DoLoop):
-            chain.append(kids[0])
-            node = kids[0]
-            continue
-        break
-    if len(chain) < 2:
+
+def _nest_tree(kernel: "CompiledKernel", top: DoLoop):
+    """The syntactic screen (no iset operation) that decides whether *top*
+    may head a nest plan, and the nest's shape if it may.
+
+    Returns ``(assigns, loops_of, expanded)`` — the assignments in textual
+    order, each one's enclosing nest loops (outermost first) by sid, and
+    the scalar expansion — or None when *top* can only ever be a Python
+    loop: the nest is not rectangular (unit steps, bounds free of the
+    nest's indices, bodies of assignments and loops only), a store beneath
+    it does not vary with it, or a scalar is written that today's
+    expansion rule (one flat body, every reader guarded under the writer)
+    does not cover."""
+    assigns: list[Assign] = []
+    loops_of: dict[int, tuple] = {}
+    loop_vars: set[str] = set()
+    bound_vars: set[str] = set()
+
+    def walk(loop: DoLoop, chain: tuple) -> bool:
+        if not _unit_step(loop):
+            return False
+        chain += (loop,)
+        loop_vars.add(loop.var)
+        bound_vars.update(_var_names(loop.lo) | _var_names(loop.hi))
+        before = len(assigns)
+        for c in loop.body:
+            if isinstance(c, Assign):
+                assigns.append(c)
+                loops_of[c.sid] = chain
+            elif isinstance(c, DoLoop):
+                if not walk(c, chain):
+                    return False
+            elif not isinstance(c, Continue):
+                return False
+        return len(assigns) > before  # an empty loop has nothing to emit
+
+    if not walk(top, ()) or loop_vars & bound_vars:
         return None
-    inner = chain[-1]
-    if not all(isinstance(c, (Assign, Continue)) for c in inner.body):
-        return None
-    seen_vars: set[str] = set()
-    for lp in chain:
-        step = to_affine(lp.step)
-        if step is None or not step.is_constant() or step.constant != 1:
+    if all(len(chain) == 1 for chain in loops_of.values()):
+        return None  # no loop beneath: the 1-d planner's case
+    for s in assigns:
+        if isinstance(s.lhs, ArrayRef) and not _store_slices(s.lhs, top.var):
             return None
-        if seen_vars & (_var_names(lp.lo) | _var_names(lp.hi)):
-            return None  # triangular: bounds vary with an enclosing chain index
-        seen_vars.add(lp.var)
-    assigns = [s for s in inner.body if isinstance(s, Assign)]
-    if not assigns:
-        return None
-    if any(isinstance(s.lhs, ArrayRef) and s.lhs.rank == 0 for s in assigns):
-        return None
-    depth = len(chain)
+    expanded: dict[str, str] = {}
     written = {s.lhs.name.lower() for s in assigns if isinstance(s.lhs, Var)}
-    expanded = _expansion_candidates(kernel, assigns) if written else {}
-    if written - set(expanded):
-        return None  # an unexpandable scalar write: leave to shallower plans
-    ctx = _Ctx(
-        inner.var, set(locals_), expanded, frozenset(),
-        f"_x{depth - 1}a", f"_x{depth - 1}b", f"_b{depth - 1}0",
+    if written:
+        if len(set(loops_of.values())) > 1:
+            return None
+        expanded = _expansion_candidates(kernel, assigns)
+        if written - set(expanded):
+            return None
+    return assigns, loops_of, expanded
+
+
+def _block_ctx(loops: tuple, vec: tuple, locals_: set, expanded: dict) -> _Ctx:
+    """Emission context for one statement's block: *vec* are its vector
+    levels as ``(depth, loop)`` pairs, every other loop of *loops* is a
+    Python loop variable around it."""
+    d, inner = vec[-1]
+    vec_vars = {lp.var for _l, lp in vec}
+    return _Ctx(
+        inner.var, set(locals_) | ({lp.var for lp in loops} - vec_vars),
+        expanded, frozenset(), f"_x{d}a", f"_x{d}b", f"_b{d}0",
         outer=tuple(
-            (lp.var, f"_x{l}a", f"_x{l}b", f"_b{l}0")
-            for l, lp in enumerate(chain[:-1])
+            (lp.var, f"_x{l}a", f"_x{l}b", f"_b{l}0") for l, lp in vec[:-1]
         ),
     )
-    first_store = next(
-        (s for s in assigns if isinstance(s.lhs, ArrayRef)), None)
-    if first_store is None:
-        return None
-    plans: list[_StmtPlan] = []
-    try:
-        # the first store defines the nest's orientation (which loop index
-        # runs along which array axis); every other reference must match
-        _, used = _emit_array_access(first_store.lhs, ctx, write=True)
-        ctx.orient = used
-        for s in assigns:
+
+
+def _plan_block(
+    kernel: "CompiledKernel",
+    s: Assign,
+    loops: tuple,
+    seq: set,
+    locals_: set,
+    expanded: dict,
+    xorient: tuple,
+) -> _StmtPlan:
+    """Plan one statement of a nest as an N-d block over every enclosing
+    nest loop not in *seq*.  A loop its access rules cannot slice becomes
+    sequential for this statement alone and the attempt repeats; a
+    statement left without any vector level fails the nest."""
+    own: list[DoLoop] = []
+    why: list[str] = []
+    while True:
+        vec = tuple(
+            (l, lp) for l, lp in enumerate(loops)
+            if lp.sid not in seq and lp not in own
+        )
+        if not vec:
+            raise VectorUnsupported(
+                f"s{s.sid} has no vector level ({'; '.join(why)})")
+        ctx = _block_ctx(loops, vec, locals_, expanded)
+        try:
             if isinstance(s.lhs, ArrayRef):
-                subs, _ = _emit_array_access(s.lhs, ctx, write=True)
-                rhs = emit_vexpr(s.rhs, ctx)
-                plans.append(_StmtPlan(
-                    s, True, payload=("array", s.lhs.name.lower(), subs),
-                    rhs_src=rhs))
+                # the store defines the block's orientation (which loop
+                # index runs along which array axis)
+                subs, ctx.orient = _emit_array_access(s.lhs, ctx, write=True)
+                payload = ("array", s.lhs.name.lower(), subs)
             else:
                 name = s.lhs.name.lower()
-                rhs = emit_vexpr(s.rhs, ctx)
-                plans.append(_StmtPlan(
-                    s, True, payload=("expand", name, expanded[name]),
-                    rhs_src=rhs))
-    except VectorUnsupported:
-        return None
+                ctx.orient = xorient
+                payload = ("expand", name, expanded[name])
+            rhs = emit_vexpr(s.rhs, ctx)
+        except VectorUnsupported as exc:
+            if exc.var is None:
+                raise
+            own.append(next(lp for lp in loops if lp.var == exc.var))
+            why.append(str(exc))
+            continue
+        return _StmtPlan(
+            s, True, "; ".join(why), payload, rhs, vec,
+            tuple(lp for lp in loops if lp in own), ctx.orient,
+        )
+
+
+def _carried_loops(kernel, top, assigns, loops_of, expanded):
+    """One dependence pass over the nest, each carried edge charged to the
+    loop that carries it.  Returns ``(seq, pinned, pairs)``: the loops that
+    must stay sequential; the loops whose edges are all of the two kinds a
+    vector level tolerates *in place* — a textually forward cross-statement
+    edge (the *pairs*; distribution keeps it) and an anti dependence of a
+    statement on itself carried by its innermost loop (box order plus
+    NumPy's full-RHS materialization keep it); and those forward pairs,
+    which must not share a cover loop."""
     order = {s.sid: i for i, s in enumerate(assigns)}
-    carried: set = set()
+    seq: set[int] = set()
+    pinned: set[int] = set()
+    pairs: set = set()
     for d in DependenceAnalyzer(
         top, kernel.params, ignore_vars=expanded
     ).dependences():
         if d.level == 0:
             continue  # loop-independent: forward textual, preserved
+        chain = loops_of[d.src.sid]
+        loop = chain[d.level - 1]
         if d.src is d.dst:
-            if d.kind == "anti" and d.level == depth:
-                continue  # innermost-carried anti: box order + materialization
-            return None
-        if order[d.src.sid] < order[d.dst.sid]:
-            carried.add((d.src.sid, d.dst.sid))
-            continue  # forward: all of src runs before any of dst
+            ok = d.kind == "anti" and loop is chain[-1]
+        else:
+            ok = order[d.src.sid] < order[d.dst.sid]
+            if ok:
+                pairs.add((d.src.sid, d.dst.sid))
+        (pinned if ok else seq).add(loop.sid)
+    return seq, pinned - seq, frozenset(pairs)
+
+
+def _sunk_across(plans, loops_of, pinned: set, seq: set) -> set:
+    """The *pinned* loops that a plan would sink across a sequential loop:
+    some statement beneath them runs a loop inside them sequentially (for
+    the whole nest, or for itself alone)."""
+    out: set[int] = set()
+    for p in plans:
+        loops = loops_of[p.stmt.sid]
+        inner_seq = False
+        for lp in reversed(loops):
+            if inner_seq and lp.sid in pinned:
+                out.add(lp.sid)
+            inner_seq = inner_seq or lp.sid in seq or lp.sid in out or lp in p.own
+    return out
+
+
+def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
+    """Plan the rectangular loop nest headed by *top*; returns a
+    :class:`NestPlan` or None (the caller emits *top* as a Python loop and
+    retries in its body, bottoming out at the 1-d per-statement planner).
+
+    The nest is a tree: loops over bodies of assignments and further
+    loops.  A loop that carries a dependence stays a Python loop; every
+    other loop — whether it sat outside or inside a carried one — becomes
+    a vector dimension of each statement beneath it, i.e. it is
+    distributed over the body items and sunk into each statement's guard
+    boxes.  A vector level may itself carry the two tolerated kinds of
+    edge (:func:`_carried_loops`), but only if no sequential loop lies
+    inside it: sinking it across one would let a ``(<, *)`` edge run
+    backward.  With no sequential loop at all this is plain N-d
+    distribution of a perfect chain.
+
+    *top* must pass the syntactic screen of :func:`_nest_tree` before the
+    dependence pass is paid for; a nest whose *top* turns out sequential
+    is left to the retry (nothing would sink across it)."""
+    tree = _nest_tree(kernel, top)
+    if tree is None:
         return None
-    plan = NestPlan(
-        chain=chain,
-        groups=_merge_groups(kernel, plans, carried),
-        expanded=expanded,
-        orient=ctx.orient,
-    )
+    assigns, loops_of, expanded = tree
+    xorient: tuple = ()
+    if expanded:
+        # expanded temporaries take the first store's orientation
+        first = next((s for s in assigns if isinstance(s.lhs, ArrayRef)), None)
+        if first is None:
+            return None
+        loops = loops_of[first.sid]
+        try:
+            _, xorient = _emit_array_access(
+                first.lhs,
+                _block_ctx(loops, tuple(enumerate(loops)), locals_, expanded),
+                write=True,
+            )
+        except VectorUnsupported:
+            return None
+    seq: set[int] = set()
+    carried = None
+    while True:
+        try:
+            plans = [
+                _plan_block(kernel, s, loops_of[s.sid], seq, locals_,
+                            expanded, xorient)
+                for s in assigns
+            ]
+        except VectorUnsupported:
+            return None
+        if carried is None:
+            # syntax alone has kept a vector level for every statement:
+            # now pay for the dependence pass
+            carried, pinned, pairs = _carried_loops(
+                kernel, top, assigns, loops_of, expanded)
+        grown = carried | _sunk_across(plans, loops_of, pinned, carried | seq)
+        grown -= seq
+        if not grown:
+            break
+        seq |= grown
+        if top.sid in seq:
+            return None
+    if expanded and (
+        seq or any(p.own or p.orient != xorient for p in plans)
+    ):
+        return None  # temporaries are shaped for one whole-nest block
+    nest_loops = list(dict.fromkeys(lp for s in assigns for lp in loops_of[s.sid]))
+    notes = []
+    sequential = tuple(lp.var for lp in nest_loops if lp.sid in seq)
+    if sequential:
+        notes.append(f"wavefront: {', '.join(sequential)} sequential")
+    notes += [
+        f"{', '.join(lp.var for lp in p.own)} sequential for "
+        f"s{p.stmt.sid} ({p.reason})"
+        for p in plans if p.own
+    ]
+    dims = sorted({len(p.vec) for p in plans})
+    notes.append(
+        "/".join(f"{d}-d" for d in dims) + (" blocks" if len(dims) > 1 else " block"))
+    plan = NestPlan(top, frozenset(seq), {p.stmt.sid: p for p in plans}, pairs)
     plan.report = LoopReport(
-        ",".join(lp.var for lp in chain), top.sid, "vector",
-        f"{depth}-d block", tuple(p.stmt.sid for p in plans),
-        expanded=tuple(sorted(expanded)),
+        ",".join(lp.var for lp in nest_loops), top.sid, "vector",
+        "; ".join(notes), tuple(p.stmt.sid for p in plans),
+        expanded=tuple(sorted(expanded)), sequential=sequential,
     )
     return plan
 
@@ -685,8 +888,9 @@ def try_emit_vector_loop(
     locals_: set,
 ) -> bool:
     """Emit *loop* as NumPy slice code if it is a provably-safe innermost
-    affine loop (or heads a perfect rectangular nest, emitted as N-d
-    blocks); returns False (caller emits scalar and descends) otherwise."""
+    affine loop (or heads a rectangular nest, emitted as N-d blocks under
+    its dependence-carrying loops); returns False (caller emits scalar and
+    descends) otherwise."""
     if any(isinstance(c, DoLoop) for c in loop.body):
         key = ("nest", loop.sid)
         res = kernel._vector_plans.get(key)
@@ -694,7 +898,7 @@ def try_emit_vector_loop(
             res = plan_nest(kernel, loop, locals_) or False
             kernel._vector_plans[key] = res
         if res is False:
-            return False  # not a vectorizable chain: descend
+            return False  # not a plannable nest: descend
         kernel.vector_report[loop.sid] = res.report
         _emit_plan_nest(kernel, res, lines, indent, locals_)
         return True
@@ -716,31 +920,83 @@ def _emit_plan_nest(
     indent: int,
     locals_: set,
 ) -> None:
+    """Walk the nest: a sequential loop becomes a Python loop around its
+    body, a vector loop emits nothing here (it is distributed over its
+    body items and reappears as a box dimension of each statement), and
+    each run of consecutive assignments that share their vector levels is
+    emitted as cover loops."""
+
+    def walk(loop: DoLoop, indent: int, locals_: set) -> None:
+        if loop.sid in plan.seq:
+            lines.append(_for_src(loop, indent, locals_))
+            indent += 1
+            locals_ = locals_ | {loop.var}
+        run: list[_StmtPlan] = []
+        for c in loop.body + [None]:
+            if isinstance(c, Assign):
+                p = plan.stmts[c.sid]
+                if run and (p.vec, p.own) != (run[0].vec, run[0].own):
+                    _emit_blocks(kernel, plan, run, lines, indent, locals_)
+                    run = []
+                run.append(p)
+                continue
+            if run:
+                _emit_blocks(kernel, plan, run, lines, indent, locals_)
+                run = []
+            if isinstance(c, DoLoop):
+                walk(c, indent, locals_)
+
+    walk(plan.top, indent, set(locals_))
+
+
+def _for_src(loop: DoLoop, indent: int, locals_: set) -> str:
+    return (
+        f"{'    ' * indent}for {loop.var} in K.do_range("
+        f"{emit_expr(loop.lo, locals_)}, {emit_expr(loop.hi, locals_)}, "
+        f"{emit_expr(loop.step, locals_)}):"
+    )
+
+
+def _emit_blocks(
+    kernel: "CompiledKernel",
+    plan: NestPlan,
+    run: list,
+    lines: list[str],
+    indent: int,
+    locals_: set,
+) -> None:
+    """Emit consecutive statements with the same vector levels ``vec`` and
+    the same statement-local sequential loops ``own``: the block bounds,
+    the ``own`` loops, then one ``G.boxes`` cover loop per merge group."""
     from .spmd import sorted_locals
 
-    chain = plan.chain
-    depth = len(chain)
+    vec, own = run[0].vec, run[0].own
     pad = "    " * indent
-    for l, lp in enumerate(chain):
+    for l, lp in vec:
         lines.append(
             f"{pad}_b{l}0, _b{l}1 = int({emit_expr(lp.lo, locals_)}), "
             f"int({emit_expr(lp.hi, locals_)})"
         )
-    cond = " and ".join(f"_b{l}0 <= _b{l}1" for l in range(depth))
+    cond = " and ".join(f"_b{l}0 <= _b{l}1" for l, _lp in vec)
     lines.append(f"{pad}if {cond}:")
+    indent += 1
     bp = pad + "    "
-    chain_vars = {lp.var for lp in chain}
-    names = sorted_locals(set(locals_) | chain_vars, kernel._loop_order)
-    tpl = "(" + ", ".join(
-        "None" if n in chain_vars else n for n in names) + ",)"
-    level = {lp.var: l for l, lp in enumerate(chain)}
-    for temp in plan.expanded.values():
-        shape = ", ".join(
-            f"_b{level[v]}1 - _b{level[v]}0 + 1" for v in plan.orient)
-        lines.append(f"{bp}{temp} = K.np.empty(({shape}))")
-    bounds = ", ".join(f"_b{l}0, _b{l}1" for l in range(depth))
-    coords = ", ".join(f"_x{l}a, _x{l}b" for l in range(depth))
-    for group in plan.groups:
+    level = {lp.var: l for l, lp in vec}
+    for p in run:
+        if p.payload[0] == "expand":
+            shape = ", ".join(
+                f"_b{level[v]}1 - _b{level[v]}0 + 1" for v in p.orient)
+            lines.append(f"{bp}{p.payload[2]} = K.np.empty(({shape}))")
+    for lp in own:
+        lines.append(_for_src(lp, indent, locals_))
+        indent += 1
+        bp += "    "
+        locals_ = locals_ | {lp.var}
+    names = sorted_locals(set(locals_) | set(level), kernel._loop_order)
+    tpl = "(" + ", ".join("None" if n in level else n for n in names) + ",)"
+    bounds = ", ".join(f"_b{l}0, _b{l}1" for l, _lp in vec)
+    coords = ", ".join(f"_x{l}a, _x{l}b" for l, _lp in vec)
+    for group in _merge_groups(kernel, run, plan.carried_pairs):
         sid = group[0].stmt.sid
         lines.append(
             f"{bp}for {coords} in G.boxes({sid}, {tpl}, {bounds}):")
@@ -750,10 +1006,10 @@ def _emit_plan_nest(
                 slc = ", ".join(
                     f"_x{level[v]}a - _b{level[v]}0:"
                     f"_x{level[v]}b + 1 - _b{level[v]}0"
-                    for v in plan.orient)
+                    for v in p.orient)
                 lines.append(f"{bp}    {temp}[{slc}] = {p.rhs_src}")
                 corner = ", ".join(
-                    f"_x{level[v]}b - _b{level[v]}0" for v in plan.orient)
+                    f"_x{level[v]}b - _b{level[v]}0" for v in p.orient)
                 lines.append(f"{bp}    S[{name!r}] = {temp}[{corner}]")
             else:
                 _, aname, subs = p.payload

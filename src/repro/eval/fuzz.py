@@ -35,6 +35,10 @@ import numpy as np
 
 _ARRAY_NAMES = ("a", "b", "c", "d")
 
+#: share of the 2-d programs (themselves a fifth of all seeds) that end in
+#: a wavefront nest; at 0.5 the CI smoke's 20 seeds draw it once (seed 1)
+WAVE_SHARE = 0.5
+
 
 # ---------------------------------------------------------------------------
 # program specs (the shrinkable representation)
@@ -76,6 +80,12 @@ class ProgramSpec:
     nests: "tuple[NestSpec, ...]"
     pre: "tuple[str, ...]" = ()  # scalar assignments before the first nest
     with_call: bool = False      # append a helper unit + CALL
+    #: 2-d wavefront shape: the array axis (0 = ``i``, 1 = ``j``) that a
+    #: recurrence runs along.  That axis is collapsed (``*``) on every
+    #: array and the other one spread over a 1-d grid — a distributed
+    #: carried dimension would pipeline its communication, which code
+    #: generation rejects before the vectoriser sees the nest.
+    wave: "int | None" = None
 
     def render(self) -> str:
         n, lines = self.n, []
@@ -86,14 +96,17 @@ class ProgramSpec:
         lines.append(f"      real {decls}")
         if any(p.startswith("m =") for p in self.pre):
             lines.append("      integer m")
-        if self.two_d:
+        if self.two_d and self.wave is None:
             lines.append("!hpf$ processors p(2, 2)")
         else:
             lines.append(f"!hpf$ processors p({self.nprocs})")
         for a in self.arrays:
             if a.dist is None:
                 continue
-            fmt = f"({a.dist}, {a.dist})" if self.two_d else f"({a.dist})"
+            if self.wave is not None:
+                fmt = f"(*, {a.dist})" if self.wave == 0 else f"({a.dist}, *)"
+            else:
+                fmt = f"({a.dist}, {a.dist})" if self.two_d else f"({a.dist})"
             lines.append(f"!hpf$ distribute {a.name}{fmt} onto p")
         for p in self.pre:
             lines.append(f"      {p}")
@@ -236,8 +249,24 @@ def gen_spec(seed: int) -> ProgramSpec:
                 pre.append(f"m = {pre_val}")
             hi = "m"
         nests.append(NestSpec(tuple(stmts), lo, hi, pad))
+    wave = None
+    if two_d:
+        # drawn from a stream of its own, so the programs that do not take
+        # the shape render exactly as they did before it existed
+        wrng = random.Random(f"{seed}:wave")
+        if wrng.random() < WAVE_SHARE:
+            wave = wrng.randrange(2)
+            tgt = wrng.choice([a for a in arrays if a.dist] or arrays).name
+            back = f"{tgt}(i - 1, j)" if wave == 0 else f"{tgt}(i, j - 1)"
+            others = [a.name for a in arrays if a.name != tgt]
+            term = f"{wrng.choice(others)}(i, j)" if wrng.random() < 0.5 else "1.5"
+            nests.append(NestSpec(
+                (StmtSpec(tgt, "i, j", f"{back} * 0.5 + {term}"),),
+                "2", "n - 1", 1,
+            ))
     return ProgramSpec(
-        seed, n, nprocs, two_d, tuple(arrays), tuple(nests), tuple(pre), with_call
+        seed, n, nprocs, two_d, tuple(arrays), tuple(nests), tuple(pre),
+        with_call, wave,
     )
 
 

@@ -114,6 +114,39 @@ class TestAdvisories:
         assert report.by_code(W_REPLICATED)
         assert report.by_code(W_SCALAR_WAVEFRONT)
 
+    def test_scalar_wavefront_names_only_statements_without_a_vector_level(self):
+        """A sunk wavefront is vectorised — its sequential loop is named in
+        the report, not warned about; a recurrence with no other loop to
+        slice keeps the advisory, worded with the planner's reason."""
+        sunk = """
+      program sunk
+      parameter (n = 8)
+      real a(n, n)
+!hpf$ processors p(2)
+!hpf$ distribute a(*, block) onto p
+      do j = 1, n
+         do i = 2, n
+            a(i, j) = a(i - 1, j) + 1.0
+         enddo
+      enddo
+      end
+"""
+        ck = compile_kernel(sunk, 2)
+        advisories = cost_advisories(kernel_cost(ck), kernel=ck)
+        assert W_SCALAR_WAVEFRONT not in {d.code for d in advisories}
+        (report,) = ck.vector_report.values()
+        assert report.status == "vector" and report.sequential == ("i",)
+
+        bare = sunk.replace("      do j = 1, n\n", "").replace(
+            "         enddo\n      enddo", "         enddo").replace("j)", "3)")
+        ck = compile_kernel(bare, 2)
+        (warning,) = [
+            d for d in cost_advisories(kernel_cost(ck), kernel=ck)
+            if d.code == W_SCALAR_WAVEFRONT
+        ]
+        assert "runs as a scalar Python loop" in warning.message
+        assert "carried flow dependence on 'a'" in warning.message
+
     def test_imbalance_fires_on_uneven_block(self):
         src = HALO_1D.replace("(n = 16)", "(n = 5)")
         ck = compile_kernel(src, 4)

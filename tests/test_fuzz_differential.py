@@ -28,6 +28,25 @@ class TestGenerator:
             prog = parse_source(gen_spec(s).render())
             assert prog.units
 
+    def test_smoke_seeds_draw_the_wavefront_shape(self):
+        """CI's `fuzz --seeds 20` must reach the loop-sinking planner: one
+        of its seeds ends in a recurrence along a collapsed dimension, and
+        a 2-d seed that does not draw the shape keeps its 2x2 grid."""
+        assert [s for s in range(20) if gen_spec(s).wave is not None] == [1]
+        spec = gen_spec(1)
+        source = spec.render()
+        wave = spec.nests[-1].stmts[0]
+        assert spec.wave == 0 and wave.rhs.startswith(f"{wave.lhs}(i - 1, j)")
+        assert "!hpf$ processors p(4)" in source
+        assert f"distribute {wave.lhs}(*, block)" in source
+        assert gen_spec(14).two_d and "p(2, 2)" in gen_spec(14).render()
+
+        from repro.codegen import compile_kernel
+
+        ck = compile_kernel(source, spec.nprocs)
+        ck.python_source()
+        assert list(ck.vector_report.values())[-1].sequential == ("i",)
+
 
 class TestCorpus:
     def test_fixed_seed_corpus_passes(self):

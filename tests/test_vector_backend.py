@@ -1,7 +1,12 @@
 """Vector backend tests: the bitwise-identity contract against the scalar
-backend on every paper kernel and the NAS class-S targets, the statement-
-and loop-level fallbacks for everything the vectorizer cannot prove safe,
-and the guard box-cover machinery it runs on."""
+backend on every paper kernel and the NAS class-S targets, loop sinking
+(carried loops in Python, every other loop a box dimension), the
+statement- and loop-level fallbacks for everything the vectorizer cannot
+prove safe, and the guard box-cover machinery it runs on."""
+
+import multiprocessing as mp
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +14,12 @@ import pytest
 from repro.codegen import CodegenUnsupported, compile_kernel
 from repro.codegen.spmd import CompiledKernel, Guards, _box_cover
 from repro.eval.bench import _bitwise_identical, _run_backend, _seed_init, kernel_specs
+from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
+from repro.frontend import parse_source
+from repro.ir.interp import Interpreter
 from repro.nas import kernels
+from repro.runtime import procexec
+from repro.transform import inline_calls
 
 SPECS = {s.name: s for s in kernel_specs()}
 
@@ -85,6 +95,11 @@ chpf$ distribute tmpl(block) onto procs
       end
 """
 
+#: the same recurrence with no loop around it: no vector level at all
+_RECURRENCE_1D = _RECURRENCE.replace(
+    "      do k = 0, n - 1\n", "").replace("enddo\n      enddo", "enddo"
+).replace("(j,k) =", "(j,3) =").replace("(j-1,k)", "(j-1,3)")
+
 _NONAFFINE = """
       subroutine nonaff(n)
       integer n, j, k
@@ -144,7 +159,7 @@ def _diff_backends(source, scalars, nprocs=4, params=None):
 
 def test_fallback_carried_flow_recurrence():
     """A first-order recurrence (1-d wavefront) must run as a scalar loop."""
-    ck = _diff_backends(_RECURRENCE, {"n": 17})
+    ck = _diff_backends(_RECURRENCE_1D, {"n": 17})
     reports = list(ck.vector_report.values())
     assert reports and all(r.status == "scalar" for r in reports)
     assert any("dependence" in r.reason for r in reports)
@@ -165,12 +180,295 @@ def test_fallback_reduction_mini_loop():
 
 
 def test_fallback_partially_vector_inlined_solve():
-    """fig 6.1 after inlining: two loops vectorize (one as a 2-d block), the
-    5x5 back-substitution with coupled subscripts stays scalar."""
+    """fig 6.1 after inlining: the recurrence loop i is the only Python loop
+    of the nest; every statement is a block over k and j (and its own q/r),
+    the 5x5 back-substitution running its diagonal q sequentially."""
     ck = SPECS["fig6.1 x_solve_cell n=13"].compile("vector")
     ck.python_source()
-    statuses = sorted(r.status for r in ck.vector_report.values())
-    assert statuses == ["scalar", "vector", "vector"]
+    (report,) = ck.vector_report.values()
+    assert report.status == "vector"
+    assert report.sequential == ("i",)
+    assert "2-d/3-d/4-d blocks" in report.reason
+    assignments = [
+        s.sid for s in ck.sub.statements() if type(s).__name__ == "Assign"]
+    assert sorted(report.vector_sids) == sorted(assignments)
+    for target in ("mpi", "shmem"):
+        src = ck.python_source(target)
+        assert "K.guard(" not in src
+        loops = re.findall(r"for (\w+) in K\.do_range", src)
+        assert len(loops) == 2 and loops[0] == "i" and loops[1].startswith("q")
+        for boxes in re.findall(r"G\.boxes\(\d+, \(([^)]*)\)", src):
+            assert boxes.startswith("None, None, i,")  # k and j are box dims
+
+
+# ---------------------------------------------------------------------------
+# loop sinking: the carried loop in Python, every other loop a box dimension
+# ---------------------------------------------------------------------------
+
+def _wave_source(nloops, carried, offset, form, dist, natural):
+    """A small nest of *nloops* loops over ``a``/``b`` (filled by a first
+    nest) whose loop at depth *carried* carries a distance-1 dependence.
+
+    *form* ``"one"`` is a self-reference ``a(c) = a(c+offset)`` (flow for
+    -1, anti for +1); ``"forward"``/``"backward"`` split it over two
+    statements so the carried edge runs with or against textual order.
+    The carried dimension is collapsed — a distributed one pipelines its
+    communication and never reaches the vectoriser — and the others are
+    ``block`` or, for ``"collapsed"``, only the outermost of them is.
+    *natural* subscripts are Fortran's (innermost loop on the first axis);
+    otherwise the axis order is the loop order."""
+    lv = ("k", "j", "i")[3 - nloops:]  # outermost first
+    cv = lv[carried]
+    axes = tuple(reversed(lv)) if natural else lv
+
+    def ref(name, shift=0):
+        subs = (
+            f"{v} {'+' if shift > 0 else '-'} 1" if v == cv and shift else v
+            for v in axes
+        )
+        return f"{name}({', '.join(subs)})"
+
+    free = [v for v in lv if v != cv]
+    if dist == "collapsed":
+        free = free[:1]
+    fmt = ", ".join("block" if v in free else "*" for v in axes)
+    shape = ", ".join("n" for _ in axes)
+    lines = [
+        "      program wv",
+        "      parameter (n = 8)",
+        f"      real a({shape}), b({shape})",
+        f"!hpf$ processors p({', '.join('2' for _ in free)})",
+        f"!hpf$ distribute a({fmt}) onto p",
+        f"!hpf$ distribute b({fmt}) onto p",
+    ]
+
+    def nest(body, carried_range):
+        pad = "      "
+        for v in lv:
+            lo, hi = carried_range if v == cv else ("1", "n")
+            lines.append(f"{pad}do {v} = {lo}, {hi}")
+            pad += "   "
+        lines.extend(pad + stmt for stmt in body)
+        for _ in lv:
+            pad = pad[:-3]
+            lines.append(f"{pad}enddo")
+
+    fill = " + ".join(f"{v} * {c}" for v, c in zip(lv, ("0.5", "0.25", "0.125")))
+    nest([f"{ref('a')} = {fill}", f"{ref('b')} = 1.0 + {fill}"], ("1", "n"))
+    reads = f"{ref('b')} = {ref('a', offset)} + 1.0"
+    writes = f"{ref('a')} = {ref('b')} * 0.5"
+    if form == "one":
+        body = [f"{ref('a')} = {ref('a', offset)} * 0.5 + {ref('b')}"]
+    elif (form == "forward") == (offset < 0):
+        body = [writes, reads]  # flow forward / anti backward
+    else:
+        body = [reads, writes]  # flow backward / anti forward
+    nest(body, ("2", "n - 1"))
+    lines.append("      end")
+    return "\n".join(lines) + "\n", 2 ** len(free)
+
+
+def _python_loops(src):
+    return re.findall(r"for (\w+) in K\.do_range", src)
+
+
+def _run_all_ways(source, nprocs):
+    """Both backends on both targets against the serial interpreter, and
+    against each other on every array of every rank; returns the vector
+    kernel."""
+    ref = _serial_reference(source)
+    ranks = {}
+    for backend in ("scalar", "vector"):
+        ck = compile_kernel(source, nprocs, backend=backend)
+        assert _shmem_mismatch(ck, ck.run_shmem({}), ref, backend) is None
+        ranks[backend] = ck.run({})
+        assert _mpi_mismatch(ck, ranks[backend], ref, backend) is None
+    assert _bitwise_identical(ranks["scalar"], ranks["vector"])
+    return ck
+
+
+_WAVE_CASES = [
+    (nloops, carried, offset, form, dist, natural)
+    for nloops in (2, 3)
+    for carried in range(nloops)
+    for offset in (-1, 1)
+    for form in ("one", "forward", "backward")
+    # with two loops the only other dimension has to stay distributed
+    for dist in (("block", "collapsed") if nloops == 3 else ("block",))
+    for natural in (True, False)
+]
+
+
+@pytest.mark.parametrize("nloops,carried,offset,form,dist,natural", _WAVE_CASES)
+def test_sunk_nest_matrix(nloops, carried, offset, form, dist, natural):
+    source, nprocs = _wave_source(nloops, carried, offset, form, dist, natural)
+    ck = _run_all_ways(source, nprocs)
+    cv = ("k", "j", "i")[3 - nloops:][carried]
+    if form == "forward":
+        expect = []  # distribution alone keeps a forward carried edge
+    elif form == "one" and offset > 0 and carried == nloops - 1:
+        expect = []  # innermost-carried anti: box order + full-RHS reads
+    else:
+        expect = [cv]
+    for target in ("mpi", "shmem"):
+        src = ck.python_source(target)
+        assert _python_loops(src) == expect
+        assert "K.guard(" not in src
+    reports = list(ck.vector_report.values())
+    assert reports and all(r.status == "vector" for r in reports)
+    if expect and carried > 0:  # an outer loop sank across the carried one
+        assert reports[-1].sequential == (cv,)
+
+
+def test_sunk_recurrence_under_distributed_outer_loop():
+    """The outer loop carries nothing, so it sinks inside the recurrence:
+    one box query per j instead of one guard test per point."""
+    ck = _diff_backends(_RECURRENCE, {"n": 17})
+    (report,) = ck.vector_report.values()
+    assert report.status == "vector" and report.sequential == ("j",)
+    src = ck.python_source()
+    assert _python_loops(src) == ["j"] and "K.guard(" not in src
+    assert "G.boxes(3, (None, j,)," in src
+
+
+_STAR_EDGE = """
+      program star
+      parameter (n = 8)
+      real a(n, n, n), b(n, n, n)
+!hpf$ processors p(2)
+!hpf$ distribute a(*, *, block) onto p
+!hpf$ distribute b(*, *, block) onto p
+      do k = 1, n
+         do j = 1, n
+            do i = 1, n
+               a(i, j, k) = i * 0.5 + j * 0.25 + k * 0.125
+               b(i, j, k) = 1.0
+            enddo
+         enddo
+      enddo
+      do k = 1, n
+         do j = 2, n
+            do i = 2, n - 1
+               a(i, j, k) = a(i - 1, j, k) * 0.5 + b(i, j, k)
+               b(i, j, k) = a(9 - i, j - 1, k) + 1.0
+            enddo
+         enddo
+      enddo
+      end
+"""
+
+
+def test_forward_edge_does_not_sink_across_a_sequential_loop():
+    """The (<, *) counter-example: j carries only a forward cross-statement
+    edge, which distribution keeps — but its sink reads row 9-i, so
+    moving j inside the sequential i would run some sinks before their
+    sources.  j must stay a Python loop; k, which carries nothing, sinks."""
+    ck = _run_all_ways(_STAR_EDGE, 2)
+    assert _python_loops(ck.python_source()) == ["j", "i"]
+    assert list(ck.vector_report.values())[-1].sequential == ("j", "i")
+
+
+_WAVEFRONT_2D = """
+      subroutine wave2(n)
+      integer n, i, j
+      parameter (nx = 16)
+      double precision a(0:nx,0:nx), d(0:nx)
+      common /fields/ a, d
+chpf$ processors procs(4)
+chpf$ distribute d(block) onto procs
+      do j = 1, n - 1
+         do i = 1, n - 1
+            a(i,j) = a(i-1,j) + a(i,j-1)
+         enddo
+      enddo
+      return
+      end
+"""
+
+
+def test_true_2d_wavefront_stays_scalar():
+    """Both loops carry the recurrence: nothing to sink, nothing to slice."""
+    ck = _diff_backends(_WAVEFRONT_2D, {"n": 17})
+    reports = list(ck.vector_report.values())
+    assert reports and all(r.status == "scalar" for r in reports)
+    assert _python_loops(ck.python_source()) == ["j", "i"]
+
+
+def test_sunk_nest_with_guard_holes():
+    """Guards with holes (what a cyclic partition gives) split every cover
+    into several boxes.  A cyclic dimension cannot reach the vectoriser
+    beside a carried loop — its exists-quantified ownership leaves a
+    communication event inside the loop, which code generation rejects as
+    pipelined — so the holes are cut into the bound guards of both
+    backends instead; they must still agree bit for bit."""
+    source, nprocs = _wave_source(3, 2, -1, "one", "block", True)
+    ranks = {}
+    for backend in ("scalar", "vector"):
+        ck = compile_kernel(source, nprocs, backend=backend)
+        for rank in range(nprocs):
+            guards = ck.bind_guards(rank)
+            for sid, points in list(guards.items()):
+                if points is not None:
+                    guards[sid] = frozenset(
+                        p for p in points if (p[0] + 2 * p[1]) % 3)
+        ranks[backend] = ck.run({})
+    assert _bitwise_identical(ranks["scalar"], ranks["vector"])
+    sid = max(ck.bind_guards(0))  # the recurrence statement
+    assert len(ck.bind_guards(0).boxes(sid, (None, None, 3), 1, 8, 1, 8)) > 1
+
+
+def _fig61_inlined():
+    prog = parse_source(kernels.scaled(kernels.BT_SOLVE_CELL))
+    for leaf in ("matvec_sub", "matmul_sub", "binvcrhs"):
+        inline_calls(prog, "x_solve_cell", leaf)
+    return prog
+
+
+@pytest.mark.parametrize("n", [5, 13, 17])
+def test_fig61_bitwise_every_route(n):
+    """Figure 6.1 against the serial interpreter: 1, 2 and 4 ranks, both
+    targets, on the virtual machine and on real processes."""
+    params = {"n": n, "nx": n - 1}
+    rng = np.random.default_rng(61)
+    lhs0 = rng.random((5, 5, 3, n, n, n)) * 0.05
+    for q in range(5):
+        lhs0[q, q, 1] += 2.0  # diagonally dominant B blocks
+    rhs0 = rng.random((5, n, n, n))
+
+    def seed(A):
+        A["lhs"].data[:] = lhs0
+        A["rhs"].data[:] = rhs0
+
+    prog = _fig61_inlined()
+    serial = compile_kernel(prog.get("x_solve_cell"), 1, params).make_arrays()
+    seed(serial)
+    Interpreter(prog, params=params).run(
+        "x_solve_cell", args=serial, scalars=params)
+    want = {name: arr.data for name, arr in serial.items()}
+
+    for nprocs in (1, 2, 4):
+        per_rank = {}
+        for backend in ("scalar", "vector"):
+            ck = compile_kernel(
+                _fig61_inlined().get("x_solve_cell"), nprocs, params,
+                backend=backend)
+            routes = [("virtual", {})]
+            if backend == "vector":
+                routes.append(("process", {"timeout": 120}))
+            for executor, kw in routes:
+                label = f"{backend}/{executor}@{nprocs}"
+                shared = ck.run_shmem(params, init=seed, executor=executor, **kw)
+                assert _shmem_mismatch(ck, shared, want, label) is None
+                ranks = ck.run(
+                    params, init=lambda rid, A: seed(A), executor=executor, **kw)
+                assert _mpi_mismatch(ck, ranks, want, label) is None
+                per_rank[backend, executor] = ranks
+        assert _bitwise_identical(
+            per_rank["scalar", "virtual"], per_rank["vector", "virtual"])
+        assert _bitwise_identical(
+            per_rank["vector", "virtual"], per_rank["vector", "process"])
+    assert mp.active_children() == []
+    assert procexec.leaked_segments() == []
 
 
 _WITH_CALL = """
@@ -235,12 +533,41 @@ def test_guards_boxes_clamped_and_unguarded():
     g = Guards({1: frozenset({(0, j, k) for j in range(4) for k in range(6)}),
                 2: None})
     # clamping an exact cover stays exact
-    assert g.boxes(1, (0, None, None), 1, 2, 3, 9) == [(1, 2, 3, 5)]
-    assert g.boxes(1, (0, None, None), 5, 6, 0, 5) == []
+    assert g.boxes(1, (0, None, None), 1, 2, 3, 9) == ((1, 2, 3, 5),)
+    assert g.boxes(1, (0, None, None), 5, 6, 0, 5) == ()
     # unguarded statements get the whole bounds box
     assert g.boxes(2, (0, None, None), 1, 2, 3, 9) == ((1, 2, 3, 9),)
     # 1-d segments delegate to the same cover
-    assert g.segments(1, (0, None, 2), 0, 9) == [(0, 3)]
+    assert g.segments(1, (0, None, 2), 0, 9) == ((0, 3),)
+
+
+def test_guards_repeated_query_is_one_lookup():
+    """A node program repeats its box queries pass after pass: the second
+    ask returns the very tuple the first one built."""
+    g = Guards({1: frozenset({(i, j) for i in range(3) for j in (0, 1, 4)})})
+    first = g.boxes(1, (1, None), 0, 9)
+    assert first == ((0, 1), (4, 4))
+    assert g.boxes(1, (1, None), 0, 9) is first
+    assert g.segments(1, (1, None), 0, 9) is first
+    assert g.boxes(1, (1, None), 1, 9) == ((1, 1), (4, 4))  # a new query
+    assert g.boxes(1, (2, None), 0, 9) is not first
+
+
+def test_pickled_kernel_leaves_bound_guards_behind():
+    """Guards are run-time state: a kernel pickled after it ran is the size
+    it was before, and its copy rebinds and runs bitwise-identically."""
+    spec = SPECS["fig4.1 lhsy n=17"]
+    ck = spec.compile("vector")
+    ck.python_source("mpi")
+    ck.python_source("shmem")
+    before = len(pickle.dumps(ck))
+    init = _seed_init(ck)
+    ran = ck.run(spec.scalars, init=init)
+    assert ck._guard_cache  # the run did bind guards
+    assert len(pickle.dumps(ck)) == before
+    copy = pickle.loads(pickle.dumps(ck))
+    assert copy._guard_cache == {}
+    assert _bitwise_identical(ran, copy.run(spec.scalars, init=init))
 
 
 def test_arange_cached_views_are_read_only():
