@@ -410,32 +410,26 @@ def wildcard_grid(sub):
     return out
 
 
+def _artifact_cost(art, nprocs: int, subject: Optional[str]) -> KernelCost:
+    return _cost_from_parts(
+        subject or art.sub.name, art.ctx, art.merged, art.cps,
+        art.nest_plans, nprocs,
+    )
+
+
 def analysis_cost(
     source_or_sub,
     nprocs: int,
     params: Mapping[str, int] | None = None,
     subject: Optional[str] = None,
-    wildcard: bool = False,
 ) -> KernelCost:
     """Cost via the analysis half of the pipeline only (no code
     generation) — accepts the pipelined kernels ``compile_kernel``
-    rejects, and powers the rank-count sweep."""
-    from ..codegen.spmd import analyze_program
-    from ..frontend import parse_source
+    rejects."""
+    from ..compile.pipeline import analyze_source
 
-    if isinstance(source_or_sub, str):
-        prog = parse_source(source_or_sub)
-        sub = next(iter(prog.units.values()))
-    else:
-        sub = source_or_sub
-    if wildcard:
-        sub = wildcard_grid(sub)
-    params = dict(params or {})
-    ctx = DistributionContext(sub, nprocs, params)
-    merged = {**sub.symbols.parameter_values(), **params}
-    cps, nest_plans, _priv, _loc = analyze_program(sub, ctx, merged)
-    return _cost_from_parts(
-        subject or sub.name, ctx, merged, cps, nest_plans, nprocs
+    return _artifact_cost(
+        analyze_source(source_or_sub, nprocs, params), nprocs, subject
     )
 
 
@@ -445,16 +439,19 @@ def sweep_cost(
     procs: Sequence[int] = CURVE_PROCS,
     subject: Optional[str] = None,
 ) -> list[KernelCost]:
-    """Re-analyze one kernel at every rank count in *procs* (processor
-    grids wildcarded so any count factors)."""
-    out = []
-    for p in procs:
-        out.append(
-            analysis_cost(
-                source_or_sub, p, params, subject=subject, wildcard=True
-            )
-        )
-    return out
+    """One kernel's cost at every rank count in *procs* (processor grids
+    wildcarded so any count factors): parsed and CP-selected once, its
+    communication specialized per count."""
+    from ..compile.pipeline import stage_parse, stage_select, stage_specialize
+    from ..diag import DiagnosticSink
+
+    params = dict(params or {})
+    sub = wildcard_grid(stage_parse(source_or_sub, DiagnosticSink(strict=True)))
+    selection = stage_select(sub, params)
+    return [
+        _artifact_cost(stage_specialize(selection, p, params), p, subject)
+        for p in procs
+    ]
 
 
 def closed_form(series: Sequence[tuple[int, int]]) -> Optional[str]:

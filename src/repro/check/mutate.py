@@ -43,7 +43,7 @@ from .diagnostics import (
     CheckReport,
 )
 from .schedule import StaticSchedule
-from .verifier import VerifyUnit, verify_kernel, verify_unit
+from .verifier import VerifyUnit, analyzed_unit, verify_kernel, verify_unit
 
 #: harness problem sizes — small but large enough that halos cross ranks
 FIG42_PARAMS: Mapping[str, int] = {"n": 9}
@@ -69,19 +69,11 @@ def _fig42_kernel():
 def _y_solve_unit() -> VerifyUnit:
     """Figure 5.1 (y_solve) at analysis level — pipelined comm."""
     if "fig5.1" not in _cache:
-        from ..codegen.spmd import analyze_program
-        from ..distrib.layout import DistributionContext
-        from ..frontend import parse_source
         from ..nas import kernels
 
-        sub = parse_source(kernels.Y_SOLVE_SP).get("y_solve")
-        params = dict(Y_SOLVE_PARAMS)
-        ctx = DistributionContext(sub, Y_SOLVE_NPROCS, params)
-        merged = {**sub.symbols.parameter_values(), **params}
-        cps, nest_plans, _priv, _loc = analyze_program(sub, ctx, merged)
-        _cache["fig5.1"] = VerifyUnit(
-            subject="y_solve", sub=sub, ctx=ctx, params=merged, cps=cps,
-            nest_plans=nest_plans, grid=ctx.the_grid(),
+        _cache["fig5.1"] = analyzed_unit(
+            kernels.Y_SOLVE_SP, Y_SOLVE_NPROCS, Y_SOLVE_PARAMS,
+            subject="y_solve",
         )
     return _cache["fig5.1"]
 

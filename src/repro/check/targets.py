@@ -26,10 +26,6 @@ def _compiled(source, nprocs: int, params: dict, subject: str) -> CheckReport:
     return report
 
 
-def _analyzed(source, nprocs: int, params: dict, subject: str) -> CheckReport:
-    return verify_source(source, nprocs, params, subject=subject)
-
-
 #: a deliberately unanalyzable kernel: the second nest scatters through a
 #: non-affine subscript, so lenient compilation degrades it to replicated
 #: execution and the check report carries the I-FALLBACK record.
@@ -111,17 +107,17 @@ def available_targets() -> dict[str, Callable[[], CheckReport]]:
         "fig4.1": lambda: _compiled(kernels.LHSY_SP, 4, {"n": 17}, "fig4.1 lhsy"),
         "fig4.2": lambda: _compiled(
             kernels.COMPUTE_RHS_BT, 8, {"n": 13}, "fig4.2 compute_rhs"),
-        "fig5.1": lambda: _analyzed(
-            kernels.Y_SOLVE_SP, 4, {"n": 17, "m": 0}, "fig5.1 y_solve"),
-        "fig5.1-variant": lambda: _analyzed(
+        "fig5.1": lambda: verify_source(
+            kernels.Y_SOLVE_SP, 4, {"n": 17, "m": 0}, subject="fig5.1 y_solve"),
+        "fig5.1-variant": lambda: verify_source(
             kernels.Y_SOLVE_SP_VARIANT, 4, {"n": 17, "m": 0},
-            "fig5.1 y_solve (variant)"),
+            subject="fig5.1 y_solve (variant)"),
         "fig6.1": lambda: _fig61({"n": 13}, "fig6.1 x_solve_cell (inlined)"),
         "exact-rhs": lambda: _compiled(
             kernels.EXACT_RHS_SP, 4, {"n": 17}, "exact_rhs"),
-        "sp-class-s": lambda: _analyzed(
+        "sp-class-s": lambda: verify_source(
             kernels.Y_SOLVE_SP, 4, {"n": CLASS_S, "m": 0},
-            "NAS SP y_solve, class S"),
+            subject="NAS SP y_solve, class S"),
         "bt-class-s": lambda: _compiled(
             kernels.COMPUTE_RHS_BT, 8, {"n": CLASS_S},
             "NAS BT compute_rhs, class S"),

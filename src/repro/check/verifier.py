@@ -134,6 +134,34 @@ def verify_kernel(
     return report
 
 
+def analyzed_unit(
+    source_or_sub,
+    nprocs: int,
+    params: Mapping[str, int] | None = None,
+    overlap: Optional[dict[str, ISet]] = None,
+    subject: Optional[str] = None,
+) -> VerifyUnit:
+    """The :class:`VerifyUnit` of a source analyzed but not code-generated
+    (:func:`repro.compile.pipeline.analyze_source`)."""
+    from ..compile.pipeline import analyze_source
+
+    art = analyze_source(source_or_sub, nprocs, params)
+    try:
+        grid = art.ctx.the_grid()
+    except ValueError:
+        grid = None
+    return VerifyUnit(
+        subject=subject or art.sub.name,
+        sub=art.sub,
+        ctx=art.ctx,
+        params=art.merged,
+        cps=art.cps,
+        nest_plans=art.nest_plans,
+        grid=grid,
+        overlap=overlap,
+    )
+
+
 def verify_source(
     source_or_sub,
     nprocs: int,
@@ -143,33 +171,9 @@ def verify_source(
 ) -> CheckReport:
     """Analyze and verify without generating code — this path accepts the
     pipelined-communication kernels ``compile_kernel`` rejects (§5)."""
-    from ..codegen.spmd import analyze_program
-    from ..frontend import parse_source
-
-    if isinstance(source_or_sub, str):
-        prog = parse_source(source_or_sub)
-        sub = next(iter(prog.units.values()))
-    else:
-        sub = source_or_sub
-    params = dict(params or {})
-    ctx = DistributionContext(sub, nprocs, params)
-    merged = {**sub.symbols.parameter_values(), **params}
-    cps, nest_plans, _priv, _loc = analyze_program(sub, ctx, merged)
-    try:
-        grid = ctx.the_grid()
-    except ValueError:
-        grid = None
-    unit = VerifyUnit(
-        subject=subject or sub.name,
-        sub=sub,
-        ctx=ctx,
-        params=merged,
-        cps=cps,
-        nest_plans=nest_plans,
-        grid=grid,
-        overlap=overlap,
+    return verify_unit(
+        analyzed_unit(source_or_sub, nprocs, params, overlap, subject)
     )
-    return verify_unit(unit)
 
 
 def verify_nest(

@@ -21,7 +21,7 @@ from ..ir.interp import FortranArray, fortran_mod, fortran_nint, fortran_sign
 from ..ir.program import Program, Subroutine
 from ..ir.stmt import Assign, Continue, DoLoop, IfThen, Return, Stmt
 from ..ir.visit import collect_array_refs, walk_stmts
-from ..isets import BudgetExceeded, IsetBudget, iset_budget
+from ..isets import BudgetExceeded, IsetBudget
 from ..isets.profile import phase as profile_phase
 from ..runtime.sim import Rank, VirtualMachine
 from .pyemit import emit_assign_target, emit_expr
@@ -71,8 +71,8 @@ def _select_one_nest(
     sel: CPSelector,
     grouper: CPGrouper,
 ) -> NestSelection:
-    """The rank-symbolic per-nest half of :func:`analyze_program`: CP
-    selection, NEW/LOCALIZE propagation, comm-sensitive grouping."""
+    """One nest of :func:`select_program`: CP selection, NEW/LOCALIZE
+    propagation, comm-sensitive grouping."""
     with profile_phase("cp-select"):
         cps = sel.select(item, merged)
     # NEW anywhere in this nest: propagate across the whole nest (the
@@ -117,20 +117,6 @@ def _comm_one_nest(
         return CommAnalyzer(
             item, nsel.cps, ctx, merged, exclude_arrays=nsel.no_comm
         ).analyze()
-
-
-def _analyze_one_nest(
-    item: DoLoop,
-    ctx: DistributionContext,
-    merged: dict[str, int],
-    sel: CPSelector,
-    grouper: CPGrouper,
-) -> "tuple[dict[int, StatementCP], CommPlan, set[str], set[str]]":
-    """The per-nest half of :func:`analyze_program`: CP selection,
-    NEW/LOCALIZE propagation, comm-sensitive grouping, comm analysis."""
-    nsel = _select_one_nest(item, ctx, merged, sel, grouper)
-    plan = _comm_one_nest(item, nsel, ctx, merged)
-    return nsel.cps, plan, nsel.private_arrays, nsel.localized_arrays
 
 
 def _expr_scalar_names(e) -> set[str]:
@@ -362,15 +348,15 @@ def select_program(
     budget: "IsetBudget | None" = None,
 ) -> ProgramSelection:
     """Run the rank-symbolic half of the analysis pipeline (CP selection,
-    NEW/LOCALIZE propagation, comm-sensitive grouping — everything
-    :func:`analyze_program` does *except* communication analysis) on every
+    NEW/LOCALIZE propagation, comm-sensitive grouping — everything but
+    communication analysis, which is :func:`analyze_program`) on every
     top-level nest of *sub*.
 
     The result references only the distribution layout's structure, not
     concrete communication sets, so a selection computed at the canonical
     processor count (:func:`repro.distrib.layout.canonical_nprocs`) can be
-    specialized to any target count via ``analyze_program(...,
-    selection=...)``.  With a lenient *sink*, a nest whose selection fails
+    specialized to any target count by :func:`analyze_program`.  With a
+    lenient *sink*, a nest whose selection fails
     records a ``failure`` reason instead of raising; specialization then
     degrades exactly those nests to replicated execution.
     """
@@ -379,131 +365,101 @@ def select_program(
     grouper = CPGrouper(ctx, sel)
     lenient = sink is not None and not sink.strict
     nests: list[NestSelection] = []
-    nest_idx = -1
     for item in sub.body:
         if not isinstance(item, DoLoop):
             continue
-        nest_idx += 1
-        if not lenient:
-            nests.append(_select_one_nest(item, ctx, merged, sel, grouper))
-            continue
         try:
             nests.append(_select_one_nest(item, ctx, merged, sel, grouper))
-        except BudgetExceeded as exc:
-            if budget is not None:
-                budget.reset_ops()  # fresh window for the remaining nests
-            sink.warn(str(exc), code=W_BUDGET, pass_name="isets", nest=nest_idx)
+        except Exception as exc:
+            if not lenient:
+                raise
+            # degrade at specialization, never crash
+            reason = _nest_failure(exc, sink, budget, len(nests))
             nests.append(
-                NestSelection({}, set(), set(), frozenset(), failure=str(exc))
-            )
-        except Exception as exc:  # degrade at specialization, never crash
-            nests.append(
-                NestSelection(
-                    {}, set(), set(), frozenset(),
-                    failure=f"{type(exc).__name__}: {exc}",
-                )
+                NestSelection({}, set(), set(), frozenset(), failure=reason)
             )
     return ProgramSelection(ctx.nprocs, nests)
+
+
+def _nest_failure(
+    exc: Exception,
+    sink: DiagnosticSink,
+    budget: "IsetBudget | None",
+    nest_idx: int,
+) -> str:
+    """Lenient mode: why nest *nest_idx* degrades after *exc* escaped its
+    analysis.  A tripped iset budget also warns ``W-BUDGET`` and opens a
+    fresh op window for the remaining nests."""
+    if isinstance(exc, BudgetExceeded):
+        if budget is not None:
+            budget.reset_ops()
+        sink.warn(str(exc), code=W_BUDGET, pass_name="isets", nest=nest_idx)
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def analyze_program(
     sub: Subroutine,
     ctx: DistributionContext,
     merged: Mapping[str, int],
+    selection: ProgramSelection,
     sink: "DiagnosticSink | None" = None,
     budget: "IsetBudget | None" = None,
-    selection: "ProgramSelection | None" = None,
 ) -> "tuple[dict[int, StatementCP], list[tuple[DoLoop, CommPlan]], set[str], set[str]]":
-    """Run the dHPF analysis pipeline (CP selection, NEW/LOCALIZE
-    propagation, comm-sensitive grouping, communication analysis) on every
-    top-level nest of *sub*.
+    """Specialize a *selection* (from :func:`select_program`, usually made
+    at a different — canonical — processor count) to the processor count of
+    *ctx*: communication analysis of every top-level nest of *sub* under
+    the skeleton's CP choices.
 
-    Returns ``(cps, nest_plans, private_arrays, localized_arrays)``.  This
-    is the code-generation-free front half of :func:`compile_kernel`; the
-    static verifier (:mod:`repro.check`) uses it directly so that kernels
-    the code generator rejects (pipelined communication, §5) can still be
-    verified.
-
-    With a precomputed *selection* (from :func:`select_program`, possibly
-    at a different — canonical — processor count), CP selection is skipped
-    entirely and only communication analysis runs under *ctx*: the
-    rank-symbolic specialization path.  Skeleton nests carrying a
-    ``failure`` marker degrade deterministically, independent of the
-    target count.
+    Returns ``(cps, nest_plans, private_arrays, localized_arrays)``.
+    Together with :func:`select_program` this is the code-generation-free
+    front half of :func:`compile_kernel`; the static verifier
+    (:mod:`repro.check`) stops here so that kernels the code generator
+    rejects (pipelined communication, §5) can still be verified.
 
     With a lenient *sink* (``DiagnosticSink(strict=False)``), any nest the
-    pipeline cannot analyze soundly — a raised analysis error, a gap found
-    by :func:`_nest_degrade_reason`, or a tripped iset *budget* — degrades
-    to the replicated fallback of :func:`_replicated_nest` with an
-    ``I-FALLBACK`` (or ``W-BUDGET``) diagnostic, instead of crashing or
-    silently producing wrong code.
+    pipeline cannot analyze soundly — a ``failure`` recorded by selection,
+    a raised analysis error, a gap found by :func:`_nest_degrade_reason`,
+    or a tripped iset *budget* — degrades to the replicated fallback of
+    :func:`_replicated_nest` with an ``I-FALLBACK`` (or ``W-BUDGET``)
+    diagnostic, instead of crashing or silently producing wrong code.
+    Strict analysis raises instead.
     """
     merged = dict(merged)
     cps_all: dict[int, StatementCP] = {}
     nest_plans: list[tuple[DoLoop, CommPlan]] = []
     private_arrays: set[str] = set()
     localized_arrays: set[str] = set()
-    if selection is None:
-        sel = CPSelector(ctx, eval_params=merged)
-        grouper = CPGrouper(ctx, sel)
     lenient = sink is not None and not sink.strict
-    nest_idx = -1
-    for item in sub.body:
-        if not isinstance(item, DoLoop):
-            continue
-        nest_idx += 1
-        nsel: NestSelection | None = None
-        if selection is not None:
-            if nest_idx >= len(selection.nests):
-                raise ValueError(
-                    "selection skeleton does not match program nests"
-                )
-            nsel = selection.nests[nest_idx]
-        if not lenient:
-            if nsel is None:
-                cps, plan, privs, locs = _analyze_one_nest(
-                    item, ctx, merged, sel, grouper
-                )
-            else:
-                if nsel.failure is not None:
-                    raise ValueError(
-                        f"selection failed for nest {nest_idx}: {nsel.failure}"
-                    )
+    nests = [item for item in sub.body if isinstance(item, DoLoop)]
+    if len(nests) != len(selection.nests):
+        raise ValueError("selection skeleton does not match program nests")
+    for nest_idx, (item, nsel) in enumerate(zip(nests, selection.nests)):
+        reason = nsel.failure
+        if reason is not None and not lenient:
+            raise ValueError(f"selection failed for nest {nest_idx}: {reason}")
+        cps = nsel.cps
+        privs = set(nsel.private_arrays)
+        locs = set(nsel.localized_arrays)
+        plan = None
+        if reason is None:
+            try:
                 plan = _comm_one_nest(item, nsel, ctx, merged)
-                cps = nsel.cps
-                privs = set(nsel.private_arrays)
-                locs = set(nsel.localized_arrays)
-        else:
-            reason = nsel.failure if nsel is not None else None
-            cps, plan, privs, locs = {}, None, set(), set()
-            if reason is None:
-                try:
-                    if nsel is None:
-                        cps, plan, privs, locs = _analyze_one_nest(
-                            item, ctx, merged, sel, grouper
-                        )
-                    else:
-                        cps = nsel.cps
-                        privs = set(nsel.private_arrays)
-                        locs = set(nsel.localized_arrays)
-                        plan = _comm_one_nest(item, nsel, ctx, merged)
+                if lenient:
                     reason = _nest_degrade_reason(
                         item, cps, plan, ctx, merged, private=privs | locs
                     )
-                except BudgetExceeded as exc:
-                    if budget is not None:
-                        budget.reset_ops()  # fresh window for remaining nests
-                    sink.warn(str(exc), code=W_BUDGET, pass_name="isets", nest=nest_idx)
-                    reason = str(exc)
-                except Exception as exc:  # degrade, never crash
-                    reason = f"{type(exc).__name__}: {exc}"
-            if reason is not None:
-                sink.fallback(
-                    f"nest degraded to replicated execution: {reason}",
-                    pass_name="cp", nest=nest_idx,
-                )
-                cps, plan = _replicated_nest(item, ctx, budget)
-                privs, locs = set(), set()
+            except Exception as exc:
+                if not lenient:
+                    raise
+                reason = _nest_failure(exc, sink, budget, nest_idx)
+        if reason is not None:
+            sink.fallback(
+                f"nest degraded to replicated execution: {reason}",
+                pass_name="cp", nest=nest_idx,
+            )
+            cps, plan = _replicated_nest(item, ctx, budget)
+            privs, locs = set(), set()
         private_arrays |= privs
         localized_arrays |= locs
         cps_all.update(cps)
@@ -590,9 +546,15 @@ def _build_lenient(
     sink: DiagnosticSink,
     budget: IsetBudget,
 ) -> "CompiledKernel":
-    """One lenient compilation attempt.  Any exception escaping this
-    function means the *whole program* must fall back to the
-    directive-stripped replicated compilation (handled by the caller)."""
+    """One lenient compilation attempt: the strict path's select →
+    specialize stages under a lenient *sink*, then a kernel that knows
+    which nests degraded.  Any exception escaping this function means the
+    *whole program* must fall back to the directive-stripped replicated
+    compilation (handled by the caller)."""
+    from ..compile.pipeline import stage_select, stage_specialize
+
+    # checked before any analysis runs, so a program that cannot be
+    # distributed at all reports only its whole-program fallback
     ctx = DistributionContext(sub, nprocs, params)
     grid = ctx.the_grid()
     if grid.size != nprocs:
@@ -611,21 +573,19 @@ def _build_lenient(
                 raise ValueError(
                     f"top-level statement touches distributed array {ref.name!r}"
                 )
-    merged = {**sub.symbols.parameter_values(), **params}
-    with iset_budget(budget):
-        cps_all, nest_plans, private_arrays, localized_arrays = analyze_program(
-            sub, ctx, merged, sink=sink, budget=budget
-        )
+    art = stage_specialize(
+        stage_select(sub, params, sink, budget), nprocs, params, sink, budget
+    )
     degraded_nests = {
         idx
-        for idx, (item, _) in enumerate(nest_plans)
+        for idx, (item, _) in enumerate(art.nest_plans)
         if any(
-            cps_all.get(s.sid) is not None and cps_all[s.sid].source == "fallback"
+            art.cps.get(s.sid) is not None and art.cps[s.sid].source == "fallback"
             for s in walk_stmts([item])
             if isinstance(s, Assign)
         )
     }
-    if degraded_nests and (private_arrays or localized_arrays):
+    if degraded_nests and (art.private_arrays or art.localized_arrays):
         # NEW arrays are per-rank and LOCALIZE suppresses owner write-backs
         # (owners may hold stale data) — a replicated nest reading either
         # would see garbage.  Only the whole-program fallback is safe.
@@ -634,9 +594,9 @@ def _build_lenient(
             "replicated execution cannot read privatized data"
         )
     kernel = CompiledKernel(
-        sub, ctx, merged, cps_all, nest_plans, nprocs, private_arrays,
-        localized_arrays, backend=backend, sink=sink, lenient=True,
-        degraded_nests=degraded_nests,
+        sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
+        art.private_arrays, art.localized_arrays, backend=backend, sink=sink,
+        lenient=True, degraded_nests=degraded_nests,
     )
     # Surface emission-time problems (unsupported statements, route binding)
     # now, while the whole-program fallback is still available.

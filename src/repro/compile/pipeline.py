@@ -1,8 +1,8 @@
 """The staged compilation pipeline and its cache-aware driver.
 
-:func:`repro.codegen.compile_kernel` historically ran parse, analysis,
-and code generation as one opaque call.  This module makes the stages
-explicit, each with a serializable artifact and a content-addressed key
+Every compilation — strict or lenient, budgeted or not — and every
+analysis-only caller (:mod:`repro.check`) runs the same four stages,
+each with a serializable artifact and a content-addressed key
 (:class:`~repro.compile.key.PlanKey`):
 
 1. **parse** — source text → a single flattened
@@ -14,32 +14,45 @@ explicit, each with a serializable artifact and a content-addressed key
    :func:`repro.codegen.spmd.select_program`, computed at a canonical
    processor count derived from the layout alone
    (:func:`repro.distrib.layout.canonical_nprocs`).  Independent of both
-   backend and ``nprocs``, so one cached selection fans out to every
-   rank count in a scaling sweep.  Artifact: :class:`SelectionArtifact`
-   keyed by ``key.analysis_digest`` — which deliberately omits
-   ``nprocs`` (strict compilations only — the lenient path interleaves
-   trial code generation with analysis for its whole-program fallback,
-   so it is cached at kernel granularity instead).
+   backend and ``nprocs``, so one selection fans out to every rank count
+   in a scaling sweep.  Artifact: :class:`SelectionArtifact` keyed by
+   ``key.analysis_digest`` — which deliberately omits ``nprocs``.
 3. **specialize** — communication analysis of the selection skeleton at
-   the concrete target ``nprocs``, yielding the full analysis bundle
-   ``(ctx, cps, nest_plans, private_arrays, localized_arrays)`` as an
-   in-memory :class:`AnalysisArtifact` (never cached on its own — it is
-   cheap to regenerate from a selection hit).
+   the concrete target ``nprocs``
+   (:func:`repro.codegen.spmd.analyze_program`), yielding the full
+   analysis bundle ``(ctx, cps, nest_plans, private_arrays,
+   localized_arrays)`` as an in-memory :class:`AnalysisArtifact` (never
+   cached on its own — it is cheap to regenerate from a selection hit).
 4. **codegen** — the executable :class:`~repro.codegen.spmd.CompiledKernel`
    with both node-program texts (mpi + shmem) pre-emitted.  Artifact:
    :class:`KernelArtifact` keyed by ``key.kernel_digest``.
 
-When no canonical processor count can be derived (non-affine directive
-extents, exotic layouts), the driver falls back to the legacy
-per-``nprocs`` analysis and simply skips the selection tier — a safety
-valve, never an error.  Explicit iset budgets also take the legacy path
-so budget consumption order stays exactly historical.
+There is no second analysis path, and three measurements say none is
+needed (DESIGN.md "Scaling the iset engine").  A layout with no
+canonical count (a non-affine ``PROCESSORS`` extent such as
+``procs(np/2)``) raises the ``ValueError`` that building the
+distribution context at the target count raises too, so falling back
+would rescue nothing (and selection at the canonical count failed in 0
+of 423 strict compiles).  An explicit iset budget meters the same two
+stages and is charged what a per-``nprocs`` analysis charges (lhsy 4661
+ops / 3 peak disjuncts, BT compute_rhs 52263 / 24, exact_rhs 1327 / 2).
+A lenient compile passes its sink and budget to the same two stages — a
+nest that cannot be analyzed degrades inside them, :func:`build_kernel`
+wraps them in the whole-program fallback — with text and diagnostics
+equal to a per-``nprocs`` analysis on fuzz seeds 0–299.
+:func:`_analyze_direct` (selection made at the target count) is only the
+reference ``tests/test_rank_symbolic.py`` compares against.
+
+The parse and selection *cache tiers* are strict-only: lenient
+diagnostics from those stages would need replay, so a lenient compile is
+cached at kernel granularity.
 
 :func:`cached_compile` is the front door ``compile_kernel`` delegates
 to: kernel-tier hit → unpickle, replay the recorded diagnostics into the
-caller's sink, return; selection-tier hit → specialize at the target
-``nprocs`` and regenerate code; parse-tier hit → re-analyze; full miss →
-run everything and populate all tiers.  Warm kernels are bitwise-identical to cold ones: the pickled
+caller's sink, return; selection-tier hit → :func:`build_kernel`
+specializes it at the target ``nprocs`` and regenerates code; parse-tier
+hit → re-analyze; full miss → run everything and populate all tiers.
+Warm kernels are bitwise-identical to cold ones: the pickled
 artifact carries the emitted sources, guards covers, routes, and
 vectorization reports verbatim, and every hit deserializes a fresh
 object so callers can never mutate the cache.
@@ -53,6 +66,7 @@ caller's sink in order.
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -93,7 +107,7 @@ class ParseArtifact:
 
 @dataclass
 class SelectionArtifact:
-    """Stage-2 output (strict compilations): the rank-symbolic analysis
+    """Stage-2 output: the rank-symbolic analysis
     skeleton — CP choices, privatization scopes, grouping — computed at
     the canonical processor count ``selection.nprocs``.  Cached under
     ``key.analysis_digest`` (no ``nprocs``), so a scaling sweep pays for
@@ -188,56 +202,70 @@ def stage_parse(source_or_sub, sink: DiagnosticSink) -> "Subroutine":
     return sub
 
 
-def stage_select(sub: "Subroutine", params: dict) -> "SelectionArtifact | None":
-    """Selection stage (strict): the ``nprocs``-free half of analysis.
+def _metered(budget):
+    """Charge iset work to *budget* (when the caller brought one)."""
+    from ..isets import iset_budget
+
+    return iset_budget(budget) if budget is not None else nullcontext()
+
+
+def _select_at(
+    sub: "Subroutine", count: int, params: dict, sink=None, budget=None
+) -> SelectionArtifact:
+    """CP selection on a grid of *count* processors."""
+    from ..codegen.spmd import select_program
+    from ..distrib.layout import DistributionContext
+
+    ctx = DistributionContext(sub, count, params)
+    merged = {**sub.symbols.parameter_values(), **params}
+    with _metered(budget):
+        selection = select_program(sub, ctx, merged, sink=sink, budget=budget)
+    return SelectionArtifact(sub=sub, merged=merged, selection=selection)
+
+
+def stage_select(
+    sub: "Subroutine",
+    params: dict,
+    sink: "DiagnosticSink | None" = None,
+    budget=None,
+) -> SelectionArtifact:
+    """Selection stage: the ``nprocs``-free half of analysis.
 
     Derives the canonical processor count from the layout and runs CP
-    selection, NEW/LOCALIZE propagation, and grouping there.  Returns
-    ``None`` when no canonical count can be derived or selection fails at
-    it (the safety valve — the caller falls back to the legacy
-    per-``nprocs`` analysis of :func:`_analyze_direct` and skips the
-    selection cache tier)."""
-    from ..codegen.spmd import select_program
-    from ..distrib.layout import DistributionContext, canonical_nprocs
+    selection, NEW/LOCALIZE propagation, and grouping there.  Under a
+    lenient *sink* a nest whose selection fails is marked for the
+    replicated fallback instead of raising; *budget* meters the iset
+    work.  A layout with no canonical count raises ``ValueError``."""
+    from ..distrib.layout import canonical_nprocs
 
     with profile_phase("select"):
-        try:
-            cn = canonical_nprocs(sub, params)
-            ctx = DistributionContext(sub, cn, params)
-            merged = {**sub.symbols.parameter_values(), **params}
-            selection = select_program(sub, ctx, merged)
-        except Exception:
-            return None
-    return SelectionArtifact(sub=sub, merged=merged, selection=selection)
+        return _select_at(
+            sub, canonical_nprocs(sub, params), params, sink, budget
+        )
 
 
 def stage_specialize(
     art: SelectionArtifact,
     nprocs: int,
     params: dict,
+    sink: "DiagnosticSink | None" = None,
+    budget=None,
 ) -> AnalysisArtifact:
-    """Specialization stage (strict): communication analysis of a
-    selection skeleton at the concrete target *nprocs*.
-
-    Iset enumeration over symbols with no compile-time value surfaces as
-    ``KeyError`` deep in the point enumerator; strict mode promises typed
-    errors only, so it converts to :class:`CodegenUnsupported`.
-    """
-    from ..codegen.spmd import CodegenUnsupported, analyze_program
+    """Specialization stage: communication analysis of a selection
+    skeleton at the concrete target *nprocs*, strict or (per *sink*)
+    degrading nest by nest, metered by *budget*."""
+    from ..codegen.spmd import analyze_program
     from ..distrib.layout import DistributionContext
 
     with profile_phase("specialize"):
-        try:
-            ctx = DistributionContext(art.sub, nprocs, params)
+        ctx = DistributionContext(art.sub, nprocs, params)
+        with _metered(budget):
             cps_all, nest_plans, private_arrays, localized_arrays = (
                 analyze_program(
-                    art.sub, ctx, art.merged, selection=art.selection
+                    art.sub, ctx, art.merged, art.selection,
+                    sink=sink, budget=budget,
                 )
             )
-        except KeyError as exc:
-            raise CodegenUnsupported(
-                f"analysis requires compile-time values: {exc}"
-            ) from exc
     return AnalysisArtifact(
         sub=art.sub, ctx=ctx, merged=art.merged, cps=cps_all,
         nest_plans=nest_plans, private_arrays=private_arrays,
@@ -246,40 +274,24 @@ def stage_specialize(
 
 
 def _analyze_direct(
-    sub: "Subroutine",
-    nprocs: int,
-    params: dict,
-    budget=None,
+    sub: "Subroutine", nprocs: int, params: dict
 ) -> AnalysisArtifact:
-    """Legacy one-shot analysis: CP selection *and* communication analysis
-    at the target *nprocs*, interleaved per nest.  Used when no canonical
-    processor count exists, and whenever an explicit iset *budget* is
-    attached (so budget consumption order stays exactly historical)."""
-    from ..codegen.spmd import CodegenUnsupported, analyze_program
-    from ..distrib.layout import DistributionContext
-    from ..isets import iset_budget
+    """The reference the rank-symbolic identity tests compare against:
+    the same two stages with selection made at the target *nprocs*
+    instead of the canonical count.  No compile takes this route."""
+    return stage_specialize(_select_at(sub, nprocs, params), nprocs, params)
 
-    with profile_phase("analyze"):
-        try:
-            ctx = DistributionContext(sub, nprocs, params)
-            merged = {**sub.symbols.parameter_values(), **params}
-            if budget is not None:
-                with iset_budget(budget):
-                    cps_all, nest_plans, private_arrays, localized_arrays = (
-                        analyze_program(sub, ctx, merged)
-                    )
-            else:
-                cps_all, nest_plans, private_arrays, localized_arrays = (
-                    analyze_program(sub, ctx, merged)
-                )
-        except KeyError as exc:
-            raise CodegenUnsupported(
-                f"analysis requires compile-time values: {exc}"
-            ) from exc
-    return AnalysisArtifact(
-        sub=sub, ctx=ctx, merged=merged, cps=cps_all, nest_plans=nest_plans,
-        private_arrays=private_arrays, localized_arrays=localized_arrays,
-    )
+
+def analyze_source(
+    source_or_sub, nprocs: int, params: Mapping[str, int] | None = None
+) -> AnalysisArtifact:
+    """Analysis without code generation — parse → select → specialize,
+    strict — for the callers that verify or cost a plan
+    (:mod:`repro.check`).  Accepts the pipelined-communication kernels
+    :func:`stage_codegen` rejects (§5)."""
+    params = dict(params or {})
+    sub = stage_parse(source_or_sub, DiagnosticSink(strict=True))
+    return stage_specialize(stage_select(sub, params), nprocs, params)
 
 
 def stage_codegen(
@@ -301,16 +313,11 @@ def stage_codegen(
                     f"pipelined communication for array {ev.array!r} "
                     "(wavefront kernels are executed by repro.parallel.dhpf)"
                 )
-    try:
-        return CompiledKernel(
-            art.sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
-            art.private_arrays, art.localized_arrays, backend=backend,
-            sink=sink,
-        )
-    except KeyError as exc:
-        raise CodegenUnsupported(
-            f"analysis requires compile-time values: {exc}"
-        ) from exc
+    return CompiledKernel(
+        art.sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
+        art.private_arrays, art.localized_arrays, backend=backend,
+        sink=sink,
+    )
 
 
 @dataclass
@@ -333,23 +340,26 @@ def build_kernel(
     budget,
     record: StageRecord | None = None,
     sub: "Subroutine | None" = None,
-    analysis: AnalysisArtifact | None = None,
+    selection: SelectionArtifact | None = None,
 ) -> "CompiledKernel":
     """Run the staged pipeline cold (no kernel-tier hit).
 
-    ``sub``/``analysis`` inject warm earlier-stage artifacts; *record*,
-    when given, captures the serialized stage outputs for cache
-    population.  Semantics are exactly the historical monolithic
-    ``compile_kernel`` body.
+    ``sub``/``selection`` inject warm earlier-stage artifacts (strict
+    only); *record*, when given, captures the serialized stage outputs
+    for cache population.
     """
-    from ..codegen.spmd import _build_lenient
+    from ..codegen.spmd import (
+        CodegenUnsupported,
+        _build_lenient,
+        _strip_directives,
+    )
     from ..isets import IsetBudget
 
     new_epoch()
     lenient = not sink.strict
-    if sub is None and (analysis is None or lenient):
-        # (skipped entirely on a strict selection-tier hit — the artifact
-        # carries its own analyzed Subroutine)
+    if selection is not None:
+        sub = selection.sub  # the artifact carries its own parsed unit
+    elif sub is None:
         if isinstance(source_or_sub, str):
             # fresh parse: sids 1..N regardless of process history (IR
             # passed in directly keeps its caller-assigned sids)
@@ -361,26 +371,29 @@ def build_kernel(
     # resume the sid allocator after the highest sid in play, so
     # statements created by later transforms (loop distribution,
     # inlining, interchange) number identically warm and cold
-    _seed_sids(analysis.sub if sub is None and analysis is not None else sub)
+    _seed_sids(sub)
     if not lenient:
-        if analysis is None:
-            selart = stage_select(sub, params) if budget is None else None
-            if selart is not None:
+        # Iset enumeration over symbols with no compile-time value
+        # surfaces as ``KeyError`` deep in the point enumerator; strict
+        # mode promises typed errors only.
+        try:
+            if selection is None:
+                selection = stage_select(sub, params, sink, budget)
                 if record is not None:
-                    record.analysis_payload = _dumps(selart)
-                analysis = stage_specialize(selart, nprocs, params)
-            else:
-                analysis = _analyze_direct(sub, nprocs, params, budget=budget)
-        with profile_phase("codegen"):
-            kernel = stage_codegen(analysis, nprocs, backend, sink)
+                    record.analysis_payload = _dumps(selection)
+            analysis = stage_specialize(selection, nprocs, params, sink, budget)
+            with profile_phase("codegen"):
+                kernel = stage_codegen(analysis, nprocs, backend, sink)
+        except KeyError as exc:
+            raise CodegenUnsupported(
+                f"analysis requires compile-time values: {exc}"
+            ) from exc
     else:
         if budget is None:
             budget = IsetBudget()
         try:
             kernel = _build_lenient(sub, nprocs, params, backend, sink, budget)
         except Exception as exc:
-            from ..codegen.spmd import _strip_directives
-
             sink.fallback(
                 "whole-program replicated fallback: "
                 f"{type(exc).__name__}: {exc}",
@@ -471,19 +484,14 @@ def cached_compile(
     # tier is keyed without nprocs: a hit pays only specialization (comm
     # analysis) and codegen — one symbolic selection serves a whole
     # processor-count sweep.
-    sub = analysis = None
+    sub = selection = None
     if read_ok and sink.strict:
         apayload = cache.get(key.analysis_digest)
         if apayload is not None:
             aart = _loads(apayload)
             if isinstance(aart, SelectionArtifact):
-                new_epoch()
-                _seed_sids(aart.sub)
-                try:
-                    analysis = stage_specialize(aart, nprocs, params)
-                except Exception:
-                    analysis = None  # treat as a miss; cold path re-raises typed
-        if analysis is None:
+                selection = aart
+        if selection is None:
             ppayload = cache.get(key.parse_digest)
             if ppayload is not None:
                 part = _loads(ppayload)
@@ -491,12 +499,12 @@ def cached_compile(
                     sub = part.sub
 
     mark = len(sink.diagnostics)
-    record = StageRecord()
+    record = StageRecord() if budget is None else None
     kernel = build_kernel(
         source, nprocs, params, backend, sink, budget,
-        record=record, sub=sub, analysis=analysis,
+        record=record, sub=sub, selection=selection,
     )
-    if budget is None and _pre_emit(kernel):
+    if record is not None and _pre_emit(kernel):
         compiled_diags = list(sink.diagnostics[mark:])
         caller_sink, kernel.sink = kernel.sink, DiagnosticSink(
             strict=sink.strict, diagnostics=compiled_diags

@@ -36,7 +36,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument("--classes", default="A,B", help="comma list of NAS classes")
     ap.add_argument("--procs", default="4,9,16,25", help="comma list of processor counts")
-    ap.add_argument("--nprocs", type=int, default=16, help="processors for figures")
+    ap.add_argument("--nprocs", type=int, default=None,
+                    help="processors (default 16 for figures, phases, "
+                         "ablations and profile; 4, the class-S grid, for "
+                         "chaos)")
     ap.add_argument("--width", type=int, default=100, help="ASCII figure width")
     ap.add_argument("--json", action="store_true", help="emit figure trace as JSON")
     ap.add_argument("--bench", default="sp", choices=["sp", "bt"], help="chaos benchmark")
@@ -127,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--profile-class", default="W", choices=["S", "W", "A", "B"],
                     help="profile: NAS class sizing the compiled kernel")
     args = ap.parse_args(argv)
+    if args.nprocs is None:
+        args.nprocs = 4 if args.target == "chaos" else 16
 
     classes = tuple(args.classes.split(","))
     procs = tuple(int(p) for p in args.procs.split(","))
@@ -160,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     elif args.target == "chaos":
         from .chaos import crash_sweep, drop_sweep, format_chaos
 
-        nprocs = args.nprocs if args.nprocs != 16 else 4  # class-S default grid
         if args.service:
             from ..compile.chaos import format_service_chaos, run_service_chaos
 
@@ -175,19 +179,20 @@ def main(argv: list[str] | None = None) -> int:
             from .chaos import format_proc_chaos, run_proc_chaos
 
             results = [
-                run_proc_chaos(bench=args.bench, nprocs=nprocs, kind=kind,
+                run_proc_chaos(bench=args.bench, nprocs=args.nprocs, kind=kind,
                                timeout=args.timeout or 300.0)
                 for kind in ("kill", "stall")
             ]
             print(format_proc_chaos(results))
             return 0 if all(r.ok for r in results) else 1
         functional = args.strategy == "dhpf"
-        kw = dict(bench=args.bench, strategy=args.strategy, nprocs=nprocs,
-                  functional=functional, timeout=args.timeout)
+        kw = dict(bench=args.bench, strategy=args.strategy,
+                  nprocs=args.nprocs, functional=functional,
+                  timeout=args.timeout)
         print(format_chaos(
             drop_sweep(args.drop, seed=args.seed, **kw),
             f"Chaos: message-drop sweep ({args.bench}/{args.strategy}, "
-            f"{nprocs} ranks, seed {args.seed})",
+            f"{args.nprocs} ranks, seed {args.seed})",
         ))
         fracs = args.crash_frac
         if fracs:

@@ -34,6 +34,7 @@ from ..check.cost import (
     kernel_cost,
     predicted_curve,
     scale_limit,
+    sweep_cost,
     wildcard_grid,
 )
 from ..runtime.model import IBM_SP2, MachineModel
@@ -210,10 +211,7 @@ def format_curve(
     """Predicted scaling curve of one kernel over *procs* ranks."""
     if progress:
         progress(f"sweeping {subject} over {len(list(procs))} rank counts")
-    costs = [
-        analysis_cost(source, p, params, subject=subject, wildcard=True)
-        for p in procs
-    ]
+    costs = sweep_cost(source, params, procs, subject=subject)
     curve = predicted_curve(costs, model)
     lines = [
         f"Predicted scaling of {subject} "

@@ -39,6 +39,11 @@ _ARRAY_NAMES = ("a", "b", "c", "d")
 #: a wavefront nest; at 0.5 the CI smoke's 20 seeds draw it once (seed 1)
 WAVE_SHARE = 0.5
 
+#: share of the 1-d programs that leave the grid extent to the compiler
+#: (``processors p(*)``), so CP selection runs at the canonical count 2
+#: and is specialized to a target of 2, 3 or 4 ranks
+GRID_SHARE = 0.15
+
 
 # ---------------------------------------------------------------------------
 # program specs (the shrinkable representation)
@@ -86,6 +91,8 @@ class ProgramSpec:
     #: carried dimension would pipeline its communication, which code
     #: generation rejects before the vectoriser sees the nest.
     wave: "int | None" = None
+    #: 1-d wildcard grid: ``processors p(*)`` sized by ``nprocs`` alone
+    wild: bool = False
 
     def render(self) -> str:
         n, lines = self.n, []
@@ -98,6 +105,8 @@ class ProgramSpec:
             lines.append("      integer m")
         if self.two_d and self.wave is None:
             lines.append("!hpf$ processors p(2, 2)")
+        elif self.wild:
+            lines.append("!hpf$ processors p(*)")
         else:
             lines.append(f"!hpf$ processors p({self.nprocs})")
         for a in self.arrays:
@@ -264,9 +273,16 @@ def gen_spec(seed: int) -> ProgramSpec:
                 (StmtSpec(tgt, "i, j", f"{back} * 0.5 + {term}"),),
                 "2", "n - 1", 1,
             ))
+    wild = False
+    if not two_d:
+        # its own stream again: every other seed renders as before
+        grng = random.Random(f"{seed}:grid")
+        if grng.random() < GRID_SHARE:
+            wild = True
+            nprocs = grng.choice((2, 3, 4))
     return ProgramSpec(
         seed, n, nprocs, two_d, tuple(arrays), tuple(nests), tuple(pre),
-        with_call, wave,
+        with_call, wave, wild,
     )
 
 

@@ -66,3 +66,36 @@ class TestEvalCLI:
         assert eval_main(["table-8.1", "--classes", "A", "--procs", "4"]) == 0
         out = capsys.readouterr().out
         assert "Class A" in out and "E.dHPF" in out
+
+    @pytest.mark.parametrize("argv,want", [
+        (["chaos"], 4),                        # class-S default grid
+        (["chaos", "--nprocs", "16"], 16),     # an explicit 16 is honoured
+        (["chaos", "--nprocs", "9"], 9),
+        (["phases"], 16),
+        (["ablations", "--nprocs", "4"], 4),
+    ])
+    def test_nprocs_default_is_resolved_per_target(self, monkeypatch, argv, want):
+        import repro.eval.ablations as ablations
+        import repro.eval.chaos as chaos
+        import repro.eval.phases as phases
+
+        seen = []
+
+        def sweep(*a, nprocs, **kw):
+            seen.append(nprocs)
+            return []
+
+        def positional(*a, **kw):
+            seen.append(a[-1])
+            return []
+
+        monkeypatch.setattr(chaos, "drop_sweep", sweep)
+        monkeypatch.setattr(chaos, "crash_sweep", sweep)
+        monkeypatch.setattr(chaos, "format_chaos", lambda rows, title: title)
+        monkeypatch.setattr(phases, "phase_breakdown", positional)
+        monkeypatch.setattr(phases, "format_phase_table", lambda rows: "")
+        monkeypatch.setattr(ablations, "schedule_ablations", positional)
+        monkeypatch.setattr(ablations, "analysis_ablations", lambda: [])
+        monkeypatch.setattr(ablations, "format_ablations", lambda s, a: "")
+        assert eval_main(argv) == 0
+        assert seen and set(seen) == {want}

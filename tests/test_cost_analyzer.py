@@ -202,6 +202,21 @@ class TestScalingCurve:
         assert closed_form(msgs) == "P - 1"
         assert closed_form([(c.nprocs, c.bytes) for c in costs]) == "8*P - 8"
 
+    def test_sweep_selects_once_and_equals_per_count_analysis(self):
+        from repro.check.cost import wildcard_grid
+        from repro.frontend import parse_source
+        from repro.isets.profile import profiled
+
+        procs = (2, 3, 8)
+        # one parse for both sides: statement ids come from a global counter
+        sub = next(iter(parse_source(HALO_1D).units.values()))
+        with profiled("sweep") as prof:
+            costs = sweep_cost(sub, procs=procs)
+        phases = prof.root.children
+        assert phases["select"].calls == 1
+        assert phases["specialize"].calls == len(procs)
+        assert costs == [analysis_cost(wildcard_grid(sub), p) for p in procs]
+
     def test_closed_form_rejects_non_affine_series(self):
         assert closed_form([(2, 4), (4, 16), (8, 64)]) is None
         assert closed_form([(2, 5)]) is None

@@ -122,3 +122,40 @@ class TestDiffStats:
         st = diff_stats("x = 1\n", "x = 1\n")
         assert st.modified == 0
         assert st.fraction == 0.0
+
+
+_SEED_SCRIPT = """
+import hashlib
+from types import SimpleNamespace as NS
+import numpy as np
+from repro.eval.bench import _seed_init
+
+def arrays():
+    return {name: NS(data=np.zeros((3, 4))) for name in ("u", "rhs", "lhs")}
+
+A = arrays()
+_seed_init(NS(make_arrays=arrays))(0, A)
+print(hashlib.sha256(b"".join(A[n].data.tobytes() for n in sorted(A))).hexdigest())
+"""
+
+
+def test_seeded_inputs_do_not_depend_on_the_hash_seed():
+    """`_seed_init` feeds every scalar==vector / VM==process / cost==trace
+    comparison; `str` hashes are randomised per interpreter, so the seed
+    of each array must not come from `hash(name)`."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _SEED_SCRIPT], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

@@ -47,6 +47,33 @@ class TestGenerator:
         ck.python_source()
         assert list(ck.vector_report.values())[-1].sequential == ("i",)
 
+    def test_wildcard_grid_shape_specializes_away_from_canonical(self):
+        """Every other program pins `processors p(N)` with N ranks, so
+        selection and specialization run at the same count.  The wildcard
+        shape leaves the extent open: selection runs at the canonical 2
+        ranks and is specialized to 3 or 4 — in CI's 60-seed corpus too."""
+        import hashlib
+
+        from repro.distrib.layout import canonical_nprocs
+        from repro.frontend import parse_source
+
+        assert any(
+            sp.wild and sp.nprocs != 2 for sp in map(gen_spec, range(60))
+        )
+        spec = gen_spec(11)
+        source = spec.render()
+        assert spec.wild and "!hpf$ processors p(*)" in source
+        sub = next(iter(parse_source(source).units.values()))
+        assert canonical_nprocs(sub) == 2 and spec.nprocs == 3
+        assert check_spec(spec) is None
+        # the shape has a random stream of its own: a seed that does not
+        # draw it renders as it did before the shape existed
+        plain = gen_spec(7)
+        assert not plain.wild and not plain.two_d
+        assert hashlib.sha256(plain.render().encode()).hexdigest() == (
+            "e1cfe31d4c56c7eba4271cf810ce8e887b978ae46d33eb59002824461c5f032c"
+        )
+
 
 class TestCorpus:
     def test_fixed_seed_corpus_passes(self):

@@ -1,15 +1,18 @@
-"""Regression tests for the rank-symbolic plan path (PR 9).
+"""Regression tests for the rank-symbolic plan path (PR 9), the only
+analysis path since PR 20.
 
-The staged pipeline splits strict analysis into ``stage_select`` (CP
+The staged pipeline splits analysis into ``stage_select`` (CP
 selection, propagation, grouping at the *canonical* processor count —
 ``nprocs``-free) and ``stage_specialize`` (communication analysis at the
 concrete target count).  These tests pin the contract that makes the
 split safe to cache:
 
 - the emitted node programs (both mpi and shmem texts) are **bitwise
-  identical** to the legacy one-shot per-``nprocs`` analysis, on every
-  benchmarked paper kernel and on wildcard-grid NAS class-S kernels
-  across a rank sweep;
+  identical** to the reference ``_analyze_direct`` (selection made at
+  the target count), on every benchmarked paper kernel and on
+  wildcard-grid NAS class-S kernels across a rank sweep;
+- strict, lenient and budgeted compiles all take it, and nothing falls
+  back to anything else: a failing selection raises;
 - ``PlanKey.analysis_digest`` is ``nprocs``-free (one selection artifact
   serves a whole processor-count sweep) while ``kernel_digest`` still
   separates counts;
@@ -52,13 +55,13 @@ def _parse(spec_source, build=None):
 
 
 def _emit(sub, nprocs, params, *, symbolic):
-    """Emit both node-program texts through one of the two analysis paths."""
+    """Emit both node-program texts: selection at the canonical count
+    (*symbolic*, what every compile does) or at the target count (the
+    reference)."""
     sink = DiagnosticSink(strict=True)
     new_epoch()
     if symbolic:
-        selart = stage_select(sub, params)
-        assert selart is not None, "canonical processor count derivation failed"
-        art = stage_specialize(selart, nprocs, params)
+        art = stage_specialize(stage_select(sub, params), nprocs, params)
     else:
         art = _analyze_direct(sub, nprocs, params)
     kern = stage_codegen(art, nprocs, "vector", sink)
@@ -77,15 +80,19 @@ def test_symbolic_identical_to_legacy_on_benchmark_kernels(spec):
         assert sym[t] == legacy[t], (spec.name, t)
 
 
+_SCALED = {
+    "sp": (nas_kernels.COMPUTE_RHS_SP, {"n": 12, "nx": 12}),
+    "bt": (nas_kernels.COMPUTE_RHS_BT, {"n": 12}),
+    "lhsy": (nas_kernels.LHSY_SP, {"n": 10}),
+}
+
+
 @pytest.mark.parametrize("source_name,nprocs", [
-    ("sp", 4), ("sp", 16), ("bt", 8),
+    ("sp", 4), ("sp", 16), ("bt", 8), ("lhsy", 2), ("lhsy", 4), ("lhsy", 8),
 ])
 def test_symbolic_identical_on_scaled_class_s_sweep(source_name, nprocs):
-    src = nas_kernels.scaled(
-        nas_kernels.COMPUTE_RHS_SP if source_name == "sp"
-        else nas_kernels.COMPUTE_RHS_BT
-    )
-    params = {"n": 12, "nx": 12} if source_name == "sp" else {"n": 12}
+    source, params = _SCALED[source_name]
+    src = nas_kernels.scaled(source)
     sub0 = _parse(src)
     sym = _emit(copy.deepcopy(sub0), nprocs, params, symbolic=True)
     legacy = _emit(copy.deepcopy(sub0), nprocs, params, symbolic=False)
@@ -125,3 +132,48 @@ def test_plan_cache_fans_selection_across_rank_sweep():
     assert "parse" not in phases
     assert "select" not in phases
     assert "grid (3, 3)" in kern9.python_source("mpi")
+
+
+@pytest.mark.parametrize("how", ["lenient", "budgeted"])
+def test_lenient_and_budgeted_compiles_take_the_one_path(how):
+    from repro.codegen import compile_kernel
+    from repro.compile import cache_disabled
+    from repro.isets import IsetBudget
+
+    src = nas_kernels.scaled(nas_kernels.LHSY_SP)
+    kw = {"strict": False} if how == "lenient" else {"budget": IsetBudget()}
+    with cache_disabled():
+        strict = compile_kernel(src, 9, {"n": 10})
+        with profiled(how) as prof:
+            kern = compile_kernel(src, 9, {"n": 10}, **kw)
+    phases = prof.root.children
+    assert "select" in phases and "specialize" in phases
+    assert "analyze" not in phases
+    assert not kern.fallback_diagnostics
+    for t in TARGETS:
+        assert kern.python_source(t) == strict.python_source(t), t
+
+
+def test_stage_select_propagates_a_failing_selection(monkeypatch):
+    import repro.codegen.spmd as spmd
+
+    def boom(*a, **kw):
+        raise RuntimeError("selection blew up")
+
+    monkeypatch.setattr(spmd, "select_program", boom)
+    sub = _parse(nas_kernels.scaled(nas_kernels.LHSY_SP))
+    with pytest.raises(RuntimeError, match="selection blew up"):
+        stage_select(sub, {"n": 10})
+
+
+def test_non_affine_grid_extent_raises_the_distribution_error():
+    """No canonical count exists for `procs(np/2)`; the per-nprocs loop the
+    old fallback ran raised this same error one frame later."""
+    from repro.codegen import compile_kernel
+    from repro.compile import cache_disabled
+
+    src = nas_kernels.LHSY_SP.replace("procs(2,2)", "procs(np/2, 2)")
+    assert src != nas_kernels.LHSY_SP
+    with cache_disabled(), pytest.raises(ValueError) as ei:
+        compile_kernel(src, 4, {"n": 10, "np": 4})
+    assert str(ei.value) == "directive expression (np / 2) is not affine"
