@@ -31,7 +31,6 @@ from ..ir.expr import ArrayRef
 from ..ir.stmt import Assign, DoLoop
 from ..ir.visit import collect_array_refs, walk_stmts
 from ..isets import ISet
-from .dependence import Dependence, DependenceAnalyzer
 
 
 @dataclass
@@ -58,13 +57,16 @@ class AvailabilityAnalyzer:
         cps: Mapping[int, StatementCP],
         ctx: DistributionContext,
         params: Mapping[str, int] | None = None,
+        nest: NestInfo | None = None,
     ):
         self.root = root
         self.cps = cps
         self.ctx = ctx
         self.params = dict(params or {})
-        self.nest = NestInfo(root, self.params)
-        self.deps = DependenceAnalyzer(root, self.params).dependences()
+        #: *nest* is the caller's ``NestInfo(root, params)`` when it has
+        #: one (the comm analyzer does), so the dependences are shared
+        self.nest = nest if nest is not None else NestInfo(root, self.params)
+        self.deps = self.nest.deps
 
     # -- per-reference sets -------------------------------------------------
     def nonlocal_read_set(self, stmt: Assign, ref: ArrayRef) -> Optional[ISet]:

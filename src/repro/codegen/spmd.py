@@ -45,13 +45,20 @@ class NestSelection:
     (:func:`repro.distrib.layout.canonical_nprocs`) and specialized per
     target ``nprocs`` by :func:`analyze_program`.  ``failure`` records
     why selection degraded (lenient mode only); such nests replay the
-    replicated fallback at specialization time."""
+    replicated fallback at specialization time.  ``nest`` carries the
+    nest's structure and dependences from grouping to communication
+    analysis in memory only: a pickled selection drops it, and
+    specialization then analyzes the dependences once itself."""
 
     cps: "dict[int, StatementCP]"
     private_arrays: "set[str]"
     localized_arrays: "set[str]"
     no_comm: "frozenset[str]"
     failure: "str | None" = None
+    nest: "NestInfo | None" = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "nest": None}
 
 
 @dataclass
@@ -73,6 +80,7 @@ def _select_one_nest(
 ) -> NestSelection:
     """One nest of :func:`select_program`: CP selection, NEW/LOCALIZE
     propagation, comm-sensitive grouping."""
+    nest = NestInfo(item, merged)
     with profile_phase("cp-select"):
         cps = sel.select(item, merged)
     # NEW anywhere in this nest: propagate across the whole nest (the
@@ -85,7 +93,7 @@ def _select_one_nest(
     privs = {v.lower() for v in new_vars}
     with profile_phase("propagate"):
         if new_vars:
-            propagate_new_cps(item, new_vars, cps, NestInfo(item, merged), ctx)
+            propagate_new_cps(item, new_vars, cps, nest, ctx)
         # LOCALIZE scope
         locs: set[str] = set()
         if item.directive and item.directive.localize_vars:
@@ -95,14 +103,14 @@ def _select_one_nest(
             )
     # communication-sensitive grouping for the remaining local choices
     with profile_phase("group"):
-        res = grouper.group(item, cps=cps, params=merged)
+        res = grouper.group(item, cps=cps, deps=nest.deps, params=merged)
     cps = res.cps
     no_comm: set[str] = set()
     for loop in walk_stmts([item]):
         if isinstance(loop, DoLoop) and loop.directive:
             no_comm |= {v.lower() for v in loop.directive.new_vars}
             no_comm |= {v.lower() for v in loop.directive.localize_vars}
-    return NestSelection(cps, privs, locs, frozenset(no_comm))
+    return NestSelection(cps, privs, locs, frozenset(no_comm), nest=nest)
 
 
 def _comm_one_nest(
@@ -115,7 +123,8 @@ def _comm_one_nest(
     communication analysis under *ctx* with the skeleton's CP choices."""
     with profile_phase("comm"):
         return CommAnalyzer(
-            item, nsel.cps, ctx, merged, exclude_arrays=nsel.no_comm
+            item, nsel.cps, ctx, merged, exclude_arrays=nsel.no_comm,
+            nest=nsel.nest,
         ).analyze()
 
 

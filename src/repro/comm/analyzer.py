@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..analysis.availability import AvailabilityAnalyzer
-from ..analysis.dependence import DependenceAnalyzer
 from ..cp.model import cp_iteration_set
 from ..cp.nest import NestInfo, access_data_set
 from ..cp.select import StatementCP
@@ -102,6 +101,7 @@ class CommAnalyzer:
         use_availability: bool = True,
         coalesce: bool = True,
         exclude_arrays: "tuple[str, ...] | list[str] | set[str]" = (),
+        nest: NestInfo | None = None,
     ):
         self.root = root
         self.cps = cps
@@ -114,8 +114,10 @@ class CommAnalyzer:
         #: (partial replication guarantees local copies and suppresses
         #: finalization write-backs, §4.2)
         self.exclude = {a.lower() for a in exclude_arrays}
-        self.nest = NestInfo(root, self.params)
-        self.deps = DependenceAnalyzer(root, self.params).dependences()
+        #: *nest* is the ``NestInfo(root, params)`` CP selection already
+        #: built, when there is one: its dependences are not re-analyzed
+        self.nest = nest if nest is not None else NestInfo(root, self.params)
+        self.deps = self.nest.deps
 
     # -- placement ----------------------------------------------------------------
     def _read_placement(self, stmt: Assign, ref: ArrayRef) -> Placement:
@@ -143,7 +145,9 @@ class CommAnalyzer:
         events: list[CommEvent] = []
         avail_elim: set = set()
         if self.use_availability:
-            avail = AvailabilityAnalyzer(self.root, self.cps, self.ctx, self.params)
+            avail = AvailabilityAnalyzer(
+                self.root, self.cps, self.ctx, self.params, nest=self.nest
+            )
             avail_elim = avail.eliminated_refs()
 
         for stmt in walk_stmts([self.root]):

@@ -144,20 +144,27 @@ class CPGrouper:
                 marked.append((d.src, d.dst))
 
         group_of = {sid: uf.find(sid) for sid in stmts}
-        # apply the localized choices
-        for sid, stmt in stmts.items():
+        # One winner per group, chosen in an order that does not depend on
+        # hashing (the surviving keys are a set of tuples): the first
+        # surviving candidate of the group's lowest-sid member, whose
+        # candidates run lhs — owner-computes — first.
+        winner: dict[int, tuple] = {}
+        for sid in sorted(stmts):
             root = group_of[sid]
             keys = group_keys.get(root)
-            if not keys:
+            if keys and root not in winner:
+                winner[root] = next(k for k in key_to_term[sid] if k in keys)
+        # apply the localized choices
+        for sid, stmt in stmts.items():
+            k = winner.get(group_of[sid])
+            if k is None:
                 continue
             scp = cps[sid]
             if scp.source != "local":
                 continue  # propagated CPs are not overridden
             avail = key_to_term.get(sid, {})
-            for k in keys:
-                if k in avail:
-                    cps[sid] = StatementCP(stmt, CP((avail[k],)), scp.choices, scp.cost, "grouped")
-                    break
+            if k in avail:
+                cps[sid] = StatementCP(stmt, CP((avail[k],)), scp.choices, scp.cost, "grouped")
         return GroupResult(group_of, group_keys, marked, cps)
 
 
@@ -277,10 +284,11 @@ def communication_sensitive_distribution(
             else:
                 new_body.append(s)
         loop.body = new_body
-        res = grouper.group(loop, cps=dict(cps) if cps is not None else None, params=params)
-        return distribute_loop(
-            loop, res.marked_pairs, DependenceAnalyzer(loop, params).dependences()
+        deps = DependenceAnalyzer(loop, params).dependences()
+        res = grouper.group(
+            loop, cps=dict(cps) if cps is not None else None, deps=deps, params=params
         )
+        return distribute_loop(loop, res.marked_pairs, deps)
 
     loops = rec(root)
     # final grouping pass over the (possibly distributed) top-level loops,

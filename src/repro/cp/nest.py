@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ..ir.expr import ArrayRef, to_affine
 from ..ir.stmt import Assign, DoLoop, Stmt
@@ -10,15 +10,34 @@ from ..ir.visit import build_parent_map, enclosing_loops, walk_stmts
 from ..isets import BasicSet, Constraint, ISet, LinExpr
 from ..isets.terms import E
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.dependence import Dependence
+
 
 class NestInfo:
-    """Cached structure of one loop nest rooted at *root*."""
+    """Cached structure of one loop nest rooted at *root* — including its
+    dependences, which §5 grouping, communication placement and §7
+    availability all read from here so they are analyzed once per nest.
+    Everything in it is a function of the nest and *params* alone (no
+    processor count), and it is never pickled: statements are referenced
+    by identity."""
 
     def __init__(self, root: DoLoop, params: Mapping[str, int] | None = None):
         self.root = root
         self.params = dict(params or {})
         self.parents = build_parent_map([root])
         self.order: dict[int, int] = {s.sid: i for i, s in enumerate(walk_stmts([root]))}
+        self._deps: "list[Dependence] | None" = None
+
+    @property
+    def deps(self) -> "list[Dependence]":
+        """All dependences among the nest's statements, computed on first
+        use (:class:`repro.analysis.dependence.DependenceAnalyzer`)."""
+        if self._deps is None:
+            from ..analysis.dependence import DependenceAnalyzer
+
+            self._deps = DependenceAnalyzer(self.root, self.params).dependences()
+        return self._deps
 
     def loops_of(self, stmt: Stmt) -> list[DoLoop]:
         """Enclosing loops of a statement inside this nest, outermost first

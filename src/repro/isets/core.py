@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil, floor
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .terms import LinExpr, E
@@ -327,17 +326,17 @@ class Constraint:
         g = expr.content()
         if g > 1:
             const = expr.constant
-            if is_eq:
+            if is_eq and const % g != 0:
                 # g | const is required for integer solutions; if not, the
                 # constraint is unsatisfiable — keep it as an impossible
                 # constant equality so emptiness detection sees it.
-                if const % g == 0:
-                    expr = LinExpr({k: v // g for k, v in expr.coeffs.items()}, const // g)
-                else:
-                    expr = LinExpr.const(1)  # 1 == 0 : impossible
+                expr = LinExpr.const(1)  # 1 == 0 : impossible
             else:
                 # sum(a_i x_i) + c >= 0, g | a_i  =>  sum(a_i/g x_i) + floor(c/g) >= 0
-                expr = LinExpr({k: v // g for k, v in expr.coeffs.items()}, floor(const / g))
+                # (an equality divides exactly); ints throughout, no float
+                expr = LinExpr._trusted(
+                    {k: v // g for k, v in expr.coeffs.items()}, const // g
+                )
         if is_eq and expr.coeffs:
             # canonical sign: first (lexicographically smallest) coeff positive
             first = next(iter(expr.coeffs.values()))
@@ -447,24 +446,24 @@ class Constraint:
 
 
 def _dedup(constraints: Iterable[Constraint]) -> list[Constraint]:
-    """Remove duplicates and pairwise-dominated inequalities."""
-    eqs: list[Constraint] = []
-    # best (largest-constant ⇒ weakest? no: expr + c >= 0, larger c is weaker)
-    # keep, per coefficient vector, the *tightest* (smallest constant).
-    best: dict[tuple, int] = {}
+    """Remove duplicates and pairwise-dominated inequalities: equalities
+    first, then per coefficient vector the *tightest* inequality (``expr +
+    c >= 0`` with the smallest ``c``), each in first-seen order.  The
+    survivors are the very objects passed in, never rebuilt copies."""
+    eqs: dict[Constraint, None] = {}
+    best: dict[tuple, Constraint] = {}
     for c in constraints:
-        if c.is_trivially_true():
+        coeffs = c.expr.coeffs
+        if not coeffs and c.is_trivially_true():
             continue
         if c.is_eq:
-            if c not in eqs:
-                eqs.append(c)
+            eqs.setdefault(c)
             continue
-        key = tuple(c.expr.coeffs.items())
-        const = c.expr.constant
-        if key not in best or const < best[key]:
-            best[key] = const
-    ineqs = [Constraint(LinExpr(dict(k), v), False) for k, v in best.items()]
-    return eqs + ineqs
+        key = tuple(coeffs.items())
+        kept = best.get(key)
+        if kept is None or c.expr.constant < kept.expr.constant:
+            best[key] = c
+    return [*eqs, *best.values()]
 
 
 class BasicSet:
@@ -808,10 +807,10 @@ class BasicSet:
                 lb = v if lb is None else max(lb, v)
                 ub = v if ub is None else min(ub, v)
             elif a > 0:  # a*var + r >= 0 -> var >= ceil(-r/a)
-                v = ceil(-r / a)
+                v = -(r // a)
                 lb = v if lb is None else max(lb, v)
             else:  # a<0: var <= floor(r/(-a))
-                v = floor(r / (-a))
+                v = r // (-a)
                 ub = v if ub is None else min(ub, v)
         if lb is None or ub is None:
             return None

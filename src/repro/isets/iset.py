@@ -11,7 +11,6 @@ a difference.
 from __future__ import annotations
 
 import itertools
-from math import ceil, floor
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -328,10 +327,10 @@ def _box_extents(bs: BasicSet, params: Mapping[str, int] | None):
             lo[v] = val if lo[v] is None else max(lo[v], val)
             hi[v] = val if hi[v] is None else min(hi[v], val)
         elif a > 0:  # a*v + r >= 0  ->  v >= ceil(-r/a)
-            val = ceil(-r / a)
+            val = -(r // a)
             lo[v] = val if lo[v] is None else max(lo[v], val)
         else:  # v <= floor(r/(-a))
-            val = floor(r / (-a))
+            val = r // (-a)
             hi[v] = val if hi[v] is None else min(hi[v], val)
     out = []
     for d in bs.dims:

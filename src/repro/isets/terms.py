@@ -61,6 +61,24 @@ class LinExpr:
         object.__setattr__(self, "_const", const)
         object.__setattr__(self, "_hash", hash((tuple(self._coeffs.items()), const)))
 
+    @classmethod
+    def _trusted(cls, coeffs: "dict[str, int]", const: int) -> "LinExpr":
+        """Build from a coefficient map that is canonical *by construction*.
+
+        Internal to :mod:`repro.isets`.  The caller guarantees what
+        ``__init__`` would otherwise establish: every key already passed
+        name validation (it came out of an existing ``LinExpr``), every
+        value and *const* is an ``int``, no value is zero, and the keys
+        are in sorted order.  *coeffs* is adopted, not copied — it may be
+        another expression's map, so nobody mutates it afterwards.
+        Anything arriving from a caller goes through ``LinExpr(...)``.
+        """
+        self = object.__new__(cls)
+        self._coeffs = coeffs
+        self._const = const
+        self._hash = hash((tuple(coeffs.items()), const))
+        return self
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def var(name: str) -> "LinExpr":
@@ -70,7 +88,9 @@ class LinExpr:
     @staticmethod
     def const(value: int) -> "LinExpr":
         """A constant expression."""
-        return LinExpr({}, value)
+        if not isinstance(value, int):
+            raise TypeError(f"constant must be int, got {type(value).__name__}")
+        return LinExpr._trusted({}, value)
 
     @staticmethod
     def of(value: "LinExpr | int | str") -> "LinExpr":
@@ -78,7 +98,7 @@ class LinExpr:
         if isinstance(value, LinExpr):
             return value
         if isinstance(value, int):
-            return LinExpr.const(value)
+            return LinExpr._trusted({}, value)
         if isinstance(value, str):
             return LinExpr.var(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to LinExpr")
@@ -109,50 +129,70 @@ class LinExpr:
         return g
 
     # -- arithmetic ----------------------------------------------------
-    def __add__(self, other: "LinExpr | int") -> "LinExpr":
+    def _plus(self, other: "LinExpr | int", sign: int) -> "LinExpr":
+        """``self + sign * other`` (``sign`` is +1 or -1)."""
+        if isinstance(other, int):
+            return LinExpr._trusted(self._coeffs, self._const + sign * other)
         other = LinExpr.of(other)
         coeffs = dict(self._coeffs)
-        for name, c in other._coeffs.items():
-            coeffs[name] = coeffs.get(name, 0) + c
-        return LinExpr(coeffs, self._const + other._const)
+        _accumulate(coeffs, other._coeffs, sign)
+        return LinExpr._trusted(
+            _canonical(coeffs, len(self._coeffs)), self._const + sign * other._const
+        )
+
+    def __add__(self, other: "LinExpr | int") -> "LinExpr":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({k: -v for k, v in self._coeffs.items()}, -self._const)
+        return LinExpr._trusted({k: -v for k, v in self._coeffs.items()}, -self._const)
 
     def __sub__(self, other: "LinExpr | int") -> "LinExpr":
-        return self + (-LinExpr.of(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other: "LinExpr | int") -> "LinExpr":
-        return LinExpr.of(other) + (-self)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, k: int) -> "LinExpr":
         if not isinstance(k, int):
             raise TypeError("LinExpr can only be multiplied by an int")
         if k == 0:
-            return LinExpr()
-        return LinExpr({name: c * k for name, c in self._coeffs.items()}, self._const * k)
+            return LinExpr._trusted({}, 0)
+        return LinExpr._trusted(
+            {name: c * k for name, c in self._coeffs.items()}, self._const * k
+        )
 
     __rmul__ = __mul__
 
     def substitute(self, binding: Mapping[str, "LinExpr | int"]) -> "LinExpr":
         """Replace each variable in *binding* by the given expression."""
-        out = LinExpr.const(self._const)
+        if binding.keys().isdisjoint(self._coeffs):
+            return self
+        coeffs: dict[str, int] = {}
+        const = self._const
         for name, c in self._coeffs.items():
-            if name in binding:
-                out = out + LinExpr.of(binding[name]) * c
-            else:
-                out = out + LinExpr({name: c})
-        return out
+            if name not in binding:
+                coeffs[name] = coeffs.get(name, 0) + c
+                continue
+            repl = binding[name]
+            if isinstance(repl, int):
+                const += c * repl
+                continue
+            repl = LinExpr.of(repl)
+            const += c * repl._const
+            _accumulate(coeffs, repl._coeffs, c)
+        return LinExpr._trusted(_canonical(coeffs, 0), const)
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
         """Rename variables; names not in *mapping* are unchanged."""
         coeffs: dict[str, int] = {}
         for name, c in self._coeffs.items():
             new = mapping.get(name, name)
+            if new is not name and not _NAME_RE.match(new):
+                raise ValueError(f"invalid variable name {new!r}")
             coeffs[new] = coeffs.get(new, 0) + c
-        return LinExpr(coeffs, self._const)
+        return LinExpr._trusted(_canonical(coeffs, 0), self._const)
 
     def evaluate(self, binding: Mapping[str, int]) -> int:
         """Evaluate under a complete integer binding of the variables."""
@@ -166,13 +206,15 @@ class LinExpr:
 
     def evaluate_partial(self, binding: Mapping[str, int]) -> "LinExpr":
         """Substitute any bound variables, leaving others symbolic."""
-        return self.substitute({k: LinExpr.const(v) for k, v in binding.items() if k in self._coeffs})
+        return self.substitute({k: v for k, v in binding.items() if k in self._coeffs})
 
     def as_fraction_of(self, name: str) -> tuple[int, "LinExpr"]:
         """Split into ``(coeff_of_name, rest)`` with ``self = coeff*name + rest``."""
-        c = self.coeff(name)
-        rest = LinExpr({k: v for k, v in self._coeffs.items() if k != name}, self._const)
-        return c, rest
+        c = self._coeffs.get(name, 0)
+        if c == 0:
+            return 0, self
+        rest = {k: v for k, v in self._coeffs.items() if k != name}
+        return c, LinExpr._trusted(rest, self._const)
 
     def solve_for(self, name: str) -> "tuple[Fraction, LinExpr]":
         """If ``self == 0``, return ``(1/c, -rest)`` such that ``name = -rest / c``."""
@@ -212,6 +254,22 @@ class LinExpr:
 
     def __repr__(self) -> str:
         return f"LinExpr({self})"
+
+
+def _accumulate(coeffs: "dict[str, int]", terms: Mapping[str, int], k: int) -> None:
+    """``coeffs += k * terms`` in place (may leave zeros and append keys)."""
+    for name, c in terms.items():
+        coeffs[name] = coeffs.get(name, 0) + k * c
+
+
+def _canonical(coeffs: "dict[str, int]", sorted_prefix: int) -> "dict[str, int]":
+    """Make an accumulated map canonical: zero-free, keys sorted.  The
+    first *sorted_prefix* keys are known to be in order already, so a map
+    that gained no key skips the sort."""
+    grew = len(coeffs) > sorted_prefix
+    if 0 in coeffs.values():
+        coeffs = {k: v for k, v in coeffs.items() if v}
+    return dict(sorted(coeffs.items())) if grew and len(coeffs) > 1 else coeffs
 
 
 def E(value: "LinExpr | int | str") -> LinExpr:

@@ -108,3 +108,50 @@ class TestShrinker:
         smaller = shrink(spec, "__no_such_kind__")
         total = sum(len(n.stmts) for n in smaller.nests)
         assert total <= sum(len(n.stmts) for n in spec.nests)
+
+
+_GROUPING_SCRIPT = """
+import hashlib
+from repro.codegen import compile_kernel
+from repro.compile import use_cache
+from repro.eval.fuzz import gen_spec
+
+h = hashlib.sha256()
+with use_cache(None):
+    for seed in (20, 25, 43, 128):
+        spec = gen_spec(seed)
+        for strict in (True, False):
+            try:
+                ck = compile_kernel(spec.render(), spec.nprocs, strict=strict)
+                out = [ck.python_source("mpi"), ck.python_source("shmem")]
+                out += [d.format() for d in ck.sink.diagnostics]
+            except Exception as exc:
+                out = [type(exc).__name__, str(exc)]
+            h.update(repr((seed, strict, out)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_cp_grouping_does_not_depend_on_the_hash_seed():
+    """§5 grouping picks each group's CP from a *set* of surviving choice
+    keys — tuples of names and ``None``, hashed per interpreter (and per
+    address) — so the winner must come from an ordered walk: on these
+    seeds a set-order pick changed CP, I-FALLBACK reason or strict verdict
+    from one process to the next."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = src
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _GROUPING_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=300,
+        ).stdout.strip()
+        for _ in range(2)
+    ]
+    assert digests[0] and digests[0] == digests[1]

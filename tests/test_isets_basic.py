@@ -240,3 +240,41 @@ class TestAffineMap:
         s = box(["i"], [(0, 2)])
         img = m.image(s, ["o"])
         assert img.points({"N": 10}) == {(10,), (11,), (12,)}
+
+
+class TestExactBeyondFloat:
+    """Constants past 2**53: every bound is computed with ``//``, never
+    through a float (``terms.py``: arbitrary precision everywhere)."""
+
+    BIG = 2**62
+
+    def test_normalisation_floors_exactly(self):
+        c = Constraint(LinExpr({"x": 3}, self.BIG + 1), False)
+        assert c.expr == LinExpr({"x": 1}, (self.BIG + 1) // 3)
+        assert str(c) == "x+1537228672809129301 >= 0"
+        # negative constants floor toward -inf, as floor(c/g) does
+        c = Constraint(LinExpr({"x": 3}, -(self.BIG + 1)), False)
+        assert c.expr.constant == -((self.BIG + 1) // 3) - 1
+
+    def test_bounds_of_is_exact(self):
+        lo, hi = self.BIG + 1, self.BIG + 3
+        bs = BasicSet(("x",), [Constraint.ge(E("x"), lo), Constraint.le(E("x"), hi)])
+        assert bs.bounds_of("x", {}) == (lo, hi)
+
+    def test_point_enumeration_is_exact(self):
+        lo = self.BIG + 1
+        # y couples to x, so the lattice scan (bounds_of per prefix) runs
+        bs = BasicSet(
+            ("x", "y"),
+            [
+                Constraint.ge(E("x"), lo),
+                Constraint.le(E("x"), lo + 1),
+                Constraint.ge(E("y"), E("x")),
+                Constraint.le(E("y"), E("x") + 1),
+            ],
+        )
+        assert list(bs.enumerate_points()) == [
+            (lo, lo), (lo, lo + 1), (lo + 1, lo + 1), (lo + 1, lo + 2),
+        ]
+        s = box(["x"], [(lo, lo + 2)])
+        assert s.cardinality() == 3 == len(s.points({}))
