@@ -14,7 +14,8 @@ import time
 import pytest
 
 from repro.compile import PlanCache, PlanCacheConfig, use_cache
-from repro.eval.bench import CLASS_S, kernel_specs
+from repro.nas.classes import CLASSES
+from repro.nas.specs import kernel_spec
 
 #: floor enforced in CI; observed ratios are far higher (see BENCH_PR7.json)
 MIN_SPEEDUP = 10.0
@@ -28,10 +29,8 @@ def plan_cache(tmp_path):
 
 
 def _sp_rhs_spec():
-    (spec,) = [
-        s for s in kernel_specs() if s.name == "sp compute_rhs class S"
-    ]
-    assert spec.params == {"n": CLASS_S}
+    spec = kernel_spec("sp-rhs-s")
+    assert spec.params == {"n": CLASSES["S"].problem_size}
     return spec
 
 

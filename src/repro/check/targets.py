@@ -14,8 +14,17 @@ from typing import Callable, Optional
 from .diagnostics import CheckReport
 from .verifier import verify_kernel, verify_source
 
-#: class S is the 12^3 NAS problem size
-CLASS_S = 12
+
+def _spec_report(key: str, subject: str) -> CheckReport:
+    """Verify one ``repro.nas.specs`` entry: compiled where the code
+    generator supports it, at analysis level when it is pipelined."""
+    from ..nas import specs
+
+    spec = specs.kernel_spec(key)
+    if spec.pipelined:
+        return verify_source(
+            spec.source, spec.nprocs, spec.params, subject=subject)
+    return _compiled(spec.program(), spec.nprocs, spec.params, subject)
 
 
 def _compiled(source, nprocs: int, params: dict, subject: str) -> CheckReport:
@@ -56,21 +65,6 @@ def _degraded(nprocs: int, subject: str) -> CheckReport:
     return report
 
 
-def _fig61(params: dict, subject: str) -> CheckReport:
-    """Figure 6.1 (x_solve_cell): inline the leaf routines, then compile."""
-    from ..codegen import compile_kernel
-    from ..frontend import parse_source
-    from ..nas import kernels
-    from ..transform import inline_calls
-
-    prog = parse_source(kernels.BT_SOLVE_CELL)
-    for leaf in ("matvec_sub", "matmul_sub", "binvcrhs"):
-        inline_calls(prog, "x_solve_cell", leaf)
-    report = verify_kernel(compile_kernel(prog.get("x_solve_cell"), 4, params))
-    report.subject = subject
-    return report
-
-
 def _examples_dir() -> Optional[Path]:
     root = Path(__file__).resolve().parents[3] / "examples"
     return root if root.is_dir() else None
@@ -98,32 +92,28 @@ def _example(module_file: str, nprocs: int, params: dict, subject: str) -> Check
     return _compiled(src, nprocs, params, subject)
 
 
+#: check target -> (``repro.nas.specs`` key, report subject)
+SPEC_TARGETS = {
+    "fig4.1": ("fig4.1", "fig4.1 lhsy"),
+    "fig4.2": ("fig4.2", "fig4.2 compute_rhs"),
+    "fig5.1": ("fig5.1", "fig5.1 y_solve"),
+    "fig5.1-variant": ("fig5.1-variant", "fig5.1 y_solve (variant)"),
+    "fig6.1": ("fig6.1", "fig6.1 x_solve_cell (inlined)"),
+    "exact-rhs": ("exact-rhs", "exact_rhs"),
+    "sp-class-s": ("sp-class-s", "NAS SP y_solve, class S"),
+    "bt-class-s": ("bt-rhs-s", "NAS BT compute_rhs, class S"),
+}
+
+
 def available_targets() -> dict[str, Callable[[], CheckReport]]:
     """Named verification targets for ``python -m repro.eval check``:
     the paper kernels, NAS SP/BT class S, and the examples/ sources."""
-    from ..nas import kernels
-
     targets: dict[str, Callable[[], CheckReport]] = {
-        "fig4.1": lambda: _compiled(kernels.LHSY_SP, 4, {"n": 17}, "fig4.1 lhsy"),
-        "fig4.2": lambda: _compiled(
-            kernels.COMPUTE_RHS_BT, 8, {"n": 13}, "fig4.2 compute_rhs"),
-        "fig5.1": lambda: verify_source(
-            kernels.Y_SOLVE_SP, 4, {"n": 17, "m": 0}, subject="fig5.1 y_solve"),
-        "fig5.1-variant": lambda: verify_source(
-            kernels.Y_SOLVE_SP_VARIANT, 4, {"n": 17, "m": 0},
-            subject="fig5.1 y_solve (variant)"),
-        "fig6.1": lambda: _fig61({"n": 13}, "fig6.1 x_solve_cell (inlined)"),
-        "exact-rhs": lambda: _compiled(
-            kernels.EXACT_RHS_SP, 4, {"n": 17}, "exact_rhs"),
-        "sp-class-s": lambda: verify_source(
-            kernels.Y_SOLVE_SP, 4, {"n": CLASS_S, "m": 0},
-            subject="NAS SP y_solve, class S"),
-        "bt-class-s": lambda: _compiled(
-            kernels.COMPUTE_RHS_BT, 8, {"n": CLASS_S},
-            "NAS BT compute_rhs, class S"),
-        "degraded-example": lambda: _degraded(
-            4, "graceful-degradation example (lenient)"),
+        name: (lambda key=key, subject=subject: _spec_report(key, subject))
+        for name, (key, subject) in SPEC_TARGETS.items()
     }
+    targets["degraded-example"] = lambda: _degraded(
+        4, "graceful-degradation example (lenient)")
     if _examples_dir() is not None:
         targets.update({
             "example-quickstart": lambda: _example(
@@ -135,3 +125,50 @@ def available_targets() -> dict[str, Callable[[], CheckReport]]:
                 "examples/multipartition"),
         })
     return targets
+
+
+def register(sub) -> None:
+    """Add the ``check`` subcommand."""
+    p = sub.add_parser("check", help="static SPMD verification")
+    p.add_argument("--check-target", default="all",
+                   help="one named target, or 'all'")
+    p.add_argument("--mutate", default=None,
+                   help="seed one named compiler bug (or 'all') and report "
+                        "whether the verifier catches it")
+    p.add_argument("--min-severity", default="info",
+                   choices=["info", "warn", "error"],
+                   help="report verbosity floor")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Verify the named targets (or seed the named mutations); exit 1 on
+    any error or missed mutation, 2 on an unknown name."""
+    from .diagnostics import Severity
+    from .mutate import MUTATIONS, run_mutation
+
+    min_sev = Severity[args.min_severity.upper()]
+    failed = False
+    if args.mutate is not None:
+        names = list(MUTATIONS) if args.mutate == "all" else [args.mutate]
+        for name in names:
+            if name not in MUTATIONS:
+                print(f"unknown mutation {name!r}; known: {', '.join(MUTATIONS)}")
+                return 2
+            result = run_mutation(name)
+            verdict = "CAUGHT" if result.caught else "MISSED"
+            print(f"mutation {name} ({result.description})")
+            print(f"  expected {result.expect_code}: {verdict}")
+            print("  " + result.report.format(min_sev).replace("\n", "\n  "))
+            failed |= not result.caught
+    else:
+        targets = available_targets()
+        names = list(targets) if args.check_target == "all" else [args.check_target]
+        for name in names:
+            if name not in targets:
+                print(f"unknown target {name!r}; known: {', '.join(targets)}")
+                return 2
+            report = targets[name]()
+            print(report.format(min_sev))
+            failed |= not report.ok
+    return 1 if failed else 0

@@ -14,7 +14,10 @@
 - :mod:`repro.compile.driver` — jobs, outcomes, and :func:`compile_many`
   (one batch on a transient pool).
 - :mod:`repro.compile.service` — :class:`CompileService`
-  (submit/poll/collect), the ``python -m repro.eval serve`` front door.
+  (submit/poll/collect).
+- :mod:`repro.compile.serve` — the ``python -m repro.eval serve``
+  subcommand (job files, ``--prewarm nas``, SIGTERM drain); imported by
+  the CLI only.
 - :mod:`repro.compile.chaos` — the service-level chaos harness behind
   ``python -m repro.eval chaos --service``.
 """
@@ -27,6 +30,7 @@ from .cache import (
     cache_disabled,
     default_cache_dir,
     plan_cache_stats,
+    scratch_cache,
     set_active_cache,
     use_cache,
 )
@@ -43,6 +47,7 @@ __all__ = [
     "compiler_fingerprint",
     "default_cache_dir",
     "plan_cache_stats",
+    "scratch_cache",
     "set_active_cache",
     "use_cache",
     # driver/pool/service are imported lazily to keep

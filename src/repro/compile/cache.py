@@ -24,10 +24,29 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 
 _MAGIC = b"REPRO-PLAN v1\n"
+
+
+def atomic_write(path: str, payload: bytes) -> None:
+    """Publish *payload* at *path* via temp file + ``os.replace``: a
+    crashed or interrupted writer leaves the old content or none, never a
+    torn file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def default_cache_dir() -> str:
@@ -154,19 +173,7 @@ class PlanCache:
             return
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(str(self._generation() + 1).encode())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, str(self._generation() + 1).encode())
         except OSError:
             with self._lock:
                 self.stats.io_errors += 1
@@ -274,19 +281,7 @@ class PlanCache:
             if self.fault_hook is not None:
                 self.fault_hook("disk_put", digest)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, blob)
         except OSError:
             # a read-only or full cache dir degrades to memory-only
             with self._lock:
@@ -455,6 +450,18 @@ def cache_disabled() -> "use_cache":
     and mutation-style harnesses use this so throwaway sources don't
     churn the store)."""
     return use_cache(None)
+
+
+@contextmanager
+def scratch_cache():
+    """``with scratch_cache() as cache: ...`` — a throw-away
+    :class:`PlanCache` in a fresh temporary directory, active for the
+    block; the directory is removed on exit.  For reports that must not
+    read or leave state in the user's cache."""
+    with tempfile.TemporaryDirectory(prefix="repro-plans-") as directory:
+        cache = PlanCache(PlanCacheConfig(directory=directory))
+        with use_cache(cache):
+            yield cache
 
 
 def plan_cache_stats() -> dict:

@@ -79,42 +79,6 @@ class CompileJob:
         return self.label or f"<{self.nprocs}p {self.backend} kernel>"
 
 
-def prewarm_jobs(
-    suite: str = "nas",
-    procs: "tuple[int, ...]" = (4, 9, 16, 25),
-) -> "list[CompileJob]":
-    """Built-in jobs that prewarm the plan cache for the evaluation suite.
-
-    ``suite="nas"`` yields every paper/NAS kernel at its declared
-    processor grid, plus a wildcard-grid variant of the SP
-    ``compute_rhs`` kernel at every count in *procs* (the grid factors
-    near-square, so any count compiles).  Because the selection cache
-    tier is keyed without ``nprocs``, the wildcard sweep shares one
-    rank-symbolic CP selection; only specialization and codegen run per
-    count.  Drive with :func:`compile_many` (``python -m repro.eval serve
-    --prewarm nas``) or compile individually.
-    """
-    if suite != "nas":
-        raise ValueError(f"unknown prewarm suite {suite!r} (known: nas)")
-    from ..nas import kernels
-
-    jobs = [
-        CompileJob(source=src, nprocs=np_, params=params, label=label)
-        for label, src, np_, params in (
-            ("lhsy @4", kernels.LHSY_SP, 4, {"n": 17}),
-            ("bt compute_rhs @8", kernels.COMPUTE_RHS_BT, 8, {"n": 13}),
-            ("exact_rhs @4", kernels.EXACT_RHS_SP, 4, {"n": 17}),
-            ("sp compute_rhs @4", kernels.COMPUTE_RHS_SP, 4, {"n": 12}),
-        )
-    ]
-    for np_ in procs:
-        jobs.append(CompileJob(
-            source=kernels.scaled(kernels.COMPUTE_RHS_SP), nprocs=np_,
-            params={"n": 12}, label=f"sp compute_rhs *grid @{np_}",
-        ))
-    return jobs
-
-
 @dataclass
 class CompileOutcome:
     """What happened to one job: exactly one of ``kernel`` / ``error`` is

@@ -8,10 +8,10 @@
 - :mod:`.diffstats` — the §8.1 "minimal restructuring" claim: fraction of
   source lines changed between serial and HPF kernel versions.
 
-Run from the command line::
+Run from the command line (``python -m repro.eval --help`` lists every
+target, ``<target> --help`` its options)::
 
-    python -m repro.eval table-8.1 [--iters 2] [--classes A]
-    python -m repro.eval table-8.2
+    python -m repro.eval table-8.1 --classes A
     python -m repro.eval figure-8.1   # ... 8.2, 8.3, 8.4
 """
 

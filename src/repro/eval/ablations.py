@@ -92,3 +92,16 @@ def format_ablations(rows: list[AblationRow], analysis: dict[str, dict]) -> str:
             f"{s['eliminated']} reads eliminated, {s['coalesced']} events coalesced"
         )
     return "\n".join(lines)
+
+
+def register(sub) -> None:
+    """Add the ``ablations`` subcommand."""
+    p = sub.add_parser("ablations", help="each optimization toggled off")
+    p.add_argument("--nprocs", type=int, default=16, help="processors")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Print the schedule- and analysis-level ablation tables."""
+    print(format_ablations(schedule_ablations(args.nprocs), analysis_ablations()))
+    return 0

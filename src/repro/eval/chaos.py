@@ -25,13 +25,13 @@ library surface used by ``benchmarks/test_chaos.py``.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..nas import BTSolver, SPSolver
-from ..nas.verify import VERIFY_GRID, VERIFY_STEPS, verify
+from ..nas.verify import VERIFY_GRID, VERIFY_STEPS, verify_field
 from ..parallel import run_parallel
 from ..parallel.checkpoint import CheckpointConfig, CheckpointStore
 from ..runtime.faults import FaultPlan, RankCrashed, RankFault
@@ -60,12 +60,6 @@ class ChaosResult:
         if self.baseline_time <= 0:
             return 0.0
         return self.virtual_time / self.baseline_time - 1.0
-
-
-def _reference_field(bench: str, shape, niter: int) -> np.ndarray:
-    solver = (SPSolver if bench == "sp" else BTSolver)(shape)
-    solver.run(niter)
-    return solver.u
 
 
 def run_chaos(
@@ -123,13 +117,7 @@ def run_chaos(
         out.virtual_time += r.time
         out.completed = True
         if functional:
-            ref = _reference_field(bench, shape, niter)
-            ok = bool(np.array_equal(r.u, ref))
-            if (tuple(shape), niter) == (VERIFY_GRID, VERIFY_STEPS):
-                solver = (SPSolver if bench == "sp" else BTSolver)(shape)
-                solver.u = r.u
-                ok = ok and verify(bench, solver.residual_norms(), solver.checksum())
-            out.verified = ok
+            out.verified = verify_field(bench, r.u, shape, niter)
         return out
     return out  # never completed within max_attempts
 
@@ -248,13 +236,7 @@ def run_proc_chaos(
     if chaotic.executor != "process":
         out.detail = "chaotic run degraded to the virtual machine"
     if out.bitwise:
-        ref = _reference_field(bench, shape, niter)
-        ok = bool(np.array_equal(chaotic.u, ref))
-        if (tuple(shape), niter) == (VERIFY_GRID, VERIFY_STEPS):
-            solver = (SPSolver if bench == "sp" else BTSolver)(shape)
-            solver.u = chaotic.u
-            ok = ok and verify(bench, solver.residual_norms(), solver.checksum())
-        out.verified = ok
+        out.verified = verify_field(bench, chaotic.u, shape, niter)
     return out
 
 
@@ -301,3 +283,82 @@ def format_chaos(results: Sequence[ChaosResult], title: str = "Chaos sweep") -> 
             f"{r.virtual_time:>10.4f} {r.overhead:>8.1%}"
         )
     return "\n".join(lines)
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}"
+        ) from None
+
+
+def register(sub) -> None:
+    """Add the ``chaos`` subcommand (simulated, real-process and
+    compile-service fault injection)."""
+    p = sub.add_parser("chaos", help="NAS runs under injected faults")
+    p.add_argument("--bench", default="sp", choices=["sp", "bt"],
+                   help="benchmark")
+    p.add_argument("--strategy", default="dhpf", choices=["dhpf", "handmpi"],
+                   help="parallel strategy")
+    p.add_argument("--nprocs", type=int, default=4,
+                   help="processors (default 4, the class-S grid)")
+    p.add_argument("--drop", default=(0.0, 0.05, 0.1, 0.25), type=_float_list,
+                   help="comma list of message drop rates")
+    p.add_argument("--crash-frac", default=(0.5,), type=_float_list,
+                   help="comma list of crash times as fractions of the "
+                        "fault-free makespan (empty to skip the crash sweep)")
+    p.add_argument("--seed", type=int, default=1, help="fault-plan seed")
+    p.add_argument("--timeout", type=float, default=None, metavar="S",
+                   help="wall-clock budget per run in host seconds (typed "
+                        "ExecutorTimeout on expiry)")
+    p.add_argument("--real-process", action="store_true",
+                   help="SIGKILL/SIGSTOP live workers of the real-process "
+                        "backend instead of simulated faults")
+    p.add_argument("--service", action="store_true",
+                   help="fault the compile service instead (seeded worker "
+                        "kills/stalls, cache corruption, disk faults, "
+                        "concurrent writers)")
+    p.add_argument("--seeds", type=int, default=25,
+                   help="--service: number of seeded fault scenarios")
+    p.add_argument("--start-seed", type=int, default=0,
+                   help="--service: first seed")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Run the selected fault mode and print its table; exit 1 when a
+    ``--service`` or ``--real-process`` run does not recover bitwise."""
+    if args.service:
+        from ..compile.chaos import format_service_chaos, run_service_chaos
+
+        report = run_service_chaos(
+            seeds=args.seeds, start_seed=args.start_seed,
+            progress=lambda msg: print(f"  [chaos] {msg}", flush=True),
+        )
+        print(format_service_chaos(report))
+        return 0 if report.ok else 1
+    if args.real_process:
+        results = [
+            run_proc_chaos(bench=args.bench, nprocs=args.nprocs, kind=kind,
+                           timeout=args.timeout or 300.0)
+            for kind in ("kill", "stall")
+        ]
+        print(format_proc_chaos(results))
+        return 0 if all(r.ok for r in results) else 1
+    kw = dict(bench=args.bench, strategy=args.strategy, nprocs=args.nprocs,
+              functional=args.strategy == "dhpf", timeout=args.timeout)
+    print(format_chaos(
+        drop_sweep(args.drop, seed=args.seed, **kw),
+        f"Chaos: message-drop sweep ({args.bench}/{args.strategy}, "
+        f"{args.nprocs} ranks, seed {args.seed})",
+    ))
+    if args.crash_frac:
+        print()
+        print(format_chaos(
+            crash_sweep(args.crash_frac, seed=args.seed, **kw),
+            f"Chaos: single-rank crash + checkpoint/restart "
+            f"(crash rank 1 at makespan fractions {list(args.crash_frac)})",
+        ))
+    return 0

@@ -19,7 +19,6 @@ Three sections:
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,8 +36,9 @@ from ..check.cost import (
     sweep_cost,
     wildcard_grid,
 )
+from ..compile import scratch_cache
+from ..nas.specs import KernelSpec, kernel_spec, seed_init
 from ..runtime.model import IBM_SP2, MachineModel
-from .bench import KernelSpec, _seed_init, kernel_specs
 
 
 @dataclass
@@ -69,21 +69,20 @@ def _wildcard_spec_kernel(spec: KernelSpec, nprocs: int):
     )
 
 
+#: ``repro.nas.specs`` keys of the exact-match matrix
+_MATRIX = ("fig4.1", "fig4.2", "exact-rhs", "fig6.1", "sp-rhs-s", "bt-rhs-s")
+
+
 def validation_matrix() -> list[tuple[KernelSpec, int, bool]]:
     """(spec, nprocs, needs_wildcard) rows of the exact-match matrix:
     every affine paper kernel at its figure's rank count, and the NAS
     SP/BT class-S pipelines at both 4 and 8 ranks."""
-    specs = {s.name: s for s in kernel_specs()}
-    return [
-        (specs["fig4.1 lhsy n=17"], 4, False),
-        (specs["fig4.2 compute_rhs n=13"], 8, False),
-        (specs["exact_rhs n=17"], 4, False),
-        (specs["fig6.1 x_solve_cell n=13"], 4, False),
-        (specs["sp compute_rhs class S"], 4, False),
-        (specs["sp compute_rhs class S"], 8, True),
-        (specs["bt compute_rhs class S"], 8, False),
-        (specs["bt compute_rhs class S"], 4, True),
-    ]
+    rows = []
+    for spec in map(kernel_spec, _MATRIX):
+        rows.append((spec, spec.nprocs, False))
+        if spec.class_s:
+            rows.append((spec, 8 if spec.nprocs == 4 else 4, True))
+    return rows
 
 
 def cost_rows(
@@ -112,7 +111,7 @@ def cost_rows(
         validation = None
         if validate:
             vm = VirtualMachine(nprocs, record_trace=True)
-            ck.run(spec.scalars, init=_seed_init(ck, spec.seed_bias), vm=vm)
+            ck.run(spec.scalars, init=seed_init(ck, spec.seed_bias), vm=vm)
             validation = validate_against(cost, vm.trace)
         rows.append(CostRow(
             name=name, nprocs=nprocs, cost=cost, validation=validation,
@@ -122,16 +121,16 @@ def cost_rows(
     # fig5.1 pipelines its communication (the code generator rejects it),
     # so it appears analysis-only: costed, never trace-validated.
     if only is None or "fig5.1" in only:
-        from ..nas import kernels
-
+        spec = kernel_spec("fig5.1")
+        name = f"{spec.name} @ {spec.nprocs} ranks"
         if progress:
-            progress("analyzing fig5.1 y_solve @ 4 ranks (analysis-only)")
+            progress(f"analyzing {name} (analysis-only)")
         cost = analysis_cost(
-            kernels.Y_SOLVE_SP, 4, {"n": 17, "m": 0}, subject="y_solve"
+            spec.source, spec.nprocs, spec.params, subject="y_solve"
         )
         rows.append(CostRow(
-            name="fig5.1 y_solve @ 4 ranks (pipelined, analysis-only)",
-            nprocs=4, cost=cost,
+            name=f"{name} (pipelined, analysis-only)",
+            nprocs=spec.nprocs, cost=cost,
             advisories=cost_advisories(cost, model=model),
         ))
     return rows
@@ -248,12 +247,7 @@ def run_cost(
     progress=None,
 ) -> tuple[str, bool]:
     """The whole ``eval cost`` report; returns (text, ok)."""
-    from ..compile import PlanCache, PlanCacheConfig, use_cache
-
-    plan_cache = PlanCache(PlanCacheConfig(
-        directory=tempfile.mkdtemp(prefix="repro-cost-plans-")
-    ))
-    with use_cache(plan_cache):
+    with scratch_cache():
         rows = cost_rows(
             only=only, validate=validate, model=model, progress=progress
         )
@@ -263,11 +257,39 @@ def run_cost(
         table, ok = format_validation_table(rows)
         sections.append(table)
     if curve:
-        from ..nas import kernels
-
+        spec = kernel_spec("fig4.2")
         sections.append("")
         sections.append(format_curve(
-            kernels.COMPUTE_RHS_BT, {"n": 13}, "compute_rhs (fig4.2)",
+            spec.source, spec.params, "compute_rhs (fig4.2)",
             model, progress=progress,
         ))
     return "\n".join(sections), ok
+
+
+def register(sub) -> None:
+    """Add the ``cost`` subcommand."""
+    p = sub.add_parser("cost", help="static LogGP cost reports")
+    p.add_argument("--cost-kernel", default=None, metavar="SUBSTR",
+                   help="only kernels whose name contains SUBSTR")
+    p.add_argument("--no-validate", action="store_true",
+                   help="skip the traced VM runs (report static counts only)")
+    p.add_argument("--no-curve", action="store_true",
+                   help="skip the 2..25-rank predicted scaling sweep")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Print the cost report; exit 1 when a static count diverges from the
+    fault-free trace."""
+    text, ok = run_cost(
+        only=args.cost_kernel,
+        validate=not args.no_validate,
+        curve=not args.no_curve,
+        progress=lambda msg: print(f"  [cost] {msg}", flush=True),
+    )
+    print(text)
+    if not ok:
+        print("COST VALIDATION FAILED: static counts diverge from the "
+              "fault-free trace")
+        return 1
+    return 0

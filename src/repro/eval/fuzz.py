@@ -629,3 +629,31 @@ def _run_fuzz_inner(
                 f"{len(result.failures)} failures"
             )
     return result
+
+
+def register(sub) -> None:
+    """Add the ``fuzz`` subcommand."""
+    p = sub.add_parser("fuzz", help="differential fuzzer")
+    p.add_argument("--seeds", type=int, default=300,
+                   help="number of random programs to generate")
+    p.add_argument("--start-seed", type=int, default=0,
+                   help="first seed (corpus is deterministic per seed)")
+    p.add_argument("--no-shrink", action="store_true",
+                   help="report failures unshrunk (faster)")
+    p.add_argument("--process", action="store_true",
+                   help="add the real-process executor to the differential "
+                        "backend matrix")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Fuzz ``--seeds`` programs; exit 1 on any mismatch or escape."""
+    result = run_fuzz(
+        args.seeds,
+        start_seed=args.start_seed,
+        progress=lambda msg: print(f"  [fuzz] {msg}", flush=True),
+        do_shrink=not args.no_shrink,
+        process=args.process,
+    )
+    print(result.summary())
+    return 0 if result.passed else 1

@@ -80,3 +80,19 @@ def format_phase_table(breakdowns: list[PhaseBreakdown]) -> str:
             )
         lines.append("")
     return "\n".join(lines)
+
+
+def register(sub) -> None:
+    """Add the ``phases`` subcommand."""
+    p = sub.add_parser("phases", help="per-phase share of an SP timestep")
+    p.add_argument("--nprocs", type=int, default=16, help="processors")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Print the SP phase table for the three strategies."""
+    print(format_phase_table([
+        phase_breakdown("sp", strategy, args.nprocs)
+        for strategy in ("handmpi", "dhpf", "pgi")
+    ]))
+    return 0

@@ -8,25 +8,22 @@ one pass here closes the chain serial == virtual == real processes.  The
 NAS rows additionally re-check directly against the serial solver and the
 pinned NPB residuals.
 
-Timings are reported for both executors.  They are honest wall-clock
-measurements on the current host: with one core the process backend pays
-fork/IPC overhead for no parallel gain; with N cores the gang runs
-genuinely concurrently.  ``--smoke`` is the CI subset (one paper kernel +
-one class-S kernel, vector backend).
+``--smoke`` is the CI subset (one paper kernel + one class-S kernel,
+vector backend).  Wall-clock of the process executor is not measured here:
+that is ``bench/``'s ``rhs-W-proc`` workload.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..nas.verify import VERIFY_GRID, VERIFY_STEPS
+from ..nas.specs import KernelSpec, bitwise_identical, kernel_specs, seed_init
+from ..nas.verify import VERIFY_GRID, VERIFY_STEPS, verify_field
 from ..parallel import run_parallel
 from ..runtime import procexec
-from .bench import KernelSpec, _seed_init, kernel_specs
 
 
 @dataclass
@@ -38,8 +35,6 @@ class ProcCheck:
     target: str  # 'mpi' | 'shmem'
     nprocs: int
     bitwise: bool
-    vm_s: float
-    proc_s: float
     detail: str = ""
 
     @property
@@ -57,8 +52,6 @@ class DhpfProcRow:
     bitwise: bool
     verified: bool
     restarts: int
-    vm_s: float
-    proc_s: float
     detail: str = ""
 
     @property
@@ -76,74 +69,38 @@ class ProcReport:
         return all(c.ok for c in self.checks) and all(r.ok for r in self.dhpf)
 
 
-def _ranks_equal(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(
-        set(x) == set(y)
-        and all(x[n].data.tobytes() == y[n].data.tobytes() for n in x)
-        for x, y in zip(a, b)
-    )
-
-
-def _arrays_equal(a: dict, b: dict) -> bool:
-    return set(a) == set(b) and all(
-        a[n].data.tobytes() == b[n].data.tobytes() for n in a
-    )
-
-
 def _check_kernel(
     spec: KernelSpec, backend: str, timeout: float
 ) -> list[ProcCheck]:
     ck = spec.compile(backend)
-    seed = _seed_init(ck, spec.seed_bias)
-    out: list[ProcCheck] = []
-
-    t0 = time.perf_counter()
-    vm_ranks = ck.run(dict(spec.scalars), init=seed)
-    vm_s = time.perf_counter() - t0
-    try:
-        t0 = time.perf_counter()
-        proc_ranks = procexec.run_kernel(
-            ck, dict(spec.scalars), init=seed, target="mpi", timeout=timeout
-        )
-        proc_s = time.perf_counter() - t0
-        out.append(ProcCheck(
-            spec.name, backend, "mpi", spec.nprocs,
-            _ranks_equal(vm_ranks, proc_ranks), vm_s, proc_s,
-        ))
-    except procexec.ExecutorError as exc:
-        out.append(ProcCheck(
-            spec.name, backend, "mpi", spec.nprocs, False, vm_s, 0.0,
-            detail=f"{type(exc).__name__}: {exc}",
-        ))
+    seed = seed_init(ck, spec.seed_bias)
 
     def shinit(A):
         seed(0, A)
 
-    t0 = time.perf_counter()
-    vm_shared = ck.run_shmem(dict(spec.scalars), init=shinit)
-    vm_s = time.perf_counter() - t0
-    try:
-        t0 = time.perf_counter()
-        proc_shared = procexec.run_kernel(
-            ck, dict(spec.scalars), init=shinit, target="shmem", timeout=timeout
-        )
-        proc_s = time.perf_counter() - t0
-        out.append(ProcCheck(
-            spec.name, backend, "shmem", spec.nprocs,
-            _arrays_equal(vm_shared, proc_shared), vm_s, proc_s,
-        ))
-    except procexec.ExecutorError as exc:
-        out.append(ProcCheck(
-            spec.name, backend, "shmem", spec.nprocs, False, vm_s, 0.0,
-            detail=f"{type(exc).__name__}: {exc}",
-        ))
+    out: list[ProcCheck] = []
+    for target, vm_run, init in (
+        ("mpi", ck.run, seed), ("shmem", ck.run_shmem, shinit),
+    ):
+        vm_result = vm_run(dict(spec.scalars), init=init)
+        try:
+            proc_result = procexec.run_kernel(
+                ck, dict(spec.scalars), init=init, target=target,
+                timeout=timeout,
+            )
+            out.append(ProcCheck(
+                spec.name, backend, target, spec.nprocs,
+                bitwise_identical(vm_result, proc_result),
+            ))
+        except procexec.ExecutorError as exc:
+            out.append(ProcCheck(
+                spec.name, backend, target, spec.nprocs, False,
+                detail=f"{type(exc).__name__}: {exc}",
+            ))
     return out
 
 
 def _check_dhpf(bench: str, timeout: float) -> DhpfProcRow:
-    from ..nas import BTSolver, SPSolver
-    from ..nas.verify import verify
-
     base = run_parallel(
         bench, "dhpf", 4, VERIFY_GRID, VERIFY_STEPS, functional=True,
         record_trace=False, timeout=timeout,
@@ -152,18 +109,10 @@ def _check_dhpf(bench: str, timeout: float) -> DhpfProcRow:
         bench, "dhpf", 4, VERIFY_GRID, VERIFY_STEPS, functional=True,
         record_trace=False, executor="process", timeout=timeout,
     )
-    bitwise = bool(np.array_equal(base.u, pr.u))
-    solver = (SPSolver if bench == "sp" else BTSolver)(VERIFY_GRID)
-    solver.run(VERIFY_STEPS)
-    serial_ok = bool(np.array_equal(pr.u, solver.u))
-    solver.u = pr.u
-    verified = serial_ok and verify(
-        bench, solver.residual_norms(), solver.checksum()
-    )
     detail = "; ".join(d.message for d in pr.diagnostics)
     return DhpfProcRow(
-        bench, 4, pr.executor, bitwise, bool(verified), pr.restarts,
-        base.wall_time, pr.wall_time, detail,
+        bench, 4, pr.executor, bool(np.array_equal(base.u, pr.u)),
+        verify_field(bench, pr.u), pr.restarts, detail,
     )
 
 
@@ -204,21 +153,21 @@ def format_proc(report: ProcReport) -> str:
     lines = [title, "=" * len(title)]
     hdr = (
         f"{'kernel':<28} {'backend':>7} {'target':>6} {'P':>3} "
-        f"{'bitwise':>7} {'vm_s':>8} {'proc_s':>8}"
+        f"{'bitwise':>7}"
     )
     lines.append(hdr)
     lines.append("-" * len(hdr))
     for c in report.checks:
         lines.append(
             f"{c.name:<28} {c.backend:>7} {c.target:>6} {c.nprocs:>3} "
-            f"{'yes' if c.bitwise else 'NO':>7} {c.vm_s:>8.3f} {c.proc_s:>8.3f}"
+            f"{'yes' if c.bitwise else 'NO':>7}"
         )
         if c.detail:
             lines.append(f"    note: {c.detail}")
     lines.append("")
     hdr2 = (
         f"{'NAS class S (dhpf)':<20} {'P':>3} {'executor':>8} {'bitwise':>7} "
-        f"{'verified':>8} {'restarts':>8} {'vm_s':>8} {'proc_s':>8}"
+        f"{'verified':>8} {'restarts':>8}"
     )
     lines.append(hdr2)
     lines.append("-" * len(hdr2))
@@ -226,11 +175,39 @@ def format_proc(report: ProcReport) -> str:
         lines.append(
             f"{r.bench:<20} {r.nprocs:>3} {r.executor:>8} "
             f"{'yes' if r.bitwise else 'NO':>7} "
-            f"{'yes' if r.verified else 'NO':>8} {r.restarts:>8} "
-            f"{r.vm_s:>8.3f} {r.proc_s:>8.3f}"
+            f"{'yes' if r.verified else 'NO':>8} {r.restarts:>8}"
         )
         if r.detail:
             lines.append(f"    note: {r.detail}")
     lines.append("")
     lines.append("PASS" if report.ok else "FAIL")
     return "\n".join(lines)
+
+
+def register(sub) -> None:
+    """Add the ``proc`` subcommand."""
+    p = sub.add_parser("proc", help="real-process backend vs VM, bitwise")
+    p.add_argument("--bench-kernel", default=None, metavar="SUBSTR",
+                   help="only kernels whose name contains SUBSTR")
+    p.add_argument("--skip-scalar", action="store_true",
+                   help="verify the vector backend only")
+    p.add_argument("--smoke", action="store_true",
+                   help="CI subset (one paper kernel + one NAS class-S "
+                        "kernel, vector backend)")
+    p.add_argument("--timeout", type=float, default=300.0, metavar="S",
+                   help="wall-clock budget per run in host seconds (typed "
+                        "ExecutorTimeout on expiry)")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Print the process-vs-VM tables; exit 1 unless every row is bitwise."""
+    report = run_proc_verify(
+        only=args.bench_kernel,
+        backends=("vector",) if args.skip_scalar else ("vector", "scalar"),
+        smoke=args.smoke,
+        timeout=args.timeout,
+        progress=lambda msg: print(f"  [proc] {msg}", flush=True),
+    )
+    print(format_proc(report))
+    return 0 if report.ok else 1

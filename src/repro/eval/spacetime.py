@@ -113,3 +113,26 @@ def spacetime_figure(
         functional=False, record_trace=True,
     )
     return SpacetimeFigure(figure_id, bench, strategy, nprocs, result)
+
+
+def register(sub) -> None:
+    """Add the ``figure-8.1`` .. ``figure-8.4`` subcommands."""
+    for fid in FIGURES:
+        p = sub.add_parser(f"figure-{fid}", help="space-time diagram")
+        p.add_argument("--nprocs", type=int, default=16, help="processors")
+        p.add_argument("--width", type=int, default=100,
+                       help="ASCII figure width")
+        p.add_argument("--json", action="store_true",
+                       help="emit figure trace as JSON")
+        p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Print the figure named by ``args.target`` (ASCII, or JSON with ``--json``)."""
+    fig = spacetime_figure(args.target.split("-", 1)[1], nprocs=args.nprocs)
+    if args.json:
+        print(fig.to_json())
+    else:
+        print(fig.ascii(args.width))
+        print(f"\nmean idle fraction: {fig.mean_idle():.2%}")
+    return 0

@@ -161,3 +161,35 @@ def format_table(title: str, tables: dict[str, list[TableRow]]) -> str:
                 f"{fmt(r.efficiency.get('dhpf'), 6, 2)} {fmt(r.efficiency.get('pgi'), 6, 2)} | {paper}"
             )
     return "\n".join(lines)
+
+
+_TABLES = {
+    "table-8.1": (
+        table_8_1,
+        "Table 8.1 — SP: hand-written MPI vs dHPF vs pghpf (model: IBM SP2)",
+    ),
+    "table-8.2": (
+        table_8_2,
+        "Table 8.2 — BT: hand-written MPI vs dHPF vs pghpf (model: IBM SP2)",
+    ),
+}
+
+
+def register(sub) -> None:
+    """Add the ``table-8.1`` / ``table-8.2`` subcommands."""
+    for target in _TABLES:
+        p = sub.add_parser(target, help="regenerate the paper's table")
+        p.add_argument("--classes", default="A,B",
+                       help="comma list of NAS classes")
+        p.add_argument("--procs", default="4,9,16,25",
+                       help="comma list of processor counts")
+        p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Print the table named by ``args.target``."""
+    build, title = _TABLES[args.target]
+    classes = tuple(args.classes.split(","))
+    procs = tuple(int(p) for p in args.procs.split(","))
+    print(format_table(title, build(classes, procs)))
+    return 0

@@ -179,3 +179,46 @@ def phase(name: str) -> Iterator[None]:
         yield
     finally:
         prof._pop()
+
+
+def register(sub) -> None:
+    """Add the ``profile`` subcommand of ``python -m repro.eval``."""
+    p = sub.add_parser("profile", help="per-phase profile of one cold compile")
+    p.add_argument("--bench", default="sp", choices=["sp", "bt"],
+                   help="whose compute_rhs to compile")
+    p.add_argument("--profile-class", default="W", choices=["S", "W", "A", "B"],
+                   help="NAS class sizing the compiled kernel")
+    p.add_argument("--nprocs", type=int, default=16, help="processors")
+    p.set_defaults(run=run)
+
+
+def run(args) -> int:
+    """Profile one cold compile of the chosen ``compute_rhs``, then the same
+    source at a second rank count (a selection-tier hit)."""
+    from ..codegen import compile_kernel
+    from ..compile import scratch_cache
+    from ..nas import kernels
+    from ..nas.classes import CLASSES
+    from . import reset_caches
+
+    ncls = CLASSES[args.profile_class]
+    n = ncls.problem_size
+    sp = args.bench == "sp"
+    src = kernels.scaled(kernels.COMPUTE_RHS_SP if sp else kernels.COMPUTE_RHS_BT)
+    params = {"n": n, "nx": n}
+    fanout = 9 if sp else 27
+    if fanout == args.nprocs:
+        fanout = 4 if sp else 8
+    reset_caches()
+    label = f"{args.bench} compute_rhs class {ncls.name}"
+    with scratch_cache():
+        with profiled(f"{label} @{args.nprocs} ranks (cold)") as cold:
+            compile_kernel(src, nprocs=args.nprocs, params=params)
+        print(cold.report())
+        # The selection tier is keyed without nprocs: a second rank
+        # count pays only specialization (comm analysis) + codegen.
+        with profiled(f"{label} @{fanout} ranks (selection-tier hit)") as warm:
+            compile_kernel(src, nprocs=fanout, params=params)
+        print()
+        print(warm.report())
+    return 0

@@ -58,3 +58,21 @@ def run_and_verify(bench: str) -> bool:
     solver = (SPSolver if bench == "sp" else BTSolver)(VERIFY_GRID)
     solver.run(VERIFY_STEPS)
     return verify(bench, solver.residual_norms(), solver.checksum())
+
+
+def verify_field(
+    bench: str, u, shape=VERIFY_GRID, niter: int = VERIFY_STEPS
+) -> bool:
+    """Check a parallel run's final field ``u``: bitwise equal to *niter*
+    serial steps on *shape* and, on the reference problem, NPB-verified
+    against the pinned residuals and checksum as well."""
+    from .bt import BTSolver
+    from .sp import SPSolver
+
+    solver = (SPSolver if bench == "sp" else BTSolver)(shape)
+    solver.run(niter)
+    if not np.array_equal(u, solver.u):
+        return False
+    if (tuple(shape), niter) != (VERIFY_GRID, VERIFY_STEPS):
+        return True
+    return bool(verify(bench, solver.residual_norms(), solver.checksum()))

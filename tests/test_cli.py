@@ -1,9 +1,12 @@
 """Command-line entry point tests (python -m repro / python -m repro.eval)."""
 
+import os
+import tempfile
+
 import pytest
 
 from repro.__main__ import main as compile_main
-from repro.eval.__main__ import main as eval_main
+from repro.eval.__main__ import build_parser, main as eval_main
 from repro.nas import kernels
 
 
@@ -44,10 +47,45 @@ class TestCompileCLI:
 
 class TestEvalCLI:
     def test_diffstats(self, capsys):
+        def leftovers():
+            return {e for e in os.listdir(tempfile.gettempdir())
+                    if e.startswith("repro-")}
+
+        before = leftovers()
         assert eval_main(["diffstats"]) == 0
         out = capsys.readouterr().out
         assert "fig4.1" in out
         assert "paper: SP 147/3152" in out
+        # the report's hermetic plan cache is removed with the report
+        assert leftovers() <= before
+
+    @pytest.mark.parametrize("argv", [
+        ["table-8.1", "--mutate", "x"],
+        ["fuzz", "--drop", "0.1"],
+        ["bench"],  # no such target: bench/ is the measuring stick
+    ])
+    def test_foreign_flag_or_target_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            eval_main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_every_target_declares_only_its_own_flags(self, capsys):
+        """Each subcommand rejects every flag it does not declare."""
+        (sub,) = [a for a in build_parser()._actions if a.choices]
+        flags = {
+            target: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+            for target, p in sub.choices.items()
+        }
+        everything = set().union(*flags.values())
+        assert len(everything) <= 31
+        for target, own in flags.items():
+            for foreign in sorted(everything - own):
+                with pytest.raises(SystemExit) as exc:
+                    eval_main([target, foreign])
+                assert exc.value.code == 2, (target, foreign)
+        capsys.readouterr()
 
     def test_figure(self, capsys):
         assert eval_main(["figure-8.1", "--nprocs", "4", "--width", "40"]) == 0

@@ -8,8 +8,6 @@ whole pipeline.  Plus: advisory codes, the predicted scaling curve,
 closed forms in P, and plan-cache replay of cost artifacts.
 """
 
-import tempfile
-
 import pytest
 
 from repro.check.cost import (
@@ -277,12 +275,10 @@ class TestPipelinedAnalysis:
 
 
 class TestCostCache:
-    def test_cost_artifact_replayed_on_warm_hit(self):
+    def test_cost_artifact_replayed_on_warm_hit(self, tmp_path):
         from repro.compile import PlanCache, PlanCacheConfig, use_cache
 
-        cache = PlanCache(PlanCacheConfig(
-            directory=tempfile.mkdtemp(prefix="repro-cost-test-")
-        ))
+        cache = PlanCache(PlanCacheConfig(directory=str(tmp_path / "plans")))
         with use_cache(cache):
             _ck1, cost1, cached1 = cached_kernel_cost(HALO_1D, 4)
             _ck2, cost2, cached2 = cached_kernel_cost(HALO_1D, 4)

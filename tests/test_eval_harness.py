@@ -128,19 +128,19 @@ _SEED_SCRIPT = """
 import hashlib
 from types import SimpleNamespace as NS
 import numpy as np
-from repro.eval.bench import _seed_init
+from repro.nas.specs import seed_init
 
 def arrays():
     return {name: NS(data=np.zeros((3, 4))) for name in ("u", "rhs", "lhs")}
 
 A = arrays()
-_seed_init(NS(make_arrays=arrays))(0, A)
+seed_init(NS(make_arrays=arrays))(0, A)
 print(hashlib.sha256(b"".join(A[n].data.tobytes() for n in sorted(A))).hexdigest())
 """
 
 
 def test_seeded_inputs_do_not_depend_on_the_hash_seed():
-    """`_seed_init` feeds every scalar==vector / VM==process / cost==trace
+    """`seed_init` feeds every scalar==vector / VM==process / cost==trace
     comparison; `str` hashes are randomised per interpreter, so the seed
     of each array must not come from `hash(name)`."""
     import os

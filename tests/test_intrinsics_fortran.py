@@ -17,13 +17,13 @@ import pytest
 
 from repro.codegen import compile_kernel
 from repro.codegen.spmd import CompiledKernel as K
-from repro.eval.bench import _bitwise_identical, _seed_init
 from repro.ir.interp import (
     fortran_mod,
     fortran_nint,
     fortran_sign,
     fortran_trunc_div,
 )
+from repro.nas.specs import bitwise_identical, seed_init
 
 
 class TestScalarHelpers:
@@ -129,11 +129,11 @@ def test_intrinsics_kernel_bitwise_across_backends():
         ck = compile_kernel(
             _INTRINSIC_KERNEL, nprocs=4, params={"n": 17}, backend=backend
         )
-        results[backend] = ck.run({"n": 17}, init=_seed_init(ck))
+        results[backend] = ck.run({"n": 17}, init=seed_init(ck))
         if backend == "vector":
             ck.python_source()
             assert all(r.status == "vector" for r in ck.vector_report.values())
-    assert _bitwise_identical(results["scalar"], results["vector"])
+    assert bitwise_identical(results["scalar"], results["vector"])
     # and the values themselves exercise the negative-operand paths
     arr = results["vector"][0]["a"].data
     assert (arr < 0).any() and (arr > 0).any()

@@ -39,10 +39,10 @@ from repro.compile.pipeline import (
     stage_specialize,
 )
 from repro.diag import DiagnosticSink
-from repro.eval.bench import kernel_specs
 from repro.isets import new_epoch
 from repro.isets.profile import profiled
 from repro.nas import kernels as nas_kernels
+from repro.nas.specs import kernel_specs
 
 TARGETS = ("mpi", "shmem")
 

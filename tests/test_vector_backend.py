@@ -13,11 +13,11 @@ import pytest
 
 from repro.codegen import CodegenUnsupported, compile_kernel
 from repro.codegen.spmd import CompiledKernel, Guards, _box_cover
-from repro.eval.bench import _bitwise_identical, _run_backend, _seed_init, kernel_specs
 from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
 from repro.frontend import parse_source
 from repro.ir.interp import Interpreter
 from repro.nas import kernels
+from repro.nas.specs import bitwise_identical, kernel_specs, seed_init
 from repro.runtime import procexec
 from repro.transform import inline_calls
 
@@ -31,9 +31,12 @@ SPECS = {s.name: s for s in kernel_specs()}
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_backends_bitwise_identical(name):
     spec = SPECS[name]
-    _, _, res_s, _ = _run_backend(spec, "scalar", 1)
-    _, _, res_v, _ = _run_backend(spec, "vector", 1)
-    assert _bitwise_identical(res_s, res_v)
+    results = {}
+    for backend in ("scalar", "vector"):
+        ck = spec.compile(backend)
+        results[backend] = ck.run(
+            spec.scalars, init=seed_init(ck, spec.seed_bias))
+    assert bitwise_identical(results["scalar"], results["vector"])
 
 
 def test_class_s_kernels_fully_vectorize():
@@ -151,9 +154,9 @@ def _diff_backends(source, scalars, nprocs=4, params=None):
         ck = compile_kernel(
             source, nprocs=nprocs, params=params or dict(scalars), backend=backend
         )
-        results[backend] = ck.run(scalars, init=_seed_init(ck))
+        results[backend] = ck.run(scalars, init=seed_init(ck))
         cks[backend] = ck
-    assert _bitwise_identical(results["scalar"], results["vector"])
+    assert bitwise_identical(results["scalar"], results["vector"])
     return cks["vector"]
 
 
@@ -283,7 +286,7 @@ def _run_all_ways(source, nprocs):
         assert _shmem_mismatch(ck, ck.run_shmem({}), ref, backend) is None
         ranks[backend] = ck.run({})
         assert _mpi_mismatch(ck, ranks[backend], ref, backend) is None
-    assert _bitwise_identical(ranks["scalar"], ranks["vector"])
+    assert bitwise_identical(ranks["scalar"], ranks["vector"])
     return ck
 
 
@@ -412,7 +415,7 @@ def test_sunk_nest_with_guard_holes():
                     guards[sid] = frozenset(
                         p for p in points if (p[0] + 2 * p[1]) % 3)
         ranks[backend] = ck.run({})
-    assert _bitwise_identical(ranks["scalar"], ranks["vector"])
+    assert bitwise_identical(ranks["scalar"], ranks["vector"])
     sid = max(ck.bind_guards(0))  # the recurrence statement
     assert len(ck.bind_guards(0).boxes(sid, (None, None, 3), 1, 8, 1, 8)) > 1
 
@@ -463,9 +466,9 @@ def test_fig61_bitwise_every_route(n):
                     params, init=lambda rid, A: seed(A), executor=executor, **kw)
                 assert _mpi_mismatch(ck, ranks, want, label) is None
                 per_rank[backend, executor] = ranks
-        assert _bitwise_identical(
+        assert bitwise_identical(
             per_rank["scalar", "virtual"], per_rank["vector", "virtual"])
-        assert _bitwise_identical(
+        assert bitwise_identical(
             per_rank["vector", "virtual"], per_rank["vector", "process"])
     assert mp.active_children() == []
     assert procexec.leaked_segments() == []
@@ -561,13 +564,13 @@ def test_pickled_kernel_leaves_bound_guards_behind():
     ck.python_source("mpi")
     ck.python_source("shmem")
     before = len(pickle.dumps(ck))
-    init = _seed_init(ck)
+    init = seed_init(ck)
     ran = ck.run(spec.scalars, init=init)
     assert ck._guard_cache  # the run did bind guards
     assert len(pickle.dumps(ck)) == before
     copy = pickle.loads(pickle.dumps(ck))
     assert copy._guard_cache == {}
-    assert _bitwise_identical(ran, copy.run(spec.scalars, init=init))
+    assert bitwise_identical(ran, copy.run(spec.scalars, init=init))
 
 
 def test_arange_cached_views_are_read_only():
