@@ -24,6 +24,7 @@ from ..ir.visit import collect_array_refs, walk_stmts
 from ..isets import BudgetExceeded, IsetBudget
 from ..isets.profile import phase as profile_phase
 from ..runtime.sim import Rank, VirtualMachine
+from .guards import BoxSet, Guards
 from .pyemit import emit_assign_target, emit_expr
 
 
@@ -717,126 +718,6 @@ class _Route:
         return idx
 
 
-def _box_cover(coords) -> tuple:
-    """Exact cover of a set of integer coordinate tuples by axis-aligned
-    boxes ``(a0, b0, a1, b1, ...)`` — per-level inclusive ``(lo, hi)``
-    pairs, first coordinate first.
-
-    Built recursively: group by the first coordinate, cover the remaining
-    coordinates of each group, then merge maximal blocks of consecutive
-    first-coordinate values with identical sub-covers — for block-
-    distributed guards the cover is a single box.  Boxes come out in
-    (first-block, sub-cover) order, which keeps every fixed-prefix row's
-    runs in increasing order; vectorized statements with an innermost-
-    carried anti dependence rely on this (see ``vectorize.plan_nest``)."""
-    if not coords:
-        return ()
-    if len(coords[0]) == 1:
-        vals = sorted({c[0] for c in coords})
-        runs = []
-        start = prev = vals[0]
-        for v in vals[1:]:
-            if v == prev + 1:
-                prev = v
-            else:
-                runs.append((start, prev))
-                start = prev = v
-        runs.append((start, prev))
-        return tuple(runs)
-    groups: dict[int, list] = {}
-    for c in coords:
-        groups.setdefault(c[0], []).append(c[1:])
-    subs = {v: _box_cover(rest) for v, rest in groups.items()}
-    out: list = []
-    a0 = a1 = None
-    cur = None
-    for v in sorted(subs):
-        if cur == subs[v] and v == a1 + 1:
-            a1 = v
-        else:
-            if cur is not None:
-                out.extend((a0, a1) + sub for sub in cur)
-            a0 = a1 = v
-            cur = subs[v]
-    out.extend((a0, a1) + sub for sub in cur)
-    return tuple(out)
-
-
-class Guards(dict):
-    """Per-rank statement guards: ``sid -> frozenset(points) | None`` (None
-    means unguarded).  Beyond the scalar backend's point-membership test,
-    this serves the vector backend's *block* queries: exact covers of the
-    admissible indices at one or more vectorized loop positions by
-    contiguous runs/boxes, for fixed outer indices."""
-
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self._covers: dict = {}
-        self._answers: dict = {}
-
-    def boxes(self, sid: int, tpl: tuple, *bounds):
-        """Exact cover of the admissible points at the ``None`` positions
-        of *tpl* (outermost vectorized loop first) by boxes
-        ``(a0, b0, a1, b1, ...)`` — one inclusive ``(lo, hi)`` pair per
-        position — clamped to *bounds* (the same pair layout), as a tuple.
-        Unguarded statements get the whole bounds box.
-
-        A node program repeats its queries pass after pass, so the answer
-        to a whole query is kept (at most one entry per distinct query the
-        program makes); a miss clamps the cover cached per
-        ``(sid, positions)`` — clamping an exact cover axis-by-axis keeps
-        it exact."""
-        query = (sid, tpl, bounds)
-        out = self._answers.get(query)
-        if out is None:
-            out = self._answers[query] = self._clamped_cover(sid, tpl, bounds)
-        return out
-
-    #: the 1-d form: maximal runs ``(a, b)`` of admissible values at the
-    #: single ``None`` position of *tpl*, clamped to ``[lo, hi]``
-    segments = boxes
-
-    def _clamped_cover(self, sid: int, tpl: tuple, bounds: tuple) -> tuple:
-        bounds = tuple(int(v) for v in bounds)
-        d = len(bounds) // 2
-        for l in range(d):
-            if bounds[2 * l + 1] < bounds[2 * l]:
-                return ()
-        pts = self.get(sid)
-        if pts is None:
-            return (bounds,)
-        positions = []
-        p = -1
-        for _ in range(d):
-            p = tpl.index(None, p + 1)
-            positions.append(p)
-        positions = tuple(positions)
-        posset = set(positions)
-        table = self._covers.get((sid, positions))
-        if table is None:
-            by_fixed: dict[tuple, list] = {}
-            for pt in pts:
-                fixed = tuple(v for i, v in enumerate(pt) if i not in posset)
-                by_fixed.setdefault(fixed, []).append(
-                    tuple(pt[i] for i in positions)
-                )
-            table = {f: _box_cover(cs) for f, cs in by_fixed.items()}
-            self._covers[(sid, positions)] = table
-        fixed = tuple(v for i, v in enumerate(tpl) if i not in posset)
-        out = []
-        for box in table.get(fixed, ()):
-            clamped = []
-            for l in range(d):
-                a = max(box[2 * l], bounds[2 * l])
-                b = min(box[2 * l + 1], bounds[2 * l + 1])
-                if a > b:
-                    break
-                clamped += [a, b]
-            else:
-                out.append(tuple(clamped))
-        return tuple(out)
-
-
 class CompiledKernel:
     """An executable SPMD kernel produced by :func:`compile_kernel`."""
 
@@ -916,9 +797,12 @@ class CompiledKernel:
         # kernel emits bitwise-identical node programs
         state = self.__dict__.copy()
         state["_fns"] = {}
-        # bound guards (every rank's point sets, cover tables and query
-        # answers) are run-time state, not plan: they rebind on demand
+        # bound guards (every rank's boxes and query answers) and the
+        # symbolic sets they are bound from are run-time state, not plan:
+        # they rebuild on demand.  The sets leave no key behind, so the
+        # payload is the one written before they were kept.
         state["_guard_cache"] = {}
+        state.pop("_guard_sets", None)
         return state
 
     def __setstate__(self, state):
@@ -959,9 +843,12 @@ class CompiledKernel:
         return range(int(lo), int(hi) + (1 if step > 0 else -1), int(step))
 
     @staticmethod
-    def guard(G: dict, sid: int, point: tuple) -> bool:
-        s = G.get(sid)
-        return True if s is None else point in s
+    def guard(G: Guards, sid: int, point: tuple) -> bool:
+        try:
+            points = G.tables[sid]
+        except KeyError:
+            points = G.point_table(sid)
+        return True if points is None else point in points
 
     # -- vector-backend runtime helpers ---------------------------------------
     #: read-only backing store for :meth:`arange` (grown on demand; shared
@@ -1053,25 +940,30 @@ class CompiledKernel:
         return np.copysign(np.abs(a_arr), b_arr)
 
     # -- guards ---------------------------------------------------------------
-    def bind_guards(self, rank_id: int) -> Guards:
-        """Per-statement concrete iteration sets for one rank (cached)."""
-        if rank_id in self._guard_cache:
-            return self._guard_cache[rank_id]
-        coords = self.grid.delinearize(rank_id)
-        pbind = {PDIM(g): c for g, c in enumerate(coords)}
-        out = Guards()
-        # statements under the same innermost loop whose CPs induce the same
-        # data partition (cp_key, §5) admit identical iteration sets — share
-        # one point enumeration (the dominant cost at class-W sizes)
-        shared: dict[tuple, "frozenset | None"] = {}
+    #: see :meth:`_guard_plan`; set on the instance at the first bind
+    _guard_sets: tuple | None = None
+
+    def _guard_plan(self) -> tuple:
+        """``(group, sets)``: the symbolic iteration sets behind this
+        kernel's guards — params bound, ``PDIM``s free, so one set serves
+        every rank — and per statement the index of its set in *sets*
+        (None: unguarded).  Statements under the same innermost loop whose
+        CPs induce the same data partition (cp_key, §5) admit identical
+        iteration sets and share one.  Built at the first bind and kept on
+        the kernel object (run-time state: not pickled)."""
+        if self._guard_sets is not None:
+            return self._guard_sets
+        group: dict[int, int | None] = {}
+        sets: list = []
+        shared: dict[tuple, int] = {}
         for root, _plan in self.nest_plans:
             nest = NestInfo(root, self.params)
             for stmt in walk_stmts([root]):
                 if not isinstance(stmt, Assign):
                     continue
+                group[stmt.sid] = None
                 scp = self.cps.get(stmt.sid)
                 if scp is None or scp.cp.is_replicated:
-                    out[stmt.sid] = None
                     continue
                 key = None
                 loops = nest.loops_of(stmt)
@@ -1080,21 +972,47 @@ class CompiledKernel:
                     if all(k is not None for k in tkeys):
                         key = (loops[-1].sid, frozenset(tkeys))
                 if key is not None and key in shared:
-                    out[stmt.sid] = shared[key]
+                    group[stmt.sid] = shared[key]
                     continue
-                dims = nest.dims_of(stmt)
                 bounds = nest.bounds_of(stmt)
                 if bounds is None:
-                    out[stmt.sid] = None
                     continue
-                iters = cp_iteration_set(
-                    scp.cp, dims, bounds.bind(self.params), self.ctx
-                ).bind({**self.params, **pbind})
-                out[stmt.sid] = frozenset(iters.points())
+                group[stmt.sid] = len(sets)
                 if key is not None:
-                    shared[key] = out[stmt.sid]
-        self._guard_cache[rank_id] = out
+                    shared[key] = len(sets)
+                sets.append(cp_iteration_set(
+                    scp.cp, nest.dims_of(stmt), bounds.bind(self.params), self.ctx
+                ).bind(self.params))
+        self._guard_sets = (group, sets)
+        return self._guard_sets
+
+    def bind_guards(self, rank_id: int) -> Guards:
+        """Per-statement concrete iteration sets for one rank (cached):
+        the rank's grid coordinates substituted into each symbolic set,
+        which is then read as the union of boxes it almost always is; a
+        set with a part that is not a box (cyclic, multipartition,
+        exists-quantified) is enumerated and its points covered."""
+        out = self._guard_cache.get(rank_id)
+        if out is not None:
+            return out
+        with profile_phase("bind-guards"):
+            group, sets = self._guard_plan()
+            coords = self.grid.delinearize(rank_id)
+            pbind = {PDIM(g): c for g, c in enumerate(coords)}
+            bound = [BoxSet.of(iters.bind(pbind)) for iters in sets]
+            out = self._guard_cache[rank_id] = Guards(
+                (sid, None if g is None else bound[g]) for sid, g in group.items()
+            )
         return out
+
+    def bind_all_guards(self) -> None:
+        """Bind every rank's guards on the calling thread.  The executors
+        do this before they start rank threads or fork a gang, so the node
+        program's ``K.bind_guards(rank.rank)`` is a dict hit: binding
+        inside P threads sharing the GIL takes P times as long, and a
+        forked worker's bindings die with it."""
+        for rank_id in range(self.nprocs):
+            self.bind_guards(rank_id)
 
     # -- communication routing -----------------------------------------------------
     def _build_routes(self, nest_idx: int, plan: CommPlan) -> list[_Route]:
@@ -1299,6 +1217,7 @@ class CompiledKernel:
                 self, scalars, init=init, target="mpi", timeout=timeout
             )
         fn = self.node_program()
+        self.bind_all_guards()
         vm = vm or VirtualMachine(self.nprocs, record_trace=False)
         kernel = self
         # the caller receives these arrays and frees them, so the caller
@@ -1350,6 +1269,7 @@ class CompiledKernel:
         from ..runtime.model import MachineModel
 
         fn = self.node_program("shmem")
+        self.bind_all_guards()
         if vm is None:
             # SMP-flavored model: sync via very-low-latency "messages"
             smp = MachineModel("smp", flop_time=1e-9, alpha=2e-6, beta=1 / 300e6)

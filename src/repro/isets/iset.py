@@ -207,6 +207,24 @@ class ISet:
                 budget.charge_op()
         return n
 
+    def box_parts(
+        self, params: Mapping[str, int] | None = None
+    ) -> list[list[tuple[int, int]]] | None:
+        """The set as a union of axis-aligned boxes under *params*: one
+        list of per-dim inclusive ``(lo, hi)`` extents per non-empty
+        disjunct, in disjunct order (the boxes may overlap).  ``None`` when
+        some disjunct is not recognizably a box — an existential variable,
+        a constraint coupling two dims, an unbound parameter, an unbounded
+        dim — and the caller must fall back to enumeration."""
+        boxes = []
+        for p in self.parts:
+            ext = _box_extents(p, params)
+            if ext is None:
+                return None
+            if ext != "empty":
+                boxes.append(ext)
+        return boxes
+
     def cardinality(self, params: Mapping[str, int] | None = None) -> int:
         """Exact number of integer points, computed in closed form when the
         set is a union of axis-aligned boxes (per-disjunct extent products
@@ -214,15 +232,8 @@ class ISet:
         otherwise.  Always equals :meth:`count`; the static cost analyzer
         uses this so per-rank communication volumes do not require
         enumerating every element of every halo."""
-        boxes = []
-        for p in self.parts:
-            ext = _box_extents(p, params)
-            if ext is None:
-                return self._metered_count(params)
-            if ext == "empty":
-                continue
-            boxes.append(ext)
-        if len(boxes) > _MAX_IE_BOXES:
+        boxes = self.box_parts(params)
+        if boxes is None or len(boxes) > _MAX_IE_BOXES:
             return self._metered_count(params)
         # inclusion–exclusion over every non-empty subset of the boxes
         total = 0

@@ -591,6 +591,7 @@ def run_kernel(
     if target not in ("mpi", "shmem"):
         raise ValueError(f"unknown target {target!r}")
     fn = kernel.node_program(target)  # exec'd pre-fork; children inherit it
+    kernel.bind_all_guards()  # likewise: bound once here, not once per worker
     ex = ProcessExecutor(kernel.nprocs, model=model or TEST_MACHINE, config=config)
 
     if target == "mpi":

@@ -118,6 +118,21 @@ class TestCardinality:
         assert s.cardinality({"n": 7}) == 7
         assert s.bind({"n": 7}).cardinality() == 7
 
+    def test_box_parts_is_the_public_reading_of_the_recogniser(self):
+        """Per-disjunct inclusive extents in disjunct order, overlaps kept,
+        empty disjuncts dropped; None as soon as one disjunct is not a box
+        (what ``cardinality`` and guard binding branch on)."""
+        dims = ("x", "y")
+        a, b = [(0, 4), (0, 4)], [(2, 6), (2, 6)]
+        s = ISet(dims, [_box(dims, a), _box(dims, [(5, 2), (0, 1)]), _box(dims, b)])
+        assert s.box_parts() == [a, b]
+        assert ISet(dims, []).box_parts() == []
+        n_box = BasicSet(("x",), [Constraint.ge(E("x"), 1), Constraint.le(E("x"), E("n"))])
+        assert ISet(("x",), [n_box]).box_parts({"n": 7}) == [[(1, 7)]]
+        assert ISet(("x",), [n_box]).box_parts() is None  # unbound parameter
+        coupled = BasicSet(dims, [Constraint.le(LinExpr({"x": 1, "y": 1}, 0), 6)])
+        assert ISet(dims, [_box(dims, a), coupled]).box_parts() is None
+
     def test_non_box_sets_fall_back_to_enumeration(self):
         # x + y <= 6 couples the dims: closed form must defer to count()
         dims = ("x", "y")

@@ -4,18 +4,28 @@ backend on every paper kernel and the NAS class-S targets, loop sinking
 statement- and loop-level fallbacks for everything the vectorizer cannot
 prove safe, and the guard box-cover machinery it runs on."""
 
+import itertools
 import multiprocessing as mp
+import os
 import pickle
 import re
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.codegen import CodegenUnsupported, compile_kernel
-from repro.codegen.spmd import CompiledKernel, Guards, _box_cover
+from repro.codegen import CodegenUnsupported, compile_kernel, spmd
+from repro.codegen.guards import BoxSet, Guards, _box_cover
+from repro.codegen.spmd import CompiledKernel
+from repro.cp.model import cp_iteration_set
+from repro.cp.nest import NestInfo
+from repro.distrib import PDIM
 from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
 from repro.frontend import parse_source
+from repro.ir import Assign, walk_stmts
 from repro.ir.interp import Interpreter
+from repro.isets import ISet, box as iset_box, profiled
 from repro.nas import kernels
 from repro.nas.specs import bitwise_identical, kernel_specs, seed_init
 from repro.runtime import procexec
@@ -571,6 +581,246 @@ def test_pickled_kernel_leaves_bound_guards_behind():
     copy = pickle.loads(pickle.dumps(ck))
     assert copy._guard_cache == {}
     assert bitwise_identical(ran, copy.run(spec.scalars, init=init))
+
+
+# -- guards are boxes, bound once ----------------------------------------------
+
+def _oracle_cover(points, tpl, bounds):
+    """The answer to ``Guards.boxes`` by definition, as it was computed
+    when a bound guard was a set of points: group the points by the fixed
+    positions of *tpl*, ``_box_cover`` the group that matches, clamp."""
+    bounds = tuple(int(v) for v in bounds)
+    d = len(bounds) // 2
+    if any(bounds[2 * l + 1] < bounds[2 * l] for l in range(d)):
+        return ()
+    if points is None:
+        return (bounds,)
+    positions = [i for i, v in enumerate(tpl) if v is None]
+    fixed = tuple(v for v in tpl if v is not None)
+    group = [
+        tuple(pt[i] for i in positions) for pt in points
+        if tuple(v for i, v in enumerate(pt) if i not in positions) == fixed
+    ]
+    out = []
+    for box in _box_cover(group):
+        clamped = []
+        for l in range(d):
+            a = max(box[2 * l], bounds[2 * l])
+            b = min(box[2 * l + 1], bounds[2 * l + 1])
+            if a > b:
+                break
+            clamped += [a, b]
+        else:
+            out.append(tuple(clamped))
+    return tuple(out)
+
+
+def _point_guards(ck, rank_id):
+    """One rank's guards as enumerated point sets, each statement's
+    iteration set rebuilt and bound for that rank: what ``bind_guards``
+    returned before guards were boxes."""
+    pbind = {PDIM(g): c for g, c in enumerate(ck.grid.delinearize(rank_id))}
+    out = {}
+    for root, _plan in ck.nest_plans:
+        nest = NestInfo(root, ck.params)
+        for stmt in walk_stmts([root]):
+            if not isinstance(stmt, Assign):
+                continue
+            scp = ck.cps.get(stmt.sid)
+            bounds = nest.bounds_of(stmt)
+            if scp is None or scp.cp.is_replicated or bounds is None:
+                out[stmt.sid] = None
+                continue
+            iters = cp_iteration_set(
+                scp.cp, nest.dims_of(stmt), bounds.bind(ck.params), ck.ctx)
+            out[stmt.sid] = frozenset(
+                iters.bind({**ck.params, **pbind}).points())
+    return out
+
+
+_TOP = 4  # box coordinates are drawn from 0.._TOP
+
+
+@st.composite
+def _box_unions_and_queries(draw):
+    ndim = draw(st.integers(1, 4))
+    extent = st.tuples(st.integers(0, _TOP), st.integers(-1, _TOP))  # hi < lo: empty
+    boxes = draw(st.lists(st.tuples(*[extent] * ndim), max_size=6))
+    free = draw(st.lists(st.booleans(), min_size=ndim, max_size=ndim).filter(any))
+    tpl = tuple(None if f else draw(st.integers(0, _TOP)) for f in free)
+    limit = st.integers(-1, _TOP + 1)
+    bounds = tuple(draw(limit) for f in free if f for _ in range(2))
+    return ndim, boxes, tpl, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_unions_and_queries())
+def test_box_guards_answer_as_the_point_oracle(case):
+    """A union of overlapping, touching, nested and empty boxes read off an
+    iteration set's disjuncts is the same set, with the same cover in the
+    same order, as the one built from its enumerated points."""
+    ndim, boxes, tpl, bounds = case
+    dims = [f"d{i}" for i in range(ndim)]
+    iters = ISet(dims, [part for b in boxes for part in iset_box(dims, b).parts])
+    points = {
+        pt for b in boxes
+        for pt in itertools.product(*(range(lo, hi + 1) for lo, hi in b))
+    }
+    assert iters.box_parts() is not None
+    bound = BoxSet.of(iters)
+    assert bound.boxes == _box_cover(sorted(points))
+    assert len(bound) == len(points)
+    assert bound == points and points == bound
+    assert bound & points == points
+    for pt in itertools.product(range(-1, _TOP + 2), repeat=ndim):
+        assert (pt in bound) == (pt in points)
+    expect = _oracle_cover(points, tpl, bounds)
+    # a guard set by hand as plain points answers the same
+    for guards in (Guards({1: bound}), Guards({1: frozenset(points)})):
+        assert guards.boxes(1, tpl, *bounds) == expect
+
+
+_CYCLIC = """
+      subroutine s(n)
+      integer n, i
+      parameter (nx = 15)
+      double precision a(0:nx), b(0:nx)
+chpf$ processors p(4)
+chpf$ distribute a(cyclic) onto p
+chpf$ distribute b(cyclic) onto p
+      do i = 0, n - 1
+         a(i) = b(i) * 2.0d0
+      enddo
+      end
+"""
+
+_MULTIPARTITION = """
+      subroutine s(n)
+      integer n, i, j, k
+      parameter (nx = 7)
+      double precision u(0:nx, 0:nx, 0:nx), v(0:nx, 0:nx, 0:nx)
+chpf$ processors p(2, 2)
+chpf$ distribute u(multi, multi, multi) onto p
+chpf$ distribute v(multi, multi, multi) onto p
+      do k = 0, n - 1
+         do j = 0, n - 1
+            do i = 0, n - 1
+               v(i, j, k) = u(i, j, k) * 2.0d0
+            enddo
+         enddo
+      enddo
+      end
+"""
+
+
+@pytest.mark.parametrize(
+    "name", sorted(SPECS) + ["cyclic", "multipartition", "guard holes"])
+def test_bound_guards_and_queries_match_the_point_oracle(name):
+    """Every bound guard equals the enumerated iteration set, and every
+    box query a node program makes (both targets) gets the tuple the point
+    oracle gives — on block guards (boxes read off the set), on cyclic and
+    multipartitioned ones (enumerated, not boxes) and on guards with holes
+    cut in by hand."""
+    init = None
+    if name in SPECS:
+        spec = SPECS[name]
+        ck, scalars = spec.compile("vector"), spec.scalars
+        init = seed_init(ck, spec.seed_bias)
+    elif name == "guard holes":
+        ck, scalars = compile_kernel(*_wave_source(3, 2, -1, "one", "block", True)), {}
+    else:
+        n = 16 if name == "cyclic" else 8
+        source = _CYCLIC if name == "cyclic" else _MULTIPARTITION
+        ck, scalars = compile_kernel(source, 4, params={"n": n}), {"n": n}
+    oracle = {rank: _point_guards(ck, rank) for rank in range(ck.nprocs)}
+    boxy = name in SPECS or name == "guard holes"
+    for rank, points in oracle.items():
+        guards = ck.bind_guards(rank)
+        assert guards == points and list(guards) == list(points)
+        for sid, bound in guards.items():
+            if bound is not None:
+                assert len(bound) == len(points[sid])
+                assert bound.boxes == _box_cover(sorted(points[sid]))
+        # which constructor built them: boxes read off the set, or points
+        pbind = {PDIM(g): c for g, c in enumerate(ck.grid.delinearize(rank))}
+        for iters in ck._guard_plan()[1]:
+            assert (iters.bind(pbind).box_parts() is not None) == boxy
+        if name == "guard holes":
+            for sid, pts in list(points.items()):
+                if pts is not None:
+                    guards[sid] = points[sid] = frozenset(
+                        p for p in pts if (p[0] + 2 * p[1]) % 3)
+    ck.run(scalars, init=init)
+    ck.run_shmem(scalars, init=init and (lambda A: init(0, A)))
+    asked = 0
+    for rank, guards in ck._guard_cache.items():
+        for (sid, tpl, bounds), answer in guards._answers.items():
+            assert answer == _oracle_cover(oracle[rank][sid], tpl, bounds)
+            asked += 1
+    assert asked
+
+
+@pytest.mark.parametrize("nprocs", [16, 8, 4])
+def test_iteration_sets_are_built_once_per_kernel(nprocs, monkeypatch):
+    """The symbolic iteration sets do not depend on the rank: a first run
+    builds one per share group (9 for SP compute_rhs), whatever the rank
+    count — not one per group per rank (144 / 72 / 36)."""
+    spec = SPECS["sp compute_rhs class S"]
+    ck = compile_kernel(kernels.scaled(spec.source), nprocs, params=spec.params)
+    ck.python_source("shmem")
+    ck = pickle.loads(pickle.dumps(ck))  # nothing bound, as a warm replay
+    init = seed_init(ck, spec.seed_bias)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cp_iteration_set(*args)
+
+    monkeypatch.setattr(spmd, "cp_iteration_set", counted)
+    ck.run_shmem(spec.scalars, init=lambda A: init(0, A))
+    assert len(calls) == 9
+    assert sorted(ck._guard_cache) == list(range(nprocs))
+
+
+@pytest.mark.parametrize("executor", ["virtual", "process"])
+@pytest.mark.parametrize("target", ["mpi", "shmem"])
+def test_no_rank_binds_its_own_guards(executor, target, monkeypatch):
+    """Guards are bound on the calling thread before the ranks start (rank
+    threads share the GIL; a forked worker's bindings die with it): the
+    node program's ``K.bind_guards(rank.rank)`` always hits the cache."""
+    spec = SPECS["fig4.1 lhsy n=17"]
+    ck = pickle.loads(pickle.dumps(spec.compile("vector")))
+    caller = (os.getpid(), threading.get_ident())
+    bind = CompiledKernel.bind_guards
+
+    def checked(self, rank_id):
+        here = (os.getpid(), threading.get_ident())
+        assert here == caller or rank_id in self._guard_cache, (
+            f"rank {rank_id} bound its guards itself")
+        return bind(self, rank_id)
+
+    monkeypatch.setattr(CompiledKernel, "bind_guards", checked)
+    run = ck.run if target == "mpi" else ck.run_shmem
+    init = seed_init(ck)
+    run(spec.scalars, init=init if target == "mpi" else (lambda A: init(0, A)),
+        executor=executor, timeout=120)
+    assert sorted(ck._guard_cache) == list(range(ck.nprocs))
+    assert mp.active_children() == [] and procexec.leaked_segments() == []
+
+
+def test_guard_binding_is_a_profile_phase():
+    """Binding runs on the calling thread, so the phase profiler (whose
+    stack is not thread-safe) can attribute it: the sets once, then one
+    bind per rank, all under ``bind-guards``."""
+    spec = SPECS["fig4.1 lhsy n=17"]
+    ck = pickle.loads(pickle.dumps(spec.compile("vector")))
+    with profiled("run") as prof:
+        ck.run(spec.scalars, init=seed_init(ck))
+    phase = prof.root.children["bind-guards"]
+    assert phase.calls == ck.nprocs and phase.seconds > 0
+    with profiled("again") as prof:
+        ck.run(spec.scalars, init=seed_init(ck))
+    assert "bind-guards" not in prof.root.children  # every bind a dict hit
 
 
 def test_arange_cached_views_are_read_only():
