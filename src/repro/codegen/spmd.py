@@ -29,8 +29,10 @@ from .pyemit import emit_assign_target, emit_expr
 
 
 class CodegenUnsupported(Exception):
-    """The kernel needs a feature the code generator does not implement
-    (pipelined communication, CALL statements)."""
+    """A strict compile refuses the kernel: the soundness screen found a
+    construct the analysis or the code generator does not cover (CALL
+    statements, pipelined communication, ...).  The message is the reason
+    a lenient compile reports in its ``I-FALLBACK``."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,52 @@ def _loop_bound_exprs(loop: DoLoop) -> tuple:
     return (loop.lo, loop.hi) + ((loop.step,) if loop.step is not None else ())
 
 
+def _stmt_array_refs(s: Stmt, reads_only: bool = False) -> "list[ArrayRef]":
+    """Every ArrayRef a statement (and its children) touches; with
+    *reads_only*, all but the assigned references themselves (their
+    subscripts are still reads)."""
+    refs: list[ArrayRef] = []
+    for u in walk_stmts([s]):
+        if isinstance(u, Assign):
+            refs.extend(collect_array_refs(u.rhs))
+            if isinstance(u.lhs, ArrayRef):
+                if not reads_only:
+                    refs.append(u.lhs)
+                for e in u.lhs.subscripts:
+                    refs.extend(collect_array_refs(e))
+        elif isinstance(u, IfThen):
+            refs.extend(collect_array_refs(u.cond))
+        elif isinstance(u, DoLoop):
+            for e in _loop_bound_exprs(u):
+                refs.extend(collect_array_refs(e))
+    return refs
+
+
+def screen_program(sub: Subroutine, ctx: DistributionContext) -> "str | None":
+    """The program-level half of the soundness screen, run before any
+    analysis: why *sub* as a whole cannot be compiled distributed, or None.
+    The per-nest half is :func:`_nest_degrade_reason`.
+
+    A grid that does not have ``ctx.nprocs`` processors is the caller's
+    error under either sink and raises ``ValueError``."""
+    grid = ctx.the_grid()
+    if grid.size != ctx.nprocs:
+        raise ValueError(
+            f"processor grid {grid.name} has size {grid.size}, "
+            f"but nprocs={ctx.nprocs}"
+        )
+    # Top-level statements outside any DO nest that touch distributed arrays
+    # have no nest plan to carry their communication; the stripped program
+    # (nothing distributed) executes them correctly on every rank.
+    for s in sub.body:
+        if isinstance(s, DoLoop):
+            continue
+        for ref in _stmt_array_refs(s):
+            if ctx.is_distributed(ref.name):
+                return f"top-level statement touches distributed array {ref.name!r}"
+    return None
+
+
 def _nest_degrade_reason(
     item: DoLoop,
     cps: "dict[int, StatementCP]",
@@ -146,8 +194,10 @@ def _nest_degrade_reason(
     merged: Mapping[str, int],
     private: "frozenset[str] | set[str]" = frozenset(),
 ) -> "str | None":
-    """Why generated code for this *analyzed* nest would be incorrect (or
-    unbuildable), or None if the analysis covered everything.
+    """The per-nest half of the soundness screen: why generated code for
+    this *analyzed* nest would be incorrect (or unbuildable), or None if
+    the analysis covered everything.  Every compile runs it; the sink
+    decides what the verdict means (:func:`analyze_program`).
 
     These are exactly the constructs the analysis pipeline silently skips —
     non-affine subscripts or bounds, runtime-scalar subscripts/trip counts,
@@ -163,28 +213,18 @@ def _nest_degrade_reason(
     }
     dist_touch = False
     shared_repl_writes: set[str] = set()
-    read_names: set[str] = set()
     for s in walk_stmts([item]):
         if isinstance(s, IfThen):
             for ref in collect_array_refs(s.cond):
-                read_names.add(ref.name.lower())
                 if ctx.is_distributed(ref.name):
                     return f"IF condition reads distributed array {ref.name!r}"
         elif isinstance(s, DoLoop):
             for e in _loop_bound_exprs(s):
                 for ref in collect_array_refs(e):
-                    read_names.add(ref.name.lower())
                     if ctx.is_distributed(ref.name):
                         return f"loop bound reads distributed array {ref.name!r}"
         elif isinstance(s, Assign):
-            read_names |= {r.name.lower() for r in collect_array_refs(s.rhs)}
-            refs = list(collect_array_refs(s.rhs))
             if isinstance(s.lhs, ArrayRef):
-                refs.append(s.lhs)
-                for e in s.lhs.subscripts:
-                    for r in collect_array_refs(e):
-                        refs.append(r)
-                        read_names.add(r.name.lower())
                 lname = s.lhs.name.lower()
                 if lname not in private and ctx.layout(lname) is None:
                     scp = cps.get(s.sid)
@@ -195,7 +235,7 @@ def _nest_degrade_reason(
                             f"partitioned write to undistributed array {lname!r}"
                         )
                     shared_repl_writes.add(lname)
-            drefs = [r for r in refs if ctx.is_distributed(r.name)]
+            drefs = [r for r in _stmt_array_refs(s) if ctx.is_distributed(r.name)]
             if not drefs:
                 continue
             dist_touch = True
@@ -233,6 +273,9 @@ def _nest_degrade_reason(
         for s in walk_stmts([item])
         if isinstance(s, Assign) and isinstance(s.lhs, ArrayRef)
     }
+    read_names = {
+        r.name.lower() for r in _stmt_array_refs(item, reads_only=True)
+    }
     for ev in plan.live_events():
         if ev.kind == "read" and ev.array.lower() in written_names:
             return (
@@ -263,6 +306,13 @@ def _nest_degrade_reason(
                     free = _expr_scalar_names(e) - loop_vars - known
                     if free:
                         return f"loop bound uses runtime scalar {sorted(free)[0]!r}"
+    return _pipelined_reason(plan)
+
+
+def _pipelined_reason(plan: CommPlan) -> "str | None":
+    """The screen's verdict on communication left inside a loop: the code
+    generator has no pipelined sends (wavefront kernels are executed by
+    :mod:`repro.parallel.dhpf`)."""
     for ev in plan.live_events():
         if ev.placement.pipelined:
             return f"pipelined communication for array {ev.array!r}"
@@ -318,24 +368,14 @@ def _replicated_nest(
     """
     from contextlib import nullcontext
 
-    cps: dict[int, StatementCP] = {}
-    read_arrays: set[str] = set()
-    for s in walk_stmts([item]):
-        if isinstance(s, Assign):
-            cps[s.sid] = StatementCP(s, CP.replicated(), [], 0.0, source="fallback")
-            for ref in collect_array_refs(s.rhs):
-                read_arrays.add(ref.name.lower())
-            if isinstance(s.lhs, ArrayRef):
-                for e in s.lhs.subscripts:
-                    for ref in collect_array_refs(e):
-                        read_arrays.add(ref.name.lower())
-        elif isinstance(s, IfThen):
-            for ref in collect_array_refs(s.cond):
-                read_arrays.add(ref.name.lower())
-        elif isinstance(s, DoLoop):
-            for e in _loop_bound_exprs(s):
-                for ref in collect_array_refs(e):
-                    read_arrays.add(ref.name.lower())
+    cps: dict[int, StatementCP] = {
+        s.sid: StatementCP(s, CP.replicated(), [], 0.0, source="fallback")
+        for s in walk_stmts([item])
+        if isinstance(s, Assign)
+    }
+    read_arrays = {
+        ref.name.lower() for ref in _stmt_array_refs(item, reads_only=True)
+    }
     events: list[CommEvent] = []
     guard = budget.suspend() if budget is not None else nullcontext()
     with guard:
@@ -415,31 +455,35 @@ def analyze_program(
     selection: ProgramSelection,
     sink: "DiagnosticSink | None" = None,
     budget: "IsetBudget | None" = None,
-) -> "tuple[dict[int, StatementCP], list[tuple[DoLoop, CommPlan]], set[str], set[str]]":
+) -> "tuple[dict[int, StatementCP], list[tuple[DoLoop, CommPlan]], set[str], set[str], dict[int, str]]":
     """Specialize a *selection* (from :func:`select_program`, usually made
     at a different — canonical — processor count) to the processor count of
     *ctx*: communication analysis of every top-level nest of *sub* under
-    the skeleton's CP choices.
+    the skeleton's CP choices, then the soundness screen
+    (:func:`_nest_degrade_reason`) over each analyzed nest.
 
-    Returns ``(cps, nest_plans, private_arrays, localized_arrays)``.
-    Together with :func:`select_program` this is the code-generation-free
-    front half of :func:`compile_kernel`; the static verifier
-    (:mod:`repro.check`) stops here so that kernels the code generator
-    rejects (pipelined communication, §5) can still be verified.
+    Returns ``(cps, nest_plans, private_arrays, localized_arrays,
+    verdicts)``.  ``verdicts`` maps a nest's index to the screen's reason
+    why code generated from its plan would be wrong; the plan is returned
+    all the same, because the static verifier and the cost model
+    (:mod:`repro.check`) stop here and work on plans ``stage_codegen``
+    refuses (pipelined communication, §5).
 
-    With a lenient *sink* (``DiagnosticSink(strict=False)``), any nest the
-    pipeline cannot analyze soundly — a ``failure`` recorded by selection,
-    a raised analysis error, a gap found by :func:`_nest_degrade_reason`,
-    or a tripped iset *budget* — degrades to the replicated fallback of
-    :func:`_replicated_nest` with an ``I-FALLBACK`` (or ``W-BUDGET``)
-    diagnostic, instead of crashing or silently producing wrong code.
-    Strict analysis raises instead.
+    With a lenient *sink* (``DiagnosticSink(strict=False)``) no verdict is
+    left standing: any nest the pipeline cannot analyze soundly — a
+    ``failure`` recorded by selection, a raised analysis error, a verdict
+    of the screen, or a tripped iset *budget* — degrades to the replicated
+    fallback of :func:`_replicated_nest` with an ``I-FALLBACK`` (or
+    ``W-BUDGET``) diagnostic.  Strict analysis raises what lenient
+    analysis catches.
     """
     merged = dict(merged)
     cps_all: dict[int, StatementCP] = {}
     nest_plans: list[tuple[DoLoop, CommPlan]] = []
     private_arrays: set[str] = set()
     localized_arrays: set[str] = set()
+    verdicts: dict[int, str] = {}
+    degraded = False
     lenient = sink is not None and not sink.strict
     nests = [item for item in sub.body if isinstance(item, DoLoop)]
     if len(nests) != len(selection.nests):
@@ -455,26 +499,39 @@ def analyze_program(
         if reason is None:
             try:
                 plan = _comm_one_nest(item, nsel, ctx, merged)
-                if lenient:
-                    reason = _nest_degrade_reason(
-                        item, cps, plan, ctx, merged, private=privs | locs
-                    )
+                reason = _nest_degrade_reason(
+                    item, cps, plan, ctx, merged, private=privs | locs
+                )
             except Exception as exc:
                 if not lenient:
                     raise
                 reason = _nest_failure(exc, sink, budget, nest_idx)
-        if reason is not None:
+        if reason is not None and lenient:
             sink.fallback(
                 f"nest degraded to replicated execution: {reason}",
                 pass_name="cp", nest=nest_idx,
             )
             cps, plan = _replicated_nest(item, ctx, budget)
             privs, locs = set(), set()
+            degraded = True
+        elif reason is not None:
+            # a refusal names pipelined communication before anything else
+            # the screen found in the nest: such a kernel belongs to another
+            # executor, whatever else about it is rewritten
+            verdicts[nest_idx] = _pipelined_reason(plan) or reason
         private_arrays |= privs
         localized_arrays |= locs
         cps_all.update(cps)
         nest_plans.append((item, plan))
-    return cps_all, nest_plans, private_arrays, localized_arrays
+    if degraded and (private_arrays or localized_arrays):
+        # NEW arrays are per-rank and LOCALIZE suppresses owner write-backs
+        # (owners may hold stale data) — a replicated nest reading either
+        # would see garbage.  Only the whole-program fallback is safe.
+        raise ValueError(
+            "degraded nest coexists with NEW/LOCALIZE arrays; "
+            "replicated execution cannot read privatized data"
+        )
+    return cps_all, nest_plans, private_arrays, localized_arrays, verdicts
 
 
 def _strip_directives(sub: Subroutine) -> Subroutine:
@@ -530,91 +587,6 @@ def _flatten_program(prog: Program, sink: DiagnosticSink) -> Subroutine:
     return root
 
 
-def _stmt_array_refs(s: Stmt) -> "list[ArrayRef]":
-    """Every ArrayRef a statement (and its children) touches."""
-    refs: list[ArrayRef] = []
-    for u in walk_stmts([s]):
-        if isinstance(u, Assign):
-            refs.extend(collect_array_refs(u.rhs))
-            if isinstance(u.lhs, ArrayRef):
-                refs.append(u.lhs)
-                for e in u.lhs.subscripts:
-                    refs.extend(collect_array_refs(e))
-        elif isinstance(u, IfThen):
-            refs.extend(collect_array_refs(u.cond))
-        elif isinstance(u, DoLoop):
-            for e in _loop_bound_exprs(u):
-                refs.extend(collect_array_refs(e))
-    return refs
-
-
-def _build_lenient(
-    sub: Subroutine,
-    nprocs: int,
-    params: "dict[str, int]",
-    backend: str,
-    sink: DiagnosticSink,
-    budget: IsetBudget,
-) -> "CompiledKernel":
-    """One lenient compilation attempt: the strict path's select →
-    specialize stages under a lenient *sink*, then a kernel that knows
-    which nests degraded.  Any exception escaping this function means the
-    *whole program* must fall back to the directive-stripped replicated
-    compilation (handled by the caller)."""
-    from ..compile.pipeline import stage_select, stage_specialize
-
-    # checked before any analysis runs, so a program that cannot be
-    # distributed at all reports only its whole-program fallback
-    ctx = DistributionContext(sub, nprocs, params)
-    grid = ctx.the_grid()
-    if grid.size != nprocs:
-        raise ValueError(
-            f"processor grid {grid.name} has size {grid.size}, "
-            f"but nprocs={nprocs}"
-        )
-    # Top-level statements outside any DO nest that touch distributed arrays
-    # have no nest plan to carry their communication; the stripped program
-    # (nothing distributed) executes them correctly on every rank.
-    for s in sub.body:
-        if isinstance(s, DoLoop):
-            continue
-        for ref in _stmt_array_refs(s):
-            if ctx.is_distributed(ref.name):
-                raise ValueError(
-                    f"top-level statement touches distributed array {ref.name!r}"
-                )
-    art = stage_specialize(
-        stage_select(sub, params, sink, budget), nprocs, params, sink, budget
-    )
-    degraded_nests = {
-        idx
-        for idx, (item, _) in enumerate(art.nest_plans)
-        if any(
-            art.cps.get(s.sid) is not None and art.cps[s.sid].source == "fallback"
-            for s in walk_stmts([item])
-            if isinstance(s, Assign)
-        )
-    }
-    if degraded_nests and (art.private_arrays or art.localized_arrays):
-        # NEW arrays are per-rank and LOCALIZE suppresses owner write-backs
-        # (owners may hold stale data) — a replicated nest reading either
-        # would see garbage.  Only the whole-program fallback is safe.
-        raise ValueError(
-            "degraded nest coexists with NEW/LOCALIZE arrays; "
-            "replicated execution cannot read privatized data"
-        )
-    kernel = CompiledKernel(
-        sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
-        art.private_arrays, art.localized_arrays, backend=backend, sink=sink,
-        lenient=True, degraded_nests=degraded_nests,
-    )
-    # Surface emission-time problems (unsupported statements, route binding)
-    # now, while the whole-program fallback is still available.
-    kernel.python_source("mpi")
-    kernel.python_source("shmem")
-    return kernel
-
-
 def compile_kernel(
     source_or_sub: "str | Subroutine | Program",
     nprocs: int,
@@ -634,16 +606,20 @@ def compile_kernel(
     whenever safety cannot be proven; ``"scalar"`` always emits per-element
     loops.  Both backends produce bitwise-identical arrays.
 
-    ``strict=False`` selects the graceful-degradation pipeline: constructs
-    the analyses cannot handle (non-affine subscripts, runtime trip counts,
-    CALLs, pipelined communication, tripped iset budgets, ...) degrade the
-    enclosing nest — or, when necessary, the whole program — to replicated
-    execution instead of raising, each with an ``I-FALLBACK`` diagnostic on
-    the kernel's :class:`~repro.diag.DiagnosticSink`.  On well-formed input
-    lenient compilation never raises; ill-formed source still raises a
-    single :class:`~repro.diag.CompileError` carrying *all* collected
-    diagnostics.  Pass ``sink``/``budget`` to observe diagnostics and iset
-    resource usage; fresh ones are created otherwise.
+    Every compile runs the same pipeline and the same soundness screen
+    (:func:`screen_program`, :func:`_nest_degrade_reason`); ``strict``
+    only says what a verdict means.  Constructs the analyses cannot handle
+    (non-affine subscripts, runtime trip counts, CALLs, pipelined
+    communication, ...) make a strict compile raise a typed
+    :class:`CodegenUnsupported` naming the screen's reason; with
+    ``strict=False`` they — and a tripped iset budget — degrade the
+    enclosing nest, or when necessary the whole program, to replicated
+    execution, each with an ``I-FALLBACK`` diagnostic carrying that same
+    reason on the kernel's :class:`~repro.diag.DiagnosticSink`.  On
+    well-formed input lenient compilation never raises; ill-formed source
+    still raises a single :class:`~repro.diag.CompileError` carrying *all*
+    collected diagnostics.  Pass ``sink``/``budget`` to observe diagnostics
+    and iset resource usage; fresh ones are created otherwise.
 
     With ``verify=True`` the static SPMD verifier (:mod:`repro.check`) runs
     over the compiled kernel; errors raise
@@ -703,6 +679,11 @@ class _Route:
     #: per-pair fancy-index arrays (lazy; keyed by (src, dst))
     _idx: dict = field(default_factory=dict, repr=False)
 
+    def __getstate__(self) -> dict:
+        # run-time state like the kernel's bound guards: a kernel that has
+        # run on the mpi target pickles to the bytes it had before
+        return {**self.__dict__, "_idx": {}}
+
     def index_for(self, pair: tuple[int, int], arr: FortranArray) -> tuple:
         """numpy fancy-index tuple selecting this pair's elements of *arr*
         in the same order as the element list (bulk gather/scatter)."""
@@ -749,8 +730,6 @@ class CompiledKernel:
         localized_arrays: "set[str] | None" = None,
         backend: str = "vector",
         sink: "DiagnosticSink | None" = None,
-        lenient: bool = False,
-        degraded_nests: "set[int] | None" = None,
     ):
         self.sub = sub
         self.ctx = ctx
@@ -772,10 +751,15 @@ class CompiledKernel:
         self.verify_report = None
         #: structured diagnostics collected while building this kernel
         self.sink = sink
-        #: True when built by the graceful-degradation (strict=False) path
-        self.lenient = lenient
+        #: True when built under a lenient (strict=False) sink
+        self.lenient = sink is not None and not sink.strict
         #: indices into nest_plans whose statements run replicated (fallback)
-        self.degraded_nests = set(degraded_nests or ())
+        fallback = {sid for sid, scp in cps.items() if scp.source == "fallback"}
+        self.degraded_nests = {
+            idx
+            for idx, (item, _) in enumerate(nest_plans)
+            if fallback and any(s.sid in fallback for s in walk_stmts([item]))
+        }
         #: iset resource budget charged during analysis (set by compile_kernel)
         self.budget: "IsetBudget | None" = None
         self._dropped_sids: set[int] = set()
@@ -1192,6 +1176,48 @@ class CompiledKernel:
                 out[decl.name.lower()] = FortranArray.from_decl(decl, self.params)
         return out
 
+    def rank_node(
+        self,
+        target: str,
+        scalars: Mapping[str, Any],
+        arrays=None,
+        init: Callable[[int, dict[str, FortranArray]], None] | None = None,
+    ) -> Callable[[Rank], Any]:
+        """The function each rank of an executor runs: the emitted node
+        program of *target* on that rank's arrays, with a scalar
+        environment of its own (*scalars*, then the compile-time params).
+        Guards are bound and the program exec'd here, on the calling
+        thread, before any rank thread starts or gang forks.
+
+        ``"mpi"``: every rank computes on a private array set — entry
+        ``rank`` of *arrays* when the caller allocated them, else made on
+        the rank — seeded by ``init(rank_id, arrays)``, and returns it.
+        ``"shmem"``: *arrays* is the one shared, already seeded set;
+        privatizable (NEW) temporaries get per-rank storage — their HPF
+        semantics — and nothing is returned."""
+        fn = self.node_program(target)
+        self.bind_all_guards()
+
+        def node(rank: Rank):
+            if target == "shmem":
+                A = dict(arrays)
+                for name in self.private_arrays:
+                    if name in A:
+                        A[name] = FortranArray.from_decl(
+                            self.sub.symbols.require(name), self.params
+                        )
+            else:
+                A = arrays[rank.rank] if arrays is not None else self.make_arrays()
+                if init is not None:
+                    init(rank.rank, A)
+            S = dict(scalars)
+            for k, v in self.params.items():
+                S.setdefault(k, v)
+            fn(rank, A, S, self)
+            return A if target == "mpi" else None
+
+        return node
+
     def run(
         self,
         scalars: Mapping[str, Any],
@@ -1216,28 +1242,14 @@ class CompiledKernel:
             return procexec.run_kernel(
                 self, scalars, init=init, target="mpi", timeout=timeout
             )
-        fn = self.node_program()
-        self.bind_all_guards()
         vm = vm or VirtualMachine(self.nprocs, record_trace=False)
-        kernel = self
         # the caller receives these arrays and frees them, so the caller
         # allocates them: made by the short-lived rank threads they land in
         # per-thread malloc arenas whose freed space the next run's threads
         # do not find again, and resident memory creeps from run to run
         # (fig6.1 n=13: +6 MB over 40 runs, flat when allocated here)
-        arrays = [kernel.make_arrays() for _ in range(self.nprocs)]
-
-        def node(rank: Rank):
-            A = arrays[rank.rank]
-            if init is not None:
-                init(rank.rank, A)
-            S = dict(scalars)
-            for k, v in kernel.params.items():
-                S.setdefault(k, v)
-            fn(rank, A, S, kernel)
-            return A
-
-        return vm.run(node)
+        arrays = [self.make_arrays() for _ in range(self.nprocs)]
+        return vm.run(self.rank_node("mpi", scalars, arrays, init))
 
     def run_shmem(
         self,
@@ -1268,8 +1280,6 @@ class CompiledKernel:
             )
         from ..runtime.model import MachineModel
 
-        fn = self.node_program("shmem")
-        self.bind_all_guards()
         if vm is None:
             # SMP-flavored model: sync via very-low-latency "messages"
             smp = MachineModel("smp", flop_time=1e-9, alpha=2e-6, beta=1 / 300e6)
@@ -1277,24 +1287,7 @@ class CompiledKernel:
         shared = self.make_arrays()
         if init is not None:
             init(shared)
-        kernel = self
-
-        def node(rank: Rank):
-            # privatizable (NEW) temporaries get per-rank storage — their
-            # HPF semantics; everything else is the shared address space
-            A = dict(shared)
-            for name in kernel.private_arrays:
-                if name in A:
-                    A[name] = FortranArray.from_decl(
-                        kernel.sub.symbols.require(name), kernel.params
-                    )
-            S = dict(scalars)
-            for k, v in kernel.params.items():
-                S.setdefault(k, v)
-            fn(rank, A, S, kernel)
-            return None
-
-        vm.run(node)
+        vm.run(self.rank_node("shmem", scalars, shared))
         return shared
 
 

@@ -105,17 +105,13 @@ class CompileOutcome:
 # patched build function is inherited (same trick as the procexec tests).
 def _build_for_job(job: CompileJob) -> bytes:
     """Compile *job* cold and return the pickled kernel artifact."""
-    from .pipeline import _dumps, _pre_emit, build_kernel
+    from .pipeline import _dumps, build_kernel
 
     sink = DiagnosticSink(strict=job.strict)
     kernel = build_kernel(
         job.source, job.nprocs, dict(job.params or {}), job.backend,
         sink, None,
     )
-    if not _pre_emit(kernel):
-        # surface the emission error itself, not a broken artifact
-        kernel.python_source("mpi")
-        kernel.python_source("shmem")
     return _dumps(KernelArtifact(kernel=kernel))
 
 

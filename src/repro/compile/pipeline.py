@@ -19,13 +19,22 @@ each with a serializable artifact and a content-addressed key
    ``key.analysis_digest`` — which deliberately omits ``nprocs``.
 3. **specialize** — communication analysis of the selection skeleton at
    the concrete target ``nprocs``
-   (:func:`repro.codegen.spmd.analyze_program`), yielding the full
-   analysis bundle ``(ctx, cps, nest_plans, private_arrays,
-   localized_arrays)`` as an in-memory :class:`AnalysisArtifact` (never
-   cached on its own — it is cheap to regenerate from a selection hit).
-4. **codegen** — the executable :class:`~repro.codegen.spmd.CompiledKernel`
-   with both node-program texts (mpi + shmem) pre-emitted.  Artifact:
+   (:func:`repro.codegen.spmd.analyze_program`), then the soundness
+   screen over each analyzed nest, yielding the full analysis bundle
+   ``(ctx, cps, nest_plans, private_arrays, localized_arrays, verdicts)``
+   as an in-memory :class:`AnalysisArtifact` (never cached on its own —
+   it is cheap to regenerate from a selection hit).
+4. **codegen** — the executable :class:`~repro.codegen.spmd.CompiledKernel`,
+   refused if the screen left a verdict; :func:`build_kernel` then emits
+   both node-program texts (mpi + shmem).  Artifact:
    :class:`KernelArtifact` keyed by ``key.kernel_digest``.
+
+The screen (:func:`repro.codegen.spmd.screen_program` before analysis,
+``_nest_degrade_reason`` per nest after it) runs in every compile and the
+sink alone decides what its verdict means: lenient degrades the nest
+inside *specialize* or, for what no nest can carry, compiles the
+directive-stripped program; strict raises ``CodegenUnsupported(reason)``
+from *codegen*, so analysis-only callers still get their plan.
 
 There is no second analysis path, and three measurements say none is
 needed (DESIGN.md "Scaling the iset engine").  A layout with no
@@ -36,10 +45,6 @@ would rescue nothing (and selection at the canonical count failed in 0
 of 423 strict compiles).  An explicit iset budget meters the same two
 stages and is charged what a per-``nprocs`` analysis charges (lhsy 4661
 ops / 3 peak disjuncts, BT compute_rhs 52263 / 24, exact_rhs 1327 / 2).
-A lenient compile passes its sink and budget to the same two stages — a
-nest that cannot be analyzed degrades inside them, :func:`build_kernel`
-wraps them in the whole-program fallback — with text and diagnostics
-equal to a per-``nprocs`` analysis on fuzz seeds 0–299.
 :func:`_analyze_direct` (selection made at the target count) is only the
 reference ``tests/test_rank_symbolic.py`` compares against.
 
@@ -131,6 +136,10 @@ class AnalysisArtifact:
     nest_plans: list
     private_arrays: set
     localized_arrays: set
+    #: nest index -> the soundness screen's reason why code generated from
+    #: that nest's plan would be wrong (strict analysis only: a lenient
+    #: one has degraded the nest instead)
+    verdicts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -251,16 +260,16 @@ def stage_specialize(
     sink: "DiagnosticSink | None" = None,
     budget=None,
 ) -> AnalysisArtifact:
-    """Specialization stage: communication analysis of a selection
-    skeleton at the concrete target *nprocs*, strict or (per *sink*)
-    degrading nest by nest, metered by *budget*."""
+    """Specialization stage: communication analysis and soundness screen
+    of a selection skeleton at the concrete target *nprocs*, strict or
+    (per *sink*) degrading nest by nest, metered by *budget*."""
     from ..codegen.spmd import analyze_program
     from ..distrib.layout import DistributionContext
 
     with profile_phase("specialize"):
         ctx = DistributionContext(art.sub, nprocs, params)
         with _metered(budget):
-            cps_all, nest_plans, private_arrays, localized_arrays = (
+            cps_all, nest_plans, private_arrays, localized_arrays, verdicts = (
                 analyze_program(
                     art.sub, ctx, art.merged, art.selection,
                     sink=sink, budget=budget,
@@ -269,7 +278,7 @@ def stage_specialize(
     return AnalysisArtifact(
         sub=art.sub, ctx=ctx, merged=art.merged, cps=cps_all,
         nest_plans=nest_plans, private_arrays=private_arrays,
-        localized_arrays=localized_arrays,
+        localized_arrays=localized_arrays, verdicts=verdicts,
     )
 
 
@@ -287,8 +296,8 @@ def analyze_source(
 ) -> AnalysisArtifact:
     """Analysis without code generation — parse → select → specialize,
     strict — for the callers that verify or cost a plan
-    (:mod:`repro.check`).  Accepts the pipelined-communication kernels
-    :func:`stage_codegen` rejects (§5)."""
+    (:mod:`repro.check`).  Accepts the kernels :func:`stage_codegen`
+    refuses (pipelined communication, §5): their ``verdicts`` say why."""
     params = dict(params or {})
     sub = stage_parse(source_or_sub, DiagnosticSink(strict=True))
     return stage_specialize(stage_select(sub, params), nprocs, params)
@@ -300,19 +309,15 @@ def stage_codegen(
     backend: str,
     sink: DiagnosticSink,
 ) -> "CompiledKernel":
-    """Codegen stage (strict): reject pipelined communication (a codegen
-    limitation, not an analysis one — re-checked here so analysis-tier
-    cache hits still fail identically), build the executable kernel, and
-    pre-emit both node-program texts."""
+    """Codegen stage: build the executable kernel, or refuse an analysis
+    the soundness screen left a verdict on, with the screen's reason (the
+    text of a lenient compile's ``I-FALLBACK``).  Refused here, not in
+    analysis, so such a plan can still be verified and costed, and a
+    selection-tier cache hit fails exactly like a cold compile."""
     from ..codegen.spmd import CodegenUnsupported, CompiledKernel
 
-    for _, plan in art.nest_plans:
-        for ev in plan.live_events():
-            if ev.placement.pipelined:
-                raise CodegenUnsupported(
-                    f"pipelined communication for array {ev.array!r} "
-                    "(wavefront kernels are executed by repro.parallel.dhpf)"
-                )
+    if art.verdicts:
+        raise CodegenUnsupported(next(iter(art.verdicts.values())))
     return CompiledKernel(
         art.sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
         art.private_arrays, art.localized_arrays, backend=backend,
@@ -342,21 +347,29 @@ def build_kernel(
     sub: "Subroutine | None" = None,
     selection: SelectionArtifact | None = None,
 ) -> "CompiledKernel":
-    """Run the staged pipeline cold (no kernel-tier hit).
+    """Run the staged pipeline cold (no kernel-tier hit): parse → program
+    screen → select → specialize → codegen → emit both node programs, one
+    body for every sink.  What the screen refuses or a stage raises, a
+    strict sink re-raises typed; a lenient one compiles the
+    directive-stripped program instead (nests degrade inside the stages).
 
-    ``sub``/``selection`` inject warm earlier-stage artifacts (strict
-    only); *record*, when given, captures the serialized stage outputs
-    for cache population.
+    ``sub``/``selection`` inject warm earlier-stage artifacts; *record*,
+    when given, captures the serialized stage outputs for cache
+    population.
     """
     from ..codegen.spmd import (
         CodegenUnsupported,
-        _build_lenient,
         _strip_directives,
+        screen_program,
     )
+    from ..distrib.layout import DistributionContext
     from ..isets import IsetBudget
 
     new_epoch()
-    lenient = not sink.strict
+    if budget is None and not sink.strict:
+        # a tripped budget is something a lenient compile can act on
+        # (degrade the nest), so it is always metered
+        budget = IsetBudget()
     if selection is not None:
         sub = selection.sub  # the artifact carries its own parsed unit
     elif sub is None:
@@ -366,44 +379,53 @@ def build_kernel(
             reset_sids()
         with profile_phase("parse"):
             sub = stage_parse(source_or_sub, sink)
-        if record is not None and not lenient:
+        if record is not None:
             record.parse_payload = _dumps(ParseArtifact(sub=sub))
     # resume the sid allocator after the highest sid in play, so
     # statements created by later transforms (loop distribution,
     # inlining, interchange) number identically warm and cold
     _seed_sids(sub)
-    if not lenient:
-        # Iset enumeration over symbols with no compile-time value
-        # surfaces as ``KeyError`` deep in the point enumerator; strict
-        # mode promises typed errors only.
-        try:
-            if selection is None:
-                selection = stage_select(sub, params, sink, budget)
-                if record is not None:
-                    record.analysis_payload = _dumps(selection)
-            analysis = stage_specialize(selection, nprocs, params, sink, budget)
-            with profile_phase("codegen"):
-                kernel = stage_codegen(analysis, nprocs, backend, sink)
-        except KeyError as exc:
-            raise CodegenUnsupported(
-                f"analysis requires compile-time values: {exc}"
-            ) from exc
-    else:
-        if budget is None:
-            budget = IsetBudget()
-        try:
-            kernel = _build_lenient(sub, nprocs, params, backend, sink, budget)
-        except Exception as exc:
-            sink.fallback(
-                "whole-program replicated fallback: "
-                f"{type(exc).__name__}: {exc}",
-                pass_name="driver",
-            )
-            stripped = _strip_directives(sub)
-            with budget.suspend():
-                kernel = _build_lenient(
-                    stripped, nprocs, params, backend, sink, budget
-                )
+
+    def build(sub, selection):
+        # screened before any analysis runs, so a program that cannot be
+        # distributed at all reports only its whole-program fallback
+        reason = screen_program(sub, DistributionContext(sub, nprocs, params))
+        if reason is not None:
+            # lenient: the ValueError its whole-program fallback always named
+            raise (CodegenUnsupported if sink.strict else ValueError)(reason)
+        if selection is None:
+            selection = stage_select(sub, params, sink, budget)
+            if record is not None:
+                record.analysis_payload = _dumps(selection)
+        analysis = stage_specialize(selection, nprocs, params, sink, budget)
+        with profile_phase("codegen"):
+            kernel = stage_codegen(analysis, nprocs, backend, sink)
+        # Surface emission-time problems (unsupported statements, route
+        # binding) now, while they can still be refused or fallen back
+        # from, and so the artifact carries the final text.
+        kernel.python_source("mpi")
+        kernel.python_source("shmem")
+        return kernel
+
+    try:
+        kernel = build(sub, selection)
+    except Exception as exc:
+        if sink.strict:
+            if isinstance(exc, KeyError):
+                # Iset enumeration over symbols with no compile-time value
+                # surfaces as ``KeyError`` deep in the point enumerator;
+                # strict mode promises typed errors only.
+                raise CodegenUnsupported(
+                    f"analysis requires compile-time values: {exc}"
+                ) from exc
+            raise
+        sink.fallback(
+            "whole-program replicated fallback: "
+            f"{type(exc).__name__}: {exc}",
+            pass_name="driver",
+        )
+        with budget.suspend():
+            kernel = build(_strip_directives(sub), None)
     kernel.budget = budget
     return kernel
 
@@ -435,18 +457,6 @@ def _replay(kernel: "CompiledKernel", sink: DiagnosticSink) -> "CompiledKernel":
     return kernel
 
 
-def _pre_emit(kernel: "CompiledKernel") -> bool:
-    """Emit both node programs so the artifact carries the final text.
-    False (do not cache) if emission fails — the error must re-raise at
-    ``python_source`` time on every call, exactly as without a cache."""
-    try:
-        kernel.python_source("mpi")
-        kernel.python_source("shmem")
-    except Exception:
-        return False
-    return True
-
-
 def cached_compile(
     source: str,
     nprocs: int,
@@ -472,8 +482,8 @@ def cached_compile(
             source, nprocs, params, backend=backend, strict=sink.strict
         )
 
-    read_ok = budget is None
-    if read_ok:
+    cacheable = budget is None
+    if cacheable:
         payload = cache.get(key.kernel_digest)
         if payload is not None:
             art = _loads(payload)
@@ -485,7 +495,7 @@ def cached_compile(
     # analysis) and codegen — one symbolic selection serves a whole
     # processor-count sweep.
     sub = selection = None
-    if read_ok and sink.strict:
+    if cacheable and sink.strict:
         apayload = cache.get(key.analysis_digest)
         if apayload is not None:
             aart = _loads(apayload)
@@ -499,12 +509,12 @@ def cached_compile(
                     sub = part.sub
 
     mark = len(sink.diagnostics)
-    record = StageRecord() if budget is None else None
+    record = StageRecord() if cacheable and sink.strict else None
     kernel = build_kernel(
         source, nprocs, params, backend, sink, budget,
         record=record, sub=sub, selection=selection,
     )
-    if record is not None and _pre_emit(kernel):
+    if cacheable:
         compiled_diags = list(sink.diagnostics[mark:])
         caller_sink, kernel.sink = kernel.sink, DiagnosticSink(
             strict=sink.strict, diagnostics=compiled_diags
@@ -513,6 +523,7 @@ def cached_compile(
             cache.put(key.kernel_digest, _dumps(KernelArtifact(kernel=kernel)))
         finally:
             kernel.sink = caller_sink
+    if record is not None:
         if record.parse_payload is not None:
             cache.put(key.parse_digest, record.parse_payload)
         if record.analysis_payload is not None:

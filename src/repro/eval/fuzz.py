@@ -14,9 +14,12 @@ Invariants enforced per seed:
    arrays exactly; the message-passing run reproduces every distributed
    array exactly on its owners.  Both the scalar and vector backends must
    agree (they are compared to the same reference).
-3. **Strict compilation fails closed**: ``strict=True`` either succeeds or
-   raises a *typed* error (``CompileError`` / ``CodegenUnsupported`` /
-   ``ValueError``) — never an internal crash.
+3. **Strict and lenient give one verdict**: ``strict=True`` compiles iff
+   the lenient compile carries no ``I-FALLBACK`` (a ``W-BUDGET`` trip —
+   strict is not metered — is the one exception); what it refuses, it
+   refuses with a *typed* error (``CompileError`` / ``CodegenUnsupported``
+   / ``ValueError``), never an internal crash; and a strict kernel that
+   compiles is executed and compared bitwise like the lenient one.
 4. **Malformed sources** (random mutations of well-formed programs) raise a
    single :class:`~repro.diag.CompileError` from the lenient pipeline, with
    every collected syntax diagnostic carrying a source position.
@@ -304,7 +307,7 @@ class FuzzResult:
     seeds: int = 0
     ok: int = 0
     degraded: int = 0      # seeds where at least one I-FALLBACK fired
-    strict_ok: int = 0     # seeds strict compilation also accepted
+    strict_ok: int = 0     # seeds strict compilation accepted (and ran)
     malformed: int = 0
     failures: "list[FuzzFailure]" = field(default_factory=list)
 
@@ -317,7 +320,8 @@ class FuzzResult:
             f"fuzz: {self.seeds} seeds, {self.ok} ok, "
             f"{len(self.failures)} failures",
             f"  degraded (>=1 I-FALLBACK): {self.degraded}",
-            f"  strict also compiled:      {self.strict_ok}",
+            f"  lenient clean (none):      {self.ok - self.degraded}",
+            f"  strict compiled and ran:   {self.strict_ok}",
             f"  malformed sources checked: {self.malformed}",
         ]
         for f in self.failures[:10]:
@@ -374,10 +378,12 @@ def _mpi_mismatch(kernel, ranks, ref, label: str) -> "str | None":
 
 
 def _check_backend(
-    spec: ProgramSpec, source: str, ref, backend: str, process: bool = False
-) -> "str | None":
-    """Compile leniently with one backend and compare both targets against
-    the serial reference.  Returns a failure detail string or None.
+    spec: ProgramSpec, source: str, ref, backend: str,
+    process: bool = False, strict: bool = False,
+):
+    """Compile with one backend, leniently or strictly, and compare both
+    targets against the serial reference.  Returns ``(kernel, detail)``:
+    *detail* is a failure string or None.
 
     With ``process=True`` the same node programs are also executed on the
     supervised real-process backend (both targets) and compared — the
@@ -385,32 +391,34 @@ def _check_backend(
     backends."""
     from ..codegen.spmd import compile_kernel
 
-    kernel = compile_kernel(source, spec.nprocs, strict=False, backend=backend)
+    kernel = compile_kernel(source, spec.nprocs, strict=strict, backend=backend)
+    label = f"strict {backend}" if strict else backend
     # shared-memory target: the final shared arrays must match exactly
     shared = kernel.run_shmem({})
-    detail = _shmem_mismatch(kernel, shared, ref, f"{backend}/shmem")
-    if detail is not None:
-        return detail
-    ranks = kernel.run({})
-    detail = _mpi_mismatch(kernel, ranks, ref, f"{backend}/mpi")
-    if detail is not None:
-        return detail
-    if process:
+    detail = _shmem_mismatch(kernel, shared, ref, f"{label}/shmem")
+    if detail is None:
+        ranks = kernel.run({})
+        detail = _mpi_mismatch(kernel, ranks, ref, f"{label}/mpi")
+    if detail is None and process:
         from ..runtime import procexec
 
         shared = procexec.run_kernel(kernel, {}, target="shmem", timeout=60.0)
-        detail = _shmem_mismatch(kernel, shared, ref, f"{backend}/shmem/process")
-        if detail is not None:
-            return detail
-        ranks = procexec.run_kernel(kernel, {}, target="mpi", timeout=60.0)
-        detail = _mpi_mismatch(kernel, ranks, ref, f"{backend}/mpi/process")
-        if detail is not None:
-            return detail
-    return None
+        detail = _shmem_mismatch(kernel, shared, ref, f"{label}/shmem/process")
+        if detail is None:
+            ranks = procexec.run_kernel(kernel, {}, target="mpi", timeout=60.0)
+            detail = _mpi_mismatch(kernel, ranks, ref, f"{label}/mpi/process")
+    return kernel, detail
 
 
-def check_spec(spec: ProgramSpec, process: bool = False) -> "tuple[str, str] | None":
-    """Differentially test one spec.  Returns ``(kind, detail)`` on failure."""
+def check_spec(
+    spec: ProgramSpec, process: bool = False, tally: "FuzzResult | None" = None
+) -> "tuple[str, str] | None":
+    """Differentially test one spec.  Returns ``(kind, detail)`` on failure;
+    a spec that passes is counted into *tally* (``degraded`` /
+    ``strict_ok``) when one is given."""
+    from ..codegen.spmd import CodegenUnsupported
+    from ..diag import W_BUDGET, CompileError
+
     source = spec.render()
     try:
         ref = _serial_reference(source)
@@ -418,7 +426,9 @@ def check_spec(spec: ProgramSpec, process: bool = False) -> "tuple[str, str] | N
         return "compile", f"serial reference failed: {type(exc).__name__}: {exc}"
     for backend in ("scalar", "vector"):
         try:
-            detail = _check_backend(spec, source, ref, backend, process=process)
+            lenient, detail = _check_backend(
+                spec, source, ref, backend, process=process
+            )
         except Exception as exc:
             return (
                 "compile",
@@ -426,28 +436,38 @@ def check_spec(spec: ProgramSpec, process: bool = False) -> "tuple[str, str] | N
             )
         if detail is not None:
             return "mismatch", detail
+        fallbacks = lenient.sink.fallbacks()
+        refusal = None
+        try:
+            _, detail = _check_backend(
+                spec, source, ref, backend, process=process, strict=True
+            )
+        except (CompileError, CodegenUnsupported, ValueError) as exc:
+            refusal = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            return (
+                "strict",
+                f"strict {backend} raised untyped {type(exc).__name__}: {exc}",
+            )
+        if detail is not None:
+            return "mismatch", detail
+        if refusal is None and fallbacks and not lenient.sink.by_code(W_BUDGET):
+            return (
+                "strict",
+                f"strict {backend} compiled what lenient degrades "
+                f"({fallbacks[0].message})",
+            )
+        if refusal is not None and not fallbacks:
+            return (
+                "strict",
+                f"strict {backend} refused ({refusal}) what lenient "
+                "compiles with no I-FALLBACK",
+            )
+    if tally is not None:
+        # one analysis serves both backends: the last pair speaks for the seed
+        tally.degraded += bool(fallbacks)
+        tally.strict_ok += refusal is None
     return None
-
-
-def _strict_status(spec: ProgramSpec, source: str) -> "tuple[bool, str | None]":
-    """(compiled_ok, failure_detail): strict must fail only with typed errors."""
-    from ..codegen.spmd import CodegenUnsupported, compile_kernel
-    from ..diag import CompileError
-
-    try:
-        compile_kernel(source, spec.nprocs)
-        return True, None
-    except (CompileError, CodegenUnsupported, ValueError):
-        return False, None
-    except Exception as exc:
-        return False, f"strict raised untyped {type(exc).__name__}: {exc}"
-
-
-def _lenient_degraded(spec: ProgramSpec, source: str) -> bool:
-    from ..codegen.spmd import compile_kernel
-
-    kernel = compile_kernel(source, spec.nprocs, strict=False)
-    return bool(kernel.sink.fallbacks())
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +616,7 @@ def _run_fuzz_inner(
     for seed in range(start_seed, start_seed + seeds):
         result.seeds += 1
         spec = gen_spec(seed)
-        source = spec.render()
-        res = check_spec(spec, process=process)
+        res = check_spec(spec, process=process, tally=result)
         if res is not None:
             kind, detail = res
             small = shrink(spec, kind, process=process) if do_shrink else spec
@@ -606,18 +625,6 @@ def _run_fuzz_inner(
             )
         else:
             result.ok += 1
-            try:
-                if _lenient_degraded(spec, source):
-                    result.degraded += 1
-            except Exception:
-                pass  # already covered by check_spec
-            strict_ok, strict_fail = _strict_status(spec, source)
-            if strict_ok:
-                result.strict_ok += 1
-            if strict_fail is not None:
-                result.failures.append(
-                    FuzzFailure(seed, "strict", strict_fail, source, spec)
-                )
         if malformed_every and seed % malformed_every == 0:
             result.malformed += 1
             bad = check_malformed(seed)

@@ -590,22 +590,15 @@ def run_kernel(
     """
     if target not in ("mpi", "shmem"):
         raise ValueError(f"unknown target {target!r}")
-    fn = kernel.node_program(target)  # exec'd pre-fork; children inherit it
-    kernel.bind_all_guards()  # likewise: bound once here, not once per worker
     ex = ProcessExecutor(kernel.nprocs, model=model or TEST_MACHINE, config=config)
 
+    # rank_node execs the program and binds the guards here, before the
+    # fork: the children inherit both instead of redoing them per worker
     if target == "mpi":
-        def node(rank):
-            A = kernel.make_arrays()
-            if init is not None:
-                init(rank.rank, A)
-            S = dict(scalars)
-            for k, v in kernel.params.items():
-                S.setdefault(k, v)
-            fn(rank, A, S, kernel)
-            return A
-
-        return ex.run(node, timeout=timeout, fault=fault)
+        return ex.run(
+            kernel.rank_node("mpi", scalars, init=init),
+            timeout=timeout, fault=fault,
+        )
 
     from multiprocessing import shared_memory
 
@@ -631,20 +624,10 @@ def run_kernel(
             for name, data in pristine.items():
                 shared[name].data[:] = data
 
-        def node(rank):
-            A = dict(shared)
-            for name in kernel.private_arrays:
-                if name in A:
-                    A[name] = FortranArray.from_decl(
-                        kernel.sub.symbols.require(name), kernel.params
-                    )
-            S = dict(scalars)
-            for k, v in kernel.params.items():
-                S.setdefault(k, v)
-            fn(rank, A, S, kernel)
-            return None
-
-        ex.run(node, timeout=timeout, fault=fault, on_restart=reset)
+        ex.run(
+            kernel.rank_node("shmem", scalars, shared),
+            timeout=timeout, fault=fault, on_restart=reset,
+        )
         return {
             name: FortranArray(fa.data.shape, fa.lower, data=fa.data.copy())
             for name, fa in shared.items()

@@ -6,6 +6,8 @@ import tempfile
 import pytest
 
 from repro.__main__ import main as compile_main
+from repro.check.targets import DEGRADED_EXAMPLE
+from repro.codegen import compile_kernel
 from repro.eval.__main__ import build_parser, main as eval_main
 from repro.nas import kernels
 
@@ -36,13 +38,26 @@ class TestCompileCLI:
         assert "def node_program(rank, A, S, K):" in out
 
     def test_unsupported_kernel_fails_cleanly(self, tmp_path, capsys):
-        f = tmp_path / "ys.f"
-        f.write_text(kernels.Y_SOLVE_SP)
-        rc = compile_main(
-            ["compile", str(f), "--nprocs", "4", "--param", "n=17", "--param", "m=0"]
-        )
-        assert rc == 1
-        assert "pipelined" in capsys.readouterr().err
+        """A refused kernel prints one line: the soundness screen's reason,
+        the text a lenient compile puts in its I-FALLBACK (pipelined
+        communication is named before whatever else the nest has)."""
+        for source, params, word in (
+            (kernels.Y_SOLVE_SP, {"n": 17, "m": 0}, "pipelined"),
+            (DEGRADED_EXAMPLE, {}, "non-affine subscript"),
+        ):
+            f = tmp_path / "k.f"
+            f.write_text(source)
+            argv = ["compile", str(f), "--nprocs", "4"]
+            for name, value in params.items():
+                argv += ["--param", f"{name}={value}"]
+            assert compile_main(argv) == 1
+            err = capsys.readouterr().err
+            assert word in err and err.count("\n") == 1
+            reason = err.strip().removeprefix("cannot generate code: ")
+            if word != "pipelined":
+                lenient = compile_kernel(source, 4, params, strict=False)
+                assert [d.message.rsplit(": ", 1)[1]
+                        for d in lenient.fallback_diagnostics] == [reason]
 
 
 class TestEvalCLI:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codegen import compile_kernel
+from repro.codegen import CodegenUnsupported, compile_kernel
+from repro.compile.pipeline import analyze_source
 from repro.frontend import parse_source
 from repro.ir.interp import FortranArray, Interpreter
 
@@ -44,11 +45,16 @@ class TestIfThenCodegen:
         Interpreter(prog, params={"n": n}).run(
             "clampit", args={"a": a_s, "b": b_s}, scalars={"n": n}
         )
-        ck = compile_kernel(SRC, nprocs=4, params={"n": n})
+        # an IF condition on a distributed array is a construct the
+        # soundness screen does not prove local: the nest runs replicated
+        ck = compile_kernel(SRC, nprocs=4, params={"n": n}, strict=False)
         return n, b0, a_s, ck
 
     def test_source_contains_branches(self, setup):
-        *_, ck = setup
+        n, *_, ck = setup
+        with pytest.raises(CodegenUnsupported, match="IF condition reads"):
+            compile_kernel(SRC, nprocs=4, params={"n": n})
+        assert [d.nest for d in ck.fallback_diagnostics] == [0]
         src = ck.python_source()
         assert "if (A['b'].get((i, j,)) > 0.5)" in src
         assert "else:" in src
@@ -66,6 +72,8 @@ class TestIfThenCodegen:
                 assert arrays["a"].get(e) == a_s.get(e)
 
     def test_no_communication(self, setup):
-        *_, ck = setup
-        for _, plan in ck.nest_plans:
+        # the analysis of the aligned nest itself (the compiled kernel
+        # holds the replicated fallback's broadcast instead)
+        n, *_ = setup
+        for _, plan in analyze_source(SRC, 4, {"n": n}).nest_plans:
             assert not plan.live_events()

@@ -12,7 +12,7 @@ from repro.diag import (
     CompileError,
     DiagnosticSink,
 )
-from repro.eval.fuzz import _serial_reference
+from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
 from repro.isets import IsetBudget
 from repro.nas import kernels
 
@@ -43,11 +43,12 @@ TWO_BAD = """
 
 class TestLenientDegradation:
     def test_strict_mode_never_emits_fallbacks(self):
-        # strict either compiles exactly or raises; I-FALLBACK is exclusive
-        # to the lenient path
-        k = compile_kernel(NONAFFINE, nprocs=4)
-        assert k.fallback_diagnostics == []
-        assert not getattr(k, "lenient", False)
+        # strict either compiles exactly or raises; what lenient degrades
+        # with an I-FALLBACK, strict refuses with the same reason
+        sink = DiagnosticSink(strict=True)
+        with pytest.raises(CodegenUnsupported, match="non-affine subscript"):
+            compile_kernel(NONAFFINE, nprocs=4, sink=sink)
+        assert sink.fallbacks() == []
 
     def test_lenient_compiles_and_marks_fallback(self):
         k = compile_kernel(NONAFFINE, nprocs=4, strict=False)
@@ -193,6 +194,79 @@ class TestStrictTypedErrors:
         ref = _serial_reference(src)
         shared = k.run_shmem({})
         assert np.array_equal(shared["a"].data, ref["a"])
+
+
+_GAP_HEADER = """
+      program gap
+      parameter (n = 16)
+      real a(n), b(n), c(n)
+      integer m
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, n
+         b(i) = i * 0.5
+      enddo
+"""
+
+#: constructs strict used to compile silently wrong (or to a kernel whose
+#: first run died on an untyped KeyError) while lenient degraded them:
+#: name -> (body after the nest that fills b, the screen's reason)
+_GAPS = {
+    "toplevel": (
+        "      a(1) = b(14)\n",
+        "top-level statement touches distributed array 'b'",
+    ),
+    "partitioned-write": (
+        "      do i = 1, n\n"
+        "         c(i) = b(i) + 1.5\n"
+        "      enddo\n"
+        "      do i = 1, n - 1\n"
+        "         a(i) = c(n - i)\n"
+        "      enddo\n",
+        "partitioned write to undistributed array 'c'",
+    ),
+    "shared-recurrence": (
+        "      do i = 2, n\n"
+        "         c(i) = b(i) + c(i - 1)\n"
+        "      enddo\n",
+        "partitioned write to undistributed array 'c'",
+    ),
+    "runtime-bound": (
+        "      m = 7\n"
+        "      do i = 1, m\n"
+        "         a(i) = b(i) + 1.5\n"
+        "      enddo\n",
+        "loop bound uses runtime scalar 'm'",
+    ),
+}
+
+
+class TestOneVerdict:
+    """Strict and lenient run the same soundness screen: what one degrades
+    the other refuses, at compile time, with the same reason."""
+
+    @pytest.mark.parametrize("name", list(_GAPS))
+    def test_strict_refuses_what_lenient_degrades(self, name):
+        body, reason = _GAPS[name]
+        src = _GAP_HEADER + body + "      end\n"
+        for verify in (False, True):
+            with pytest.raises(CodegenUnsupported) as ei:
+                compile_kernel(src, nprocs=4, verify=verify)
+            assert str(ei.value) == reason
+        ref = _serial_reference(src)
+        for backend in ("scalar", "vector"):
+            k = compile_kernel(src, nprocs=4, strict=False, backend=backend)
+            assert [d.message.rsplit(": ", 1)[1] for d in k.fallback_diagnostics
+                    ] == [reason]
+            assert _shmem_mismatch(k, k.run_shmem({}), ref, backend) is None
+            assert _mpi_mismatch(k, k.run({}), ref, backend) is None
+            # every rank of the degraded (or stripped) program holds the
+            # serial values of the arrays that are not distributed there
+            for arrays in k.run({}):
+                for name_, want in ref.items():
+                    if not k.ctx.is_distributed(name_):
+                        assert np.array_equal(arrays[name_].data, want), name_
 
 
 class TestCheckIntegration:
