@@ -11,7 +11,6 @@ efficient pipeline".
 Run:  python examples/pipeline_availability.py
 """
 
-from repro.analysis.availability import AvailabilityAnalyzer
 from repro.comm import CommAnalyzer
 from repro.cp import CPGrouper
 from repro.cp.select import CPSelector
@@ -32,13 +31,13 @@ def main() -> None:
     binding = {**ev, PDIM(0): 0, PDIM(1): 0}
 
     print("=== analysis level: y_solve (paper Figure 5.1 kernel) ===")
-    av = AvailabilityAnalyzer(loop, res.cps, ctx, ev)
-    decisions = av.analyze()
-    for d in decisions:
-        mark = "ELIMINATED" if d.eliminated else "kept"
-        print(f"  read {str(d.ref):26s} -> {mark}")
-    elim = sum(d.eliminated for d in decisions)
-    print(f"  {elim}/{len(decisions)} non-local reads eliminated "
+    plan = CommAnalyzer(loop, res.cps, ctx, ev, coalesce=False).analyze()
+    reads = [e for e in plan.events if e.kind == "read"]
+    for e in reads:
+        mark = "ELIMINATED" if e.eliminated_by_availability else "kept"
+        print(f"  read {str(e.ref):26s} -> {mark}")
+    elim = sum(e.eliminated_by_availability for e in reads)
+    print(f"  {elim}/{len(reads)} non-local reads eliminated "
           f"(paper: 'about half')\n")
 
     for flag in (True, False):

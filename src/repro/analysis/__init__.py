@@ -8,9 +8,9 @@ These are the dHPF analyses that feed computation partitioning:
   distribution).
 - :mod:`.privatize` — validation of HPF NEW directives (is the array really
   privatizable on the loop?).
-- :mod:`.availability` — §7's data availability analysis: a non-local read
+- :mod:`.availability` — §7's data availability rule: a non-local read
   whose data was already produced locally by the last non-local write needs
-  no communication.
+  no communication (decided on the communication analyzer's events).
 """
 
 from .dependence import Dependence, DependenceAnalyzer, analyze_loop_dependences

@@ -50,8 +50,11 @@ class NestSelection:
     why selection degraded (lenient mode only); such nests replay the
     replicated fallback at specialization time.  ``nest`` carries the
     nest's structure and dependences from grouping to communication
-    analysis in memory only: a pickled selection drops it, and
-    specialization then analyzes the dependences once itself."""
+    analysis and the soundness screen, and rides in the pickle with the
+    selection: pickled together with the parsed unit (as in a
+    :class:`~repro.compile.pipeline.SelectionArtifact`), its edges still
+    name that unit's statements, so a selection served from the plan
+    cache analyzes no dependences again."""
 
     cps: "dict[int, StatementCP]"
     private_arrays: "set[str]"
@@ -59,9 +62,6 @@ class NestSelection:
     no_comm: "frozenset[str]"
     failure: "str | None" = None
     nest: "NestInfo | None" = None
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "nest": None}
 
 
 @dataclass
@@ -119,6 +119,7 @@ def _select_one_nest(
 def _comm_one_nest(
     item: DoLoop,
     nsel: NestSelection,
+    nest: NestInfo,
     ctx: DistributionContext,
     merged: dict[str, int],
 ) -> CommPlan:
@@ -127,7 +128,7 @@ def _comm_one_nest(
     with profile_phase("comm"):
         return CommAnalyzer(
             item, nsel.cps, ctx, merged, exclude_arrays=nsel.no_comm,
-            nest=nsel.nest,
+            nest=nest,
         ).analyze()
 
 
@@ -188,6 +189,7 @@ def screen_program(sub: Subroutine, ctx: DistributionContext) -> "str | None":
 
 def _nest_degrade_reason(
     item: DoLoop,
+    nest: NestInfo,
     cps: "dict[int, StatementCP]",
     plan: CommPlan,
     ctx: DistributionContext,
@@ -205,8 +207,8 @@ def _nest_degrade_reason(
     undistributed (replicated) arrays, pipelined placements — for which
     emitted code would read stale non-local data, race on shared data, or
     fail route binding.  ``private`` names NEW/LOCALIZE arrays whose
-    partitioned handling is already correct by construction."""
-    nest = NestInfo(item, merged)
+    partitioned handling is already correct by construction.  *nest* is
+    the nest's one ``NestInfo``, the one its communication analysis read."""
     known = set(merged)
     loop_vars = {
         s.var.lower() for s in walk_stmts([item]) if isinstance(s, DoLoop)
@@ -497,10 +499,15 @@ def analyze_program(
         locs = set(nsel.localized_arrays)
         plan = None
         if reason is None:
+            nest = nsel.nest
+            if nest is None or nest.root is not item:
+                # a selection not pickled with this unit names other
+                # statement objects: its dependences do not apply here
+                nest = NestInfo(item, merged)
             try:
-                plan = _comm_one_nest(item, nsel, ctx, merged)
+                plan = _comm_one_nest(item, nsel, nest, ctx, merged)
                 reason = _nest_degrade_reason(
-                    item, cps, plan, ctx, merged, private=privs | locs
+                    item, nest, cps, plan, ctx, merged, private=privs | locs
                 )
             except Exception as exc:
                 if not lenient:

@@ -10,8 +10,8 @@ representative processor:
 
 each placed at the outermost loop level that dependences allow (placement
 = message vectorization: everything inside the placement level is
-aggregated into one message per outer iteration), coalesced by (array,
-placement), and filtered by §7's availability analysis.
+aggregated into one message per outer iteration), filtered by §7's
+availability rule, and coalesced by (array, placement).
 
 The SPMD benchmark schedules in :mod:`repro.parallel` are cross-checked
 against these events' message counts and volumes in the test suite.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from ..analysis.availability import AvailabilityAnalyzer
+from ..analysis.availability import mark_available
 from ..cp.model import cp_iteration_set
 from ..cp.nest import NestInfo, access_data_set
 from ..cp.select import StatementCP
@@ -13,6 +13,8 @@ from ..distrib.layout import DistributionContext
 from ..ir.expr import ArrayRef, to_affine
 from ..ir.stmt import Assign, DoLoop
 from ..ir.visit import collect_array_refs, walk_stmts
+from ..isets import ISet
+from ..isets.profile import phase as profile_phase
 from .events import CommEvent, Placement
 
 
@@ -142,14 +144,20 @@ class CommAnalyzer:
 
     # -- event derivation ------------------------------------------------------------
     def analyze(self) -> CommPlan:
-        events: list[CommEvent] = []
-        avail_elim: set = set()
+        with profile_phase("derive"):
+            events = self._derive()
         if self.use_availability:
-            avail = AvailabilityAnalyzer(
-                self.root, self.cps, self.ctx, self.params, nest=self.nest
-            )
-            avail_elim = avail.eliminated_refs()
+            with profile_phase("availability"):
+                mark_available(events, self.nest)
+        if self.coalesce:
+            self._coalesce(events)
+        root_loops = tuple(self.nest.loops_of(next(walk_stmts([self.root]))))
+        return CommPlan(events, root_loops, frozenset(self.exclude))
 
+    def _derive(self) -> list[CommEvent]:
+        """Each statement's iteration set once, then each of its reads'
+        non-local data and its write-back, in statement order."""
+        events: list[CommEvent] = []
         for stmt in walk_stmts([self.root]):
             if not isinstance(stmt, Assign):
                 continue
@@ -164,53 +172,37 @@ class CommAnalyzer:
             iters = cp_iteration_set(
                 scp.cp, dims, bounds.bind(self.params), self.ctx
             )
-            # reads
             for ref in collect_array_refs(stmt.rhs):
-                if ref.name.lower() in self.exclude:
-                    continue
-                layout = self.ctx.layout(ref.name)
-                if layout is None:
-                    continue
-                data = access_data_set(ref, iters, dims)
-                if data is None:
-                    continue
-                nl = data.subtract(layout.ownership())
-                if nl.is_empty():
-                    continue
-                ev = CommEvent(
-                    ref.name.lower(),
-                    "read",
-                    stmt,
-                    ref,
-                    nl,
-                    self._read_placement(stmt, ref),
-                    loops,
-                    eliminated_by_availability=(stmt.sid, ref) in avail_elim,
-                )
-                events.append(ev)
-            # write-back
-            if isinstance(stmt.lhs, ArrayRef) and stmt.lhs.name.lower() not in self.exclude:
-                layout = self.ctx.layout(stmt.lhs.name)
-                if layout is not None:
-                    data = access_data_set(stmt.lhs, iters, dims)
-                    if data is not None:
-                        nl = data.subtract(layout.ownership())
-                        if not nl.is_empty():
-                            events.append(
-                                CommEvent(
-                                    stmt.lhs.name.lower(),
-                                    "writeback",
-                                    stmt,
-                                    stmt.lhs,
-                                    nl,
-                                    self._write_placement(stmt),
-                                    loops,
-                                )
-                            )
-        if self.coalesce:
-            self._coalesce(events)
-        root_loops = tuple(self.nest.loops_of(next(walk_stmts([self.root]))))
-        return CommPlan(events, root_loops, frozenset(self.exclude))
+                nl = self._nonlocal(ref, iters, dims)
+                if nl is not None:
+                    events.append(CommEvent(
+                        ref.name.lower(), "read", stmt, ref, nl,
+                        self._read_placement(stmt, ref), loops,
+                    ))
+            if isinstance(stmt.lhs, ArrayRef):
+                nl = self._nonlocal(stmt.lhs, iters, dims)
+                if nl is not None:
+                    events.append(CommEvent(
+                        stmt.lhs.name.lower(), "writeback", stmt, stmt.lhs, nl,
+                        self._write_placement(stmt), loops,
+                    ))
+        return events
+
+    def _nonlocal(
+        self, ref: ArrayRef, iters: ISet, dims: tuple[str, ...]
+    ) -> Optional[ISet]:
+        """Data of *ref* over *iters* the representative processor does not
+        own, or None when there is none to communicate."""
+        if ref.name.lower() in self.exclude:
+            return None
+        layout = self.ctx.layout(ref.name)
+        if layout is None:
+            return None
+        data = access_data_set(ref, iters, dims)
+        if data is None:
+            return None
+        nl = data.subtract(layout.ownership())
+        return None if nl.is_empty() else nl
 
     # -- coalescing --------------------------------------------------------------
     def _coalesce(self, events: list[CommEvent]) -> None:

@@ -18,7 +18,7 @@ This generality is what enables:
 """
 
 from .model import SubScript, PointSub, RangeSub, OnHomeRef, CP, cp_key
-from .select import CPSelector, StatementCP, select_loop_cps
+from .select import CPSelector, StatementCP
 from .privatizable import propagate_new_cps, translate_use_cp
 from .localize import propagate_localize_cps
 from .loopdist import CPGrouper, distribute_loop, GroupResult
@@ -26,7 +26,7 @@ from .interproc import InterproceduralCP
 
 __all__ = [
     "SubScript", "PointSub", "RangeSub", "OnHomeRef", "CP", "cp_key",
-    "CPSelector", "StatementCP", "select_loop_cps",
+    "CPSelector", "StatementCP",
     "propagate_new_cps", "translate_use_cp",
     "propagate_localize_cps",
     "CPGrouper", "distribute_loop", "GroupResult",

@@ -16,11 +16,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class NestInfo:
     """Cached structure of one loop nest rooted at *root* — including its
-    dependences, which §5 grouping, communication placement and §7
-    availability all read from here so they are analyzed once per nest.
-    Everything in it is a function of the nest and *params* alone (no
-    processor count), and it is never pickled: statements are referenced
-    by identity."""
+    dependences, which §5 grouping, communication placement, §7
+    availability and the soundness screen all read from here so they are
+    analyzed once per nest.  Everything in it is a function of the nest
+    and *params* alone (no processor count).  Statements are referenced
+    by identity, so it pickles only together with the unit owning *root*
+    (a cached selection does); a copy pickled apart names other objects."""
 
     def __init__(self, root: DoLoop, params: Mapping[str, int] | None = None):
         self.root = root

@@ -187,11 +187,3 @@ class CPSelector:
             out[stmt.sid] = StatementCP(stmt, CP((best_term,)), cands, best[0])
         return out
 
-
-def select_loop_cps(
-    root: DoLoop,
-    ctx: DistributionContext,
-    eval_params: Mapping[str, int] | None = None,
-) -> dict[int, StatementCP]:
-    """Convenience wrapper: base CP selection for one loop nest."""
-    return CPSelector(ctx, eval_params).select(root)

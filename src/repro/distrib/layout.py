@@ -190,9 +190,21 @@ class Layout:
     def dim_names(self) -> tuple[str, ...]:
         return tuple(self.dim_name(d) for d in range(self.rank))
 
+    def __getstate__(self) -> dict:
+        # the ownership memo is rebuilt on demand, never pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_owned"}
+
     def ownership(self, dim_names: Sequence[str] | None = None) -> ISet:
-        """Array elements owned by the representative processor ``p$*``."""
+        """Array elements owned by the representative processor ``p$*``,
+        built once per tuple of dim names (an ``ISet`` is immutable)."""
         names = tuple(dim_names or self.dim_names)
+        memo = self.__dict__.setdefault("_owned", {})
+        owned = memo.get(names)
+        if owned is None:
+            owned = memo[names] = self._ownership(names)
+        return owned
+
+    def _ownership(self, names: tuple[str, ...]) -> ISet:
         if len(names) != self.rank:
             raise ValueError("dim_names arity mismatch")
         tnames = tuple(TDIM(k) for k in range(self.distribution.template.rank))

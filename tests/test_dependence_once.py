@@ -1,14 +1,16 @@
 """One dependence analysis per nest per compile.
 
-§5 grouping, communication placement and §7 availability all read the
-dependences of a nest from its ``NestInfo``; selection hands that object
-to specialization in memory, and a selection served from the plan cache
-(which never pickles it) analyzes once in specialization instead.
+§5 grouping, communication placement, §7 availability and the soundness
+screen all read the dependences of a nest from its one ``NestInfo``.
+Selection hands that object to specialization, and it rides in the
+selection's pickle: a selection served from the plan cache analyzes no
+dependences again.
 """
+
+import pickle
 
 import pytest
 
-from repro.analysis.availability import AvailabilityAnalyzer
 from repro.analysis.dependence import DependenceAnalyzer
 from repro.codegen import compile_kernel
 from repro.comm import CommAnalyzer
@@ -82,6 +84,10 @@ def test_cold_compile_analyzes_each_nest_once(source, params, analysis_calls):
 def test_selection_tier_hit_analyzes_each_nest_once(
     source, params, analysis_calls, tmp_path
 ):
+    """The compile that made the selection analyzed each nest; one served
+    that selection off the disk analyzes none, and emits what a cold
+    compile at its rank count emits."""
+
     def fresh_cache():
         return PlanCache(PlanCacheConfig(directory=str(tmp_path)))
 
@@ -92,9 +98,41 @@ def test_selection_tier_hit_analyzes_each_nest_once(
     with use_cache(cache):
         ck = compile_kernel(source, 8, params)
     assert cache.stats.disk_hits == 1 and cache.stats.lru_hits == 0
-    nests = _nests(ck)
-    assert nests and len(analysis_calls.roots) == len(nests)
-    assert all(a is b for a, b in zip(analysis_calls.roots, nests))
+    assert _nests(ck) and analysis_calls.roots == []
+    with use_cache(None):
+        cold = compile_kernel(source, 8, params)
+    for target in ("mpi", "shmem"):
+        assert ck.python_source(target) == cold.python_source(target)
+
+
+def test_selection_pickled_apart_from_its_unit_is_reanalyzed(analysis_calls):
+    """A selection whose ``NestInfo`` names other statement objects than
+    the unit it is specialized on gets a fresh one: the same plan, from
+    one dependence analysis per nest."""
+    params = {"n": 12}
+    sub = parse_source(kernels.scaled(kernels.LHSY_SP)).get("lhsy")
+    art = pipeline.stage_select(sub, params)
+    apart = pickle.loads(pickle.dumps(art.selection))
+    assert all(n.nest.root is not item for n, item in zip(apart.nests, _nests(art)))
+    analysis_calls.rearm()
+    shared = pipeline.stage_specialize(art, 4, params)
+    assert analysis_calls.roots == []
+    fresh = pipeline.stage_specialize(
+        pipeline.SelectionArtifact(art.sub, art.merged, apart), 4, params
+    )
+    assert len(analysis_calls.roots) == len(_nests(art))
+    assert all(a is b for a, b in zip(analysis_calls.roots, _nests(art)))
+    assert [_rows(plan) for _, plan in fresh.nest_plans] == [
+        _rows(plan) for _, plan in shared.nest_plans
+    ]
+
+
+def _rows(plan) -> list:
+    return [
+        (e.array, e.kind, e.stmt.sid, e.placement.level,
+         e.eliminated_by_availability, e.coalesced_into, str(e.data))
+        for e in plan.events
+    ]
 
 
 def test_standalone_availability_agrees_with_shared_dependences():
@@ -104,20 +142,12 @@ def test_standalone_availability_agrees_with_shared_dependences():
     kloop = sub.body[0]
     res = CPGrouper(ctx, CPSelector(ctx, eval_params=ev)).group(kloop, params=ev)
 
-    alone = AvailabilityAnalyzer(kloop, res.cps, ctx, ev)
     nest = NestInfo(kloop, ev)
-    shared = AvailabilityAnalyzer(kloop, res.cps, ctx, ev, nest=nest)
-    assert shared.deps is nest.deps and alone.deps is not nest.deps
-    assert alone.deps == nest.deps == DependenceAnalyzer(kloop, ev).dependences()
-    assert alone.eliminated_refs() == shared.eliminated_refs() != set()
-
     comm = CommAnalyzer(kloop, res.cps, ctx, ev, nest=nest)
-    assert comm.deps is nest.deps
-    plan, plan_alone = comm.analyze(), CommAnalyzer(kloop, res.cps, ctx, ev).analyze()
-    assert [
-        (e.array, e.kind, e.placement.level, e.eliminated_by_availability)
-        for e in plan.events
-    ] == [
-        (e.array, e.kind, e.placement.level, e.eliminated_by_availability)
-        for e in plan_alone.events
-    ]
+    alone = CommAnalyzer(kloop, res.cps, ctx, ev)
+    assert comm.deps is nest.deps and alone.deps is not nest.deps
+    assert alone.deps == nest.deps == DependenceAnalyzer(kloop, ev).dependences()
+
+    plan = comm.analyze()
+    assert _rows(plan) == _rows(alone.analyze())
+    assert any(e.eliminated_by_availability for e in plan.events)
