@@ -10,7 +10,8 @@ the fault and returns the fingerprints of the kernels that survived:
 ==============  ==========================================================
 ``kill``        SIGKILL a busy pool worker mid-compile (retry path)
 ``stall``       SIGSTOP a busy pool worker (heartbeat detection path)
-``corrupt``     flip bytes in disk-cache entries between put and get
+``corrupt``     flip bytes in disk-cache entries (kernel and selection
+                tiers) between put and get
 ``enospc``      ``_disk_put`` fails with ENOSPC (degrade to memory tier)
 ``eio``         ``_disk_get`` fails with EIO (degrade to recompile)
 ``writers``     multi-process cache hammer: concurrent put/get/evict/clear
@@ -49,13 +50,14 @@ from .pipeline import KernelArtifact, _loads, _replay
 from .pool import CompilePool, PoolConfig
 
 #: small but real kernel family — distinct constants give distinct plan
-#: keys, so one scenario exercises several concurrent compilations
+#: keys, so one scenario exercises several concurrent compilations; the
+#: wildcard grid compiles at any rank count
 _TEMPLATE = """
       subroutine k(n)
       integer n, i
       parameter (nx = 15)
       double precision a(0:nx), b(0:nx)
-chpf$ processors procs(4)
+chpf$ processors procs(*)
 chpf$ template t(0:nx)
 chpf$ align a(i) with t(i)
 chpf$ align b(i) with t(i)
@@ -71,12 +73,18 @@ chpf$ distribute t(block) onto procs
 SCENARIO_DEADLINE = 120.0
 
 
-def _chaos_jobs(n: int = 3) -> "list[CompileJob]":
+def _chaos_jobs(n: int = 3, nprocs: int = 4) -> "list[CompileJob]":
     return [
-        CompileJob(_TEMPLATE.format(const=f"{i}.0"), 4, {"n": 8},
-                   label=f"chaos-k{i}", timeout=60.0)
+        CompileJob(_TEMPLATE.format(const=f"{i}.0"), nprocs, {"n": 8},
+                   label=f"chaos-k{i}@{nprocs}", timeout=60.0)
         for i in range(n)
     ]
+
+
+def _readback_jobs() -> "list[CompileJob]":
+    """The scenario jobs plus each source at another rank count: that one
+    misses the kernel tier, so it reads back the source's selection."""
+    return _chaos_jobs() + _chaos_jobs(nprocs=2)
 
 
 def _fingerprint(kernel) -> str:
@@ -90,7 +98,7 @@ def baseline_fingerprints() -> "dict[str, str]":
     """Fault-free reference: compile each scenario job in-process and
     fingerprint the result, keyed by kernel digest."""
     out: dict[str, str] = {}
-    for job in _chaos_jobs():
+    for job in _readback_jobs():
         digest = job.key().kernel_digest
         art = _loads(_build_for_job(job))
         assert isinstance(art, KernelArtifact)
@@ -121,9 +129,9 @@ def _slow_builds(delay: float):
     so workers respawned later (the retry path) build at full speed."""
     before = _driver._build_for_job
 
-    def slow(job: CompileJob) -> bytes:
+    def slow(job: CompileJob, selection: Optional[bytes] = None) -> bytes:
         time.sleep(delay)
-        return before(job)
+        return before(job, selection)
 
     _driver._build_for_job = slow
     try:
@@ -154,20 +162,24 @@ def _signal_busy(
 
 def _compile(
     cache: PlanCache, row, seed: int,
-    sig: Optional[int] = None, budget: int = 0, **pool_kw,
+    sig: Optional[int] = None, budget: int = 0,
+    jobs: "Optional[list[CompileJob]]" = None, **pool_kw,
 ) -> "dict[str, str]":
-    """Compile the scenario jobs through a fresh pool on *cache* and
-    return the survivors' fingerprints by kernel digest.  With *sig*, up
-    to *budget* busy workers get it mid-compile (``row.injected``); pool
-    retries count as ``row.recoveries``; a failed job is a problem."""
-    jobs = _chaos_jobs()
+    """Compile *jobs* (default: the scenario jobs) through a fresh pool
+    on *cache* and return the survivors' fingerprints by kernel digest.
+    With *sig*, up to *budget* busy workers get it mid-compile
+    (``row.injected``); pool retries count as ``row.recoveries``; a
+    failed job is a problem."""
+    if jobs is None:
+        jobs = _chaos_jobs()
     config = PoolConfig(workers=2, max_attempts=4, backoff_base=0.02,
                         jitter_seed=seed, **pool_kw)
-    with _slow_builds(0.0 if sig is None else 0.4):
-        pool = CompilePool(config, cache=cache)
+    pool = CompilePool(config, cache=cache)
     stop, hit = threading.Event(), [0]
     injector = None
     if sig is not None:
+        with _slow_builds(0.4):
+            pool.start()
         rng = random.Random(f"chaos:{seed}:{row.scenario}")
         injector = threading.Thread(
             target=_signal_busy, args=(pool, rng, sig, budget, stop, hit),
@@ -252,7 +264,7 @@ def _corrupt(_ref, seed: int, row, scratch: str) -> "dict[str, str]":
     row.injected = _corrupt_entries(cache, random.Random(f"chaos:{seed}:corrupt"))
     cache.clear_lru()  # force the next reads through the disk tier
     before = cache.stats.corrupt_evictions
-    got = _compile(cache, row, seed)
+    got = _compile(cache, row, seed, jobs=_readback_jobs())
     detected = cache.stats.corrupt_evictions - before
     if detected < row.injected:
         row.problems.append(

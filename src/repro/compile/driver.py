@@ -101,16 +101,36 @@ class CompileOutcome:
         return self.kernel is not None
 
 
+#: Set by a pool worker before each build (None in every other process):
+#: where a strict build that runs its own select stage sends the pickled
+#: selection, before it specializes, so twins of the same analysis digest
+#: need not select again.
+on_select: Optional[Callable[[bytes], None]] = None
+
+
 # Module-level so tests can monkeypatch it: children are forked, so a
 # patched build function is inherited (same trick as the procexec tests).
-def _build_for_job(job: CompileJob) -> bytes:
-    """Compile *job* cold and return the pickled kernel artifact."""
-    from .pipeline import _dumps, build_kernel
+def _build_for_job(job: CompileJob, selection: Optional[bytes] = None) -> bytes:
+    """Compile *job* cold and return the pickled kernel artifact.
 
+    *selection* is a pickled :class:`~repro.compile.pipeline.SelectionArtifact`
+    of the job's analysis digest (a twin's, or the selection tier's): it
+    stands in for the select stage, exactly as a selection-tier hit does
+    in ``cached_compile``.  One that will not unpickle is a miss: the job
+    selects for itself and, if strict, hands the result to
+    :data:`on_select`."""
+    from .pipeline import SelectionArtifact, StageRecord, _dumps, _loads, build_kernel
+
+    shared = _loads(selection) if selection is not None else None
+    if not isinstance(shared, SelectionArtifact):
+        shared = None
+    record = None
+    if job.strict and shared is None and on_select is not None:
+        record = StageRecord(on_select=on_select)
     sink = DiagnosticSink(strict=job.strict)
     kernel = build_kernel(
         job.source, job.nprocs, dict(job.params or {}), job.backend,
-        sink, None,
+        sink, None, record=record, selection=shared,
     )
     return _dumps(KernelArtifact(kernel=kernel))
 

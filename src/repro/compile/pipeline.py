@@ -52,6 +52,13 @@ The parse and selection *cache tiers* are strict-only: lenient
 diagnostics from those stages would need replay, so a lenient compile is
 cached at kernel granularity.
 
+The compile pool (:mod:`repro.compile.pool`) shares selections the same
+way across its workers: a worker's strict build that selects hands the
+pickled :class:`SelectionArtifact` to :attr:`StageRecord.on_select` right
+after the select stage, the parent writes it to the selection tier, and
+jobs of the same ``analysis_digest`` are built with it through
+``build_kernel(selection=...)`` — the path of a selection-tier hit.
+
 :func:`cached_compile` is the front door ``compile_kernel`` delegates
 to: kernel-tier hit → unpickle, replay the recorded diagnostics into the
 caller's sink, return; selection-tier hit → :func:`build_kernel`
@@ -73,7 +80,7 @@ from __future__ import annotations
 import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..diag import DiagnosticSink
 from ..ir.stmt import reset_sids
@@ -330,10 +337,13 @@ class StageRecord:
     """Cold-path byproducts the caching driver persists: the pickled
     parse/selection artifacts, captured immediately after their stage ran
     (so later stages mutating the IR can never leak into an earlier
-    tier).  ``analysis_payload`` holds a :class:`SelectionArtifact`."""
+    tier).  ``analysis_payload`` holds a :class:`SelectionArtifact`;
+    ``on_select``, when set, is called with it at once, before
+    specialization starts (a pool worker publishes it to its twins)."""
 
     parse_payload: bytes | None = None
     analysis_payload: bytes | None = None
+    on_select: "Callable[[bytes], None] | None" = None
 
 
 def build_kernel(
@@ -397,6 +407,8 @@ def build_kernel(
             selection = stage_select(sub, params, sink, budget)
             if record is not None:
                 record.analysis_payload = _dumps(selection)
+                if record.on_select is not None:
+                    record.on_select(record.analysis_payload)
         analysis = stage_specialize(selection, nprocs, params, sink, budget)
         with profile_phase("codegen"):
             kernel = stage_codegen(analysis, nprocs, backend, sink)

@@ -5,7 +5,9 @@ long-lived forked workers and layers the service policies the ROADMAP's
 "heavy traffic" north star needs on top:
 
 - **persistence** — workers loop over a per-worker task queue, so a
-  thousand-job warm-up pays ``workers`` forks, not a thousand;
+  thousand-job warm-up pays ``workers`` forks, not a thousand; the gang
+  forks when the first job that needs a worker is admitted, so a batch
+  of warm hits forks nothing;
 - **supervision** — on the core shared with the real-process executor
   (:mod:`repro.supervise`): every worker beats from a daemon thread into
   a shared slab, a stale beat means a *frozen* process (SIGSTOP, kernel
@@ -27,6 +29,16 @@ long-lived forked workers and layers the service policies the ROADMAP's
   admission-free — they never charge a queue slot or a worker;
 - **single-flight** — submissions coalesce by kernel digest across the
   whole queue: a stampede of identical requests shares one build;
+- **selection sharing** — CP selection does not depend on ``nprocs``, so
+  strict jobs that differ only in rank count or backend (one
+  ``analysis_digest``) select once.  A worker that selects sends the
+  pickled :class:`~repro.compile.pipeline.SelectionArtifact` to the
+  parent before it specializes; queued twins are held until it arrives
+  (an idle worker takes other work meanwhile; the hold lifts if the
+  selecting job fails or is retried) and are then dispatched with it.
+  A selection already in the plan cache is read at submission, and the
+  parent writes each published one there; its in-memory copy lives only
+  while a queued or running ticket needs it;
 - **graceful drain** — :meth:`shutdown` stops admission, finishes (or,
   on request, cancels with a typed :class:`CompileCancelled`) queued
   work, sends every worker its sentinel, and reaps all children.  No
@@ -182,6 +194,10 @@ class PoolStats:
 
     submitted: int = 0
     warm_hits: int = 0
+    #: strict select stages run (and published) by workers
+    selects: int = 0
+    #: dispatches that carried a selection instead of selecting
+    selections_shared: int = 0
     coalesced: int = 0
     completed: int = 0
     failed: int = 0
@@ -227,14 +243,16 @@ def _pool_worker_main(wid: int, task_q, ctrl_q, hb, hb_interval: float) -> None:
             break
         if item is None:  # shutdown sentinel
             break
-        seq, job = item
+        seq, job, selection = item
         try:
             # resolved at call time so a test/chaos harness that
             # patched the build function before forking this worker
             # (or before a respawn) is honored
             from . import driver as _driver
 
-            payload = _driver._build_for_job(job)
+            _driver.on_select = lambda sel, seq=seq: ctrl_q.put(
+                ("selected", wid, seq, sel))
+            payload = _driver._build_for_job(job, selection)
             ctrl_q.put(("done", wid, seq, payload))
         except BaseException as exc:  # noqa: BLE001 - typed report
             if not supervise.report_error(ctrl_q, exc, wid, seq):
@@ -254,6 +272,11 @@ class PoolTicket:
 
     digest: str
     job: CompileJob
+    #: the job's ``analysis_digest`` when strict (jobs sharing it share one
+    #: selection); None for a lenient job, which never shares
+    analysis: Optional[str] = None
+    #: running without a selection: its twins wait for the one it makes
+    selecting: bool = False
     state: str = "queued"
     seq: int = 0
     payload: Optional[bytes] = None
@@ -299,7 +322,8 @@ class CompilePool:
     """A supervised persistent worker pool for plan compilation.
 
     Thread-safe.  ``cache`` defaults to the active plan cache; warm hits
-    resolve at submission without touching a worker.  Use as a context
+    resolve at submission without touching a worker, and the worker gang
+    forks only once a job needs one.  Use as a context
     manager or call :meth:`shutdown` — both drain gracefully.
     """
 
@@ -320,12 +344,12 @@ class CompilePool:
         self._tickets: dict[str, PoolTicket] = {}
         self._queue: list[str] = []  # admitted digests awaiting a worker
         self._quarantine: dict[str, CompileQuarantined] = {}
-        self._workers: list[_Worker] = []
+        #: analysis digest -> pickled selection, while a ticket needs it
+        self._selections: dict[str, bytes] = {}
+        self._workers: list[_Worker] = []  # forked on first need
         self._seq = 0
         self._closed = False
         self._stopped = False
-        for wid in range(self.config.workers):
-            self._workers.append(self._spawn(wid))
         self._supervisor = threading.Thread(
             target=self._supervise, daemon=True, name="compile-pool"
         )
@@ -339,12 +363,15 @@ class CompilePool:
         Resolution order: already-tracked digest → coalesce (no admission
         charge); quarantined digest → instant typed failure; plan-cache
         hit → instant warm ticket (no admission charge, no worker);
-        otherwise a queue slot is taken, blocking or raising a typed
+        otherwise (a strict job also reading the selection tier) a queue
+        slot is taken, blocking or raising a typed
         :class:`ServiceOverloaded` at ``max_queue`` per the pool policy
         (``block`` overrides it per call).  Raises :class:`PoolClosed`
         after shutdown began.
         """
-        digest = job.key().kernel_digest
+        key = job.key()
+        digest = key.kernel_digest
+        analysis = key.analysis_digest if job.strict else None
         blocking = self.config.overload == "block" if block is None else block
         with self._lock:
             self.stats.submitted += 1
@@ -353,6 +380,8 @@ class CompilePool:
             ticket = self._share_locked(digest)
             if ticket is not None:
                 return ticket
+            probe_selection = (analysis is not None
+                               and analysis not in self._selections)
             err = self._quarantine.get(digest)
             if err is not None:
                 self.stats.quarantine_rejections += 1
@@ -379,6 +408,11 @@ class CompilePool:
                     self._tickets[digest] = ticket
                     self.stats.warm_hits += 1
                 return ticket
+        selection = None
+        if probe_selection and self._cache is not None:
+            # a corrupt entry reads as None; one that will not unpickle
+            # makes the worker select for itself
+            selection = self._cache.get(analysis)
         with self._space:
             if self._closed:
                 raise PoolClosed("compile pool is shut down")
@@ -397,9 +431,12 @@ class CompilePool:
                 if self._closed:
                     raise PoolClosed("compile pool is shut down")
             ticket = PoolTicket(
-                digest=digest, job=job, submitted_at=time.monotonic(),
+                digest=digest, job=job, analysis=analysis,
+                submitted_at=time.monotonic(),
             )
             self._tickets[digest] = ticket
+            if selection is not None:
+                self._selections.setdefault(analysis, selection)
             self._queue.append(digest)
             depth = len(self._queue)
             self.stats.queue_depth = depth
@@ -521,6 +558,13 @@ class CompilePool:
         # wait for the queue to compile first: kill and reap at once
         self.shutdown(wait=exc_type is None)
 
+    def start(self) -> None:
+        """Fork the worker gang now instead of on first need (a harness
+        that patches the build function for the first gang only)."""
+        with self._lock:
+            if not self._stopped:
+                self._fork_gang_locked()
+
     # -- introspection (chaos harness + tests) -----------------------------
     def worker_pids(self) -> "list[int]":
         with self._lock:
@@ -536,6 +580,11 @@ class CompilePool:
     def queue_depth(self) -> int:
         with self._lock:
             return len(self._queue)
+
+    def selections_held(self) -> int:
+        """Selections kept in memory for queued or running tickets."""
+        with self._lock:
+            return len(self._selections)
 
     # -- internals ---------------------------------------------------------
     def _share_locked(self, digest: str) -> Optional[PoolTicket]:
@@ -553,6 +602,11 @@ class CompilePool:
         elif quarantined:
             self.stats.quarantine_rejections += 1
         return ticket
+
+    def _fork_gang_locked(self) -> None:
+        if not self._workers:
+            self._workers = [self._spawn(wid)
+                             for wid in range(self.config.workers)]
 
     def _spawn(self, wid: int) -> _Worker:
         task_q = self._ctx.Queue()
@@ -601,7 +655,7 @@ class CompilePool:
             )
         return out
 
-    # (the three _resolve/_cancel helpers run with self._lock held)
+    # (the _resolve/_release/_cancel helpers run with self._lock held)
     def _resolve_success_locked(self, ticket: PoolTicket, payload: bytes) -> None:
         if ticket.done:  # a cancel/timeout raced the result; first wins
             return
@@ -611,6 +665,7 @@ class CompilePool:
         self.stats.completed += 1
         if ticket.history:
             self.stats.retries += len(ticket.history)
+        self._release_selection_locked(ticket.analysis)
         self._wake.notify_all()
 
     def _resolve_failure_locked(
@@ -622,7 +677,18 @@ class CompilePool:
         ticket.state = "failed"
         ticket.resolved_at = time.monotonic()
         self.stats.failed += 1
+        self._release_selection_locked(ticket.analysis)
         self._wake.notify_all()
+
+    def _release_selection_locked(self, analysis: Optional[str]) -> None:
+        """Forget the in-memory selection of *analysis* once no queued or
+        running ticket needs it (the plan cache keeps it)."""
+        if analysis not in self._selections:
+            return
+        pending = [self._tickets[d] for d in self._queue]
+        pending += [self._tickets[w.busy] for w in self._workers if w.busy]
+        if not any(t.analysis == analysis and not t.done for t in pending):
+            del self._selections[analysis]
 
     def _cancel_queued_locked(self) -> None:
         for digest in self._queue:
@@ -692,17 +758,26 @@ class CompilePool:
                 if (ticket is None or ticket.seq != seq
                         or ticket.state != "running"):
                     continue  # a stale result (timeout or retry raced it)
-                worker.busy = None
-                self._space.notify_all()
-                if kind == "done":
-                    payload = msg[3]
+                if kind == "selected":  # only strict jobs publish
+                    ticket.selecting = False
+                    self._selections[ticket.analysis] = msg[3]
+                    self.stats.selects += 1
                 else:
-                    _, _, _, etype, emsg, tb = msg
-                    self._resolve_failure_locked(ticket, CompileFailed(
-                        f"compilation raised {etype}: {emsg}",
-                        etype=etype, tb=tb,
-                    ))
-                    continue
+                    worker.busy = None
+                    self._space.notify_all()
+                    if kind != "done":
+                        _, _, _, etype, emsg, tb = msg
+                        self._resolve_failure_locked(ticket, CompileFailed(
+                            f"compilation raised {etype}: {emsg}",
+                            etype=etype, tb=tb,
+                        ))
+                        continue
+            payload = msg[3]
+            if kind == "selected":
+                self._dispatch()  # the twins held on it go before the IO
+                if self._cache is not None:
+                    self._cache.put(ticket.analysis, payload)
+                continue
             # cache write outside the lock (disk IO)
             if self._cache is not None:
                 self._cache.put(digest, payload)
@@ -710,23 +785,38 @@ class CompilePool:
                 self._resolve_success_locked(ticket, payload)
 
     def _dispatch(self) -> None:
+        """Hand ready queued jobs to idle workers, forking the gang on
+        first need.  A strict job whose selection is known carries it; one
+        whose twin is still selecting is held, and an idle worker takes
+        the next ready job instead."""
         now = time.monotonic()
         with self._lock:
-            if self._stopped:
+            if self._stopped or not self._queue:
                 return
+            self._fork_gang_locked()
             idle = [w for w in self._workers
                     if w.busy is None and w.proc.exitcode is None]
-            if not idle or not self._queue:
-                return
-            ready = [d for d in self._queue
-                     if self._tickets[d].not_before <= now]
-            for worker, digest in zip(idle, ready):
-                self._queue.remove(digest)
+            running = (self._tickets[w.busy] for w in self._workers if w.busy)
+            selecting = {t.analysis for t in running
+                         if t.selecting and t.state == "running"}
+            for digest in list(self._queue):
+                if not idle:
+                    break
                 ticket = self._tickets[digest]
+                if ticket.not_before > now:
+                    continue
+                shared = self._selections.get(ticket.analysis)
+                if shared is None and ticket.analysis in selecting:
+                    continue  # held: a twin's selection is on its way
+                worker = idle.pop(0)
+                self._queue.remove(digest)
                 self._seq += 1
                 ticket.seq = self._seq
                 ticket.state = "running"
                 ticket.attempts += 1
+                ticket.selecting = (
+                    ticket.analysis is not None and shared is None
+                )
                 per_job = (ticket.job.timeout
                            if ticket.job.timeout is not None
                            else self.config.timeout)
@@ -736,13 +826,17 @@ class CompilePool:
                 worker.busy = digest
                 worker.started = now
                 try:
-                    worker.task_q.put((ticket.seq, ticket.job))
+                    worker.task_q.put((ticket.seq, ticket.job, shared))
                 except Exception:  # pragma: no cover - torn queue
                     worker.busy = None
                     ticket.state = "queued"
                     ticket.attempts -= 1
                     self._queue.append(digest)
                     continue
+                if ticket.selecting:
+                    selecting.add(ticket.analysis)
+                if shared is not None:
+                    self.stats.selections_shared += 1
             self.stats.queue_depth = len(self._queue)
             self._space.notify_all()
 

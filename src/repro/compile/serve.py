@@ -151,7 +151,8 @@ def run(args) -> int:
                 drainer[0].join(timeout=60.0)
     s = pool.stats
     print(f"  [serve] pool: {s.forks} forks, {s.warm_hits} warm, "
-          f"{s.coalesced} coalesced, {s.retries} retries, "
+          f"{s.coalesced} coalesced, {s.selects} selects, "
+          f"{s.selections_shared} shared selections, {s.retries} retries, "
           f"{s.quarantined} quarantined, "
           f"peak queue {s.peak_queue_depth}", flush=True)
     if args.serve_out:
@@ -167,7 +168,9 @@ def run(args) -> int:
             },
             "diagnostics": len(out.sink.diagnostics),
         } for out in outcomes]
-        payload = json.dumps({"jobs": rows}, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(
+            {"jobs": rows, "pool": s.as_dict()}, indent=2, sort_keys=True,
+        ) + "\n"
         atomic_write(args.serve_out, payload.encode())
         print(f"wrote {args.serve_out}")
     return 0 if all(out.ok for out in outcomes) else 1

@@ -204,6 +204,10 @@ def run(args) -> int:
         f"coalesced: {s.coalesced}   compiled: {s.completed}"
     )
     print(
+        f"  selection: {s.selects} selected by workers, "
+        f"{s.selections_shared} shared"
+    )
+    print(
         f"  queue:     depth {s.queue_depth}, peak {s.peak_queue_depth}"
         f"   rejected: {s.rejected}   cancelled: {s.cancelled}"
     )

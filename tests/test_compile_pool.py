@@ -78,10 +78,10 @@ def _recording_build(record_path, real):
     """A build fn that appends one line per invocation (O_APPEND from
     forked workers is atomic for these short writes)."""
 
-    def build(job):
+    def build(job, selection=None):
         with open(record_path, "a") as fh:
             fh.write(f"{job.label}\n")
-        return real(job)
+        return real(job, selection)
 
     return build
 
@@ -111,6 +111,7 @@ class TestPersistence:
             assert all(o.ok and o.cached for o in outcomes)
             assert pool.stats.warm_hits == 3
             assert pool.stats.completed == 0  # no build reached a worker
+            assert pool.stats.forks == 0  # nor was a worker ever forked
         assert not record.exists()  # and none was even started
 
     def test_warm_results_match_cold(self, cache):
@@ -132,9 +133,9 @@ class TestSingleFlight:
         real = driver._build_for_job
         recording = _recording_build(record, real)
 
-        def slow_recording(job):
+        def slow_recording(job, selection=None):
             time.sleep(0.5)  # hold the build so the stampede overlaps it
-            return recording(job)
+            return recording(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow_recording)
         job = _jobs(1)[0]
@@ -157,13 +158,13 @@ class TestRetryAndQuarantine:
         marker = tmp_path / "attempts.txt"
         real = driver._build_for_job
 
-        def flaky(job):
+        def flaky(job, selection=None):
             if job.label == "flaky":
                 with open(marker, "a") as fh:
                     fh.write("x")
                 if marker.stat().st_size < 3:  # die on attempts 1 and 2
                     os.kill(os.getpid(), signal.SIGKILL)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", flaky)
         job = CompileJob(TEMPLATE.format(const="5.5"), 4, {"n": 8},
@@ -187,10 +188,10 @@ class TestRetryAndQuarantine:
 
         real = driver._build_for_job
 
-        def poison(job):
+        def poison(job, selection=None):
             if job.label == "poison":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", poison)
         job = CompileJob(TEMPLATE.format(const="6.6"), 4, {"n": 8},
@@ -220,10 +221,10 @@ class TestRetryAndQuarantine:
 
         real = driver._build_for_job
 
-        def sleepy(job):
+        def sleepy(job, selection=None):
             if job.label == "sleepy":
                 time.sleep(60)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", sleepy)
         job = CompileJob(TEMPLATE.format(const="7.7"), 4, {"n": 8},
@@ -245,9 +246,9 @@ class TestBackpressure:
 
         real = driver._build_for_job
 
-        def slow(job):
+        def slow(job, selection=None):
             time.sleep(1.5)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
         jobs = _jobs(3)
@@ -281,9 +282,9 @@ class TestBackpressure:
             pool.run_batch(_jobs(2))
         real = driver._build_for_job
 
-        def slow(job):
+        def slow(job, selection=None):
             time.sleep(1.5)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
         config = _fast_config(workers=1, max_queue=1, overload="reject")
@@ -326,9 +327,9 @@ class TestShutdown:
 
         real = driver._build_for_job
 
-        def slow(job):
+        def slow(job, selection=None):
             time.sleep(1.0)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
         jobs = _jobs(2)
@@ -358,9 +359,9 @@ class TestShutdown:
 
         real = driver._build_for_job
 
-        def slow(job):
+        def slow(job, selection=None):
             time.sleep(0.5)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
         jobs = _jobs(5)
@@ -419,3 +420,197 @@ class TestChaosInjectors:
         assert row.ok, row.describe()
         assert driver._build_for_job is recording
         assert record.exists()  # the workers built through it
+
+
+#: TEMPLATE on a wildcard grid: one source compiles at any rank count
+WILDCARD = TEMPLATE.replace("procs(4)", "procs(*)")
+
+
+def _record_selects(monkeypatch, record_path, slow_n=None, delay=0.0):
+    """Patch the select stage (inherited by workers forked afterwards) to
+    append one line per run to *record_path*; a strict select of
+    ``params["n"] == slow_n`` first sleeps *delay* seconds."""
+    from repro.compile import pipeline
+
+    real = pipeline.stage_select
+
+    def select(sub, params, sink=None, budget=None):
+        strict = sink is None or sink.strict
+        with open(record_path, "a") as fh:
+            fh.write(f"n={params.get('n')} strict={strict}\n")
+        if strict and params.get("n") == slow_n:
+            time.sleep(delay)
+        return real(sub, params, sink, budget)
+
+    monkeypatch.setattr(pipeline, "stage_select", select)
+
+
+def _uncached(source, nprocs, params):
+    from repro.codegen import compile_kernel
+    from repro.compile import cache_disabled
+
+    with cache_disabled():
+        return compile_kernel(source, nprocs, params)
+
+
+def _same_text(kernel, reference):
+    for target in ("mpi", "shmem"):
+        assert kernel.python_source(target) == reference.python_source(target)
+
+
+class TestSelectionSharing:
+    """CP selection does not depend on nprocs: strict jobs of one
+    ``analysis_digest`` select once per pool, and a selection already in
+    the plan cache is not made again."""
+
+    def test_rank_sweep_selects_once(self, cache, monkeypatch, tmp_path):
+        from repro.compile.service import CompileService
+        from repro.nas import kernels
+        from repro.nas.classes import CLASSES
+
+        n = CLASSES["S"].problem_size
+        source = kernels.scaled(kernels.COMPUTE_RHS_SP)
+        params = {"n": n, "nx": n}
+        counts = (16, 8, 4)
+        reference = {p: _uncached(source, p, params) for p in counts}
+        record = tmp_path / "selects.txt"
+        _record_selects(monkeypatch, record)
+        with CompileService(workers=2, cache=cache) as svc:
+            tickets = [svc.submit(source, p, params) for p in counts]
+            outs = [svc.collect(t, timeout=300) for t in tickets]
+            stats = svc.stats()
+            held = svc._pool.selections_held()
+        assert record.read_text().count("\n") == 1  # one select stage
+        assert stats["selects"] == 1
+        assert stats["selections_shared"] == 2
+        assert held == 0  # the in-memory map empties as the batch drains
+        for p, out in zip(counts, outs):
+            assert out.ok
+            _same_text(out.kernel, reference[p])
+
+    def test_hold_is_work_conserving(self, cache, monkeypatch, tmp_path):
+        """While a@4 selects, its twin a@2 is held and the idle worker
+        takes b, queued behind it."""
+        record = tmp_path / "selects.txt"
+        _record_selects(monkeypatch, record, slow_n=8, delay=1.5)
+        source = WILDCARD.format(const="1.0")
+        a4, a2 = (CompileJob(source, p, {"n": 8}, label=f"a@{p}")
+                  for p in (4, 2))
+        b = CompileJob(source, 4, {"n": 9}, label="b")
+        with CompilePool(_fast_config(workers=2), cache=cache) as pool:
+            t_a4, t_a2, t_b = (pool.submit(j) for j in (a4, a2, b))
+            outs = [pool.wait(t, timeout=120) for t in (t_a4, t_a2, t_b)]
+            assert all(o.ok for o in outs)
+            assert t_b.resolved_at < t_a4.resolved_at
+            assert pool.stats.selects == 2  # a once (not a@2 again), b once
+            assert pool.stats.selections_shared == 1
+        assert record.read_text().count("n=8") == 1
+
+    def test_lenient_and_other_params_never_wait(
+        self, cache, monkeypatch, tmp_path,
+    ):
+        delay = 2.0
+        _record_selects(monkeypatch, tmp_path / "selects.txt",
+                        slow_n=8, delay=delay)
+        source = WILDCARD.format(const="2.0")
+        selecting = CompileJob(source, 4, {"n": 8}, label="strict")
+        lenient = CompileJob(source, 2, {"n": 8}, strict=False,
+                             label="lenient")
+        other = CompileJob(source, 2, {"n": 9}, label="other params")
+        with CompilePool(_fast_config(workers=3), cache=cache) as pool:
+            tickets = [pool.submit(j) for j in (selecting, lenient, other)]
+            assert all(pool.wait(t, timeout=120).ok for t in tickets)
+            publish_at = tickets[0].submitted_at + delay
+            # both finished before the strict twin could publish
+            assert all(t.resolved_at < publish_at for t in tickets[1:])
+            assert pool.stats.selections_shared == 0
+
+    def test_failed_selection_lifts_the_hold(
+        self, cache, monkeypatch, tmp_path,
+    ):
+        from repro.compile import pipeline
+        from repro.compile.driver import CompileFailed
+
+        marker = tmp_path / "failed"
+        real = pipeline.stage_select
+
+        def select(sub, params, sink=None, budget=None):
+            if not marker.exists():
+                marker.write_text("x")
+                time.sleep(0.5)  # its twin is queued, and held, meanwhile
+                raise RuntimeError("selection failed")
+            return real(sub, params, sink, budget)
+
+        monkeypatch.setattr(pipeline, "stage_select", select)
+        source = WILDCARD.format(const="3.0")
+        jobs = [CompileJob(source, p, {"n": 8}) for p in (4, 2)]
+        with CompilePool(_fast_config(workers=2), cache=cache) as pool:
+            first, second = pool.run_batch(jobs)
+            assert isinstance(first.error, CompileFailed)
+            assert second.ok  # selected for itself once the hold lifted
+            assert pool.stats.selects == 1
+            assert pool.selections_held() == 0
+        _same_text(second.kernel, _uncached(source, 2, {"n": 8}))
+
+    def test_selection_tier_serves_new_rank_counts(
+        self, cache, monkeypatch, tmp_path,
+    ):
+        from repro.codegen import compile_kernel
+
+        source = WILDCARD.format(const="4.0")
+        compile_kernel(source, 4, {"n": 8})  # fills the selection tier
+        counts = (2, 3)
+        reference = {p: _uncached(source, p, {"n": 8}) for p in counts}
+        record = tmp_path / "selects.txt"
+        _record_selects(monkeypatch, record)
+        with CompilePool(_fast_config(), cache=cache) as pool:
+            outs = pool.run_batch(
+                [CompileJob(source, p, {"n": 8}) for p in counts])
+            assert pool.stats.selects == 0
+            assert pool.stats.selections_shared == 2
+            assert pool.selections_held() == 0
+        assert not record.exists()
+        for p, out in zip(counts, outs):
+            _same_text(out.kernel, reference[p])
+
+    def test_unreadable_selection_entry_is_a_miss(self, cache):
+        source = WILDCARD.format(const="5.0")
+        job = CompileJob(source, 4, {"n": 8})
+        cache.put(job.key().analysis_digest, b"not a pickled selection")
+        with CompilePool(_fast_config(), cache=cache) as pool:
+            (out,) = pool.run_batch([job])
+            assert out.ok
+            assert pool.stats.selects == 1  # selected cold
+        _same_text(out.kernel, _uncached(source, 4, {"n": 8}))
+
+    def test_worker_killed_after_publishing_retries_bitwise(
+        self, cache, monkeypatch, tmp_path,
+    ):
+        """The worker dies after its selection reached the parent: the
+        retry specializes that selection and emits the fault-free bytes."""
+        import repro.compile.driver as driver
+        from repro.compile import pipeline
+
+        source = WILDCARD.format(const="6.0")
+        reference = _uncached(source, 4, {"n": 8})
+        marker = tmp_path / "killed"
+        real = pipeline.stage_specialize
+
+        def specialize(art, nprocs, params, sink=None, budget=None):
+            if driver.on_select is not None and not marker.exists():
+                marker.write_text("x")
+                time.sleep(0.3)  # the published selection is flushed
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(art, nprocs, params, sink, budget)
+
+        monkeypatch.setattr(pipeline, "stage_specialize", specialize)
+        job = CompileJob(source, 4, {"n": 8})
+        with CompilePool(
+            _fast_config(workers=1, max_attempts=3), cache=cache,
+        ) as pool:
+            out = pool.wait(pool.submit(job), timeout=120)
+            assert out.ok
+            assert pool.stats.crashes == 1 and pool.stats.retries == 1
+            assert pool.stats.selects == 1
+            assert pool.stats.selections_shared == 1  # the retry's
+        _same_text(out.kernel, reference)

@@ -129,10 +129,10 @@ class TestCompileMany:
 
         real = driver._build_for_job
 
-        def slow_build(job):
+        def slow_build(job, selection=None):
             if job.label == "slow":
                 time.sleep(60)
-            return real(job)
+            return real(job, selection)
 
         # fork start method: workers inherit the patched module state
         monkeypatch.setattr(driver, "_build_for_job", slow_build)
@@ -151,10 +151,10 @@ class TestCompileMany:
 
         real = driver._build_for_job
 
-        def crashy_build(job):
+        def crashy_build(job, selection=None):
             if job.label == "poison":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", crashy_build)
         jobs = _jobs(2)
@@ -177,10 +177,10 @@ class TestCompileMany:
 
         real = driver._build_for_job
 
-        def slow_build(job):
+        def slow_build(job, selection=None):
             if job.label == "slow":
                 time.sleep(60)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow_build)
         twin = [
@@ -206,10 +206,10 @@ class TestCompileMany:
         record = tmp_path / "builds.txt"
         real = driver._build_for_job
 
-        def recording_build(job):
+        def recording_build(job, selection=None):
             with open(record, "a") as fh:
                 fh.write(f"{job.label}\n")
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", recording_build)
         outcomes = compile_many(jobs, workers=2, cache=cache)
@@ -232,11 +232,11 @@ class TestCompileMany:
         record = tmp_path / "builds.txt"
         real = driver._build_for_job
 
-        def slow_recording(job):
+        def slow_recording(job, selection=None):
             with open(record, "a") as fh:
                 fh.write(f"{job.label}\n")
             time.sleep(1.0)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow_recording)
 
@@ -339,11 +339,11 @@ class TestCompileService:
         record = tmp_path / "builds.txt"
         real = driver._build_for_job
 
-        def slow_recording(job):
+        def slow_recording(job, selection=None):
             time.sleep(0.5)  # hold the build so the stampede overlaps it
             with open(record, "a") as fh:
                 fh.write(f"{job.label}\n")
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow_recording)
         src = TEMPLATE.format(const="3.0")
@@ -363,9 +363,9 @@ class TestCompileService:
 
         real = driver._build_for_job
 
-        def slow(job):
+        def slow(job, selection=None):
             time.sleep(1.5)
-            return real(job)
+            return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
         with CompileService(
@@ -380,3 +380,28 @@ class TestCompileService:
                 svc.submit(TEMPLATE.format(const="12.0"), 4, {"n": 8})
             assert svc.collect(t_a, timeout=120).ok
             assert svc.collect(t_b, timeout=120).ok
+
+
+class TestServeCLI:
+    def test_serve_out_reports_one_selection_per_source(self, cache, tmp_path):
+        """``eval serve`` writes the pool counters beside the per-job rows:
+        one source at three rank counts selects once and shares it twice."""
+        import json
+
+        from repro.eval.__main__ import main as eval_main
+
+        source = TEMPLATE.format(const="8.0").replace("procs(4)", "procs(*)")
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([
+            {"source": source, "nprocs": p, "params": {"n": 8},
+             "label": f"k@{p}"}
+            for p in (4, 2, 3)
+        ]))
+        out = tmp_path / "serve.json"
+        assert eval_main(["serve", "--jobs", str(jobs), "--serve-out",
+                          str(out), "--workers", "2"]) == 0
+        report = json.loads(out.read_text())
+        assert all(row["ok"] for row in report["jobs"])
+        assert report["pool"]["selects"] == 1
+        assert report["pool"]["selections_shared"] == 2
+        assert _pool_leftovers() == []
