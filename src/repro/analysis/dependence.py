@@ -263,25 +263,3 @@ def analyze_loop_dependences(
 ) -> list[Dependence]:
     """All dependences among statements of one loop nest."""
     return DependenceAnalyzer(loop, params, ignore_vars).dependences(scalars=scalars)
-
-
-def loop_independent_deps(
-    loop: DoLoop,
-    params: Mapping[str, int] | None = None,
-    ignore_vars: Iterable[str] = (),
-) -> list[Dependence]:
-    """Only the loop-independent edges (input to §5's CP grouping)."""
-    return [d for d in analyze_loop_dependences(loop, params, ignore_vars) if d.loop_independent]
-
-
-def carries_dependence(loop: DoLoop, params: Mapping[str, int] | None = None,
-                       ignore_vars: Iterable[str] = ()) -> bool:
-    """Does the outermost loop of this nest carry any dependence?
-
-    A loop carrying no level-1 dependence is fully parallel — dHPF detects
-    parallelism in the serial code automatically rather than relying on
-    INDEPENDENT (§8.1).
-    """
-    return any(
-        d.level == 1 for d in analyze_loop_dependences(loop, params, ignore_vars)
-    )

@@ -465,7 +465,9 @@ def analyze_program(
     (:func:`_nest_degrade_reason`) over each analyzed nest.
 
     Returns ``(cps, nest_plans, private_arrays, localized_arrays,
-    verdicts)``.  ``verdicts`` maps a nest's index to the screen's reason
+    verdicts, nests)``.  ``nests`` holds each nest's :class:`NestInfo`
+    (None where selection failed), dependences and all, for the vector
+    planner.  ``verdicts`` maps a nest's index to the screen's reason
     why code generated from its plan would be wrong; the plan is returned
     all the same, because the static verifier and the cost model
     (:mod:`repro.check`) stop here and work on plans ``stage_codegen``
@@ -482,6 +484,7 @@ def analyze_program(
     merged = dict(merged)
     cps_all: dict[int, StatementCP] = {}
     nest_plans: list[tuple[DoLoop, CommPlan]] = []
+    infos: list = []
     private_arrays: set[str] = set()
     localized_arrays: set[str] = set()
     verdicts: dict[int, str] = {}
@@ -497,7 +500,7 @@ def analyze_program(
         cps = nsel.cps
         privs = set(nsel.private_arrays)
         locs = set(nsel.localized_arrays)
-        plan = None
+        plan = nest = None
         if reason is None:
             nest = nsel.nest
             if nest is None or nest.root is not item:
@@ -530,6 +533,7 @@ def analyze_program(
         localized_arrays |= locs
         cps_all.update(cps)
         nest_plans.append((item, plan))
+        infos.append(nest)
     if degraded and (private_arrays or localized_arrays):
         # NEW arrays are per-rank and LOCALIZE suppresses owner write-backs
         # (owners may hold stale data) — a replicated nest reading either
@@ -538,7 +542,7 @@ def analyze_program(
             "degraded nest coexists with NEW/LOCALIZE arrays; "
             "replicated execution cannot read privatized data"
         )
-    return cps_all, nest_plans, private_arrays, localized_arrays, verdicts
+    return cps_all, nest_plans, private_arrays, localized_arrays, verdicts, infos
 
 
 def _strip_directives(sub: Subroutine) -> Subroutine:
@@ -737,6 +741,7 @@ class CompiledKernel:
         localized_arrays: "set[str] | None" = None,
         backend: str = "vector",
         sink: "DiagnosticSink | None" = None,
+        nests: "list | None" = None,
     ):
         self.sub = sub
         self.ctx = ctx
@@ -752,6 +757,10 @@ class CompiledKernel:
         self._vector_plans: dict[int, Any] = {}
         #: NEW (privatizable) arrays: per-rank private in the shmem target
         self.private_arrays = set(private_arrays or ())
+        #: each nest's NestInfo from analysis, dependences computed: the
+        #: vector planner reads them instead of a pass of its own (run-time
+        #: state of the compile, not pickled: a cached kernel has emitted)
+        self._nests = tuple(nests or ())
         #: LOCALIZE'd arrays: partially replicated, no comm (§4.2)
         self.localized_arrays = set(localized_arrays or ())
         #: filled in by compile_kernel(..., verify=True)
@@ -794,6 +803,7 @@ class CompiledKernel:
         # payload is the one written before they were kept.
         state["_guard_cache"] = {}
         state.pop("_guard_sets", None)
+        state.pop("_nests", None)
         return state
 
     def __setstate__(self, state):
@@ -871,6 +881,19 @@ class CompiledKernel:
         return slice(int(lo), int(hi) + 1, int(step))
 
     @staticmethod
+    def xtemp(arr, *axes):
+        """Block temporary of a NEW array expanded along a nest's sunk
+        loops: *arr*'s axes plus one per sunk loop, given as flat
+        ``position, lo, hi`` triples in ascending position.  Only elements
+        the nest writes are ever read (the planner's coverage proof)."""
+        shape, lower = list(arr.data.shape), list(arr.lower)
+        for pos, lo, hi in zip(axes[::3], axes[1::3], axes[2::3]):
+            shape.insert(pos, max(int(hi) - int(lo) + 1, 0))
+            lower.insert(pos, int(lo))
+        data = np.empty(shape, dtype=arr.data.dtype, order="F")
+        return FortranArray(tuple(shape), tuple(lower), data=data)
+
+    @staticmethod
     def vmat(value, n):
         """Materialize a vector: broadcast a scalar rhs to length *n*."""
         if isinstance(value, np.ndarray) and value.ndim:
@@ -933,6 +956,20 @@ class CompiledKernel:
     # -- guards ---------------------------------------------------------------
     #: see :meth:`_guard_plan`; set on the instance at the first bind
     _guard_sets: tuple | None = None
+    #: see ``__init__``
+    _nests: tuple = ()
+
+    def nest_info(self, stmt: Stmt) -> NestInfo:
+        """The :class:`NestInfo` of the top-level nest holding *stmt*: the
+        one analysis built (its dependences already computed) when this
+        kernel has it, else a fresh one."""
+        for idx, (root, _plan) in enumerate(self.nest_plans):
+            if any(s is stmt for s in walk_stmts([root])):
+                nest = self._nests[idx] if idx < len(self._nests) else None
+                if nest is None or nest.root is not root:
+                    nest = NestInfo(root, self.params)
+                return nest
+        raise KeyError(stmt.sid)
 
     def _guard_plan(self) -> tuple:
         """``(group, sets)``: the symbolic iteration sets behind this

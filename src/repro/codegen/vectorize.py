@@ -41,13 +41,33 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   ``lhs(q,q,2,i,j,k)``) runs sequentially for that statement alone, around
   its cover loop; it carries at most the tolerated edges, so running it in
   order for one statement is distribution again.
-* **Scalar expansion.**  A scalar written once per iteration and only read
-  afterwards becomes a block-shaped vector temporary.  Under computation-
-  partition guards this is bitwise-safe only when every reader's guard is
-  subsumed by the writer's (checked via ON_HOME-term subsumption), so no
-  reader ever observes a stale value that the scalar backend would have
-  kept from an earlier admitted iteration.  Nests expand scalars only when
-  no loop is sequential (the temporaries are shaped for one whole block).
+* **Expansion.**  A scalar written once per iteration and only read
+  afterwards, within one chain of loops, becomes a block-shaped vector
+  temporary.  Under computation-partition guards this is bitwise-safe only
+  when every reader's guard is subsumed by the writer's (checked via
+  ON_HOME-term subsumption), so no reader ever observes a stale value that
+  the scalar backend would have kept from an earlier admitted iteration.
+  A NEW (privatizable, §4.1) array stored without varying with the loops
+  around it is expanded the same way along the loops the nest sinks: its
+  temporary is indexed by those loop indices plus its own subscripts, so
+  each sunk iteration has its own copy and the array's edges carried by a
+  sunk loop disappear.  The coverage condition makes that bitwise-safe:
+  every read, at each iteration its statement is admitted on, finds its
+  element written textually earlier at the same sunk-loop iteration by
+  one writer under that writer's guard — the reader's iteration set,
+  carried by the subscript offsets, is proved a subset of the writer's
+  on the symbolic iteration sets, so it holds on every rank; otherwise
+  the nest keeps its unexpanded plan.  The array must end as the scalar
+  backend leaves it (the ``mpi`` target returns it): after each writer
+  box the temporary's slice at the box's last sunk-loop point is copied
+  back, and since the canonical cover runs boxes in lexicographic order,
+  the last box holding an element holds its last admitted sunk iteration
+  — the array analogue of the scalar's ``S[name] = temp[corner]``.
+  Expansion is limited to NEW arrays because they have no communication
+  events: nothing outside the nest reads the array mid-nest, so the
+  temporary may stand in for it until the write-back.  Both kinds of
+  temporary are shaped for one whole-nest block, so a nest that expands
+  anything has no sequential loop.
 * **Guard covers.**  Per-statement CP guards are realized as maximal
   contiguous runs of admissible innermost indices (:meth:`Guards.segments`)
   or, for multi-level blocks, as an exact lexicographically-ordered box
@@ -63,33 +83,38 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
 * **Orientation.**  Fortran's column-major subscript order means the
   innermost loop index usually indexes the *first* array axis.  Each
   statement's block adopts the axis order of its store (expanded
-  temporaries that of the nest's first store); every other reference must
-  use a subsequence of that order (NumPy keeps slice axes in array order),
-  and lower-dimensional sections are broadcast-lifted with unit axes at
-  the orientation positions they do not vary with.
+  temporaries that of the nest's first store to an array that is not
+  expanded: a NEW array's temporary puts each sunk loop's axis before the
+  first of its own axes whose loop comes later in that order); every
+  other reference must use a subsequence of that order (NumPy keeps slice
+  axes in array order), and lower-dimensional sections are broadcast-
+  lifted with unit axes at the orientation positions they do not vary
+  with.
 
 A loop heads a nest plan only if it passes a syntactic screen
 (:func:`_nest_tree`: a loop beneath it, every store beneath it sliceable
-along it, every scalar write expandable) — the dependence pass over a
-whole nest is the expensive step, and a loop that fails the screen could
-only ever be sequential.  Everything unprovable falls back level-by-level
-(a loop that cannot head a plan, or would be sequential in it, is emitted
-as a Python loop and planning restarts in its body), then
-statement-by-statement (scalar mini-loops inside the vectorized innermost
-loop), then loop-wise to the scalar backend; the decision log is kept on
-the kernel as ``vector_report``.
+along it or to a NEW array, every scalar write expandable) — the
+dependences of a whole nest are the expensive input, and a loop that
+fails the screen could only ever be sequential.  Everything unprovable
+falls back level-by-level (a loop that cannot head a plan, or would be
+sequential in it, is emitted as a Python loop and planning restarts in
+its body), then statement-by-statement (scalar mini-loops inside the
+vectorized innermost loop), then loop-wise to the scalar backend; the
+decision log is kept on the kernel as ``vector_report``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..analysis.dependence import DependenceAnalyzer
 from ..cp.model import cp_key
+from ..cp.nest import NestInfo
 from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var, from_affine, to_affine
 from ..ir.stmt import Assign, Continue, DoLoop
-from ..isets import LinExpr
+from ..ir.visit import walk_stmts
+from ..isets import AffineMap, LinExpr
 from .pyemit import emit_expr
 
 if TYPE_CHECKING:
@@ -154,6 +179,8 @@ class _Ctx:
     base: str
     outer: tuple = ()
     orient: Optional[tuple] = None
+    #: NEW arrays expanded along the nest's sunk loops: name -> _XArray
+    xarrays: Mapping[str, "_XArray"] = field(default_factory=dict)
 
     def vec_vars(self) -> tuple:
         """The vectorized loop indices, outermost first."""
@@ -176,12 +203,23 @@ class _Ctx:
         raise KeyError(v)
 
 
+@dataclass(frozen=True)
+class _XArray:
+    """A NEW array expanded along the loops a nest sinks: ``temp`` names
+    its block temporary, whose axes are the array's own with one more per
+    sunk loop, inserted as ``(position, depth, loop)`` (ascending
+    positions; *depth* is the loop's level in the nest)."""
+
+    temp: str
+    axes: tuple
+
+
 @dataclass
 class _StmtPlan:
     stmt: Assign
     vector: bool
     reason: str = ""
-    #: ('array', name, subs_src) | ('expand', name, temp) — plus rhs_src
+    #: ('array', array_src, subs_src) | ('expand', name, temp) — plus rhs_src
     payload: tuple | None = None
     rhs_src: str = ""
     #: nest plans only — the statement's vector levels as ``(depth, loop)``
@@ -191,6 +229,9 @@ class _StmtPlan:
     vec: tuple = ()
     own: tuple = ()
     orient: tuple = ()
+    #: a store to an expanded array: the statement copying the box's last
+    #: sunk-loop point of the temporary back into the array
+    writeback: str = ""
 
 
 @dataclass
@@ -240,6 +281,8 @@ class NestPlan:
     #: must not share a merged cover loop
     carried_pairs: frozenset = frozenset()
     report: LoopReport = None  # type: ignore[assignment]
+    #: NEW arrays expanded along the sunk loops: name -> _XArray
+    xarrays: dict = field(default_factory=dict)
 
 
 def _var_names(e: Expr) -> set[str]:
@@ -336,7 +379,12 @@ def _slice_src(s: Expr, ref_name: str, var: str, lo: str, hi: str, ctx: _Ctx) ->
 
 def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tuple]:
     """Subscript-tuple source for an array section; returns ``(subs, used)``
-    where *used* lists the vectorized loop indices in axis order."""
+    where *used* lists the vectorized loop indices in axis order.  A
+    reference to an expanded array addresses its temporary: the sunk loop
+    indices join its subscripts."""
+    x = ctx.xarrays.get(ref.name.lower())
+    if x is not None:
+        ref = _expanded_ref(ref, x)
     vecs = ctx.vec_vars()
     subs_src = []
     used: list[str] = []
@@ -376,6 +424,22 @@ def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tupl
                 f"{'/'.join(sorted(missing))}", missing[-1]
             )
     return ", ".join(subs_src), tuple(used)
+
+
+def _expanded_ref(
+    ref: ArrayRef, x: _XArray, at: Optional[Mapping[str, str]] = None
+) -> ArrayRef:
+    """*ref* as a reference to *x*'s temporary: each sunk loop's index (or
+    the name *at* maps it to) inserted at its axis."""
+    subs = list(ref.subscripts)
+    for pos, _depth, lp in x.axes:
+        subs.insert(pos, Var((at or {}).get(lp.var, lp.var)))
+    return ArrayRef(ref.name, tuple(subs))
+
+
+def _array_src(name: str, ctx: _Ctx) -> str:
+    x = ctx.xarrays.get(name)
+    return x.temp if x is not None else f"A[{name!r}]"
 
 
 def _lift(src: str, used, ctx: _Ctx) -> str:
@@ -424,9 +488,10 @@ def emit_vexpr(e: Expr, ctx: _Ctx) -> str:
         return f"({emit_vexpr(e.left, ctx)} {op} {emit_vexpr(e.right, ctx)})"
     if isinstance(e, ArrayRef):
         subs, used = _emit_array_access(e, ctx, write=False)
+        arr = _array_src(e.name.lower(), ctx)
         if not used:  # loop-invariant element: broadcast
-            return f"A[{e.name.lower()!r}].get(({subs},))"
-        return _lift(f"A[{e.name.lower()!r}].vget(({subs},))", used, ctx)
+            return f"{arr}.get(({subs},))"
+        return _lift(f"{arr}.vget(({subs},))", used, ctx)
     if isinstance(e, FuncCall):
         name = e.name.lower()
         args = [emit_vexpr(a, ctx) for a in e.args]
@@ -507,7 +572,8 @@ def _classify(
                 subs, _ = _emit_array_access(s.lhs, seg, write=True)
                 rhs = emit_vexpr(s.rhs, seg)
                 plans.append(_StmtPlan(
-                    s, True, payload=("array", s.lhs.name.lower(), subs), rhs_src=rhs))
+                    s, True, payload=("array", f"A[{s.lhs.name.lower()!r}]", subs),
+                    rhs_src=rhs))
             else:
                 name = s.lhs.name.lower()
                 if name not in expanded:
@@ -633,14 +699,16 @@ def _nest_tree(kernel: "CompiledKernel", top: DoLoop):
     """The syntactic screen (no iset operation) that decides whether *top*
     may head a nest plan, and the nest's shape if it may.
 
-    Returns ``(assigns, loops_of, expanded)`` — the assignments in textual
-    order, each one's enclosing nest loops (outermost first) by sid, and
-    the scalar expansion — or None when *top* can only ever be a Python
-    loop: the nest is not rectangular (unit steps, bounds free of the
-    nest's indices, bodies of assignments and loops only), a store beneath
-    it does not vary with it, or a scalar is written that today's
-    expansion rule (one flat body, every reader guarded under the writer)
-    does not cover."""
+    Returns ``(assigns, loops_of, expanded, xnames)`` — the assignments in
+    textual order, each one's enclosing nest loops (outermost first) by
+    sid, the scalar expansion, and the NEW arrays stored without varying
+    with *top* (candidates for expansion along the sunk loops) — or None
+    when *top* can only ever be a Python loop: the nest is not rectangular
+    (unit steps, bounds free of the nest's indices and of the scalars it
+    writes, bodies of assignments and loops only), a store to an array
+    that is not NEW does not vary with it, or a scalar is written that the
+    expansion rule (one chain of loops touches it, every reader guarded
+    under the writer) does not cover."""
     assigns: list[Assign] = []
     loops_of: dict[int, tuple] = {}
     loop_vars: set[str] = set()
@@ -668,21 +736,212 @@ def _nest_tree(kernel: "CompiledKernel", top: DoLoop):
         return None
     if all(len(chain) == 1 for chain in loops_of.values()):
         return None  # no loop beneath: the 1-d planner's case
+    xnames: set[str] = set()
     for s in assigns:
         if isinstance(s.lhs, ArrayRef) and not _store_slices(s.lhs, top.var):
-            return None
+            if s.lhs.name.lower() not in kernel.private_arrays:
+                return None
+            xnames.add(s.lhs.name.lower())
     expanded: dict[str, str] = {}
     written = {s.lhs.name.lower() for s in assigns if isinstance(s.lhs, Var)}
     if written:
-        if len(set(loops_of.values())) > 1:
+        if written & bound_vars:
             return None
-        expanded = _expansion_candidates(kernel, assigns)
+        chains: dict[tuple, list] = {}
+        for s in assigns:
+            chains.setdefault(loops_of[s.sid], []).append(s)
+        seen: set[str] = set()
+        for body in chains.values():
+            touched = written & set().union(
+                *(_scalar_reads(s) | _var_names(s.lhs) for s in body))
+            if touched & seen:
+                return None  # one scalar, two chains of loops
+            seen |= touched
+            expanded.update(_expansion_candidates(kernel, body))
         if written - set(expanded):
             return None
-    return assigns, loops_of, expanded
+    return assigns, loops_of, expanded, xnames
 
 
-def _block_ctx(loops: tuple, vec: tuple, locals_: set, expanded: dict) -> _Ctx:
+def _stores_to(assigns, name: str) -> list:
+    return [s for s in assigns
+            if isinstance(s.lhs, ArrayRef) and s.lhs.name.lower() == name]
+
+
+def _refs_to(s: Assign, name: str) -> list:
+    """The references to array *name* that statement *s* reads."""
+    exprs = [s.rhs]
+    if isinstance(s.lhs, ArrayRef):
+        exprs += s.lhs.subscripts
+    return [
+        n for e in exprs for n in e.walk()
+        if isinstance(n, ArrayRef) and n.name.lower() == name
+    ]
+
+
+def _expansions(assigns, loops_of, xnames, rank) -> Optional[dict]:
+    """The block temporaries of the NEW arrays *xnames* (a syntactic step;
+    :func:`_covered` proves them).  An array's sunk loops are the common
+    prefix of the loops around every statement touching it, and its
+    subscripts must be free of their indices.  Each sunk loop's axis goes
+    before the first array axis whose loop comes after it in *rank* (the
+    orientation of the nest's first store that stays), so its readers'
+    blocks keep their axis order.  None when an array does not fit."""
+    out: dict[str, _XArray] = {}
+    for name in sorted(xnames):
+        stores = _stores_to(assigns, name)
+        readers = [s for s in assigns if _refs_to(s, name)]
+        refs = [s.lhs for s in stores] + [
+            r for s in readers for r in _refs_to(s, name)]
+        chains = [loops_of[s.sid] for s in stores + readers]
+        prefix: list[DoLoop] = []
+        for level in zip(*chains):
+            if any(lp is not level[0] for lp in level):
+                break
+            prefix.append(level[0])
+        sunk = {lp.var for lp in prefix}
+        if any(_var_names(sub) & sunk for r in refs for sub in r.subscripts):
+            return None
+        own = {lp.var for lp in loops_of[stores[0].sid]}
+        axes: list = []
+        for sub in stores[0].lhs.subscripts:
+            hit = _var_names(sub) & own
+            if len(hit) > 1 or not hit <= rank.keys():
+                return None
+            axes.append(next(iter(hit), None))
+        if not sunk <= rank.keys():
+            return None
+        for lp in sorted(prefix, key=lambda lp: rank[lp.var]):
+            at = next((i for i, v in enumerate(axes)
+                       if v is not None and rank[v] > rank[lp.var]), len(axes))
+            axes.insert(at, lp.var)
+        out[name] = _XArray(f"_xt_{name}", tuple(sorted(
+            ((axes.index(lp.var), depth, lp) for depth, lp in enumerate(prefix)),
+            key=lambda a: a[0],
+        )))
+    return out
+
+
+def _element_of(read: ArrayRef, store: ArrayRef, own: set):
+    """Where *read* meets the elements *store* writes: a binding of the
+    store's loop indices in *own* to affine expressions in the reader's
+    names (unit-coefficient stores only), False when the two never touch
+    the same element (a constant subscript differs by a nonzero
+    constant), None when that cannot be told."""
+    binding: dict[str, LinExpr] = {}
+    unknown = False
+    for rs, ws in zip(read.subscripts, store.subscripts):
+        ra, wa = to_affine(rs), to_affine(ws)
+        if ra is None or wa is None:
+            unknown = True
+            continue
+        hit = [v for v in wa.vars() if v in own]
+        if hit:
+            if len(hit) > 1 or wa.coeff(hit[0]) != 1:
+                unknown = True
+            else:
+                binding[hit[0]] = ra - (wa - LinExpr.var(hit[0]))
+            continue
+        gap = ra - wa
+        if gap.is_constant() and gap.constant != 0:
+            return False
+        unknown = unknown or not gap.is_constant()
+    return None if unknown else binding
+
+
+def _admitted(kernel: "CompiledKernel", nest: NestInfo, stmt: Assign):
+    """A statement's symbolic iteration set on a rank (``PDIM``s free):
+    its bound guard's set, or its loop bounds when unguarded."""
+    group, sets = kernel._guard_plan()
+    g = group.get(stmt.sid)
+    if g is not None:
+        return sets[g]
+    scp = kernel.cps.get(stmt.sid)
+    if scp is not None and not scp.cp.is_replicated:
+        return None
+    bounds = nest.bounds_of(stmt)
+    return None if bounds is None else bounds.bind(kernel.params)
+
+
+def _covered(kernel: "CompiledKernel", top: DoLoop, assigns, xarrays) -> bool:
+    """The coverage condition that makes expansion bitwise-safe: every read
+    of an expanded array, at each iteration its statement is admitted on,
+    finds its element written textually earlier at the same sunk-loop
+    iteration by exactly one writer, under the writer's guard.  The stores
+    to one array must touch disjoint elements; a reader sharing a loop
+    below the sunk ones with its writer must read at offset 0 along it;
+    and the reader's iteration set, carried to the writer's iterations by
+    the subscript offsets, must be a subset of the writer's — proved on
+    the symbolic sets, so it holds on every rank."""
+    nest = kernel.nest_info(top)
+    order = {s.sid: i for i, s in enumerate(assigns)}
+    below = {lp.sid for lp in walk_stmts([top]) if isinstance(lp, DoLoop)}
+    proved: dict = {}  # one subset test per distinct (sets, map) query
+    for name, x in xarrays.items():
+        sunk = {lp.sid for _p, _d, lp in x.axes}
+        stores = _stores_to(assigns, name)
+        own = {s.sid: {lp.var for lp in nest.loops_of(s) if lp.sid not in sunk}
+               for s in stores}
+        for i, a in enumerate(stores):
+            for b in stores[i + 1:]:
+                if _element_of(b.lhs, a.lhs, own[a.sid]) is not False:
+                    return False
+        for s in assigns:
+            for ref in _refs_to(s, name):
+                src = [(w, _element_of(ref, w.lhs, own[w.sid])) for w in stores]
+                src = [(w, m) for w, m in src if m is not False]
+                if len(src) != 1 or src[0][1] is None:
+                    return False
+                w, binding = src[0]
+                if order[w.sid] >= order[s.sid]:
+                    return False
+                if not _read_covered(kernel, nest, s, w, binding,
+                                     sunk, below, proved):
+                    return False
+    return True
+
+
+def _read_covered(kernel, nest: NestInfo, reader, writer, binding, sunk,
+                  below, proved: dict) -> bool:
+    """One read of the coverage condition: the image of the reader's
+    iteration set under the map to the iterations whose store it reads is
+    a subset of the writer's iteration set.  A loop around both runs the
+    same iteration for the two (the sunk ones, loops outside the nest
+    *below* holds, and inner loops the store varies with, read at offset
+    0)."""
+    rset, wset = _admitted(kernel, nest, reader), _admitted(kernel, nest, writer)
+    if rset is None or wset is None:
+        return False
+    rloops = nest.loops_of(reader)
+    shared = {lp.sid for lp in rloops}
+    ren = {lp.var: f"{lp.var}$r" for lp in rloops}
+    exprs = []
+    for lp in nest.loops_of(writer):
+        e = binding.get(lp.var)
+        if lp.sid in shared:
+            same = LinExpr.var(ren[lp.var])
+            if e is None and lp.sid in below and lp.sid not in sunk:
+                return False  # the store does not vary with an inner loop
+            if e is not None and e.rename(ren) != same:
+                return False  # a shared loop read at an offset
+            exprs.append(same)
+        elif e is None:
+            return False
+        else:
+            exprs.append(e.rename(ren))
+    dims = tuple(ren[lp.var] for lp in rloops)
+    if rset is wset and exprs == [LinExpr.var(d) for d in dims]:
+        return True  # one share group, read where it is written
+    key = (id(rset), id(wset), dims, tuple(map(str, exprs)))
+    if key not in proved:
+        image = AffineMap(dims, exprs).image(
+            rset.with_dims(dims), out_dims=wset.dims)
+        proved[key] = image.is_subset(wset)
+    return proved[key]
+
+
+def _block_ctx(loops: tuple, vec: tuple, locals_: set, expanded: dict,
+               xarrays: Optional[Mapping] = None) -> _Ctx:
     """Emission context for one statement's block: *vec* are its vector
     levels as ``(depth, loop)`` pairs, every other loop of *loops* is a
     Python loop variable around it."""
@@ -694,7 +953,25 @@ def _block_ctx(loops: tuple, vec: tuple, locals_: set, expanded: dict) -> _Ctx:
         outer=tuple(
             (lp.var, f"_x{l}a", f"_x{l}b", f"_b{l}0") for l, lp in vec[:-1]
         ),
+        xarrays=xarrays or {},
     )
+
+
+def _writeback(ref: "ArrayRef | Var", ctx: _Ctx) -> str:
+    """For a store to an expanded array: the copy of the temporary's slice
+    at the box's last sunk-loop point back into the array, so the array
+    ends as the scalar backend leaves it (the box cover runs in canonical
+    order: a later box never holds an earlier sunk iteration of the same
+    element)."""
+    x = ctx.xarrays.get(ref.name.lower())
+    if x is None:
+        return ""
+    plain = replace(ctx, xarrays={})
+    subs, _ = _emit_array_access(ref, plain, write=False)
+    last = {lp.var: f"_x{d}b" for _p, d, lp in x.axes}
+    at = replace(plain, locals_=plain.locals_ | set(last.values()))
+    corner, _ = _emit_array_access(_expanded_ref(ref, x, last), at, write=False)
+    return f"A[{ref.name.lower()!r}].vset(({subs},), {x.temp}.vget(({corner},)))"
 
 
 def _plan_block(
@@ -705,6 +982,7 @@ def _plan_block(
     locals_: set,
     expanded: dict,
     xorient: tuple,
+    xarrays: dict,
 ) -> _StmtPlan:
     """Plan one statement of a nest as an N-d block over every enclosing
     nest loop not in *seq*.  A loop its access rules cannot slice becomes
@@ -720,13 +998,13 @@ def _plan_block(
         if not vec:
             raise VectorUnsupported(
                 f"s{s.sid} has no vector level ({'; '.join(why)})")
-        ctx = _block_ctx(loops, vec, locals_, expanded)
+        ctx = _block_ctx(loops, vec, locals_, expanded, xarrays)
         try:
             if isinstance(s.lhs, ArrayRef):
                 # the store defines the block's orientation (which loop
                 # index runs along which array axis)
                 subs, ctx.orient = _emit_array_access(s.lhs, ctx, write=True)
-                payload = ("array", s.lhs.name.lower(), subs)
+                payload = ("array", _array_src(s.lhs.name.lower(), ctx), subs)
             else:
                 name = s.lhs.name.lower()
                 ctx.orient = xorient
@@ -741,29 +1019,43 @@ def _plan_block(
         return _StmtPlan(
             s, True, "; ".join(why), payload, rhs, vec,
             tuple(lp for lp in loops if lp in own), ctx.orient,
+            _writeback(s.lhs, ctx),
         )
 
 
-def _carried_loops(kernel, top, assigns, loops_of, expanded):
-    """One dependence pass over the nest, each carried edge charged to the
-    loop that carries it.  Returns ``(seq, pinned, pairs)``: the loops that
-    must stay sequential; the loops whose edges are all of the two kinds a
-    vector level tolerates *in place* — a textually forward cross-statement
-    edge (the *pairs*; distribution keeps it) and an anti dependence of a
-    statement on itself carried by its innermost loop (box order plus
-    NumPy's full-RHS materialization keep it); and those forward pairs,
-    which must not share a cover loop."""
+def _carried_loops(kernel, top, assigns, loops_of, expanded, xarrays):
+    """The nest's dependences — the ones analysis already computed for its
+    top-level nest (:meth:`CompiledKernel.nest_info`), those between
+    statements under *top* carried inside it, minus the expanded
+    scalars' — each carried edge charged to the loop that carries it.
+    Returns ``(seq, pinned, pairs)``: the loops that must stay sequential;
+    the loops whose edges are all of the two kinds a vector level
+    tolerates *in place* — a textually forward cross-statement edge (the
+    *pairs*; distribution keeps it) and an anti dependence of a statement
+    on itself carried by its innermost loop (box order plus NumPy's
+    full-RHS materialization keep it); and those forward pairs, which must
+    not share a cover loop.  An expanded array's edges carried by one of
+    its sunk loops are gone: each iteration of those loops has its own
+    copy."""
     order = {s.sid: i for i, s in enumerate(assigns)}
+    sunk = {
+        name: {lp.sid for _p, _d, lp in x.axes} for name, x in xarrays.items()
+    }
     seq: set[int] = set()
     pinned: set[int] = set()
     pairs: set = set()
-    for d in DependenceAnalyzer(
-        top, kernel.params, ignore_vars=expanded
-    ).dependences():
-        if d.level == 0:
-            continue  # loop-independent: forward textual, preserved
+    nest = kernel.nest_info(top)
+    outer = len(nest.loops_of(top))
+    for d in nest.deps:
+        if (d.level <= outer or d.var in expanded
+                or d.src.sid not in order or d.dst.sid not in order):
+            # loop-independent (forward textual, preserved), carried
+            # outside the nest, or not in it
+            continue
         chain = loops_of[d.src.sid]
-        loop = chain[d.level - 1]
+        loop = chain[d.level - outer - 1]
+        if loop.sid in sunk.get(d.var, ()):
+            continue
         if d.src is d.dst:
             ok = d.kind == "anti" and loop is chain[-1]
         else:
@@ -805,55 +1097,81 @@ def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
     backward.  With no sequential loop at all this is plain N-d
     distribution of a perfect chain.
 
+    A NEW array stored without varying with the sunk loops is expanded
+    along them (:func:`_expansions`, proved by :func:`_covered`), and
+    scalars are expanded per chain of loops; both kinds of temporary are
+    shaped for one whole-nest block, so such a nest has no sequential
+    loop at all.
+
     *top* must pass the syntactic screen of :func:`_nest_tree` before the
-    dependence pass is paid for; a nest whose *top* turns out sequential
-    is left to the retry (nothing would sink across it)."""
+    coverage proof and the dependences are paid for; a nest whose *top*
+    turns out sequential is left to the retry (nothing would sink across
+    it)."""
     tree = _nest_tree(kernel, top)
     if tree is None:
         return None
-    assigns, loops_of, expanded = tree
-    xorient: tuple = ()
-    if expanded:
-        # expanded temporaries take the first store's orientation
-        first = next((s for s in assigns if isinstance(s.lhs, ArrayRef)), None)
+    assigns, loops_of, expanded, xnames = tree
+    orients: dict = {}  # chain of loops -> its scalar temporaries' orientation
+    xarrays: dict = {}
+    if expanded or xnames:
+        # temporaries take the orientation of the first store that stays
+        first = next((s for s in assigns if isinstance(s.lhs, ArrayRef)
+                      and s.lhs.name.lower() not in xnames), None)
         if first is None:
             return None
         loops = loops_of[first.sid]
         try:
-            _, xorient = _emit_array_access(
+            _, vorder = _emit_array_access(
                 first.lhs,
                 _block_ctx(loops, tuple(enumerate(loops)), locals_, expanded),
                 write=True,
             )
         except VectorUnsupported:
             return None
+        rank = {v: r for r, v in enumerate(vorder)}
+        for s in assigns:
+            chain = loops_of[s.sid]
+            if isinstance(s.lhs, Var):
+                if any(lp.var not in rank for lp in chain):
+                    return None
+                orients[chain] = tuple(
+                    sorted((lp.var for lp in chain), key=rank.get))
+        if xnames:
+            xarrays = _expansions(assigns, loops_of, xnames, rank)
+            if xarrays is None:
+                return None
     seq: set[int] = set()
     carried = None
     while True:
         try:
             plans = [
                 _plan_block(kernel, s, loops_of[s.sid], seq, locals_,
-                            expanded, xorient)
+                            expanded, orients.get(loops_of[s.sid], ()), xarrays)
                 for s in assigns
             ]
         except VectorUnsupported:
             return None
         if carried is None:
+            if (expanded or xarrays) and any(
+                p.own or p.orient != orients.get(loops_of[p.stmt.sid], p.orient)
+                for p in plans
+            ):
+                return None  # temporaries are shaped for one whole-nest block
+            if xarrays and not _covered(kernel, top, assigns, xarrays):
+                return None
             # syntax alone has kept a vector level for every statement:
-            # now pay for the dependence pass
+            # now pay for the dependences
             carried, pinned, pairs = _carried_loops(
-                kernel, top, assigns, loops_of, expanded)
+                kernel, top, assigns, loops_of, expanded, xarrays)
         grown = carried | _sunk_across(plans, loops_of, pinned, carried | seq)
         grown -= seq
         if not grown:
             break
+        if expanded or xarrays:
+            return None
         seq |= grown
         if top.sid in seq:
             return None
-    if expanded and (
-        seq or any(p.own or p.orient != xorient for p in plans)
-    ):
-        return None  # temporaries are shaped for one whole-nest block
     nest_loops = list(dict.fromkeys(lp for s in assigns for lp in loops_of[s.sid]))
     notes = []
     sequential = tuple(lp.var for lp in nest_loops if lp.sid in seq)
@@ -867,11 +1185,13 @@ def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
     dims = sorted({len(p.vec) for p in plans})
     notes.append(
         "/".join(f"{d}-d" for d in dims) + (" blocks" if len(dims) > 1 else " block"))
-    plan = NestPlan(top, frozenset(seq), {p.stmt.sid: p for p in plans}, pairs)
+    plan = NestPlan(top, frozenset(seq), {p.stmt.sid: p for p in plans}, pairs,
+                    xarrays=xarrays)
     plan.report = LoopReport(
         ",".join(lp.var for lp in nest_loops), top.sid, "vector",
         "; ".join(notes), tuple(p.stmt.sid for p in plans),
-        expanded=tuple(sorted(expanded)), sequential=sequential,
+        expanded=tuple(sorted(set(expanded) | set(xarrays))),
+        sequential=sequential,
     )
     return plan
 
@@ -924,7 +1244,14 @@ def _emit_plan_nest(
     body, a vector loop emits nothing here (it is distributed over its
     body items and reappears as a box dimension of each statement), and
     each run of consecutive assignments that share their vector levels is
-    emitted as cover loops."""
+    emitted as cover loops.  Expanded NEW arrays get their temporaries
+    first, one axis per sunk loop spanning its bounds."""
+    pad = "    " * indent
+    for name, x in sorted(plan.xarrays.items()):
+        axes = ", ".join(
+            f"{pos}, {emit_expr(lp.lo, locals_)}, {emit_expr(lp.hi, locals_)}"
+            for pos, _d, lp in x.axes)
+        lines.append(f"{pad}{x.temp} = K.xtemp(A[{name!r}], {axes})")
 
     def walk(loop: DoLoop, indent: int, locals_: set) -> None:
         if loop.sid in plan.seq:
@@ -1012,8 +1339,10 @@ def _emit_blocks(
                     f"_x{level[v]}b - _b{level[v]}0" for v in p.orient)
                 lines.append(f"{bp}    S[{name!r}] = {temp}[{corner}]")
             else:
-                _, aname, subs = p.payload
-                lines.append(f"{bp}    A[{aname!r}].vset(({subs},), {p.rhs_src})")
+                _, arr, subs = p.payload
+                lines.append(f"{bp}    {arr}.vset(({subs},), {p.rhs_src})")
+                if p.writeback:
+                    lines.append(f"{bp}    {p.writeback}")
 
 
 def _emit_plan(
@@ -1068,7 +1397,6 @@ def _emit_plan(
                         f"{bp}    {temp}[_sa - _v0:_sb + 1 - _v0] = {p.rhs_src}")
                     lines.append(f"{bp}    S[{name!r}] = {temp}[_sb - _v0]")
                 else:
-                    _, aname, subs = p.payload
-                    lines.append(
-                        f"{bp}    A[{aname!r}].vset(({subs},), {p.rhs_src})")
+                    _, arr, subs = p.payload
+                    lines.append(f"{bp}    {arr}.vset(({subs},), {p.rhs_src})")
         i = j

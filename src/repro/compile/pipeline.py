@@ -147,6 +147,8 @@ class AnalysisArtifact:
     #: that nest's plan would be wrong (strict analysis only: a lenient
     #: one has degraded the nest instead)
     verdicts: dict = field(default_factory=dict)
+    #: each nest's NestInfo (dependences computed), for the vector planner
+    nests: list = field(default_factory=list)
 
 
 @dataclass
@@ -276,7 +278,7 @@ def stage_specialize(
     with profile_phase("specialize"):
         ctx = DistributionContext(art.sub, nprocs, params)
         with _metered(budget):
-            cps_all, nest_plans, private_arrays, localized_arrays, verdicts = (
+            cps_all, nest_plans, private_arrays, localized_arrays, verdicts, nests = (
                 analyze_program(
                     art.sub, ctx, art.merged, art.selection,
                     sink=sink, budget=budget,
@@ -285,7 +287,7 @@ def stage_specialize(
     return AnalysisArtifact(
         sub=art.sub, ctx=ctx, merged=art.merged, cps=cps_all,
         nest_plans=nest_plans, private_arrays=private_arrays,
-        localized_arrays=localized_arrays, verdicts=verdicts,
+        localized_arrays=localized_arrays, verdicts=verdicts, nests=nests,
     )
 
 
@@ -328,7 +330,7 @@ def stage_codegen(
     return CompiledKernel(
         art.sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
         art.private_arrays, art.localized_arrays, backend=backend,
-        sink=sink,
+        sink=sink, nests=art.nests,
     )
 
 

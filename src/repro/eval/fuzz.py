@@ -42,6 +42,10 @@ _ARRAY_NAMES = ("a", "b", "c", "d")
 #: a wavefront nest; at 0.5 the CI smoke's 20 seeds draw it once (seed 1)
 WAVE_SHARE = 0.5
 
+#: share of the 2-d programs that end in lhsy's shape (Fig 4.1): a NEW
+#: 1-d array written in one inner loop and read at +-1 in a sibling
+PRIVATE_SHARE = 0.5
+
 #: share of the 1-d programs that leave the grid extent to the compiler
 #: (``processors p(*)``), so CP selection runs at the canonical count 2
 #: and is specialized to a target of 2, 3 or 4 ranks
@@ -79,6 +83,37 @@ class NestSpec:
 
 
 @dataclass(frozen=True)
+class PrivateSpec:
+    """lhsy's shape on the 2-d grid: under ``independent, new(t)`` on the
+    outer ``j`` loop, an inner loop writes the 1-d ``t`` from *term* (plus
+    the scalar ``s`` of the loop indices when *scalar*, like lhsy's
+    ``ru1``), and a sibling loop stores ``t(i - 1)`` and ``t(i + 1)``
+    into *target*.  *stale* starts the writer one later than the reader
+    needs, so one read finds an element the writer never wrote."""
+
+    target: str
+    term: str
+    scalar: bool = False
+    stale: bool = False
+
+    def render(self, lines: list) -> None:
+        lo = "2" if self.stale else "1"
+        value = f"{self.term} * 0.5 + j * 0.25"
+        lines.append("!hpf$ independent, new(t)")
+        lines.append("      do j = 2, n - 1")
+        lines.append(f"         do i = {lo}, n")
+        if self.scalar:
+            lines.append("            s = i * 0.5 + j * 0.25")
+            value = f"s + {self.term} * 0.5"
+        lines.append(f"            t(i) = {value}")
+        lines.append("         enddo")
+        lines.append("         do i = 2, n - 1")
+        lines.append(f"            {self.target}(i, j) = t(i - 1) * 0.5 + t(i + 1)")
+        lines.append("         enddo")
+        lines.append("      enddo")
+
+
+@dataclass(frozen=True)
 class ProgramSpec:
     seed: int
     n: int
@@ -96,6 +131,8 @@ class ProgramSpec:
     wave: "int | None" = None
     #: 1-d wildcard grid: ``processors p(*)`` sized by ``nprocs`` alone
     wild: bool = False
+    #: 2-d programs: a last nest of lhsy's shape over a NEW array ``t``
+    private: "PrivateSpec | None" = None
 
     def render(self) -> str:
         n, lines = self.n, []
@@ -103,6 +140,8 @@ class ProgramSpec:
         lines.append(f"      parameter (n = {n})")
         shape = "(n, n)" if self.two_d else "(n)"
         decls = ", ".join(f"{a.name}{shape}" for a in self.arrays)
+        if self.private is not None:
+            decls += ", t(n), s" if self.private.scalar else ", t(n)"
         lines.append(f"      real {decls}")
         if any(p.startswith("m =") for p in self.pre):
             lines.append("      integer m")
@@ -141,6 +180,8 @@ class ProgramSpec:
             if self.two_d:
                 lines.append("         enddo")
             lines.append("      enddo")
+        if self.private is not None:
+            self.private.render(lines)
         if self.with_call:
             first = self.arrays[0].name
             lines.append(f"      call bump({first}, n)")
@@ -276,6 +317,19 @@ def gen_spec(seed: int) -> ProgramSpec:
                 (StmtSpec(tgt, "i, j", f"{back} * 0.5 + {term}"),),
                 "2", "n - 1", 1,
             ))
+    private = None
+    if two_d:
+        # another stream of its own: the programs that do not take the
+        # shape render as before
+        prng = random.Random(f"{seed}:private")
+        if prng.random() < PRIVATE_SHARE:
+            target = prng.choice([a for a in arrays if a.dist] or arrays).name
+            term = prng.choice(
+                [f"{a.name}(i, j)" for a in arrays if a.name != target] + ["1.5"])
+            private = PrivateSpec(
+                target, term, scalar=prng.random() < 0.5,
+                stale=prng.random() < 0.25,
+            )
     wild = False
     if not two_d:
         # its own stream again: every other seed renders as before
@@ -285,7 +339,7 @@ def gen_spec(seed: int) -> ProgramSpec:
             nprocs = grng.choice((2, 3, 4))
     return ProgramSpec(
         seed, n, nprocs, two_d, tuple(arrays), tuple(nests), tuple(pre),
-        with_call, wave, wild,
+        with_call, wave, wild, private,
     )
 
 
@@ -478,6 +532,8 @@ def _spec_variants(spec: ProgramSpec):
     """Strictly-smaller candidate specs, largest reductions first."""
     if spec.with_call:
         yield replace(spec, with_call=False)
+    if spec.private is not None:
+        yield replace(spec, private=None)
     for i in range(len(spec.nests)):
         if len(spec.nests) > 1:
             yield replace(spec, nests=spec.nests[:i] + spec.nests[i + 1:])

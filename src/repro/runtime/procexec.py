@@ -90,10 +90,11 @@ class ProcFault:
 
     ``kind='kill'`` SIGKILLs the worker; ``kind='stall'`` SIGSTOPs it (the
     worker stops beating and is detected as :class:`WorkerTimeout`).  The
-    trigger is ``after_iteration`` (fires once the supervisor has seen the
-    rank's checkpoint for that iteration — guaranteeing restartable
-    progress exists) or ``after_seconds`` of gang wall-clock.  Fires once
-    per run, so the restarted gang survives.
+    trigger is ``after_iteration`` (fires once the supervisor has seen
+    every rank's checkpoint for that iteration — guaranteeing restartable
+    progress exists: one rank's alone can arrive before another's leaves
+    its writer, and dies with it) or ``after_seconds`` of gang wall-clock.
+    Fires once per run, so the restarted gang survives.
     """
 
     rank: int
@@ -462,7 +463,8 @@ class ProcessExecutor:
         gang = self._gang
         assert gang is not None
         if fault.after_iteration is not None:
-            return gang.iters.get(fault.rank, 0) >= fault.after_iteration
+            done = min(gang.iters.get(r, 0) for r in range(self.nprocs))
+            return done >= fault.after_iteration
         return now - gang.t0 >= (fault.after_seconds or 0.0)
 
     def _fire_fault(self, fault: ProcFault) -> None:

@@ -54,10 +54,11 @@ class TestCompiledLhsy:
         assert "backend vector" in src
         assert "def node_program(rank, A, S, K):" in src
         assert "K.exec_comm(rank, A, 0, 'read')" in src
-        assert "G.segments(" in src  # guards realized as contiguous runs
+        assert "G.boxes(" in src  # guards realized as box covers
+        assert "K.guard(" not in src  # ... not as per-point tests
         assert ".vset((" in src  # slice stores instead of scalar sets
         compile(src, "<check>", "exec")  # must be valid Python
-        # every innermost affine j-loop of lhsy vectorizes
+        # the whole k, i, j nest of lhsy vectorizes (NEW arrays expanded)
         reports = list(lhsy_kernel.vector_report.values())
         assert reports and all(r.status == "vector" for r in reports)
 

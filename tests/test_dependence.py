@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyze_loop_dependences
-from repro.analysis.dependence import LI, DependenceAnalyzer, carries_dependence
+from repro.analysis.dependence import LI, DependenceAnalyzer
 from repro.frontend import parse_subroutine
 from repro.ir import Assign, DoLoop, walk_stmts
 
@@ -30,7 +30,6 @@ class TestBasicDependences:
         )
         deps = analyze_loop_dependences(loop)
         assert any(d.kind == "flow" and d.level == 1 for d in deps)
-        assert carries_dependence(loop)
 
     def test_parallel_loop_has_no_carried_deps(self):
         loop = loop_of(
@@ -44,7 +43,7 @@ class TestBasicDependences:
       end
 """
         )
-        assert not carries_dependence(loop)
+        assert not any(d.level == 1 for d in analyze_loop_dependences(loop))
 
     def test_anti_dependence(self):
         loop = loop_of(

@@ -31,7 +31,9 @@ class TestGenerator:
     def test_smoke_seeds_draw_the_wavefront_shape(self):
         """CI's `fuzz --seeds 20` must reach the loop-sinking planner: one
         of its seeds ends in a recurrence along a collapsed dimension, and
-        a 2-d seed that does not draw the shape keeps its 2x2 grid."""
+        a 2-d seed that does not draw the shape keeps its 2x2 grid.  The
+        same seed draws lhsy's NEW-array shape after the recurrence, so
+        the smoke reaches the expansion of NEW arrays too."""
         assert [s for s in range(20) if gen_spec(s).wave is not None] == [1]
         spec = gen_spec(1)
         source = spec.render()
@@ -45,7 +47,9 @@ class TestGenerator:
 
         ck = compile_kernel(source, spec.nprocs)
         ck.python_source()
-        assert list(ck.vector_report.values())[-1].sequential == ("i",)
+        *_, wave_report, private_report = ck.vector_report.values()
+        assert wave_report.sequential == ("i",)
+        assert spec.private is not None and private_report.expanded == ("t",)
 
     def test_wildcard_grid_shape_specializes_away_from_canonical(self):
         """Every other program pins `processors p(N)` with N ranks, so

@@ -277,6 +277,16 @@ class TestRestartRecovery:
                 (tmp_path / f"work-{rank.rank}-{it}-{os.getpid()}").touch()
                 rank.barrier(tag=100 + it)  # iteration boundary
                 cfg.store.save(it, rank.rank, None)
+                held = tmp_path / "held"
+                if rank.rank == 1 and it == 2 and not held.exists():
+                    # rank 1 holds still, once, where the fault is due, so
+                    # the kill lands before it can finish and exit (the
+                    # marker, not `start`: a kill can beat rank 0's last
+                    # checkpoint to the parent, and the next gang redo
+                    # iteration 2); bounded, so a missed kill fails the
+                    # asserts below instead of hanging
+                    held.touch()
+                    time.sleep(30)
             return cfg.store.latest_complete(rank.size)
 
         ex = ProcessExecutor(

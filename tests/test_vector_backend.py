@@ -27,7 +27,7 @@ from repro.ir import Assign, walk_stmts
 from repro.ir.interp import Interpreter
 from repro.isets import ISet, box as iset_box, profiled
 from repro.nas import kernels
-from repro.nas.specs import bitwise_identical, kernel_specs, seed_init
+from repro.nas.specs import KernelSpec, bitwise_identical, kernel_specs, seed_init
 from repro.runtime import procexec
 from repro.transform import inline_calls
 
@@ -436,6 +436,146 @@ def test_sunk_nest_with_guard_holes():
     assert bitwise_identical(ranks["scalar"], ranks["vector"])
     sid = max(ck.bind_guards(0))  # the recurrence statement
     assert len(ck.bind_guards(0).boxes(sid, (None, None, 3), 1, 8, 1, 8)) > 1
+
+
+# ---------------------------------------------------------------------------
+# expansion: NEW arrays get one copy per iteration of the loops they sink
+# ---------------------------------------------------------------------------
+
+_LHSX = KernelSpec(
+    "lhsx", "lhsx n=17", 4, {"n": 17},
+    {"c2": 0.5, "dx3": 0.1, "c1c5": 0.2, "dttx1": 0.3, "dttx2": 0.4, "n": 17},
+    source=kernels.LHSX_SP,
+)
+
+#: the three paper kernels whose NEW arrays the planner expands
+_NEW_KERNELS = {
+    "fig4.1": (SPECS["fig4.1 lhsy n=17"], ("cv", "rhoq", "ru1")),
+    "exact-rhs": (SPECS["exact_rhs n=17"], ("buf", "cuf", "dtemp", "q", "ue")),
+    "lhsx": (_LHSX, ("cv", "rhoq", "ru1")),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_NEW_KERNELS))
+def test_new_arrays_expand_into_one_nest_of_3d_blocks(key):
+    """k, i and j all become box dimensions: one nest plan, one cover
+    loop per merge group, the NEW arrays and the scalars feeding them
+    expanded, and no guard test or Python loop left."""
+    spec, names = _NEW_KERNELS[key]
+    ck = spec.compile("vector")
+    src = ck.python_source()
+    (report,) = ck.vector_report.values()
+    assert report.status == "vector" and report.sequential == ()
+    assert report.reason == "3-d block"
+    assert report.expanded == names
+    assert _python_loops(src) == [] and "K.guard(" not in src
+    ck.run(spec.scalars, init=seed_init(ck))
+    for rank in range(ck.nprocs):
+        # distinct box queries per pass: one per merge group, not one per
+        # (k, i) iteration and statement
+        assert len(ck.bind_guards(rank)._answers) == src.count("G.boxes(")
+    assert src.count("G.boxes(") <= 4
+
+
+@pytest.mark.parametrize("key", sorted(_NEW_KERNELS))
+def test_new_kernels_bitwise_every_route(key):
+    """Scalar == vector, every array of every rank (the NEW ones too), on
+    the VM's two targets and on real processes."""
+    spec, _names = _NEW_KERNELS[key]
+    out = {}
+    for backend in ("scalar", "vector"):
+        ck = spec.compile(backend)
+        init = seed_init(ck)
+        shared = {}
+
+        def init_shared(A, init=init):
+            init(0, A)
+
+        for executor in ("virtual", "process"):
+            out[backend, executor] = ck.run(
+                spec.scalars, init=init, executor=executor, timeout=120)
+            shared[executor] = ck.run_shmem(
+                spec.scalars, init=init_shared, executor=executor, timeout=120)
+        out[backend, "shmem"] = [shared["virtual"], shared["process"]]
+    for route in ("virtual", "process", "shmem"):
+        assert bitwise_identical(out["scalar", route], out["vector", route]), route
+    assert bitwise_identical(out["vector", "virtual"], out["vector", "process"])
+    assert mp.active_children() == []
+    assert procexec.leaked_segments() == []
+
+
+def test_expanded_final_values_on_a_multi_box_cover():
+    """Holes cut into every bound guard along (k, i) split each cover into
+    many boxes.  The NEW arrays must still end as the scalar backend
+    leaves them — the value of the last admitted (k, i) — on every rank:
+    the write-back follows the canonical cover order."""
+    spec = SPECS["fig4.1 lhsy n=17"]
+    ranks = {}
+    for backend in ("scalar", "vector"):
+        ck = spec.compile(backend)
+        for rank in range(ck.nprocs):
+            guards = ck.bind_guards(rank)
+            for sid, points in list(guards.items()):
+                if points is not None:
+                    guards[sid] = frozenset(
+                        p for p in points if (p[0] + 2 * p[1]) % 3)
+        ranks[backend] = ck.run(spec.scalars, init=seed_init(ck))
+    assert bitwise_identical(ranks["scalar"], ranks["vector"])
+    cv = next(s.sid for s in walk_stmts(ck.sub.body)
+              if isinstance(s, Assign) and s.target_name == "cv")
+    assert len(ck.bind_guards(0).boxes(cv, (None,) * 3, 1, 15, 1, 15, 0, 16)) > 1
+
+
+_UNCOVERED = """
+      subroutine uncov(n)
+      integer n, i, j, k
+      parameter (nx = 16)
+      double precision a(0:nx,0:nx,0:nx), t(0:nx)
+      common /fields/ a
+chpf$ processors procs(2,2)
+chpf$ template tmpl(0:nx,0:nx)
+chpf$ align a(i,j,k) with tmpl(j,k)
+chpf$ align t(j) with tmpl(j,*)
+chpf$ distribute tmpl(block, block) onto procs
+      do k = 1, n - 2
+         do i = 1, n - 2
+chpf$ independent, new(t)
+            do j = WRANGE
+               t(j) = 0.5d0*(i + j) + 0.25d0*k
+            enddo
+            do j = 1, n - 2
+               a(i,j,k) = t(j-1) + t(j+1)
+            enddo
+         enddo
+      enddo
+      return
+      end
+"""
+
+
+@pytest.mark.parametrize("form", ["covered", "wider-reader", "stale-read"])
+def test_uncovered_private_read_stays_unexpanded(form):
+    """A NEW array read at an element its writer did not write in the same
+    (k, i) iteration — the reader's range one wider than the writer's
+    loop, or the reader before the writer — fails the coverage proof: the
+    nest keeps the per-j plan, and scalar == vector bitwise on every
+    array of every rank.  The covered control expands."""
+    source = _UNCOVERED.replace(
+        "WRANGE", "1, n - 2" if form == "wider-reader" else "0, n - 1")
+    if form == "stale-read":
+        lines = source.splitlines()
+        w = lines.index(next(l for l in lines if "do j = 0," in l))
+        lines[w:w + 6] = lines[w + 3:w + 6] + lines[w:w + 3]
+        source = "\n".join(lines) + "\n"
+    ck = _diff_backends(source, {"n": 17})
+    src = ck.python_source()
+    if form == "covered":
+        (report,) = ck.vector_report.values()
+        assert report.expanded == ("t",) and _python_loops(src) == []
+        return
+    assert "K.xtemp(" not in src
+    assert _python_loops(src) == ["k", "i"]
+    assert all(not r.expanded for r in ck.vector_report.values())
 
 
 def _fig61_inlined():
