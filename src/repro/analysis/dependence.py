@@ -27,7 +27,7 @@ by expansion are excluded from the scalar-dependence rule above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ..ir.expr import ArrayRef, Expr, Var, to_affine
@@ -79,10 +79,19 @@ class _RefSite:
     is_write: bool
     loops: list[DoLoop]  # enclosing loops within the analyzed nest, outer first
     order: int  # textual preorder position
+    #: side prefix (``"s"`` / ``"d"``) -> the reference's subscripts over
+    #: that side's renamed loop dims, parameters substituted (None when
+    #: non-affine); filled on first use by ``DependenceAnalyzer._subscripts``
+    subs: dict = field(default_factory=dict)
 
 
 class DependenceAnalyzer:
-    """Dependence analysis for one loop nest (or any statement region)."""
+    """Dependence analysis for one loop nest (or any statement region).
+
+    A pair's system is assembled from pieces built once: each statement's
+    renamed loop-bound constraints per side (``s$`` source, ``d$`` sink),
+    each reference's renamed subscripts per side, and the per-level order
+    constraints per depth — all with the parameters already substituted."""
 
     def __init__(
         self,
@@ -95,11 +104,21 @@ class DependenceAnalyzer:
         else:
             self.region = list(region)
         self.params = dict(params or {})
+        self._pbinding = {k: LinExpr.const(v) for k, v in self.params.items()}
         self.ignore = {v.lower() for v in ignore_vars}
         self.parents = build_parent_map(self.region)
         self._order: dict[int, int] = {}
+        self._loop_vars: set[str] = set()
         for i, s in enumerate(walk_stmts(self.region)):
             self._order[s.sid] = i
+            if isinstance(s, DoLoop):
+                self._loop_vars.add(s.var)
+        #: (statement sid, side) -> (bound constraints, loop var -> dim) | None
+        self._bounds: dict = {}
+        #: depth -> order constraints "carried at this level" / "same
+        #: iteration of the first *depth* common loops"
+        self._carried: dict[int, list[Constraint]] = {}
+        self._same: dict[int, list[Constraint]] = {}
 
     # -- site collection ---------------------------------------------------
     def _sites(self) -> dict[str, list[_RefSite]]:
@@ -120,7 +139,7 @@ class DependenceAnalyzer:
                 add(stmt, stmt.lhs, True)
                 for r in reads_of(stmt):
                     # loop index variables are not data refs
-                    if isinstance(r, Var) and self._is_loop_index(r.name, stmt):
+                    if isinstance(r, Var) and r.name in self._loop_vars:
                         continue
                     add(stmt, r, False)
             elif isinstance(stmt, DoLoop):
@@ -128,11 +147,6 @@ class DependenceAnalyzer:
                 # NAS kernels — skip to keep edge count meaningful.
                 continue
         return by_var
-
-    def _is_loop_index(self, name: str, stmt: Stmt) -> bool:
-        return any(l.var == name for l in enclosing_loops(stmt, self.parents)) or any(
-            isinstance(s, DoLoop) and s.var == name for s in walk_stmts(self.region)
-        )
 
     # -- main entry ----------------------------------------------------------
     def dependences(self, scalars: bool = True) -> list[Dependence]:
@@ -172,7 +186,7 @@ class DependenceAnalyzer:
         ncommon = len(common)
         deps: list[Dependence] = []
 
-        sys = self._build_system(a, b, common)
+        sys = self._build_system(a, b)
         if sys is None:
             # non-affine: conservative — all levels + LI if order allows
             for l in range(1, ncommon + 1):
@@ -184,67 +198,104 @@ class DependenceAnalyzer:
         dims, cons = sys
         # carried at each common level
         for l in range(1, ncommon + 1):
-            extra: list[Constraint] = []
-            for k in range(l - 1):
-                extra.append(Constraint.eq(E(_sv(k)), E(_dv(k))))
-            extra.append(Constraint.ge(E(_dv(l - 1)), E(_sv(l - 1)) + 1))
+            extra = self._carried_at(l)
             if not ISet(dims, [BasicSet(dims, cons + extra)]).is_empty():
                 deps.append(Dependence(a.stmt, b.stmt, var, kind, l, a.ref, b.ref))
         # loop-independent: same common iteration, a textually before b
         if a.order < b.order:
-            extra = [Constraint.eq(E(_sv(k)), E(_dv(k))) for k in range(ncommon)]
+            extra = self._same_iteration(ncommon)
             if not ISet(dims, [BasicSet(dims, cons + extra)]).is_empty():
                 deps.append(Dependence(a.stmt, b.stmt, var, kind, LI, a.ref, b.ref))
         return deps
 
+    def _carried_at(self, level: int) -> list[Constraint]:
+        """Order constraints of a dependence carried at common *level*:
+        equal outer indices, strictly increasing at *level*."""
+        extra = self._carried.get(level)
+        if extra is None:
+            extra = self._same_iteration(level - 1) + [
+                Constraint.ge(E(_dv(level - 1)), E(_sv(level - 1)) + 1)
+            ]
+            self._carried[level] = extra
+        return extra
+
+    def _same_iteration(self, depth: int) -> list[Constraint]:
+        """Equal source and sink indices on the first *depth* loops."""
+        extra = self._same.get(depth)
+        if extra is None:
+            extra = [Constraint.eq(E(_sv(k)), E(_dv(k))) for k in range(depth)]
+            self._same[depth] = extra
+        return extra
+
     def _build_system(
-        self, a: _RefSite, b: _RefSite, common: list[DoLoop]
+        self, a: _RefSite, b: _RefSite
     ) -> tuple[tuple[str, ...], list[Constraint]] | None:
         """Dims + constraints for (src-iter, dst-iter) pairs touching the
         same element.  None when anything is non-affine."""
-        cons: list[Constraint] = []
-        src_map = self._loop_binding(a.loops, _sv, cons)
-        dst_map = self._loop_binding(b.loops, _dv, cons)
-        if src_map is None or dst_map is None:
+        src = self._loop_bounds(a, "s")
+        dst = self._loop_bounds(b, "d")
+        if src is None or dst is None:
             return None
+        cons = src[0] + dst[0]
         # same element
         if isinstance(a.ref, ArrayRef) and isinstance(b.ref, ArrayRef):
-            sa, sb = a.ref.affine_subscripts(), b.ref.affine_subscripts()
+            sa, sb = self._subscripts(a, "s"), self._subscripts(b, "d")
             if sa is None or sb is None:
                 return None
             if len(sa) != len(sb):
                 return None
-            for ea, eb in zip(sa, sb):
-                cons.append(
-                    Constraint.eq(ea.substitute(src_map), eb.substitute(dst_map))
-                )
+            cons += [Constraint.eq(ea, eb) for ea, eb in zip(sa, sb)]
         # scalars: always the same location — no subscript constraints
         dims = tuple(_sv(k) for k in range(len(a.loops))) + tuple(
             _dv(k) for k in range(len(b.loops))
         )
-        # substitute known parameters for tighter tests
-        if self.params:
-            cons = [c.substitute({k: LinExpr.const(v) for k, v in self.params.items()}) for c in cons]
         return dims, cons
 
-    def _loop_binding(
-        self, loops: list[DoLoop], namer, cons: list[Constraint]
-    ) -> dict[str, LinExpr] | None:
-        """Rename loop vars to fresh dims; append bound constraints (which may
-        reference outer renamed vars).  Requires unit steps."""
+    def _loop_bounds(
+        self, site: _RefSite, side: str
+    ) -> tuple[list[Constraint], dict[str, LinExpr]] | None:
+        """The site's loops renamed to fresh ``<side>$k`` dims: their bound
+        constraints (which may reference outer renamed vars) with the
+        parameters substituted, and the renaming.  Requires unit steps;
+        None when a bound or step is non-affine.  Built once per statement
+        and side."""
+        key = (site.stmt.sid, side)
+        if key in self._bounds:
+            return self._bounds[key]
         binding: dict[str, LinExpr] = {}
-        for k, loop in enumerate(loops):
+        cons: list[Constraint] | None = []
+        for k, loop in enumerate(site.loops):
             step = to_affine(loop.step)
             if step is None or not step.is_constant() or step.constant != 1:
-                return None
+                cons = None
+                break
             lo, hi = to_affine(loop.lo), to_affine(loop.hi)
             if lo is None or hi is None:
-                return None
-            v = E(namer(k))
+                cons = None
+                break
+            v = E(f"{side}${k}")
             cons.append(Constraint.ge(v, lo.substitute(binding)))
             cons.append(Constraint.le(v, hi.substitute(binding)))
             binding[loop.var] = v
-        return binding
+        if cons is not None and self.params:
+            cons = [c.substitute(self._pbinding) for c in cons]
+        out = None if cons is None else (cons, binding)
+        self._bounds[key] = out
+        return out
+
+    def _subscripts(self, site: _RefSite, side: str) -> tuple[LinExpr, ...] | None:
+        """The site's affine subscripts over its *side*'s renamed loop dims,
+        parameters substituted (None when non-affine).  Built once per
+        reference and side; the loop bounds must be affine."""
+        if side not in site.subs:
+            subs = site.ref.affine_subscripts()
+            if subs is not None:
+                _, binding = self._loop_bounds(site, side)
+                subs = tuple(e.substitute(binding) for e in subs)
+                if self.params:
+                    subs = tuple(e.substitute(self._pbinding) for e in subs)
+            site.subs[side] = subs
+        return site.subs[side]
 
 
 def _sv(k: int) -> str:

@@ -105,8 +105,9 @@ def _select_one_nest(
                 item, item.directive.localize_vars, cps, ctx, merged
             )
     # communication-sensitive grouping for the remaining local choices
+    deps = nest.deps  # first computed here: its own "deps" phase, not group's
     with profile_phase("group"):
-        res = grouper.group(item, cps=cps, deps=nest.deps, params=merged)
+        res = grouper.group(item, cps=cps, deps=deps, params=merged)
     cps = res.cps
     no_comm: set[str] = set()
     for loop in walk_stmts([item]):

@@ -932,7 +932,9 @@ def _read_covered(kernel, nest: NestInfo, reader, writer, binding, sunk,
     dims = tuple(ren[lp.var] for lp in rloops)
     if rset is wset and exprs == [LinExpr.var(d) for d in dims]:
         return True  # one share group, read where it is written
-    key = (id(rset), id(wset), dims, tuple(map(str, exprs)))
+    # keyed by the sets themselves (an ISet hashes by value): an unguarded
+    # statement's set is built afresh per call, so its id() can recur
+    key = (rset, wset, dims, tuple(map(str, exprs)))
     if key not in proved:
         image = AffineMap(dims, exprs).image(
             rset.with_dims(dims), out_dims=wset.dims)

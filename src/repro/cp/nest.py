@@ -8,6 +8,7 @@ from ..ir.expr import ArrayRef, to_affine
 from ..ir.stmt import Assign, DoLoop, Stmt
 from ..ir.visit import build_parent_map, enclosing_loops, walk_stmts
 from ..isets import BasicSet, Constraint, ISet, LinExpr
+from ..isets.profile import phase as profile_phase
 from ..isets.terms import E
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +38,8 @@ class NestInfo:
         if self._deps is None:
             from ..analysis.dependence import DependenceAnalyzer
 
-            self._deps = DependenceAnalyzer(self.root, self.params).dependences()
+            with profile_phase("deps"):
+                self._deps = DependenceAnalyzer(self.root, self.params).dependences()
         return self._deps
 
     def loops_of(self, stmt: Stmt) -> list[DoLoop]:

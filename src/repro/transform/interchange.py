@@ -48,7 +48,7 @@ def can_interchange(outer: DoLoop, params: Mapping[str, int] | None = None) -> b
                     return False
                 if a.loops[0] is not outer or b.loops[0] is not outer:
                     return False
-                sys = analyzer._build_system(a, b, [outer, inner])
+                sys = analyzer._build_system(a, b)
                 if sys is None:
                     return False
                 dims, cons = sys

@@ -23,7 +23,7 @@ from repro.cp.nest import NestInfo
 from repro.distrib import PDIM
 from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
 from repro.frontend import parse_source
-from repro.ir import Assign, walk_stmts
+from repro.ir import Assign, DoLoop, walk_stmts
 from repro.ir.interp import Interpreter
 from repro.isets import ISet, box as iset_box, profiled
 from repro.nas import kernels
@@ -576,6 +576,53 @@ def test_uncovered_private_read_stays_unexpanded(form):
     assert "K.xtemp(" not in src
     assert _python_loops(src) == ["k", "i"]
     assert all(not r.expanded for r in ck.vector_report.values())
+
+
+_TWO_READERS = """
+      subroutine s(n)
+      integer n, i, j
+      double precision t(0:20), a(0:20), b(0:20)
+      do j = 1, 2
+         do i = 2, n - 1
+            t(i) = 1.0d0
+         enddo
+         do i = 2, n - 1
+            a(i) = t(i)
+         enddo
+         do i = 1, n
+            b(i) = t(i)
+         enddo
+      enddo
+      end
+"""
+
+
+def test_coverage_proofs_are_not_shared_between_fresh_sets():
+    """Two unguarded readers with equal dims and offsets but different
+    iteration sets each get their own coverage answer from one ``proved``
+    memo: their sets are built afresh per query, so a memo keyed by object
+    identity could hand the second reader the first one's proof."""
+    from types import SimpleNamespace
+
+    from repro.codegen.vectorize import _read_covered
+    from repro.isets import LinExpr
+
+    (top,) = parse_source(_TWO_READERS).get("s").body
+    nest = NestInfo(top, {"n": 8})
+    writer, inside, wider = nest.assignments()
+    kernel = SimpleNamespace(
+        _guard_plan=lambda: ({}, []), cps={}, params={"n": 8})
+    binding = {"j": LinExpr.var("j"), "i": LinExpr.var("i")}
+    sunk = {top.sid}
+    below = {lp.sid for lp in walk_stmts([top]) if isinstance(lp, DoLoop)}
+    proved: dict = {}
+    answers = [
+        _read_covered(kernel, nest, reader, writer, binding, sunk, below,
+                      proved)
+        for reader in (inside, wider, inside, wider)
+    ]
+    assert answers == [True, False, True, False]
+    assert len(proved) == 2  # one proof per distinct query, reused
 
 
 def _fig61_inlined():
