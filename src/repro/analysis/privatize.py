@@ -124,12 +124,3 @@ def privatizable_candidates(
 ) -> list[str]:
     """Subset of *arrays* that the analysis can prove privatizable on *loop*."""
     return [a for a in arrays if check_privatizable(loop, a, params)]
-
-
-def written_vars(loop: DoLoop) -> set[str]:
-    """Names assigned anywhere in the loop body."""
-    return {
-        s.lhs.name.lower()
-        for s in walk_stmts(loop.body)
-        if isinstance(s, Assign)
-    }

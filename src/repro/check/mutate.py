@@ -209,11 +209,6 @@ def run_mutation(name: str) -> MutationResult:
     return MutationResult(name, description, code, fn())
 
 
-def run_all() -> list[MutationResult]:
-    """Run every registered mutation in registry order."""
-    return [run_mutation(name) for name in MUTATIONS]
-
-
 def clean_reports() -> dict[str, CheckReport]:
     """The unmutated subjects — all must verify with zero errors."""
     return {

@@ -6,7 +6,7 @@ canonical disjoint box cover.  :func:`_box_cover` defines that cover from
 points; :func:`_cover_of_boxes` computes the same cover from a union of
 boxes without enumerating anything, which is how a BLOCK guard is read off
 its iteration set.  :class:`Guards` is one rank's ``sid -> BoxSet`` map and
-answers ``G.boxes`` / ``G.segments`` / ``K.guard``.
+answers ``G.boxes`` / ``K.guard``.
 """
 
 from __future__ import annotations
@@ -203,10 +203,6 @@ class Guards(dict):
         if out is None:
             out = self._answers[query] = self._clamped_cover(sid, tpl, bounds)
         return out
-
-    #: the 1-d form: maximal runs ``(a, b)`` of admissible values at the
-    #: single ``None`` position of *tpl*, clamped to ``[lo, hi]``
-    segments = boxes
 
     def _clamped_cover(self, sid: int, tpl: tuple, bounds: tuple) -> tuple:
         """The guard's boxes that contain the fixed indices of *tpl*,

@@ -1,13 +1,13 @@
 """Vectorizing backend: NumPy slice emission for affine loop nests.
 
 The scalar backend emits one Python statement per loop iteration per
-assignment.  This pass proves, per innermost affine loop — or per
-rectangular nest of loops — that executing each assignment over a whole
-admissible index block at once is observationally identical to the scalar
-interleaving, then emits NumPy slice assignments over
-:meth:`FortranArray.vget`/``vset`` instead.  In a nest only the loops that
-carry a dependence stay Python loops; every other loop is a dimension of
-each statement's block.
+assignment.  This pass proves, per rectangular nest of loops —
+a lone innermost loop being a nest of one level — that executing each
+assignment over a whole admissible index block at once is observationally
+identical to the scalar interleaving, then emits NumPy slice assignments
+over :meth:`FortranArray.vget`/``vset`` instead.  In a nest only the loops
+that carry a dependence stay Python loops; every other loop is a
+dimension of each statement's block.
 
 Safety argument (see DESIGN.md "Vectorizing backend"):
 
@@ -17,8 +17,8 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   earlier one.  Forward carried dependences and all loop-independent
   dependences are preserved by construction (a statement's sweep completes
   before the next statement starts).
-* **Same-statement carried dependences** are allowed when the statement is
-  emitted as a scalar mini-loop (original iteration order preserved), or —
+* **Same-statement carried dependences** are allowed when the statement
+  runs its loops in order, in place (a scalar mini-loop), or —
   for *anti* dependences carried by the innermost vectorized level only —
   when emitted vectorized: the guard cover executes boxes in lexicographic
   iteration order, and NumPy materializes the full right-hand side of each
@@ -68,12 +68,11 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   temporary may stand in for it until the write-back.  Both kinds of
   temporary are shaped for one whole-nest block, so a nest that expands
   anything has no sequential loop.
-* **Guard covers.**  Per-statement CP guards are realized as maximal
-  contiguous runs of admissible innermost indices (:meth:`Guards.segments`)
-  or, for multi-level blocks, as an exact lexicographically-ordered box
-  cover (:meth:`Guards.boxes`) at the vector positions for fixed
-  sequential indices, so each guarded statement is a short loop over
-  slices, not over points.
+* **Guard covers.**  Per-statement CP guards are realized as an exact
+  lexicographically-ordered box cover (:meth:`Guards.boxes`) at the vector
+  positions for fixed sequential indices — for one vector level, the
+  maximal runs of admissible indices — so each guarded statement is a
+  short loop over slices, not over points.
 * **Statement merging.**  Consecutive vectorized statements whose guards
   have the same canonical data partition (§5 ``cp_key``) and with no
   carried dependence between them share one cover loop: per box they
@@ -92,15 +91,18 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   with.
 
 A loop heads a nest plan only if it passes a syntactic screen
-(:func:`_nest_tree`: a loop beneath it, every store beneath it sliceable
-along it or to a NEW array, every scalar write expandable) — the
-dependences of a whole nest are the expensive input, and a loop that
-fails the screen could only ever be sequential.  Everything unprovable
-falls back level-by-level (a loop that cannot head a plan, or would be
-sequential in it, is emitted as a Python loop and planning restarts in
-its body), then statement-by-statement (scalar mini-loops inside the
-vectorized innermost loop), then loop-wise to the scalar backend; the
-decision log is kept on the kernel as ``vector_report``.
+(:func:`_nest_tree`: a rectangular tree of loops and assignments; beneath
+an inner loop, every store sliceable along the top loop or to a NEW
+array and every scalar write expandable) — the dependences of a whole
+nest are the expensive input, and a loop that fails the screen could
+only ever be sequential.  Everything unprovable falls back level by
+level (a loop that cannot head a plan, or would be sequential in it, is
+emitted as a Python loop and planning restarts in its body) down to a
+lone innermost loop, a one-level nest: there a statement the planner
+cannot block runs in place (a scalar mini-loop between the blocks) as
+long as distribution stays legal, and otherwise the whole loop goes to
+the scalar backend; the decision log is kept on the kernel as
+``vector_report``.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from ..analysis.dependence import DependenceAnalyzer
 from ..cp.model import cp_key
 from ..cp.nest import NestInfo
 from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var, from_affine, to_affine
@@ -160,9 +161,8 @@ class _Ctx:
     """Emission context for one vector block.
 
     ``lo``/``hi`` are Python source fragments for the inclusive innermost
-    index range being emitted (a guard segment/box edge, or the whole loop
-    range for expanded temporaries); ``base`` is the loop's lower bound,
-    the origin of every expanded temporary.
+    index range being emitted (a guard box edge); ``base`` is the loop's
+    lower bound, the origin of every expanded temporary.
 
     ``outer`` lists additionally-vectorized enclosing loop levels as
     ``(var, lo, hi, base)`` tuples, outermost first: expressions then
@@ -173,7 +173,6 @@ class _Ctx:
     var: str
     locals_: set
     expanded: Mapping[str, str]
-    written: frozenset
     lo: str
     hi: str
     base: str
@@ -216,16 +215,19 @@ class _XArray:
 
 @dataclass
 class _StmtPlan:
+    """One statement of a nest plan: a block (``vector``), or a statement
+    run in place by the scalar backend inside its ``own`` loops."""
+
     stmt: Assign
     vector: bool
     reason: str = ""
     #: ('array', array_src, subs_src) | ('expand', name, temp) — plus rhs_src
     payload: tuple | None = None
     rhs_src: str = ""
-    #: nest plans only — the statement's vector levels as ``(depth, loop)``
-    #: pairs, outermost first; the loops that run sequentially for this
-    #: statement alone (emitted around its cover loop); and its block's
-    #: orientation (vector loop indices in array-axis order)
+    #: the statement's vector levels as ``(depth, loop)`` pairs, outermost
+    #: first; the loops that run sequentially for this statement alone
+    #: (emitted around its cover loop); and its block's orientation
+    #: (vector loop indices in array-axis order)
     vec: tuple = ()
     own: tuple = ()
     orient: tuple = ()
@@ -245,27 +247,12 @@ class LoopReport:
     vector_sids: tuple = ()
     scalar_sids: tuple = ()
     expanded: tuple = ()
-    #: nest plans: the loops kept as Python loops around the blocks
+    #: the loops kept as Python loops around the blocks
     sequential: tuple = ()
 
     def __repr__(self) -> str:
         extra = f" ({self.reason})" if self.reason else ""
         return f"<do {self.loop_var}: {self.status}{extra}>"
-
-
-@dataclass
-class LoopPlan:
-    fallback: Optional[str]
-    stmts: list = field(default_factory=list)
-    expanded: dict = field(default_factory=dict)
-    report: LoopReport = None  # type: ignore[assignment]
-    #: carried (src_sid, dst_sid) pairs between distinct statements — these
-    #: must not share a merged cover loop
-    carried_pairs: frozenset = frozenset()
-
-    @property
-    def any_vector(self) -> bool:
-        return any(s.vector for s in self.stmts)
 
 
 @dataclass
@@ -296,6 +283,14 @@ def _scalar_reads(stmt: Assign) -> set[str]:
         for s in stmt.lhs.subscripts:
             names |= _var_names(s)
     return names
+
+
+def _names(*exprs: Expr) -> set[str]:
+    """Every scalar and array name in *exprs*."""
+    return {
+        n.name.lower() for e in exprs for n in e.walk()
+        if isinstance(n, (Var, ArrayRef))
+    }
 
 
 def _is_subseq(sub, seq) -> bool:
@@ -349,9 +344,6 @@ def _merge_groups(kernel: "CompiledKernel", plans, carried_pairs):
 # ---------------------------------------------------------------------------
 
 def _check_plain(names: set[str], ctx: _Ctx, where: str) -> None:
-    bad = names & ctx.written
-    if bad:
-        raise VectorUnsupported(f"{where} reads loop-written scalar {sorted(bad)[0]!r}")
     bad = names & set(ctx.expanded)
     if bad:
         raise VectorUnsupported(f"{where} uses expanded scalar {sorted(bad)[0]!r}")
@@ -462,16 +454,12 @@ def emit_vexpr(e: Expr, ctx: _Ctx) -> str:
             lo, hi = ctx.range_of(n)
             return _lift(f"K.arange({lo}, {hi})", (n,), ctx)
         if n in ctx.expanded:
-            if not ctx.outer:
-                return f"{ctx.expanded[n]}[{ctx.lo} - {ctx.base}:{ctx.hi} + 1 - {ctx.base}]"
             slc = ", ".join(
                 f"{ctx.range_of(v)[0]} - {ctx.base_of(v)}:"
                 f"{ctx.range_of(v)[1]} + 1 - {ctx.base_of(v)}"
                 for v in ctx.orient
             )
             return f"{ctx.expanded[n]}[{slc}]"
-        if n in ctx.written:
-            raise VectorUnsupported(f"reads scalar {n!r} assigned in the loop")
         if n in ctx.locals_:
             return n
         return f"S[{n!r}]"
@@ -551,137 +539,9 @@ def _expansion_candidates(
     return out
 
 
-def _classify(
-    kernel: "CompiledKernel",
-    assigns: list[Assign],
-    expanded: dict[str, str],
-    written: set[str],
-    locals_: set,
-    var: str,
-    forced_scalar: dict[int, str],
-) -> list[_StmtPlan]:
-    seg = _Ctx(var, set(locals_), expanded, frozenset(written - set(expanded)),
-               "_sa", "_sb", "_v0")
-    plans: list[_StmtPlan] = []
-    for s in assigns:
-        if s.sid in forced_scalar:
-            plans.append(_StmtPlan(s, False, forced_scalar[s.sid]))
-            continue
-        try:
-            if isinstance(s.lhs, ArrayRef) and s.lhs.rank > 0:
-                subs, _ = _emit_array_access(s.lhs, seg, write=True)
-                rhs = emit_vexpr(s.rhs, seg)
-                plans.append(_StmtPlan(
-                    s, True, payload=("array", f"A[{s.lhs.name.lower()!r}]", subs),
-                    rhs_src=rhs))
-            else:
-                name = s.lhs.name.lower()
-                if name not in expanded:
-                    raise VectorUnsupported(
-                        f"scalar {name!r} assigned in the loop is not expandable"
-                    )
-                rhs = emit_vexpr(s.rhs, seg)
-                plans.append(_StmtPlan(
-                    s, True, payload=("expand", name, expanded[name]), rhs_src=rhs))
-        except VectorUnsupported as exc:
-            plans.append(_StmtPlan(s, False, str(exc)))
-    return plans
-
-
 def _unit_step(loop: DoLoop) -> bool:
     step = to_affine(loop.step)
     return step is not None and step.is_constant() and step.constant == 1
-
-
-def plan_loop(kernel: "CompiledKernel", loop: DoLoop, locals_: set) -> LoopPlan:
-    """Decide, statement by statement, how to emit one innermost loop."""
-
-    def bail(reason: str) -> LoopPlan:
-        plan = LoopPlan(fallback=reason)
-        plan.report = LoopReport(loop.var, loop.sid, "scalar", reason)
-        return plan
-
-    for c in loop.body:
-        if not isinstance(c, (Assign, Continue)):
-            return bail(f"{type(c).__name__} in loop body")
-    if not _unit_step(loop):
-        return bail("non-unit loop step")
-    assigns = [s for s in loop.body if isinstance(s, Assign)]
-    if not assigns:
-        return bail("empty body")
-    written = {s.lhs.name.lower() for s in assigns if isinstance(s.lhs, Var)}
-
-    expanded = _expansion_candidates(kernel, assigns)
-    forced_scalar: dict[int, str] = {}
-    while True:
-        plans = _classify(kernel, assigns, expanded, written, locals_, loop.var,
-                          forced_scalar)
-        # expansion is only valid if every statement touching the scalar is
-        # vectorized; otherwise un-expand and reclassify
-        kill = set()
-        for p in plans:
-            if p.vector:
-                continue
-            touched = _scalar_reads(p.stmt)
-            if isinstance(p.stmt.lhs, Var):
-                touched |= {p.stmt.lhs.name.lower()}
-            kill |= touched & set(expanded)
-        if not kill:
-            # distribution legality: no backward level-1 dependence
-            order = {s.sid: i for i, s in enumerate(assigns)}
-            vec = {p.stmt.sid for p in plans if p.vector}
-            deps = DependenceAnalyzer(
-                loop, kernel.params, ignore_vars=expanded
-            ).dependences()
-            bad = None
-            demote: dict[int, str] = {}
-            fwd_pairs: set = set()
-            for d in deps:
-                if d.level != 1:
-                    continue
-                if d.src is d.dst:
-                    if d.src.sid not in vec:
-                        continue  # scalar mini-loop keeps iteration order
-                    if d.kind == "anti":
-                        continue  # numpy reads the full rhs before storing
-                    demote[d.src.sid] = (
-                        f"carried {d.kind} dependence on {d.var!r}")
-                    continue
-                if order[d.src.sid] < order[d.dst.sid]:
-                    # forward carried: preserved by distribution, but the
-                    # two statements must not share a merged cover loop
-                    fwd_pairs.add((d.src.sid, d.dst.sid))
-                    continue
-                bad = d
-                break
-            if bad is not None:
-                return bail(
-                    f"backward loop-carried {bad.kind} dependence on {bad.var!r} "
-                    f"(s{bad.src.sid} -> s{bad.dst.sid})"
-                )
-            if demote:
-                forced_scalar.update(demote)
-                continue
-            carried_pairs = frozenset(fwd_pairs)
-            break
-        expanded = {k: v for k, v in expanded.items() if k not in kill}
-
-    plan = LoopPlan(fallback=None, stmts=plans, expanded=expanded,
-                    carried_pairs=carried_pairs)
-    vec_sids = tuple(p.stmt.sid for p in plans if p.vector)
-    sc_sids = tuple(p.stmt.sid for p in plans if not p.vector)
-    if not vec_sids:
-        reason = "; ".join(sorted({p.reason for p in plans if p.reason}))
-        plan.fallback = f"no vectorizable statements ({reason})"
-        plan.report = LoopReport(loop.var, loop.sid, "scalar", plan.fallback)
-        return plan
-    status = "vector" if not sc_sids else "mixed"
-    reason = "; ".join(sorted({p.reason for p in plans if p.reason}))
-    plan.report = LoopReport(
-        loop.var, loop.sid, status, reason, vec_sids, sc_sids,
-        tuple(sorted(expanded)),
-    )
-    return plan
 
 
 def _store_slices(ref: ArrayRef, var: str) -> bool:
@@ -695,58 +555,62 @@ def _store_slices(ref: ArrayRef, var: str) -> bool:
     return a is not None and a.coeff(var) > 0
 
 
-def _nest_tree(kernel: "CompiledKernel", top: DoLoop):
+def _nest_tree(kernel: "CompiledKernel", top: DoLoop, flat: bool):
     """The syntactic screen (no iset operation) that decides whether *top*
     may head a nest plan, and the nest's shape if it may.
 
     Returns ``(assigns, loops_of, expanded, xnames)`` — the assignments in
     textual order, each one's enclosing nest loops (outermost first) by
     sid, the scalar expansion, and the NEW arrays stored without varying
-    with *top* (candidates for expansion along the sunk loops) — or None
-    when *top* can only ever be a Python loop: the nest is not rectangular
-    (unit steps, bounds free of the nest's indices and of the scalars it
-    writes, bodies of assignments and loops only), a store to an array
-    that is not NEW does not vary with it, or a scalar is written that the
-    expansion rule (one chain of loops touches it, every reader guarded
-    under the writer) does not cover."""
+    with *top* (candidates for expansion along the sunk loops) — or the
+    reason *top* can only ever be a Python loop: the nest is not
+    rectangular (unit steps, bounds free of the nest's indices and of
+    what it stores, bodies of assignments and loops only); or, when a loop
+    lies beneath *top* (not *flat*), a store to an array that is not NEW
+    does not vary with *top*, or a scalar is written that the expansion
+    rule (one chain of loops touches it, every reader guarded under the
+    writer) does not cover.  In a *flat* nest such a statement runs in
+    place instead (:func:`_plan_block`)."""
     assigns: list[Assign] = []
     loops_of: dict[int, tuple] = {}
     loop_vars: set[str] = set()
     bound_vars: set[str] = set()
 
-    def walk(loop: DoLoop, chain: tuple) -> bool:
+    def walk(loop: DoLoop, chain: tuple) -> Optional[str]:
         if not _unit_step(loop):
-            return False
+            return "non-unit loop step"
         chain += (loop,)
         loop_vars.add(loop.var)
-        bound_vars.update(_var_names(loop.lo) | _var_names(loop.hi))
+        bound_vars.update(_names(loop.lo, loop.hi))
         before = len(assigns)
         for c in loop.body:
             if isinstance(c, Assign):
                 assigns.append(c)
                 loops_of[c.sid] = chain
             elif isinstance(c, DoLoop):
-                if not walk(c, chain):
-                    return False
+                why = walk(c, chain)
+                if why:
+                    return why
             elif not isinstance(c, Continue):
-                return False
-        return len(assigns) > before  # an empty loop has nothing to emit
+                return f"{type(c).__name__} in loop body"
+        # an empty loop has nothing to emit
+        return None if len(assigns) > before else "empty body"
 
-    if not walk(top, ()) or loop_vars & bound_vars:
-        return None
-    if all(len(chain) == 1 for chain in loops_of.values()):
-        return None  # no loop beneath: the 1-d planner's case
+    why = walk(top, ())
+    if why:
+        return why
+    if (loop_vars | {s.lhs.name.lower() for s in assigns}) & bound_vars:
+        return "loop bounds vary inside the nest"
     xnames: set[str] = set()
     for s in assigns:
         if isinstance(s.lhs, ArrayRef) and not _store_slices(s.lhs, top.var):
-            if s.lhs.name.lower() not in kernel.private_arrays:
-                return None
-            xnames.add(s.lhs.name.lower())
+            if s.lhs.name.lower() in kernel.private_arrays:
+                xnames.add(s.lhs.name.lower())
+            elif not flat:
+                return f"store to {s.lhs.name} does not vary with {top.var}"
     expanded: dict[str, str] = {}
     written = {s.lhs.name.lower() for s in assigns if isinstance(s.lhs, Var)}
     if written:
-        if written & bound_vars:
-            return None
         chains: dict[tuple, list] = {}
         for s in assigns:
             chains.setdefault(loops_of[s.sid], []).append(s)
@@ -755,11 +619,11 @@ def _nest_tree(kernel: "CompiledKernel", top: DoLoop):
             touched = written & set().union(
                 *(_scalar_reads(s) | _var_names(s.lhs) for s in body))
             if touched & seen:
-                return None  # one scalar, two chains of loops
+                return "one scalar, two chains of loops"
             seen |= touched
             expanded.update(_expansion_candidates(kernel, body))
-        if written - set(expanded):
-            return None
+        if written - set(expanded) and not flat:
+            return "a scalar write is not expandable"
     return assigns, loops_of, expanded, xnames
 
 
@@ -863,7 +727,8 @@ def _admitted(kernel: "CompiledKernel", nest: NestInfo, stmt: Assign):
     return None if bounds is None else bounds.bind(kernel.params)
 
 
-def _covered(kernel: "CompiledKernel", top: DoLoop, assigns, xarrays) -> bool:
+def _covered(kernel: "CompiledKernel", nest: NestInfo, top: DoLoop, assigns,
+             xarrays) -> bool:
     """The coverage condition that makes expansion bitwise-safe: every read
     of an expanded array, at each iteration its statement is admitted on,
     finds its element written textually earlier at the same sunk-loop
@@ -873,7 +738,6 @@ def _covered(kernel: "CompiledKernel", top: DoLoop, assigns, xarrays) -> bool:
     and the reader's iteration set, carried to the writer's iterations by
     the subscript offsets, must be a subset of the writer's — proved on
     the symbolic sets, so it holds on every rank."""
-    nest = kernel.nest_info(top)
     order = {s.sid: i for i, s in enumerate(assigns)}
     below = {lp.sid for lp in walk_stmts([top]) if isinstance(lp, DoLoop)}
     proved: dict = {}  # one subset test per distinct (sets, map) query
@@ -951,7 +815,7 @@ def _block_ctx(loops: tuple, vec: tuple, locals_: set, expanded: dict,
     vec_vars = {lp.var for _l, lp in vec}
     return _Ctx(
         inner.var, set(locals_) | ({lp.var for lp in loops} - vec_vars),
-        expanded, frozenset(), f"_x{d}a", f"_x{d}b", f"_b{d}0",
+        expanded, f"_x{d}a", f"_x{d}b", f"_b{d}0",
         outer=tuple(
             (lp.var, f"_x{l}a", f"_x{l}b", f"_b{l}0") for l, lp in vec[:-1]
         ),
@@ -989,7 +853,8 @@ def _plan_block(
     """Plan one statement of a nest as an N-d block over every enclosing
     nest loop not in *seq*.  A loop its access rules cannot slice becomes
     sequential for this statement alone and the attempt repeats; a
-    statement left without any vector level fails the nest."""
+    statement left without any vector level (or one no choice of levels
+    helps) runs its loops in order, in place — a scalar plan."""
     own: list[DoLoop] = []
     why: list[str] = []
     while True:
@@ -998,8 +863,7 @@ def _plan_block(
             if lp.sid not in seq and lp not in own
         )
         if not vec:
-            raise VectorUnsupported(
-                f"s{s.sid} has no vector level ({'; '.join(why)})")
+            break
         ctx = _block_ctx(loops, vec, locals_, expanded, xarrays)
         try:
             if isinstance(s.lhs, ArrayRef):
@@ -1009,44 +873,49 @@ def _plan_block(
                 payload = ("array", _array_src(s.lhs.name.lower(), ctx), subs)
             else:
                 name = s.lhs.name.lower()
+                if name not in expanded:
+                    raise VectorUnsupported(
+                        f"scalar {name!r} assigned in the loop is not expandable")
                 ctx.orient = xorient
                 payload = ("expand", name, expanded[name])
             rhs = emit_vexpr(s.rhs, ctx)
         except VectorUnsupported as exc:
-            if exc.var is None:
-                raise
-            own.append(next(lp for lp in loops if lp.var == exc.var))
             why.append(str(exc))
+            if exc.var is None:
+                break
+            own.append(next(lp for lp in loops if lp.var == exc.var))
             continue
         return _StmtPlan(
             s, True, "; ".join(why), payload, rhs, vec,
             tuple(lp for lp in loops if lp in own), ctx.orient,
             _writeback(s.lhs, ctx),
         )
+    return _StmtPlan(s, False, "; ".join(why),
+                     own=tuple(lp for lp in loops if lp.sid not in seq))
 
 
-def _carried_loops(kernel, top, assigns, loops_of, expanded, xarrays):
-    """The nest's dependences — the ones analysis already computed for its
-    top-level nest (:meth:`CompiledKernel.nest_info`), those between
+def _carried_loops(nest: NestInfo, top, assigns, loops_of, expanded, xarrays,
+                   inplace):
+    """The nest's dependences — those of *nest* (:func:`_nest_of`) between
     statements under *top* carried inside it, minus the expanded
     scalars' — each carried edge charged to the loop that carries it.
-    Returns ``(seq, pinned, pairs)``: the loops that must stay sequential;
-    the loops whose edges are all of the two kinds a vector level
-    tolerates *in place* — a textually forward cross-statement edge (the
-    *pairs*; distribution keeps it) and an anti dependence of a statement
-    on itself carried by its innermost loop (box order plus NumPy's
-    full-RHS materialization keep it); and those forward pairs, which must
-    not share a cover loop.  An expanded array's edges carried by one of
-    its sunk loops are gone: each iteration of those loops has its own
-    copy."""
+    Returns ``(seq, pinned, pairs)``: the loops that must stay sequential,
+    each with the edges that make it so; the loops whose edges are all of
+    the two kinds a vector level tolerates *in place* — a textually
+    forward cross-statement edge (the *pairs*; distribution keeps it) and
+    an anti dependence of a statement on itself carried by its innermost
+    loop (box order plus NumPy's full-RHS materialization keep it); and
+    those forward pairs, which must not share a cover loop.  An expanded
+    array's edges carried by one of its sunk loops are gone: each
+    iteration of those loops has its own copy.  So are the edges of a
+    statement in *inplace* on itself: it runs its loops in order."""
     order = {s.sid: i for i, s in enumerate(assigns)}
     sunk = {
         name: {lp.sid for _p, _d, lp in x.axes} for name, x in xarrays.items()
     }
-    seq: set[int] = set()
+    seq: dict[int, list] = {}
     pinned: set[int] = set()
     pairs: set = set()
-    nest = kernel.nest_info(top)
     outer = len(nest.loops_of(top))
     for d in nest.deps:
         if (d.level <= outer or d.var in expanded
@@ -1059,13 +928,29 @@ def _carried_loops(kernel, top, assigns, loops_of, expanded, xarrays):
         if loop.sid in sunk.get(d.var, ()):
             continue
         if d.src is d.dst:
+            if d.src.sid in inplace:
+                continue  # it runs its loops in order
             ok = d.kind == "anti" and loop is chain[-1]
         else:
             ok = order[d.src.sid] < order[d.dst.sid]
             if ok:
                 pairs.add((d.src.sid, d.dst.sid))
-        (pinned if ok else seq).add(loop.sid)
-    return seq, pinned - seq, frozenset(pairs)
+        if ok:
+            pinned.add(loop.sid)
+        else:
+            seq.setdefault(loop.sid, []).append(d)
+    return seq, pinned - seq.keys(), frozenset(pairs)
+
+
+def _nest_of(kernel: "CompiledKernel", top: DoLoop) -> NestInfo:
+    """Where *top*'s dependences come from: the analysis of the top-level
+    nest holding it (:meth:`CompiledKernel.nest_info`, its dependences
+    already computed), or *top*'s own for a loop outside every analyzed
+    nest (under a top-level IF)."""
+    try:
+        return kernel.nest_info(top)
+    except KeyError:
+        return NestInfo(top, kernel.params)
 
 
 def _sunk_across(plans, loops_of, pinned: set, seq: set) -> set:
@@ -1085,8 +970,8 @@ def _sunk_across(plans, loops_of, pinned: set, seq: set) -> set:
 
 def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
     """Plan the rectangular loop nest headed by *top*; returns a
-    :class:`NestPlan` or None (the caller emits *top* as a Python loop and
-    retries in its body, bottoming out at the 1-d per-statement planner).
+    :class:`NestPlan`, or the reason it declines (the caller emits *top*
+    as a Python loop and retries in its body).
 
     The nest is a tree: loops over bodies of assignments and further
     loops.  A loop that carries a dependence stays a Python loop; every
@@ -1108,72 +993,118 @@ def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
     *top* must pass the syntactic screen of :func:`_nest_tree` before the
     coverage proof and the dependences are paid for; a nest whose *top*
     turns out sequential is left to the retry (nothing would sink across
-    it)."""
-    tree = _nest_tree(kernel, top)
-    if tree is None:
-        return None
+    it).  A statement left without a vector level declines the nest too —
+    the retry may find it one inside — unless no loop lies beneath *top*
+    (a *flat* nest: nothing to retry in).  There the statement runs in
+    place, as does one with a dependence on itself carried by *top* (its
+    own loop order keeps it), and the temporaries such a statement
+    touches are given up; only a backward edge between two statements
+    then leaves *top* sequential, which declines the nest, as does a nest
+    left with no block at all."""
+    flat = not any(isinstance(c, DoLoop) for c in top.body)
+    tree = _nest_tree(kernel, top, flat)
+    if isinstance(tree, str):
+        return tree
     assigns, loops_of, expanded, xnames = tree
     orients: dict = {}  # chain of loops -> its scalar temporaries' orientation
     xarrays: dict = {}
     if expanded or xnames:
         # temporaries take the orientation of the first store that stays
-        first = next((s for s in assigns if isinstance(s.lhs, ArrayRef)
-                      and s.lhs.name.lower() not in xnames), None)
-        if first is None:
-            return None
-        loops = loops_of[first.sid]
-        try:
-            _, vorder = _emit_array_access(
-                first.lhs,
-                _block_ctx(loops, tuple(enumerate(loops)), locals_, expanded),
-                write=True,
-            )
-        except VectorUnsupported:
-            return None
+        # (a flat nest has only one)
+        vorder = (top.var,)
+        if not flat:
+            first = next((s for s in assigns if isinstance(s.lhs, ArrayRef)
+                          and s.lhs.name.lower() not in xnames), None)
+            if first is None:
+                return "no store orients the temporaries"
+            loops = loops_of[first.sid]
+            try:
+                _, vorder = _emit_array_access(
+                    first.lhs,
+                    _block_ctx(loops, tuple(enumerate(loops)), locals_, expanded),
+                    write=True,
+                )
+            except VectorUnsupported as exc:
+                return str(exc)
         rank = {v: r for r, v in enumerate(vorder)}
         for s in assigns:
             chain = loops_of[s.sid]
             if isinstance(s.lhs, Var):
                 if any(lp.var not in rank for lp in chain):
-                    return None
+                    return "no store orients the temporaries"
                 orients[chain] = tuple(
                     sorted((lp.var for lp in chain), key=rank.get))
         if xnames:
             xarrays = _expansions(assigns, loops_of, xnames, rank)
             if xarrays is None:
-                return None
+                return "a NEW array does not fit one block temporary"
+    nest = _nest_of(kernel, top)
     seq: set[int] = set()
-    carried = None
+    inplace: dict[int, str] = {}  # sid -> the self edge that runs it in place
+    proved = False
     while True:
         try:
             plans = [
+                _StmtPlan(s, False, inplace[s.sid], own=loops_of[s.sid])
+                if s.sid in inplace else
                 _plan_block(kernel, s, loops_of[s.sid], seq, locals_,
                             expanded, orients.get(loops_of[s.sid], ()), xarrays)
                 for s in assigns
             ]
-        except VectorUnsupported:
-            return None
-        if carried is None:
-            if (expanded or xarrays) and any(
-                p.own or p.orient != orients.get(loops_of[p.stmt.sid], p.orient)
-                for p in plans
-            ):
-                return None  # temporaries are shaped for one whole-nest block
-            if xarrays and not _covered(kernel, top, assigns, xarrays):
-                return None
-            # syntax alone has kept a vector level for every statement:
-            # now pay for the dependences
-            carried, pinned, pairs = _carried_loops(
-                kernel, top, assigns, loops_of, expanded, xarrays)
-        grown = carried | _sunk_across(plans, loops_of, pinned, carried | seq)
+        except VectorUnsupported as exc:
+            return str(exc)
+        late = [p for p in plans if not p.vector]
+        if late and not flat:
+            return late[0].reason  # the retry further in may block it
+        # a statement run in place reads and writes the real variables: no
+        # temporary it touches may stand in for them
+        kill = (set(expanded) | set(xarrays)) & set().union(
+            *(_names(p.stmt.lhs, p.stmt.rhs) for p in late))
+        if kill:
+            expanded = {k: v for k, v in expanded.items() if k not in kill}
+            xarrays = {k: v for k, v in xarrays.items() if k not in kill}
+            continue
+        if (expanded or xarrays) and any(
+            p.own or p.orient != orients.get(loops_of[p.stmt.sid], p.orient)
+            for p in plans if p.vector
+        ):
+            return "temporaries are shaped for one whole-nest block"
+        if xarrays and not proved:
+            if not _covered(kernel, nest, top, assigns, xarrays):
+                return "a NEW array read is not covered by its writer"
+            proved = True
+        # syntax has settled every statement's levels: now pay for the
+        # dependences
+        carried, pinned, pairs = _carried_loops(
+            nest, top, assigns, loops_of, expanded, xarrays,
+            {p.stmt.sid for p in late})
+        if flat and top.sid in carried:
+            # an edge of a statement on itself runs that statement in
+            # place; one between two statements breaks distribution
+            edges = carried[top.sid]
+            bad = next((d for d in edges if d.src is not d.dst), None)
+            if bad is not None:
+                return (
+                    f"backward loop-carried {bad.kind} dependence on "
+                    f"{bad.var!r} (s{bad.src.sid} -> s{bad.dst.sid})")
+            for d in edges:
+                inplace.setdefault(
+                    d.src.sid, f"carried {d.kind} dependence on {d.var!r}")
+            continue
+        grown = carried.keys() | _sunk_across(
+            plans, loops_of, pinned, carried.keys() | seq)
         grown -= seq
         if not grown:
             break
         if expanded or xarrays:
-            return None
+            return "temporaries are shaped for one whole-nest block"
         seq |= grown
         if top.sid in seq:
-            return None
+            return f"{top.var} carries a dependence"
+    vector = [p for p in plans if p.vector]
+    if not vector:
+        reasons = "; ".join(sorted({p.reason for p in late}))
+        return f"no vectorizable statements ({reasons})"
     nest_loops = list(dict.fromkeys(lp for s in assigns for lp in loops_of[s.sid]))
     notes = []
     sequential = tuple(lp.var for lp in nest_loops if lp.sid in seq)
@@ -1182,16 +1113,18 @@ def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
     notes += [
         f"{', '.join(lp.var for lp in p.own)} sequential for "
         f"s{p.stmt.sid} ({p.reason})"
-        for p in plans if p.own
+        for p in vector if p.own
     ]
-    dims = sorted({len(p.vec) for p in plans})
+    notes += sorted({p.reason for p in late})
+    dims = sorted({len(p.vec) for p in vector})
     notes.append(
         "/".join(f"{d}-d" for d in dims) + (" blocks" if len(dims) > 1 else " block"))
     plan = NestPlan(top, frozenset(seq), {p.stmt.sid: p for p in plans}, pairs,
                     xarrays=xarrays)
     plan.report = LoopReport(
-        ",".join(lp.var for lp in nest_loops), top.sid, "vector",
-        "; ".join(notes), tuple(p.stmt.sid for p in plans),
+        ",".join(lp.var for lp in nest_loops), top.sid,
+        "mixed" if late else "vector", "; ".join(notes),
+        tuple(p.stmt.sid for p in vector), tuple(p.stmt.sid for p in late),
         expanded=tuple(sorted(set(expanded) | set(xarrays))),
         sequential=sequential,
     )
@@ -1209,29 +1142,21 @@ def try_emit_vector_loop(
     indent: int,
     locals_: set,
 ) -> bool:
-    """Emit *loop* as NumPy slice code if it is a provably-safe innermost
-    affine loop (or heads a rectangular nest, emitted as N-d blocks under
-    its dependence-carrying loops); returns False (caller emits scalar and
-    descends) otherwise."""
-    if any(isinstance(c, DoLoop) for c in loop.body):
-        key = ("nest", loop.sid)
-        res = kernel._vector_plans.get(key)
-        if res is None:
-            res = plan_nest(kernel, loop, locals_) or False
-            kernel._vector_plans[key] = res
-        if res is False:
-            return False  # not a plannable nest: descend
-        kernel.vector_report[loop.sid] = res.report
-        _emit_plan_nest(kernel, res, lines, indent, locals_)
-        return True
+    """Emit *loop* as NumPy slice code if it heads a rectangular nest the
+    planner can prove safe (N-d blocks under its dependence-carrying
+    loops); returns False (caller emits scalar and descends) otherwise.  A
+    declined loop with no loop beneath it keeps its reason as a ``scalar``
+    report."""
     plan = kernel._vector_plans.get(loop.sid)
     if plan is None:
-        plan = plan_loop(kernel, loop, locals_)
-        kernel._vector_plans[loop.sid] = plan
-    kernel.vector_report[loop.sid] = plan.report
-    if plan.fallback is not None:
+        plan = kernel._vector_plans[loop.sid] = plan_nest(kernel, loop, locals_)
+    if isinstance(plan, str):
+        if not any(isinstance(c, DoLoop) for c in loop.body):
+            kernel.vector_report[loop.sid] = LoopReport(
+                loop.var, loop.sid, "scalar", plan)
         return False
-    _emit_plan(kernel, loop, plan, lines, indent, locals_)
+    kernel.vector_report[loop.sid] = plan.report
+    _emit_plan_nest(kernel, plan, lines, indent, locals_)
     return True
 
 
@@ -1246,7 +1171,7 @@ def _emit_plan_nest(
     body, a vector loop emits nothing here (it is distributed over its
     body items and reappears as a box dimension of each statement), and
     each run of consecutive assignments that share their vector levels is
-    emitted as cover loops.  Expanded NEW arrays get their temporaries
+    emitted as cover loops (with no vector level: run in place).  Expanded NEW arrays get their temporaries
     first, one axis per sunk loop spanning its bounds."""
     pad = "    " * indent
     for name, x in sorted(plan.xarrays.items()):
@@ -1296,10 +1221,20 @@ def _emit_blocks(
 ) -> None:
     """Emit consecutive statements with the same vector levels ``vec`` and
     the same statement-local sequential loops ``own``: the block bounds,
-    the ``own`` loops, then one ``G.boxes`` cover loop per merge group."""
+    the ``own`` loops, then one ``G.boxes`` cover loop per merge group.
+    Statements with no vector level run in place: the ``own`` loops around
+    the scalar statements, each under its guard."""
     from .spmd import sorted_locals
 
     vec, own = run[0].vec, run[0].own
+    if not vec:
+        for lp in own:
+            lines.append(_for_src(lp, indent, locals_))
+            indent += 1
+            locals_ = locals_ | {lp.var}
+        for p in run:
+            kernel._emit_stmt(p.stmt, lines, indent, locals_)
+        return
     pad = "    " * indent
     for l, lp in vec:
         lines.append(
@@ -1346,59 +1281,3 @@ def _emit_blocks(
                 if p.writeback:
                     lines.append(f"{bp}    {p.writeback}")
 
-
-def _emit_plan(
-    kernel: "CompiledKernel",
-    loop: DoLoop,
-    plan: LoopPlan,
-    lines: list[str],
-    indent: int,
-    locals_: set,
-) -> None:
-    from .spmd import sorted_locals
-
-    pad = "    " * indent
-    lo_src = emit_expr(loop.lo, locals_)
-    hi_src = emit_expr(loop.hi, locals_)
-    lines.append(f"{pad}_v0, _v1 = int({lo_src}), int({hi_src})")
-    lines.append(f"{pad}if _v0 <= _v1:")
-    bp = pad + "    "
-    names = sorted_locals(set(locals_) | {loop.var}, kernel._loop_order)
-    tpl = "(" + ", ".join("None" if n == loop.var else n for n in names) + ",)"
-    for temp in plan.expanded.values():
-        lines.append(f"{bp}{temp} = K.np.empty(_v1 - _v0 + 1)")
-    stmts = plan.stmts
-    i = 0
-    while i < len(stmts):
-        if not stmts[i].vector:
-            # consecutive scalar-fallback statements share one mini-loop,
-            # preserving their original relative iteration order
-            j = i
-            while j < len(stmts) and not stmts[j].vector:
-                j += 1
-            lines.append(f"{bp}for {loop.var} in K.do_range(_v0, _v1, 1):")
-            inner = set(locals_) | {loop.var}
-            for k in range(i, j):
-                kernel._emit_stmt(stmts[k].stmt, lines, indent + 2, inner)
-            i = j
-            continue
-        j = i
-        while j < len(stmts) and stmts[j].vector:
-            j += 1
-        for group in _merge_groups(kernel, stmts[i:j], plan.carried_pairs):
-            lines.append(
-                f"{bp}for _sa, _sb in "
-                f"G.segments({group[0].stmt.sid}, {tpl}, _v0, _v1):")
-            for p in group:
-                if p.payload[0] == "expand":
-                    # evaluate only over the writer's admitted runs; readers'
-                    # guards are subsumed, so unfilled positions are never
-                    # observed
-                    _, name, temp = p.payload
-                    lines.append(
-                        f"{bp}    {temp}[_sa - _v0:_sb + 1 - _v0] = {p.rhs_src}")
-                    lines.append(f"{bp}    S[{name!r}] = {temp}[_sb - _v0]")
-                else:
-                    _, arr, subs = p.payload
-                    lines.append(f"{bp}    {arr}.vset(({subs},), {p.rhs_src})")
-        i = j

@@ -31,7 +31,6 @@ from .cache import (
     active_cache,
     cache_disabled,
     default_cache_dir,
-    plan_cache_stats,
     scratch_cache,
     set_active_cache,
     use_cache,
@@ -48,7 +47,6 @@ __all__ = [
     "canonicalize_source",
     "compiler_fingerprint",
     "default_cache_dir",
-    "plan_cache_stats",
     "scratch_cache",
     "set_active_cache",
     "use_cache",

@@ -462,14 +462,3 @@ def scratch_cache():
         cache = PlanCache(PlanCacheConfig(directory=directory))
         with use_cache(cache):
             yield cache
-
-
-def plan_cache_stats() -> dict:
-    """Counters + sizes of the active cache (all zeros when disabled)."""
-    cache = active_cache()
-    if cache is None:
-        return PlanCacheStats().as_dict() | {
-            "lru_entries": 0, "disk_entries": 0, "bytes_on_disk": 0,
-            "directory": None,
-        }
-    return cache.as_dict()

@@ -803,11 +803,6 @@ def setattr_on_home(stmt: Stmt, d: OnHomeDirective) -> None:
 _on_home_table: dict[int, OnHomeDirective] = {}
 
 
-def get_on_home(stmt: Stmt) -> Optional[OnHomeDirective]:
-    """The ON_HOME directive attached to a statement, if any."""
-    return _on_home_table.get(stmt.sid)
-
-
 def parse_source(source: str, sink: Optional[DiagnosticSink] = None) -> Program:
     """Parse a full source string into a Program of units.
 

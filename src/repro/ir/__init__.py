@@ -32,13 +32,10 @@ from .directives import (
 )
 from .visit import (
     walk_stmts,
-    walk_exprs,
     collect_array_refs,
     enclosing_loops,
-    loop_nests,
     build_parent_map,
     reads_of,
-    writes_of,
 )
 
 __all__ = [
@@ -50,6 +47,6 @@ __all__ = [
     "Subroutine", "Program",
     "ProcessorsDecl", "TemplateDecl", "AlignDecl", "DistributeDecl",
     "LoopDirective", "OnHomeDirective",
-    "walk_stmts", "walk_exprs", "collect_array_refs", "enclosing_loops",
-    "loop_nests", "build_parent_map", "reads_of", "writes_of",
+    "walk_stmts", "collect_array_refs", "enclosing_loops",
+    "build_parent_map", "reads_of",
 ]

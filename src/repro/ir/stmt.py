@@ -9,7 +9,7 @@ expressions are immutable.
 Sids are allocated from a *thread-local* counter that the pipeline
 resets at the start of every compilation (:func:`reset_sids`).  This
 makes compilation deterministic: the sids leak into emitted node
-programs (``G.segments(<sid>, ...)``), so a process-global counter would
+programs (``G.boxes(<sid>, ...)``), so a process-global counter would
 make the same source compile to different bytes depending on what the
 process compiled before — breaking the plan cache's bitwise warm==cold
 contract and the chaos harness's fault-free-identity invariant.

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
-from .expr import ArrayRef, Expr, FuncCall, Var
-from .stmt import Assign, CallStmt, Continue, DoLoop, IfThen, PrintStmt, Return, Stmt
+from .expr import ArrayRef, Expr, Var
+from .stmt import Assign, CallStmt, DoLoop, IfThen, PrintStmt, Stmt
 
 
 def walk_stmts(body: Iterable[Stmt]) -> Iterator[Stmt]:
@@ -14,23 +14,6 @@ def walk_stmts(body: Iterable[Stmt]) -> Iterator[Stmt]:
         yield s
         for lst in s.body_lists():
             yield from walk_stmts(lst)
-
-
-def walk_exprs(stmt: Stmt) -> Iterator[Expr]:
-    """All expression trees directly attached to one statement (not nested
-    statements): lhs/rhs for assigns, bounds for loops, cond for ifs, args
-    for calls."""
-    if isinstance(stmt, Assign):
-        yield stmt.lhs
-        yield stmt.rhs
-    elif isinstance(stmt, DoLoop):
-        yield stmt.lo
-        yield stmt.hi
-        yield stmt.step
-    elif isinstance(stmt, IfThen):
-        yield stmt.cond
-    elif isinstance(stmt, (CallStmt, PrintStmt)):
-        yield from stmt.args
 
 
 def collect_array_refs(e: Expr) -> list[ArrayRef]:
@@ -65,14 +48,6 @@ def reads_of(stmt: Stmt) -> list[ArrayRef | Var]:
     return out
 
 
-def writes_of(stmt: Stmt) -> list[ArrayRef | Var]:
-    """References *written* by a statement (assignment lhs only; CALL
-    argument effects are handled interprocedurally)."""
-    if isinstance(stmt, Assign):
-        return [stmt.lhs]
-    return []
-
-
 def build_parent_map(body: Iterable[Stmt]) -> dict[int, Optional[Stmt]]:
     """Map each statement sid to its enclosing statement (None at top level)."""
     parents: dict[int, Optional[Stmt]] = {}
@@ -96,38 +71,6 @@ def enclosing_loops(stmt: Stmt, parents: dict[int, Optional[Stmt]]) -> list[DoLo
             out.append(cur)
         cur = parents.get(cur.sid)
     return list(reversed(out))
-
-
-def loop_nests(body: Iterable[Stmt]) -> list[DoLoop]:
-    """Outermost DO loops in a body, in order."""
-    out = []
-    for s in body:
-        if isinstance(s, DoLoop):
-            out.append(s)
-        else:
-            for lst in s.body_lists():
-                out.extend(loop_nests(lst))
-    return out
-
-
-def inner_loops(loop: DoLoop) -> list[DoLoop]:
-    """Immediately nested DO loops of a loop body (one level)."""
-    return [s for s in loop.body if isinstance(s, DoLoop)]
-
-
-def perfect_nest(loop: DoLoop) -> list[DoLoop]:
-    """The maximal perfectly-nested chain starting at *loop*."""
-    nest = [loop]
-    cur = loop
-    while len(cur.body) == 1 and isinstance(cur.body[0], DoLoop):
-        cur = cur.body[0]
-        nest.append(cur)
-    return nest
-
-
-def assignments_in(stmts: Iterable[Stmt]) -> list[Assign]:
-    """All assignment statements in a region, pre-order."""
-    return [s for s in walk_stmts(stmts) if isinstance(s, Assign)]
 
 
 def map_body(

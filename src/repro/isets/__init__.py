@@ -29,14 +29,13 @@ from .core import (
     IsetBudget,
     active_budget,
     cache_stats,
-    current_epoch,
     iset_budget,
     new_epoch,
     pool_info,
     reset_caches,
 )
 from .iset import ISet, box, universe, empty
-from .profile import CompileProfile, active_profile, phase, profiled
+from .profile import CompileProfile, phase, profiled
 from .relation import AffineMap
 
 __all__ = [
@@ -57,9 +56,7 @@ __all__ = [
     "active_budget",
     "pool_info",
     "new_epoch",
-    "current_epoch",
     "CompileProfile",
     "profiled",
     "phase",
-    "active_profile",
 ]

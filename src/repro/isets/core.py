@@ -136,11 +136,6 @@ _SUBSUME_MAX = 1 << 16
 _EPOCH = 1
 
 
-def current_epoch() -> int:
-    """The active compilation epoch (see :func:`new_epoch`)."""
-    return _EPOCH
-
-
 def new_epoch() -> int:
     """Mark a compilation boundary for cross-kernel hit attribution.
 

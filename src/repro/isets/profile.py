@@ -143,11 +143,6 @@ class CompileProfile:
 _ACTIVE_PROFILE: CompileProfile | None = None
 
 
-def active_profile() -> CompileProfile | None:
-    """The profile installed by :func:`profiled`, or ``None`` when off."""
-    return _ACTIVE_PROFILE
-
-
 @contextmanager
 def profiled(name: str = "total") -> Iterator[CompileProfile]:
     """Install a :class:`CompileProfile` for the duration of the block."""

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -275,11 +275,3 @@ def _canonical(coeffs: "dict[str, int]", sorted_prefix: int) -> "dict[str, int]"
 def E(value: "LinExpr | int | str") -> LinExpr:
     """Shorthand coercion used throughout the compiler."""
     return LinExpr.of(value)
-
-
-def total_gcd(values: Iterable[int]) -> int:
-    """GCD of a collection of integers (0 for an empty collection)."""
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g

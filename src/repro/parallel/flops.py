@@ -24,13 +24,3 @@ ADD_PER_POINT = 10.0
 SP_PIPE_ROW_ELEMS = 2 * (5 + 5)
 #: BT: one row of C blocks (5x5) + rhs (5)
 BT_PIPE_ROW_ELEMS = 25 + 5
-
-
-def sp_step_flops(points: float) -> float:
-    """Total modeled flops of one SP timestep over *points* grid points."""
-    return points * (RHS_PER_POINT + 3 * SP_SWEEP_PER_POINT + ADD_PER_POINT)
-
-
-def bt_step_flops(points: float) -> float:
-    """Total modeled flops of one BT timestep over *points* grid points."""
-    return points * (RHS_PER_POINT + 3 * BT_SWEEP_PER_POINT + ADD_PER_POINT)

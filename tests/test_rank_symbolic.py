@@ -21,7 +21,7 @@ split safe to cache:
 
 Statement ids are assigned by a global counter at parse, so both paths
 must analyze deepcopies of ONE shared parse — separate parses differ in
-``G.segments(<sid>, ...)`` ids and would mask real divergence.
+``G.boxes(<sid>, ...)`` ids and would mask real divergence.
 """
 
 import copy

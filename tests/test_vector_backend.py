@@ -198,6 +198,92 @@ def test_fallback_reduction_mini_loop():
     assert "K.do_range(" in src  # the mini-loop is inside the generated code
 
 
+_MIXED_1D = """
+      program mixed
+      parameter (n = 12)
+      real a(n, n), b(n, n), c(n, n)
+!hpf$ processors p(2)
+!hpf$ distribute a(*, block) onto p
+!hpf$ distribute b(*, block) onto p
+!hpf$ distribute c(*, block) onto p
+      do j = 1, n
+         do i = 1, n
+            a(i, j) = i * 0.5 + j * 0.25
+            c(i, j) = 1.0 + i * 0.125
+         enddo
+      enddo
+      do i = 2, n
+         b(i, 3) = c(i, 3) * 2.0
+         a(i, 3) = a(i - 1, 3) * 0.5 + b(i, 3)
+         c(i, 3) = b(i, 3) + 1.0
+      enddo
+      end
+"""
+
+
+def test_lone_loop_keeps_a_recurrence_in_place_between_blocks():
+    """A lone loop is a one-level nest: the recurrence on ``a`` cannot be a
+    block (it carries a flow dependence on itself), so it runs in place
+    as a scalar mini-loop between the two statements that stay blocks —
+    bitwise the serial interpreter and the scalar backend on both
+    targets, and named by the cost model's advisory."""
+    from repro.check.cost import cost_advisories, kernel_cost
+    from repro.check.diagnostics import W_SCALAR_WAVEFRONT
+
+    ck = _run_all_ways(_MIXED_1D, 2)
+    lone = [s for s in ck.sub.body if isinstance(s, DoLoop)][-1]
+    recur = lone.body[1].sid
+    report = ck.vector_report[lone.sid]
+    assert report.status == "mixed"
+    assert report.scalar_sids == (recur,)
+    assert len(report.vector_sids) == 2 and recur not in report.vector_sids
+    for target in ("mpi", "shmem"):
+        src = ck.python_source(target)
+        assert "G.boxes(" in src and "G.segments(" not in src
+        assert _python_loops(src) == ["i"]  # the mini-loop, under K.guard
+    (warning,) = [
+        d for d in cost_advisories(kernel_cost(ck), kernel=ck)
+        if d.code == W_SCALAR_WAVEFRONT
+    ]
+    assert f"keeps statements s{recur} in a scalar mini-loop" in warning.message
+    assert "carried flow dependence on 'a'" in warning.message
+
+
+_TOP_IF = """
+      program tif
+      parameter (n = 8)
+      real a(n), b(n), c(n, n)
+!hpf$ processors p(2)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+!hpf$ distribute c(*, block) onto p
+      do i = 1, n
+         a(i) = i * 0.5
+      enddo
+      if (n .gt. 2) then
+         do i = 1, n
+            b(i) = a(i) + 1.0
+         enddo
+         do j = 1, n
+            do i = 1, n
+               c(i, j) = a(i) + j * 0.25
+            enddo
+         enddo
+      endif
+      end
+"""
+
+
+def test_loops_under_a_top_level_if_are_planned_on_their_own_dependences():
+    """Loops outside every analyzed nest (under a top-level IF, which a
+    lenient compile keeps) have no nest analysis to read dependences
+    from: the planner analyzes the loop it plans, and a lone loop and a
+    2-d nest there still vectorize, bitwise the scalar backend."""
+    ck = _diff_backends(_TOP_IF, {}, nprocs=2, strict=False)
+    assert [(r.loop_var, r.status) for r in ck.vector_report.values()] == [
+        ("i", "vector"), ("i", "vector"), ("j,i", "vector")]
+
+
 def test_fallback_partially_vector_inlined_solve():
     """fig 6.1 after inlining: the recurrence loop i is the only Python loop
     of the nest; every statement is a block over k and j (and its own q/r),
@@ -745,8 +831,8 @@ def test_guards_boxes_clamped_and_unguarded():
     assert g.boxes(1, (0, None, None), 5, 6, 0, 5) == ()
     # unguarded statements get the whole bounds box
     assert g.boxes(2, (0, None, None), 1, 2, 3, 9) == ((1, 2, 3, 9),)
-    # 1-d segments delegate to the same cover
-    assert g.segments(1, (0, None, 2), 0, 9) == ((0, 3),)
+    # one None position: the maximal runs of admissible values
+    assert g.boxes(1, (0, None, 2), 0, 9) == ((0, 3),)
 
 
 def test_guards_repeated_query_is_one_lookup():
@@ -756,7 +842,6 @@ def test_guards_repeated_query_is_one_lookup():
     first = g.boxes(1, (1, None), 0, 9)
     assert first == ((0, 1), (4, 4))
     assert g.boxes(1, (1, None), 0, 9) is first
-    assert g.segments(1, (1, None), 0, 9) is first
     assert g.boxes(1, (1, None), 1, 9) == ((1, 1), (4, 4))  # a new query
     assert g.boxes(1, (2, None), 0, 9) is not first
 
