@@ -2,108 +2,27 @@
 run time, and the block queries the vector backend makes of it.
 
 A bound guard is a :class:`BoxSet` — a set of index tuples held as its
-canonical disjoint box cover.  :func:`_box_cover` defines that cover from
-points; :func:`_cover_of_boxes` computes the same cover from a union of
-boxes without enumerating anything, which is how a BLOCK guard is read off
-its iteration set.  :class:`Guards` is one rank's ``sid -> BoxSet`` map and
+canonical disjoint box cover (:mod:`repro.isets.box`: ``cover_of_points``
+defines that cover, ``cover_of_boxes`` computes it from a union of boxes
+without enumerating anything, which is how a BLOCK guard is read off its
+iteration set).  :class:`Guards` is one rank's ``sid -> BoxSet`` map and
 answers ``G.boxes`` / ``K.guard``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Set
 
 from ..isets import ISet
-
-
-def _box_cover(coords) -> tuple:
-    """Exact cover of a set of integer coordinate tuples by axis-aligned
-    boxes ``(a0, b0, a1, b1, ...)`` — per-level inclusive ``(lo, hi)``
-    pairs, first coordinate first.
-
-    Built recursively: group by the first coordinate, cover the remaining
-    coordinates of each group, then merge maximal blocks of consecutive
-    first-coordinate values with identical sub-covers — for block-
-    distributed guards the cover is a single box.  Boxes come out in
-    (first-block, sub-cover) order, which keeps every fixed-prefix row's
-    runs in increasing order; vectorized statements with an innermost-
-    carried anti dependence rely on this (see ``vectorize.plan_nest``)."""
-    if not coords:
-        return ()
-    if len(coords[0]) == 1:
-        vals = sorted({c[0] for c in coords})
-        runs = []
-        start = prev = vals[0]
-        for v in vals[1:]:
-            if v == prev + 1:
-                prev = v
-            else:
-                runs.append((start, prev))
-                start = prev = v
-        runs.append((start, prev))
-        return tuple(runs)
-    groups: dict[int, list] = {}
-    for c in coords:
-        groups.setdefault(c[0], []).append(c[1:])
-    subs = {v: _box_cover(rest) for v, rest in groups.items()}
-    out: list = []
-    a0 = a1 = None
-    cur = None
-    for v in sorted(subs):
-        if cur == subs[v] and v == a1 + 1:
-            a1 = v
-        else:
-            if cur is not None:
-                out.extend((a0, a1) + sub for sub in cur)
-            a0 = a1 = v
-            cur = subs[v]
-    out.extend((a0, a1) + sub for sub in cur)
-    return tuple(out)
-
-
-def _cover_of_boxes(boxes) -> tuple:
-    """:func:`_box_cover` of the points of a union of non-empty, possibly
-    overlapping boxes (the same flat ``(a0, b0, a1, b1, ...)`` layout),
-    computed from the boxes alone.
-
-    Along the first coordinate the slice of the union can only change at a
-    box's ``a0`` or just past its ``b0``; between two such breakpoints the
-    slice is the union of the tails of the boxes spanning them, covered
-    recursively.  A cover is a function of the point set it covers, so
-    equal slices have equal sub-covers and merging adjacent equal ones
-    yields ``_box_cover``'s boxes in ``_box_cover``'s order."""
-    if len(boxes) <= 1:
-        return tuple(boxes)
-    if len(boxes[0]) == 2:
-        runs: list = []
-        for a, b in sorted(boxes):
-            if runs and a <= runs[-1][1] + 1:
-                runs[-1][1] = max(runs[-1][1], b)
-            else:
-                runs.append([a, b])
-        return tuple((a, b) for a, b in runs)
-    cuts = sorted({box[0] for box in boxes} | {box[1] + 1 for box in boxes})
-    out: list = []
-    a0 = a1 = None
-    cur: tuple = ()
-    for lo, nxt in zip(cuts, cuts[1:]):
-        sub = _cover_of_boxes([box[2:] for box in boxes if box[0] <= lo <= box[1]])
-        if sub and sub == cur and lo == a1 + 1:
-            a1 = nxt - 1
-        else:
-            out.extend((a0, a1) + rest for rest in cur)
-            a0, a1, cur = lo, nxt - 1, sub
-    out.extend((a0, a1) + rest for rest in cur)
-    return tuple(out)
+from ..isets.box import cover_of_boxes, cover_of_points, volume
 
 
 class BoxSet(Set):
     """A finite set of integer points held as its canonical disjoint box
-    cover (:func:`_box_cover` of its points): what a statement's bound
-    guard is.  Built from enumerated points, ``BoxSet(_box_cover(points))``,
-    or straight from a union of boxes, ``BoxSet(_cover_of_boxes(boxes))`` —
+    cover (``cover_of_points`` of its points): what a statement's bound
+    guard is.  Built from enumerated points, ``BoxSet(cover_of_points(points))``,
+    or straight from a union of boxes, ``BoxSet(cover_of_boxes(boxes))`` —
     equal point sets give equal covers either way; :meth:`of` picks by what
     the set is.  It is a read-only ``Set`` of index tuples: membership,
     ``len`` (the exact point count), iteration, ``==`` and ``&`` against
@@ -114,10 +33,7 @@ class BoxSet(Set):
     def __init__(self, cover: tuple):
         #: disjoint boxes ``(a0, b0, a1, b1, ...)``, canonical order
         self.boxes = cover
-        self._len = sum(
-            math.prod(b - a + 1 for a, b in zip(box[::2], box[1::2]))
-            for box in cover
-        )
+        self._len = volume(cover)
         self._points: frozenset | None = None
 
     @classmethod
@@ -125,12 +41,10 @@ class BoxSet(Set):
         """The points of a concrete iteration set: read off its disjuncts
         when each is a box, enumerated when one is not (cyclic,
         multipartition or otherwise exists-quantified ownership)."""
-        parts = iters.box_parts()
-        if parts is None:
-            return cls(_box_cover(list(iters.points())))
-        return cls(_cover_of_boxes(
-            [tuple(v for extent in part for v in extent) for part in parts]
-        ))
+        cover = iters.box_cover()
+        if cover is None:
+            cover = cover_of_points(list(iters.points()))
+        return cls(cover)
 
     @classmethod
     def _from_iterable(cls, it):
@@ -218,10 +132,10 @@ class Guards(dict):
         if pts is None:
             return (bounds,)
         if not isinstance(pts, BoxSet):
-            pts = self[sid] = BoxSet(_box_cover(list(pts)))
+            pts = self[sid] = BoxSet(cover_of_points(list(pts)))
         free = [2 * i for i, v in enumerate(tpl) if v is None]
         fixed = [(2 * i, v) for i, v in enumerate(tpl) if v is not None]
-        cover = _cover_of_boxes([
+        cover = cover_of_boxes([
             tuple(box[k + h] for k in free for h in (0, 1))
             for box in pts.boxes
             if all(box[k] <= v <= box[k + 1] for k, v in fixed)

@@ -222,8 +222,3 @@ def cp_key(term: OnHomeRef, ctx: DistributionContext) -> tuple | None:
             key_parts.append((dd.grid_axis, dd.kind, dd.block, te))
     return tuple(key_parts)
 
-
-def same_choice(a: OnHomeRef, b: OnHomeRef, ctx: DistributionContext) -> bool:
-    """Do two ON_HOME terms denote the same data partition (§5)?"""
-    ka, kb = cp_key(a, ctx), cp_key(b, ctx)
-    return ka is not None and ka == kb

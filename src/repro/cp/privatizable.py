@@ -34,10 +34,6 @@ from .nest import NestInfo
 from .select import StatementCP
 
 
-def _loop_var_names(loops: Sequence[DoLoop]) -> list[str]:
-    return [l.var for l in loops]
-
-
 def subscript_mapping(
     def_subs: Sequence[LinExpr] | None,
     use_subs: Sequence[LinExpr] | None,

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from ..distrib.layout import DistributionContext, PDIM
-from ..ir.expr import ArrayRef, Var
+from ..ir.expr import ArrayRef
 from ..ir.stmt import Assign, DoLoop
-from ..ir.visit import collect_array_refs, walk_stmts
-from ..isets import ISet, LinExpr
+from ..ir.visit import collect_array_refs
+from ..isets import ISet
+from ..isets.box import Box
 from ..isets.profile import phase as profile_phase
-from .model import CP, OnHomeRef, PointSub, cp_iteration_set, cp_key
+from .model import CP, OnHomeRef, cp_iteration_set, cp_key
 from .nest import NestInfo, access_data_set
 
 #: relative cost of one message's latency, in units of one element's
@@ -75,7 +76,7 @@ class CPSelector:
         self.rep_proc = self.sample_procs[0]
         self._bindings = [{**self.eval_params, **p} for p in self.sample_procs]
         #: array name -> its ownership set read as a box (None: not one)
-        self._owner_boxes: dict[str, _Box | None] = {}
+        self._owner_boxes: dict[str, Box | None] = {}
         #: how the cost model answered its (set, processor) queries:
         #: ``"box"`` closed-form, ``"fallback"`` symbolic difference
         self.queries: Counter = Counter()
@@ -171,15 +172,15 @@ class CPSelector:
         owner = self.ctx.layout(array).ownership()
         key = array.lower()
         if key not in self._owner_boxes:
-            self._owner_boxes[key] = _Box.of(owner)
+            self._owner_boxes[key] = _one_box(owner)
         obox = self._owner_boxes[key]
-        dbox = _Box.of(data) if obox is not None else None
+        dbox = _one_box(data) if obox is not None else None
         diff: ISet | None = None
 
         def count(binding: Mapping[str, int]) -> int | None:
             nonlocal diff
             if dbox is not None:
-                n = _box_difference(dbox, obox, binding)
+                n = dbox.count_outside(obox, binding)
                 if n is not None:
                     self.queries["box"] += 1
                     return n
@@ -227,93 +228,6 @@ class CPSelector:
         return out
 
 
-
-class _Box:
-    """One quantifier-free conjunct read as a box whose per-dim bounds are
-    affine in the parameters: ``bounds[k]`` lists ``(a, rest, is_eq)``
-    for each constraint ``a*dim_k + rest >= 0`` (``== 0``), ``guards``
-    the constraints on parameters alone."""
-
-    __slots__ = ("bounds", "guards")
-
-    def __init__(self, bounds: list, guards: list):
-        self.bounds = bounds
-        self.guards = guards
-
-    @staticmethod
-    def of(s: ISet) -> "_Box | None":
-        """*s* as a box, or None when it is not one conjunct without
-        existentials whose constraints each name at most one dim."""
-        if len(s.parts) != 1 or s.parts[0].exists:
-            return None
-        index = {d: k for k, d in enumerate(s.dims)}
-        bounds: list[list[tuple[int, LinExpr, bool]]] = [[] for _ in s.dims]
-        guards = []
-        for c in s.parts[0].constraints:
-            hit = [v for v in c.expr.vars() if v in index]
-            if not hit:
-                guards.append(c)
-            elif len(hit) > 1:
-                return None  # couples two dims
-            else:
-                a, rest = c.expr.as_fraction_of(hit[0])
-                bounds[index[hit[0]]].append((a, rest, c.is_eq))
-        return _Box(bounds, guards)
-
-    def extents(
-        self, binding: Mapping[str, int]
-    ) -> "list[tuple[int | None, int | None]] | None":
-        """Inclusive per-dim ``(lo, hi)`` under *binding*, None for an open
-        side; None when the box is empty.  KeyError on an unbound
-        parameter."""
-        for g in self.guards:
-            v = g.expr.evaluate(binding)
-            if v < 0 or (g.is_eq and v != 0):
-                return None
-        out = []
-        for cons in self.bounds:
-            lo = hi = None
-            for a, rest, is_eq in cons:
-                r = rest.evaluate(binding)
-                if is_eq:
-                    if r % a:
-                        return None
-                    lo = -r // a if lo is None else max(lo, -r // a)
-                    hi = -r // a if hi is None else min(hi, -r // a)
-                elif a > 0:  # a*v + r >= 0  ->  v >= ceil(-r/a)
-                    lo = -(r // a) if lo is None else max(lo, -(r // a))
-                else:  # v <= floor(r/(-a))
-                    hi = r // -a if hi is None else min(hi, r // -a)
-            if lo is not None and hi is not None and hi < lo:
-                return None
-            out.append((lo, hi))
-        return out
-
-
-def _box_difference(
-    data: _Box, owner: _Box, binding: Mapping[str, int]
-) -> int | None:
-    """``|D| - |D ∩ O|`` under *binding*; None when it cannot be counted
-    in closed form (a parameter left unbound, an open data dim)."""
-    try:
-        d = data.extents(binding)
-        if d is None:
-            return 0
-        o = owner.extents(binding)
-    except KeyError:
-        return None
-    size = 1
-    for lo, hi in d:
-        if lo is None or hi is None:
-            return None
-        size *= hi - lo + 1
-    if o is None:
-        return size
-    inter = 1
-    for (dlo, dhi), (olo, ohi) in zip(d, o):
-        lo = dlo if olo is None else max(dlo, olo)
-        hi = dhi if ohi is None else min(dhi, ohi)
-        if hi < lo:
-            return size
-        inter *= hi - lo + 1
-    return size - inter
+def _one_box(s: ISet) -> Box | None:
+    """*s* as a :class:`~repro.isets.box.Box` when it is one conjunct."""
+    return Box.of(s.parts[0]) if len(s.parts) == 1 else None

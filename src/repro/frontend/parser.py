@@ -12,7 +12,7 @@ Grammar (per logical line):
 
 HPF directive lines are parsed by :mod:`directive grammar <._parse_directive>`
 and attached: declarative forms to the unit, INDEPENDENT-family to the next
-DO loop, ON_HOME to the next statement.
+DO loop.  ON_HOME is checked for syntax and not kept.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from ..ir.directives import (
     DistFormat,
     DistributeDecl,
     LoopDirective,
-    OnHomeDirective,
     ProcessorsDecl,
     TemplateDecl,
 )
@@ -130,7 +129,6 @@ class _UnitParser:
         self.i = start
         self.sub = Subroutine(name="?")
         self.pending_loop_dir: Optional[LoopDirective] = None
-        self.pending_on_home: Optional[OnHomeDirective] = None
         self.sink = sink
 
     # ---------------- line plumbing ----------------
@@ -413,7 +411,7 @@ class _UnitParser:
                     while not c.accept(")"):
                         args.append(self._parse_expr(c))
                         c.accept(",")
-                return self._attach_on_home(CallStmt(name, args, lineno=c.lineno))
+                return CallStmt(name, args, lineno=c.lineno)
             if kw == "continue":
                 c.next()
                 return Continue(lineno=c.lineno)
@@ -442,14 +440,7 @@ class _UnitParser:
         rhs = self._parse_expr(c)
         if not c.at_eol():
             raise c.error(f"trailing tokens after assignment: {c.peek().text!r}")
-        return self._attach_on_home(Assign(lhs, rhs, lineno=c.lineno))
-
-    def _attach_on_home(self, stmt: Stmt) -> Stmt:
-        if self.pending_on_home is not None and isinstance(stmt, (Assign, CallStmt)):
-            # record on the statement via attribute (analysis looks it up)
-            setattr_on_home(stmt, self.pending_on_home)
-            self.pending_on_home = None
-        return stmt
+        return Assign(lhs, rhs, lineno=c.lineno)
 
     def _parse_do(self, c: Cursor) -> DoLoop:
         c.expect("do")
@@ -708,18 +699,16 @@ class _UnitParser:
             )
             return
         if kw == "on_home":
-            refs: list[ArrayRef] = []
+            # checked for syntax, then ignored: CP selection picks its own
+            # ON_HOME choices and does not read the directive
             while True:
-                name = c.expect_name()
+                c.expect_name()
                 c.expect("(")
-                subs: list[Expr] = []
                 while not c.accept(")"):
-                    subs.append(self._parse_expr(c))
+                    self._parse_expr(c)
                     c.accept(",")
-                refs.append(ArrayRef(name, tuple(subs)))
                 if not (c.accept_name("union") or c.accept(",")):
                     break
-            self.pending_on_home = OnHomeDirective(refs)
             return
         raise c.error(f"unknown HPF directive {kw!r}")
 
@@ -790,17 +779,6 @@ class _UnitParser:
                 arrays.append(c.expect_name())
                 c.accept(",")
         self.sub.distributes.append(DistributeDecl(arrays, formats, onto))
-
-
-_ON_HOME_ATTR = "_on_home_directive"
-
-
-def setattr_on_home(stmt: Stmt, d: OnHomeDirective) -> None:
-    """Statements use __slots__; ON_HOME annotations live in a side table."""
-    _on_home_table[stmt.sid] = d
-
-
-_on_home_table: dict[int, OnHomeDirective] = {}
 
 
 def parse_source(source: str, sink: Optional[DiagnosticSink] = None) -> Program:

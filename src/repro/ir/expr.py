@@ -184,17 +184,6 @@ def from_affine(a: LinExpr) -> Expr:
     return e
 
 
-def expr_vars(e: Expr) -> set[str]:
-    """All scalar variable names mentioned anywhere in the expression."""
-    out: set[str] = set()
-    for node in e.walk():
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, (ArrayRef, FuncCall)):
-            out.add(node.name)
-    return out
-
-
 def substitute_expr(e: Expr, binding: dict[str, Expr]) -> Expr:
     """Replace scalar Var nodes by expressions (used for inlining/codegen)."""
     if isinstance(e, Var):

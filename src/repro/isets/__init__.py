@@ -18,6 +18,9 @@ Public API:
   with optional existentially quantified variables.
 - :class:`ISet` — finite union of BasicSets in the same space.
 - :class:`AffineMap` — affine relation between tuple spaces (CP translation).
+- :mod:`repro.isets.box` — the one reading of a set as boxes: the
+  single-variable bound rule, :class:`~repro.isets.box.Box` and the
+  canonical disjoint cover behind ``ISet.box_cover`` / ``cardinality``.
 - helpers: :func:`box`, :func:`universe`, :func:`empty`.
 """
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .box import Interval, read_bounds
 from .terms import LinExpr, E
 
 # Cap on constraints kept per basic set during elimination; beyond this we
@@ -691,30 +691,12 @@ class BasicSet:
         same verdict as :meth:`_is_empty_uncached` without running
         elimination.  Returns ``None`` (undecided) as soon as a constraint
         couples two variables."""
-        lo: dict[str, Fraction] = {}
-        hi: dict[str, Fraction] = {}
-        for c in self.constraints:
-            if c.is_trivially_false():
-                return True
-            if c.is_trivially_true():
-                continue
-            vs = c.expr.vars()
-            if len(vs) != 1:
-                return None
-            (v,) = vs
-            a = c.expr.coeff(v)
-            val = Fraction(-c.expr.constant, a)
-            # a*v + r (>= or ==) 0  ->  v >= -r/a (a>0) | v <= -r/a (a<0)
-            if c.is_eq or a > 0:
-                if v not in lo or val > lo[v]:
-                    lo[v] = val
-            if c.is_eq or a < 0:
-                if v not in hi or val < hi[v]:
-                    hi[v] = val
-        for v, lo_v in lo.items():
-            if v in hi and lo_v > hi[v]:
-                return True
-        return False
+        bounds = read_bounds(self.constraints)
+        if bounds is None:
+            return None
+        if bounds is False:
+            return True
+        return any(iv.rationally_empty() for iv in bounds.values())
 
     def _is_empty_uncached(self) -> bool:
         cons = list(self.constraints)
@@ -783,33 +765,18 @@ class BasicSet:
         sub = self.substitute({k: LinExpr.const(v) for k, v in binding.items()})
         others = [d for d in sub.dims if d != var] + list(sub.exists)
         proj = sub.project_out(others)
-        lb: int | None = None
-        ub: int | None = None
-        for c in proj.constraints:
-            a = c.expr.coeff(var)
-            if a == 0:
-                if c.is_trivially_false():
-                    return (1, 0)  # empty range
-                continue
-            _, rest = c.expr.as_fraction_of(var)
-            if not rest.is_constant():
-                continue  # still-symbolic bound: ignore (caller handles)
-            r = rest.constant
-            if c.is_eq:
-                if r % a != 0:
-                    return (1, 0)
-                v = -r // a
-                lb = v if lb is None else max(lb, v)
-                ub = v if ub is None else min(ub, v)
-            elif a > 0:  # a*var + r >= 0 -> var >= ceil(-r/a)
-                v = -(r // a)
-                lb = v if lb is None else max(lb, v)
-            else:  # a<0: var <= floor(r/(-a))
-                v = r // (-a)
-                ub = v if ub is None else min(ub, v)
-        if lb is None or ub is None:
+        only = {var}
+        bounds = read_bounds(
+            c for c in proj.constraints if c.expr.coeffs.keys() <= only
+        )
+        if bounds is False:
+            return (1, 0)  # empty range
+        iv = bounds.get(var)
+        if iv is not None and iv.gap:
+            return (1, 0)
+        if iv is None or iv.lo is None or iv.hi is None:
             return None
-        return (lb, ub)
+        return (iv.lo, iv.hi)
 
     def enumerate_points(
         self, params: Mapping[str, int] | None = None
@@ -889,80 +856,38 @@ def _product_ranges(
     as a false constant), while an unbounded dim raises ``ValueError``
     unless an earlier dim in tuple order already had an empty range.
     """
-    int_lo: dict[str, int] = {}
-    int_hi: dict[str, int] = {}
-    rat_lo: dict[str, Fraction] = {}
-    rat_hi: dict[str, Fraction] = {}
-    gap: set[str] = set()  # non-divisible equality: integer-empty
-    dim_set = set(dims)
-    for c in bs.constraints:
-        if c.is_trivially_false():
-            return "empty"
-        if c.is_trivially_true():
-            continue
-        vs = c.expr.vars()
-        if len(vs) != 1:
-            return None
-        (v,) = vs
-        if v not in dim_set and v not in bs.exists:
-            return None
-        a = c.expr.coeff(v)
-        r = c.expr.constant
-        rval = Fraction(-r, a)
-        if c.is_eq or a > 0:
-            if v not in rat_lo or rval > rat_lo[v]:
-                rat_lo[v] = rval
-        if c.is_eq or a < 0:
-            if v not in rat_hi or rval < rat_hi[v]:
-                rat_hi[v] = rval
-        if c.is_eq:
-            # same divisibility test / floor division as bounds_of
-            if r % a != 0:
-                gap.add(v)
-                continue
-            val = -r // a
-            if v not in int_lo or val > int_lo[v]:
-                int_lo[v] = val
-            if v not in int_hi or val < int_hi[v]:
-                int_hi[v] = val
-        elif a > 0:  # a*v + r >= 0 -> v >= ceil(-r/a)
-            val = -(r // a)
-            if v not in int_lo or val > int_lo[v]:
-                int_lo[v] = val
-        else:  # v <= floor(r/(-a))
-            val = r // (-a)
-            if v not in int_hi or val < int_hi[v]:
-                int_hi[v] = val
-    for v, lo_v in rat_lo.items():
-        if v in rat_hi and lo_v > rat_hi[v]:
-            return "empty"
+    bounds = read_bounds(bs.constraints)
+    if bounds is None:
+        return None
+    if bounds is False:
+        return "empty"
+    if any(v not in dims and v not in bs.exists for v in bounds):
+        return None
+    if any(iv.rationally_empty() for iv in bounds.values()):
+        return "empty"
     out: list[range] = []
     for d in dims:
-        if d in gap:
+        iv = bounds.get(d) or Interval()
+        if iv.empty():
             return "empty"
-        lo = int_lo.get(d)
-        hi = int_hi.get(d)
-        if lo is not None and hi is not None and hi < lo:
-            return "empty"
-        if lo is None or hi is None:
+        if iv.lo is None or iv.hi is None:
             raise ValueError(
                 f"dimension {d!r} is unbounded; cannot enumerate; set: {bs.pretty()}"
             )
-        out.append(range(lo, hi + 1))
+        out.append(range(iv.lo, iv.hi + 1))
     # existential variables: the scan's leaf check runs _exists_feasible on
     # the residual system, which for independent single-variable constraints
     # reduces to each existential having a satisfiable interval (with the
     # same conservative accepts for unbounded / very wide ranges).
     for e in bs.exists:
-        if e in gap:
+        iv = bounds.get(e) or Interval()
+        if iv.gap:
             return "empty"  # non-divisible equality: bounded search finds nothing
-        lo = int_lo.get(e)
-        hi = int_hi.get(e)
-        if lo is None or hi is None:
+        if iv.lo is None or iv.hi is None:
             continue  # unbounded existential: conservative accept
-        if hi - lo > 10000:
+        if iv.hi - iv.lo > 10000:
             continue  # too wide to search: conservative accept
-        if hi < lo:
+        if iv.hi < iv.lo:
             return "empty"
     return out
 

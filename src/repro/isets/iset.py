@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .box import concrete_extents, cover_of_boxes, volume
 from .core import (
     _SUBSUME_CACHE,
     _SUBSUME_MAX,
@@ -23,11 +24,6 @@ from .core import (
     active_budget,
 )
 from .terms import LinExpr, E
-
-#: inclusion–exclusion over box disjuncts is exponential in the disjunct
-#: count; beyond this many boxes :meth:`ISet.cardinality` falls back to
-#: point enumeration.
-_MAX_IE_BOXES = 10
 
 # Difference blows up exponentially in the number of constraints of the
 # subtrahend; cap the number of disjuncts an ISet may carry.
@@ -216,39 +212,35 @@ class ISet:
         some disjunct is not recognizably a box — an existential variable,
         a constraint coupling two dims, an unbound parameter, an unbounded
         dim — and the caller must fall back to enumeration."""
+        binding = params or {}
         boxes = []
         for p in self.parts:
-            ext = _box_extents(p, params)
-            if ext is None:
+            ext = concrete_extents(p, binding)
+            if ext is False:
                 return None
-            if ext != "empty":
+            if ext is not None:
                 boxes.append(ext)
         return boxes
 
-    def cardinality(self, params: Mapping[str, int] | None = None) -> int:
-        """Exact number of integer points, computed in closed form when the
-        set is a union of axis-aligned boxes (per-disjunct extent products
-        combined by inclusion–exclusion), falling back to point enumeration
-        otherwise.  Always equals :meth:`count`; the static cost analyzer
-        uses this so per-rank communication volumes do not require
-        enumerating every element of every halo."""
+    def box_cover(self, params: Mapping[str, int] | None = None) -> tuple | None:
+        """The canonical disjoint cover of the set under *params* (see
+        :mod:`repro.isets.box`), read off :meth:`box_parts`; None when the
+        set is not a union of boxes."""
         boxes = self.box_parts(params)
-        if boxes is None or len(boxes) > _MAX_IE_BOXES:
+        if boxes is None:
+            return None
+        return cover_of_boxes([tuple(v for ext in b for v in ext) for b in boxes])
+
+    def cardinality(self, params: Mapping[str, int] | None = None) -> int:
+        """Exact number of integer points: the volume of :meth:`box_cover`
+        when the set is a union of boxes, point enumeration otherwise.
+        Always equals :meth:`count`; the static cost analyzer uses this so
+        per-rank communication volumes do not require enumerating every
+        element of every halo."""
+        cover = self.box_cover(params)
+        if cover is None:
             return self._metered_count(params)
-        # inclusion–exclusion over every non-empty subset of the boxes
-        total = 0
-        for k in range(1, len(boxes) + 1):
-            for combo in itertools.combinations(boxes, k):
-                n = 1
-                for axis in zip(*combo):
-                    lo = max(a for a, _ in axis)
-                    hi = min(b for _, b in axis)
-                    if hi < lo:
-                        n = 0
-                        break
-                    n *= hi - lo + 1
-                total += n if k % 2 else -n
-        return total
+        return volume(cover)
 
     def pretty(self, max_parts: int = 4) -> str:
         """Readable rendering for diagnostics: relational constraint forms,
@@ -303,57 +295,6 @@ class ISet:
         return hash((self.dims, frozenset(self.parts)))
 
 
-def _box_extents(bs: BasicSet, params: Mapping[str, int] | None):
-    """Per-dim inclusive ``(lo, hi)`` ranges when *bs* is an axis-aligned
-    box under *params* — no existential variables, every constraint
-    involving exactly one dim with a concrete bound.  Returns the string
-    ``"empty"`` when the set is provably empty, and ``None`` when it is
-    not recognizably a box (the caller falls back to enumeration)."""
-    if params:
-        bs = bs.substitute({k: LinExpr.const(v) for k, v in params.items()})
-    if bs.exists or not bs.dims:
-        return None
-    lo: dict[str, int | None] = dict.fromkeys(bs.dims)
-    hi: dict[str, int | None] = dict.fromkeys(bs.dims)
-    for c in bs.constraints:
-        vs = c.vars()
-        if not vs:
-            if c.is_trivially_false():
-                return "empty"
-            continue
-        if len(vs) > 1:
-            return None  # cross-dim coupling: not a box
-        (v,) = vs
-        if v not in bs.dims:
-            return None  # unbound parameter
-        a = c.expr.coeff(v)
-        _, rest = c.expr.as_fraction_of(v)
-        if not rest.is_constant():
-            return None
-        r = rest.constant
-        if c.is_eq:
-            if r % a != 0:
-                return "empty"
-            val = -r // a
-            lo[v] = val if lo[v] is None else max(lo[v], val)
-            hi[v] = val if hi[v] is None else min(hi[v], val)
-        elif a > 0:  # a*v + r >= 0  ->  v >= ceil(-r/a)
-            val = -(r // a)
-            lo[v] = val if lo[v] is None else max(lo[v], val)
-        else:  # v <= floor(r/(-a))
-            val = r // (-a)
-            hi[v] = val if hi[v] is None else min(hi[v], val)
-    out = []
-    for d in bs.dims:
-        d_lo, d_hi = lo[d], hi[d]
-        if d_lo is None or d_hi is None:
-            return None  # unbounded in this dim
-        if d_hi < d_lo:
-            return "empty"
-        out.append((d_lo, d_hi))
-    return out
-
-
 def _subtract_basic(a: BasicSet, b: BasicSet) -> list[BasicSet]:
     """a \\ b as a union: for each constraint c of b, a ∧ ¬c (integer negation)."""
     out: list[BasicSet] = []
@@ -384,11 +325,11 @@ def _subsumed_by(p: BasicSet, q: BasicSet) -> bool:
     if set(q.constraints) <= set(p.constraints) and q.exists == p.exists:
         verdict = True
     else:
-        pb = _box_extents(p, None)
-        if pb == "empty":
+        pb = concrete_extents(p, {})
+        if pb is None:
             verdict = True  # the empty set is contained in anything
         else:
-            qb = _box_extents(q, None)
+            qb = concrete_extents(q, {})
             verdict = (
                 isinstance(pb, list)
                 and isinstance(qb, list)

@@ -450,11 +450,6 @@ class _Tile:
 # SP chunk helpers (x-restricted forward/back steps)
 # ---------------------------------------------------------------------------
 
-def _xsl(arr: np.ndarray, clo: int, chi: int):
-    """Slice the x dimension (index 1 after moveaxis of the line dim)."""
-    return arr[:, clo : chi + 1] if arr.ndim >= 2 else arr
-
-
 def _sp_forward_chunk(lhs: np.ndarray, rm: np.ndarray, i: int, clo: int, chi: int) -> None:
     x = slice(clo, chi + 1)
     fac1 = 1.0 / lhs[2][i, x]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen import compile_kernel
 from repro.frontend import LexError, ParseError, parse_source, parse_subroutine
 from repro.frontend.lexer import Lexer, TokenKind
 from repro.ir import (
@@ -278,6 +279,32 @@ chpf$ independent, localize(a)
 """
         )
         assert sub.body[0].directive.localize_vars == ["a"]
+
+    def test_on_home_parses_and_does_not_steer_the_compile(self):
+        """An ON_HOME directive parses, and CP selection does not read it:
+        a strict compile emits the same node programs with or without it."""
+        plain = """
+      subroutine s(n)
+      integer n, i
+      double precision a(0:17), b(0:17)
+chpf$ processors p(4)
+chpf$ template t(0:17)
+chpf$ align a(i) with t(i)
+chpf$ align b(i) with t(i)
+chpf$ distribute t(block) onto p
+      do i = 1, n - 1
+         a(i) = b(i - 1) + b(i + 1)
+      enddo
+      end
+"""
+        directed = plain.replace(
+            "         a(i) =", "chpf$ on_home b(i + 1)\n         a(i) =")
+        assert "on_home" in directed
+        assert len(parse_subroutine(directed).body[0].body) == 1
+        with_dir = compile_kernel(directed, 4, params={"n": 16})
+        without = compile_kernel(plain, 4, params={"n": 16})
+        for target in ("mpi", "shmem"):
+            assert with_dir.python_source(target) == without.python_source(target)
 
     def test_unknown_directive_raises(self):
         with pytest.raises(ParseError):

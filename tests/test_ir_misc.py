@@ -5,7 +5,7 @@ import pytest
 from repro.frontend import parse_source
 from repro.ir import ArrayRef, BinOp, Num, UnOp, Var, to_affine
 from repro.ir.directives import LoopDirective
-from repro.ir.expr import expr_vars, from_affine, substitute_expr
+from repro.ir.expr import from_affine, substitute_expr
 from repro.ir.stmt import Assign, DoLoop
 from repro.isets.terms import E
 
@@ -31,10 +31,6 @@ class TestExprHelpers:
     def test_from_affine_zero(self):
         e = from_affine(E("x") * 0)
         assert to_affine(e) == E("x") * 0
-
-    def test_expr_vars(self):
-        e = BinOp("+", ArrayRef("a", (Var("i"),)), Var("n"))
-        assert expr_vars(e) == {"a", "i", "n"}
 
     def test_substitute_expr(self):
         e = BinOp("+", Var("i"), ArrayRef("a", (Var("i"),)))

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen import CodegenUnsupported, compile_kernel, spmd
-from repro.codegen.guards import BoxSet, Guards, _box_cover
+from repro.codegen.guards import BoxSet, Guards
+from repro.isets.box import cover_of_points
 from repro.codegen.spmd import CompiledKernel
 from repro.cp.model import cp_iteration_set
 from repro.cp.nest import NestInfo
@@ -805,7 +806,7 @@ def test_pipelined_wavefront_rejected():
 
 def test_box_cover_exact_and_ordered():
     pts = {(a, b) for a in (0, 1, 2, 5) for b in (0, 1, 2, 7, 8)}
-    cover = _box_cover(sorted(pts))
+    cover = cover_of_points(sorted(pts))
     # exact: disjoint boxes unioning to the points
     seen = set()
     for a0, a1, b0, b1 in cover:
@@ -873,7 +874,7 @@ def test_pickled_kernel_leaves_bound_guards_behind():
 def _oracle_cover(points, tpl, bounds):
     """The answer to ``Guards.boxes`` by definition, as it was computed
     when a bound guard was a set of points: group the points by the fixed
-    positions of *tpl*, ``_box_cover`` the group that matches, clamp."""
+    positions of *tpl*, ``cover_of_points`` the group that matches, clamp."""
     bounds = tuple(int(v) for v in bounds)
     d = len(bounds) // 2
     if any(bounds[2 * l + 1] < bounds[2 * l] for l in range(d)):
@@ -887,7 +888,7 @@ def _oracle_cover(points, tpl, bounds):
         if tuple(v for i, v in enumerate(pt) if i not in positions) == fixed
     ]
     out = []
-    for box in _box_cover(group):
+    for box in cover_of_points(group):
         clamped = []
         for l in range(d):
             a = max(box[2 * l], bounds[2 * l])
@@ -953,7 +954,7 @@ def test_box_guards_answer_as_the_point_oracle(case):
     }
     assert iters.box_parts() is not None
     bound = BoxSet.of(iters)
-    assert bound.boxes == _box_cover(sorted(points))
+    assert bound.boxes == cover_of_points(sorted(points))
     assert len(bound) == len(points)
     assert bound == points and points == bound
     assert bound & points == points
@@ -1025,7 +1026,7 @@ def test_bound_guards_and_queries_match_the_point_oracle(name):
         for sid, bound in guards.items():
             if bound is not None:
                 assert len(bound) == len(points[sid])
-                assert bound.boxes == _box_cover(sorted(points[sid]))
+                assert bound.boxes == cover_of_points(sorted(points[sid]))
         # which constructor built them: boxes read off the set, or points
         pbind = {PDIM(g): c for g, c in enumerate(ck.grid.delinearize(rank))}
         for iters in ck._guard_plan()[1]:
