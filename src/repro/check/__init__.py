@@ -1,7 +1,7 @@
 """Static SPMD verification (see DESIGN.md, "Static SPMD verification").
 
 Four analyses over a compiled program's communication plans, CP
-assignments and emitted schedule:
+assignments and emitted schedule, reported as :mod:`repro.diag` records:
 
 1. **comm coverage** — every non-local read is received, owned, or
    locally produced (``E-COVERAGE`` / ``E-LOCAL``);
@@ -16,18 +16,7 @@ The mutation harness (:mod:`repro.check.mutate`) proves the checker's
 teeth: seeded compiler bugs must each be caught by the intended analysis.
 """
 
-from .cost import (
-    CostValidation,
-    CurvePoint,
-    KernelCost,
-    analysis_cost,
-    cost_advisories,
-    kernel_cost,
-    predicted_curve,
-    sweep_cost,
-    validate_against_trace,
-)
-from .diagnostics import (
+from ..diag import (
     E_COVERAGE,
     E_LOCAL,
     E_MATCH,
@@ -42,11 +31,21 @@ from .diagnostics import (
     W_REPLICATED,
     W_SCALAR_WAVEFRONT,
     W_UNPROVEN,
-    CheckReport,
     Diagnostic,
     Severity,
-    VerificationError,
 )
+from .cost import (
+    CostValidation,
+    CurvePoint,
+    KernelCost,
+    analysis_cost,
+    cost_advisories,
+    kernel_cost,
+    predicted_curve,
+    sweep_cost,
+    validate_against_trace,
+)
+from .diagnostics import CheckReport, VerificationError
 from .schedule import ScheduleOp, StaticSchedule, check_matching
 from .verifier import (
     VerifyUnit,

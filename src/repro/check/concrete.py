@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Hashable, Mapping, Optional, Sequence
 
 from ..distrib.grid import ProcessorGrid
-from ..distrib.layout import DistributionContext, PDIM
+from ..distrib.layout import DistributionContext, proc_binding
 from ..isets import ISet
 
 #: above this grid size the race check samples rank pairs instead of
@@ -42,10 +42,9 @@ class ConcreteEvaluator:
     # -- rank handling ------------------------------------------------------
     def binding(self, rank: int) -> dict[str, int]:
         if rank not in self._bindings:
-            coords = self.grid.delinearize(rank)
             self._bindings[rank] = {
                 **self.params,
-                **{PDIM(g): c for g, c in enumerate(coords)},
+                **proc_binding(self.grid.delinearize(rank)),
             }
         return self._bindings[rank]
 

@@ -44,12 +44,7 @@ from typing import Mapping, Optional, Sequence
 from ..comm.analyzer import CommPlan
 from ..cp.model import cp_iteration_set
 from ..cp.nest import NestInfo
-from ..distrib.layout import PDIM, DistributionContext
-from ..ir.expr import BinOp, FuncCall, UnOp
-from ..ir.stmt import Assign, DoLoop
-from ..ir.visit import walk_stmts
-from ..runtime.model import MachineModel
-from .diagnostics import (
+from ..diag import (
     I_SCALE_LIMIT,
     W_COMM_HOT,
     W_IMBALANCE,
@@ -58,6 +53,11 @@ from .diagnostics import (
     Diagnostic,
     Severity,
 )
+from ..distrib.layout import DistributionContext, proc_binding
+from ..ir.expr import BinOp, FuncCall, UnOp
+from ..ir.stmt import Assign, DoLoop
+from ..ir.visit import walk_stmts
+from ..runtime.model import MachineModel
 
 #: advisory thresholds (module-level so tests can pin them)
 IMBALANCE_TOL = 1.25        # max/mean partitioned iterations per rank
@@ -244,10 +244,6 @@ def _stmt_flops(stmt: Assign) -> int:
     return max(n, 1)
 
 
-def _pbind(grid, rank: int) -> dict[str, int]:
-    return {PDIM(g): c for g, c in enumerate(grid.delinearize(rank))}
-
-
 class _OwnershipTable:
     """Per-(array, rank) concrete ownership sets, cached per analysis."""
 
@@ -262,7 +258,7 @@ class _OwnershipTable:
         if key not in self._own:
             layout = self.ctx.layout(array)
             self._own[key] = layout.ownership().bind(
-                {**self.params, **_pbind(self.grid, rank)}
+                {**self.params, **proc_binding(self.grid.delinearize(rank))}
             )
         return self._own[key]
 
@@ -275,7 +271,7 @@ def _event_flows(ev, own: _OwnershipTable, params: Mapping[str, int], grid):
     executed trace is a genuine cross-check."""
     flows: dict[tuple[int, int], int] = {}
     for r in range(grid.size):
-        need = ev.data.bind({**params, **_pbind(grid, r)})
+        need = ev.data.bind({**params, **proc_binding(grid.delinearize(r))})
         if need.is_empty():
             continue
         for q in range(grid.size):
@@ -381,7 +377,7 @@ def _cost_from_parts(
             iters = cp_iteration_set(scp.cp, dims, bounds.bind(dict(params)), ctx)
             for r in cost.ranks:
                 n_r = iters.bind(
-                    {**params, **_pbind(grid, r.rank)}
+                    {**params, **proc_binding(grid.delinearize(r.rank))}
                 ).cardinality()
                 r.iterations += n_r
                 r.flops += w * n_r

@@ -26,12 +26,7 @@ from typing import Optional
 
 from ..comm.analyzer import CommPlan
 from ..cp.nest import NestInfo, statement_access_set
-from ..ir.expr import ArrayRef
-from ..ir.stmt import DoLoop
-from ..ir.visit import collect_array_refs
-from ..isets import ISet
-from .concrete import ConcreteEvaluator, union_points
-from .diagnostics import (
+from ..diag import (
     E_COVERAGE,
     E_LOCAL,
     E_OVERLAP,
@@ -39,6 +34,11 @@ from .diagnostics import (
     Diagnostic,
     Severity,
 )
+from ..ir.expr import ArrayRef
+from ..ir.stmt import DoLoop
+from ..ir.visit import collect_array_refs
+from ..isets import ISet
+from .concrete import ConcreteEvaluator, union_points
 
 
 def _fmt_points(pts: frozenset, limit: int = 4) -> str:

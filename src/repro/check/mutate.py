@@ -33,15 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..cp.model import CP
+from ..diag import E_COVERAGE, E_LOCAL, E_MATCH, E_OVERLAP, E_RACE
 from ..ir.expr import ArrayRef
-from .diagnostics import (
-    E_COVERAGE,
-    E_LOCAL,
-    E_MATCH,
-    E_OVERLAP,
-    E_RACE,
-    CheckReport,
-)
+from .diagnostics import CheckReport
 from .schedule import StaticSchedule
 from .verifier import VerifyUnit, analyzed_unit, verify_kernel, verify_unit
 

@@ -34,11 +34,11 @@ from typing import Optional
 
 from ..analysis.dependence import DependenceAnalyzer
 from ..cp.nest import NestInfo, statement_access_set
+from ..diag import E_RACE, Diagnostic, Severity
 from ..ir.visit import walk_stmts
 from ..isets import ISet
 from .concrete import ConcreteEvaluator
 from .coverage import _fmt_points
-from .diagnostics import E_RACE, Diagnostic, Severity
 
 #: per-dependence cap on reported pairs (one witness is enough to act on)
 _MAX_PAIRS_REPORTED = 2

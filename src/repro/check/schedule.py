@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import E_MATCH, Diagnostic, Severity
+from ..diag import E_MATCH, Diagnostic, Severity
 
 
 @dataclass(frozen=True)

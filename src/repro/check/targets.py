@@ -144,7 +144,7 @@ def register(sub) -> None:
 def run(args) -> int:
     """Verify the named targets (or seed the named mutations); exit 1 on
     any error or missed mutation, 2 on an unknown name."""
-    from .diagnostics import Severity
+    from ..diag import Severity
     from .mutate import MUTATIONS, run_mutation
 
     min_sev = Severity[args.min_severity.upper()]

@@ -16,6 +16,11 @@ proof fails (the difference operator over-approximates in the presence of
 existential variables), fall back to a concrete per-rank recheck from
 primitive point sets.  Concrete counterexamples are errors; a concretely
 clean recheck is a ``W-UNPROVEN`` warning.
+
+Findings are :class:`repro.diag.Diagnostic` records (codes in the
+:mod:`repro.diag` table) collected in a
+:class:`~repro.check.diagnostics.CheckReport`; a compiled kernel's own
+sink records are appended to its report as they are.
 """
 
 from __future__ import annotations
@@ -25,18 +30,13 @@ from typing import Mapping, Optional
 
 from ..comm.analyzer import CommAnalyzer, CommPlan
 from ..cp.select import StatementCP
+from ..diag import I_CLEAN, I_TRIP, Diagnostic, Severity
 from ..distrib.layout import DistributionContext
 from ..ir.stmt import DoLoop, Stmt
 from ..isets import ISet
 from .concrete import ConcreteEvaluator
 from .coverage import check_nest_coverage, check_overlap
-from .diagnostics import (
-    I_CLEAN,
-    I_TRIP,
-    CheckReport,
-    Diagnostic,
-    Severity,
-)
+from .diagnostics import CheckReport
 from .races import check_races
 from .schedule import StaticSchedule, check_matching
 
@@ -119,10 +119,8 @@ def verify_kernel(
     )
     report = verify_unit(unit)
     sink = getattr(kernel, "sink", None)
-    if sink is not None and sink.diagnostics:
-        from ..diag import merge_into_report
-
-        merge_into_report(sink.diagnostics, report)
+    if sink is not None:
+        report.extend(sink.diagnostics)
     try:
         from .cost import cost_advisories, kernel_cost
 

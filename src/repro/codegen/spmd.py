@@ -15,7 +15,7 @@ from ..cp.nest import NestInfo
 from ..cp.privatizable import propagate_new_cps
 from ..cp.select import CPSelector, StatementCP
 from ..diag import E_UNSUPPORTED, W_BUDGET, DiagnosticSink
-from ..distrib.layout import DistributionContext, PDIM
+from ..distrib.layout import DistributionContext, proc_binding
 from ..ir.expr import ArrayRef, Var
 from ..ir.interp import FortranArray, fortran_mod, fortran_nint, fortran_sign
 from ..ir.program import Program, Subroutine
@@ -207,8 +207,9 @@ def _nest_degrade_reason(
     distributed reads in IF conditions, partitioned or read-modify writes to
     undistributed (replicated) arrays, pipelined placements — for which
     emitted code would read stale non-local data, race on shared data, or
-    fail route binding.  ``private`` names NEW/LOCALIZE arrays whose
-    partitioned handling is already correct by construction.  *nest* is
+    fail route binding — plus a REDUCTION clause, which no partitioning
+    may honour under the bitwise contract.  ``private`` names NEW/LOCALIZE
+    arrays whose partitioned handling is already correct by construction.  *nest* is
     the nest's one ``NestInfo``, the one its communication analysis read."""
     known = set(merged)
     loop_vars = {
@@ -222,6 +223,12 @@ def _nest_degrade_reason(
                 if ctx.is_distributed(ref.name):
                     return f"IF condition reads distributed array {ref.name!r}"
         elif isinstance(s, DoLoop):
+            if s.directive is not None and s.directive.reduction_vars:
+                return (
+                    f"REDUCTION({', '.join(s.directive.reduction_vars)}) is "
+                    "not honoured because a rank-partial sum is not bitwise "
+                    "the serial order"
+                )
             for e in _loop_bound_exprs(s):
                 for ref in collect_array_refs(e):
                     if ctx.is_distributed(ref.name):
@@ -1026,8 +1033,7 @@ class CompiledKernel:
             return out
         with profile_phase("bind-guards"):
             group, sets = self._guard_plan()
-            coords = self.grid.delinearize(rank_id)
-            pbind = {PDIM(g): c for g, c in enumerate(coords)}
+            pbind = proc_binding(self.grid.delinearize(rank_id))
             bound = [BoxSet.of(iters.bind(pbind)) for iters in sets]
             out = self._guard_cache[rank_id] = Guards(
                 (sid, None if g is None else bound[g]) for sid, g in group.items()
@@ -1053,8 +1059,7 @@ class CompiledKernel:
             assert layout is not None
             pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
             for rank_id in range(self.nprocs):
-                coords = self.grid.delinearize(rank_id)
-                pbind = {PDIM(g): c for g, c in enumerate(coords)}
+                pbind = proc_binding(self.grid.delinearize(rank_id))
                 pts = sorted(ev.data.bind({**self.params, **pbind}).points())
                 for elem in pts:
                     owner = self.grid.linearize(layout.owner_coords_of(elem))

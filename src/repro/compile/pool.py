@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .. import supervise
-from ..diag import E_QUARANTINE, I_RETRY, CompileDiagnostic, DiagnosticSink, Severity
+from ..diag import E_QUARANTINE, I_RETRY, Diagnostic, DiagnosticSink, Severity
 from ..supervise import ExecutorError, WorkerTimeout
 from .cache import PlanCache, active_cache
 from .driver import CompileFailed, CompileJob, CompileOutcome
@@ -628,7 +628,7 @@ class CompilePool:
         if ticket.error is not None:
             out.error = ticket.error
             if isinstance(ticket.error, CompileQuarantined):
-                out.sink.add(CompileDiagnostic(
+                out.sink.add(Diagnostic(
                     Severity.ERROR, E_QUARANTINE, str(ticket.error),
                     pass_name="service",
                 ))

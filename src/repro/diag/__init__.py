@@ -1,44 +1,70 @@
-"""Structured compile-time diagnostics for the whole pipeline.
-
-Every pass (frontend, ir, distrib, cp, comm, codegen, isets) reports
-problems through this module instead of raising bare ``ValueError``s:
+"""One diagnostic record for the whole compiler: every finding of every
+pass, of the static SPMD verifier and of the cost advisor.
 
 - :class:`SourceSpan` pins a finding to line/column and renders a
   caret-annotated source excerpt;
-- :class:`CompileDiagnostic` is one finding (severity, stable code, span,
-  pass name);
+- :class:`Diagnostic` is one finding: severity, stable code, message, and
+  whatever it is about — span and pass, nest, statement, array, and for
+  the verifier the processor pair and the integer set;
 - :class:`CompileError` is the raisable form.  It subclasses ``ValueError``
   so long-standing callers (and tests) that catch ``ValueError`` keep
   working, while new callers can match on ``code`` / ``span``;
-- :class:`DiagnosticSink` threads a strict-or-lenient policy through the
-  pipeline: in strict mode ``error()`` raises immediately (the historical
-  behavior); in lenient mode errors are recorded and compilation continues,
-  so one pass over the input reports *every* problem and conservative
-  fallbacks (``I-FALLBACK``) replace crashes.
+- :class:`DiagnosticSink` collects diagnostics and threads a
+  strict-or-lenient policy through the pipeline: in strict mode ``error()``
+  raises immediately; in lenient mode errors are recorded and compilation
+  continues, so one pass over the input reports *every* problem and
+  conservative fallbacks (``I-FALLBACK``) replace crashes.  The verifier's
+  :class:`~repro.check.CheckReport` is a sink with a subject.
 
-Diagnostic codes are stable strings (the fuzzer and CI assert on them):
+Severities: ``error`` — the input is rejected, or the compiled program
+provably (or concretely) drops data it needs; ``warn`` — a conservative
+path was taken, or safety or performance could not be proved; ``info`` —
+a non-blocking note.  Codes are stable strings (the fuzzer, the mutation
+harness and CI assert on them):
 
-==============  ============================================================
-``E-LEX``       unrecognized input at the character level
-``E-PARSE``     syntax / directive grammar error
-``E-NONAFFINE`` a non-affine expression where an affine one is required
-``E-RECURSION`` recursive call graph (forbidden, as in F77)
-``E-UNSUPPORTED`` a construct outside the compilable subset
-``E-CONFIG``    inconsistent distribution directives / grid configuration
-``W-BUDGET``    an iset resource budget tripped; conservative path taken
-``I-FALLBACK``  a statement/nest degraded to replicated execution
-``I-RETRY``     a compile succeeded after its worker crashed and the
-                service retried it (carries the crash history)
-``E-QUARANTINE`` a compile job killed its worker repeatedly and was
-                quarantined by the service (never retried again)
-==============  ============================================================
+==================== ========================================================
+**compile**
+``E-LEX``            unrecognized input at the character level
+``E-PARSE``          syntax / directive grammar error
+``E-NONAFFINE``      a non-affine expression where an affine one is required
+``E-RECURSION``      recursive call graph (forbidden, as in F77)
+``E-UNSUPPORTED``    a construct outside the compilable subset
+``E-CONFIG``         inconsistent distribution directives / grid configuration
+``W-BUDGET``         an iset resource budget tripped; conservative path taken
+``I-FALLBACK``       a nest degraded to replicated execution (with the reason)
+**service / run**
+``I-RETRY``          a compile succeeded after its worker crashed and the
+                     service retried it (carries the crash history)
+``E-QUARANTINE``     a compile job killed its worker repeatedly and was
+                     quarantined by the service (never retried again)
+``I-NOTRACE``        a requested trace is unavailable on this executor
+**verifier** (:mod:`repro.check`)
+``E-COVERAGE``       a non-local read is neither received, owned nor
+                     produced locally
+``E-LOCAL``          a NEW/LOCALIZE read is not produced locally
+``E-RACE``           a cross-processor dependence has no carrying message
+``E-MATCH``          the static send/recv schedule does not balance
+``E-OVERLAP``        a received halo exceeds the overlap region
+``W-UNPROVEN``       the symbolic proof failed; the concrete check is clean
+``I-TRIP``           message counts are lower bounds (unknown trip counts)
+``I-CLEAN``          a nest is communication-free and every read is local
+**cost advisor** (:mod:`repro.check.cost`)
+``W-COMM-HOT``       one statement dominates predicted communication time
+``W-REPLICATED``     a nest runs replicated (fallback CP)
+``W-SCALAR-WAVEFRONT`` statements left with no vector level
+``W-IMBALANCE``      uneven per-rank block ownership
+``I-SCALE-LIMIT``    the knee of the predicted speedup curve T(nprocs)
+==================== ========================================================
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from ..isets import ISet
 
 
 class Severity(enum.IntEnum):
@@ -52,8 +78,7 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-#: stable diagnostic codes (compile-time; the verifier's E-COVERAGE family
-#: lives in repro.check.diagnostics)
+#: stable diagnostic codes, grouped as in the table above
 E_LEX = "E-LEX"
 E_PARSE = "E-PARSE"
 E_NONAFFINE = "E-NONAFFINE"
@@ -62,9 +87,22 @@ E_UNSUPPORTED = "E-UNSUPPORTED"
 E_CONFIG = "E-CONFIG"
 W_BUDGET = "W-BUDGET"
 I_FALLBACK = "I-FALLBACK"
-I_NOTRACE = "I-NOTRACE"  # a requested trace is unavailable on this executor
-I_RETRY = "I-RETRY"  # the compile service retried a crashed worker's job
-E_QUARANTINE = "E-QUARANTINE"  # a poisoned job was quarantined by the service
+I_RETRY = "I-RETRY"
+E_QUARANTINE = "E-QUARANTINE"
+I_NOTRACE = "I-NOTRACE"
+E_COVERAGE = "E-COVERAGE"
+E_LOCAL = "E-LOCAL"
+E_RACE = "E-RACE"
+E_MATCH = "E-MATCH"
+E_OVERLAP = "E-OVERLAP"
+W_UNPROVEN = "W-UNPROVEN"
+I_TRIP = "I-TRIP"
+I_CLEAN = "I-CLEAN"
+W_COMM_HOT = "W-COMM-HOT"
+W_REPLICATED = "W-REPLICATED"
+W_SCALAR_WAVEFRONT = "W-SCALAR-WAVEFRONT"
+W_IMBALANCE = "W-IMBALANCE"
+I_SCALE_LIMIT = "I-SCALE-LIMIT"
 
 
 @dataclass(frozen=True)
@@ -102,8 +140,8 @@ class SourceSpan:
 
 
 @dataclass
-class CompileDiagnostic:
-    """One compile-time finding."""
+class Diagnostic:
+    """One finding, of any pass, the verifier or the cost advisor."""
 
     severity: Severity
     code: str
@@ -113,28 +151,31 @@ class CompileDiagnostic:
     stmt_sid: Optional[int] = None
     nest: Optional[int] = None  # index of the top-level loop nest, if any
     array: Optional[str] = None
+    procs: Optional[tuple[int, int]] = None  # (src_rank, dst_rank)
+    iset: Optional[ISet] = None
 
     def format(self) -> str:
-        where = []
-        if self.pass_name:
-            where.append(self.pass_name)
+        where = [self.pass_name] if self.pass_name else []
         if self.nest is not None:
             where.append(f"nest {self.nest}")
         if self.stmt_sid is not None:
             where.append(f"s{self.stmt_sid}")
         if self.array:
             where.append(self.array)
+        if self.procs is not None:
+            where.append(f"p{self.procs[0]}->p{self.procs[1]}")
         tag = f" [{', '.join(where)}]" if where else ""
         loc = f" {self.span.location()}:" if self.span else ""
         out = f"{self.severity}: {self.code}{tag}:{loc} {self.message}"
-        if self.span is not None:
-            ex = self.span.excerpt()
-            if ex:
-                out += "\n" + ex
+        ex = self.span.excerpt() if self.span is not None else None
+        if ex:
+            out += "\n" + ex
+        if self.iset is not None:
+            out += f"\n    set: {self.iset.pretty()}"
         return out
 
     def __repr__(self) -> str:
-        return f"<CompileDiag {self.severity} {self.code} {self.span or ''}>"
+        return f"<Diag {self.severity} {self.code} {self.span or ''}>"
 
 
 class CompileError(ValueError):
@@ -154,7 +195,7 @@ class CompileError(ValueError):
         code: str = E_UNSUPPORTED,
         span: Optional[SourceSpan] = None,
         pass_name: Optional[str] = None,
-        diagnostics: Optional[list[CompileDiagnostic]] = None,
+        diagnostics: Optional[list[Diagnostic]] = None,
     ):
         self.code = code
         self.span = span
@@ -164,7 +205,7 @@ class CompileError(ValueError):
         self.bare_message = message
         #: all findings collected before the raise (lenient frontend runs
         #: report every syntax error in one pass; this carries them)
-        self.diagnostics: list[CompileDiagnostic] = list(diagnostics or [])
+        self.diagnostics: list[Diagnostic] = list(diagnostics or [])
         full = message
         if span is not None and span.location() not in message:
             full = f"{span.location()}: {message}"
@@ -174,8 +215,8 @@ class CompileError(ValueError):
         super().__init__(full)
 
     @property
-    def diagnostic(self) -> CompileDiagnostic:
-        return CompileDiagnostic(
+    def diagnostic(self) -> Diagnostic:
+        return Diagnostic(
             Severity.ERROR, self.code, self.bare_message,
             span=self.span, pass_name=self.pass_name,
         )
@@ -193,10 +234,10 @@ class DiagnosticSink:
     """
 
     strict: bool = True
-    diagnostics: list[CompileDiagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     # -- reporting ---------------------------------------------------------
-    def add(self, diag: CompileDiagnostic) -> None:
+    def add(self, diag: Diagnostic) -> None:
         self.diagnostics.append(diag)
 
     def error(
@@ -209,7 +250,7 @@ class DiagnosticSink:
         **kw,
     ) -> None:
         """Record an error; raise immediately in strict mode."""
-        self.add(CompileDiagnostic(
+        self.add(Diagnostic(
             Severity.ERROR, code, message, span=span, pass_name=pass_name, **kw
         ))
         if self.strict:
@@ -219,27 +260,39 @@ class DiagnosticSink:
             )
 
     def warn(self, message: str, *, code: str, **kw) -> None:
-        self.add(CompileDiagnostic(Severity.WARN, code, message, **kw))
+        self.add(Diagnostic(Severity.WARN, code, message, **kw))
 
     def info(self, message: str, *, code: str, **kw) -> None:
-        self.add(CompileDiagnostic(Severity.INFO, code, message, **kw))
+        self.add(Diagnostic(Severity.INFO, code, message, **kw))
 
     def fallback(self, message: str, **kw) -> None:
         """Record an ``I-FALLBACK``: a conservative degradation was taken."""
-        self.add(CompileDiagnostic(Severity.INFO, I_FALLBACK, message, **kw))
+        self.add(Diagnostic(Severity.INFO, I_FALLBACK, message, **kw))
+
+    def extend(self, diags: Sequence[Diagnostic]) -> None:
+        self.diagnostics.extend(diags)
 
     # -- queries -----------------------------------------------------------
     @property
     def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.diagnostics)
+        return bool(self.errors())
 
-    def errors(self) -> list[CompileDiagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
+    def _at(self, severity: Severity) -> list[Diagnostic]:
+        return [d for d in self.diagnostics if d.severity == severity]
 
-    def by_code(self, code: str) -> list[CompileDiagnostic]:
+    def errors(self) -> list[Diagnostic]:
+        return self._at(Severity.ERROR)
+
+    def warnings(self) -> list[Diagnostic]:
+        return self._at(Severity.WARN)
+
+    def infos(self) -> list[Diagnostic]:
+        return self._at(Severity.INFO)
+
+    def by_code(self, code: str) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.code == code]
 
-    def fallbacks(self) -> list[CompileDiagnostic]:
+    def fallbacks(self) -> list[Diagnostic]:
         return self.by_code(I_FALLBACK)
 
     def format(self, min_severity: Severity = Severity.INFO) -> str:
@@ -267,26 +320,11 @@ class DiagnosticSink:
         )
 
 
-def merge_into_report(diags: Iterable[CompileDiagnostic], report) -> None:
-    """Append compile-time diagnostics onto a verifier CheckReport (the
-    check layer has its own Diagnostic type; this adapts one to the other
-    so ``python -m repro.eval check`` surfaces I-FALLBACK / W-BUDGET)."""
-    from ..check.diagnostics import Diagnostic as CheckDiag
-    from ..check.diagnostics import Severity as CheckSeverity
-
-    for d in diags:
-        msg = d.message
-        if d.span is not None:
-            msg = f"{d.span.location()}: {msg}"
-        report.add(CheckDiag(
-            CheckSeverity(int(d.severity)), d.code, msg,
-            stmt_sid=d.stmt_sid, array=d.array, nest=d.nest,
-        ))
-
-
 __all__ = [
-    "Severity", "SourceSpan", "CompileDiagnostic", "CompileError",
-    "DiagnosticSink", "merge_into_report",
+    "Severity", "SourceSpan", "Diagnostic", "CompileError", "DiagnosticSink",
     "E_LEX", "E_PARSE", "E_NONAFFINE", "E_RECURSION", "E_UNSUPPORTED",
-    "E_CONFIG", "W_BUDGET", "I_FALLBACK", "I_NOTRACE",
+    "E_CONFIG", "W_BUDGET", "I_FALLBACK", "I_RETRY", "E_QUARANTINE",
+    "I_NOTRACE", "E_COVERAGE", "E_LOCAL", "E_RACE", "E_MATCH", "E_OVERLAP",
+    "W_UNPROVEN", "I_TRIP", "I_CLEAN", "W_COMM_HOT", "W_REPLICATED",
+    "W_SCALAR_WAVEFRONT", "W_IMBALANCE", "I_SCALE_LIMIT",
 ]

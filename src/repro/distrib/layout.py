@@ -31,6 +31,11 @@ def PDIM(g: int) -> str:
     return f"p${g}"
 
 
+def proc_binding(coords: Sequence[int]) -> dict[str, int]:
+    """The ``p$g`` parameters of the processor at grid *coords*."""
+    return {PDIM(g): c for g, c in enumerate(coords)}
+
+
 def TDIM(k: int) -> str:
     """Name of the k-th template dimension (``t$k``)."""
     return f"t${k}"
@@ -475,8 +480,7 @@ class DistributionContext:
         if lay is None:
             raise KeyError(f"{array!r} has no distribution")
         own = lay.ownership().intersect(self.declared_bounds_set(array))
-        binding = {PDIM(g): c for g, c in enumerate(coords)}
-        return own.bind({**self.params, **binding}).points()
+        return own.bind({**self.params, **proc_binding(coords)}).points()
 
     def the_grid(self) -> ProcessorGrid:
         """The single grid used by the program (all NAS codes use one).

@@ -5,7 +5,7 @@ enough structure for the dHPF analyses: array references with affine
 subscript extraction, DO-loop nests with index vectors, per-statement unique
 ids, symbol tables with array bounds and COMMON blocks, and attached HPF
 directive information (PROCESSORS / TEMPLATE / ALIGN / DISTRIBUTE /
-INDEPENDENT / NEW / LOCALIZE / ON_HOME).
+INDEPENDENT / NEW / LOCALIZE / REDUCTION).
 """
 
 from .expr import (
@@ -28,7 +28,6 @@ from .directives import (
     AlignDecl,
     DistributeDecl,
     LoopDirective,
-    OnHomeDirective,
 )
 from .visit import (
     walk_stmts,
@@ -46,7 +45,7 @@ __all__ = [
     "VarDecl", "SymbolTable", "FortranType",
     "Subroutine", "Program",
     "ProcessorsDecl", "TemplateDecl", "AlignDecl", "DistributeDecl",
-    "LoopDirective", "OnHomeDirective",
+    "LoopDirective",
     "walk_stmts", "collect_array_refs", "enclosing_loops",
     "build_parent_map", "reads_of",
 ]

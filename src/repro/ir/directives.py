@@ -2,16 +2,17 @@
 
 Directive lines (``CHPF$ ...`` / ``!HPF$ ...``) are parsed into these nodes.
 Declarative directives (PROCESSORS / TEMPLATE / ALIGN / DISTRIBUTE) live on
-the subroutine; executable directives (INDEPENDENT with NEW / LOCALIZE /
-ON_HOME) attach to the following DO loop or statement.
+the subroutine; loop directives (INDEPENDENT with NEW / LOCALIZE /
+REDUCTION) attach to the following DO loop.  ON_HOME is checked for syntax
+by the parser and not kept: CP selection chooses every statement's CP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .expr import ArrayRef, Expr
+from .expr import Expr
 
 
 @dataclass
@@ -83,14 +84,6 @@ class DistributeDecl:
 
 
 @dataclass
-class OnHomeDirective:
-    """``ON_HOME ref [UNION ref ...]`` — an explicit CP for a statement
-    (dHPF extension; also used internally to record selected CPs)."""
-
-    refs: list[ArrayRef]
-
-
-@dataclass
 class LoopDirective:
     """Attached to a DO loop: ``INDEPENDENT [, NEW(v...)] [, LOCALIZE(v...)]``
     and/or ``REDUCTION(v...)``."""
@@ -99,7 +92,6 @@ class LoopDirective:
     new_vars: list[str] = field(default_factory=list)
     localize_vars: list[str] = field(default_factory=list)
     reduction_vars: list[str] = field(default_factory=list)
-    on_home: Optional[OnHomeDirective] = None
 
     def merge(self, other: "LoopDirective") -> "LoopDirective":
         return LoopDirective(
@@ -109,5 +101,4 @@ class LoopDirective:
             + [v for v in other.localize_vars if v not in self.localize_vars],
             reduction_vars=self.reduction_vars
             + [v for v in other.reduction_vars if v not in self.reduction_vars],
-            on_home=self.on_home or other.on_home,
         )

@@ -8,7 +8,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..diag import CompileDiagnostic, I_FALLBACK, I_NOTRACE, Severity
+from ..diag import Diagnostic, I_FALLBACK, I_NOTRACE, Severity
 from ..runtime import Trace, VirtualMachine
 from ..runtime.faults import FaultPlan
 from ..runtime.model import MachineModel, TEST_MACHINE
@@ -171,7 +171,7 @@ def run_parallel(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    diagnostics: list[CompileDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     used = executor
     restarts = 0
     trace: Optional[Trace] = None
@@ -188,7 +188,7 @@ def run_parallel(
             if record_trace:
                 # event traces are a virtual-machine feature; say so
                 # instead of silently handing back trace=None
-                diagnostics.append(CompileDiagnostic(
+                diagnostics.append(Diagnostic(
                     Severity.INFO, I_NOTRACE,
                     "record_trace=True is unavailable on the process "
                     "executor; RunResult.trace is None (use "
@@ -205,7 +205,7 @@ def run_parallel(
             # deterministic and propagates instead: re-running it on the
             # virtual machine would only fail again, slower, while
             # misattributing an application bug to executor degradation.
-            diagnostics.append(CompileDiagnostic(
+            diagnostics.append(Diagnostic(
                 Severity.INFO, I_FALLBACK,
                 f"process executor degraded to the virtual machine after "
                 f"{type(exc).__name__}: {exc}",

@@ -22,7 +22,7 @@ from repro.check.cost import (
     sweep_cost,
     validate_against_trace,
 )
-from repro.check.diagnostics import (
+from repro.check import (
     CheckReport,
     Diagnostic,
     Severity,

@@ -11,6 +11,7 @@ from repro.diag import (
     W_BUDGET,
     CompileError,
     DiagnosticSink,
+    SourceSpan,
 )
 from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
 from repro.isets import IsetBudget
@@ -269,6 +270,49 @@ class TestOneVerdict:
                         assert np.array_equal(arrays[name_].data, want), name_
 
 
+_REDUCTION = """
+      program red
+      parameter (n = 16)
+      real a(n), b(n), s
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, n
+         a(i) = i * 0.5
+      enddo
+      s = 0.0
+!hpf$ independent, reduction(s)
+      do i = 1, n
+         s = s + a(i)
+      enddo
+      do i = 1, n
+         b(i) = a(i) + s
+      enddo
+      end
+"""
+
+
+def test_reduction_is_refused_strict_and_degraded_lenient():
+    """A REDUCTION clause asks for rank-partial sums, which are not bitwise
+    the serial order: strict refuses the nest, lenient runs it replicated
+    with the same reason, bitwise the interpreter on the VM."""
+    reason = (
+        "REDUCTION(s) is not honoured because a rank-partial sum is not "
+        "bitwise the serial order"
+    )
+    with pytest.raises(CodegenUnsupported) as ei:
+        compile_kernel(_REDUCTION, nprocs=4)
+    assert str(ei.value) == reason
+    ref = _serial_reference(_REDUCTION)
+    for backend in ("scalar", "vector"):
+        k = compile_kernel(_REDUCTION, nprocs=4, strict=False, backend=backend)
+        assert k.degraded_nests == {1}
+        assert [d.message for d in k.fallback_diagnostics] == [
+            f"nest degraded to replicated execution: {reason}"
+        ]
+        assert _mpi_mismatch(k, k.run({}), ref, backend) is None
+
+
 class TestCheckIntegration:
     def test_degraded_example_target_reports_fallback(self):
         from repro.check.targets import available_targets
@@ -285,6 +329,27 @@ class TestCheckIntegration:
         report = verify_kernel(k)
         assert report.ok
         assert any(d.code == I_FALLBACK for d in report.diagnostics)
+
+    def test_report_holds_the_sink_records_themselves(self):
+        import repro.check
+        import repro.diag
+        from repro.check import verify_kernel
+
+        assert repro.check.Severity is repro.diag.Severity
+        assert repro.check.Diagnostic is repro.diag.Diagnostic
+        k = compile_kernel(NONAFFINE, nprocs=4, strict=False)
+        (fallback,) = k.fallback_diagnostics
+        assert fallback.pass_name == "cp"
+        report = verify_kernel(k)
+        (held,) = report.by_code(I_FALLBACK)
+        assert held is fallback
+        assert "I-FALLBACK [cp, nest 1]:" in report.format()
+        # a spanned record keeps its span: location and caret excerpt
+        span = SourceSpan(11, 9, 12, "         b(mod(3*i, n) + 1) = a(i) + 1.0")
+        k.sink.warn("budget", code=W_BUDGET, span=span, pass_name="isets")
+        text = verify_kernel(k).format()
+        assert "warn: W-BUDGET [isets]: line 11, col 10: budget" in text
+        assert "^^^^" in text
 
 
 class TestSinkAPI:

@@ -229,7 +229,7 @@ def test_lone_loop_keeps_a_recurrence_in_place_between_blocks():
     bitwise the serial interpreter and the scalar backend on both
     targets, and named by the cost model's advisory."""
     from repro.check.cost import cost_advisories, kernel_cost
-    from repro.check.diagnostics import W_SCALAR_WAVEFRONT
+    from repro.check import W_SCALAR_WAVEFRONT
 
     ck = _run_all_ways(_MIXED_1D, 2)
     lone = [s for s in ck.sub.body if isinstance(s, DoLoop)][-1]
