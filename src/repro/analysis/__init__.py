@@ -14,12 +14,11 @@ These are the dHPF analyses that feed computation partitioning:
 """
 
 from .dependence import Dependence, DependenceAnalyzer, analyze_loop_dependences
-from .privatize import check_privatizable, privatizable_candidates
+from .privatize import check_privatizable
 
 __all__ = [
     "Dependence",
     "DependenceAnalyzer",
     "analyze_loop_dependences",
     "check_privatizable",
-    "privatizable_candidates",
 ]

@@ -22,7 +22,7 @@ mini-frontend accepts.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..ir.expr import ArrayRef, Var, to_affine
 from ..ir.stmt import Assign, DoLoop, Stmt
@@ -115,12 +115,3 @@ def check_privatizable(
         if covered is None or not rset.is_subset(covered):
             return False
     return True
-
-
-def privatizable_candidates(
-    loop: DoLoop,
-    arrays: Iterable[str],
-    params: Mapping[str, int] | None = None,
-) -> list[str]:
-    """Subset of *arrays* that the analysis can prove privatizable on *loop*."""
-    return [a for a in arrays if check_privatizable(loop, a, params)]

@@ -7,10 +7,11 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from ..analysis.privatize import check_privatizable
 from ..comm import CommAnalyzer, CommEvent, CommPlan, Placement
 from ..cp.loopdist import CPGrouper
 from ..cp.localize import propagate_localize_cps
-from ..cp.model import CP, cp_iteration_set, cp_key
+from ..cp.model import CP, PointSub, cp_iteration_set, cp_key
 from ..cp.nest import NestInfo
 from ..cp.privatizable import propagate_new_cps
 from ..cp.select import CPSelector, StatementCP
@@ -20,7 +21,9 @@ from ..ir.expr import ArrayRef, Var
 from ..ir.interp import FortranArray, fortran_mod, fortran_nint, fortran_sign
 from ..ir.program import Program, Subroutine
 from ..ir.stmt import Assign, Continue, DoLoop, IfThen, Return, Stmt
-from ..ir.visit import collect_array_refs, walk_stmts
+from ..ir.visit import (
+    build_parent_map, collect_array_refs, enclosing_loops, reads_of, walk_stmts,
+)
 from ..isets import BudgetExceeded, IsetBudget
 from ..isets.profile import phase as profile_phase
 from ..runtime.sim import Rank, VirtualMachine
@@ -188,6 +191,69 @@ def screen_program(sub: Subroutine, ctx: DistributionContext) -> "str | None":
     return None
 
 
+def _reads_first(name: str, stmts) -> bool:
+    """Whether the first reference to scalar *name* in *stmts*, in textual
+    order (the order :func:`check_privatizable` reads a loop body in), is
+    a read — one that may see the value it had before *stmts*."""
+    for u in walk_stmts(stmts):
+        if any(isinstance(r, Var) and r.name.lower() == name for r in reads_of(u)):
+            return True
+        if isinstance(u, Assign) and isinstance(u.lhs, Var) and u.lhs.name.lower() == name:
+            return False
+    return False
+
+
+def _following(stmt: Stmt, parents, top) -> list:
+    """The statements textually after *stmt* that run after it, out to
+    the unit's top-level list *top*."""
+    parent = parents.get(stmt.sid)
+    body = top if parent is None else next(
+        b for b in parent.body_lists() if any(x is stmt for x in b))
+    rest = body[[x is stmt for x in body].index(True) + 1:]
+    return rest if parent is None else rest + _following(parent, parents, top)
+
+
+def _split_vars(cp: CP, ctx: DistributionContext) -> set[str]:
+    """The names in the subscripts *cp*'s ON_HOME terms place on
+    distributed dimensions: the loops whose iterations it splits."""
+    out: set[str] = set()
+    for term in cp.terms:
+        layout = ctx.layout(term.array)
+        for d, _axis in layout.distributed_array_dims() if layout else ():
+            sub = term.subs[d]
+            for e in (sub.expr,) if isinstance(sub, PointSub) else (sub.lo, sub.hi):
+                out |= {name.lower() for name in e.coeffs}
+    return out
+
+
+def _scalar_write_reason(s: Assign, cp: CP, ctx, parents, top) -> "str | None":
+    """Why a partitioned write to scalar ``s.lhs`` is unsound, or None.
+
+    A rank runs only its own iterations of the loops *cp* splits (those
+    inside the innermost one run whole), so it ends them holding its own
+    last iteration's value.  That is sound only if no iteration of those
+    loops or of the loops around them reads an earlier one's value (the
+    scalar is privatizable on each) and nothing after them reads it
+    before rewriting it."""
+    name = s.lhs.name.lower()
+    loops = enclosing_loops(s, parents)
+    split = _split_vars(cp, ctx)
+    deepest = max(
+        (k for k, loop in enumerate(loops) if loop.var.lower() in split),
+        default=len(loops) - 1,
+    )
+    for loop in loops[: deepest + 1]:
+        if not check_privatizable(loop, name):
+            return (
+                f"partitioned write to scalar {name!r} carries a value "
+                f"across iterations of loop {loop.var!r}"
+            )
+    loop = loops[deepest]
+    if _reads_first(name, _following(loop, parents, top)):
+        return f"partitioned write to scalar {name!r} is read after loop {loop.var!r}"
+    return None
+
+
 def _nest_degrade_reason(
     item: DoLoop,
     nest: NestInfo,
@@ -195,6 +261,7 @@ def _nest_degrade_reason(
     plan: CommPlan,
     ctx: DistributionContext,
     merged: Mapping[str, int],
+    top: "list[Stmt]",
     private: "frozenset[str] | set[str]" = frozenset(),
 ) -> "str | None":
     """The per-nest half of the soundness screen: why generated code for
@@ -208,15 +275,19 @@ def _nest_degrade_reason(
     undistributed (replicated) arrays, pipelined placements — for which
     emitted code would read stale non-local data, race on shared data, or
     fail route binding — plus a REDUCTION clause, which no partitioning
-    may honour under the bitwise contract.  ``private`` names NEW/LOCALIZE
-    arrays whose partitioned handling is already correct by construction.  *nest* is
-    the nest's one ``NestInfo``, the one its communication analysis read."""
+    may honour under the bitwise contract, and a partitioned write to a
+    scalar that is not private to each iteration or is read after its
+    loop (:func:`_scalar_write_reason`; *top* is the unit's body).
+    ``private`` names NEW/LOCALIZE arrays whose partitioned handling is
+    already correct by construction.  *nest* is the nest's one
+    ``NestInfo``, the one its communication analysis read."""
     known = set(merged)
     loop_vars = {
         s.var.lower() for s in walk_stmts([item]) if isinstance(s, DoLoop)
     }
     dist_touch = False
     shared_repl_writes: set[str] = set()
+    parents = build_parent_map([item])
     for s in walk_stmts([item]):
         if isinstance(s, IfThen):
             for ref in collect_array_refs(s.cond):
@@ -234,11 +305,16 @@ def _nest_degrade_reason(
                     if ctx.is_distributed(ref.name):
                         return f"loop bound reads distributed array {ref.name!r}"
         elif isinstance(s, Assign):
+            scp = cps.get(s.sid)
+            partitioned = scp is not None and not scp.cp.is_replicated
+            if partitioned and isinstance(s.lhs, Var):
+                reason = _scalar_write_reason(s, scp.cp, ctx, parents, top)
+                if reason is not None:
+                    return reason
             if isinstance(s.lhs, ArrayRef):
                 lname = s.lhs.name.lower()
                 if lname not in private and ctx.layout(lname) is None:
-                    scp = cps.get(s.sid)
-                    if scp is not None and not scp.cp.is_replicated:
+                    if partitioned:
                         # each rank would write only its slice of an array
                         # every rank is supposed to hold in full
                         return (
@@ -249,8 +325,7 @@ def _nest_degrade_reason(
             if not drefs:
                 continue
             dist_touch = True
-            scp = cps.get(s.sid)
-            if scp is not None and not scp.cp.is_replicated and nest.bounds_of(s) is None:
+            if partitioned and nest.bounds_of(s) is None:
                 return "non-affine loop structure around a partitioned statement"
             for r in drefs:
                 if r.affine_subscripts() is None:
@@ -263,8 +338,7 @@ def _nest_degrade_reason(
                             f"{sorted(free)[0]!r}"
                         )
             if (
-                scp is not None
-                and not scp.cp.is_replicated
+                partitioned
                 and isinstance(s.lhs, ArrayRef)
                 and ctx.is_distributed(s.lhs.name)
                 and s.lhs.name.lower() not in private
@@ -518,7 +592,8 @@ def analyze_program(
             try:
                 plan = _comm_one_nest(item, nsel, nest, ctx, merged)
                 reason = _nest_degrade_reason(
-                    item, nest, cps, plan, ctx, merged, private=privs | locs
+                    item, nest, cps, plan, ctx, merged, private=privs | locs,
+                    top=sub.body,
                 )
             except Exception as exc:
                 if not lenient:
@@ -900,13 +975,6 @@ class CompiledKernel:
             lower.insert(pos, int(lo))
         data = np.empty(shape, dtype=arr.data.dtype, order="F")
         return FortranArray(tuple(shape), tuple(lower), data=data)
-
-    @staticmethod
-    def vmat(value, n):
-        """Materialize a vector: broadcast a scalar rhs to length *n*."""
-        if isinstance(value, np.ndarray) and value.ndim:
-            return value
-        return np.full(n, value)
 
     @staticmethod
     def vdiv(a, b):

@@ -57,10 +57,6 @@ class CommEvent:
         except ValueError:
             return 0
 
-    def byte_volume(self, binding: Mapping[str, int], word_bytes: int = 8) -> int:
-        """Payload bytes moved per nest execution (per processor)."""
-        return self.volume(binding) * word_bytes
-
     def message_count(self, binding: Mapping[str, int], trip_of) -> int:
         """Messages per nest execution: product of trip counts of the loops
         outside the placement level (>= 1).  ``trip_of`` may return ``None``

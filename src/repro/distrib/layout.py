@@ -452,10 +452,6 @@ class DistributionContext:
     def is_distributed(self, array: str) -> bool:
         return array.lower() in self.layouts
 
-    def grid_of(self, array: str) -> Optional[ProcessorGrid]:
-        l = self.layout(array)
-        return l.distribution.grid if l else None
-
     def declared_bounds_set(self, array: str) -> ISet:
         """The array's declared index box as an ISet over ``a$k`` dims."""
         decl = self.sub.symbols.lookup(array)

@@ -77,7 +77,7 @@ def run(args) -> int:
     from ..compile import scratch_cache
     from ..compile.driver import CompileJob
     from ..compile.pool import CompilePool, PoolConfig
-    from ..isets import IsetBudget, cache_stats, profiled, reset_caches
+    from ..isets import IsetBudget, cache_stats, profiled
     from ..nas import kernels
     from ..nas.specs import kernel_spec, seed_init
     from ..runtime.sim import VirtualMachine
@@ -93,7 +93,7 @@ def run(args) -> int:
     # compile the kernels once to exercise — and then report — the iset
     # operation caches (hash-consed constraints + emptiness memo) and the
     # per-compilation resource budget
-    reset_caches()
+    before = cache_stats().snapshot()
     compiles = [(label, kernel_spec(key)) for label, key in COMPILES]
     budgets: list[tuple[str, IsetBudget]] = []
     with scratch_cache() as plan_cache:
@@ -120,33 +120,21 @@ def run(args) -> int:
                 except CodegenUnsupported:
                     pass
         p = plan_cache.as_dict()  # before the traced run and the pool hit it
-        c = cache_stats().as_dict()
+        c = cache_stats().delta(cache_stats().snapshot(), before)
         print("\niset operation caches (over the three compiles above):")
-        print(
-            f"  constraint interning: {c['constraint_hits']} hits / "
-            f"{c['constraint_misses']} misses ({c['constraint_hit_rate']:.1%}), "
-            f"{c['constraint_cross_hits']} cross-kernel"
-        )
-        print(
-            f"  emptiness memo:       {c['empty_hits']} hits / "
-            f"{c['empty_misses']} misses ({c['empty_hit_rate']:.1%}), "
-            f"{c['empty_cross_hits']} cross-kernel, "
-            f"{c['empty_fast']} interval fast-path"
-        )
-        print(
-            f"  subsumption memo:     {c['subsume_hits']} hits / "
-            f"{c['subsume_misses']} misses ({c['subsume_hit_rate']:.1%})"
-        )
+        for label, kind in (("constraint interning", "constraint"),
+                            ("emptiness memo", "empty"),
+                            ("subsumption memo", "subsume")):
+            hits, misses = c[f"{kind}_hits"], c[f"{kind}_misses"]
+            print(f"  {label + ':':21s} {hits} hits / {misses} misses "
+                  f"({hits / max(hits + misses, 1):.1%})")
+        print(f"  emptiness fast path:  {c['empty_fast']} interval decisions")
         print(
             f"  enumeration:          {c['enum_fast']} box fast-path / "
             f"{c['enum_scan']} lattice scans"
         )
         print("\nper-phase compile profile (wall seconds + counter deltas):")
         print("  " + prof.report().replace("\n", "\n  "))
-        # counters reset between accounting stages so each section is
-        # deterministic in isolation (the traced run below re-derives its
-        # plan against warm caches otherwise)
-        reset_caches()
         print("\niset resource budgets (weighted ops / peak disjuncts):")
         for label, budget in budgets:
             b = budget.as_dict()

@@ -109,9 +109,6 @@ class DoLoop(Stmt):
     def body_lists(self) -> list[list[Stmt]]:
         return [self.body]
 
-    def index_range(self) -> tuple[Expr, Expr, Expr]:
-        return (self.lo, self.hi, self.step)
-
     def __str__(self) -> str:
         return f"do {self.var} = {self.lo}, {self.hi}" + (
             f", {self.step}" if not (isinstance(self.step, Num) and self.step.value == 1) else ""

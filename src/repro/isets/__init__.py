@@ -34,8 +34,6 @@ from .core import (
     cache_stats,
     iset_budget,
     new_epoch,
-    pool_info,
-    reset_caches,
 )
 from .iset import ISet, box, universe, empty
 from .profile import CompileProfile, phase, profiled
@@ -52,12 +50,10 @@ __all__ = [
     "universe",
     "empty",
     "cache_stats",
-    "reset_caches",
     "IsetBudget",
     "BudgetExceeded",
     "iset_budget",
     "active_budget",
-    "pool_info",
     "new_epoch",
     "CompileProfile",
     "profiled",

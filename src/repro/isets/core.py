@@ -32,21 +32,18 @@ class CacheStats:
     surfaced by ``python -m repro.eval diffstats``, ``profile`` and the
     bench harness).
 
-    ``*_cross_hits`` count reuse of pool entries created during an earlier
-    compilation epoch (see :func:`new_epoch`) — the cross-kernel share of
-    the hit traffic.  ``empty_fast`` counts emptiness decisions taken by
-    the single-variable interval fast path (no Fourier-Motzkin run);
-    ``enum_fast``/``enum_scan`` split point enumerations between the
-    product fast path and the recursive lattice scan.
+    ``empty_fast`` counts emptiness decisions taken by the single-variable
+    interval fast path (no Fourier-Motzkin run); ``enum_fast``/``enum_scan``
+    split point enumerations between the product fast path and the
+    recursive lattice scan.  The counters run for the process; readers take
+    deltas (:meth:`snapshot`, :meth:`delta`).
     """
 
     __slots__ = (
         "constraint_hits",
         "constraint_misses",
-        "constraint_cross_hits",
         "empty_hits",
         "empty_misses",
-        "empty_cross_hits",
         "empty_fast",
         "subsume_hits",
         "subsume_misses",
@@ -55,9 +52,6 @@ class CacheStats:
     )
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         for field in self.__slots__:
             setattr(self, field, 0)
 
@@ -79,11 +73,9 @@ class CacheStats:
             "constraint_hits": self.constraint_hits,
             "constraint_misses": self.constraint_misses,
             "constraint_hit_rate": self._rate(self.constraint_hits, self.constraint_misses),
-            "constraint_cross_hits": self.constraint_cross_hits,
             "empty_hits": self.empty_hits,
             "empty_misses": self.empty_misses,
             "empty_hit_rate": self._rate(self.empty_hits, self.empty_misses),
-            "empty_cross_hits": self.empty_cross_hits,
             "empty_fast": self.empty_fast,
             "subsume_hits": self.subsume_hits,
             "subsume_misses": self.subsume_misses,
@@ -96,21 +88,16 @@ class CacheStats:
 CACHE_STATS = CacheStats()
 
 # ---------------------------------------------------------------------------
-# Cross-kernel memo pool
+# Per-compile memo tables
 #
-# The tables below are process-global and deliberately survive across
-# compilations: NAS kernels sharing subscript patterns (compute_rhs /
-# x_solve / y_solve / z_solve) intern structurally equal constraints and
-# prove emptiness of structurally equal basic sets, so one kernel's work
-# seeds the next one's.  All keys are *structural* (LinExpr value tuples,
-# BasicSet value-hashes over dims/exists/constraints), never object
-# identity.  Each table is bounded; on overflow the oldest half is evicted
-# (dict insertion order) instead of dropping the whole pool, so a long
-# compilation cannot wipe the entries its successors would reuse.
-#
-# ``new_epoch()`` stamps a compilation boundary; hits on entries created in
-# an earlier epoch are counted as cross-kernel reuse (CacheStats
-# ``*_cross_hits``) for the profile report.
+# The tables below memoize within one compilation: the same subscript
+# patterns recur across a kernel's statements and nests, so structurally
+# equal constraints are interned once and structurally equal basic sets
+# share one emptiness proof.  All keys are *structural* (LinExpr value
+# tuples, BasicSet value-hashes over dims/exists/constraints), never object
+# identity.  ``new_epoch()`` empties them at every compile's start, so what
+# a compile charges its :class:`IsetBudget` (memo misses) depends on that
+# compile alone, never on what the process compiled before.
 # ---------------------------------------------------------------------------
 
 # Hash-consing table: raw (LinExpr, is_eq) -> normalized Constraint.  Two
@@ -118,66 +105,29 @@ CACHE_STATS = CacheStats()
 # a cache keyed by input, not a canonical-instance registry, so `==` (not
 # `is`) remains the identity notion.
 _CONSTRAINT_INTERN: "dict[tuple[LinExpr, bool], Constraint]" = {}
-_INTERN_MAX = 1 << 18
 
 # Value cache for BasicSet.is_empty keyed by set value (dims/exists/
 # constraints hash equality), so structurally identical sets built at
-# different times share one Fourier-Motzkin run.  Values are
-# ``(result, epoch)`` pairs for cross-kernel hit attribution.
-_EMPTY_CACHE: "dict[BasicSet, tuple[bool, int]]" = {}
-_EMPTY_MAX = 1 << 16
+# different times share one Fourier-Motzkin run.
+_EMPTY_CACHE: "dict[BasicSet, bool]" = {}
 
 # Memoized disjunct-subsumption verdicts: (smaller, larger) -> bool
 # ("every point of `smaller` is in `larger`").  Populated by the union /
 # difference normalization in :mod:`repro.isets.iset`.
 _SUBSUME_CACHE: "dict[tuple[BasicSet, BasicSet], bool]" = {}
-_SUBSUME_MAX = 1 << 16
-
-_EPOCH = 1
 
 
-def new_epoch() -> int:
-    """Mark a compilation boundary for cross-kernel hit attribution.
-
-    Called once per kernel compilation; pool entries remain valid across
-    epochs (keys are structural), only the hit accounting changes.
-    """
-    global _EPOCH
-    _EPOCH += 1
-    return _EPOCH
-
-
-def _evict_oldest_half(table: dict) -> None:
-    """Drop the least-recently-inserted half of a memo table (dicts keep
-    insertion order), preserving the newer — more likely live — entries."""
-    for key in list(itertools.islice(table, len(table) // 2)):
-        del table[key]
-
-
-def pool_info() -> dict:
-    """Sizes and bounds of the cross-kernel memo pool (profile report)."""
-    return {
-        "constraint_intern": len(_CONSTRAINT_INTERN),
-        "constraint_intern_max": _INTERN_MAX,
-        "empty_cache": len(_EMPTY_CACHE),
-        "empty_cache_max": _EMPTY_MAX,
-        "subsume_cache": len(_SUBSUME_CACHE),
-        "subsume_cache_max": _SUBSUME_MAX,
-        "epoch": _EPOCH,
-    }
+def new_epoch() -> None:
+    """Start a compilation: empty the memo tables (the counters keep
+    running; readers take deltas)."""
+    _CONSTRAINT_INTERN.clear()
+    _EMPTY_CACHE.clear()
+    _SUBSUME_CACHE.clear()
 
 
 def cache_stats() -> CacheStats:
     """The process-wide iset cache counters."""
     return CACHE_STATS
-
-
-def reset_caches() -> None:
-    """Drop the hash-consing tables and zero the counters (test isolation)."""
-    _CONSTRAINT_INTERN.clear()
-    _EMPTY_CACHE.clear()
-    _SUBSUME_CACHE.clear()
-    CACHE_STATS.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +153,10 @@ class IsetBudget:
     limit is crossed while enforcement is armed, the charge raises
     :class:`BudgetExceeded`; the lenient compiler driver converts that into
     a conservative replicated fallback with a ``W-BUDGET`` diagnostic
-    instead of letting the analysis explode combinatorially.
+    instead of letting the analysis explode combinatorially.  The memo tables
+    are emptied at each compile's start (:func:`new_epoch`), so the charges
+    — and whether a nest trips — are a function of the compile alone, not
+    of what the process compiled before.
 
     ``tripped``/``trips`` persist after the first trip for telemetry
     (``python -m repro.eval diffstats``).  ``suspend()`` disables enforcement
@@ -294,7 +247,7 @@ class Constraint:
     normalization.  This is purely a cache — equality stays structural.
     """
 
-    __slots__ = ("expr", "is_eq", "_hash", "_epoch")
+    __slots__ = ("expr", "is_eq", "_hash")
 
     def __new__(cls, expr: LinExpr, is_eq: bool):
         expr = LinExpr.of(expr)
@@ -302,18 +255,12 @@ class Constraint:
         cached = _CONSTRAINT_INTERN.get(key)
         if cached is not None:
             CACHE_STATS.constraint_hits += 1
-            if cached._epoch != _EPOCH:
-                CACHE_STATS.constraint_cross_hits += 1
-                cached._epoch = _EPOCH
             return cached
         CACHE_STATS.constraint_misses += 1
         if _ACTIVE_BUDGET is not None:
             _ACTIVE_BUDGET.charge_op()
         self = super().__new__(cls)
         self._normalize(expr, is_eq)
-        self._epoch = _EPOCH
-        if len(_CONSTRAINT_INTERN) >= _INTERN_MAX:
-            _evict_oldest_half(_CONSTRAINT_INTERN)
         _CONSTRAINT_INTERN[key] = self
         return self
 
@@ -658,12 +605,8 @@ class BasicSet:
         """
         cached = _EMPTY_CACHE.get(self)
         if cached is not None:
-            result, epoch = cached
             CACHE_STATS.empty_hits += 1
-            if epoch != _EPOCH:
-                CACHE_STATS.empty_cross_hits += 1
-                _EMPTY_CACHE[self] = (result, _EPOCH)
-            return result
+            return cached
         CACHE_STATS.empty_misses += 1
         quick = self._interval_empty()
         if quick is not None:
@@ -677,9 +620,7 @@ class BasicSet:
             if _ACTIVE_BUDGET is not None:
                 _ACTIVE_BUDGET.charge_op(IsetBudget.EMPTY_WEIGHT)
             result = self._is_empty_uncached()
-        if len(_EMPTY_CACHE) >= _EMPTY_MAX:
-            _evict_oldest_half(_EMPTY_CACHE)
-        _EMPTY_CACHE[self] = (result, _EPOCH)
+        _EMPTY_CACHE[self] = result
         return result
 
     def _interval_empty(self) -> bool | None:

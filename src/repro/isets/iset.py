@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .box import concrete_extents, cover_of_boxes, volume
 from .core import (
     _SUBSUME_CACHE,
-    _SUBSUME_MAX,
-    _evict_oldest_half,
     CACHE_STATS,
     BasicSet,
     Constraint,
@@ -312,10 +310,9 @@ def _subsumed_by(p: BasicSet, q: BasicSet) -> bool:
     """Provable containment ``p ⊆ q`` by cheap structural evidence only:
     either ``q``'s constraint set is a subset of ``p``'s (every extra
     constraint shrinks a conjunction), or both are concrete axis-aligned
-    boxes with ``q``'s ranges covering ``p``'s.  Verdicts are memoized in
-    the cross-kernel pool (the same disjunct pairs recur across the
-    incremental unions of coalescing and across kernels sharing subscript
-    patterns)."""
+    boxes with ``q``'s ranges covering ``p``'s.  Verdicts are memoized for
+    the compile (the same disjunct pairs recur across the incremental
+    unions of coalescing)."""
     key = (p, q)
     cached = _SUBSUME_CACHE.get(key)
     if cached is not None:
@@ -335,8 +332,6 @@ def _subsumed_by(p: BasicSet, q: BasicSet) -> bool:
                 and isinstance(qb, list)
                 and all(ql <= pl and ph <= qh for (pl, ph), (ql, qh) in zip(pb, qb))
             )
-    if len(_SUBSUME_CACHE) >= _SUBSUME_MAX:
-        _evict_oldest_half(_SUBSUME_CACHE)
     _SUBSUME_CACHE[key] = verdict
     return verdict
 

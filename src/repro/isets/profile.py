@@ -28,7 +28,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from .core import CACHE_STATS, pool_info
+from .core import CACHE_STATS
 
 #: counters worth a column in the report (subset of CacheStats slots)
 _REPORT_COUNTERS = (
@@ -76,7 +76,7 @@ class PhaseStats:
 
 
 class CompileProfile:
-    """A profiling session: a tree of :class:`PhaseStats` plus pool state."""
+    """A profiling session: a tree of :class:`PhaseStats`."""
 
     def __init__(self, name: str = "total"):
         self.root = PhaseStats(name)
@@ -97,7 +97,7 @@ class CompileProfile:
 
     # -- reporting ---------------------------------------------------------
     def as_dict(self) -> dict:
-        return {"phases": self.root.as_dict(), "pool": pool_info()}
+        return {"phases": self.root.as_dict()}
 
     def report(self) -> str:
         """Formatted phase tree: wall seconds, self-share, key counters."""
@@ -120,21 +120,12 @@ class CompileProfile:
                 walk(child, depth + 1)
 
         walk(self.root, 0)
-        pool = pool_info()
         stats = CACHE_STATS.as_dict()
         lines.append(
-            "pool: "
-            f"intern {pool['constraint_intern']}/{pool['constraint_intern_max']}, "
-            f"empty {pool['empty_cache']}/{pool['empty_cache_max']}, "
-            f"subsume {pool['subsume_cache']}/{pool['subsume_cache_max']}, "
-            f"epoch {pool['epoch']}"
-        )
-        lines.append(
             "hit rates: "
-            f"constraint {stats['constraint_hit_rate']:.1%} "
-            f"(cross-kernel {stats['constraint_cross_hits']}), "
+            f"constraint {stats['constraint_hit_rate']:.1%}, "
             f"empty {stats['empty_hit_rate']:.1%} "
-            f"(cross-kernel {stats['empty_cross_hits']}, fast-path {stats['empty_fast']}), "
+            f"(fast-path {stats['empty_fast']}), "
             f"subsume {stats['subsume_hit_rate']:.1%}"
         )
         return "\n".join(lines)
@@ -195,7 +186,6 @@ def run(args) -> int:
     from ..compile import scratch_cache
     from ..nas import kernels
     from ..nas.classes import CLASSES
-    from . import reset_caches
 
     ncls = CLASSES[args.profile_class]
     n = ncls.problem_size
@@ -205,7 +195,6 @@ def run(args) -> int:
     fanout = 9 if sp else 27
     if fanout == args.nprocs:
         fanout = 4 if sp else 8
-    reset_caches()
     label = f"{args.bench} compute_rhs class {ncls.name}"
     with scratch_cache():
         with profiled(f"{label} @{args.nprocs} ranks (cold)") as cold:

@@ -54,13 +54,6 @@ class AffineMap:
         binding = dict(zip(self.in_dims, inner.exprs))
         return AffineMap(inner.in_dims, [e.substitute(binding) for e in self.exprs])
 
-    def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except ValueError:
-            return False
-
     def inverse(self) -> "AffineMap":
         """Invert a map that is a permuted-unit-coefficient bijection.
 
@@ -125,16 +118,6 @@ class AffineMap:
             cons = [c.substitute(binding) for c in p.constraints]
             parts.append(BasicSet(in_dims, cons, p.exists, p.exact))
         return ISet(in_dims, parts)
-
-    def rename_inputs(self, mapping: Mapping[str, str]) -> "AffineMap":
-        return AffineMap(
-            tuple(mapping.get(d, d) for d in self.in_dims),
-            [e.rename(mapping) for e in self.exprs],
-        )
-
-    def substitute_params(self, binding: Mapping[str, LinExpr | int]) -> "AffineMap":
-        binding = {k: v for k, v in binding.items() if k not in self.in_dims}
-        return AffineMap(self.in_dims, [e.substitute(binding) for e in self.exprs])
 
     def __eq__(self, other: object) -> bool:
         return (

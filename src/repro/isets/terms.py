@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
@@ -215,13 +214,6 @@ class LinExpr:
             return 0, self
         rest = {k: v for k, v in self._coeffs.items() if k != name}
         return c, LinExpr._trusted(rest, self._const)
-
-    def solve_for(self, name: str) -> "tuple[Fraction, LinExpr]":
-        """If ``self == 0``, return ``(1/c, -rest)`` such that ``name = -rest / c``."""
-        c, rest = self.as_fraction_of(name)
-        if c == 0:
-            raise ValueError(f"{name!r} does not appear in {self}")
-        return Fraction(1, c), -rest
 
     # -- dunder --------------------------------------------------------
     def __eq__(self, other: object) -> bool:

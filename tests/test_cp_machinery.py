@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_privatizable, privatizable_candidates
+from repro.analysis import check_privatizable
 from repro.analysis.dependence import DependenceAnalyzer
 from repro.cp import CPGrouper, distribute_loop
 from repro.cp.model import CP, OnHomeRef, PointSub, RangeSub, cp_iteration_set, cp_key
@@ -252,7 +252,8 @@ class TestPrivatization:
         )
         loop = sub.body[0]
         # w is written-then-read in-iteration; v is read before written
-        assert privatizable_candidates(loop, ["w", "v"]) == ["w"]
+        assert check_privatizable(loop, "w")
+        assert not check_privatizable(loop, "v")
 
     def test_scalar_privatizable(self):
         sub = parse_subroutine(

@@ -21,7 +21,6 @@ from repro.cp.select import CPSelector
 from repro.distrib import DistributionContext
 from repro.frontend import parse_source
 from repro.ir.stmt import DoLoop
-from repro.isets import reset_caches
 from repro.nas import kernels
 
 KERNELS = [
@@ -72,7 +71,6 @@ def _nests(ck) -> list:
 
 @pytest.mark.parametrize("source, params", KERNELS)
 def test_cold_compile_analyzes_each_nest_once(source, params, analysis_calls):
-    reset_caches()
     with use_cache(None):
         ck = compile_kernel(source, 4, params)
     nests = _nests(ck)

@@ -112,9 +112,6 @@ class TestPanicModeErrors:
 
 class TestResourceBudget:
     def test_tiny_budget_trips_to_fallback(self):
-        from repro.isets import reset_caches
-
-        reset_caches()  # budget charges on cache *misses*; start cold
         budget = IsetBudget(max_ops=5, max_disjuncts=48)
         k = compile_kernel(
             kernels.EXACT_RHS_SP, nprocs=4, params={"n": 17},
@@ -311,6 +308,104 @@ def test_reduction_is_refused_strict_and_degraded_lenient():
             f"nest degraded to replicated execution: {reason}"
         ]
         assert _mpi_mismatch(k, k.run({}), ref, backend) is None
+
+
+#: the REDUCTION program without its clause: each rank would sum only its
+#: own block into ``s`` (rank 0 would end with ``b = a + 5``, not ``a + 68``)
+_ACCUMULATOR = _REDUCTION.replace("!hpf$ independent, reduction(s)\n", "")
+
+#: ``t`` is private to each iteration, but the last nest reads the value
+#: only the rank owning ``a(n)`` computed
+_LIVE_OUT = """
+      program liveout
+      parameter (n = 16)
+      real a(n), b(n), t
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, n
+         a(i) = i * 0.5
+      enddo
+      do i = 1, n
+         t = a(i) * 2.0
+         b(i) = t
+      enddo
+      do i = 1, n
+         b(i) = b(i) + t
+      enddo
+      end
+"""
+
+#: ``t`` is dead after the nest, but read after the inner loop that
+#: writes it, where each rank holds its own last ``i``'s value
+_INNER_LIVE_OUT = """
+      program inner
+      parameter (n = 16)
+      real a(n), b(n), t
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, n
+         a(i) = i * 0.5
+      enddo
+      do k = 1, n
+         do i = 1, n
+            t = a(i) * 2.0
+         enddo
+         b(k) = t
+      enddo
+      end
+"""
+
+
+@pytest.mark.parametrize("source, reason", [
+    (_ACCUMULATOR,
+     "partitioned write to scalar 's' carries a value across iterations "
+     "of loop 'i'"),
+    (_LIVE_OUT, "partitioned write to scalar 't' is read after loop 'i'"),
+    (_INNER_LIVE_OUT, "partitioned write to scalar 't' is read after loop 'i'"),
+], ids=["accumulator", "live-out", "inner-live-out"])
+def test_partitioned_scalar_write_is_refused_strict_and_degraded_lenient(
+    source, reason
+):
+    """A partitioned scalar write leaves each rank its own iterations'
+    value: strict refuses the nest unless the scalar is private to every
+    iteration and dead after its loops; lenient runs it replicated,
+    bitwise the interpreter on the VM."""
+    with pytest.raises(CodegenUnsupported) as ei:
+        compile_kernel(source, nprocs=4)
+    assert str(ei.value) == reason
+    ref = _serial_reference(source)
+    for backend in ("scalar", "vector"):
+        k = compile_kernel(source, nprocs=4, strict=False, backend=backend)
+        assert k.degraded_nests == {1}
+        assert [d.message for d in k.fallback_diagnostics] == [
+            f"nest degraded to replicated execution: {reason}"
+        ]
+        assert _mpi_mismatch(k, k.run({}), ref, backend) is None
+
+
+def test_per_iteration_scalar_temporaries_stay_partitioned():
+    """The table's kernels partition their per-iteration temporaries,
+    which the scalar-write rule must accept."""
+    from repro.ir.expr import Var
+    from repro.ir.stmt import Assign
+    from repro.ir.visit import walk_stmts
+    from repro.nas.specs import kernel_specs
+
+    temps = {}
+    for spec in kernel_specs():
+        ck = spec.compile()
+        temps[spec.key] = sorted({
+            s.lhs.name for s in walk_stmts(ck.sub.body)
+            if isinstance(s, Assign) and isinstance(s.lhs, Var)
+            and not ck.cps[s.sid].cp.is_replicated
+        })
+    assert temps == {
+        "fig4.1": ["ru1"], "fig4.2": ["rho_inv"], "exact-rhs": ["dtemp"],
+        "fig6.1": [], "sp-exact-rhs-s": ["dtemp"],
+        "sp-rhs-s": ["aux", "rho_inv"], "bt-rhs-s": ["rho_inv"],
+    }
 
 
 class TestCheckIntegration:

@@ -1,4 +1,4 @@
-"""Property tests for the PR-9 iset-engine fast paths and memo pool.
+"""Property tests for the iset engine's fast paths and memo tables.
 
 Three families, each pinned against an exhaustive or first-principles
 oracle on seeded random inputs:
@@ -12,8 +12,8 @@ oracle on seeded random inputs:
   ISet's point set, and a memoized subsumption verdict implies real
   containment.
 
-Plus direct tests for the cross-kernel memo pool (epoch stamping,
-half-eviction) and the budget-metered cardinality fallback.
+Plus direct tests for the memo tables' per-compile lifetime and the
+budget-metered cardinality fallback.
 """
 
 import itertools
@@ -28,14 +28,11 @@ from repro.isets import (
     ISet,
     IsetBudget,
     LinExpr,
-    cache_stats,
     iset_budget,
     new_epoch,
-    pool_info,
-    reset_caches,
 )
-from repro.isets.core import _evict_oldest_half, _product_ranges, _scan
-from repro.isets.iset import _subsumed_by
+from repro.isets.core import _CONSTRAINT_INTERN, _EMPTY_CACHE, _product_ranges, _scan
+from repro.isets.iset import _SUBSUME_CACHE, _subsumed_by
 from repro.isets.terms import E
 
 DIMS = ("i", "j")
@@ -140,24 +137,13 @@ def test_subsumption_memo_implies_containment():
     assert positives > 5
 
 
-def test_cross_kernel_pool_epoch_attribution():
-    reset_caches()
-    base = cache_stats().snapshot()
-    c1 = Constraint.ge(E("i"), 41)
+def test_new_epoch_empties_the_memo_tables():
+    p = BasicSet(DIMS, [Constraint.ge(E("i"), 41), Constraint.le(E("i"), 40)])
+    q = BasicSet(DIMS, [Constraint.ge(E("j"), 0)])
+    assert p.is_empty() and _subsumed_by(p, q)
+    assert _CONSTRAINT_INTERN and _EMPTY_CACHE and _SUBSUME_CACHE
     new_epoch()
-    c2 = Constraint.ge(E("i"), 41)
-    assert c1 is c2  # hash-consed across the epoch boundary
-    delta = cache_stats().delta(cache_stats().snapshot(), base)
-    assert delta["constraint_cross_hits"] >= 1
-    info = pool_info()
-    assert info["constraint_intern"] >= 1
-    assert info["epoch"] >= 2
-
-
-def test_evict_oldest_half_keeps_newest():
-    table = {k: k for k in range(10)}
-    _evict_oldest_half(table)
-    assert sorted(table) == [5, 6, 7, 8, 9]
+    assert not _CONSTRAINT_INTERN and not _EMPTY_CACHE and not _SUBSUME_CACHE
 
 
 def _triangle(n):
