@@ -19,6 +19,7 @@ from ..diag import E_UNSUPPORTED, W_BUDGET, DiagnosticSink
 from ..distrib.layout import DistributionContext, proc_binding
 from ..ir.expr import ArrayRef, Var
 from ..ir.interp import FortranArray, fortran_mod, fortran_nint, fortran_sign
+from ..ir.interp import fortran_trunc_div
 from ..ir.program import Program, Subroutine
 from ..ir.stmt import Assign, Continue, DoLoop, IfThen, Return, Stmt
 from ..ir.visit import (
@@ -838,6 +839,9 @@ class CompiledKernel:
         #: (sid -> repro.codegen.vectorize.LoopReport)
         self.vector_report: dict[int, Any] = {}
         self._vector_plans: dict[int, Any] = {}
+        #: array name -> the declared lower bounds the vector backend folded
+        #: into its subscripts (checked by :meth:`rank_node`)
+        self.folded_lower: dict[str, tuple] = {}
         #: NEW (privatizable) arrays: per-rank private in the shmem target
         self.private_arrays = set(private_arrays or ())
         #: each nest's NestInfo from analysis, dependences computed: the
@@ -907,11 +911,7 @@ class CompiledKernel:
     @staticmethod
     def fdiv(a, b):
         if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-            # Fortran integer division truncates toward zero
-            q = a // b
-            if q < 0 and q * b != a:
-                q += 1
-            return q
+            return fortran_trunc_div(a, b)  # truncates toward zero
         return a / b
 
     # Fortran intrinsic semantics for negative operands (MOD keeps the sign
@@ -958,35 +958,22 @@ class CompiledKernel:
         return cls._arange_base[lo:hi + 1]
 
     @staticmethod
-    def fsl(lo, hi, step=1):
-        """Inclusive Fortran-space slice (``FortranArray.vget/vset`` shift
-        start/stop by the declared lower bound)."""
-        return slice(int(lo), int(hi) + 1, int(step))
-
-    @staticmethod
     def xtemp(arr, *axes):
-        """Block temporary of a NEW array expanded along a nest's sunk
-        loops: *arr*'s axes plus one per sunk loop, given as flat
-        ``position, lo, hi`` triples in ascending position.  Only elements
-        the nest writes are ever read (the planner's coverage proof)."""
-        shape, lower = list(arr.data.shape), list(arr.lower)
+        """Block temporary (an ndarray) of a NEW array expanded along a
+        nest's sunk loops: *arr*'s axes plus one per sunk loop, given as
+        flat ``position, lo, hi`` triples in ascending position; a sunk
+        axis is indexed from its loop's lower bound.  Only elements the
+        nest writes are ever read (the planner's coverage proof)."""
+        shape = list(arr.data.shape)
         for pos, lo, hi in zip(axes[::3], axes[1::3], axes[2::3]):
             shape.insert(pos, max(int(hi) - int(lo) + 1, 0))
-            lower.insert(pos, int(lo))
-        data = np.empty(shape, dtype=arr.data.dtype, order="F")
-        return FortranArray(tuple(shape), tuple(lower), data=data)
+        return np.empty(shape, dtype=arr.data.dtype, order="F")
 
     @staticmethod
     def vdiv(a, b):
         """Elementwise ``/`` with Fortran integer-division semantics when
         both operands are integral (matches :meth:`fdiv` elementwise)."""
-
-        def integral(x):
-            if isinstance(x, np.ndarray):
-                return x.dtype.kind in "iu"
-            return isinstance(x, (int, np.integer))
-
-        if integral(a) and integral(b):
+        if _integral(a) and _integral(b):
             q = np.floor_divide(a, b)
             r = a - q * b
             return q + ((r != 0) & (q < 0))  # floor -> trunc where signs differ
@@ -995,13 +982,7 @@ class CompiledKernel:
     @staticmethod
     def vmod(a, b):
         """Elementwise Fortran MOD (sign of the first argument)."""
-
-        def integral(x):
-            if isinstance(x, np.ndarray):
-                return x.dtype.kind in "iu"
-            return isinstance(x, (int, np.integer))
-
-        if integral(a) and integral(b):
+        if _integral(a) and _integral(b):
             return a - b * CompiledKernel.vdiv(a, b)
         return np.fmod(a, b)
 
@@ -1312,8 +1293,15 @@ class CompiledKernel:
         the rank — seeded by ``init(rank_id, arrays)``, and returns it.
         ``"shmem"``: *arrays* is the one shared, already seeded set;
         privatizable (NEW) temporaries get per-rank storage — their HPF
-        semantics — and nothing is returned."""
+        semantics — and nothing is returned.  The arrays handed in must
+        have the lower bounds the vector backend folded (``ValueError``)."""
         fn = self.node_program(target)
+        for A in [arrays] if target == "shmem" else arrays or ():
+            for name, lower in self.folded_lower.items():
+                if name in A and tuple(A[name].lower) != lower:
+                    raise ValueError(
+                        f"array {name!r} has lower bounds {tuple(A[name].lower)}"
+                        f"; the node program was emitted for {lower}")
         self.bind_all_guards()
 
         def node(rank: Rank):
@@ -1407,6 +1395,13 @@ class CompiledKernel:
             init(shared)
         vm.run(self.rank_node("shmem", scalars, shared))
         return shared
+
+
+def _integral(x) -> bool:
+    """An integer ndarray or integer scalar (``vdiv``/``vmod`` operands)."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iu"
+    return isinstance(x, (int, np.integer))
 
 
 def sorted_locals(locals_: set[str], order: list[str]) -> list[str]:

@@ -5,7 +5,8 @@ assignment.  This pass proves, per rectangular nest of loops —
 a lone innermost loop being a nest of one level — that executing each
 assignment over a whole admissible index block at once is observationally
 identical to the scalar interleaving, then emits NumPy slice assignments
-over :meth:`FortranArray.vget`/``vset`` instead.  In a nest only the loops
+that subscript each array's ndarray directly, its declared lower bounds
+folded into the subscripts, instead.  In a nest only the loops
 that carry a dependence stay Python loops; every other loop is a
 dimension of each statement's block.
 
@@ -112,6 +113,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..cp.model import cp_key
 from ..cp.nest import NestInfo
+from ..diag import CompileError
 from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var, from_affine, to_affine
 from ..ir.stmt import Assign, Continue, DoLoop
 from ..ir.visit import walk_stmts
@@ -160,46 +162,38 @@ _VEC_BINOP = {
 class _Ctx:
     """Emission context for one vector block.
 
-    ``lo``/``hi`` are Python source fragments for the inclusive innermost
-    index range being emitted (a guard box edge); ``base`` is the loop's
-    lower bound, the origin of every expanded temporary.
+    ``levels`` maps each vectorized loop index, outermost first, to its
+    depth d in the nest: ``_x{d}a``/``_x{d}b`` hold the inclusive range
+    being emitted (a guard box edge) and ``_b{d}0`` the loop's lower
+    bound, the origin of every expanded temporary.  Expressions evaluate
+    over the N-d block, partial-axes subexpressions broadcast-lifted per
+    ``orient`` (the loop indices in array-axis order, adopted from the
+    nest's first store).  ``folded`` records the declared lower bounds
+    of every array the block's subscripts fold (:meth:`lower`)."""
 
-    ``outer`` lists additionally-vectorized enclosing loop levels as
-    ``(var, lo, hi, base)`` tuples, outermost first: expressions then
-    evaluate over an N-d block, with partial-axes subexpressions broadcast-
-    lifted per ``orient`` (the loop indices in array-axis order, adopted
-    from the nest's first store)."""
-
-    var: str
+    levels: Mapping[str, int]
     locals_: set
     expanded: Mapping[str, str]
-    lo: str
-    hi: str
-    base: str
-    outer: tuple = ()
+    kernel: "CompiledKernel"
     orient: Optional[tuple] = None
     #: NEW arrays expanded along the nest's sunk loops: name -> _XArray
     xarrays: Mapping[str, "_XArray"] = field(default_factory=dict)
-
-    def vec_vars(self) -> tuple:
-        """The vectorized loop indices, outermost first."""
-        return tuple(o[0] for o in self.outer) + (self.var,)
+    folded: dict = field(default_factory=dict)
 
     def range_of(self, v: str) -> tuple[str, str]:
-        if v == self.var:
-            return self.lo, self.hi
-        for name, lo, hi, _base in self.outer:
-            if name == v:
-                return lo, hi
-        raise KeyError(v)
+        return f"_x{self.levels[v]}a", f"_x{self.levels[v]}b"
 
-    def base_of(self, v: str) -> str:
-        if v == self.var:
-            return self.base
-        for name, _lo, _hi, base in self.outer:
-            if name == v:
-                return base
-        raise KeyError(v)
+    def lower(self, name: str) -> tuple:
+        if name not in self.folded:
+            self.folded[name] = _declared_lower(self.kernel, name)
+        return self.folded[name]
+
+
+def _temp_slice(levels: Mapping[str, int], orient) -> str:
+    """Subscripts of a scalar's block temporary (laid out as *orient*)
+    selecting the box being emitted."""
+    return ", ".join(
+        f"_x{d}a - _b{d}0:_x{d}b + 1 - _b{d}0" for d in map(levels.get, orient))
 
 
 @dataclass(frozen=True)
@@ -234,6 +228,8 @@ class _StmtPlan:
     #: a store to an expanded array: the statement copying the box's last
     #: sunk-loop point of the temporary back into the array
     writeback: str = ""
+    #: array name -> the declared lower bounds its sources fold
+    folded: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -349,8 +345,39 @@ def _check_plain(names: set[str], ctx: _Ctx, where: str) -> None:
         raise VectorUnsupported(f"{where} uses expanded scalar {sorted(bad)[0]!r}")
 
 
-def _slice_src(s: Expr, ref_name: str, var: str, lo: str, hi: str, ctx: _Ctx) -> str:
-    """``K.fsl`` source for one subscript affine in *var* over [lo, hi]."""
+def _declared_lower(kernel: "CompiledKernel", name: str) -> tuple:
+    """Array *name*'s declared lower bounds at the compile-time params
+    (what ``make_arrays`` allocates)."""
+    try:
+        return kernel.sub.symbols.require(name).lower_bounds(kernel.params)
+    except (KeyError, CompileError) as exc:
+        raise VectorUnsupported(f"no declared bounds for {name}: {exc}") from exc
+
+
+def _numpy_index(lead: str, rest, origin, ctx: _Ctx, plus: int = 0) -> str:
+    """Source of the numpy index of Fortran index ``lead + rest`` (then
+    *plus*) on an axis starting at *origin*: a declared lower bound, folded
+    into the constant, or an expanded array's sunk-loop base (source).
+    *lead* is a source fragment or empty; *rest* is a LinExpr or a
+    non-affine Expr.  One reading more than loop indices keeps the
+    ``int()`` applied before bounds were folded."""
+    k = plus - origin if isinstance(origin, int) else plus
+    if isinstance(rest, LinExpr) and all(
+            v.lower() in ctx.locals_ for v in rest.vars()):
+        off = emit_expr(from_affine(rest + k), ctx.locals_)
+        src = off if not lead else lead if off == "0" else f"{lead} + ({off})"
+    else:
+        inner = emit_expr(
+            from_affine(rest) if isinstance(rest, LinExpr) else rest, ctx.locals_)
+        src = f"int({lead} + ({inner}))" if lead else f"int({inner})"
+        src = f"{src} + ({k})" if k else src
+    return src if isinstance(origin, int) else f"{src} - {origin}"
+
+
+def _slice_src(s: Expr, ref_name: str, var: str, lo: str, hi: str, origin,
+               ctx: _Ctx) -> str:
+    """numpy slice source for one subscript affine in *var* over [lo, hi]
+    on an axis whose first element is *origin*."""
     a = to_affine(s)
     if a is None:
         raise VectorUnsupported(
@@ -363,24 +390,37 @@ def _slice_src(s: Expr, ref_name: str, var: str, lo: str, hi: str, ctx: _Ctx) ->
             f"subscript {s} of {ref_name}: non-positive stride {c} in {var}", var
         )
     _check_plain({v.lower() for v in rest.vars()}, ctx, f"subscript {s}")
-    rest_src = emit_expr(from_affine(rest), ctx.locals_)
-    if c == 1:
-        return f"K.fsl({lo} + ({rest_src}), {hi} + ({rest_src}))"
-    return f"K.fsl({c}*{lo} + ({rest_src}), {c}*{hi} + ({rest_src}), {c})"
+    scale, step = ("", "") if c == 1 else (f"{c}*", f":{c}")
+    return (f"{_numpy_index(scale + lo, rest, origin, ctx)}:"
+            f"{_numpy_index(scale + hi, rest, origin, ctx, plus=1)}{step}")
 
 
-def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tuple]:
-    """Subscript-tuple source for an array section; returns ``(subs, used)``
-    where *used* lists the vectorized loop indices in axis order.  A
-    reference to an expanded array addresses its temporary: the sunk loop
-    indices join its subscripts."""
-    x = ctx.xarrays.get(ref.name.lower())
+def _emit_array_access(
+    ref: ArrayRef, ctx: _Ctx, write: bool, at: Optional[Mapping[str, str]] = None,
+) -> tuple[str, tuple]:
+    """numpy subscript source for an array section, each index shifted
+    by its axis's first element; returns ``(subs, used)`` where *used*
+    lists the vectorized loop indices in axis order.  A reference to an
+    expanded array addresses its temporary: the sunk loop indices (or the
+    names *at* maps them to) join its subscripts, counted from the loops'
+    block bases."""
+    name = ref.name.lower()
+    origins = list(ctx.lower(name))
+    x = ctx.xarrays.get(name)
     if x is not None:
-        ref = _expanded_ref(ref, x)
-    vecs = ctx.vec_vars()
+        subs = list(ref.subscripts)
+        for pos, depth, lp in x.axes:
+            subs.insert(pos, Var((at or {}).get(lp.var, lp.var)))
+            origins.insert(pos, f"_b{depth}0")
+        ref = ArrayRef(ref.name, tuple(subs))
+    if len(ref.subscripts) != len(origins):
+        raise VectorUnsupported(
+            f"{ref.name}: {len(ref.subscripts)} subscripts for rank "
+            f"{len(origins)}")
+    vecs = tuple(ctx.levels)
     subs_src = []
     used: list[str] = []
-    for s in ref.subscripts:
+    for s, origin in zip(ref.subscripts, origins):
         names = _var_names(s)
         vec_here = [v for v in vecs if v in names]
         if len(vec_here) > 1:
@@ -395,11 +435,13 @@ def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tupl
                     f"{ref.name}: multiple subscripts use the loop index {v}", v
                 )
             lo, hi = ctx.range_of(v)
-            subs_src.append(_slice_src(s, ref.name, v, lo, hi, ctx))
+            subs_src.append(_slice_src(s, ref.name, v, lo, hi, origin, ctx))
             used.append(v)
         else:
             _check_plain(names, ctx, f"subscript {s}")
-            subs_src.append(emit_expr(s, ctx.locals_))
+            a = to_affine(s)
+            subs_src.append(
+                _numpy_index("", s if a is None else a, origin, ctx))
     if ctx.orient is not None and not _is_subseq(used, ctx.orient):
         # numpy keeps slice axes in array order; a reference transposed
         # against the nest's orientation would need an axis swap — fall back
@@ -418,26 +460,18 @@ def _emit_array_access(ref: ArrayRef, ctx: _Ctx, write: bool) -> tuple[str, tupl
     return ", ".join(subs_src), tuple(used)
 
 
-def _expanded_ref(
-    ref: ArrayRef, x: _XArray, at: Optional[Mapping[str, str]] = None
-) -> ArrayRef:
-    """*ref* as a reference to *x*'s temporary: each sunk loop's index (or
-    the name *at* maps it to) inserted at its axis."""
-    subs = list(ref.subscripts)
-    for pos, _depth, lp in x.axes:
-        subs.insert(pos, Var((at or {}).get(lp.var, lp.var)))
-    return ArrayRef(ref.name, tuple(subs))
-
-
 def _array_src(name: str, ctx: _Ctx) -> str:
+    """The ndarray a reference to *name* subscripts."""
     x = ctx.xarrays.get(name)
-    return x.temp if x is not None else f"A[{name!r}]"
+    return x.temp if x is not None else f"A[{name!r}].data"
 
 
 def _lift(src: str, used, ctx: _Ctx) -> str:
     """Broadcast-lift a partial-axes section to the block's shape: insert
-    unit axes at the orientation positions the value does not vary with."""
-    if ctx.orient is None or len(ctx.orient) <= 1 or tuple(used) == ctx.orient:
+    unit axes at the orientation positions the value does not vary with.
+    A loop-invariant element (*used* empty) broadcasts as it is."""
+    if (not used or ctx.orient is None or len(ctx.orient) <= 1
+            or tuple(used) == ctx.orient):
         return src
     idx = ", ".join(":" if v in used else "None" for v in ctx.orient)
     return f"{src}[{idx}]"
@@ -450,16 +484,11 @@ def emit_vexpr(e: Expr, ctx: _Ctx) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         n = e.name.lower()
-        if n in ctx.vec_vars():
+        if n in ctx.levels:
             lo, hi = ctx.range_of(n)
             return _lift(f"K.arange({lo}, {hi})", (n,), ctx)
         if n in ctx.expanded:
-            slc = ", ".join(
-                f"{ctx.range_of(v)[0]} - {ctx.base_of(v)}:"
-                f"{ctx.range_of(v)[1]} + 1 - {ctx.base_of(v)}"
-                for v in ctx.orient
-            )
-            return f"{ctx.expanded[n]}[{slc}]"
+            return f"{ctx.expanded[n]}[{_temp_slice(ctx.levels, ctx.orient)}]"
         if n in ctx.locals_:
             return n
         return f"S[{n!r}]"
@@ -476,10 +505,7 @@ def emit_vexpr(e: Expr, ctx: _Ctx) -> str:
         return f"({emit_vexpr(e.left, ctx)} {op} {emit_vexpr(e.right, ctx)})"
     if isinstance(e, ArrayRef):
         subs, used = _emit_array_access(e, ctx, write=False)
-        arr = _array_src(e.name.lower(), ctx)
-        if not used:  # loop-invariant element: broadcast
-            return f"{arr}.get(({subs},))"
-        return _lift(f"{arr}.vget(({subs},))", used, ctx)
+        return _lift(f"{_array_src(e.name.lower(), ctx)}[{subs}]", used, ctx)
     if isinstance(e, FuncCall):
         name = e.name.lower()
         args = [emit_vexpr(a, ctx) for a in e.args]
@@ -806,20 +832,16 @@ def _read_covered(kernel, nest: NestInfo, reader, writer, binding, sunk,
     return proved[key]
 
 
-def _block_ctx(loops: tuple, vec: tuple, locals_: set, expanded: dict,
+def _block_ctx(kernel: "CompiledKernel", loops: tuple, vec: tuple,
+               locals_: set, expanded: dict,
                xarrays: Optional[Mapping] = None) -> _Ctx:
     """Emission context for one statement's block: *vec* are its vector
     levels as ``(depth, loop)`` pairs, every other loop of *loops* is a
     Python loop variable around it."""
-    d, inner = vec[-1]
-    vec_vars = {lp.var for _l, lp in vec}
+    levels = {lp.var: d for d, lp in vec}
     return _Ctx(
-        inner.var, set(locals_) | ({lp.var for lp in loops} - vec_vars),
-        expanded, f"_x{d}a", f"_x{d}b", f"_b{d}0",
-        outer=tuple(
-            (lp.var, f"_x{l}a", f"_x{l}b", f"_b{l}0") for l, lp in vec[:-1]
-        ),
-        xarrays=xarrays or {},
+        levels, set(locals_) | ({lp.var for lp in loops} - levels.keys()),
+        expanded, kernel, xarrays=xarrays or {},
     )
 
 
@@ -832,12 +854,11 @@ def _writeback(ref: "ArrayRef | Var", ctx: _Ctx) -> str:
     x = ctx.xarrays.get(ref.name.lower())
     if x is None:
         return ""
-    plain = replace(ctx, xarrays={})
-    subs, _ = _emit_array_access(ref, plain, write=False)
+    subs, _ = _emit_array_access(ref, replace(ctx, xarrays={}), write=False)
     last = {lp.var: f"_x{d}b" for _p, d, lp in x.axes}
-    at = replace(plain, locals_=plain.locals_ | set(last.values()))
-    corner, _ = _emit_array_access(_expanded_ref(ref, x, last), at, write=False)
-    return f"A[{ref.name.lower()!r}].vset(({subs},), {x.temp}.vget(({corner},)))"
+    at = replace(ctx, locals_=ctx.locals_ | set(last.values()))
+    corner, _ = _emit_array_access(ref, at, write=False, at=last)
+    return f"A[{ref.name.lower()!r}].data[{subs}] = {x.temp}[{corner}]"
 
 
 def _plan_block(
@@ -864,7 +885,7 @@ def _plan_block(
         )
         if not vec:
             break
-        ctx = _block_ctx(loops, vec, locals_, expanded, xarrays)
+        ctx = _block_ctx(kernel, loops, vec, locals_, expanded, xarrays)
         try:
             if isinstance(s.lhs, ArrayRef):
                 # the store defines the block's orientation (which loop
@@ -888,7 +909,7 @@ def _plan_block(
         return _StmtPlan(
             s, True, "; ".join(why), payload, rhs, vec,
             tuple(lp for lp in loops if lp in own), ctx.orient,
-            _writeback(s.lhs, ctx),
+            _writeback(s.lhs, ctx), ctx.folded,
         )
     return _StmtPlan(s, False, "; ".join(why),
                      own=tuple(lp for lp in loops if lp.sid not in seq))
@@ -1021,7 +1042,8 @@ def plan_nest(kernel: "CompiledKernel", top: DoLoop, locals_: set):
             try:
                 _, vorder = _emit_array_access(
                     first.lhs,
-                    _block_ctx(loops, tuple(enumerate(loops)), locals_, expanded),
+                    _block_ctx(kernel, loops, tuple(enumerate(loops)),
+                               locals_, expanded),
                     write=True,
                 )
             except VectorUnsupported as exc:
@@ -1156,6 +1178,8 @@ def try_emit_vector_loop(
                 loop.var, loop.sid, "scalar", plan)
         return False
     kernel.vector_report[loop.sid] = plan.report
+    for p in plan.stmts.values():
+        kernel.folded_lower.update(p.folded)
     _emit_plan_nest(kernel, plan, lines, indent, locals_)
     return True
 
@@ -1267,17 +1291,14 @@ def _emit_blocks(
         for p in group:
             if p.payload[0] == "expand":
                 _, name, temp = p.payload
-                slc = ", ".join(
-                    f"_x{level[v]}a - _b{level[v]}0:"
-                    f"_x{level[v]}b + 1 - _b{level[v]}0"
-                    for v in p.orient)
-                lines.append(f"{bp}    {temp}[{slc}] = {p.rhs_src}")
+                lines.append(
+                    f"{bp}    {temp}[{_temp_slice(level, p.orient)}] = {p.rhs_src}")
                 corner = ", ".join(
                     f"_x{level[v]}b - _b{level[v]}0" for v in p.orient)
                 lines.append(f"{bp}    S[{name!r}] = {temp}[{corner}]")
             else:
                 _, arr, subs = p.payload
-                lines.append(f"{bp}    {arr}.vset(({subs},), {p.rhs_src})")
+                lines.append(f"{bp}    {arr}[{subs}] = {p.rhs_src}")
                 if p.writeback:
                     lines.append(f"{bp}    {p.writeback}")
 

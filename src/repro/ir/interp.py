@@ -51,29 +51,6 @@ class FortranArray:
     def set(self, subs: tuple[int, ...], value) -> None:
         self.data[self._index(subs)] = value
 
-    def _slice_index(self, subs: tuple) -> tuple:
-        """Fortran-space subscripts (ints or slices with *inclusive-exclusive*
-        Fortran-space start/stop) shifted to zero-based numpy index space."""
-        if len(subs) != self.data.ndim:
-            raise IndexError(
-                f"rank mismatch: {len(subs)} subscripts for rank-{self.data.ndim} array"
-            )
-        out = []
-        for s, l in zip(subs, self.lower):
-            if isinstance(s, slice):
-                out.append(slice(s.start - l, s.stop - l, s.step))
-            else:
-                out.append(int(s) - l)
-        return tuple(out)
-
-    def vget(self, subs: tuple):
-        """Bulk read of a rectangular section (the vector backend's load)."""
-        return self.data[self._slice_index(subs)]
-
-    def vset(self, subs: tuple, value) -> None:
-        """Bulk write of a rectangular section (the vector backend's store)."""
-        self.data[self._slice_index(subs)] = value
-
     def flat_offset(self, subs: tuple[int, ...]) -> int:
         """Column-major flat offset of an element (sequence association)."""
         idx = self._index(subs)

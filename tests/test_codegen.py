@@ -56,7 +56,12 @@ class TestCompiledLhsy:
         assert "K.exec_comm(rank, A, 0, 'read')" in src
         assert "G.boxes(" in src  # guards realized as box covers
         assert "K.guard(" not in src  # ... not as per-point tests
-        assert ".vset((" in src  # slice stores instead of scalar sets
+        # slice stores straight into the ndarray, lower bounds folded in
+        # (lhs(0:n, 0:n, 0:n, 5): the fifth axis starts at 1)
+        assert (
+            "A['lhs'].data[_x1a:_x1b + (1), _x2a:_x2b + (1), _x0a:_x0b + (1), 0] = "
+            in src
+        )
         compile(src, "<check>", "exec")  # must be valid Python
         # the whole k, i, j nest of lhsy vectorizes (NEW arrays expanded)
         reports = list(lhsy_kernel.vector_report.values())
@@ -124,6 +129,68 @@ class TestCompiledComputeRhs:
                 assert A["rhs"].get(e) == pytest.approx(rhs_s.get(e), abs=1e-13), (
                     rid, e
                 )
+
+
+def _bench_sources():
+    """The benchmark's kernels as ``(key, source, nprocs, params)``, the
+    row table's compiled ones first (Figure 6.1's call tree apart)."""
+    from repro.nas.classes import CLASSES
+    from repro.nas.specs import kernel_specs
+
+    rows = [(s.key, s.source, s.nprocs, s.params)
+            for s in kernel_specs() if s.source]
+    for cls in ("S", "W"):
+        n = CLASSES[cls].problem_size
+        rows.append((f"sp-rhs-scaled-{cls.lower()}@16",
+                     kernels.scaled(kernels.COMPUTE_RHS_SP), 16,
+                     {"n": n, "nx": n}))
+    return rows
+
+
+class TestEmittedText:
+    """What the two backends emit, pinned."""
+
+    #: SHA-256 prefixes of each scalar-backend node program pair (mpi +
+    #: shmem): the scalar backend's text is fixed while the vector
+    #: backend's subscripting changes
+    SCALAR_TEXT = {
+        "fig4.1": "3f749131815cba78",
+        "fig4.2": "d6e2c2f8406976a4",
+        "exact-rhs": "12a4a749029a00e4",
+        "sp-exact-rhs-s": "3aeb61ba56e373c0",
+        "sp-rhs-s": "09f8e14ef2196097",
+        "bt-rhs-s": "5737eb49d172ac77",
+        "sp-rhs-scaled-s@16": "f43399039d252e6a",
+    }
+
+    def test_scalar_node_programs_unchanged(self):
+        import hashlib
+
+        got = {}
+        for key, source, nprocs, params in _bench_sources():
+            if key not in self.SCALAR_TEXT:
+                continue
+            ck = compile_kernel(source, nprocs=nprocs, params=params,
+                                backend="scalar")
+            text = ck.python_source("mpi") + ck.python_source("shmem")
+            got[key] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert got == self.SCALAR_TEXT
+
+    def test_vector_programs_index_ndarrays_directly(self):
+        """No vector node program goes through a subscript helper: every
+        array reference of a block is a plain ndarray subscript."""
+        from repro.nas.specs import fig61_subroutine
+
+        kernels_ = [compile_kernel(src, nprocs=p, params=params)
+                    for _key, src, p, params in _bench_sources()]
+        kernels_.append(compile_kernel(fig61_subroutine(), nprocs=4,
+                                       params={"n": 13}))
+        for ck in kernels_:
+            for target in ("mpi", "shmem"):
+                src = ck.python_source(target)
+                assert "G.boxes(" in src
+                for helper in ("K.fsl(", ".vget(", ".vset("):
+                    assert helper not in src, (ck.sub.name, target, helper)
 
 
 class TestCodegenLimits:

@@ -1117,3 +1117,198 @@ def test_arange_cached_views_are_read_only():
     assert w.base is CompiledKernel.arange(2, 4).base
     # negative lower bounds bypass the cache but stay correct
     assert CompiledKernel.arange(-3, 2).tolist() == [-3, -2, -1, 0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# direct indexing: declared lower bounds folded into the emitted subscripts
+# ---------------------------------------------------------------------------
+
+#: shapes no paper kernel has — name -> (source, nprocs, a fragment of the
+#: vector node program that shows the folded subscript)
+_FOLDED = {
+    # negative and param-dependent lower bounds
+    "lower-bounds": ("""
+      program lb
+      parameter (n = 8, m = 5)
+      double precision a(-2:n), b(1-n:n+1, 0:m), c(1-n:n+1, 0:m)
+!hpf$ processors p(2)
+!hpf$ distribute b(*, block) onto p
+!hpf$ distribute c(*, block) onto p
+      do k = -2, n
+         a(k) = 0.5d0 * k
+      enddo
+      do j = 0, m
+         do i = 1 - n, n + 1
+            b(i, j) = i + 0.25d0 * j
+         enddo
+      enddo
+      do j = 1, m
+         do i = 2 - n, n
+            c(i, j) = b(i - 1, j - 1) + b(i + 1, j) * a(j - 2)
+         enddo
+      enddo
+      end
+""", 2, "A['b'].data[_x1a + (6):_x1b + (7), _x0a + (-1):_x0b]"),
+    "stride-2": ("""
+      program st
+      parameter (n = 16, h = 8)
+      double precision a(n), b(h)
+!hpf$ processors p(2)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, n
+         a(i) = 0.5d0 * i
+      enddo
+      do i = 1, h
+         b(i) = a(2*i - 1) + 3.0d0 * a(2*i)
+      enddo
+      end
+""", 2, "A['a'].data[2*_x0a + (-2):2*_x0b + (-1):2]"),
+    # c(3, j) is one element per j: the i block broadcasts it
+    "invariant-element": ("""
+      program iv
+      parameter (n = 8)
+      double precision a(n, n), c(4, n)
+!hpf$ processors p(2)
+!hpf$ distribute a(block, *) onto p
+      do j = 1, n
+         do i = 1, 4
+            c(i, j) = i + 0.5d0 * j
+         enddo
+         do i = 1, n
+            a(i, j) = 0.25d0 * i
+         enddo
+      enddo
+      do j = 2, n
+         do i = 1, n
+            a(i, j) = a(i, j - 1) * 0.5d0 + c(3, j)
+         enddo
+      enddo
+      end
+""", 2, "+ A['c'].data[2, (j + -1)])"),
+    # t expands along k (from 2) and i: its sunk axes count from _b00/_b10
+    "new-sunk-from-2": ("""
+      program sk
+      parameter (n = 12)
+      double precision a(0:n,0:n,0:n), t(0:n)
+!hpf$ processors p(2,2)
+!hpf$ template tm(0:n,0:n)
+!hpf$ align a(i,j,k) with tm(j,k)
+!hpf$ align t(j) with tm(j,*)
+!hpf$ distribute tm(block, block) onto p
+      do k = 2, n - 1
+         do i = 1, n - 2
+!hpf$ independent, new(t)
+            do j = 0, n - 1
+               t(j) = 0.5d0*(i + j) + 0.25d0*k
+            enddo
+            do j = 1, n - 2
+               a(i,j,k) = t(j-1) + t(j+1)
+            enddo
+         enddo
+      enddo
+      end
+""", 4, "A['t'].data[_x2a:_x2b + (1)] = _xt_t[_x1b - _b10, _x2a:_x2b + (1), _x0b - _b00]"),
+    "scalar-subscript": ("""
+      program sc
+      parameter (n = 8, ix = 3)
+      double precision a(n, n), b(n), c(n)
+!hpf$ processors p(2)
+!hpf$ distribute a(block, *) onto p
+!hpf$ distribute b(block) onto p
+!hpf$ distribute c(block) onto p
+      do j = 1, n
+         do i = 1, n
+            a(i, j) = i + 0.5d0 * j
+         enddo
+      enddo
+      do i = 1, n
+         b(i) = a(i, ix) * 2.0d0
+      enddo
+      do i = 1, n - ix
+         c(i) = a(i + ix, 2)
+      enddo
+      end
+""", 2, "A['a'].data[_x0a + (-1):_x0b, int(S['ix']) + (-1)]"),
+}
+
+
+class TestFoldedSubscripts:
+    """Vector node programs subscript each array's ndarray directly, its
+    declared lower bounds folded in at emission; ``rank_node`` checks the
+    arrays it is handed against the folded bounds."""
+
+    @pytest.mark.parametrize("key", sorted(_FOLDED))
+    def test_bitwise_every_route(self, key):
+        """The interpreter, both backends on both VM targets, and the
+        vector backend on real processes agree bit for bit."""
+        source, nprocs, fragment = _FOLDED[key]
+        ck = _run_all_ways(source, nprocs)
+        assert fragment in ck.python_source("mpi")
+        reports = list(ck.vector_report.values())
+        assert reports and all(r.status == "vector" for r in reports)
+        assert bitwise_identical(
+            ck.run({}, executor="process", timeout=120), ck.run({}))
+        assert bitwise_identical(
+            ck.run_shmem({}, executor="process", timeout=120), ck.run_shmem({}))
+        assert mp.active_children() == []
+        assert procexec.leaked_segments() == []
+
+    def test_sunk_loop_sequential_for_one_reader(self):
+        """``c(n - k)`` has stride -1 in the sunk loop k, so that reader
+        would run k for itself alone; the expanded temporary is shaped for
+        one whole-nest block, so the nest declines and the retry further
+        in blocks it."""
+        source, nprocs, _ = _FOLDED["new-sunk-from-2"]
+        source = source.replace(
+            "t(0:n)\n", "t(0:n), c(0:n)\n").replace(
+            "t(j-1) + t(j+1)", "t(j-1) + t(j+1) + c(n - k)")
+        ck = _run_all_ways(source, nprocs)
+        (report,) = ck.vector_report.values()
+        assert (report.status, report.expanded) == ("vector", ("t",))
+        assert report.loop_var == "i,j,j"  # k stays a Python loop
+        assert "A['c'].data[int(((-k) + S['n']))]" in ck.python_source("mpi")
+
+    def test_folded_bounds_are_the_declared_ones(self):
+        source, nprocs, _ = _FOLDED["lower-bounds"]
+        ck = compile_kernel(source, nprocs)
+        ck.python_source()
+        assert ck.folded_lower == {"a": (-2,), "b": (-7, 0), "c": (-7, 0)}
+        scalar = compile_kernel(source, nprocs, backend="scalar")
+        scalar.python_source()
+        assert scalar.folded_lower == {}
+
+    @pytest.mark.parametrize("target", ["mpi", "shmem"])
+    def test_rank_node_refuses_shifted_lower_bounds(self, target):
+        """An array whose lower bounds are not the ones the emitter folded
+        raises before any rank runs, instead of reading off by the shift."""
+        from repro.ir.interp import FortranArray
+
+        source, nprocs, _ = _FOLDED["lower-bounds"]
+        ck = compile_kernel(source, nprocs)
+        arrays = [ck.make_arrays() for _ in range(nprocs)]
+        b = arrays[-1]["b"]
+        arrays[-1]["b"] = FortranArray(b.data.shape, (-8, 0))
+        given = arrays if target == "mpi" else arrays[-1]
+        with pytest.raises(ValueError, match=r"'b' has lower bounds \(-8, 0\)"):
+            ck.rank_node(target, {}, given)
+        arrays[-1]["b"] = b
+        assert callable(ck.rank_node(target, {}, given))
+
+    def test_rank_mismatch_still_fails_at_run_time(self):
+        """A reference with fewer subscripts than its array has axes would
+        be a silent row view as a direct subscript: the statement goes to
+        the scalar backend, whose run raises as before."""
+        ck = compile_kernel("""
+      program rk
+      parameter (n = 8)
+      double precision a(n, n), b(n)
+      do i = 1, n
+         b(i) = a(i)
+      enddo
+      end
+""", 1)
+        (report,) = ck.vector_report.values()
+        assert report.status == "scalar" and "1 subscripts for rank 2" in report.reason
+        with pytest.raises(IndexError, match="rank mismatch"):
+            ck.run({})
