@@ -15,16 +15,17 @@ algebra, in closed form in the rank count where the counts are affine —
 and folds them through the LogGP parameters into a predicted time
 ``T(nprocs)`` and speedup curve.
 
-The communication counts are a *proof*, not a heuristic: for hoisted
-events they are derived purely from iset intersections of per-rank need
-sets with per-rank ownership sets — an independent computation from the
-point-enumeration path that builds the executable routing tables
-(:meth:`~repro.codegen.spmd.CompiledKernel._build_routes`).  The
-validation mode (:func:`validate_against_trace`) replays a fault-free
-virtual-machine trace and asserts the static per-rank message/byte
-counters match the observed counters **exactly**; a mismatch is an
-analyzer or compiler bug, and the tier-1 suite pins this for every
-affine paper kernel and the NAS class-S pipelines.
+The communication counts of a hoisted event are the volumes of its
+per-pair covers, :meth:`~repro.comm.CommEvent.flows` — per-rank need sets
+intersected with the other ranks' primary ownership sets, one sender per
+element.  The code generator's message routes hold those same covers, so
+there is one answer to "who sends what", and the tests pin it against an
+element-by-element owner oracle.  The validation mode
+(:func:`validate_against_trace`) replays a fault-free virtual-machine
+trace and asserts the static per-rank message/byte counters match the
+counters of the messages ``exec_comm`` actually sent **exactly**; a
+mismatch is an analyzer or compiler bug, and the tier-1 suite pins this
+for every affine paper kernel and the NAS class-S pipelines.
 
 Advisory diagnostics (:func:`cost_advisories`) surface the findings with
 stable codes merged into :func:`repro.check.verify_kernel` reports:
@@ -38,6 +39,7 @@ statement) and ``I-SCALE-LIMIT`` (a predicted speedup knee).
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -57,6 +59,7 @@ from ..distrib.layout import DistributionContext, proc_binding
 from ..ir.expr import BinOp, FuncCall, UnOp
 from ..ir.stmt import Assign, DoLoop
 from ..ir.visit import walk_stmts
+from ..isets.box import volume
 from ..runtime.model import MachineModel
 
 #: advisory thresholds (module-level so tests can pin them)
@@ -244,47 +247,6 @@ def _stmt_flops(stmt: Assign) -> int:
     return max(n, 1)
 
 
-class _OwnershipTable:
-    """Per-(array, rank) concrete ownership sets, cached per analysis."""
-
-    def __init__(self, ctx: DistributionContext, params: Mapping[str, int], grid):
-        self.ctx = ctx
-        self.params = dict(params)
-        self.grid = grid
-        self._own: dict[tuple[str, int], object] = {}
-
-    def owned(self, array: str, rank: int):
-        key = (array, rank)
-        if key not in self._own:
-            layout = self.ctx.layout(array)
-            self._own[key] = layout.ownership().bind(
-                {**self.params, **proc_binding(self.grid.delinearize(rank))}
-            )
-        return self._own[key]
-
-
-def _event_flows(ev, own: _OwnershipTable, params: Mapping[str, int], grid):
-    """Exact per-pair flows ``{(src, dst): elems}`` of one hoisted event,
-    from pure iset algebra: rank *r*'s need set intersected with every
-    other rank's ownership set.  Independent of the route builder's
-    point-enumeration + owner-arithmetic path, so agreement with the
-    executed trace is a genuine cross-check."""
-    flows: dict[tuple[int, int], int] = {}
-    for r in range(grid.size):
-        need = ev.data.bind({**params, **proc_binding(grid.delinearize(r))})
-        if need.is_empty():
-            continue
-        for q in range(grid.size):
-            if q == r:
-                continue
-            n = need.intersect(own.owned(ev.array, q)).cardinality()
-            if n == 0:
-                continue
-            pair = (q, r) if ev.kind == "read" else (r, q)
-            flows[pair] = flows.get(pair, 0) + n
-    return flows
-
-
 def _cost_from_parts(
     subject: str,
     ctx: DistributionContext,
@@ -302,7 +264,6 @@ def _cost_from_parts(
         word_bytes=word_bytes,
         ranks=[RankCost(r) for r in range(nprocs)],
     )
-    own = _OwnershipTable(ctx, params, grid)
     for nest_idx, (root, plan) in enumerate(nest_plans):
         nc = NestCost(nest_idx)
         nc.replicated = any(
@@ -312,9 +273,9 @@ def _cost_from_parts(
         )
         for ev in plan.live_events():
             if ev.placement.hoisted:
-                flows = _event_flows(ev, own, params, grid)
+                flows = ev.flows(ctx, params, grid)
                 msgs = len(flows)
-                elems = sum(flows.values())
+                elems = sum(map(volume, flows.values()))
                 ec = EventCost(
                     nest=nest_idx,
                     array=ev.array,
@@ -325,7 +286,8 @@ def _cost_from_parts(
                     bytes=elems * word_bytes,
                     elems=elems,
                 )
-                for (src, dst), n in flows.items():
+                for (src, dst), cover in flows.items():
+                    n = volume(cover)
                     cost.ranks[src].sent_messages += 1
                     cost.ranks[src].sent_bytes += n * word_bytes
                     cost.ranks[dst].recv_messages += 1
@@ -697,16 +659,8 @@ def validate_against_trace(cost: KernelCost, trace) -> CostValidation:
 # plan-cache integration
 # ---------------------------------------------------------------------------
 
-def _cost_digest(kernel_digest: str, model: Optional[MachineModel]) -> str:
-    import hashlib
-
-    ident = "none" if model is None else (
-        f"{model.name}|{model.flop_time!r}|{model.alpha!r}|{model.beta!r}|"
-        f"{model.o!r}|{model.g!r}|{model.word_bytes}"
-    )
-    return hashlib.sha256(
-        f"cost-v1|{kernel_digest}|{ident}".encode()
-    ).hexdigest()
+def _cost_digest(kernel_digest: str) -> str:
+    return hashlib.sha256(f"cost-v1|{kernel_digest}".encode()).hexdigest()
 
 
 def cached_kernel_cost(
@@ -715,13 +669,13 @@ def cached_kernel_cost(
     params: Mapping[str, int] | None = None,
     backend: str = "vector",
     strict: bool = True,
-    model: Optional[MachineModel] = None,
 ):
     """Compile *source* (through the plan cache) and return
-    ``(kernel, cost, cost_cached)``.  The cost record is stored in the
-    active plan cache under a digest derived from the kernel digest and
-    the machine-model identity, so warm hits replay the analysis — and
-    therefore its advisories — without re-running the iset algebra."""
+    ``(kernel, cost, cost_cached)``.  The cost record (:func:`kernel_cost`,
+    which no machine model enters) is stored in the active plan cache
+    under a digest derived from the kernel digest, so warm hits replay
+    the analysis — and therefore its advisories — without re-running the
+    iset algebra."""
     import pickle
 
     from ..codegen import compile_kernel
@@ -738,7 +692,7 @@ def cached_kernel_cost(
     key = PlanKey.for_source(
         source, nprocs, params=params, backend=backend, strict=strict
     )
-    digest = _cost_digest(key.kernel_digest, model)
+    digest = _cost_digest(key.kernel_digest)
     payload = cache.get(digest)
     if payload is not None:
         try:

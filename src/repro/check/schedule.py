@@ -1,11 +1,13 @@
 """Send/recv matching over the emitted SPMD schedule (analysis 3).
 
-The compiled kernel's routing tables are flattened into a static
-per-rank operation list (the messages ``exec_comm`` will issue).  The
-check requires, for every ``(src, dst, tag)`` key, that the send multiset
-and the receive multiset balance — an unmatched receive is a static
-deadlock on the blocking virtual machine, an unmatched send is silent
-data loss, and an element-count mismatch corrupts the unpack loop.
+The compiled kernel's message routes — each hoisted event's per-pair
+covers (``CommEvent.flows``) — are flattened into a static per-rank
+operation list (the messages ``exec_comm`` will issue, one per pair, of
+the cover's volume).  The check requires, for every ``(src, dst, tag)``
+key, that the send multiset and the receive multiset balance — an
+unmatched receive is a static deadlock on the blocking virtual machine,
+an unmatched send is silent data loss, and an element-count mismatch
+corrupts the unpack loop.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..diag import E_MATCH, Diagnostic, Severity
+from ..isets.box import volume
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,11 @@ class StaticSchedule:
         ops: list[ScheduleOp] = []
         for nest_idx, routes in enumerate(kernel._routes):
             for route in routes:
-                for (src, dst), elems in sorted(route.pairs.items()):
+                for (src, dst), cover in sorted(route.pairs.items()):
                     ops.append(ScheduleOp(src, "send", dst, route.tag,
-                                          len(elems), nest_idx, route.array))
+                                          volume(cover), nest_idx, route.array))
                     ops.append(ScheduleOp(dst, "recv", src, route.tag,
-                                          len(elems), nest_idx, route.array))
+                                          volume(cover), nest_idx, route.array))
         return cls(ops)
 
     def sends(self) -> list[ScheduleOp]:

@@ -3,8 +3,8 @@
 Entry points:
 
 - :func:`verify_kernel` — a :class:`~repro.codegen.spmd.CompiledKernel`
-  (all four analyses, including send/recv matching over the emitted
-  routing tables);
+  (all four analyses, including send/recv matching over the message
+  routes it will execute — each event's per-pair covers);
 - :func:`verify_source` — any single-unit HPF source, via the analysis
   half of the compile pipeline only, so kernels the code generator
   rejects (pipelined communication) are still verifiable;
@@ -96,7 +96,7 @@ def verify_kernel(
     schedule: Optional[StaticSchedule] = None,
     cost_model=None,
 ) -> CheckReport:
-    """All four analyses over a compiled kernel (the routing tables the
+    """All four analyses over a compiled kernel (the message routes the
     generated node program will execute are checked for matching), plus
     the static cost analyzer's performance advisories.
 

@@ -4,18 +4,16 @@ run time, and the block queries the vector backend makes of it.
 A bound guard is a :class:`BoxSet` — a set of index tuples held as its
 canonical disjoint box cover (:mod:`repro.isets.box`: ``cover_of_points``
 defines that cover, ``cover_of_boxes`` computes it from a union of boxes
-without enumerating anything, which is how a BLOCK guard is read off its
-iteration set).  :class:`Guards` is one rank's ``sid -> BoxSet`` map and
-answers ``G.boxes`` / ``K.guard``.
+without enumerating anything, and ``cover_of_set`` reads a bound iteration
+set through whichever of the two the set allows).  :class:`Guards` is one
+rank's ``sid -> BoxSet`` map and answers ``G.boxes`` / ``K.guard``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Set
 
-from ..isets import ISet
-from ..isets.box import cover_of_boxes, cover_of_points, volume
+from ..isets.box import cover_of_boxes, cover_of_points, cover_points, volume
 
 
 class BoxSet(Set):
@@ -23,10 +21,10 @@ class BoxSet(Set):
     cover (``cover_of_points`` of its points): what a statement's bound
     guard is.  Built from enumerated points, ``BoxSet(cover_of_points(points))``,
     or straight from a union of boxes, ``BoxSet(cover_of_boxes(boxes))`` —
-    equal point sets give equal covers either way; :meth:`of` picks by what
-    the set is.  It is a read-only ``Set`` of index tuples: membership,
-    ``len`` (the exact point count), iteration, ``==`` and ``&`` against
-    plain sets all answer as the ``frozenset`` of its points would."""
+    equal point sets give equal covers either way.  It is a read-only
+    ``Set`` of index tuples: membership, ``len`` (the exact point count),
+    iteration, ``==`` and ``&`` against plain sets all answer as the
+    ``frozenset`` of its points would."""
 
     __slots__ = ("boxes", "_len", "_points")
 
@@ -35,16 +33,6 @@ class BoxSet(Set):
         self.boxes = cover
         self._len = volume(cover)
         self._points: frozenset | None = None
-
-    @classmethod
-    def of(cls, iters: ISet) -> BoxSet:
-        """The points of a concrete iteration set: read off its disjuncts
-        when each is a box, enumerated when one is not (cyclic,
-        multipartition or otherwise exists-quantified ownership)."""
-        cover = iters.box_cover()
-        if cover is None:
-            cover = cover_of_points(list(iters.points()))
-        return cls(cover)
 
     @classmethod
     def _from_iterable(cls, it):
@@ -67,10 +55,7 @@ class BoxSet(Set):
         return self._len
 
     def __iter__(self):
-        for box in self.boxes:
-            yield from itertools.product(
-                *(range(a, b + 1) for a, b in zip(box[::2], box[1::2]))
-            )
+        return cover_points(self.boxes)
 
     def __repr__(self) -> str:
         return f"BoxSet({self.boxes!r})"

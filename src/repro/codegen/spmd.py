@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -26,6 +26,7 @@ from ..ir.visit import (
     build_parent_map, collect_array_refs, enclosing_loops, reads_of, walk_stmts,
 )
 from ..isets import BudgetExceeded, IsetBudget
+from ..isets.box import cover_of_set
 from ..isets.profile import phase as profile_phase
 from ..runtime.sim import Rank, VirtualMachine
 from .guards import BoxSet, Guards
@@ -768,30 +769,9 @@ class _Route:
 
     array: str
     kind: str  # 'read' | 'writeback'
-    #: (src_rank, dst_rank) -> ordered element list
-    pairs: dict[tuple[int, int], list[tuple[int, ...]]]
+    #: (src_rank, dst_rank) -> cover of the elements sent (``CommEvent.flows``)
+    pairs: dict[tuple[int, int], tuple]
     tag: int
-    #: per-pair fancy-index arrays (lazy; keyed by (src, dst))
-    _idx: dict = field(default_factory=dict, repr=False)
-
-    def __getstate__(self) -> dict:
-        # run-time state like the kernel's bound guards: a kernel that has
-        # run on the mpi target pickles to the bytes it had before
-        return {**self.__dict__, "_idx": {}}
-
-    def index_for(self, pair: tuple[int, int], arr: FortranArray) -> tuple:
-        """numpy fancy-index tuple selecting this pair's elements of *arr*
-        in the same order as the element list (bulk gather/scatter)."""
-        idx = self._idx.get(pair)
-        if idx is None:
-            elems = self.pairs[pair]
-            idx = tuple(
-                np.fromiter((e[d] for e in elems), dtype=np.intp, count=len(elems))
-                - arr.lower[d]
-                for d in range(arr.data.ndim)
-            )
-            self._idx[pair] = idx
-        return idx
 
 
 class CompiledKernel:
@@ -890,6 +870,7 @@ class CompiledKernel:
         # payload is the one written before they were kept.
         state["_guard_cache"] = {}
         state.pop("_guard_sets", None)
+        state.pop("_parents", None)
         state.pop("_nests", None)
         return state
 
@@ -1015,6 +996,17 @@ class CompiledKernel:
     _guard_sets: tuple | None = None
     #: see ``__init__``
     _nests: tuple = ()
+    #: see :meth:`guard_vars`
+    _parents: dict | None = None
+
+    def guard_vars(self, stmt: Stmt) -> list[str]:
+        """The loop variables of *stmt*'s guard tuple: its enclosing loops,
+        outermost first, the layout of its guard set (``K.guard`` points,
+        ``G.boxes`` templates).  The parent map behind it is built at the
+        first ask and kept (run-time state: not pickled)."""
+        if self._parents is None:
+            self._parents = build_parent_map(self.sub.body)
+        return [loop.var for loop in enclosing_loops(stmt, self._parents)]
 
     def nest_info(self, stmt: Stmt) -> NestInfo:
         """The :class:`NestInfo` of the top-level nest holding *stmt*: the
@@ -1083,7 +1075,7 @@ class CompiledKernel:
         with profile_phase("bind-guards"):
             group, sets = self._guard_plan()
             pbind = proc_binding(self.grid.delinearize(rank_id))
-            bound = [BoxSet.of(iters.bind(pbind)) for iters in sets]
+            bound = [BoxSet(cover_of_set(iters.bind(pbind))) for iters in sets]
             out = self._guard_cache[rank_id] = Guards(
                 (sid, None if g is None else bound[g]) for sid, g in group.items()
             )
@@ -1100,44 +1092,33 @@ class CompiledKernel:
 
     # -- communication routing -----------------------------------------------------
     def _build_routes(self, nest_idx: int, plan: CommPlan) -> list[_Route]:
-        routes: list[_Route] = []
-        for ei, ev in enumerate(plan.live_events()):
-            if not ev.placement.hoisted:
-                continue  # guarded at compile time already
-            layout = self.ctx.layout(ev.array)
-            assert layout is not None
-            pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-            for rank_id in range(self.nprocs):
-                pbind = proc_binding(self.grid.delinearize(rank_id))
-                pts = sorted(ev.data.bind({**self.params, **pbind}).points())
-                for elem in pts:
-                    owner = self.grid.linearize(layout.owner_coords_of(elem))
-                    if owner == rank_id:
-                        continue
-                    if ev.kind == "read":
-                        pairs.setdefault((owner, rank_id), []).append(elem)
-                    else:  # writeback: the computing rank returns data to the owner
-                        pairs.setdefault((rank_id, owner), []).append(elem)
-            routes.append(_Route(ev.array, ev.kind, pairs, 1000 + nest_idx * 64 + ei))
-        return routes
+        return [
+            _Route(ev.array, ev.kind, ev.flows(self.ctx, self.params, self.grid),
+                   1000 + nest_idx * 64 + ei)
+            for ei, ev in enumerate(plan.live_events())
+            if ev.placement.hoisted  # the others are guarded at compile time
+        ]
 
     def exec_comm(self, rank: Rank, A: Mapping[str, FortranArray], nest_idx: int, kind: str) -> None:
         """Execute the hoisted communication of one nest (generated code
-        calls this before ['read'] and after ['writeback'] the nest)."""
+        calls this before ['read'] and after ['writeback'] the nest).  A
+        message is its cover's box views, each raveled, in cover order."""
         me = rank.rank
         for route in self._routes[nest_idx]:
             if route.kind != kind:
                 continue
             arr = A[route.array]
-            for (src, dst), elems in route.pairs.items():
+            for (src, dst), cover in route.pairs.items():
                 if src == me:
-                    idx = route.index_for((src, dst), arr)
-                    buf = np.ascontiguousarray(arr.data[idx], dtype=np.float64)
-                    rank.send(dst, buf, tag=route.tag)
-            for (src, dst), elems in route.pairs.items():
+                    buf = np.concatenate([v.ravel() for v in _views(arr, cover)])
+                    rank.send(dst, buf.astype(np.float64, copy=False), tag=route.tag)
+            for (src, dst), cover in route.pairs.items():
                 if dst == me:
                     buf = rank.recv(src, tag=route.tag)
-                    arr.data[route.index_for((src, dst), arr)] = buf
+                    off = 0
+                    for view in _views(arr, cover):
+                        view[...] = buf[off:off + view.size].reshape(view.shape)
+                        off += view.size
 
     # -- code generation -----------------------------------------------------------
     def python_source(self, target: str = "mpi") -> str:
@@ -1154,7 +1135,6 @@ class CompiledKernel:
             raise ValueError(f"unknown codegen target {target!r}")
         if target in self._sources:
             return self._sources[target]
-        self._loop_order = self._collect_loop_order()
         lines: list[str] = [
             f"# SPMD node program generated by dhpf-py for {self.sub.name}",
             f"# target {target}, backend {self.backend}, "
@@ -1197,7 +1177,7 @@ class CompiledKernel:
             target = emit_assign_target(s.lhs, rhs, locals_)
             scp = self.cps.get(s.sid)
             if scp is not None and not scp.cp.is_replicated and locals_:
-                point = ", ".join(sorted_locals(locals_, self._loop_order))
+                point = ", ".join(self.guard_vars(s))
                 lines.append(f"{pad}if K.guard(G, {s.sid}, ({point},)):")
                 lines.append(f"{pad}    {target}")
             else:
@@ -1247,8 +1227,6 @@ class CompiledKernel:
             return
         raise CodegenUnsupported(f"cannot emit {type(s).__name__}")
 
-    _loop_order: list[str]
-
     # -- execution ------------------------------------------------------------------
     def node_program(self, target: str = "mpi") -> Callable:
         """Compile (exec) the generated source for one back end."""
@@ -1258,13 +1236,6 @@ class CompiledKernel:
             exec(compile(src, f"<dhpf:{self.sub.name}:{target}>", "exec"), ns)
             self._fns[target] = ns["node_program"]
         return self._fns[target]
-
-    def _collect_loop_order(self) -> list[str]:
-        order: list[str] = []
-        for s in walk_stmts(self.sub.body):
-            if isinstance(s, DoLoop) and s.var not in order:
-                order.append(s.var)
-        return order
 
     def make_arrays(self) -> dict[str, FortranArray]:
         """Fresh full-shape arrays for one rank (valid only where owned or
@@ -1404,6 +1375,10 @@ def _integral(x) -> bool:
     return isinstance(x, (int, np.integer))
 
 
-def sorted_locals(locals_: set[str], order: list[str]) -> list[str]:
-    """Loop variables in nesting order (guard tuple layout)."""
-    return [v for v in order if v in locals_]
+def _views(arr: FortranArray, cover: tuple):
+    """The views of *arr* its cover's boxes select, in cover order."""
+    for box in cover:
+        yield arr.data[tuple(
+            slice(a - lo, b - lo + 1)
+            for a, b, lo in zip(box[::2], box[1::2], arr.lower)
+        )]

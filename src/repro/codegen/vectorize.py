@@ -1248,8 +1248,6 @@ def _emit_blocks(
     the ``own`` loops, then one ``G.boxes`` cover loop per merge group.
     Statements with no vector level run in place: the ``own`` loops around
     the scalar statements, each under its guard."""
-    from .spmd import sorted_locals
-
     vec, own = run[0].vec, run[0].own
     if not vec:
         for lp in own:
@@ -1280,12 +1278,12 @@ def _emit_blocks(
         indent += 1
         bp += "    "
         locals_ = locals_ | {lp.var}
-    names = sorted_locals(set(locals_) | set(level), kernel._loop_order)
-    tpl = "(" + ", ".join("None" if n in level else n for n in names) + ",)"
     bounds = ", ".join(f"_b{l}0, _b{l}1" for l, _lp in vec)
     coords = ", ".join(f"_x{l}a, _x{l}b" for l, _lp in vec)
     for group in _merge_groups(kernel, run, plan.carried_pairs):
         sid = group[0].stmt.sid
+        names = kernel.guard_vars(group[0].stmt)
+        tpl = "(" + ", ".join("None" if n in level else n for n in names) + ",)"
         lines.append(
             f"{bp}for {coords} in G.boxes({sid}, {tpl}, {bounds}):")
         for p in group:

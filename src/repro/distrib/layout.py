@@ -202,38 +202,46 @@ class Layout:
     def ownership(self, dim_names: Sequence[str] | None = None) -> ISet:
         """Array elements owned by the representative processor ``p$*``,
         built once per tuple of dim names (an ``ISet`` is immutable)."""
-        names = tuple(dim_names or self.dim_names)
-        memo = self.__dict__.setdefault("_owned", {})
-        owned = memo.get(names)
-        if owned is None:
-            owned = memo[names] = self._ownership(names)
-        return owned
+        return self._ownership(tuple(dim_names or self.dim_names), False)
 
-    def _ownership(self, names: tuple[str, ...]) -> ISet:
+    def primary_ownership(self) -> ISet:
+        """:meth:`ownership` with each replicated template dim held at the
+        template's first index instead of projected out: the one replica
+        :meth:`owner_coords_of` names, so every element has one sender."""
+        return self._ownership(self.dim_names, True)
+
+    def _ownership(self, names: tuple[str, ...], primary: bool) -> ISet:
+        memo = self.__dict__.setdefault("_owned", {})
+        if (names, primary) in memo:
+            return memo[names, primary]
         if len(names) != self.rank:
             raise ValueError("dim_names arity mismatch")
-        tnames = tuple(TDIM(k) for k in range(self.distribution.template.rank))
+        template = self.distribution.template
+        tnames = tuple(TDIM(k) for k in range(template.rank))
         owner = self.distribution.owner_set(tnames)
-        # project out replicated template dims, substitute aligned ones
+        # substitute aligned template dims; replicated ones are projected
+        # out, or held at their first index for the primary replica
         replicated = [tnames[k] for k, e in enumerate(self.align_exprs) if e is None]
-        if replicated:
+        if replicated and not primary:
             owner = owner.project_out(replicated)
         rename = dict(zip(self.dim_names, names))
         binding = {
-            tnames[k]: e.rename(rename)
+            tnames[k]: LinExpr.const(template.bounds[k][0]) if e is None
+            else e.rename(rename)
             for k, e in enumerate(self.align_exprs)
-            if e is not None
+            if e is not None or primary
         }
         parts = []
         for p in owner.parts:
             cons = [c.substitute(binding) for c in p.constraints]
             parts.append(BasicSet(names, cons, p.exists, p.exact))
-        return ISet(names, parts)
+        owned = memo[names, primary] = ISet(names, parts)
+        return owned
 
     def owner_coords_of(self, element: Sequence[int]) -> tuple[int, ...]:
-        """Grid coordinates of the owner of one array element (replicated
-        template dims contribute coordinate 0 of that axis by convention —
-        callers that care about replication use :meth:`ownership`)."""
+        """Grid coordinates of the owner of one array element (a replicated
+        template dim is held at its first index: the replica
+        :meth:`primary_ownership` names; all of them are :meth:`ownership`)."""
         binding = {self.dim_name(d): v for d, v in enumerate(element)}
         tpoint = []
         for k, e in enumerate(self.align_exprs):

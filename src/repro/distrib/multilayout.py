@@ -51,9 +51,10 @@ class MultiPartitionLayout:
     """Diagonal multipartitioning ownership for a rank-3 array.
 
     Duck-types the parts of :class:`~repro.distrib.layout.Layout` that the
-    analyses use: ``ownership()``, ``owner_coords_of()``, ``rank``,
-    ``dim_names``.  Requires extents divisible by q (the analysis form;
-    ragged extents fall back to the runtime :class:`MultiPartition3D`).
+    analyses use: ``ownership()``, ``primary_ownership()``,
+    ``owner_coords_of()``, ``rank``, ``dim_names``.  Requires extents
+    divisible by q (the analysis form; ragged extents fall back to the
+    runtime :class:`MultiPartition3D`).
     """
 
     def __init__(self, array: str, template: Template, grid: ProcessorGrid):
@@ -110,6 +111,10 @@ class MultiPartitionLayout:
             cons.append(Constraint.ge(E(k), -1))
             cons.append(Constraint.le(E(k), 1))
         return ISet(names, [BasicSet(names, cons, exists)])
+
+    def primary_ownership(self) -> ISet:
+        """Every element has one owner: :meth:`ownership` itself."""
+        return self.ownership()
 
     def owner_coords_of(self, element: Sequence[int]) -> tuple[int, int]:
         """Concrete owner (a, b) of one template point."""

@@ -105,9 +105,7 @@ def cost_rows(
             ck = _wildcard_spec_kernel(spec, nprocs)
             cost, cached = kernel_cost(ck), False
         else:
-            ck, cost, cached = cached_kernel_cost(
-                spec.source, nprocs, spec.params, model=model
-            )
+            ck, cost, cached = cached_kernel_cost(spec.source, nprocs, spec.params)
         validation = None
         if validate:
             vm = VirtualMachine(nprocs, record_trace=True)

@@ -16,16 +16,19 @@ Every consumer that treats a set as a box reads it through this module:
   ``ISet.box_parts``, coalescing's subsumption test and CP selection's
   cost model read sets as boxes this way.
 - **The canonical disjoint cover** of a finite point set, from its points
-  (:func:`cover_of_points`) or from a union of boxes
-  (:func:`cover_of_boxes`), and its :func:`volume`.  A concrete box is a
-  flat tuple ``(a0, b0, a1, b1, ...)`` of inclusive per-dim bounds, first
-  dim first — the layout node programs unpack from ``G.boxes``.
-  ``ISet.cardinality`` is the volume of a set's cover; the run-time guard
-  views (``codegen.guards``) hold covers.
+  (:func:`cover_of_points`), from a union of boxes (:func:`cover_of_boxes`)
+  or from a concrete set (:func:`cover_of_set`, whichever the set allows);
+  its :func:`volume`, points (:func:`cover_points`) and intersection
+  (:func:`intersect_covers`).  A concrete box is a flat tuple ``(a0, b0,
+  a1, b1, ...)`` of inclusive per-dim bounds, first dim first — the layout
+  node programs unpack from ``G.boxes``.  ``ISet.cardinality`` is the
+  volume of a set's cover; the run-time guard views (``codegen.guards``)
+  and the message routes (``CommEvent.flows``) hold covers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -212,6 +215,40 @@ def volume(cover) -> int:
     return sum(
         math.prod(b - a + 1 for a, b in zip(box[::2], box[1::2])) for box in cover
     )
+
+
+def cover_points(cover):
+    """The points of a cover, box by box, each box in row-major order."""
+    for box in cover:
+        yield from itertools.product(
+            *(range(a, b + 1) for a, b in zip(box[::2], box[1::2]))
+        )
+
+
+def cover_of_set(iset) -> tuple:
+    """The canonical cover of a concrete set: read off its disjuncts when
+    each is a box, from its enumerated points when one is not (cyclic,
+    multipartition or otherwise exists-quantified)."""
+    cover = iset.box_cover()
+    if cover is None:
+        cover = cover_of_points(list(iset.points()))
+    return cover
+
+
+def intersect_covers(a, b) -> tuple:
+    """The canonical cover of the points covers *a* and *b* share."""
+    boxes = []
+    for x in a:
+        for y in b:
+            box: tuple = ()
+            for lo, hi, lo2, hi2 in zip(x[::2], x[1::2], y[::2], y[1::2]):
+                lo, hi = max(lo, lo2), min(hi, hi2)
+                if hi < lo:
+                    break
+                box += (lo, hi)
+            else:
+                boxes.append(box)
+    return cover_of_boxes(boxes)
 
 
 def cover_of_points(coords) -> tuple:

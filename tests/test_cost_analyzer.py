@@ -2,11 +2,15 @@
 
 The analyzer's headline contract: for every affine kernel the statically
 derived per-rank message/byte counts equal a fault-free VM trace's
-counters **exactly** — the counts come from iset intersections, the
-trace from the executed routing tables, so agreement cross-checks the
-whole pipeline.  Plus: advisory codes, the predicted scaling curve,
-closed forms in P, and plan-cache replay of cost artifacts.
+counters **exactly** — the counts are the volumes of ``CommEvent.flows``,
+the trace counts what ``exec_comm`` actually sent.  ``flows`` itself is
+pinned against the per-element algorithm (every needed element, its
+owner by ``owner_coords_of``) written out here as the oracle.  Plus:
+advisory codes, the predicted scaling curve, closed forms in P, and
+plan-cache replay of cost artifacts.
 """
+
+import inspect
 
 import pytest
 
@@ -32,6 +36,11 @@ from repro.check import (
     W_SCALAR_WAVEFRONT,
 )
 from repro.codegen import compile_kernel
+from repro.compile.pipeline import analyze_source
+from repro.distrib.layout import proc_binding
+from repro.eval.fuzz import _mpi_mismatch, _serial_reference, gen_spec
+from repro.isets.box import cover_of_points, cover_points
+from repro.nas.specs import all_specs
 from repro.runtime.model import MachineModel, TEST_MACHINE
 from repro.runtime.sim import VirtualMachine
 
@@ -45,6 +54,37 @@ HALO_1D = """
 !hpf$ distribute b(block) onto p
       do i = 2, n
          b(i) = a(i-1)
+      enddo
+      end
+"""
+
+#: ``c`` is replicated along the second grid axis: each element has two
+#: owners, and one of them (the replica ``owner_coords_of`` names) sends
+REPLICATED_AXIS = """
+      program repl
+      parameter (n = 8)
+      real b(n), c(n)
+!hpf$ processors p(2, 2)
+!hpf$ template t(n, n)
+!hpf$ distribute t(block, block) onto p
+!hpf$ align b(i) with t(i, *)
+!hpf$ align c(i) with t(i, *)
+      do i = 2, n
+         b(i) = c(i - 1)
+      enddo
+      end
+"""
+
+#: owner sets that are not unions of boxes: flows split points by owner
+CYCLIC_HALO = """
+      program cyc
+      parameter (n = 16)
+      real a(n), b(n)
+!hpf$ processors p(4)
+!hpf$ distribute a(cyclic) onto p
+!hpf$ distribute b(cyclic) onto p
+      do i = 2, n
+         b(i) = a(i - 1) + a(i)
       enddo
       end
 """
@@ -90,6 +130,19 @@ class TestExactTraceMatch:
             assert row.validation.ok, (row.name, row.validation.mismatches)
         # the matrix must not be vacuous: the halo kernels communicate
         assert any(r.validation.measured_messages > 0 for r in validated)
+
+    def test_replicated_axis_counts_one_sender_per_element(self):
+        """Ranks (1, 0) and (1, 1) each need c(4), which ranks (0, 0) and
+        (0, 1) both own: only the primary replica (0, 0) sends, so the
+        prediction is 2 messages of one word, as the trace measures."""
+        ck = compile_kernel(REPLICATED_AXIS, 4)
+        cost = kernel_cost(ck)
+        assert (cost.messages, cost.bytes) == (2, 16)
+        trace = _traced_run(ck)
+        v = validate_against_trace(cost, trace)
+        assert v.ok, v.mismatches
+        ref = _serial_reference(REPLICATED_AXIS)
+        assert _mpi_mismatch(ck, ck.run({}), ref, "replicated") is None
 
     def test_degraded_kernel_broadcasts_are_counted_exactly(self):
         from repro.check.targets import DEGRADED_EXAMPLE
@@ -289,13 +342,14 @@ class TestCostCache:
         assert [r.sent_messages for r in cost1.ranks] == [
             r.sent_messages for r in cost2.ranks]
 
-    def test_model_identity_keys_the_cost_digest(self):
+    def test_kernel_digest_alone_keys_the_cost_digest(self):
+        """The cached record is ``kernel_cost(kernel)``, which reads no
+        machine model: one kernel, one entry."""
         from repro.check.cost import _cost_digest
 
-        d1 = _cost_digest("abc", None)
-        d2 = _cost_digest("abc", TEST_MACHINE)
-        d3 = _cost_digest("abd", None)
-        assert len({d1, d2, d3}) == 3
+        assert _cost_digest("abc") == _cost_digest("abc")
+        assert _cost_digest("abc") != _cost_digest("abd")
+        assert "model" not in inspect.signature(cached_kernel_cost).parameters
 
 
 class TestTraceCounters:
@@ -309,3 +363,71 @@ class TestTraceCounters:
         series = trace.to_series()
         assert [c["rank"] for c in series["comm"]] == [0, 1, 2, 3]
         assert series["comm"][1]["recv_messages"] == stats[1].recv_messages
+
+
+# -- flows against the per-element oracle ---------------------------------------
+
+def _oracle_flows(ev, ctx, params, grid):
+    """Who sends what, element by element: every element a rank needs,
+    sent by the owner ``owner_coords_of`` names (write-backs reversed)."""
+    layout = ctx.layout(ev.array)
+    pairs = {}
+    for r in range(grid.size):
+        need = ev.data.bind({**params, **proc_binding(grid.delinearize(r))})
+        for elem in need.points():
+            owner = grid.linearize(layout.owner_coords_of(elem))
+            if owner != r:
+                pair = (owner, r) if ev.kind == "read" else (r, owner)
+                pairs.setdefault(pair, set()).add(elem)
+    return pairs
+
+
+def _assert_flows_match_oracle(ctx, params, nest_plans):
+    """Every hoisted event's ``flows`` holds, per pair, the canonical cover
+    of exactly the oracle's elements; returns the number of pairs."""
+    grid = ctx.the_grid()
+    npairs = 0
+    for _root, plan in nest_plans:
+        for ev in plan.live_events():
+            if not ev.placement.hoisted:
+                continue
+            flows = ev.flows(ctx, params, grid)
+            expect = _oracle_flows(ev, ctx, params, grid)
+            assert flows.keys() == expect.keys(), ev
+            for pair, cover in flows.items():
+                assert set(cover_points(cover)) == expect[pair], (ev, pair)
+                assert cover == cover_of_points(sorted(expect[pair]))
+            npairs += len(flows)
+    return npairs
+
+
+class TestFlowsOracle:
+    @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.key)
+    def test_every_spec_row(self, spec):
+        art = analyze_source(spec.program(), spec.nprocs, spec.params)
+        _assert_flows_match_oracle(art.ctx, art.merged, art.nest_plans)
+
+    @pytest.mark.parametrize("source", [REPLICATED_AXIS, CYCLIC_HALO],
+                             ids=["replicated-axis", "cyclic"])
+    def test_routes_are_the_flows(self, source):
+        """The kernel's message routes hold the flows' covers, and the
+        static cost equals the trace."""
+        ck = compile_kernel(source, 4)
+        assert _assert_flows_match_oracle(ck.ctx, ck.params, ck.nest_plans)
+        grid = ck.grid
+        hoisted = [
+            ev for _root, plan in ck.nest_plans for ev in plan.live_events()
+            if ev.placement.hoisted
+        ]
+        assert [r.pairs for routes in ck._routes for r in routes] == [
+            ev.flows(ck.ctx, ck.params, grid) for ev in hoisted]
+        v = validate_against_trace(kernel_cost(ck), _traced_run(ck))
+        assert v.ok, v.mismatches
+
+    def test_fuzz_seeds(self):
+        npairs = 0
+        for seed in range(60):
+            spec = gen_spec(seed)
+            ck = compile_kernel(spec.render(), spec.nprocs, strict=False)
+            npairs += _assert_flows_match_oracle(ck.ctx, ck.params, ck.nest_plans)
+        assert npairs > 0

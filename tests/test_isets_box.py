@@ -35,6 +35,9 @@ from repro.isets.box import (
     concrete_extents,
     cover_of_boxes,
     cover_of_points,
+    cover_of_set,
+    cover_points,
+    intersect_covers,
     read_bounds,
     volume,
 )
@@ -218,7 +221,10 @@ def test_count_outside_matches_brute_force():
 
 
 def test_cover_of_boxes_is_the_cover_of_the_points():
+    """... and the cover of two covers' common points, a cover's points
+    and a set's cover read through ``cover_of_set`` agree with it."""
     rng = random.Random(11)
+    previous = (1, ())
     for _ in range(600):
         ndim = rng.randint(1, 3)
         dims = DIMS[:ndim] if ndim < 3 else ("i", "j", "k")
@@ -232,8 +238,28 @@ def test_cover_of_boxes_is_the_cover_of_the_points():
         cover = cover_of_boxes(flat)
         assert cover == cover_of_points(points)
         assert volume(cover) == len(points)
+        assert sorted(cover_points(cover)) == points
         s = ISet(dims, [_box_set(dims, p) for p in parts])
         assert s.box_cover() == cover
+        assert cover_of_set(s) == cover
+        if previous[0] == ndim:
+            other = previous[1]
+            common = sorted(set(points) & set(cover_points(other)))
+            assert intersect_covers(cover, other) == cover_of_points(common)
+            assert intersect_covers(other, cover) == cover_of_points(common)
+        previous = (ndim, cover)
+
+
+def test_cover_of_set_enumerates_a_set_that_is_not_boxes():
+    """An exists-quantified set (the stride-2 points of a range) is no
+    union of boxes: its cover comes from its points."""
+    i = E("i")
+    evens = ISet(("i",), [BasicSet(("i",), [
+        Constraint(i - 1, False), Constraint(9 - i, False),
+        Constraint(i - E("e") * 2, True),
+    ], exists=("e",))])
+    assert evens.box_cover() is None
+    assert cover_of_set(evens) == ((2, 2), (4, 4), (6, 6), (8, 8))
 
 
 def test_cardinality_of_many_boxes_counts_without_enumerating():
