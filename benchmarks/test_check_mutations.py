@@ -8,8 +8,16 @@ compiled end to end; Figure 5.1 at analysis level).
 
 import pytest
 
-from repro.check import Severity
-from repro.check.mutate import MUTATIONS, clean_reports, run_mutation
+from repro.check import Severity, verify_kernel, verify_unit
+from repro.check.mutate import MUTATIONS, _fig42_kernel, _y_solve_unit, run_mutation
+
+
+def clean_reports():
+    """The unmutated subjects — all must verify with zero errors."""
+    return {
+        "fig4.2": verify_kernel(_fig42_kernel()),
+        "fig5.1": verify_unit(_y_solve_unit()),
+    }
 
 
 @pytest.fixture(scope="module")

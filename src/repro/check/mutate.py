@@ -201,11 +201,3 @@ def run_mutation(name: str) -> MutationResult:
     """Seed the named compiler bug, verify, and restore the subject."""
     description, code, fn = MUTATIONS[name]
     return MutationResult(name, description, code, fn())
-
-
-def clean_reports() -> dict[str, CheckReport]:
-    """The unmutated subjects — all must verify with zero errors."""
-    return {
-        "fig4.2": verify_kernel(_fig42_kernel()),
-        "fig5.1": verify_unit(_y_solve_unit()),
-    }

@@ -76,7 +76,7 @@ def canonicalize_source(source: str) -> str:
     malformed inputs still key deterministically without two different
     bad sources ever sharing a key.
     """
-    from ..frontend.lexer import Lexer, TokenKind
+    from ..frontend.lexer import Lexer
 
     try:
         lines = Lexer(source).logical_lines()
@@ -85,18 +85,11 @@ def canonicalize_source(source: str) -> str:
         return "\n".join(["<raw>"] + [ln for ln in normalized if ln])
     out: list[str] = []
     for line in lines:
-        parts: list[str] = []
-        for tok in line.tokens:
-            if tok.kind is TokenKind.EOL:
-                continue
-            if tok.kind in (TokenKind.INT, TokenKind.REAL):
-                parts.append(repr(tok.value))
-            elif tok.kind is TokenKind.STRING:
-                parts.append(repr(tok.value))
-            else:
-                parts.append(tok.text)
-        prefix = "!hpf$ " if line.is_directive else ""
-        out.append(prefix + " ".join(parts))
+        # names and operators carry no value and render as lexed; numbers
+        # and strings render by value; the last token is the line's EOL
+        body = " ".join([t.text if t.value is None else repr(t.value)
+                         for t in line.tokens[:-1]])
+        out.append("!hpf$ " + body if line.is_directive else body)
     return "\n".join(out)
 
 

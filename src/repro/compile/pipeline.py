@@ -395,7 +395,7 @@ def build_kernel(
             record.parse_payload = _dumps(ParseArtifact(sub=sub))
     # resume the sid allocator after the highest sid in play, so
     # statements created by later transforms (loop distribution,
-    # inlining, interchange) number identically warm and cold
+    # inlining) number identically warm and cold
     _seed_sids(sub)
 
     def build(sub, selection):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
 from ..diag import E_LEX, CompileError, DiagnosticSink, SourceSpan
 
@@ -40,8 +40,7 @@ class TokenKind(Enum):
     EOL = "eol"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object = None
@@ -69,30 +68,39 @@ class LogicalLine:
 _DIRECTIVE_RE = re.compile(r"^\s*(chpf\$|!hpf\$|c\$hpf\$?|\*hpf\$|!dhpf\$|chpf)\s*", re.IGNORECASE)
 _COMMENT_LINE_RE = re.compile(r"^[cC*](\s|$)")
 
-# multi-char operators first
-_OPERATORS = [
-    "::", "**", "==", "/=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/",
-    "(", ")", ",", ":", "%",
-]
 _DOT_OPS = {
     ".lt.": "<", ".le.": "<=", ".gt.": ">", ".ge.": ">=",
     ".eq.": "==", ".ne.": "/=", ".and.": ".and.", ".or.": ".or.",
     ".not.": ".not.", ".true.": ".true.", ".false.": ".false.",
 }
 
-_NUM_RE = re.compile(
-    r"""
-    (?P<real>
-        (?:\d+\.\d*|\.\d+|\d+)      # mantissa (incl. bare int before d/e exp)
-        (?:[deDE][+-]?\d+)          # exponent required for bare-int reals
-      | (?:\d+\.\d*|\.\d+)          # or a decimal point with no exponent
-        (?:[deDE][+-]?\d+)?
-    )
-    | (?P<int>\d+)
-    """,
-    re.VERBOSE,
+# One pass per logical line: blanks, then the first alternative that
+# matches, in priority order.  Dot operators precede numbers (".5" vs
+# ".eq."); multi-char operators precede their one-char prefixes.  Dot
+# operators are case-blind in ASCII only, while digits are any Unicode
+# decimal digit (``int``/``float`` read them).  A mantissa does not take a
+# "." that starts a dot operator, so ``1.eq.n`` is ``1 == n``.  ``bad``
+# catches every other character, so each match starts where the previous
+# one ended.
+_DOT_WORD = r"(?ai:lt|le|gt|ge|eq|ne|and|or|not|true|false)"
+_MANTISSA = rf"\d+\.(?!{_DOT_WORD}\.)\d*|\.\d+"
+_TOKEN_RE = re.compile(
+    rf"""[ \t]*(?:
+        (?P<string>'[^']*')
+      | (?P<unterminated>')
+      | (?P<dotop>\.{_DOT_WORD}\.)
+      | (?P<real>
+            (?:{_MANTISSA}|\d+)(?:[deDE][+-]?\d+)  # exponent required for bare ints
+          | (?:{_MANTISSA})(?:[deDE][+-]?\d+)?    # or a decimal point
+        )
+      | (?P<int>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>::|\*\*|==|/=|<=|>=|[=<>+\-*/(),:%])
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Lexer:
@@ -151,7 +159,7 @@ class Lexer:
             if text.endswith("&"):
                 text = text[:-1]
             try:
-                toks = list(self._tokenize_line(text, lineno))
+                toks = _tokenize(text, lineno)
             except LexError as exc:
                 if self.sink is None:
                     raise
@@ -166,70 +174,55 @@ class Lexer:
                 out.append(LogicalLine(toks, lineno, isdir, text))
         return out
 
-    def _tokenize_line(self, text: str, lineno: int) -> Iterator[Token]:
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch in " \t":
-                i += 1
-                continue
-            # strings
-            if ch == "'":
-                j = text.find("'", i + 1)
-                if j < 0:
-                    raise LexError(
-                        "unterminated string",
-                        span=SourceSpan(lineno, i, n - 1, text),
-                    )
-                yield Token(TokenKind.STRING, text[i : j + 1], text[i + 1 : j], lineno, i)
-                i = j + 1
-                continue
-            # dot operators (.lt. etc) — must precede number lexing of ".5"
-            if ch == ".":
-                low = text[i:].lower()
-                matched = False
-                for dop, repl in _DOT_OPS.items():
-                    if low.startswith(dop):
-                        yield Token(TokenKind.OP, repl, None, lineno, i)
-                        i += len(dop)
-                        matched = True
-                        break
-                if matched:
-                    continue
-            # numbers
-            m = _NUM_RE.match(text, i)
-            if m and (ch.isdigit() or ch == "."):
-                s = m.group(0)
-                if m.group("int") is not None and m.group("real") is None:
-                    yield Token(TokenKind.INT, s, int(s), lineno, i)
-                else:
-                    norm = s.lower().replace("d", "e")
-                    yield Token(TokenKind.REAL, s, float(norm), lineno, i)
-                i = m.end()
-                continue
-            # names
-            m = _NAME_RE.match(text, i)
-            if m:
-                yield Token(TokenKind.NAME, m.group(0).lower(), None, lineno, i)
-                i = m.end()
-                continue
-            # operators
-            for op in _OPERATORS:
-                if text.startswith(op, i):
-                    yield Token(TokenKind.OP, op, None, lineno, i)
-                    i += len(op)
-                    break
-            else:
-                raise LexError(
-                    f"unexpected character {ch!r}",
-                    span=SourceSpan(lineno, i, line_text=text),
-                )
-        yield Token(TokenKind.EOL, "", None, lineno, n)
+
+_NAME, _OP, _INT, _REAL, _STRING, _EOL = (
+    TokenKind.NAME, TokenKind.OP, TokenKind.INT, TokenKind.REAL,
+    TokenKind.STRING, TokenKind.EOL,
+)
+# builds a Token without NamedTuple's Python-level ``__new__``: a third of
+# the per-token cost
+_new = tuple.__new__
+
+
+def _tokenize(text: str, lineno: int) -> list[Token]:
+    toks: list[Token] = []
+    append = toks.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        s = m.group(kind)
+        col = m.start(kind)
+        if kind == "name":
+            append(_new(Token, (_NAME, s.lower(), None, lineno, col)))
+        elif kind == "op":
+            append(_new(Token, (_OP, s, None, lineno, col)))
+        elif kind == "int":
+            append(_new(Token, (_INT, s, int(s), lineno, col)))
+        elif kind == "real":
+            append(_new(Token, (_REAL, s, float(s.lower().replace("d", "e")), lineno, col)))
+        elif kind == "dotop":
+            append(_new(Token, (_OP, _DOT_OPS[s.lower()], None, lineno, col)))
+        elif kind == "string":
+            append(_new(Token, (_STRING, s, s[1:-1], lineno, col)))
+        elif kind == "end":
+            break
+        elif kind == "unterminated":
+            raise LexError(
+                "unterminated string",
+                span=SourceSpan(lineno, col, len(text) - 1, text),
+            )
+        else:
+            raise LexError(
+                f"unexpected character {s!r}",
+                span=SourceSpan(lineno, col, line_text=text),
+            )
+    append(_new(Token, (_EOL, "", None, lineno, len(text))))
+    return toks
 
 
 def _strip_inline_comment(line: str) -> str:
     """Remove a trailing ! comment, respecting single-quoted strings."""
+    if "!" not in line:
+        return line
     out = []
     in_str = False
     for ch in line:

@@ -37,7 +37,7 @@ def reset_sids(start: int = 1) -> None:
     The staged pipeline calls this with 1 before a fresh parse, and with
     ``max(sid) + 1`` of a warm artifact's statements before resuming a
     compilation mid-pipeline — so statements created by later transforms
-    (loop distribution, inlining, interchange) get the same sids warm as
+    (loop distribution, inlining) get the same sids warm as
     they would cold."""
     _sids.next = start
 

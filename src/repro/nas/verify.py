@@ -50,16 +50,6 @@ def verify(bench: str, residuals, checksum: float) -> bool:
     return ok and abs(checksum - ref_ck) <= EPSILON * ref_ck
 
 
-def run_and_verify(bench: str) -> bool:
-    """Run the reference problem serially and verify it."""
-    from .bt import BTSolver
-    from .sp import SPSolver
-
-    solver = (SPSolver if bench == "sp" else BTSolver)(VERIFY_GRID)
-    solver.run(VERIFY_STEPS)
-    return verify(bench, solver.residual_norms(), solver.checksum())
-
-
 def serial_reference(
     bench: str, shape=VERIFY_GRID, niter: int = VERIFY_STEPS
 ) -> tuple[np.ndarray, bool]:

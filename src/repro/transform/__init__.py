@@ -1,26 +1,16 @@
 """Source-level transformations from the paper's §8.1 preparation steps.
 
-The Rice HPF versions of SP/BT needed two small mechanical restructurings
-that dHPF could not yet do automatically:
-
-- *inlining* calls to ``exact_solution`` inside privatizable loops
-  ("where our interprocedural computation partitioning analysis was
-  (currently) incapable of identifying that a computation producing a
-  result in a privatizable array should be treated completely parallel")
-  — :func:`inline_call` / :func:`inline_calls`;
-- *loop interchange* "to increase the granularity of computation inside
-  loops with carried data dependences" (two nests in y_solve, four in
-  z_solve) — :func:`interchange`, with a dependence-based legality check.
+The Rice HPF versions of SP/BT needed *inlining* of calls to
+``exact_solution`` inside privatizable loops ("where our interprocedural
+computation partitioning analysis was (currently) incapable of identifying
+that a computation producing a result in a privatizable array should be
+treated completely parallel") — :func:`inline_call` / :func:`inline_calls`.
 """
 
 from .inline import InlineError, inline_call, inline_calls
-from .interchange import InterchangeError, can_interchange, interchange
 
 __all__ = [
     "InlineError",
     "inline_call",
     "inline_calls",
-    "InterchangeError",
-    "can_interchange",
-    "interchange",
 ]

@@ -69,6 +69,89 @@ class TestLexer:
             self.lex("      print *, 'oops")
 
 
+class TestDigitBeforeDotOperator:
+    """A mantissa's trailing ``.`` is not taken when a dot operator starts
+    there: ``1.eq.n`` is ``1 == n``, not the REAL ``1.`` and a stray
+    ``eq.``."""
+
+    def tokens(self, text):
+        (line,) = Lexer(text).logical_lines()
+        return [(t.kind, t.text, t.value) for t in line.tokens[:-1]]
+
+    def test_digit_between_two_dot_operators(self):
+        assert self.tokens("if (n.eq.1.and.m.eq.2) x = 1") == [
+            (TokenKind.NAME, "if", None), (TokenKind.OP, "(", None),
+            (TokenKind.NAME, "n", None), (TokenKind.OP, "==", None),
+            (TokenKind.INT, "1", 1), (TokenKind.OP, ".and.", None),
+            (TokenKind.NAME, "m", None), (TokenKind.OP, "==", None),
+            (TokenKind.INT, "2", 2), (TokenKind.OP, ")", None),
+            (TokenKind.NAME, "x", None), (TokenKind.OP, "=", None),
+            (TokenKind.INT, "1", 1),
+        ]
+
+    def test_digit_first_operand(self):
+        assert self.tokens("if (1.eq.n)")[2:5] == [
+            (TokenKind.INT, "1", 1), (TokenKind.OP, "==", None),
+            (TokenKind.NAME, "n", None),
+        ]
+
+    def test_digit_before_relational_in_assignment(self):
+        assert self.tokens("x = 2.lt.y")[2:] == [
+            (TokenKind.INT, "2", 2), (TokenKind.OP, "<", None),
+            (TokenKind.NAME, "y", None),
+        ]
+
+    def test_dot_operator_case_is_ignored(self):
+        assert self.tokens("x = 3.OR.y")[2:4] == [
+            (TokenKind.INT, "3", 3), (TokenKind.OP, ".or.", None),
+        ]
+
+    @pytest.mark.parametrize("text,value", [
+        ("1.e5", 1e5), ("1.d0", 1.0), ("1.", 1.0), ("1.E5", 1e5),
+    ])
+    def test_reals_with_a_trailing_point_are_unchanged(self, text, value):
+        assert self.tokens(f"x = {text}")[2:] == [(TokenKind.REAL, text, value)]
+
+    def test_real_after_a_dot_operator_is_unchanged(self):
+        assert self.tokens("x.gt.1.0") == [
+            (TokenKind.NAME, "x", None), (TokenKind.OP, ">", None),
+            (TokenKind.REAL, "1.0", 1.0),
+        ]
+
+    DOTIF = """
+      program dotif
+      parameter (nx = 12, n = 1, m = 2)
+      real a(nx), b(nx)
+!hpf$ processors p(2)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, nx
+         b(i) = i * 0.5
+      enddo
+      do i = 1, nx
+         if (n.eq.1.and.m.eq.2) then
+            a(i) = b(i) * 2.0
+         else
+            a(i) = b(i) + 1.0
+         endif
+      enddo
+      do i = 1, nx
+         if (2.lt.i.and.i.le.nx-1) a(i) = a(i) + b(i)
+      enddo
+      end
+"""
+
+    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    def test_program_compiles_strict_and_matches_the_interpreter(self, backend):
+        from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
+
+        ref = _serial_reference(self.DOTIF)
+        assert ref["a"][0] == 1.0 and ref["a"][5] == 9.0  # the THEN branch ran
+        kernel = compile_kernel(self.DOTIF, 2, strict=True, backend=backend)
+        assert _shmem_mismatch(kernel, kernel.run_shmem({}), ref, "shmem") is None
+        assert _mpi_mismatch(kernel, kernel.run({}), ref, "mpi") is None
+
+
 class TestParser:
     def test_subroutine_shell(self):
         sub = parse_subroutine("      subroutine s(a, b)\n      integer a, b\n      end\n")

@@ -1,18 +1,12 @@
-"""Inlining and loop-interchange transformation tests (§8.1 prep steps)."""
+"""Inlining transformation tests (§8.1 prep steps)."""
 
 import numpy as np
 import pytest
 
-from repro.frontend import parse_source, parse_subroutine
-from repro.ir import Assign, CallStmt, DoLoop, walk_stmts
-from repro.ir.interp import FortranArray, Interpreter
-from repro.transform import (
-    InlineError,
-    InterchangeError,
-    can_interchange,
-    inline_calls,
-    interchange,
-)
+from repro.frontend import parse_source
+from repro.ir import CallStmt, DoLoop, walk_stmts
+from repro.ir.interp import Interpreter
+from repro.transform import InlineError, inline_calls
 
 INLINE_SRC = """
       subroutine exact_solution(xi, eta, dtemp)
@@ -118,79 +112,3 @@ class TestInlining:
         with pytest.raises(InlineError, match="needs a variable"):
             inline_calls(prog, "top", "setx")
 
-
-class TestInterchange:
-    def _nest(self, body_line, bounds=("1, n", "1, n")):
-        return parse_subroutine(
-            f"""
-      subroutine s(n)
-      integer n, i, j
-      double precision a(0:40, 0:40)
-      do i = {bounds[0]}
-         do j = {bounds[1]}
-            {body_line}
-         enddo
-      enddo
-      end
-"""
-        ).body[0]
-
-    def test_legal_interchange(self):
-        loop = self._nest("a(i, j) = a(i, j) + 1.0d0")
-        assert can_interchange(loop, {"n": 8})
-        new = interchange(loop, {"n": 8})
-        assert new.var == "j"
-        assert new.body[0].var == "i"
-
-    def test_illegal_interchange_detected(self):
-        # dependence with direction (<, >): a(i,j) depends on a(i-1,j+1)
-        loop = self._nest("a(i, j) = a(i - 1, j + 1) + 1.0d0", ("1, n", "1, n"))
-        assert not can_interchange(loop, {"n": 8})
-        with pytest.raises(InterchangeError):
-            interchange(loop, {"n": 8})
-
-    def test_interchange_preserves_semantics(self):
-        src = """
-      subroutine s(n)
-      integer n, i, j
-      double precision a(0:40, 0:40)
-      do i = 1, n
-         do j = 1, n
-            a(i, j) = a(i - 1, j) + i + j * 2
-         enddo
-      enddo
-      end
-"""
-        p1 = parse_subroutine(src)
-        prog1 = parse_source(src)
-        f1 = Interpreter(prog1).run("s", scalars={"n": 10})
-
-        prog2 = parse_source(src)
-        sub2 = prog2.get("s")
-        assert can_interchange(sub2.body[0], {"n": 10})
-        sub2.body[0] = interchange(sub2.body[0], {"n": 10})
-        f2 = Interpreter(prog2).run("s", scalars={"n": 10})
-        assert np.array_equal(f1.lookup("a").data, f2.lookup("a").data)
-
-    def test_imperfect_nest_rejected(self):
-        sub = parse_subroutine(
-            """
-      subroutine s(n)
-      integer n, i, j
-      double precision a(0:40, 0:40), x
-      do i = 1, n
-         x = i * 1.0d0
-         do j = 1, n
-            a(i, j) = x
-         enddo
-      enddo
-      end
-"""
-        )
-        with pytest.raises(InterchangeError, match="perfectly nested"):
-            interchange(sub.body[0], {"n": 8})
-
-    def test_triangular_nest_rejected(self):
-        loop = self._nest("a(i, j) = 1.0d0", ("1, n", "i, n"))
-        with pytest.raises(InterchangeError):
-            interchange(loop, {"n": 8}, check=False)
