@@ -5,7 +5,6 @@ cost visible (the integer-set framework is the hot spot, as it was for the
 real dHPF).
 """
 
-import pytest
 
 from repro.analysis.dependence import DependenceAnalyzer
 from repro.codegen import compile_kernel

@@ -13,12 +13,11 @@ These are the dHPF analyses that feed computation partitioning:
   no communication (decided on the communication analyzer's events).
 """
 
-from .dependence import Dependence, DependenceAnalyzer, analyze_loop_dependences
+from .dependence import Dependence, DependenceAnalyzer
 from .privatize import check_privatizable
 
 __all__ = [
     "Dependence",
     "DependenceAnalyzer",
-    "analyze_loop_dependences",
     "check_privatizable",
 ]

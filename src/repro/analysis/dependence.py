@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ..ir.expr import ArrayRef, Expr, Var, to_affine
+from ..ir.expr import ArrayRef, Var, to_affine
 from ..ir.stmt import Assign, DoLoop, Stmt
 from ..ir.visit import (
     build_parent_map,
@@ -304,13 +304,3 @@ def _sv(k: int) -> str:
 
 def _dv(k: int) -> str:
     return f"d${k}"
-
-
-def analyze_loop_dependences(
-    loop: DoLoop,
-    params: Mapping[str, int] | None = None,
-    ignore_vars: Iterable[str] = (),
-    scalars: bool = True,
-) -> list[Dependence]:
-    """All dependences among statements of one loop nest."""
-    return DependenceAnalyzer(loop, params, ignore_vars).dependences(scalars=scalars)

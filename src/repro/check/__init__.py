@@ -1,19 +1,24 @@
 """Static SPMD verification (see DESIGN.md, "Static SPMD verification").
 
 Four analyses over a compiled program's communication plans, CP
-assignments and emitted schedule, reported as :mod:`repro.diag` records:
+assignments and emitted schedule, reported as :mod:`repro.diag` records.
+Coverage, races and overlap are differences of canonical box covers
+checked at every rank (and rank pair) of the grid, messages read from
+each live event's ``CommEvent.flows`` — the covers the routes and the
+cost model are built from:
 
-1. **comm coverage** — every non-local read is received, owned, or
-   locally produced (``E-COVERAGE`` / ``E-LOCAL``);
-2. **race/ordering** — cross-processor flow dependences are carried by a
-   live communication event (``E-RACE``);
+1. **comm coverage** — every read at rank r is owned, received in a flow
+   into r, or locally produced (``E-COVERAGE`` / ``E-LOCAL``);
+2. **race/ordering** — cross-processor flow dependences are replicated
+   or routed through the owner's copy (``E-RACE``);
 3. **send/recv matching** — the static schedule balances per
    ``(src, dst, tag)`` (``E-MATCH``);
-4. **overlap bounds** — received halos fit the overlap region
+4. **overlap bounds** — what flows into a rank fits its overlap region
    (``E-OVERLAP``).
 
-The mutation harness (:mod:`repro.check.mutate`) proves the checker's
-teeth: seeded compiler bugs must each be caught by the intended analysis.
+A set that cannot be evaluated per rank is ``W-UNPROVEN``.  The mutation
+harness (:mod:`repro.check.mutate`) proves the checker's teeth: seeded
+compiler bugs must each be caught by the intended analysis.
 """
 
 from ..diag import (

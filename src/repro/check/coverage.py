@@ -1,23 +1,27 @@
 """Communication-coverage and overlap-area checks (analyses 1 and 4).
 
-For every read of a distributed array the verifier forms, per
-representative processor,
+Both are differences of canonical box covers (:mod:`repro.isets.box`)
+checked at every rank ``r`` of the grid.  For every read of a distributed
+array,
 
-    uncovered = read_footprint(stmt, ref)
-                − owned(array)
-                − received_before(array)          (live read events)
-                − produced_before(array)          (earlier local writes)
+    need(r) ⊆ owned(r) ∪ ⋃_q flows(q → r) ∪ produced_before(r)
 
-and requires it to be empty: every non-local value a statement consumes
-must arrive through a live communication event, be computed locally under
-partial replication, or already be owned.  NEW/LOCALIZE'd arrays are
-excluded from communication by construction (§4.1/§4.2), so their reads
-must be covered by earlier local writes alone (``E-LOCAL`` otherwise).
+where ``flows`` are the live read events' :meth:`~repro.comm.events.
+CommEvent.flows` — the covers the message routes and the cost model are
+built from — and ``produced_before`` the footprints of earlier local
+writes.  Every non-local value a statement consumes must arrive in a
+message, be computed locally under partial replication, or already be
+owned (``E-COVERAGE``).  NEW/LOCALIZE'd arrays are excluded from
+communication by construction (§4.1/§4.2), so only ``produced_before(r)``
+counts for their reads (``E-LOCAL``).
 
-The fourth analysis bounds every live event's received data by the
-array's overlap region (its declared bounds by default — the compiler's
-"overlap everything" storage simplification; a caller may pass tighter
-regions per array to model real overlap areas).
+The fourth analysis bounds what each rank receives by the array's overlap
+region (its declared bounds by default — the compiler's "overlap
+everything" storage simplification; a caller may pass tighter regions per
+array to model real overlap areas): ``⋃_q flows(q → r) ⊆ region(r)``.
+
+A set that cannot be evaluated at a rank (non-affine, or it does not bind
+to a finite set) is a ``W-UNPROVEN`` warning.
 """
 
 from __future__ import annotations
@@ -34,102 +38,151 @@ from ..diag import (
     Diagnostic,
     Severity,
 )
+from ..distrib.layout import proc_binding
 from ..ir.expr import ArrayRef
-from ..ir.stmt import DoLoop
 from ..ir.visit import collect_array_refs
-from ..isets import ISet
-from .concrete import ConcreteEvaluator, union_points
+from ..isets import ISet, box, empty
+from ..isets.box import cover_of_set, cover_points, subtract_covers, volume
 
 
-def _fmt_points(pts: frozenset, limit: int = 4) -> str:
-    shown = sorted(pts)[:limit]
-    extra = len(pts) - len(shown)
+class RankCovers:
+    """One unit's sets read as per-rank covers on its grid, each computed
+    once per verify and keyed by content.  A per-rank list holds rank
+    ``r``'s cover at index ``r``; it is None when the set cannot be
+    evaluated (non-affine, or it does not bind to a finite set)."""
+
+    def __init__(self, unit):
+        self.unit = unit
+        self.ranks = range(unit.grid.size)
+        self.binds = [
+            {**unit.params, **proc_binding(unit.grid.delinearize(r))}
+            for r in self.ranks
+        ]
+        self.nests = [NestInfo(root, unit.params) for root, _ in unit.nest_plans]
+        self._memo: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def bound(self, iset: ISet) -> Optional[list]:
+        """*iset* bound at each rank, read as a cover."""
+        try:
+            return [cover_of_set(iset.bind(b)) for b in self.binds]
+        except (KeyError, ValueError):
+            return None
+
+    def access_set(self, nest_idx: int, stmt, ref: ArrayRef) -> Optional[ISet]:
+        """The data *ref* touches when *stmt* runs under its CP, symbolic
+        in the processor coordinates; None when non-affine or no CP."""
+        def build():
+            scp = self.unit.cps.get(stmt.sid)
+            if scp is None:
+                return None
+            return statement_access_set(
+                ref, stmt, scp.cp, self.nests[nest_idx], self.unit.ctx,
+                self.unit.params,
+            )
+        return self._once(("set", stmt.sid, ref), build)
+
+    def access(self, nest_idx: int, stmt, ref: ArrayRef) -> Optional[list]:
+        """:meth:`access_set` bound at each rank."""
+        def build():
+            s = self.access_set(nest_idx, stmt, ref)
+            return None if s is None else self.bound(s)
+        return self._once(("access", stmt.sid, ref), build)
+
+    def owned(self, name: str) -> Optional[list]:
+        """Every element a rank holds (replicas included) within bounds."""
+        ctx = self.unit.ctx
+        return self._once(("owned", name), lambda: self.bound(
+            ctx.layout(name).ownership().intersect(ctx.declared_bounds_set(name))
+        ))
+
+    def primary(self, name: str) -> Optional[list]:
+        """The elements a rank is the one owner of (``owner_coords_of``)."""
+        ctx = self.unit.ctx
+        return self._once(("primary", name), lambda: self.bound(
+            ctx.layout(name).primary_ownership().intersect(
+                ctx.declared_bounds_set(name))
+        ))
+
+    def flows(self, nest_idx: int, ei: int) -> Optional[dict]:
+        """``CommEvent.flows`` of the nest's *ei*-th live event."""
+        def build():
+            event = self.unit.nest_plans[nest_idx][1].live_events()[ei]
+            try:
+                return event.flows(self.unit.ctx, self.unit.params, self.unit.grid)
+            except (KeyError, ValueError):
+                return None
+        return self._once(("flows", nest_idx, ei), build)
+
+    def moved(self, nest_idx: int, name: str, kind: str, ei: Optional[int] = None):
+        """Per rank, the boxes of *name* the nest's live *kind* events
+        (only the *ei*-th when given) move for it: what a rank receives
+        (read) or returns to the owners (write-back).  None when an
+        event's flows cannot be evaluated."""
+        def build():
+            per: list[list] = [[] for _ in self.ranks]
+            for i, e in enumerate(self.unit.nest_plans[nest_idx][1].live_events()):
+                if e.array != name or e.kind != kind or ei not in (None, i):
+                    continue
+                flows = self.flows(nest_idx, i)
+                if flows is None:
+                    return None
+                for (src, dst), cover in flows.items():
+                    per[dst if kind == "read" else src].extend(cover)
+            return per
+        return self._once(("moved", nest_idx, name, kind, ei), build)
+
+
+def fmt_points(cover, limit: int = 4) -> str:
+    """The first *limit* points of a cover, and how many more it has."""
+    shown = []
+    for p in cover_points(cover):
+        if len(shown) == limit:
+            break
+        shown.append(p)
+    extra = volume(cover) - len(shown)
     body = ", ".join(str(p) for p in shown)
     return body + (f", ... (+{extra} more)" if extra > 0 else "")
 
 
-#: symbolic difference chains beyond this many subtrahend disjuncts are
-#: skipped in favor of the concrete per-rank recheck (difference is
-#: exponential in the subtrahend's constraint count)
-_SYMBOLIC_BUDGET = 16
+def _as_set(dims, cover) -> ISet:
+    """A concrete cover as the union of its boxes over *dims*."""
+    out = empty(dims)
+    for b in cover:
+        out = out.union(box(dims, list(zip(b[::2], b[1::2]))))
+    return out
 
 
-def _syntactic_subset(a: ISet, covers: "list[ISet]") -> bool:
-    """Fast symbolic proof of ``a ⊆ ∪ covers`` by disjunct matching: every
-    part of *a* is literally one of the covering parts, or has a superset
-    of some covering part's constraints (= is contained in it).  This is
-    the common case by construction — a read's non-local set is one of the
-    disjuncts unioned into the coalesced event data."""
-    cover_parts = [p for s in covers for p in s.parts]
-    for part in a.parts:
-        ok = False
-        for q in cover_parts:
-            if part == q or (
-                set(q.constraints) <= set(part.constraints)
-                and q.exists == part.exists
-            ):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def _chain_within_budget(subtrahends: "list[ISet]") -> bool:
-    return sum(len(s.parts) for s in subtrahends) <= _SYMBOLIC_BUDGET
+def _first_bad(left: list) -> "tuple[int, tuple, int] | None":
+    """``(rank, cover, count)``: the first rank with a non-empty *left*
+    cover, and how many ranks have one."""
+    bad = [r for r, cover in enumerate(left) if cover]
+    return (bad[0], left[bad[0]], len(bad)) if bad else None
 
 
 def check_nest_coverage(
-    unit,
-    nest_idx: int,
-    root: DoLoop,
-    plan: CommPlan,
-    ev: ConcreteEvaluator,
+    cov: RankCovers, nest_idx: int, plan: CommPlan
 ) -> list[Diagnostic]:
-    """Prove every read in the nest is covered: footprint minus owned,
-    minus received, minus locally-produced-earlier must be empty
+    """Every read in the nest is covered at every rank: its footprint
+    minus owned, minus received, minus locally produced earlier is empty
     (``E-COVERAGE``; ``E-LOCAL`` for LOCALIZE'd arrays)."""
+    unit = cov.unit
     diags: list[Diagnostic] = []
-    nest = NestInfo(root, unit.params)
-
-    # union of live fetched halo data per array (coalescing already folded
-    # absorbed events into the survivor's data set)
-    received: dict[str, list[ISet]] = {}
-    for e in plan.live_events():
-        if e.kind == "read":
-            received.setdefault(e.array, []).append(e.data)
-
-    # local production: (textual order, access set) per array, for writes
-    # whose footprint the verifier can compute
-    produced: dict[str, list[tuple[int, ISet]]] = {}
-    footprints: dict[tuple[int, int], Optional[ISet]] = {}
-
-    def footprint(ref: ArrayRef, stmt) -> Optional[ISet]:
-        key = (stmt.sid, id(ref))
-        if key not in footprints:
-            scp = unit.cps.get(stmt.sid)
-            footprints[key] = (
-                None
-                if scp is None
-                else statement_access_set(ref, stmt, scp.cp, nest, unit.ctx, unit.params)
-            )
-        return footprints[key]
-
+    nest: NestInfo = cov.nests[nest_idx]
     assigns = nest.assignments()
-    for stmt in assigns:
-        if isinstance(stmt.lhs, ArrayRef) and unit.cps.get(stmt.sid) is not None:
-            fp = footprint(stmt.lhs, stmt)
-            if fp is not None:
-                produced.setdefault(stmt.lhs.name.lower(), []).append(
-                    (nest.order[stmt.sid], fp)
-                )
 
-    def produced_before(name: str, order: int) -> list[ISet]:
-        return [s for o, s in produced.get(name, ()) if o < order]
+    def unproven(stmt, name, message: str) -> Diagnostic:
+        return Diagnostic(
+            Severity.WARN, W_UNPROVEN, message,
+            stmt_sid=stmt.sid, array=name, nest=nest_idx,
+        )
 
     for stmt in assigns:
-        scp = unit.cps.get(stmt.sid)
-        if scp is None:
+        if unit.cps.get(stmt.sid) is None:
             continue  # not part of the analyzed region (no CP selected)
         if nest.bounds_of(stmt) is None:
             diags.append(Diagnostic(
@@ -139,213 +192,98 @@ def check_nest_coverage(
                 stmt_sid=stmt.sid, nest=nest_idx,
             ))
             continue
+        order = nest.order[stmt.sid]
         for ref in collect_array_refs(stmt.rhs):
             name = ref.name.lower()
             excluded = name in plan.excluded_arrays
-            layout = unit.ctx.layout(name)
-            if not excluded and layout is None:
+            if not excluded and unit.ctx.layout(name) is None:
                 continue  # replicated scalar-like array: no distribution
-            fp = footprint(ref, stmt)
-            if fp is None:
-                diags.append(Diagnostic(
-                    Severity.WARN, W_UNPROVEN,
-                    f"non-affine subscripts in {ref}: no communication was "
-                    "derived for this read and coverage cannot be proven",
-                    stmt_sid=stmt.sid, array=name, nest=nest_idx,
+            if cov.access_set(nest_idx, stmt, ref) is None:
+                diags.append(unproven(
+                    stmt, name, f"non-affine subscripts in {ref}: no "
+                    "communication was derived for this read and coverage "
+                    "cannot be proven",
                 ))
                 continue
-            local_prod = produced_before(name, nest.order[stmt.sid])
-            if excluded:
-                diags.extend(_check_excluded_read(
-                    unit, nest_idx, stmt, name, fp, local_prod, ev,
+            sources = [
+                cov.access(nest_idx, w, w.lhs) for w in assigns
+                if isinstance(w.lhs, ArrayRef) and w.lhs.name.lower() == name
+                and nest.order[w.sid] < order
+                and cov.access_set(nest_idx, w, w.lhs) is not None
+            ]
+            if not excluded:
+                sources += [cov.owned(name), cov.moved(nest_idx, name, "read")]
+            need = cov.access(nest_idx, stmt, ref)
+            if need is None or None in sources:
+                diags.append(unproven(
+                    stmt, name, f"read of {name}: its footprint, the owned "
+                    "data, the messages or the earlier local writes cannot "
+                    "be evaluated per rank",
                 ))
-            else:
-                diags.extend(_check_distributed_read(
-                    unit, nest_idx, stmt, name, fp,
-                    received.get(name, []), local_prod, layout, ev,
-                ))
+                continue
+            left = [
+                subtract_covers(need[r], [b for per in sources for b in per[r]])
+                for r in cov.ranks
+            ]
+            found = _first_bad(left)
+            if found is None:
+                continue
+            rank, cover, n_bad = found
+            what = (
+                f"{name} is excluded from communication (NEW/LOCALIZE) but "
+                f"rank {rank} reads {fmt_points(cover)} it never produced "
+                "locally — the privatization/localization contract is "
+                "violated" if excluded else
+                f"read of {name} is not covered: rank {rank} consumes "
+                f"{fmt_points(cover)} which it neither owns, receives, nor "
+                "computes locally"
+            )
+            diags.append(Diagnostic(
+                Severity.ERROR, E_LOCAL if excluded else E_COVERAGE,
+                f"{what} ({n_bad} of {len(left)} ranks affected)",
+                stmt_sid=stmt.sid, array=name, nest=nest_idx,
+                iset=_as_set(cov.access_set(nest_idx, stmt, ref).dims, cover),
+            ))
     return diags
 
 
-def _subtract_all(base: ISet, subtrahends: list[ISet]) -> ISet:
-    out = base
-    for s in subtrahends:
-        out = out.subtract(s)
-        if out.is_empty():
-            break
-    return out
-
-
-def _check_distributed_read(
-    unit, nest_idx, stmt, name, fp, received, local_prod, layout, ev,
-) -> list[Diagnostic]:
-    nl = fp.subtract(layout.ownership())
-    if nl.is_empty():
-        return []
-    if _syntactic_subset(nl, received):
-        return []
-    rest = received + local_prod
-    if _chain_within_budget(rest):
-        uncovered = _subtract_all(nl, rest)
-        if uncovered.is_empty():
-            return []
-    else:
-        uncovered = nl  # proof skipped: report the non-local set instead
-    # symbolic proof failed (possibly from inexact difference) — recheck
-    # concretely on every rank from primitive point sets
-    bad: dict[int, frozenset] = {}
-    unknown = False
-    for rank in ev.ranks():
-        pts = ev.points(fp, rank, key=("fp", stmt.sid, name, id(fp)))
-        if pts is None:
-            unknown = True
-            continue
-        covered = union_points(
-            [ev.owned(name, rank)]
-            + [ev.points(s, rank, key=("rcv", nest_idx, name, i))
-               for i, s in enumerate(received)]
-            + [ev.points(s, rank, key=("prd", nest_idx, name, i))
-               for i, s in enumerate(local_prod)]
-        )
-        if covered is None:
-            unknown = True
-            continue
-        left = pts - covered
-        if left:
-            bad[rank] = left
-    if bad:
-        rank, pts = next(iter(sorted(bad.items())))
-        return [Diagnostic(
-            Severity.ERROR, E_COVERAGE,
-            f"read of {name} is not covered: rank {rank} consumes "
-            f"{_fmt_points(pts)} which it neither owns, receives, nor "
-            f"computes locally ({len(bad)} of {len(ev.ranks())} ranks affected)",
-            stmt_sid=stmt.sid, array=name, iset=uncovered, nest=nest_idx,
-        )]
-    sev_msg = (
-        "symbolic coverage proof failed (inexact set difference) but the "
-        "concrete per-rank recheck found no uncovered element"
-        if not unknown else
-        "coverage could not be proven symbolically or rechecked concretely"
-    )
-    return [Diagnostic(
-        Severity.WARN, W_UNPROVEN, f"read of {name}: {sev_msg}",
-        stmt_sid=stmt.sid, array=name, iset=uncovered, nest=nest_idx,
-    )]
-
-
-def _check_excluded_read(
-    unit, nest_idx, stmt, name, fp, local_prod, ev,
-) -> list[Diagnostic]:
-    """NEW/LOCALIZE'd arrays carry no communication: every element a CP
-    instance reads must have been written locally by an earlier statement
-    executed under the (propagated) definition CPs."""
-    if _syntactic_subset(fp, local_prod):
-        return []
-    if _chain_within_budget(local_prod):
-        uncovered = _subtract_all(fp, local_prod)
-        if uncovered.is_empty():
-            return []
-    else:
-        uncovered = fp
-    bad: dict[int, frozenset] = {}
-    unknown = False
-    for rank in ev.ranks():
-        pts = ev.points(fp, rank, key=("fp", stmt.sid, name, id(fp)))
-        if pts is None:
-            unknown = True
-            continue
-        covered = union_points(
-            [ev.points(s, rank, key=("prd", nest_idx, name, i))
-             for i, s in enumerate(local_prod)]
-        )
-        if covered is None:
-            unknown = True
-            continue
-        left = pts - covered
-        if left:
-            bad[rank] = left
-    if bad:
-        rank, pts = next(iter(sorted(bad.items())))
-        return [Diagnostic(
-            Severity.ERROR, E_LOCAL,
-            f"{name} is excluded from communication (NEW/LOCALIZE) but rank "
-            f"{rank} reads {_fmt_points(pts)} it never produced locally — "
-            "the privatization/localization contract is violated",
-            stmt_sid=stmt.sid, array=name, iset=uncovered, nest=nest_idx,
-        )]
-    if unknown:
-        return [Diagnostic(
-            Severity.WARN, W_UNPROVEN,
-            f"local production of excluded array {name} could not be proven",
-            stmt_sid=stmt.sid, array=name, iset=uncovered, nest=nest_idx,
-        )]
-    return [Diagnostic(
-        Severity.WARN, W_UNPROVEN,
-        f"read of excluded array {name}: symbolic proof failed but the "
-        "concrete per-rank recheck found every element locally produced",
-        stmt_sid=stmt.sid, array=name, iset=uncovered, nest=nest_idx,
-    )]
-
-
-def check_overlap(
-    unit, nest_idx: int, plan: CommPlan, ev: ConcreteEvaluator
-) -> list[Diagnostic]:
-    """Analysis 4: every received halo element must fall inside the
-    array's overlap region (storage exists for it on the receiving rank)."""
+def check_overlap(cov: RankCovers, nest_idx: int, plan: CommPlan) -> list[Diagnostic]:
+    """Analysis 4: every element a rank receives falls inside the array's
+    overlap region on that rank (storage exists for it there)."""
+    unit = cov.unit
     diags: list[Diagnostic] = []
     overlap = unit.overlap or {}
-    for event in plan.live_events():
+    for ei, event in enumerate(plan.live_events()):
         if event.kind != "read":
             continue
-        region = overlap.get(event.array)
-        if region is None:
-            try:
-                region = unit.ctx.declared_bounds_set(event.array)
-            except (KeyError, ValueError):
-                continue
-        gap = event.data.subtract(region)
-        if gap.is_empty():
+        name = event.array
+        try:
+            declared = unit.ctx.declared_bounds_set(name)
+        except (KeyError, ValueError):
             continue
-        bad: dict[int, frozenset] = {}
-        unknown = False
-        for rank in ev.ranks():
-            pts = ev.points(event.data, rank, key=("ev", nest_idx, id(event)))
-            if pts is None:
-                unknown = True
-                continue
-            # membership test, not enumeration — the region is a full
-            # declared-bounds box, far larger than the halo
-            binding = ev.binding(rank)
-            left = frozenset(
-                p for p in pts if not region.contains(p, binding)
-            )
-            if left:
-                bad[rank] = left
-        if bad:
-            rank, pts = next(iter(sorted(bad.items())))
+        region = overlap.get(name)
+        per_rank = cov._once(("region", name), lambda: cov.bound(
+            declared if region is None else region.intersect(declared)))
+        received = cov.moved(nest_idx, name, "read", ei)
+        if per_rank is None or received is None:
+            diags.append(Diagnostic(
+                Severity.WARN, W_UNPROVEN,
+                f"overlap bound of {name} cannot be evaluated per rank",
+                stmt_sid=event.stmt.sid, array=name, nest=nest_idx,
+            ))
+            continue
+        found = _first_bad([
+            subtract_covers(received[r], per_rank[r])
+            for r in cov.ranks
+        ])
+        if found is not None:
+            rank, cover, _ = found
             diags.append(Diagnostic(
                 Severity.ERROR, E_OVERLAP,
-                f"received halo of {event.array} exceeds its overlap region: "
-                f"rank {rank} receives {_fmt_points(pts)} outside the "
+                f"received halo of {name} exceeds its overlap region: "
+                f"rank {rank} receives {fmt_points(cover)} outside the "
                 "declared storage",
-                stmt_sid=event.stmt.sid, array=event.array, iset=gap,
-                nest=nest_idx,
-            ))
-        elif unknown:
-            diags.append(Diagnostic(
-                Severity.WARN, W_UNPROVEN,
-                f"overlap bound of {event.array} could not be proven "
-                "(event data depends on outer loop variables)",
-                stmt_sid=event.stmt.sid, array=event.array, iset=gap,
-                nest=nest_idx,
-            ))
-        else:
-            diags.append(Diagnostic(
-                Severity.WARN, W_UNPROVEN,
-                f"overlap bound of {event.array}: symbolic proof failed but "
-                "all concretely received elements fall inside the region",
-                stmt_sid=event.stmt.sid, array=event.array, iset=gap,
-                nest=nest_idx,
+                stmt_sid=event.stmt.sid, array=name,
+                iset=_as_set(event.data.dims, cover), nest=nest_idx,
             ))
     return diags

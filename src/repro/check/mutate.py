@@ -3,12 +3,14 @@
 Each mutation seeds one representative compiler bug into a freshly
 analyzed program and re-runs the verifier; the harness asserts the
 *intended* analysis flags it (exact diagnostic code), and that the
-unmutated pipelines stay error-free.  The six kinds:
+unmutated pipelines stay error-free.  The seven kinds:
 
 ================  =============================================  ==========
 mutation          seeded bug                                     caught by
 ================  =============================================  ==========
 drop_read         comm generation loses a fetch event            E-COVERAGE
+drop_flow         one read event's flows lose the pair that      E-COVERAGE
+                  delivers to an interior rank of a 5×5 grid
 widen_availability  availability analysis (§7) eliminates a      E-COVERAGE
                   fetch whose data is not actually available
 skip_localize     LOCALIZE propagation (§4.2) skipped: defs      E-LOCAL
@@ -21,8 +23,10 @@ drop_writeback    non-owner writes never returned to the owner   E-RACE
 ================  =============================================  ==========
 
 Subjects are the paper kernels: ``compute_rhs`` (Figure 4.2, the
-LOCALIZE kernel, compiled end to end) and ``y_solve`` (Figure 5.1,
-verified at analysis level because its pipelined communication is not
+LOCALIZE kernel, compiled end to end), SP ``compute_rhs`` on a 5×5 grid
+(``drop_flow``: the receiver is neither a corner nor the centre, so only
+a check at every rank sees it) and ``y_solve`` (Figure 5.1, verified at
+analysis level because its pipelined communication is not
 code-generated).  Sizes are small (class-S-like) to keep the harness
 fast; every subject is verified clean before mutation.
 """
@@ -100,6 +104,48 @@ def _mut_drop_read() -> CheckReport:
     raise RuntimeError("subject has no live read event to drop")
 
 
+def _interior(grid, rank: int) -> bool:
+    """Off every face of the grid, and not its centre."""
+    coords = grid.delinearize(rank)
+    centre = tuple(s // 2 for s in grid.shape)
+    return coords != centre and all(0 < c < s - 1 for c, s in zip(coords, grid.shape))
+
+
+def _mut_drop_flow() -> CheckReport:
+    """Compile SP compute_rhs on a 5×5 grid with ``CommEvent.flows``
+    losing, for the first read event with one, the pair that delivers to
+    an interior rank: the routes, the schedule and the verifier all read
+    the same flows, as they would from a compiler with this bug."""
+    from ..codegen import compile_kernel
+    from ..comm.events import CommEvent
+    from ..compile.cache import cache_disabled
+    from ..nas import kernels
+
+    flows = CommEvent.flows
+    victim: dict = {}  # (kind, array, sid) of the event -> the lost pair
+
+    def buggy(event, ctx, params, grid):
+        out = flows(event, ctx, params, grid)
+        key = (event.kind, event.array, event.stmt.sid)
+        if event.kind == "read" and not victim:
+            pair = next((p for p in sorted(out) if _interior(grid, p[1])), None)
+            if pair is not None:
+                victim[key] = pair
+        return {pair: c for pair, c in out.items() if pair != victim.get(key)}
+
+    CommEvent.flows = buggy
+    try:
+        with cache_disabled():
+            kernel = compile_kernel(
+                kernels.scaled(kernels.COMPUTE_RHS_SP), 25, {"n": 12}
+            )
+        if not victim:
+            raise RuntimeError("subject delivers nothing to an interior rank")
+        return verify_kernel(kernel)
+    finally:
+        CommEvent.flows = flows
+
+
 def _mut_widen_availability() -> CheckReport:
     kernel = _fig42_kernel()
     for _root, plan in kernel.nest_plans:
@@ -173,6 +219,11 @@ MUTATIONS: dict[str, tuple[str, str, Callable[[], CheckReport]]] = {
     "drop_read": (
         "communication generation loses a fetch event",
         E_COVERAGE, _mut_drop_read,
+    ),
+    "drop_flow": (
+        "one read event's flows lose the pair delivering to an interior "
+        "rank of a 5x5 grid",
+        E_COVERAGE, _mut_drop_flow,
     ),
     "widen_availability": (
         "availability analysis eliminates a fetch that is not available",

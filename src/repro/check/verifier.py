@@ -11,11 +11,13 @@ Entry points:
 - :func:`verify_nest` — one loop nest with explicit CPs and plan
   (the granularity the unit tests and the mutation harness use).
 
-Strategy: prove each obligation symbolically with ISet algebra; when a
-proof fails (the difference operator over-approximates in the presence of
-existential variables), fall back to a concrete per-rank recheck from
-primitive point sets.  Concrete counterexamples are errors; a concretely
-clean recheck is a ``W-UNPROVEN`` warning.
+Strategy: every analysis is algebra on canonical box covers checked at
+every rank (and rank pair) of the grid, with no sampling.  Messages are
+read from each live event's ``CommEvent.flows`` — the covers the routes
+and the cost model are built from — computed once per verify
+(:class:`~repro.check.coverage.RankCovers`).  A non-empty difference is an
+error; ``W-UNPROVEN`` means only that a set could not be evaluated (a
+non-affine subscript or bound, or a set that does not bind).
 
 Findings are :class:`repro.diag.Diagnostic` records (codes in the
 :mod:`repro.diag` table) collected in a
@@ -30,12 +32,11 @@ from typing import Mapping, Optional
 
 from ..comm.analyzer import CommAnalyzer, CommPlan
 from ..cp.select import StatementCP
-from ..diag import I_CLEAN, I_TRIP, Diagnostic, Severity
+from ..diag import I_CLEAN, I_TRIP, W_UNPROVEN, Diagnostic, Severity
 from ..distrib.layout import DistributionContext
 from ..ir.stmt import DoLoop, Stmt
 from ..isets import ISet
-from .concrete import ConcreteEvaluator
-from .coverage import check_nest_coverage, check_overlap
+from .coverage import RankCovers, check_nest_coverage, check_overlap
 from .diagnostics import CheckReport
 from .races import check_races
 from .schedule import StaticSchedule, check_matching
@@ -64,10 +65,17 @@ def verify_unit(unit: VerifyUnit) -> CheckReport:
     """Run all four analyses (coverage, overlap, races, matching) over a
     :class:`VerifyUnit` and collect the findings into a report."""
     report = CheckReport(unit.subject)
-    ev = ConcreteEvaluator(unit.ctx, unit.params, unit.grid)
-    for idx, (root, plan) in enumerate(unit.nest_plans):
-        report.extend(check_nest_coverage(unit, idx, root, plan, ev))
-        report.extend(check_overlap(unit, idx, plan, ev))
+    cov = RankCovers(unit) if unit.grid is not None else None
+    if cov is None:
+        report.add(Diagnostic(
+            Severity.WARN, W_UNPROVEN,
+            "no single processor grid: coverage, overlap and races cannot "
+            "be evaluated per rank",
+        ))
+    for idx, (_root, plan) in enumerate(unit.nest_plans):
+        if cov is not None:
+            report.extend(check_nest_coverage(cov, idx, plan))
+            report.extend(check_overlap(cov, idx, plan))
         for loop in plan.unknown_trip_loops(unit.params):
             report.add(Diagnostic(
                 Severity.INFO, I_TRIP,
@@ -75,8 +83,8 @@ def verify_unit(unit: VerifyUnit) -> CheckReport:
                 "message counts for events inside it are lower bounds",
                 stmt_sid=loop.sid, nest=idx,
             ))
-    if unit.grid is not None:
-        report.extend(check_races(unit, ev))
+    if cov is not None:
+        report.extend(check_races(cov))
     if unit.schedule is not None:
         report.extend(check_matching(unit.schedule))
     for idx, (_root, plan) in enumerate(unit.nest_plans):

@@ -30,10 +30,9 @@ from typing import Mapping, Optional
 from ..distrib.layout import DistributionContext
 from ..ir.expr import ArrayRef, Var
 from ..ir.program import Program, Subroutine
-from ..ir.stmt import Assign, CallStmt, DoLoop
+from ..ir.stmt import Assign, CallStmt
 from ..ir.visit import walk_stmts
 from .model import CP, OnHomeRef
-from .select import CPSelector, StatementCP
 
 
 @dataclass

@@ -25,10 +25,10 @@ from ..ir.expr import ArrayRef
 from ..ir.stmt import Assign, DoLoop
 from ..ir.visit import collect_array_refs, walk_stmts
 from ..isets import ISet
-from .model import CP, OnHomeRef, cp_iteration_set
+from .model import cp_iteration_set
 from .nest import NestInfo, access_data_set
 from .privatizable import propagate_new_cps
-from .select import CPSelector, StatementCP
+from .select import StatementCP
 
 
 def propagate_localize_cps(

@@ -14,16 +14,16 @@ loops where maximal distribution would produce 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import networkx as nx
 
-from ..analysis.dependence import LI, Dependence, DependenceAnalyzer
+from ..analysis.dependence import Dependence, DependenceAnalyzer
 from ..distrib.layout import DistributionContext
 from ..ir.stmt import Assign, DoLoop, Stmt
 from ..ir.visit import walk_stmts
-from .model import CP, OnHomeRef, cp_key
+from .model import CP, cp_key
 from .select import CPSelector, StatementCP
 
 

@@ -10,10 +10,10 @@ ownership sets from :mod:`repro.distrib`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from ..distrib.layout import DistributionContext, Layout
-from ..ir.expr import ArrayRef, to_affine
+from ..ir.expr import ArrayRef
 from ..isets import BasicSet, Constraint, ISet, LinExpr
 from ..isets.terms import E
 

@@ -22,7 +22,7 @@ Translation from a use to a definition follows the paper's three steps:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..distrib.layout import DistributionContext
 from ..ir.expr import ArrayRef, Var, to_affine

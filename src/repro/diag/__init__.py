@@ -45,7 +45,8 @@ harness and CI assert on them):
 ``E-RACE``           a cross-processor dependence has no carrying message
 ``E-MATCH``          the static send/recv schedule does not balance
 ``E-OVERLAP``        a received halo exceeds the overlap region
-``W-UNPROVEN``       the symbolic proof failed; the concrete check is clean
+``W-UNPROVEN``       a set could not be evaluated per rank (non-affine, or
+                     it does not bind)
 ``I-TRIP``           message counts are lower bounds (unknown trip counts)
 ``I-CLEAN``          a nest is communication-free and every read is local
 **cost advisor** (:mod:`repro.check.cost`)

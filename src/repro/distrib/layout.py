@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from ..ir.directives import AlignDecl, DistFormat, DistributeDecl, ProcessorsDecl, TemplateDecl
-from ..ir.expr import ArrayRef, Expr, to_affine
+from ..ir.directives import AlignDecl, DistributeDecl, ProcessorsDecl
+from ..ir.expr import Expr, to_affine
 from ..ir.program import Subroutine
 from ..isets import BasicSet, Constraint, ISet, LinExpr
 from ..isets.terms import E

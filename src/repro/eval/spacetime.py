@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from ..parallel import RunResult, run_parallel
 from ..runtime import Trace

@@ -17,7 +17,7 @@ DO loop.  ON_HOME is checked for syntax and not kept.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..diag import E_PARSE, CompileError, DiagnosticSink, SourceSpan
 from ..ir.directives import (
@@ -31,7 +31,7 @@ from ..ir.directives import (
 from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, StrLit, UnOp, Var
 from ..ir.program import Program, Subroutine
 from ..ir.stmt import Assign, CallStmt, Continue, DoLoop, IfThen, PrintStmt, Return, Stmt
-from ..ir.symbols import FortranType, SymbolTable, VarDecl
+from ..ir.symbols import FortranType, VarDecl
 from .lexer import Lexer, LogicalLine, Token, TokenKind
 
 INTRINSICS = {

@@ -18,7 +18,7 @@ contract and the chaos harness's fault-free-identity invariant.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Optional
+from typing import Iterable
 
 from .expr import ArrayRef, Expr, Num, Var
 

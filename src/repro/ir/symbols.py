@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .expr import Expr, Num
+from .expr import Expr
 
 
 class FortranType(Enum):

@@ -18,18 +18,21 @@ Every consumer that treats a set as a box reads it through this module:
 - **The canonical disjoint cover** of a finite point set, from its points
   (:func:`cover_of_points`), from a union of boxes (:func:`cover_of_boxes`)
   or from a concrete set (:func:`cover_of_set`, whichever the set allows);
-  its :func:`volume`, points (:func:`cover_points`) and intersection
-  (:func:`intersect_covers`).  A concrete box is a flat tuple ``(a0, b0,
-  a1, b1, ...)`` of inclusive per-dim bounds, first dim first — the layout
-  node programs unpack from ``G.boxes``.  ``ISet.cardinality`` is the
-  volume of a set's cover; the run-time guard views (``codegen.guards``)
-  and the message routes (``CommEvent.flows``) hold covers.
+  its :func:`volume`, points (:func:`cover_points`), intersection
+  (:func:`intersect_covers`) and difference (:func:`subtract_covers`).  A
+  concrete box is a flat tuple ``(a0, b0, a1, b1, ...)`` of inclusive
+  per-dim bounds, first dim first — the layout node programs unpack from
+  ``G.boxes``.  ``ISet.cardinality`` is the volume of a set's cover; the
+  run-time guard views (``codegen.guards``) and the message routes
+  (``CommEvent.flows``) hold covers, and the static verifier's per-rank
+  checks are differences of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Mapping
 
@@ -227,19 +230,67 @@ def cover_points(cover):
 
 def cover_of_set(iset) -> tuple:
     """The canonical cover of a concrete set: read off its disjuncts when
-    each is a box, from its enumerated points when one is not (cyclic,
-    multipartition or otherwise exists-quantified)."""
+    each is a box; else from the boxes of each disjunct's existential
+    witnesses (cyclic, multipartition); from its enumerated points when
+    that fails for a disjunct."""
     cover = iset.box_cover()
-    if cover is None:
-        cover = cover_of_points(list(iset.points()))
-    return cover
+    if cover is not None:
+        return cover
+    boxes: list = []
+    for part in iset.parts:
+        got = _witness_boxes(part)
+        if got is None:
+            return cover_of_points(list(iset.points()))
+        boxes += got
+    return cover_of_boxes(boxes)
+
+
+def _witness_boxes(bs) -> "list | None":
+    """The flat boxes of a concrete conjunct, one per assignment of its
+    existential variables over their projected ranges (an assignment
+    leaves a box or nothing).  None when a variable is unbounded, an
+    assignment leaves coupled dims, or there are more assignments than
+    points in the dims' hull (enumerating the points is cheaper)."""
+    names = sorted(bs.exists)
+    whole = type(bs)((*names, *bs.dims), bs.constraints)  # witnesses as dims
+    ranges = []
+    for v in whole.dims:
+        rng = whole.bounds_of(v, {})
+        if rng is None:
+            return None
+        ranges.append(range(rng[0], rng[1] + 1))
+    hull = math.prod(map(len, ranges[len(names):]))
+    if hull == 0:
+        return []
+    if math.prod(map(len, ranges[:len(names)])) > hull:
+        return None
+    out = []
+    for values in itertools.product(*ranges[:len(names)]):
+        ext = concrete_extents(bs.substitute(dict(zip(names, values))), {})
+        if ext is False:
+            return None
+        if ext is not None:
+            out.append(tuple(v for lo_hi in ext for v in lo_hi))
+    return out
+
+
+def _near(b):
+    """A finder over boxes *b*: for a box ``x``, the boxes of *b* whose
+    first-dim range can meet ``x``'s — found by bisection on the sorted
+    first lower bounds, widened by the longest first-dim span in *b*."""
+    b = sorted(b)
+    los = [y[0] for y in b]
+    span = max((y[1] - y[0] for y in b), default=0)
+    return lambda x: b[bisect_left(los, x[0] - span):bisect_right(los, x[1])]
 
 
 def intersect_covers(a, b) -> tuple:
-    """The canonical cover of the points covers *a* and *b* share."""
+    """The canonical cover of the points covers *a* and *b* share (*b*
+    may be any flat boxes, overlapping or not)."""
+    near = _near(b)
     boxes = []
     for x in a:
-        for y in b:
+        for y in near(x):
             box: tuple = ()
             for lo, hi, lo2, hi2 in zip(x[::2], x[1::2], y[::2], y[1::2]):
                 lo, hi = max(lo, lo2), min(hi, hi2)
@@ -249,6 +300,41 @@ def intersect_covers(a, b) -> tuple:
             else:
                 boxes.append(box)
     return cover_of_boxes(boxes)
+
+
+def subtract_covers(a, b) -> tuple:
+    """The canonical cover of the points of cover *a* outside every box
+    of *b* (any flat boxes, overlapping or not).  Each box of *a* is cut
+    by each box of *b* it meets into the disjoint pieces of it left
+    outside — per dim, the slab below and the slab above the cutter, the
+    rest narrowed to it for the dims after."""
+    near = _near(b)
+    left = []
+    for x in a:
+        pieces = [x]
+        for y in near(x):
+            pieces = [p for piece in pieces for p in _cut(piece, y)]
+        left += pieces
+    return cover_of_boxes(left)
+
+
+def _cut(x, y) -> list:
+    """The disjoint pieces of box *x* outside box *y*."""
+    if any(
+        hi < lo2 or hi2 < lo
+        for lo, hi, lo2, hi2 in zip(x[::2], x[1::2], y[::2], y[1::2])
+    ):
+        return [x]
+    out = []
+    rest = list(x)
+    for k in range(0, len(x), 2):
+        lo, hi, lo2, hi2 = rest[k], rest[k + 1], y[k], y[k + 1]
+        if lo < lo2:
+            out.append(tuple(rest[:k] + [lo, lo2 - 1] + rest[k + 2:]))
+        if hi2 < hi:
+            out.append(tuple(rest[:k] + [hi2 + 1, hi] + rest[k + 2:]))
+        rest[k], rest[k + 1] = max(lo, lo2), min(hi, hi2)
+    return out
 
 
 def cover_of_points(coords) -> tuple:

@@ -12,7 +12,6 @@ The compiler uses maps for
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import BasicSet, Constraint

@@ -23,7 +23,6 @@ from ..runtime.procexec import (
 )
 from ..runtime.reliable import ReliableConfig
 from .checkpoint import CheckpointConfig
-from .decomp import BlockDecomp2D
 from .dhpf import DhpfOptions, make_dhpf_node
 
 

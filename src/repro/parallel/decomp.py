@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 def block_ranges(n: int, p: int) -> list[tuple[int, int]]:

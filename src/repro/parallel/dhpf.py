@@ -33,7 +33,7 @@ from ..nas import ops
 from ..runtime.sim import Rank
 from . import flops
 from .checkpoint import CheckpointConfig
-from .decomp import BlockDecomp2D, DimBlock, chunk_ranges
+from .decomp import BlockDecomp2D, chunk_ranges
 
 #: SP variant -> rhs component slice (NAS's lhs / lhsp / lhsm systems)
 SP_VARIANTS = ((0, slice(0, 3)), (1, slice(3, 4)), (2, slice(4, 5)))

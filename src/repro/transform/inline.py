@@ -12,9 +12,8 @@ the actual's — the common whole-column/VECTOR case).
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
-from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var, substitute_expr, to_affine
+from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var
 from ..ir.program import Program, Subroutine
 from ..ir.stmt import Assign, CallStmt, Continue, DoLoop, IfThen, PrintStmt, Return, Stmt
 from ..ir.symbols import VarDecl

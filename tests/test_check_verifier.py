@@ -5,6 +5,10 @@ Fast small kernels only — the paper kernels and the mutation harness run
 in benchmarks/test_check_mutations.py.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.check import (
@@ -195,3 +199,26 @@ class TestDiagnostics:
         err = VerificationError(report)
         assert err.report is report
         assert "E-COVERAGE" in str(err)
+
+
+class TestColdEqualsWarm:
+    """A report is a function of the program, not of which plan-cache tier
+    served the compile: a cold run and a warm rerun on one cache print the
+    same report."""
+
+    @pytest.mark.parametrize("target", ["bt-class-s", "example-multipartition"])
+    def test_cold_and_warm_reports_are_identical(self, target, tmp_path):
+        import repro
+
+        env = dict(os.environ, REPRO_PLAN_CACHE=str(tmp_path),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        cmd = [sys.executable, "-m", "repro.eval", "check",
+               "--check-target", target, "--min-severity", "warn"]
+        cold, warm = (
+            subprocess.run(cmd, env=env, capture_output=True, text=True,
+                           timeout=300)
+            for _ in range(2)
+        )
+        assert cold.returncode == 0, cold.stdout + cold.stderr
+        assert any(tmp_path.iterdir())  # the warm run had a cache to read
+        assert warm.stdout == cold.stdout

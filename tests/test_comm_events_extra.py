@@ -1,6 +1,5 @@
 """Additional communication-event coverage: placements across nest shapes."""
 
-import pytest
 
 from repro.comm import CommAnalyzer
 from repro.cp.select import CPSelector

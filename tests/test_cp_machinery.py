@@ -4,14 +4,14 @@ import pytest
 
 from repro.analysis import check_privatizable
 from repro.analysis.dependence import DependenceAnalyzer
-from repro.cp import CPGrouper, distribute_loop
+from repro.cp import distribute_loop
 from repro.cp.model import CP, OnHomeRef, PointSub, RangeSub, cp_iteration_set, cp_key
 from repro.cp.nest import NestInfo, loop_bounds_set
-from repro.cp.privatizable import subscript_mapping, translate_use_cp
+from repro.cp.privatizable import subscript_mapping
 from repro.cp.select import CPSelector
 from repro.distrib import DistributionContext, PDIM
 from repro.frontend import parse_subroutine
-from repro.ir import ArrayRef, Assign, DoLoop, Num, Var, walk_stmts
+from repro.ir import ArrayRef, Assign, Num, Var, walk_stmts
 from repro.isets import LinExpr
 from repro.isets.terms import E
 

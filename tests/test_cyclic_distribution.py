@@ -1,9 +1,8 @@
 """CYCLIC distributions end to end (exists-quantified ownership sets)."""
 
-import pytest
 
 from repro.codegen import compile_kernel
-from repro.distrib import DistributionContext, PDIM
+from repro.distrib import DistributionContext
 from repro.frontend import parse_subroutine
 
 SRC = """

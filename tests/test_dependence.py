@@ -4,10 +4,9 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import analyze_loop_dependences
+from repro.analysis import DependenceAnalyzer
 from repro.analysis.dependence import LI, DependenceAnalyzer
 from repro.frontend import parse_subroutine
-from repro.ir import Assign, DoLoop, walk_stmts
 
 
 def loop_of(src):
@@ -28,7 +27,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         assert any(d.kind == "flow" and d.level == 1 for d in deps)
 
     def test_parallel_loop_has_no_carried_deps(self):
@@ -43,7 +42,7 @@ class TestBasicDependences:
       end
 """
         )
-        assert not any(d.level == 1 for d in analyze_loop_dependences(loop))
+        assert not any(d.level == 1 for d in DependenceAnalyzer(loop).dependences())
 
     def test_anti_dependence(self):
         loop = loop_of(
@@ -57,7 +56,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         assert any(d.kind == "anti" and d.level == 1 for d in deps)
         assert not any(d.kind == "flow" and d.level == 1 for d in deps)
 
@@ -74,7 +73,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         li = [d for d in deps if d.loop_independent and d.var == "a"]
         assert len(li) == 1 and li[0].kind == "flow"
         assert not any(d.level == 1 and d.var == "a" and d.kind == "flow" for d in deps)
@@ -91,7 +90,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         assert not any(d.var == "a" and d.kind == "anti" for d in deps)
 
     def test_level_two_carried(self):
@@ -108,7 +107,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         flow = [d for d in deps if d.kind == "flow" and d.var == "a"]
         assert {d.level for d in flow} == {2}
 
@@ -125,7 +124,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         assert any(d.var == "t" and d.loop_independent and d.kind == "flow" for d in deps)
         assert any(d.var == "t" and d.level == 1 and d.kind == "output" for d in deps)
 
@@ -146,7 +145,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         flow = [d for d in deps if d.var == "c" and d.kind == "flow"]
         levels = {d.level for d in flow}
         assert LI in levels  # same-i producer/consumer
@@ -164,7 +163,7 @@ class TestBasicDependences:
       end
 """
         )
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         assert any(d.kind == "flow" and d.level == 1 for d in deps)
 
 
@@ -185,7 +184,7 @@ class TestBruteForceSoundness:
       end
 """
         loop = loop_of(src)
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         got_flow = any(d.kind == "flow" and d.level == 1 for d in deps)
         got_anti = any(d.kind == "anti" and d.level == 1 for d in deps)
         # brute force
@@ -214,6 +213,6 @@ class TestBruteForceSoundness:
       end
 """
         loop = loop_of(src)
-        deps = analyze_loop_dependences(loop)
+        deps = DependenceAnalyzer(loop).dependences()
         got_li = any(d.kind == "flow" and d.loop_independent for d in deps)
         assert got_li == (w == r)

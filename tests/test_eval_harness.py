@@ -6,7 +6,7 @@ import pytest
 
 from repro.eval import diff_stats, format_table, render_spacetime, spacetime_figure
 from repro.eval.diffstats import strip_hpf
-from repro.eval.tables import PAPER_TIMES, build_table, table_8_1, table_8_2
+from repro.eval.tables import PAPER_TIMES, build_table, table_8_2
 from repro.nas import kernels
 from repro.runtime.model import IBM_SP2
 

@@ -8,7 +8,6 @@ the traces.
 """
 
 import numpy as np
-import pytest
 
 from repro.parallel import run_parallel
 from repro.parallel.dhpf import DhpfOptions

@@ -14,7 +14,6 @@ from repro.ir import (
     IfThen,
     Num,
     UnOp,
-    Var,
     ArrayRef,
     walk_stmts,
 )

@@ -1,11 +1,9 @@
 """IR interpreter tests: expressions, control flow, sequence association."""
 
-import numpy as np
 import pytest
 
-from repro.frontend import parse_source, parse_subroutine
+from repro.frontend import parse_source
 from repro.ir.interp import FortranArray, InterpError, Interpreter
-from repro.ir.program import Program
 
 
 def run_sub(src, name=None, **kw):

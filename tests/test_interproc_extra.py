@@ -1,11 +1,9 @@
 """Interprocedural CP selection: deeper scenarios beyond Figure 6.1."""
 
-import pytest
 
 from repro.cp.interproc import InterproceduralCP
 from repro.distrib import DistributionContext
 from repro.frontend import parse_source
-from repro.ir import CallStmt
 
 
 def build(src, units_with_dist, nprocs=4, params=None):

@@ -39,6 +39,7 @@ from repro.isets.box import (
     cover_points,
     intersect_covers,
     read_bounds,
+    subtract_covers,
     volume,
 )
 from repro.isets.core import _scan
@@ -221,8 +222,10 @@ def test_count_outside_matches_brute_force():
 
 
 def test_cover_of_boxes_is_the_cover_of_the_points():
-    """... and the cover of two covers' common points, a cover's points
-    and a set's cover read through ``cover_of_set`` agree with it."""
+    """... and the cover of two covers' common points, of the points of
+    one outside the other (the subtrahend as a cover, or as the raw,
+    overlapping boxes), a cover's points and a set's cover read through
+    ``cover_of_set`` agree with it."""
     rng = random.Random(11)
     previous = (1, ())
     for _ in range(600):
@@ -247,6 +250,12 @@ def test_cover_of_boxes_is_the_cover_of_the_points():
             common = sorted(set(points) & set(cover_points(other)))
             assert intersect_covers(cover, other) == cover_of_points(common)
             assert intersect_covers(other, cover) == cover_of_points(common)
+            assert intersect_covers(other, flat) == cover_of_points(common)
+            theirs = set(cover_points(other))
+            assert subtract_covers(cover, other) == cover_of_points(
+                sorted(set(points) - theirs))
+            assert subtract_covers(other, flat) == cover_of_points(
+                sorted(theirs - set(points)))
         previous = (ndim, cover)
 
 
@@ -260,6 +269,19 @@ def test_cover_of_set_enumerates_a_set_that_is_not_boxes():
     ], exists=("e",))])
     assert evens.box_cover() is None
     assert cover_of_set(evens) == ((2, 2), (4, 4), (6, 6), (8, 8))
+    # ... and equally from the boxes of its witnesses: random bound sets
+    # with an existential, coupled dims or not, against their points
+    rng = random.Random(15)
+    checked = 0
+    for _ in range(3000):
+        bs, closed = _random_conjunct(rng)
+        binding = _binding(rng)
+        if not bs.exists or not closed or len(binding) < len(PARAMS):
+            continue
+        s = ISet(DIMS, [_bind(bs, binding)])
+        assert cover_of_set(s) == cover_of_points(sorted(s.points())), bs.pretty()
+        checked += 1
+    assert checked > 200
 
 
 def test_cardinality_of_many_boxes_counts_without_enumerating():

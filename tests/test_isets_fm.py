@@ -1,10 +1,9 @@
 """Fourier-Motzkin internals: exactness flags, dark shadow, blowup guards."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isets import BasicSet, Constraint, ISet
-from repro.isets.terms import E, LinExpr
+from repro.isets import BasicSet, Constraint
+from repro.isets.terms import E
 
 
 class TestEliminationExactness:

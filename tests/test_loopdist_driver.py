@@ -1,6 +1,5 @@
 """The full §5 driver: grouping + selective distribution, deepest-outward."""
 
-import pytest
 
 from repro.cp.loopdist import communication_sensitive_distribution
 from repro.cp.select import CPSelector

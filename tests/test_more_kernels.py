@@ -1,9 +1,8 @@
 """Additional NAS kernels through the full pipeline (beyond the figures)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import analyze_loop_dependences
+from repro.analysis import DependenceAnalyzer
 from repro.codegen import compile_kernel
 from repro.frontend import parse_source
 from repro.ir import Assign, walk_stmts
@@ -93,19 +92,17 @@ class TestAutomaticParallelismDetection:
         # k loop carries no dependence once cv/rhoq/ru1 privatization is
         # accounted for; raw memory-based analysis still sees the temps,
         # so exclude them as a privatization-aware client would:
-        deps = analyze_loop_dependences(
-            kloop, {"n": 17}, ignore_vars=["cv", "rhoq", "ru1"])
+        deps = DependenceAnalyzer(kloop, {"n": 17}, ["cv", "rhoq", "ru1"]).dependences()
         assert not any(d.level == 1 for d in deps)
 
     def test_y_solve_j_loop_serial(self):
         sub = parse_source(kernels.Y_SOLVE_SP).get("y_solve")
         jloop = sub.body[0].body[0]
-        deps = analyze_loop_dependences(jloop, {"n": 17, "m": 0})
+        deps = DependenceAnalyzer(jloop, {"n": 17, "m": 0}).dependences()
         assert any(d.level == 1 for d in deps)
 
     def test_y_solve_i_loop_parallel(self):
         sub = parse_source(kernels.Y_SOLVE_SP).get("y_solve")
         iloop = sub.body[0].body[0].body[0]
-        deps = analyze_loop_dependences(
-            iloop, {"n": 17, "m": 0}, ignore_vars=["fac1"])
+        deps = DependenceAnalyzer(iloop, {"n": 17, "m": 0}, ["fac1"]).dependences()
         assert not any(d.level == 1 for d in deps)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.codegen import compile_kernel
 from repro.distrib import DistributionContext, PDIM
-from repro.distrib.multilayout import MultiPartitionLayout
 from repro.frontend import parse_subroutine
 
 SRC = """

@@ -11,7 +11,6 @@ from repro.analysis.dependence import DependenceAnalyzer
 from repro.cp import CPGrouper, distribute_loop, propagate_new_cps
 from repro.cp.interproc import InterproceduralCP
 from repro.cp.localize import localized_comm_eliminated, propagate_localize_cps
-from repro.cp.loopdist import communication_sensitive_distribution
 from repro.cp.model import cp_iteration_set
 from repro.cp.nest import NestInfo
 from repro.cp.select import CPSelector

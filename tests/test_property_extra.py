@@ -1,7 +1,7 @@
 """Extra property-based tests across the compiler's core invariants."""
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.distrib.grid import ProcessorGrid
 from repro.distrib.layout import DimDist, Distribution, PDIM, Template

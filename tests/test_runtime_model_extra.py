@@ -2,7 +2,6 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_ranges, chunk_ranges
