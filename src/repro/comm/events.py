@@ -9,7 +9,7 @@ from ..distrib.layout import proc_binding
 from ..ir.expr import ArrayRef
 from ..ir.stmt import Assign, DoLoop
 from ..isets import ISet, box
-from ..isets.box import cover_of_points, cover_of_set, cover_points, intersect_covers
+from ..isets.box import cover_of_set, intersect_covers
 
 
 @dataclass(frozen=True)
@@ -78,32 +78,22 @@ class CommEvent:
         need set, read as a cover, is intersected with every other rank's
         primary ownership cover (one sender per element), read inside the
         hull of all needs (it is unbounded along an array dim no template
-        dim is aligned with).  A read flows owner -> needer, a write-back
-        needer -> owner.  Owner sets that are not unions of boxes (CYCLIC,
-        MULTI) split the need's points by ``owner_coords_of`` instead."""
-        layout = ctx.layout(self.array)
+        dim is aligned with).  Both are read by ``cover_of_set`` whatever
+        the distribution: BLOCK sets as boxes, CYCLIC and MULTI ones from
+        their existential witnesses.  A read flows owner -> needer, a
+        write-back needer -> owner."""
         binds = [{**params, **proc_binding(grid.delinearize(r))} for r in range(grid.size)]
         needs = [cover_of_set(self.data.bind(b)) for b in binds]
         cols = list(zip(*(x for need in needs for x in need)))
         if not cols:
             return {}
         hull = box(self.data.dims, list(zip(map(min, cols[::2]), map(max, cols[1::2]))))
-        primary = layout.primary_ownership()
-        owned = [primary.bind(b).intersect(hull).box_cover() for b in binds]
+        primary = ctx.layout(self.array).primary_ownership()
+        owned = [cover_of_set(primary.bind(b).intersect(hull)) for b in binds]
         out: dict[tuple[int, int], tuple] = {}
         for r, need in enumerate(needs):
-            if not need:
-                continue
-            if None not in owned:
-                split = {q: intersect_covers(need, own) for q, own in enumerate(owned)}
-            else:
-                by_owner: dict[int, list] = {}
-                for elem in cover_points(need):
-                    q = grid.linearize(layout.owner_coords_of(elem))
-                    by_owner.setdefault(q, []).append(elem)
-                split = {q: cover_of_points(by_owner[q]) for q in sorted(by_owner)}
-            for q, cover in split.items():
-                if q != r and cover:
+            for q, own in enumerate(owned):
+                if q != r and (cover := intersect_covers(need, own)):
                     out[(q, r) if self.kind == "read" else (r, q)] = cover
         return out
 

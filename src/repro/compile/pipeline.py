@@ -167,9 +167,12 @@ class KernelArtifact:
 def stage_parse(source_or_sub, sink: DiagnosticSink) -> "Subroutine":
     """Parse stage: resolve the input to one compilable Subroutine.
 
-    String sources are parsed; multi-unit programs are flattened by
-    bottom-up call inlining in lenient mode (a typed error otherwise);
-    unresolved CALLs are rejected here, before any analysis runs.
+    String sources are parsed with sids from 1, whatever the process
+    parsed before (IR passed in keeps its caller-assigned sids);
+    multi-unit programs are flattened by bottom-up call inlining in
+    lenient mode (a typed error otherwise); unresolved CALLs are rejected
+    here, before any analysis runs.  The sid allocator is left just past
+    the unit's highest sid.
     """
     from ..codegen.spmd import CodegenUnsupported, _flatten_program
     from ..diag import E_UNSUPPORTED
@@ -180,6 +183,7 @@ def stage_parse(source_or_sub, sink: DiagnosticSink) -> "Subroutine":
 
     lenient = not sink.strict
     if isinstance(source_or_sub, str):
+        reset_sids()
         prog = parse_source(source_or_sub, sink if lenient else None)
         if lenient and sink.has_errors:
             raise sink.as_error("source has syntax errors")
@@ -217,6 +221,7 @@ def stage_parse(source_or_sub, sink: DiagnosticSink) -> "Subroutine":
                 )
                 raise sink.as_error()
             raise CodegenUnsupported("CALL statements are not code-generated")
+    _seed_sids(sub)
     return sub
 
 
@@ -385,10 +390,6 @@ def build_kernel(
     if selection is not None:
         sub = selection.sub  # the artifact carries its own parsed unit
     elif sub is None:
-        if isinstance(source_or_sub, str):
-            # fresh parse: sids 1..N regardless of process history (IR
-            # passed in directly keeps its caller-assigned sids)
-            reset_sids()
         with profile_phase("parse"):
             sub = stage_parse(source_or_sub, sink)
         if record is not None:

@@ -190,7 +190,7 @@ class CPSelector:
             # outer-loop variables not covered by the binding are closed
             # existentially: "non-local for some outer iteration"
             try:
-                return diff.bind(binding).close_params().count()
+                return diff.bind(binding).close_params().cardinality()
             except ValueError:
                 return None
 

@@ -20,7 +20,8 @@ Public API:
 - :class:`AffineMap` — affine relation between tuple spaces (CP translation).
 - :mod:`repro.isets.box` — the one reading of a set as boxes: the
   single-variable bound rule, :class:`~repro.isets.box.Box` and the
-  canonical disjoint cover behind ``ISet.box_cover`` / ``cardinality``.
+  canonical disjoint cover of a concrete set (``cover_of_set``), whose
+  volume is ``ISet.cardinality``.
 - helpers: :func:`box`, :func:`universe`, :func:`empty`.
 """
 

@@ -17,14 +17,16 @@ Every consumer that treats a set as a box reads it through this module:
   cost model read sets as boxes this way.
 - **The canonical disjoint cover** of a finite point set, from its points
   (:func:`cover_of_points`), from a union of boxes (:func:`cover_of_boxes`)
-  or from a concrete set (:func:`cover_of_set`, whichever the set allows);
+  or from a concrete set (:func:`cover_of_set`: its boxes, else the boxes
+  of its existential witnesses, else its points under the active budget);
   its :func:`volume`, points (:func:`cover_points`), intersection
   (:func:`intersect_covers`) and difference (:func:`subtract_covers`).  A
   concrete box is a flat tuple ``(a0, b0, a1, b1, ...)`` of inclusive
   per-dim bounds, first dim first — the layout node programs unpack from
-  ``G.boxes``.  ``ISet.cardinality`` is the volume of a set's cover; the
-  run-time guard views (``codegen.guards``) and the message routes
-  (``CommEvent.flows``) hold covers, and the static verifier's per-rank
+  ``G.boxes``.  Every concrete count (``ISet.cardinality``) is the volume
+  of a set's cover and every owner split (``CommEvent.flows``) an
+  intersection of covers; the run-time guard views (``codegen.guards``)
+  and the message routes hold covers, and the static verifier's per-rank
   checks are differences of them.
 """
 
@@ -230,32 +232,55 @@ def cover_points(cover):
 
 def cover_of_set(iset) -> tuple:
     """The canonical cover of a concrete set: read off its disjuncts when
-    each is a box; else from the boxes of each disjunct's existential
-    witnesses (cyclic, multipartition); from its enumerated points when
-    that fails for a disjunct."""
-    cover = iset.box_cover()
-    if cover is not None:
-        return cover
+    each is a box (:meth:`ISet.box_parts`); else from the boxes of each
+    disjunct's existential witnesses (cyclic, multipartition); from its
+    enumerated points when that fails for a disjunct — charged against
+    the active ``IsetBudget``, one op per 128 points, so a pathological
+    set trips ``W-BUDGET`` instead of enumerating unmetered."""
+    parts = iset.box_parts()
+    if parts is not None:
+        return cover_of_boxes([tuple(v for ext in p for v in ext) for p in parts])
     boxes: list = []
     for part in iset.parts:
         got = _witness_boxes(part)
         if got is None:
-            return cover_of_points(list(iset.points()))
+            return cover_of_points(_metered_points(iset))
         boxes += got
     return cover_of_boxes(boxes)
 
 
+def _metered_points(iset) -> list:
+    """The points of *iset*, one budget op per 128 of them."""
+    from .core import active_budget  # core reads its bounds through here
+
+    budget = active_budget()
+    points = []
+    for n, pt in enumerate(iset.enumerate_points(), 1):
+        if budget is not None and n % 128 == 0:
+            budget.charge_op()
+        points.append(pt)
+    return points
+
+
 def _witness_boxes(bs) -> "list | None":
     """The flat boxes of a concrete conjunct, one per assignment of its
-    existential variables over their projected ranges (an assignment
-    leaves a box or nothing).  None when a variable is unbounded, an
-    assignment leaves coupled dims, or there are more assignments than
-    points in the dims' hull (enumerating the points is cheaper)."""
+    existential variables over their ranges (an assignment leaves a box
+    or nothing).  A variable's range is the one its own constraints state
+    when they bound it on both sides (a looser range only adds
+    assignments that leave nothing), its projected range otherwise.
+    None when a variable is unbounded, an assignment leaves coupled dims,
+    or there are more assignments than points in the dims' hull
+    (enumerating the points is cheaper)."""
     names = sorted(bs.exists)
     whole = type(bs)((*names, *bs.dims), bs.constraints)  # witnesses as dims
+    stated = read_bounds(c for c in bs.constraints if len(c.expr.coeffs) == 1)
     ranges = []
     for v in whole.dims:
-        rng = whole.bounds_of(v, {})
+        iv = stated.get(v)
+        if iv is not None and iv.lo is not None and iv.hi is not None:
+            rng = (iv.lo, iv.hi)
+        else:
+            rng = whole.bounds_of(v, {})
         if rng is None:
             return None
         ranges.append(range(rng[0], rng[1] + 1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .box import concrete_extents, cover_of_boxes, volume
+from .box import concrete_extents, cover_of_set, volume
 from .core import (
     _SUBSUME_CACHE,
     CACHE_STATS,
@@ -187,20 +187,6 @@ class ISet:
     def count(self, params: Mapping[str, int] | None = None) -> int:
         return len(self.points(params))
 
-    def _metered_count(self, params: Mapping[str, int] | None = None) -> int:
-        """Enumeration fallback for :meth:`cardinality`, charged against the
-        active :class:`~repro.isets.core.IsetBudget` (one op per 128 points)
-        so a pathological disjunct pile trips ``W-BUDGET`` instead of
-        enumerating unmetered."""
-        budget = active_budget()
-        if budget is None:
-            return self.count(params)
-        n = 0
-        for n, _ in enumerate(self.enumerate_points(params), 1):
-            if n % 128 == 0:
-                budget.charge_op()
-        return n
-
     def box_parts(
         self, params: Mapping[str, int] | None = None
     ) -> list[list[tuple[int, int]]] | None:
@@ -220,25 +206,12 @@ class ISet:
                 boxes.append(ext)
         return boxes
 
-    def box_cover(self, params: Mapping[str, int] | None = None) -> tuple | None:
-        """The canonical disjoint cover of the set under *params* (see
-        :mod:`repro.isets.box`), read off :meth:`box_parts`; None when the
-        set is not a union of boxes."""
-        boxes = self.box_parts(params)
-        if boxes is None:
-            return None
-        return cover_of_boxes([tuple(v for ext in b for v in ext) for b in boxes])
-
     def cardinality(self, params: Mapping[str, int] | None = None) -> int:
-        """Exact number of integer points: the volume of :meth:`box_cover`
-        when the set is a union of boxes, point enumeration otherwise.
-        Always equals :meth:`count`; the static cost analyzer uses this so
-        per-rank communication volumes do not require enumerating every
-        element of every halo."""
-        cover = self.box_cover(params)
-        if cover is None:
-            return self._metered_count(params)
-        return volume(cover)
+        """Exact number of integer points under *params*: the volume of
+        the set's canonical cover (:func:`repro.isets.box.cover_of_set`),
+        read off its boxes or its existential witnesses, enumerated only
+        when neither reading applies.  Always equals :meth:`count`."""
+        return volume(cover_of_set(self.bind(params) if params else self))
 
     def pretty(self, max_parts: int = 4) -> str:
         """Readable rendering for diagnostics: relational constraint forms,

@@ -55,10 +55,13 @@ class KernelSpec:
 
 
 def fig61_subroutine():
-    """Figure 6.1 (x_solve_cell) with its leaf routines inlined."""
+    """Figure 6.1 (x_solve_cell) with its leaf routines inlined, its
+    statements numbered from 1 whatever the process parsed before."""
     from ..frontend import parse_source
+    from ..ir.stmt import reset_sids
     from ..transform import inline_calls
 
+    reset_sids()
     prog = parse_source(kernels.BT_SOLVE_CELL)
     for leaf in ("matvec_sub", "matmul_sub", "binvcrhs"):
         inline_calls(prog, "x_solve_cell", leaf)

@@ -11,15 +11,13 @@ the actual's — the common whole-column/VECTOR case).
 
 from __future__ import annotations
 
-import itertools
+import re
 
 from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var
 from ..ir.program import Program, Subroutine
 from ..ir.stmt import Assign, CallStmt, Continue, DoLoop, IfThen, PrintStmt, Return, Stmt
 from ..ir.symbols import VarDecl
 from ..ir.visit import map_body, walk_stmts
-
-_suffix_counter = itertools.count(1)
 
 
 class InlineError(Exception):
@@ -131,7 +129,7 @@ def inline_call(caller: Subroutine, call: CallStmt, callee: Subroutine) -> list[
     """
     if len(call.args) != len(callee.args):
         raise InlineError(f"{call.name}: argument count mismatch")
-    suffix = f"_inl{next(_suffix_counter)}"
+    suffix = _fresh_suffix(caller)
     rename: dict[str, Expr | str] = {}
     assigned = {
         s.target_name.lower() for s in walk_stmts(callee.body) if isinstance(s, Assign)
@@ -191,6 +189,13 @@ def inline_call(caller: Subroutine, call: CallStmt, callee: Subroutine) -> list[
     while body and isinstance(body[-1], (Return, Continue)):
         body = body[:-1]
     return [_clone_stmt(s, rename) for s in body]
+
+
+def _fresh_suffix(caller: Subroutine) -> str:
+    """``_inl<N>``, *N* one past the highest such suffix the caller's
+    symbols carry: the same names whatever the process inlined before."""
+    taken = (re.search(r"_inl(\d+)$", d.name.lower()) for d in caller.symbols.all())
+    return f"_inl{max((int(m.group(1)) for m in taken if m), default=0) + 1}"
 
 
 def inline_calls(program: Program, caller_name: str, callee_name: str) -> int:

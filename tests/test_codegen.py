@@ -161,13 +161,17 @@ class TestEmittedText:
         "sp-rhs-s": "09f8e14ef2196097",
         "bt-rhs-s": "5737eb49d172ac77",
         "sp-rhs-scaled-s@16": "f43399039d252e6a",
+        "fig6.1": "9db18d7dc14a396d",
     }
 
     def test_scalar_node_programs_unchanged(self):
         import hashlib
 
+        from repro.nas.specs import fig61_subroutine
+
         got = {}
-        for key, source, nprocs, params in _bench_sources():
+        rows = _bench_sources() + [("fig6.1", fig61_subroutine(), 4, {"n": 13})]
+        for key, source, nprocs, params in rows:
             if key not in self.SCALAR_TEXT:
                 continue
             ck = compile_kernel(source, nprocs=nprocs, params=params,

@@ -17,9 +17,11 @@ import sys
 
 import pytest
 
+from repro.check.verifier import analyzed_unit
 from repro.codegen import CodegenUnsupported, compile_kernel
-from repro.compile import PlanCache, PlanCacheConfig, use_cache
+from repro.compile import PlanCache, PlanCacheConfig, cache_disabled, use_cache
 from repro.isets import IsetBudget
+from repro.nas import kernels
 from repro.nas.specs import all_specs, kernel_spec
 
 #: (spec key, budget max_ops) of the budgeted lenient compiles under test:
@@ -101,3 +103,31 @@ def test_after_seeded_histories(fresh, tmp_path):
                     if rng.random() < 0.3:
                         cache.clear_lru()
                 assert target_result(*target) == fresh[target], (seed, target)
+
+
+def test_analysis_sids_do_not_depend_on_history():
+    """A source analyzed without code generation numbers its statements
+    from 1, whatever compiled before it in the process."""
+    def live_sids():
+        unit = analyzed_unit(kernels.Y_SOLVE_SP, 4, {"n": 12, "m": 0})
+        return [ev.stmt.sid for _root, plan in unit.nest_plans
+                for ev in plan.live_events()]
+
+    first = live_sids()
+    with use_cache(None):
+        compile_kernel(kernels.LHSY_SP, 4, {"n": 17})
+    assert first == live_sids() == live_sids() == [8, 9, 10, 13]
+
+
+def test_inlined_names_do_not_depend_on_history():
+    """Inlining names a callee's locals from the caller's own symbols, so
+    a lenient compile of a call tree emits the same node programs every
+    time in one process."""
+    with cache_disabled():
+        texts = [
+            [ck.python_source(t) for t in ("mpi", "shmem")]
+            for ck in (compile_kernel(kernels.BT_SOLVE_CELL, 4, {"n": 13},
+                                      strict=False) for _ in range(2))
+        ]
+    assert texts[0] == texts[1]
+    assert "q_inl1" in texts[0][0]

@@ -75,7 +75,7 @@ REPLICATED_AXIS = """
       end
 """
 
-#: owner sets that are not unions of boxes: flows split points by owner
+#: owner sets that are not unions of boxes: read from their stride witness
 CYCLIC_HALO = """
       program cyc
       parameter (n = 16)
@@ -85,6 +85,25 @@ CYCLIC_HALO = """
 !hpf$ distribute b(cyclic) onto p
       do i = 2, n
          b(i) = a(i - 1) + a(i)
+      enddo
+      end
+"""
+
+#: multipartitioned (§9) halo: owner sets read from their witnesses
+MULTI_HALO = """
+      subroutine relax(n)
+      integer n, i, j, k
+      parameter (nx = 5)
+      double precision u(0:nx, 0:nx, 0:nx), v(0:nx, 0:nx, 0:nx)
+chpf$ processors p(2, 2)
+chpf$ distribute u(multi, multi, multi) onto p
+chpf$ distribute v(multi, multi, multi) onto p
+      do k = 1, n - 1
+         do j = 0, n - 1
+            do i = 1, n - 1
+               v(i, j, k) = u(i - 1, j, k) + u(i, j, k - 1)
+            enddo
+         enddo
       enddo
       end
 """
@@ -407,12 +426,13 @@ class TestFlowsOracle:
         art = analyze_source(spec.program(), spec.nprocs, spec.params)
         _assert_flows_match_oracle(art.ctx, art.merged, art.nest_plans)
 
-    @pytest.mark.parametrize("source", [REPLICATED_AXIS, CYCLIC_HALO],
-                             ids=["replicated-axis", "cyclic"])
-    def test_routes_are_the_flows(self, source):
+    @pytest.mark.parametrize("source, params", [
+        (REPLICATED_AXIS, {}), (CYCLIC_HALO, {}), (MULTI_HALO, {"n": 6})],
+        ids=["replicated-axis", "cyclic", "multi"])
+    def test_routes_are_the_flows(self, source, params):
         """The kernel's message routes hold the flows' covers, and the
         static cost equals the trace."""
-        ck = compile_kernel(source, 4)
+        ck = compile_kernel(source, 4, params)
         assert _assert_flows_match_oracle(ck.ctx, ck.params, ck.nest_plans)
         grid = ck.grid
         hoisted = [

@@ -11,9 +11,10 @@ The general engine is the oracle throughout:
   or couples two dims; otherwise ``extents`` under a binding are the
   extents of ``_scan``'s points (which are the whole box), and the
   difference count is the brute-force count;
-- **covers** — the cover read from boxes is the cover of the enumerated
-  points, and ``ISet.cardinality`` equals ``count`` on unions of up to 14
-  boxes, without enumerating and within a tiny budget.
+- **covers** — the cover read from boxes or from existential witnesses
+  is the cover of the enumerated points, and ``ISet.cardinality`` equals
+  ``count`` on witness-read sets and on unions of up to 14 boxes, the
+  latter without enumerating and within a tiny budget.
 """
 
 import itertools
@@ -243,7 +244,6 @@ def test_cover_of_boxes_is_the_cover_of_the_points():
         assert volume(cover) == len(points)
         assert sorted(cover_points(cover)) == points
         s = ISet(dims, [_box_set(dims, p) for p in parts])
-        assert s.box_cover() == cover
         assert cover_of_set(s) == cover
         if previous[0] == ndim:
             other = previous[1]
@@ -267,7 +267,7 @@ def test_cover_of_set_enumerates_a_set_that_is_not_boxes():
         Constraint(i - 1, False), Constraint(9 - i, False),
         Constraint(i - E("e") * 2, True),
     ], exists=("e",))])
-    assert evens.box_cover() is None
+    assert evens.box_parts() is None
     assert cover_of_set(evens) == ((2, 2), (4, 4), (6, 6), (8, 8))
     # ... and equally from the boxes of its witnesses: random bound sets
     # with an existential, coupled dims or not, against their points
@@ -280,6 +280,7 @@ def test_cover_of_set_enumerates_a_set_that_is_not_boxes():
             continue
         s = ISet(DIMS, [_bind(bs, binding)])
         assert cover_of_set(s) == cover_of_points(sorted(s.points())), bs.pretty()
+        assert s.cardinality() == s.count()
         checked += 1
     assert checked > 200
 

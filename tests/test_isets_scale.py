@@ -12,8 +12,9 @@ oracle on seeded random inputs:
   ISet's point set, and a memoized subsumption verdict implies real
   containment.
 
-Plus direct tests for the memo tables' per-compile lifetime and the
-budget-metered cardinality fallback.
+Plus direct tests for the memo tables' per-compile lifetime, the
+budget-metered cardinality fallback, and kernels over MULTI and CYCLIC
+arrays that compile, cost and verify without one lattice scan.
 """
 
 import itertools
@@ -169,3 +170,56 @@ def test_metered_cardinality_respects_budget():
     with iset_budget(tiny):
         with pytest.raises(BudgetExceeded):
             t.cardinality({})
+
+
+#: ``b(i) = a(i-1) + a(i)`` over CYCLIC arrays: owner and iteration sets
+#: with a stride witness
+CYCLIC_KERNEL = """
+      program cyc
+      parameter (n = 256)
+      real a(n), b(n)
+!hpf$ processors p(4)
+!hpf$ distribute a(cyclic) onto p
+!hpf$ distribute b(cyclic) onto p
+      do i = 2, n
+         b(i) = a(i - 1) + a(i)
+      enddo
+      end
+"""
+
+
+def _multipartition_sources():
+    """``examples/multipartition_hpf.py``'s kernel, and the same nest
+    turned into a halo sweep (messages between the MULTI owners)."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "examples" / "multipartition_hpf.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    halo = (mod.SOURCE
+            .replace("do k = 0,", "do k = 1,").replace("do i = 0,", "do i = 1,")
+            .replace("u(i, j, k) * 0.5d0", "u(i - 1, j, k) + u(i, j, k - 1)"))
+    return [mod.SOURCE, halo]
+
+
+def test_multi_and_cyclic_kernels_compile_cost_and_verify_without_scans():
+    """Every count and owner split of a kernel over MULTI or CYCLIC
+    arrays is read off a cover (boxes, or the boxes of existential
+    witnesses): compiling, costing and verifying it scans no lattice."""
+    from repro.check import kernel_cost, verify_kernel
+    from repro.codegen import compile_kernel
+    from repro.compile import cache_disabled
+    from repro.isets import cache_stats
+
+    stats = cache_stats()
+    cases = [(src, {"n": 12}) for src in _multipartition_sources()]
+    cases.append((CYCLIC_KERNEL, {}))
+    for source, params in cases:
+        before = stats.enum_scan
+        with cache_disabled():
+            ck = compile_kernel(source, 4, params)
+            kernel_cost(ck)
+            verify_kernel(ck)
+        assert stats.enum_scan == before, source
