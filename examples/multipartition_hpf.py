@@ -19,7 +19,7 @@ Run:  python examples/multipartition_hpf.py
 """
 
 from repro.codegen import compile_kernel
-from repro.distrib import DistributionContext, PDIM
+from repro.distrib import DistributionContext, Layout, PDIM
 from repro.frontend import parse_subroutine
 
 SOURCE = """
@@ -46,6 +46,8 @@ N, Q, B = 12, 2, 6
 def main() -> None:
     ctx = DistributionContext(parse_subroutine(SOURCE), nprocs=4, params={"n": N})
     lay = ctx.layout("u")
+    # MULTI is a distribution format like BLOCK: every array is a Layout
+    assert all(isinstance(l, Layout) for l in ctx.layouts.values())
 
     print("=== the ownership set (§9, made affine with existentials) ===")
     print(" ", str(lay.ownership())[:200], "...\n")

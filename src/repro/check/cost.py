@@ -323,8 +323,8 @@ def _cost_from_parts(
             if not isinstance(stmt, Assign):
                 continue
             bounds = nest.bounds_of(stmt)
-            if bounds is None:
-                continue  # non-affine loop structure: no static count
+            if bounds is None or bounds.params() - params.keys():
+                continue  # non-affine or run-time bounds: no static count
             serial = bounds.bind(dict(params)).cardinality()
             w = _stmt_flops(stmt)
             cost.serial_iterations += serial

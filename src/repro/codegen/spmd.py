@@ -915,6 +915,13 @@ class CompiledKernel:
             points = G.point_table(sid)
         return True if points is None else point in points
 
+    @staticmethod
+    def boxed(value):
+        """*value* as a 0-d object array: a message payload whose
+        ``.item()`` is the value itself, its type (int, float or numpy
+        scalar) intact."""
+        return np.array(value, dtype=object)
+
     # -- vector-backend runtime helpers ---------------------------------------
     #: read-only backing store for :meth:`arange` (grown on demand; shared
     #: across ranks, which is safe precisely because it is immutable)
@@ -1163,12 +1170,35 @@ class CompiledKernel:
                     lines.append(f"    K.exec_comm(rank, A, {nest_idx}, 'writeback')")
                 else:
                     lines.append(f"    rank.barrier(tag={6100 + nest_idx})")
+                if degraded and target == "shmem":
+                    self._emit_scalar_publish(item, nest_idx, lines)
                 nest_idx += 1
             else:
                 self._emit_stmt(item, lines, indent=1, locals_=set())
         lines.append("    return A")
         self._sources[target] = "\n".join(lines) + "\n"
         return self._sources[target]
+
+    @staticmethod
+    def _emit_scalar_publish(nest: DoLoop, nest_idx: int, lines: list[str]) -> None:
+        """After a degraded nest on shmem, which only rank 0 ran: send the
+        scalars it assigns to the other ranks, whose scalar environments
+        are their own."""
+        names = sorted({
+            s.lhs.name.lower() for s in walk_stmts([nest])
+            if isinstance(s, Assign) and isinstance(s.lhs, Var)
+        })
+        if not names:
+            return
+        tag = 6200 + nest_idx
+        lines += [
+            f"    for _name in {tuple(names)!r}:",
+            "        if rank.rank == 0:",
+            "            for _dst in range(1, rank.size):",
+            f"                rank.send(_dst, K.boxed(S[_name]), tag={tag})",
+            "        else:",
+            f"            S[_name] = rank.recv(0, tag={tag}).item()",
+        ]
 
     def _emit_stmt(self, s: Stmt, lines: list[str], indent: int, locals_: set[str]) -> None:
         pad = "    " * indent

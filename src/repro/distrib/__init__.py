@@ -6,15 +6,17 @@ elements owned by the representative processor with coordinates
 ``(p$0, p$1, ...)``.  These sets are the foundation of computation
 partitioning and communication analysis.
 
-Also implements the *diagonal multipartitioning* of the hand-written NAS
-SP/BT MPI codes (Naik, IBM Sys. J. 1995) — not expressible in HPF (the paper
-makes this point), used by the hand-coded baseline in the evaluation.
+The formats are BLOCK, CYCLIC(k) and, as a dhpf-py extension, MULTI: the
+*diagonal multipartitioning* of the hand-written NAS SP/BT MPI codes (Naik,
+IBM Sys. J. 1995), which the paper notes HPF cannot express.  Its ownership
+is affine with existentials, so :class:`Distribution` states it like the
+others (§9's closing question).  :class:`MultiPartition3D` is its concrete
+runtime form, used by the hand-coded baseline in the evaluation.
 """
 
 from .grid import ProcessorGrid
 from .layout import Template, Distribution, Layout, DistributionContext, PDIM
 from .multipart import MultiPartition3D
-from .multilayout import MultiPartitionLayout
 
 __all__ = [
     "ProcessorGrid",
@@ -23,6 +25,5 @@ __all__ = [
     "Layout",
     "DistributionContext",
     "MultiPartition3D",
-    "MultiPartitionLayout",
     "PDIM",
 ]

@@ -61,9 +61,11 @@ class Template:
 class DimDist:
     """Distribution of one template dimension.
 
-    kind: 'block' | 'cyclic' | '*'.  ``block`` is the block size (for block
-    and block-cyclic); ``grid_axis`` is the processor-grid axis this template
-    dim maps to (None for '*').
+    kind: 'block' | 'cyclic' | 'multi' | '*'.  ``block`` is the block size
+    (for block and block-cyclic); ``grid_axis`` is the processor-grid axis
+    this template dim maps to (None for '*').  The three 'multi' dims of a
+    multipartitioned template name axes (0, 1, 0): the diagonal ties dims 0
+    and 2 to the first axis of the q x q grid.
     """
 
     kind: str
@@ -72,16 +74,39 @@ class DimDist:
 
 
 class Distribution:
-    """A template distributed onto a processor grid."""
+    """A template distributed onto a processor grid.
+
+    Each template dim is BLOCK, CYCLIC(k) or collapsed (``*``), on its own
+    grid axis — or all three dims of a rank-3 template are MULTI on a q x q
+    grid: the diagonal multipartitioning of the hand-coded NAS SP/BT (§9's
+    closing question), where processor (a, b) owns the cells
+    (cx, cy, cz) of the q^3 cell grid with cy - cx = a and cz - cx = b
+    (mod q).  That ownership is affine with existentials, so
+    :meth:`owner_set` states it in the same integer-set form as the others.
+    """
 
     def __init__(self, template: Template, grid: ProcessorGrid, dims: Sequence[DimDist]):
         if len(dims) != template.rank:
             raise ValueError("distribution format count != template rank")
-        used_axes = [d.grid_axis for d in dims if d.kind != "*"]
-        if sorted(a for a in used_axes if a is not None) != list(range(grid.rank)):
-            raise ValueError(
-                f"distributed dims must map 1-1 onto grid axes; got {used_axes} for grid rank {grid.rank}"
-            )
+        kinds = {d.kind for d in dims}
+        if "multi" in kinds:
+            if kinds != {"multi"} or template.rank != 3:
+                raise ValueError("MULTI distribution must be (MULTI, MULTI, MULTI)")
+            if grid.rank != 2 or grid.shape[0] != grid.shape[1]:
+                raise ValueError("multipartitioning needs a square q x q grid")
+            shape = tuple(template.extent(k) for k in range(3))
+            if any(n % grid.shape[0] for n in shape):
+                raise ValueError(
+                    f"analysis-form multipartitioning needs extents divisible "
+                    f"by q={grid.shape[0]}; got {shape}"
+                )
+            dims = [DimDist("multi", None, g) for g in (0, 1, 0)]
+        else:
+            used_axes = [d.grid_axis for d in dims if d.kind != "*"]
+            if sorted(a for a in used_axes if a is not None) != list(range(grid.rank)):
+                raise ValueError(
+                    f"distributed dims must map 1-1 onto grid axes; got {used_axes} for grid rank {grid.rank}"
+                )
         self.template = template
         self.grid = grid
         self.dims = tuple(dims)
@@ -93,11 +118,22 @@ class Distribution:
         names = tuple(dim_names or (TDIM(k) for k in range(self.template.rank)))
         cons: list[Constraint] = []
         exists: list[str] = []
+        multi = self.dims[0].kind == "multi"
         for k, (dd, (lo, hi), name) in enumerate(zip(self.dims, self.template.bounds, names)):
             t = E(name)
             cons.append(Constraint.ge(t, lo))
             cons.append(Constraint.le(t, hi))
             if dd.kind == "*":
+                continue
+            if dd.kind == "multi":
+                # t lies in cell c$k of q equal cells
+                q = self.grid.shape[0]
+                B = self.template.extent(k) // q
+                c = E(f"c${k}")
+                cons.append(Constraint.ge(c, 0))
+                cons.append(Constraint.le(c, q - 1))
+                cons.append(Constraint.ge(t - lo, c * B))
+                cons.append(Constraint.le(t - lo, c * B + B - 1))
                 continue
             g = dd.grid_axis
             assert g is not None
@@ -120,6 +156,19 @@ class Distribution:
                 cons.append(Constraint.ge(E(q), 0))
             else:  # pragma: no cover - validated in __init__
                 raise AssertionError(dd.kind)
+        if multi:
+            q = self.grid.shape[0]
+            a, b = E(PDIM(0)), E(PDIM(1))
+            for p in (a, b):
+                cons.append(Constraint.ge(p, 0))
+                cons.append(Constraint.le(p, q - 1))
+            # diagonal conditions: cy - cx ≡ a, cz - cx ≡ b  (mod q)
+            cons.append(Constraint.eq(E("c$1") - E("c$0"), a + E("k$1") * q))
+            cons.append(Constraint.eq(E("c$2") - E("c$0"), b + E("k$2") * q))
+            for k in ("k$1", "k$2"):
+                cons.append(Constraint.ge(E(k), -1))
+                cons.append(Constraint.le(E(k), 1))
+            exists = ["c$0", "c$1", "c$2", "k$1", "k$2"]
         return ISet(names, [BasicSet(names, cons, exists)])
 
     # -- concrete queries ---------------------------------------------------
@@ -137,6 +186,13 @@ class Distribution:
 
     def owner_coords(self, point: Sequence[int]) -> tuple[int, ...]:
         """Grid coordinates of the unique owner of a template point."""
+        if self.dims[0].kind == "multi":
+            q = self.grid.shape[0]
+            cx, cy, cz = (
+                (point[k] - lo) // (self.template.extent(k) // q)
+                for k, (lo, _hi) in enumerate(self.template.bounds)
+            )
+            return ((cy - cx) % q, (cz - cx) % q)
         coords = [0] * self.grid.rank
         for k, (dd, (lo, _hi)) in enumerate(zip(self.dims, self.template.bounds)):
             if dd.kind == "*":
@@ -150,19 +206,6 @@ class Distribution:
             else:
                 coords[g] = (off // b) % self.grid.shape[g]
         return tuple(coords)
-
-    def local_range(self, k: int, pcoord: int) -> tuple[int, int]:
-        """Concrete owned [lo, hi] of template dim k on grid coordinate
-        pcoord (BLOCK dims only; empty ranges return lo > hi)."""
-        dd = self.dims[k]
-        lo, hi = self.template.bounds[k]
-        if dd.kind == "*":
-            return (lo, hi)
-        if dd.kind != "block":
-            raise ValueError("local_range is only defined for BLOCK dims")
-        b = self.block_size(k)
-        start = lo + pcoord * b
-        return (start, min(start + b - 1, hi))
 
 
 class Layout:
@@ -336,48 +379,21 @@ class DistributionContext:
             self.grids[key] = ProcessorGrid(key, shape)
         return self.grids[key]
 
-    def _apply_multipartition(self, d: DistributeDecl) -> None:
-        """dHPF-extension DISTRIBUTE (MULTI, MULTI, MULTI): the paper's §9
-        closing question, answered with an exists-quantified ownership set
-        (see :mod:`repro.distrib.multilayout`)."""
-        from .multilayout import MultiPartitionLayout
-
-        if not all(f.kind == "multi" for f in d.formats) or len(d.formats) != 3:
-            raise ValueError("MULTI distribution must be (MULTI, MULTI, MULTI)")
-        if d.onto:
-            grid = self.grids.get(d.onto.lower())
-            if grid is None:
-                raise KeyError(f"unknown PROCESSORS arrangement {d.onto!r}")
-        else:
-            q = math.isqrt(self.nprocs)
-            if q * q != self.nprocs:
-                raise ValueError("MULTI needs a square processor count")
-            grid = ProcessorGrid("_multigrid", (q, q))
-        for name in d.arrays:
-            lname = name.lower()
-            if lname in self.templates:
-                tmpl = self.templates[lname]
-                self.template_dist[lname] = ("multi", tmpl, grid)  # type: ignore[assignment]
-            else:
-                decl = self.sub.symbols.lookup(lname)
-                if decl is None or not decl.is_array or decl.rank != 3:
-                    raise KeyError(f"MULTI target {name!r} must be a rank-3 array")
-                bounds = tuple((self._eval(lo), self._eval(hi)) for lo, hi in decl.dims)
-                tmpl = Template(f"_t_{lname}", bounds)
-                self.layouts[lname] = MultiPartitionLayout(lname, tmpl, grid)
-
     def _apply_distribute(self, d: DistributeDecl) -> None:
-        if any(f.kind == "multi" for f in d.formats):
-            self._apply_multipartition(d)
-            return
+        multi = any(f.kind == "multi" for f in d.formats)
         ndist = sum(1 for f in d.formats if f.kind != "*")
         if d.onto:
             grid = self.grids.get(d.onto.lower())
             if grid is None:
                 raise KeyError(f"unknown PROCESSORS arrangement {d.onto!r}")
+        elif multi:
+            q = math.isqrt(self.nprocs)
+            if q * q != self.nprocs:
+                raise ValueError("MULTI needs a square processor count")
+            grid = ProcessorGrid("_multigrid", (q, q))
         else:
             grid = self._default_grid(ndist)
-        if grid.rank != ndist:
+        if grid.rank != ndist and not multi:  # MULTI checks its own grid
             raise ValueError(
                 f"{ndist} distributed dims but grid {grid.name} has rank {grid.rank}"
             )
@@ -415,25 +431,6 @@ class DistributionContext:
         lname = a.array.lower()
         tname = a.template.lower()
         dist = self.template_dist.get(tname)
-        if isinstance(dist, tuple) and dist and dist[0] == "multi":
-            # multipartitioned template: identity alignment only
-            from .multilayout import MultiPartitionLayout
-
-            _tag, tmpl, grid = dist
-            decl = self.sub.symbols.lookup(lname)
-            if decl is None or not decl.is_array:
-                raise KeyError(f"ALIGN source {a.array!r} is not a declared array")
-            exprs = [to_affine(e) if e is not None else None for e in a.target_subscripts]
-            idents = [
-                e is not None and len(e.coeffs) == 1 and e.constant == 0
-                for e in exprs
-            ]
-            if decl.rank != 3 or not all(idents):
-                raise ValueError(
-                    "MULTI templates support identity alignment of rank-3 arrays only"
-                )
-            self.layouts[lname] = MultiPartitionLayout(lname, tmpl, grid)
-            return
         if dist is None:
             raise KeyError(f"ALIGN target template {a.template!r} has no DISTRIBUTE")
         decl = self.sub.symbols.lookup(lname)
@@ -451,6 +448,12 @@ class DistributionContext:
                 if ae is None:
                     raise ValueError(f"non-affine ALIGN subscript {sub_e}")
                 exprs.append(ae.rename(rename))
+        if dist.dims[0].kind == "multi" and exprs != [
+            LinExpr.var(Layout.dim_name(k)) for k in range(decl.rank)
+        ]:
+            raise ValueError(
+                "MULTI templates support identity alignment of rank-3 arrays only"
+            )
         self.layouts[lname] = Layout(lname, decl.rank, dist, exprs)
 
     # -- queries -------------------------------------------------------------

@@ -34,6 +34,7 @@ from ..check.cost import (
     predicted_curve,
     scale_limit,
     sweep_cost,
+    validate_against_trace,
     wildcard_grid,
 )
 from ..compile import scratch_cache
@@ -110,7 +111,7 @@ def cost_rows(
         if validate:
             vm = VirtualMachine(nprocs, record_trace=True)
             ck.run(spec.scalars, init=seed_init(ck, spec.seed_bias), vm=vm)
-            validation = validate_against(cost, vm.trace)
+            validation = validate_against_trace(cost, vm.trace)
         rows.append(CostRow(
             name=name, nprocs=nprocs, cost=cost, validation=validation,
             advisories=cost_advisories(cost, kernel=ck, model=model),
@@ -132,14 +133,6 @@ def cost_rows(
             advisories=cost_advisories(cost, model=model),
         ))
     return rows
-
-
-def validate_against(cost: KernelCost, trace) -> CostValidation:
-    """Check a static cost against a fault-free VM trace (lazy import so
-    the harness can be listed without pulling the analyzer in)."""
-    from ..check.cost import validate_against_trace
-
-    return validate_against_trace(cost, trace)
 
 
 def format_cost_report(rows: Sequence[CostRow], model: MachineModel) -> str:

@@ -386,14 +386,14 @@ class FuzzResult:
 
 def _serial_reference(source: str) -> "dict[str, np.ndarray]":
     from ..frontend import parse_source
-    from ..ir.interp import Interpreter
+    from ..ir.interp import FortranArray, Interpreter
 
     prog = parse_source(source)
     main = prog.main or next(iter(prog.units.values()))
     frame = Interpreter(prog).run(main.name)
     out = {}
     for name, val in frame.values.items():
-        if hasattr(val, "data"):
+        if isinstance(val, FortranArray):  # numpy scalars have .data too
             out[name] = np.asarray(val.data).copy()
     return out
 

@@ -37,18 +37,6 @@ class Subroutine:
     def calls(self) -> list[CallStmt]:
         return [s for s in self.statements() if isinstance(s, CallStmt)]
 
-    def find_distribute(self, array: str) -> Optional[DistributeDecl]:
-        for d in self.distributes:
-            if array.lower() in (a.lower() for a in d.arrays):
-                return d
-        return None
-
-    def find_align(self, array: str) -> Optional[AlignDecl]:
-        for a in self.aligns:
-            if a.array.lower() == array.lower():
-                return a
-        return None
-
     def __repr__(self) -> str:
         return f"<Subroutine {self.name} args={self.args}>"
 

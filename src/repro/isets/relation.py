@@ -46,13 +46,6 @@ class AffineMap:
             binding.update(params)
         return tuple(e.evaluate(binding) for e in self.exprs)
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """``self ∘ inner``: first apply *inner*, then *self*."""
-        if self.in_arity != inner.out_arity:
-            raise ValueError("arity mismatch in composition")
-        binding = dict(zip(self.in_dims, inner.exprs))
-        return AffineMap(inner.in_dims, [e.substitute(binding) for e in self.exprs])
-
     def inverse(self) -> "AffineMap":
         """Invert a map that is a permuted-unit-coefficient bijection.
 

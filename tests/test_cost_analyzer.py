@@ -174,6 +174,34 @@ class TestExactTraceMatch:
         v = validate_against_trace(cost, _traced_run(ck))
         assert v.ok, v.mismatches
 
+    def test_runtime_loop_bound_gets_no_static_count(self):
+        """``do i = 1, m`` with ``m`` a run-time scalar: the nest's
+        statements get no work count (like a non-affine nest), and the
+        message counts stay exact.  The first source is
+        ``test_graceful_degradation``'s runtime-bound gap."""
+        header = (
+            "      program gap\n      parameter (n = 16)\n"
+            "      real a(n), b(n), c(n)\n      integer m\n"
+            "!hpf$ processors p(4)\n"
+            "!hpf$ distribute a(block) onto p\n"
+            "!hpf$ distribute b(block) onto p\n"
+        )
+        runtime_bound = header + (
+            "      do i = 1, n\n         b(i) = i * 0.5\n      enddo\n"
+            "      m = 7\n"
+            "      do i = 1, m\n         a(i) = b(i) + 1.5\n      enddo\n"
+            "      end\n"
+        )
+        seed16 = gen_spec(16)
+        for source, nprocs, serial in (
+            (runtime_bound, 4, 16), (seed16.render(), seed16.nprocs, 0)
+        ):
+            ck = compile_kernel(source, nprocs, strict=False)
+            cost = kernel_cost(ck)
+            assert cost.serial_iterations == serial
+            v = validate_against_trace(cost, _traced_run(ck))
+            assert v.ok, v.mismatches
+
 
 class TestAdvisories:
     def test_replicated_and_scalar_wavefront_fire_on_degraded_example(self):

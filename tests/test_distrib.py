@@ -78,11 +78,6 @@ class TestDistributionOwnership:
                 c = d.owner_coords((x, y))
                 assert own.contains((x, y), {PDIM(0): c[0], PDIM(1): c[1]})
 
-    def test_local_range(self):
-        d = self.make(["block"], (4,), [(0, 15)])
-        assert d.local_range(0, 0) == (0, 3)
-        assert d.local_range(0, 3) == (12, 15)
-
     def test_star_dim_owned_by_all(self):
         d = self.make(["block", "*"], (2,), [(0, 7), (0, 5)])
         own = d.owner_set(["x", "y"])

@@ -292,7 +292,8 @@ _REDUCTION = """
 def test_reduction_is_refused_strict_and_degraded_lenient():
     """A REDUCTION clause asks for rank-partial sums, which are not bitwise
     the serial order: strict refuses the nest, lenient runs it replicated
-    with the same reason, bitwise the interpreter on the VM."""
+    with the same reason, bitwise the interpreter on the VM's mpi and
+    shmem targets (rank 0 publishes ``s`` to the others there)."""
     reason = (
         "REDUCTION(s) is not honoured because a rank-partial sum is not "
         "bitwise the serial order"
@@ -308,6 +309,21 @@ def test_reduction_is_refused_strict_and_degraded_lenient():
             f"nest degraded to replicated execution: {reason}"
         ]
         assert _mpi_mismatch(k, k.run({}), ref, backend) is None
+        assert _shmem_mismatch(k, k.run_shmem({}), ref, backend) is None
+
+
+def test_reduction_degraded_on_shmem_processes():
+    """The published scalar crosses real processes too."""
+    import multiprocessing as mp
+
+    from repro.runtime import procexec
+
+    k = compile_kernel(_REDUCTION, nprocs=4, strict=False)
+    shared = k.run_shmem({}, executor="process", timeout=60)
+    assert _shmem_mismatch(
+        k, shared, _serial_reference(_REDUCTION), "process") is None
+    assert mp.active_children() == []
+    assert procexec.leaked_segments() == []
 
 
 #: the REDUCTION program without its clause: each rank would sum only its
@@ -371,7 +387,7 @@ def test_partitioned_scalar_write_is_refused_strict_and_degraded_lenient(
     """A partitioned scalar write leaves each rank its own iterations'
     value: strict refuses the nest unless the scalar is private to every
     iteration and dead after its loops; lenient runs it replicated,
-    bitwise the interpreter on the VM."""
+    bitwise the interpreter on the VM's mpi and shmem targets."""
     with pytest.raises(CodegenUnsupported) as ei:
         compile_kernel(source, nprocs=4)
     assert str(ei.value) == reason
@@ -383,6 +399,7 @@ def test_partitioned_scalar_write_is_refused_strict_and_degraded_lenient(
             f"nest degraded to replicated execution: {reason}"
         ]
         assert _mpi_mismatch(k, k.run({}), ref, backend) is None
+        assert _shmem_mismatch(k, k.run_shmem({}), ref, backend) is None
 
 
 def test_per_iteration_scalar_temporaries_stay_partitioned():

@@ -83,23 +83,6 @@ class TestProgramStructure:
         g = prog.call_graph()
         assert list(g.edges) == []
 
-    def test_find_distribute_and_align(self):
-        sub = parse_source(
-            """
-      subroutine s
-      double precision a(8, 8)
-chpf$ template t(8, 8)
-chpf$ align a(i, j) with t(i, j)
-chpf$ distribute t(block, *)
-      a(1, 1) = 0.0
-      end
-"""
-        ).get("s")
-        assert sub.find_distribute("t") is not None
-        assert sub.find_distribute("zzz") is None
-        assert sub.find_align("a").template == "t"
-        assert sub.find_align("b") is None
-
 
 class TestLoopDirectiveMerge:
     def test_merge_unions_everything(self):

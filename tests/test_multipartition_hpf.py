@@ -4,7 +4,7 @@ distribution the compiler's set machinery handles automatically."""
 import pytest
 
 from repro.codegen import compile_kernel
-from repro.distrib import DistributionContext, PDIM
+from repro.distrib import DistributionContext, MultiPartition3D, PDIM
 from repro.frontend import parse_subroutine
 
 SRC = """
@@ -26,6 +26,27 @@ chpf$ distribute v(multi, multi, multi) onto p
 """
 
 
+#: SRC with a halo read, so the plans carry communication events
+HALO_SRC = SRC.replace("do i = 0, n - 1", "do i = 1, n - 1").replace(
+    "u(i, j, k) * 2.0d0", "u(i - 1, j, k) * 2.0d0")
+
+_DIRECT = (
+    "chpf$ distribute u(multi, multi, multi) onto p\n"
+    "chpf$ distribute v(multi, multi, multi) onto p\n"
+)
+
+
+def _aligned(source, v_target="t(i, j, k)"):
+    """*source* with u and v aligned onto a MULTI template instead of
+    distributed directly."""
+    return source.replace(_DIRECT, (
+        "chpf$ template t(0:11, 0:11, 0:11)\n"
+        "chpf$ distribute t(multi, multi, multi) onto p\n"
+        "chpf$ align u(i, j, k) with t(i, j, k)\n"
+        f"chpf$ align v(i, j, k) with {v_target}\n"
+    ))
+
+
 @pytest.fixture(scope="module")
 def ctx():
     return DistributionContext(parse_subroutine(SRC), nprocs=4, params={"n": 12})
@@ -43,13 +64,15 @@ class TestMultiOwnershipSets:
         assert len(seen) == 12**3
 
     def test_set_matches_runtime_multipartition(self, ctx):
-        """The symbolic exists-quantified set and the concrete runtime
-        multipartitioning agree on every owner."""
+        """The symbolic exists-quantified set, the layout's cell arithmetic
+        and the concrete runtime multipartitioning agree on every owner."""
         lay = ctx.layout("u")
+        mp = MultiPartition3D(4, (12, 12, 12))
         for a in range(2):
             for b in range(2):
                 for p in lay.ownership().bind({PDIM(0): a, PDIM(1): b}).points():
                     assert lay.owner_coords_of(p) == (a, b)
+                    assert mp.proc_coords(mp.owner_of_point(p)) == (a, b)
 
     def test_sweep_property_at_set_level(self, ctx):
         """For every x-slab, every processor owns exactly one (y,z) cell —
@@ -67,6 +90,36 @@ class TestMultiOwnershipSets:
     def test_requires_square_grid(self):
         src = SRC.replace("processors p(2, 2)", "processors p(4, 1)")
         with pytest.raises(ValueError, match="square"):
+            DistributionContext(parse_subroutine(src), nprocs=4, params={"n": 12})
+
+    def test_align_onto_multi_template_is_the_direct_distribution(self):
+        """Identity ALIGN onto a MULTI template gives the sets, node
+        programs and communication of distributing the arrays directly."""
+        params = {"n": 12}
+        for source in (SRC, HALO_SRC):
+            direct = compile_kernel(source, nprocs=4, params=params)
+            aligned = compile_kernel(_aligned(source), nprocs=4, params=params)
+            for name in ("u", "v"):
+                d, a = direct.ctx.layout(name), aligned.ctx.layout(name)
+                assert str(a.ownership()) == str(d.ownership())
+                assert str(a.primary_ownership()) == str(d.primary_ownership())
+            for target in ("mpi", "shmem"):
+                assert (aligned.python_source(target)
+                        == direct.python_source(target))
+            events = [
+                [(ev.array, ev.kind, ev.stmt.sid, str(ev.data), str(ev.placement))
+                 for ev in plan.live_events()]
+                for ck in (direct, aligned) for _root, plan in ck.nest_plans
+            ]
+            assert events[0] == events[1]
+            assert [r.pairs for rs in aligned._routes for r in rs] == [
+                r.pairs for rs in direct._routes for r in rs]
+        assert any(events[0])  # the halo kernel communicates
+
+    @pytest.mark.parametrize("target", ["t(j, i, k)", "t(i + 1, j, k)"])
+    def test_non_identity_align_onto_multi_is_refused(self, target):
+        src = _aligned(SRC, v_target=target)
+        with pytest.raises(ValueError, match="identity alignment"):
             DistributionContext(parse_subroutine(src), nprocs=4, params={"n": 12})
 
     def test_requires_divisible_extents(self):

@@ -8,7 +8,6 @@ from repro.distrib.layout import DimDist, Distribution, PDIM, Template
 from repro.distrib.multipart import MultiPartition3D
 from repro.ir.interp import FortranArray
 from repro.isets import AffineMap, LinExpr
-from repro.isets.terms import E
 
 
 class TestOwnershipPartition:
@@ -97,15 +96,6 @@ class TestAffineMapProperties:
         for pt in [(0, 0), (3, -2), (7, 11)]:
             assert inv(m(pt)) == pt
             assert m(inv(pt)) == pt
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(-4, 4), st.integers(-4, 4))
-    def test_compose_is_function_composition(self, a, b):
-        f = AffineMap(["i"], [E("i") + a])
-        g = AffineMap(["i"], [2 * E("i") + b])
-        fg = f.compose(g)
-        for x in range(-3, 4):
-            assert fg((x,)) == f(g((x,)))
 
 
 class TestFortranArrayProperties:
