@@ -50,7 +50,7 @@ from .cost import (
     sweep_cost,
     validate_against_trace,
 )
-from .diagnostics import CheckReport, VerificationError
+from .diagnostics import CheckReport
 from .schedule import ScheduleOp, StaticSchedule, check_matching
 from .verifier import (
     VerifyUnit,
@@ -64,7 +64,6 @@ __all__ = [
     "CheckReport",
     "Diagnostic",
     "Severity",
-    "VerificationError",
     "ScheduleOp",
     "StaticSchedule",
     "check_matching",

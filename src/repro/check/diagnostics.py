@@ -47,12 +47,3 @@ class CheckReport(DiagnosticSink):
             if d.severity >= min_severity:
                 lines.append("  " + d.format().replace("\n", "\n  "))
         return "\n".join(lines)
-
-
-class VerificationError(Exception):
-    """Raised by ``compile_kernel(..., verify=True)`` when the checker
-    finds errors; carries the full report."""
-
-    def __init__(self, report: CheckReport):
-        self.report = report
-        super().__init__(report.format(min_severity=Severity.ERROR))

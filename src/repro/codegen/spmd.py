@@ -687,7 +687,6 @@ def compile_kernel(
     source_or_sub: "str | Subroutine | Program",
     nprocs: int,
     params: Mapping[str, int] | None = None,
-    verify: bool = False,
     backend: str = "vector",
     strict: bool = True,
     sink: "DiagnosticSink | None" = None,
@@ -717,10 +716,8 @@ def compile_kernel(
     collected diagnostics.  Pass ``sink``/``budget`` to observe diagnostics
     and iset resource usage; fresh ones are created otherwise.
 
-    With ``verify=True`` the static SPMD verifier (:mod:`repro.check`) runs
-    over the compiled kernel; errors raise
-    :class:`repro.check.VerificationError` and the full report is attached
-    to the kernel as ``verify_report`` either way.
+    The static SPMD verifier is a separate step:
+    ``repro.check.verify_kernel(compile_kernel(...))``.
 
     Since PR 7 this is a thin wrapper over the staged pipeline in
     :mod:`repro.compile.pipeline`.  String sources are routed through the
@@ -742,21 +739,10 @@ def compile_kernel(
 
     cache = active_cache() if isinstance(source_or_sub, str) else None
     if cache is not None:
-        kernel = cached_compile(
+        return cached_compile(
             source_or_sub, nprocs, params, backend, sink, budget, cache
         )
-    else:
-        kernel = build_kernel(
-            source_or_sub, nprocs, params, backend, sink, budget
-        )
-    if verify:
-        from ..check import VerificationError, verify_kernel
-
-        report = verify_kernel(kernel)
-        kernel.verify_report = report
-        if not report.ok:
-            raise VerificationError(report)
-    return kernel
+    return build_kernel(source_or_sub, nprocs, params, backend, sink, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +816,6 @@ class CompiledKernel:
         self._nests = tuple(nests or ())
         #: LOCALIZE'd arrays: partially replicated, no comm (§4.2)
         self.localized_arrays = set(localized_arrays or ())
-        #: filled in by compile_kernel(..., verify=True)
-        self.verify_report = None
         #: structured diagnostics collected while building this kernel
         self.sink = sink
         #: True when built under a lenient (strict=False) sink

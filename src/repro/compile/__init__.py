@@ -59,12 +59,9 @@ __all__ = [
     "CompileQuarantined",
     "CompileService",
     "PoolConfig",
-    "ServiceOverloaded",
 ]
 
-_POOL_NAMES = (
-    "CompilePool", "CompileQuarantined", "PoolConfig", "ServiceOverloaded",
-)
+_POOL_NAMES = ("CompilePool", "CompileQuarantined", "PoolConfig")
 
 
 def __getattr__(name):

@@ -188,7 +188,7 @@ def _compile(
         injector.start()
     outcomes = []
     try:
-        tickets = [pool.submit(job, block=True) for job in jobs]
+        tickets = [pool.submit(job) for job in jobs]
         outcomes = [pool.wait(t, timeout=SCENARIO_DEADLINE) for t in tickets]
     except TimeoutError:
         row.problems.append("hung: wait() hit its deadline")

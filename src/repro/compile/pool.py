@@ -23,10 +23,9 @@ long-lived forked workers and layers the service policies the ROADMAP's
   and an ``E-QUARANTINE`` diagnostic.  One poisoned job can never starve
   the queue or grind the pool through endless respawns;
 - **backpressure** — admission is bounded by ``max_queue`` distinct
-  pending compilations; past it, :meth:`CompilePool.submit` blocks
-  (``overload="block"``) or raises a typed :class:`ServiceOverloaded`
-  (``overload="reject"``).  Warm cache hits and coalesced duplicates are
-  admission-free — they never charge a queue slot or a worker;
+  pending compilations; past it, :meth:`CompilePool.submit` blocks.
+  Warm cache hits and coalesced duplicates are admission-free — they
+  never charge a queue slot or a worker;
 - **single-flight** — submissions coalesce by kernel digest across the
   whole queue: a stampede of identical requests shares one build;
 - **selection sharing** — CP selection does not depend on ``nprocs``, so
@@ -84,16 +83,6 @@ from .pipeline import KernelArtifact, _loads, _replay
 # typed service failures
 # ---------------------------------------------------------------------------
 
-class ServiceOverloaded(ExecutorError):
-    """Admission control rejected a submission: the pending-compile queue
-    is at ``max_queue`` and the pool was configured ``overload="reject"``.
-    Carries the queue depth at rejection time."""
-
-    def __init__(self, message: str, *, depth: int = 0, **kw):
-        super().__init__(message, **kw)
-        self.depth = depth
-
-
 class CompileQuarantined(ExecutorError):
     """A poisoned job: it killed its worker ``max_attempts`` times and
     will never be retried again.  ``history`` lists one entry per fatal
@@ -142,8 +131,7 @@ class PoolConfig:
     ``min(backoff_max, backoff_base * backoff_factor**(k-1))`` plus a
     deterministic jitter in ``[0, backoff_base)`` seeded from
     ``(jitter_seed, digest, k)``.  ``max_queue`` bounds *distinct*
-    admitted-but-unfinished compilations; ``overload`` picks the
-    backpressure policy at that bound (``"block"`` | ``"reject"``).
+    admitted-but-unfinished compilations; admission blocks at that bound.
     """
 
     workers: int = 4
@@ -156,7 +144,6 @@ class PoolConfig:
     backoff_max: float = 5.0
     jitter_seed: int = 0
     max_queue: int = 64
-    overload: str = "block"
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -171,8 +158,6 @@ class PoolConfig:
             raise ValueError("backoff_base/backoff_factor out of range")
         if self.max_queue < 1:
             raise ValueError("max_queue must be at least 1")
-        if self.overload not in ("block", "reject"):
-            raise ValueError(f"unknown overload policy {self.overload!r}")
 
     def backoff(self, digest: str, attempt: int) -> float:
         """Deterministic delay before retry *attempt* (2-based: the delay
@@ -207,7 +192,6 @@ class PoolStats:
     timeouts: int = 0
     quarantined: int = 0
     quarantine_rejections: int = 0
-    rejected: int = 0
     cancelled: int = 0
     forks: int = 0
     respawns: int = 0
@@ -357,22 +341,19 @@ class CompilePool:
         supervise.guard(self, _abort)
 
     # -- client surface ----------------------------------------------------
-    def submit(self, job: CompileJob, block: Optional[bool] = None) -> PoolTicket:
+    def submit(self, job: CompileJob) -> PoolTicket:
         """Admit one compilation; returns its (possibly shared) ticket.
 
         Resolution order: already-tracked digest → coalesce (no admission
         charge); quarantined digest → instant typed failure; plan-cache
         hit → instant warm ticket (no admission charge, no worker);
         otherwise (a strict job also reading the selection tier) a queue
-        slot is taken, blocking or raising a typed
-        :class:`ServiceOverloaded` at ``max_queue`` per the pool policy
-        (``block`` overrides it per call).  Raises :class:`PoolClosed`
-        after shutdown began.
+        slot is taken, blocking while ``max_queue`` are pending.  Raises
+        :class:`PoolClosed` after shutdown began.
         """
         key = job.key()
         digest = key.kernel_digest
         analysis = key.analysis_digest if job.strict else None
-        blocking = self.config.overload == "block" if block is None else block
         with self._lock:
             self.stats.submitted += 1
             if self._closed:
@@ -420,13 +401,6 @@ class CompilePool:
             if ticket is not None:
                 return ticket
             while len(self._queue) >= self.config.max_queue:
-                if not blocking:
-                    self.stats.rejected += 1
-                    raise ServiceOverloaded(
-                        f"compile queue is full "
-                        f"({len(self._queue)}/{self.config.max_queue} pending)",
-                        depth=len(self._queue),
-                    )
                 self._space.wait()
                 if self._closed:
                     raise PoolClosed("compile pool is shut down")
@@ -468,7 +442,7 @@ class CompilePool:
         progress: Optional[Callable[[CompileOutcome], None]] = None,
     ) -> "list[CompileOutcome]":
         """The ``compile_many`` surface on pool workers: submit every job
-        (blocking admission — a batch never self-rejects), wait for all,
+        (admission blocks at ``max_queue``), wait for all,
         return outcomes in input order with ``shared`` marked on
         duplicate-digest riders.  Always one outcome per job: when a
         drain begins mid-admission, the refused job and every later one
@@ -478,7 +452,7 @@ class CompilePool:
             if timeout is not None and job.timeout is None:
                 job = dataclasses.replace(job, timeout=timeout)
             try:
-                tickets.append(self.submit(job, block=True))
+                tickets.append(self.submit(job))
             except PoolClosed:
                 break  # draining: this job and the rest are cancelled below
         outcomes: list[CompileOutcome] = []
@@ -900,5 +874,4 @@ __all__ = [
     "PoolConfig",
     "PoolStats",
     "PoolTicket",
-    "ServiceOverloaded",
 ]

@@ -1,4 +1,4 @@
-"""The compilation-service front door: submit / poll / collect.
+"""The compilation-service front door: submit / collect.
 
 :class:`CompileService` is the programmatic shape of "millions of users
 submitting kernels": a source-level face on the supervised persistent
@@ -7,7 +7,7 @@ worker pool (:mod:`repro.compile.pool`), holding no state of its own:
     svc = CompileService(workers=4)
     ticket = svc.submit(source, nprocs=4, params={"n": 64})
     ...
-    if svc.poll(ticket).done:
+    if ticket.done:
         kernel = svc.collect(ticket).kernel
     svc.shutdown()
 
@@ -22,8 +22,7 @@ the service is crash-only:
   typed :class:`~repro.compile.pool.CompileQuarantined` carrying the
   crash history — one poisoned submission can never starve the queue;
 - admission is bounded: past ``max_queue`` pending compilations,
-  ``submit`` blocks (``overload="block"``) or raises a typed
-  :class:`~repro.compile.pool.ServiceOverloaded` (``"reject"``);
+  ``submit`` blocks;
 - warm plan-cache hits resolve at submission without charging a queue
   slot or a worker;
 - ``shutdown(wait=True)`` stops admission, finishes in-flight and queued
@@ -50,7 +49,6 @@ from .pool import (
     PoolClosed,
     PoolConfig,
     PoolTicket,
-    ServiceOverloaded,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,12 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class CompileService:
-    """Submit sources for compilation; poll and collect kernels.
+    """Submit sources for compilation; collect kernels.
 
     Thread-safe.  ``workers`` sizes the persistent worker pool,
     ``timeout`` is the default per-job deadline, ``cache`` defaults to
     the active plan cache (results persist across service instances
-    through it), ``max_queue``/``overload`` set the admission policy,
+    through it), ``max_queue`` bounds pending compilations,
     and ``pool_config`` overrides the whole supervision policy at once
     (retry/backoff/quarantine/heartbeat knobs).
     """
@@ -74,13 +72,11 @@ class CompileService:
         timeout: Optional[float] = None,
         cache: Optional[PlanCache] = None,
         max_queue: int = 64,
-        overload: str = "block",
         pool_config: Optional[PoolConfig] = None,
     ):
         if pool_config is None:
             pool_config = PoolConfig(
-                workers=workers, timeout=timeout,
-                max_queue=max_queue, overload=overload,
+                workers=workers, timeout=timeout, max_queue=max_queue,
             )
         self._pool = CompilePool(pool_config, cache=cache)
 
@@ -101,19 +97,13 @@ class CompileService:
 
         Identical submissions (same plan key) coalesce onto one ticket —
         including while the first is still building (single-flight).
-        Raises :class:`~repro.compile.pool.PoolClosed` after shutdown,
-        and (under the ``"reject"`` admission policy, queue full) a typed
-        :class:`~repro.compile.pool.ServiceOverloaded`.
+        Blocks while ``max_queue`` compilations are pending.  Raises
+        :class:`~repro.compile.pool.PoolClosed` after shutdown.
         """
         return self._pool.submit(CompileJob(
             source=source, nprocs=nprocs, params=dict(params or {}),
             backend=backend, strict=strict, label=label, timeout=timeout,
         ))
-
-    def poll(self, ticket: PoolTicket) -> PoolTicket:
-        """Return the ticket (``ticket.done`` when terminal); its state
-        is live, so this is a convenience for polling loops."""
-        return ticket
 
     def collect(
         self, ticket: PoolTicket, timeout: Optional[float] = None
@@ -135,8 +125,8 @@ class CompileService:
         return out.kernel
 
     def stats(self) -> dict:
-        """The pool's service-level counters (queue depth, rejections,
-        retries, quarantines, forks, ...)."""
+        """The pool's service-level counters (queue depth, retries,
+        quarantines, forks, ...)."""
         return self._pool.stats.as_dict()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -164,5 +154,4 @@ __all__ = [
     "CompileQuarantined",
     "CompileService",
     "PoolClosed",
-    "ServiceOverloaded",
 ]

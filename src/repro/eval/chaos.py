@@ -59,7 +59,7 @@ import numpy as np
 from ..compile.cache import PlanCache, PlanCacheConfig
 from ..nas.verify import VERIFY_GRID, VERIFY_STEPS, serial_reference
 from ..parallel import run_parallel
-from ..parallel.checkpoint import CheckpointConfig, CheckpointStore
+from ..parallel.checkpoint import CheckpointStore
 from ..runtime import procexec
 from ..runtime.faults import FaultPlan, RankCrashed, RankFault
 from ..runtime.model import MachineModel, TEST_MACHINE
@@ -315,7 +315,7 @@ def vm_subject(
             )
             plan = (FaultPlan(seed=seed, drop_rate=drop_rate, rank_faults=faults)
                     if drop_rate or faults else None)
-            ckpt = CheckpointConfig(store=CheckpointStore(), interval=1)
+            ckpt = CheckpointStore()
             row.virtual_time = 0.0
             for attempt in range(VM_ATTEMPTS):
                 row.recoveries = attempt
@@ -374,7 +374,7 @@ def process_subject(
                     max_restarts=2, restart_backoff=0.05,
                 ),
                 proc_fault=fault,
-                checkpoint=CheckpointConfig(store=CheckpointStore(), interval=1),
+                checkpoint=CheckpointStore(),
             )
             row.recoveries = got.restarts
             row.injected = int(got.restarts > 0)

@@ -197,7 +197,7 @@ def run(args) -> int:
     )
     print(
         f"  queue:     depth {s.queue_depth}, peak {s.peak_queue_depth}"
-        f"   rejected: {s.rejected}   cancelled: {s.cancelled}"
+        f"   cancelled: {s.cancelled}"
     )
     print(
         f"  failures:  {s.failed} failed / {s.retries} retries / "

@@ -51,6 +51,14 @@ PRIVATE_SHARE = 0.5
 #: and is specialized to a target of 2, 3 or 4 ranks
 GRID_SHARE = 0.15
 
+#: share of all programs that end in a scalar accumulator read by a later
+#: nest (the soundness screen refuses to partition it: lenient degrades)
+ACCUM_SHARE = 0.2
+
+#: share of the 2-d programs in which one random nest runs ``do i``
+#: outside ``do j``, the opposite order of every other nest
+SWAP_SHARE = 0.5
+
 
 # ---------------------------------------------------------------------------
 # program specs (the shrinkable representation)
@@ -80,6 +88,30 @@ class NestSpec:
     hi: str = "n"
     #: maximum |offset| used by any subscript (shrinks the iteration range)
     pad: int = 0
+    #: 2-d programs: ``do i`` outside ``do j`` instead of the usual order
+    swap: bool = False
+
+
+@dataclass(frozen=True)
+class AccumSpec:
+    """A scalar accumulator: one nest sums *source* into ``acc``, and a
+    later nest adds ``acc`` into *target*.  The scalar is read after the
+    loop that writes it, so no partitioning of the sum is sound."""
+
+    source: str
+    target: str
+
+    def render(self, lines: list, two_d: bool) -> None:
+        sub = "i, j" if two_d else "i"
+        loops = ("j", "i") if two_d else ("i",)
+        lines.append("      acc = 0.5")
+        for body in (f"acc = acc + {self.source}({sub})",
+                     f"{self.target}({sub}) = {self.target}({sub}) + acc * 0.25"):
+            for depth, var in enumerate(loops):
+                lines.append(f"      {'   ' * depth}do {var} = 1, n")
+            lines.append(f"      {'   ' * len(loops)}{body}")
+            for depth in reversed(range(len(loops))):
+                lines.append(f"      {'   ' * depth}enddo")
 
 
 @dataclass(frozen=True)
@@ -133,6 +165,8 @@ class ProgramSpec:
     wild: bool = False
     #: 2-d programs: a last nest of lhsy's shape over a NEW array ``t``
     private: "PrivateSpec | None" = None
+    #: a scalar accumulator after every other nest
+    accum: "AccumSpec | None" = None
 
     def render(self) -> str:
         n, lines = self.n, []
@@ -142,6 +176,8 @@ class ProgramSpec:
         decls = ", ".join(f"{a.name}{shape}" for a in self.arrays)
         if self.private is not None:
             decls += ", t(n), s" if self.private.scalar else ", t(n)"
+        if self.accum is not None:
+            decls += ", acc"
         lines.append(f"      real {decls}")
         if any(p.startswith("m =") for p in self.pre):
             lines.append("      integer m")
@@ -163,8 +199,9 @@ class ProgramSpec:
             lines.append(f"      {p}")
         for nest in self.nests:
             if self.two_d:
-                lines.append(f"      do j = {nest.lo}, {nest.hi}")
-                lines.append(f"         do i = {nest.lo}, {nest.hi}")
+                outer, inner = ("i", "j") if nest.swap else ("j", "i")
+                lines.append(f"      do {outer} = {nest.lo}, {nest.hi}")
+                lines.append(f"         do {inner} = {nest.lo}, {nest.hi}")
                 pad = "            "
             else:
                 lines.append(f"      do i = {nest.lo}, {nest.hi}")
@@ -182,6 +219,8 @@ class ProgramSpec:
             lines.append("      enddo")
         if self.private is not None:
             self.private.render(lines)
+        if self.accum is not None:
+            self.accum.render(lines, self.two_d)
         if self.with_call:
             first = self.arrays[0].name
             lines.append(f"      call bump({first}, n)")
@@ -302,6 +341,13 @@ def gen_spec(seed: int) -> ProgramSpec:
                 pre.append(f"m = {pre_val}")
             hi = "m"
         nests.append(NestSpec(tuple(stmts), lo, hi, pad))
+    if two_d:
+        # a stream of its own, like the shapes below: the programs that do
+        # not draw it render as before
+        srng = random.Random(f"{seed}:swap")
+        if srng.random() < SWAP_SHARE:
+            k = srng.randrange(len(nests))
+            nests[k] = replace(nests[k], swap=True)
     wave = None
     if two_d:
         # drawn from a stream of its own, so the programs that do not take
@@ -337,9 +383,16 @@ def gen_spec(seed: int) -> ProgramSpec:
         if grng.random() < GRID_SHARE:
             wild = True
             nprocs = grng.choice((2, 3, 4))
+    accum = None
+    arng = random.Random(f"{seed}:accum")
+    if arng.random() < ACCUM_SHARE:
+        accum = AccumSpec(
+            arng.choice(arrays).name,
+            arng.choice([a for a in arrays if a.dist] or arrays).name,
+        )
     return ProgramSpec(
         seed, n, nprocs, two_d, tuple(arrays), tuple(nests), tuple(pre),
-        with_call, wave, wild, private,
+        with_call, wave, wild, private, accum,
     )
 
 
@@ -534,6 +587,12 @@ def _spec_variants(spec: ProgramSpec):
         yield replace(spec, with_call=False)
     if spec.private is not None:
         yield replace(spec, private=None)
+    if spec.accum is not None:
+        yield replace(spec, accum=None)
+    for i, nest in enumerate(spec.nests):
+        if nest.swap:
+            yield replace(spec, nests=spec.nests[:i]
+                          + (replace(nest, swap=False),) + spec.nests[i + 1:])
     for i in range(len(spec.nests)):
         if len(spec.nests) > 1:
             yield replace(spec, nests=spec.nests[:i] + spec.nests[i + 1:])

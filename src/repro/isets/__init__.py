@@ -6,7 +6,7 @@ integer tuple sets and solves optimization problems as sequences of set
 equations (Adve & Mellor-Crummey, PLDI'98).  This package provides the same
 abstraction: affine integer sets over named tuple dimensions with free
 symbolic parameters, supporting intersection, union, difference, projection
-(Fourier-Motzkin with dark-shadow integer reasoning), affine image/preimage,
+(Fourier-Motzkin with dark-shadow integer reasoning), affine images,
 subset and emptiness tests, and concrete enumeration / loop-bound extraction
 for code generation.
 
@@ -17,7 +17,7 @@ Public API:
 - :class:`BasicSet` — conjunction of constraints over an ordered dim tuple,
   with optional existentially quantified variables.
 - :class:`ISet` — finite union of BasicSets in the same space.
-- :class:`AffineMap` — affine relation between tuple spaces (CP translation).
+- :class:`AffineMap` — affine map between tuple spaces (access images).
 - :mod:`repro.isets.box` — the one reading of a set as boxes: the
   single-variable bound rule, :class:`~repro.isets.box.Box` and the
   canonical disjoint cover of a concrete set (``cover_of_set``), whose

@@ -48,16 +48,3 @@ class BTSolver:
 
     def checksum(self) -> float:
         return float(np.sum(np.abs(self.u)))
-
-
-def flops_per_step(shape: tuple[int, int, int]) -> float:
-    """Analytic floating-point work of one BT timestep (timing model).
-
-    BT does far more work per point than SP (5x5 block algebra; published
-    NPB counts are ~4200 flops/point/iteration vs SP's ~900).
-    """
-    n = shape[0] * shape[1] * shape[2]
-    rhs_cost = 260.0
-    sweep_cost = 3 * 1300.0  # block solves dominate
-    add_cost = 10.0
-    return n * (rhs_cost + sweep_cost + add_cost)

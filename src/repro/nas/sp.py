@@ -55,16 +55,3 @@ class SPSolver:
 
     def checksum(self) -> float:
         return float(np.sum(np.abs(self.u)))
-
-
-def flops_per_step(shape: tuple[int, int, int]) -> float:
-    """Analytic floating-point work of one SP timestep (timing model).
-
-    Counts are per-grid-point costs of the NAS SP phases, consistent with
-    published NPB operation counts (~900 flops/point/iteration).
-    """
-    n = shape[0] * shape[1] * shape[2]
-    rhs_cost = 260.0
-    sweep_cost = 3 * 220.0  # three directional solves (3 systems each)
-    add_cost = 10.0
-    return n * (rhs_cost + sweep_cost + add_cost)

@@ -18,7 +18,7 @@ benchmark harness.
 """
 
 from .api import RunResult, run_parallel
-from .checkpoint import CheckpointConfig, CheckpointCorrupted, CheckpointStore
+from .checkpoint import CheckpointStore
 from .decomp import BlockDecomp1D, BlockDecomp2D
 
 __all__ = [
@@ -26,7 +26,5 @@ __all__ = [
     "run_parallel",
     "BlockDecomp1D",
     "BlockDecomp2D",
-    "CheckpointConfig",
-    "CheckpointCorrupted",
     "CheckpointStore",
 ]

@@ -21,8 +21,7 @@ from ..runtime.procexec import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from ..runtime.reliable import ReliableConfig
-from .checkpoint import CheckpointConfig
+from .checkpoint import CheckpointStore
 from .dhpf import DhpfOptions, make_dhpf_node
 
 
@@ -77,8 +76,7 @@ def run_parallel(
     options: Any = None,
     record_trace: bool = True,
     faults: Optional[FaultPlan] = None,
-    reliable: Optional[ReliableConfig] = None,
-    checkpoint: Optional[CheckpointConfig] = None,
+    checkpoint: Optional[CheckpointStore] = None,
     executor: str = "virtual",
     timeout: Optional[float] = None,
     executor_config: Optional[ProcConfig] = None,
@@ -114,11 +112,12 @@ def run_parallel(
     restart or degradation).
 
     Resilience knobs: ``faults`` injects a deterministic
-    :class:`~repro.runtime.faults.FaultPlan`; ``reliable`` tunes the
-    retransmission transport that masks its message faults (both model
-    *simulated* failures, so they require the virtual executor);
-    ``checkpoint`` enables coordinated snapshot/restart for the dhpf and
-    handmpi strategies; ``proc_fault`` injects one *real* fault
+    :class:`~repro.runtime.faults.FaultPlan`, whose message faults the
+    virtual machine's retransmission transport masks (a plan models
+    *simulated* failures, so it requires the virtual executor);
+    ``checkpoint``, a :class:`~repro.parallel.checkpoint.CheckpointStore`,
+    enables coordinated snapshot/restart for the dhpf and handmpi
+    strategies; ``proc_fault`` injects one *real* fault
     (SIGKILL/SIGSTOP) into a live process gang — the chaos harness's
     process mode.
     """
@@ -132,10 +131,10 @@ def run_parallel(
         raise ValueError(
             "checkpoint/restart supports the dhpf and handmpi strategies only"
         )
-    if executor == "process" and (faults is not None or reliable is not None):
+    if executor == "process" and faults is not None:
         raise ValueError(
-            "FaultPlan/ReliableConfig model simulated faults in virtual time "
-            "and require executor='virtual'; real-process faults are injected "
+            "a FaultPlan models simulated faults in virtual time "
+            "and requires executor='virtual'; real-process faults are injected "
             "via proc_fault (see repro.eval.chaos)"
         )
     if proc_fault is not None and executor != "process":
@@ -221,10 +220,7 @@ def run_parallel(
                     f"wall-clock budget of {timeout:.3g}s exhausted before the "
                     f"virtual-machine fallback could start"
                 )
-        vm = VirtualMachine(
-            nprocs, model, record_trace=record_trace, faults=faults,
-            reliable=reliable,
-        )
+        vm = VirtualMachine(nprocs, model, record_trace=record_trace, faults=faults)
         results = vm.run(node, timeout=remaining)
         trace = vm.trace
 

@@ -12,44 +12,16 @@ ranks saved a snapshot.  Because the solvers are deterministic, the
 recovered run is bitwise identical to an uninterrupted one and still
 passes NPB-style verification (:mod:`repro.nas.verify`).
 
-Functional runs snapshot the full local ``u`` tile (owned + ghost planes,
-exactly the state an uninterrupted run would carry into the next
-iteration); work-model runs snapshot only the iteration marker.
-
-Stores can also persist to disk (one self-validating file per iteration;
-see :meth:`CheckpointStore.save_dir`).  The on-disk format carries a magic
-header, payload length, and CRC so a truncated or corrupted file raises a
-typed :class:`CheckpointCorrupted` instead of a raw unpickling crash, and
-directory recovery (:meth:`CheckpointStore.load_dir`) skips damaged files
-and falls back to the newest intact checkpoint.
+Node programs save after every iteration.  Functional runs snapshot the
+full local ``u`` tile (owned + ghost planes, exactly the state an
+uninterrupted run would carry into the next iteration); work-model runs
+snapshot only the iteration marker.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import re
-import struct
 import threading
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
-#: on-disk header: magic, then big-endian (crc32, payload_length)
-_MAGIC = b"RPROCKPT1\n"
-_HEADER = struct.Struct(">IQ")
-_FILE_RE = re.compile(r"^ckpt-(\d{8})\.rpc$")
-
-
-class CheckpointCorrupted(RuntimeError):
-    """A checkpoint file failed validation (truncated, bit-rotted, or not
-    a checkpoint at all).  Carries the path and a machine-checkable reason
-    so recovery code can log it and fall back to an older checkpoint."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"corrupted checkpoint {path}: {reason}")
-        self.path = str(path)
-        self.reason = reason
+from typing import Any
 
 
 class CheckpointStore:
@@ -83,135 +55,3 @@ class CheckpointStore:
         with self._lock:
             state = self._snaps[iteration][rank]
         return state.copy() if state is not None and hasattr(state, "copy") else state
-
-    def iterations(self) -> list[int]:
-        with self._lock:
-            return sorted(self._snaps)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._snaps.clear()
-
-    # -- disk persistence ------------------------------------------------------
-    def save_file(self, path: str, iteration: int) -> None:
-        """Write one iteration's snapshots as a self-validating file.
-
-        Layout: magic, big-endian (crc32, length), pickled
-        ``{iteration: {rank: state}}``.  Written to a temp name and
-        renamed, so a crash mid-write leaves no half-file under the final
-        name."""
-        with self._lock:
-            snaps = dict(self._snaps.get(iteration, {}))
-        payload = pickle.dumps({iteration: snaps}, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(_HEADER.pack(zlib.crc32(payload), len(payload)))
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    def load_file(self, path: str) -> list[int]:
-        """Merge one checkpoint file into the store; returns the iterations
-        it contained.  Raises :class:`CheckpointCorrupted` on any damage —
-        never a raw ``EOFError``/``UnpicklingError``/``KeyError``."""
-        try:
-            with open(path, "rb") as fh:
-                head = fh.read(len(_MAGIC))
-                if head != _MAGIC:
-                    raise CheckpointCorrupted(path, "bad magic (not a checkpoint file)")
-                raw = fh.read(_HEADER.size)
-                if len(raw) < _HEADER.size:
-                    raise CheckpointCorrupted(path, "truncated header")
-                crc, length = _HEADER.unpack(raw)
-                payload = fh.read(length)
-        except OSError as exc:
-            raise CheckpointCorrupted(path, f"unreadable: {exc}") from exc
-        if len(payload) < length:
-            raise CheckpointCorrupted(
-                path, f"truncated payload ({len(payload)} of {length} bytes)"
-            )
-        if zlib.crc32(payload) != crc:
-            raise CheckpointCorrupted(path, "CRC mismatch (bit rot or torn write)")
-        try:
-            snaps = pickle.loads(payload)
-        except Exception as exc:  # CRC passed but unpickling failed: corrupt
-            raise CheckpointCorrupted(path, f"undecodable payload: {exc}") from exc
-        if not isinstance(snaps, dict) or not all(
-            isinstance(it, int) and isinstance(per_rank, dict)
-            for it, per_rank in snaps.items()
-        ):
-            raise CheckpointCorrupted(path, "payload is not {iteration: {rank: state}}")
-        with self._lock:
-            for it, per_rank in snaps.items():
-                self._snaps.setdefault(it, {}).update(per_rank)
-        return sorted(snaps)
-
-    def save_dir(self, directory: str) -> list[str]:
-        """Persist every iteration as ``ckpt-XXXXXXXX.rpc`` in ``directory``
-        (created if needed); returns the paths written."""
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        for it in self.iterations():
-            path = os.path.join(directory, f"ckpt-{it:08d}.rpc")
-            self.save_file(path, it)
-            paths.append(path)
-        return paths
-
-    @classmethod
-    def load_dir(cls, directory: str) -> tuple["CheckpointStore", list[CheckpointCorrupted]]:
-        """Rebuild a store from a checkpoint directory, newest file first.
-
-        Damaged files are skipped (and returned as typed
-        :class:`CheckpointCorrupted` records) rather than aborting the
-        recovery — so when the newest checkpoint is truncated, the store
-        still holds the previous intact one and ``latest_complete`` resumes
-        from there."""
-        store = cls()
-        skipped: list[CheckpointCorrupted] = []
-        try:
-            names = os.listdir(directory)
-        except FileNotFoundError:
-            return store, skipped
-        files = sorted(
-            (int(m.group(1)), n)
-            for n in names
-            if (m := _FILE_RE.match(n)) is not None
-        )
-        for _, name in reversed(files):
-            try:
-                store.load_file(os.path.join(directory, name))
-            except CheckpointCorrupted as exc:
-                skipped.append(exc)
-        return store, skipped
-
-
-@dataclass
-class CheckpointConfig:
-    """Checkpoint policy handed to the node-program factories.
-
-    ``interval`` is in solver iterations.  ``cost_per_byte`` charges the
-    snapshot copy to the rank's virtual clock (0.0 models an asynchronous
-    copy-on-write checkpointer; set it to the model's ``beta`` to model a
-    memory-speed blocking copy).
-    """
-
-    store: CheckpointStore = field(default_factory=CheckpointStore)
-    interval: int = 1
-    cost_per_byte: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("checkpoint interval must be a positive iteration count")
-        if self.cost_per_byte < 0:
-            raise ValueError("cost_per_byte must be non-negative")
-
-    def due(self, iteration: int) -> bool:
-        """Checkpoint after ``iteration`` (1-based) completes?"""
-        return iteration % self.interval == 0
-
-    def charge(self, rank, state: Optional[Any]) -> None:
-        """Advance the rank's clock by the modeled snapshot cost."""
-        if self.cost_per_byte > 0 and state is not None:
-            rank.elapse(self.cost_per_byte * state.nbytes)

@@ -32,7 +32,7 @@ import numpy as np
 from ..nas import ops
 from ..runtime.sim import Rank
 from . import flops
-from .checkpoint import CheckpointConfig
+from .checkpoint import CheckpointStore
 from .decomp import BlockDecomp2D, chunk_ranges
 
 #: SP variant -> rhs component slice (NAS's lhs / lhsp / lhsm systems)
@@ -535,14 +535,14 @@ def make_dhpf_node(
     pgrid: tuple[int, int],
     options: Optional[DhpfOptions] = None,
     functional: bool = True,
-    checkpoint: Optional[CheckpointConfig] = None,
+    checkpoint: Optional[CheckpointStore] = None,
 ):
     """Build the per-rank callable for the dHPF-style code.
 
     With ``checkpoint``, each rank snapshots its local ``u`` tile into the
-    shared store every ``checkpoint.interval`` iterations and, on (re)start,
-    resumes from the latest iteration all ranks completed — the recovery
-    path of the chaos harness (see ``repro.parallel.checkpoint``).
+    shared store after every iteration and, on (re)start, resumes from the
+    latest iteration all ranks completed — the recovery path of the chaos
+    harness (see ``repro.parallel.checkpoint``).
     """
     opt = options or DhpfOptions()
     decomp = BlockDecomp2D(shape, pgrid, ghost=opt.ghost)
@@ -551,15 +551,13 @@ def make_dhpf_node(
         tile = _Tile(rank, bench, shape, decomp, opt, functional)
         start = 0
         if checkpoint is not None:
-            start = checkpoint.store.latest_complete(rank.size)
+            start = checkpoint.latest_complete(rank.size)
             if start > 0 and functional:
-                tile.u = checkpoint.store.restore(start, rank.rank)
+                tile.u = checkpoint.restore(start, rank.rank)
         for it in range(start, niter):
             tile.step()
-            if checkpoint is not None and checkpoint.due(it + 1):
-                state = tile.u if functional else None
-                checkpoint.charge(rank, state)
-                checkpoint.store.save(it + 1, rank.rank, state)
+            if checkpoint is not None:
+                checkpoint.save(it + 1, rank.rank, tile.u if functional else None)
         out = {"rank": rank.rank, "t": rank.t}
         if functional:
             own = tile.u[

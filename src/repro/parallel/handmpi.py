@@ -74,10 +74,10 @@ def make_handmpi_node(
 ):
     """Build the per-rank callable for the multipartitioning schedule.
 
-    ``checkpoint`` (a ``repro.parallel.checkpoint.CheckpointConfig``)
-    records an iteration marker per rank — the schedule model carries no
-    numerical state — so a crashed run resumes at the last iteration all
-    ranks completed instead of from scratch.
+    ``checkpoint`` (a ``repro.parallel.checkpoint.CheckpointStore``)
+    records an iteration marker per rank after every iteration — the
+    schedule model carries no numerical state — so a crashed run resumes
+    at the last iteration all ranks completed instead of from scratch.
     """
     opt = options or HandMpiOptions()
     mp = MultiPartition3D(nprocs, shape)
@@ -141,7 +141,7 @@ def make_handmpi_node(
                 )
             sweep_bwd[dim] = bwd
 
-        start = checkpoint.store.latest_complete(rank.size) if checkpoint else 0
+        start = checkpoint.latest_complete(rank.size) if checkpoint else 0
         for it in range(start, niter):
             rank.set_phase("copy_faces")
             for owner, nelems, tag in face_sends:
@@ -170,8 +170,8 @@ def make_handmpi_node(
 
             rank.set_phase("add")
             rank.compute(flops.ADD_PER_POINT * my_points)
-            if checkpoint is not None and checkpoint.due(it + 1):
-                checkpoint.store.save(it + 1, me, None)
+            if checkpoint is not None:
+                checkpoint.save(it + 1, me, None)
 
         return {"rank": me, "t": rank.t}
 

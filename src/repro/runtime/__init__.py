@@ -26,7 +26,7 @@ from .procexec import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from .reliable import ReliableConfig, ReliableTransport
+from .reliable import ReliableTransport
 from .sim import VirtualMachine, Rank, DeadlockError
 from .trace import RankCommStats, Trace, TraceEvent
 
@@ -39,7 +39,6 @@ __all__ = [
     "FaultPlan",
     "RankFault",
     "RankCrashed",
-    "ReliableConfig",
     "ReliableTransport",
     "TraceEvent",
     "Trace",

@@ -125,7 +125,6 @@ class ProcConfig:
     heartbeat_timeout: float = 20.0
     max_restarts: int = 2
     restart_backoff: float = 0.05
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
@@ -224,8 +223,6 @@ class ProcRank:
         self._inboxes[dst].put((self.rank, tag, payload, nbytes))
         self._beat()
 
-    isend = send
-
     def recv(self, src: int, tag: int = 0) -> Any:
         """Blocking receive, matched by (src, tag).  Beats while polling:
         a rank legitimately waiting on a live peer is not "hung"."""
@@ -253,16 +250,6 @@ class ProcRank:
             self.recv((self.rank - k) % self.size, tag=tag)
             k *= 2
 
-    def allreduce_max(self, value: float, tag: int = -2) -> float:
-        k = 1
-        out = value
-        while k < self.size:
-            self.send((self.rank + k) % self.size, np.array([out]), tag=tag)
-            other = self.recv((self.rank - k) % self.size, tag=tag)
-            out = max(out, float(other[0]))
-            k *= 2
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProcRank {self.rank}/{self.size} t={self.t:.6f}>"
 
@@ -287,7 +274,7 @@ def _worker_main(
         # compute nest never goes stale
         supervise.start_beating(hb, rank_id, hb_interval)
         if checkpoint is not None:
-            checkpoint.store._publish = (
+            checkpoint._publish = (
                 lambda it, r, state: ctrl.put(("ckpt", it, r, state))
             )
         rank = ProcRank(rank_id, nprocs, model, inboxes, hb, ctrl, hb_interval)
@@ -347,7 +334,7 @@ class ProcessExecutor:
         self._segment_counter = 0
         #: test hook: called once per supervision poll (chaos/CTRL-C tests)
         self._poll_hook: Optional[Callable[[], None]] = None
-        self._ctx = supervise.fork_context(self.config.start_method)
+        self._ctx = supervise.fork_context()
 
     # -- lifecycle -------------------------------------------------------------
     def run(
@@ -361,8 +348,9 @@ class ProcessExecutor:
     ) -> list:
         """Execute ``node_fn(rank)`` on every rank and supervise the gang.
 
-        ``checkpoint`` is the same :class:`CheckpointConfig` the node
-        programs consult; worker saves are mirrored into its store so a
+        ``checkpoint`` is the same
+        :class:`~repro.parallel.checkpoint.CheckpointStore` the node
+        programs consult; worker saves are mirrored into it so a
         restarted gang resumes instead of recomputing.  ``timeout`` is an
         overall wall-clock budget (:class:`ExecutorTimeout`).  ``fault``
         injects one real fault (chaos mode).  ``on_restart`` runs before
@@ -455,7 +443,7 @@ class ProcessExecutor:
                 _, it, r, state = msg
                 gang.iters[r] = max(gang.iters.get(r, 0), it)
                 if checkpoint is not None:
-                    checkpoint.store.save(it, r, state)
+                    checkpoint.save(it, r, state)
             elif kind == "phase":
                 phases[msg[1]] = msg[2]
 

@@ -33,36 +33,19 @@ from .faults import FaultPlan
 from .model import MachineModel
 
 
-@dataclass(frozen=True)
-class ReliableConfig:
-    """Retransmission tunables (all costs flow through the machine model).
-
-    - ``rto_alphas``: initial retransmission timeout, expressed as a
-      multiple of the model's latency ``alpha`` *on top of* one data+ack
-      round trip — a sender declares a copy lost only after the ack had a
-      comfortable margin to return.
-    - ``backoff``: multiplicative RTO growth per successive loss.
-    - ``max_retries``: cap on modeled backoff doublings.  The transport
-      never gives up — after ``max_retries`` lost copies the next one is
-      forced through — so a plan with ``drop_rate < 1`` cannot wedge the
-      machine; the cap only bounds the modeled cost.
-    - ``ack_bytes``: size of the acknowledgement message.
-    """
-
-    rto_alphas: float = 8.0
-    backoff: float = 2.0
-    max_retries: int = 16
-    ack_bytes: int = 16
-
-    def __post_init__(self) -> None:
-        if self.rto_alphas <= 0:
-            raise ValueError("rto_alphas must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.ack_bytes < 0:
-            raise ValueError("ack_bytes must be non-negative")
+#: initial retransmission timeout, as a multiple of the model's latency
+#: ``alpha`` *on top of* one data+ack round trip — a sender declares a copy
+#: lost only after the ack had a comfortable margin to return
+RTO_ALPHAS = 8.0
+#: multiplicative RTO growth per successive loss
+BACKOFF = 2.0
+#: cap on modeled backoff doublings.  The transport never gives up — after
+#: ``MAX_RETRIES`` lost copies the next one is forced through — so a plan
+#: with ``drop_rate < 1`` cannot wedge the machine; the cap only bounds
+#: the modeled cost
+MAX_RETRIES = 16
+#: size of the acknowledgement message
+ACK_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -82,15 +65,9 @@ class ReliableTransport:
     machine's mailbox lock; the send side is pure computation.
     """
 
-    def __init__(
-        self,
-        model: MachineModel,
-        plan: Optional[FaultPlan] = None,
-        config: Optional[ReliableConfig] = None,
-    ):
+    def __init__(self, model: MachineModel, plan: Optional[FaultPlan] = None):
         self.model = model
         self.plan = plan
-        self.config = config or ReliableConfig()
         self._expected: dict[tuple[int, int, int], int] = {}
 
     @property
@@ -107,16 +84,15 @@ class ReliableTransport:
             return SendSchedule(t_send + base, 1, (), None)
         plan = self.plan
         assert plan is not None
-        cfg = self.config
-        rtt = base + self.model.msg_time(cfg.ack_bytes)
-        rto = cfg.rto_alphas * self.model.alpha + rtt
+        rtt = base + self.model.msg_time(ACK_BYTES)
+        rto = RTO_ALPHAS * self.model.alpha + rtt
         t = t_send
         windows: list[tuple[float, float]] = []
         attempt = 0
-        while attempt < cfg.max_retries and plan.drops(src, dst, tag, seq, attempt):
+        while attempt < MAX_RETRIES and plan.drops(src, dst, tag, seq, attempt):
             t += rto
             windows.append((t, t + self.model.beta * nbytes))
-            rto *= cfg.backoff
+            rto *= BACKOFF
             attempt += 1
         arrival = t + base + plan.delay(src, dst, tag, seq)
         dup = arrival + rtt if plan.duplicates(src, dst, tag, seq) else None

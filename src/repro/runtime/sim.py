@@ -39,7 +39,7 @@ import numpy as np
 from .faults import FaultPlan, RankCrashed
 from .model import MachineModel, TEST_MACHINE
 from ..supervise import ExecutorTimeout
-from .reliable import ReliableConfig, ReliableTransport
+from .reliable import ReliableTransport
 from .trace import Trace, TraceEvent
 
 
@@ -148,8 +148,6 @@ class Rank:
             )
         self._fault_check()
 
-    isend = send  # alias: all sends are non-blocking in this model
-
     def recv(self, src: int, tag: int = 0) -> Any:
         """Blocking receive: returns the payload (or the byte count in
         work-model mode) and advances the clock to the arrival time."""
@@ -169,16 +167,6 @@ class Rank:
             self.recv((self.rank - k) % self.size, tag=tag)
             k *= 2
 
-    def allreduce_max(self, value: float, tag: int = -2) -> float:
-        k = 1
-        out = value
-        while k < self.size:
-            self.send((self.rank + k) % self.size, np.array([out]), tag=tag)
-            other = self.recv((self.rank - k) % self.size, tag=tag)
-            out = max(out, float(other[0]))
-            k *= 2
-        return out
-
     def __repr__(self) -> str:
         return f"<Rank {self.rank}/{self.size} t={self.t:.6f}>"
 
@@ -193,7 +181,6 @@ class VirtualMachine:
         record_trace: bool = True,
         recv_timeout: float = 120.0,
         faults: Optional[FaultPlan] = None,
-        reliable: Optional[ReliableConfig] = None,
     ):
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
@@ -202,7 +189,7 @@ class VirtualMachine:
         self.trace: Optional[Trace] = Trace(nprocs) if record_trace else None
         self.recv_timeout = recv_timeout
         self.faults = faults
-        self.transport = ReliableTransport(model, faults, reliable)
+        self.transport = ReliableTransport(model, faults)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._mail: dict[tuple[int, int, int], deque[Message]] = {}

@@ -7,7 +7,7 @@ agree on — *how a forked worker is judged finished, dead or frozen, how
 it reports, and how it is reaped*:
 
 - the typed error family (:class:`ExecutorError` and its subclasses);
-- :func:`fork_context` — the start method, or :class:`ExecutorUnavailable`;
+- :func:`fork_context` — the fork context, or :class:`ExecutorUnavailable`;
 - the heartbeat slab (:func:`heartbeat_slab`, an anonymous shared array
   inherited by fork) and the worker-side daemon beat thread
   (:func:`start_beating`);
@@ -113,21 +113,21 @@ class ExecutorTimeout(ExecutorError):
 # launching
 # ---------------------------------------------------------------------------
 
-def fork_context(start_method: str = "fork"):
-    """The ``multiprocessing`` context supervised workers start from.
+def fork_context():
+    """The ``fork`` context supervised workers start from.
 
     Workers are closures over compiled kernels, checkpoint stores and
     (in tests) patched build functions, and the heartbeat slab is
     anonymous shared memory — all inherited by fork, none picklable."""
     import multiprocessing as mp
 
-    if start_method not in mp.get_all_start_methods():
+    if "fork" not in mp.get_all_start_methods():
         raise ExecutorUnavailable(
-            f"start method {start_method!r} is unavailable "
+            "start method 'fork' is unavailable "
             f"(have {mp.get_all_start_methods()}); supervised workers "
             "need fork to inherit their closures and heartbeat slab"
         )
-    return mp.get_context(start_method)
+    return mp.get_context("fork")
 
 
 def heartbeat_slab(ctx, n: int):

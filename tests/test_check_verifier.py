@@ -19,7 +19,6 @@ from repro.check import (
     Diagnostic,
     Severity,
     StaticSchedule,
-    VerificationError,
     verify_kernel,
     verify_source,
 )
@@ -90,10 +89,8 @@ class TestCleanPrograms:
         report = verify_source(HALO, nprocs=4, params=N)
         assert report.ok
 
-    def test_compile_with_verify_flag(self):
-        kernel = compile_kernel(HALO, nprocs=4, params=N, verify=True)
-        assert kernel.verify_report is not None
-        assert kernel.verify_report.ok
+    def test_compile_then_verify(self):
+        assert verify_kernel(compile_kernel(HALO, nprocs=4, params=N)).ok
 
 
 class TestCoverage:
@@ -192,13 +189,6 @@ class TestDiagnostics:
             plan.events.append(event)
         text = report.format()
         assert "set: {[" in text  # the iset pretty-printer ran
-
-    def test_verification_error_carries_report(self):
-        report = CheckReport("broken")
-        report.add(Diagnostic(Severity.ERROR, E_COVERAGE, "boom"))
-        err = VerificationError(report)
-        assert err.report is report
-        assert "E-COVERAGE" in str(err)
 
 
 class TestColdEqualsWarm:

@@ -4,8 +4,8 @@ The pool must keep a fixed gang of forked workers alive across a whole
 batch (``workers`` forks, not one per job), retry jobs whose worker
 crashed with an ``I-RETRY`` diagnostic, quarantine poisoned jobs with a
 typed :class:`CompileQuarantined` and an ``E-QUARANTINE`` diagnostic,
-bound admission at ``max_queue`` (blocking or raising a typed
-:class:`ServiceOverloaded`), coalesce identical submissions onto one
+bound admission at ``max_queue`` (blocking), coalesce identical
+submissions onto one
 build, resolve warm cache hits without charging a worker, and reap every
 child on shutdown — no exit path leaves an orphan.
 
@@ -29,7 +29,6 @@ from repro.compile.pool import (
     CompileQuarantined,
     PoolClosed,
     PoolConfig,
-    ServiceOverloaded,
 )
 from repro.supervise import WorkerTimeout
 
@@ -239,41 +238,12 @@ class TestRetryAndQuarantine:
 
 
 class TestBackpressure:
-    def test_reject_policy_raises_typed_overload(
-        self, cache, monkeypatch,
-    ):
-        import repro.compile.driver as driver
-
-        real = driver._build_for_job
-
-        def slow(job, selection=None):
-            time.sleep(1.5)
-            return real(job, selection)
-
-        monkeypatch.setattr(driver, "_build_for_job", slow)
-        jobs = _jobs(3)
-        config = _fast_config(workers=1, max_queue=1, overload="reject")
-        with CompilePool(config, cache=cache) as pool:
-            t_a = pool.submit(jobs[0], block=True)
-            # wait for A to be dispatched so B takes the only queue slot
-            deadline = time.monotonic() + 10
-            while pool.queue_depth() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            t_b = pool.submit(jobs[1], block=True)
-            with pytest.raises(ServiceOverloaded) as ei:
-                pool.submit(jobs[2])
-            assert ei.value.depth == 1
-            assert pool.stats.rejected == 1
-            assert pool.wait(t_a, timeout=120).ok
-            assert pool.wait(t_b, timeout=120).ok
-
     def test_block_policy_bounds_queue_without_losing_jobs(self, cache):
-        config = _fast_config(workers=1, max_queue=1, overload="block")
+        config = _fast_config(workers=1, max_queue=1)
         with CompilePool(config, cache=cache) as pool:
             outcomes = pool.run_batch(_jobs(4))
             assert all(o.ok for o in outcomes)
             assert pool.stats.peak_queue_depth <= 1
-            assert pool.stats.rejected == 0
 
     def test_warm_hits_are_admission_free(self, cache, monkeypatch):
         import repro.compile.driver as driver
@@ -287,17 +257,19 @@ class TestBackpressure:
             return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
-        config = _fast_config(workers=1, max_queue=1, overload="reject")
+        config = _fast_config(workers=1, max_queue=1)
         with CompilePool(config, cache=cache) as pool:
-            pool.submit(_jobs(3)[2], block=True)  # cold: occupies the worker
+            pool.submit(_jobs(3)[2])  # cold: occupies the worker
             deadline = time.monotonic() + 10
             while pool.queue_depth() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            pool.submit(_jobs(4)[3], block=True)  # cold: fills the queue
-            # warm submissions sail past the full queue
+            pool.submit(_jobs(4)[3])  # cold: fills the queue
+            # warm submissions sail past the full queue instead of
+            # blocking behind the 1.5 s builds
+            t0 = time.monotonic()
             for t in (pool.submit(j) for j in _jobs(2)):
                 assert t.cached and pool.wait(t, timeout=10).ok
-            assert pool.stats.rejected == 0
+            assert time.monotonic() - t0 < 1.0
 
 
 class TestShutdown:

@@ -286,7 +286,7 @@ class TestCompileService:
             assert t1 is t2  # same plan key -> same ticket
             out = svc.collect(t1, timeout=120)
             assert out.ok
-            assert svc.poll(t1).done
+            assert t1.done
 
     def test_ticket_carries_job_and_digest(self, cache):
         """The service hands out the pool's own ticket: callers read the
@@ -353,33 +353,6 @@ class TestCompileService:
             outs = [svc.collect(t, timeout=120) for t in tickets]
         assert all(o.ok for o in outs)
         assert record.read_text().count("\n") == 1  # one launch total
-
-    def test_overload_reject_surfaces_typed_error(self, cache, monkeypatch):
-        """The service forwards the pool's backpressure: past max_queue
-        with overload='reject', submit raises ServiceOverloaded."""
-        import repro.compile.driver as driver
-
-        from repro.compile.service import CompileService, ServiceOverloaded
-
-        real = driver._build_for_job
-
-        def slow(job, selection=None):
-            time.sleep(1.5)
-            return real(job, selection)
-
-        monkeypatch.setattr(driver, "_build_for_job", slow)
-        with CompileService(
-            workers=1, cache=cache, max_queue=1, overload="reject",
-        ) as svc:
-            t_a = svc.submit(TEMPLATE.format(const="10.0"), 4, {"n": 8})
-            deadline = time.monotonic() + 10
-            while svc._pool.queue_depth() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            t_b = svc.submit(TEMPLATE.format(const="11.0"), 4, {"n": 8})
-            with pytest.raises(ServiceOverloaded):
-                svc.submit(TEMPLATE.format(const="12.0"), 4, {"n": 8})
-            assert svc.collect(t_a, timeout=120).ok
-            assert svc.collect(t_b, timeout=120).ok
 
 
 class TestServeCLI:

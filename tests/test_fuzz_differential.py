@@ -51,6 +51,23 @@ class TestGenerator:
         assert wave_report.sequential == ("i",)
         assert spec.private is not None and private_report.expanded == ("t",)
 
+    def test_smoke_seeds_draw_the_accumulator_and_a_swapped_nest(self):
+        """The corpus smoke reaches both shapes with streams of their own:
+        a scalar accumulator read by a later nest, which the soundness
+        screen refuses to partition, and a 2-d nest that runs ``do i``
+        outside ``do j`` beside nests in the usual order."""
+        from repro.codegen import compile_kernel
+
+        assert [s for s in range(15) if gen_spec(s).accum] == [0, 3, 5, 8]
+        spec = gen_spec(3)
+        ck = compile_kernel(spec.render(), spec.nprocs, strict=False)
+        assert any("scalar 'acc'" in d.message for d in ck.fallback_diagnostics)
+        swapped = [s for s in range(15) if any(n.swap for n in gen_spec(s).nests)]
+        assert swapped == [1]
+        source = gen_spec(1).render()
+        assert "      do i = 2, n - 1\n         do j = 2, n - 1" in source
+        assert "      do j = 1, n\n         do i = 1, n" in source
+
     def test_wildcard_grid_shape_specializes_away_from_canonical(self):
         """Every other program pins `processors p(N)` with N ranks, so
         selection and specialization run at the same count.  The wildcard

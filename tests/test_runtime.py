@@ -114,13 +114,6 @@ class TestVirtualMachine:
         slowest_work = IBM_SP2.compute_time(4e6)
         assert all(t >= slowest_work for t in res)
 
-    def test_allreduce_max(self):
-        def prog(rank):
-            return rank.allreduce_max(float(rank.rank * 3))
-
-        res = VirtualMachine(5, TEST_MACHINE).run(prog)
-        assert all(v == 12.0 for v in res)
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 4))
     def test_ring_scales_with_hops(self, nprocs, rounds):

@@ -1,8 +1,7 @@
 """Resilience subsystem tests: fault injection, reliable transport,
-wait-for-graph deadlock diagnostics, checkpoint/restart recovery
-(in-memory and on-disk), wall-clock timeouts, and real-process chaos."""
+wait-for-graph deadlock diagnostics, checkpoint/restart recovery,
+wall-clock timeouts, and real-process chaos."""
 
-import os
 import time
 
 import numpy as np
@@ -11,11 +10,7 @@ import pytest
 from repro.nas import SPSolver
 from repro.nas.verify import VERIFY_GRID, VERIFY_STEPS, verify
 from repro.parallel import run_parallel
-from repro.parallel.checkpoint import (
-    CheckpointConfig,
-    CheckpointCorrupted,
-    CheckpointStore,
-)
+from repro.parallel.checkpoint import CheckpointStore
 from repro.runtime import (
     DeadlockError,
     ExecutorTimeout,
@@ -23,9 +18,9 @@ from repro.runtime import (
     ProcFault,
     RankCrashed,
     RankFault,
-    ReliableConfig,
     VirtualMachine,
 )
+from repro.runtime import reliable
 from repro.runtime.model import IBM_SP2, TEST_MACHINE, MachineModel
 from repro.runtime.reliable import ReliableTransport
 
@@ -105,13 +100,15 @@ class TestReliableTransport:
                 return attempt < 2
 
         plan = DropTwice(seed=0, drop_rate=0.5)
-        cfg = ReliableConfig(rto_alphas=8.0, backoff=2.0)
-        tr = ReliableTransport(TEST_MACHINE, plan, cfg)
+        tr = ReliableTransport(TEST_MACHINE, plan)
         s = tr.schedule(0, 1, 0, 0, 80, 0.0)
-        rtt = TEST_MACHINE.msg_time(80) + TEST_MACHINE.msg_time(cfg.ack_bytes)
-        rto0 = cfg.rto_alphas * TEST_MACHINE.alpha + rtt
+        rtt = TEST_MACHINE.msg_time(80) + TEST_MACHINE.msg_time(reliable.ACK_BYTES)
+        rto0 = reliable.RTO_ALPHAS * TEST_MACHINE.alpha + rtt
         assert s.attempts == 3
-        assert s.arrival == pytest.approx(rto0 * 3 + TEST_MACHINE.msg_time(80))
+        # the second copy waits one backed-off timeout longer than the first
+        assert s.arrival == pytest.approx(
+            rto0 * (1 + reliable.BACKOFF) + TEST_MACHINE.msg_time(80)
+        )
         assert len(s.resend_windows) == 2
 
     def test_max_retries_caps_but_delivers(self):
@@ -119,28 +116,17 @@ class TestReliableTransport:
             def drops(self, src, dst, tag, seq, attempt):
                 return True
 
-        tr = ReliableTransport(
-            TEST_MACHINE, BlackHole(seed=0, drop_rate=0.5),
-            ReliableConfig(max_retries=3),
-        )
+        tr = ReliableTransport(TEST_MACHINE, BlackHole(seed=0, drop_rate=0.5))
         s = tr.schedule(0, 1, 0, 0, 80, 0.0)
-        assert s.attempts == 4  # capped, then forced through
+        assert s.attempts == reliable.MAX_RETRIES + 1  # capped, then forced through
         assert np.isfinite(s.arrival)
-
-    def test_config_validated(self):
-        with pytest.raises(ValueError, match="backoff"):
-            ReliableConfig(backoff=0.5)
-        with pytest.raises(ValueError, match="rto_alphas"):
-            ReliableConfig(rto_alphas=0.0)
 
 
 class TestFaultyRuns:
     def test_traces_identical_with_inactive_plan(self):
         """Reliable transport with no active faults is bitwise-invisible."""
         vm_seed = VirtualMachine(4, IBM_SP2)
-        vm_rel = VirtualMachine(
-            4, IBM_SP2, faults=FaultPlan(seed=9), reliable=ReliableConfig()
-        )
+        vm_rel = VirtualMachine(4, IBM_SP2, faults=FaultPlan(seed=9))
         a = vm_seed.run(ring)
         b = vm_rel.run(ring)
         assert a == b
@@ -296,85 +282,6 @@ class TestCheckpointStore:
         assert store.latest_complete(2) == 2
         assert store.latest_complete(3) == 0
 
-    def test_config_validated(self):
-        with pytest.raises(ValueError, match="interval"):
-            CheckpointConfig(interval=0)
-        with pytest.raises(ValueError, match="cost_per_byte"):
-            CheckpointConfig(cost_per_byte=-1.0)
-
-
-class TestCheckpointFiles:
-    """On-disk checkpoints: self-validating files, typed corruption
-    diagnostics, and fallback to the previous intact checkpoint."""
-
-    @staticmethod
-    def _store(iters=(1, 2)):
-        store = CheckpointStore()
-        for it in iters:
-            for rank in range(2):
-                store.save(it, rank, np.full(4, float(10 * it + rank)))
-        return store
-
-    def test_file_roundtrip_bitwise(self, tmp_path):
-        store = self._store()
-        paths = store.save_dir(str(tmp_path))
-        assert [os.path.basename(p) for p in paths] == [
-            "ckpt-00000001.rpc", "ckpt-00000002.rpc",
-        ]
-        loaded, skipped = CheckpointStore.load_dir(str(tmp_path))
-        assert skipped == []
-        assert loaded.latest_complete(2) == 2
-        for it in (1, 2):
-            for rank in range(2):
-                assert np.array_equal(
-                    loaded.restore(it, rank), store.restore(it, rank)
-                )
-
-    def test_truncated_file_raises_typed_error(self, tmp_path):
-        path = str(tmp_path / "ckpt-00000001.rpc")
-        self._store((1,)).save_file(path, 1)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointCorrupted) as ei:
-            CheckpointStore().load_file(path)
-        assert ei.value.path == path
-        assert "truncated" in ei.value.reason
-
-    def test_bit_rot_raises_typed_error(self, tmp_path):
-        path = str(tmp_path / "ckpt-00000001.rpc")
-        self._store((1,)).save_file(path, 1)
-        blob = bytearray(open(path, "rb").read())
-        blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        with pytest.raises(CheckpointCorrupted, match="CRC mismatch"):
-            CheckpointStore().load_file(path)
-
-    def test_not_a_checkpoint_raises_typed_error(self, tmp_path):
-        path = str(tmp_path / "ckpt-00000001.rpc")
-        open(path, "wb").write(b"definitely not a checkpoint\n")
-        with pytest.raises(CheckpointCorrupted, match="bad magic"):
-            CheckpointStore().load_file(path)
-
-    def test_load_dir_falls_back_to_previous_intact(self, tmp_path):
-        """The newest checkpoint is torn mid-write: recovery must log it
-        (typed) and resume from the previous intact iteration — never
-        crash, never silently resume from zero."""
-        store = self._store((1, 2, 3))
-        store.save_dir(str(tmp_path))
-        newest = tmp_path / "ckpt-00000003.rpc"
-        blob = newest.read_bytes()
-        newest.write_bytes(blob[: len(blob) - 7])  # torn write
-        loaded, skipped = CheckpointStore.load_dir(str(tmp_path))
-        assert len(skipped) == 1
-        assert isinstance(skipped[0], CheckpointCorrupted)
-        assert skipped[0].path == str(newest)
-        assert loaded.latest_complete(2) == 2  # previous intact checkpoint
-        assert np.array_equal(loaded.restore(2, 1), store.restore(2, 1))
-
-    def test_load_dir_missing_directory_is_empty_store(self, tmp_path):
-        loaded, skipped = CheckpointStore.load_dir(str(tmp_path / "nope"))
-        assert skipped == [] and loaded.latest_complete(1) == 0
-
 
 class TestWallClockTimeout:
     """``timeout=`` bounds host wall-clock on the *virtual* path too: a
@@ -420,7 +327,7 @@ class TestEndToEndResilience:
         reproduce the seed runtime's trace bitwise."""
         a = run_parallel("sp", "dhpf", 4, SHAPE, 2, TEST_MACHINE, functional=False)
         b = run_parallel("sp", "dhpf", 4, SHAPE, 2, TEST_MACHINE, functional=False,
-                         faults=FaultPlan(seed=5), reliable=ReliableConfig())
+                         faults=FaultPlan(seed=5))
         assert a.time == b.time
         assert a.trace.to_series() == b.trace.to_series()
 
@@ -444,14 +351,14 @@ class TestEndToEndResilience:
         plan = FaultPlan(
             seed=1, rank_faults=(RankFault(rank=2, time=0.5 * base.time),),
         )
-        cfg = CheckpointConfig(store=CheckpointStore(), interval=1)
+        store = CheckpointStore()
         with pytest.raises(RankCrashed):
             run_parallel("sp", "dhpf", 4, SHAPE, VERIFY_STEPS, TEST_MACHINE,
-                         functional=True, faults=plan, checkpoint=cfg,
+                         functional=True, faults=plan, checkpoint=store,
                          record_trace=False)
-        assert cfg.store.latest_complete(4) >= 1  # progress was snapshotted
+        assert store.latest_complete(4) >= 1  # progress was snapshotted
         r = run_parallel("sp", "dhpf", 4, SHAPE, VERIFY_STEPS, TEST_MACHINE,
-                         functional=True, faults=plan, checkpoint=cfg,
+                         functional=True, faults=plan, checkpoint=store,
                          record_trace=False)
         assert np.array_equal(r.u, serial_sp.u)
         solver = SPSolver(SHAPE)
@@ -469,16 +376,16 @@ class TestEndToEndResilience:
         plan = FaultPlan(
             seed=2, rank_faults=(RankFault(rank=1, time=0.5 * fault_free.time),),
         )
-        cfg = CheckpointConfig(store=CheckpointStore(), interval=1)
+        store = CheckpointStore()
         with pytest.raises(RankCrashed) as ei:
             run_parallel("bt", "dhpf", 4, SHAPE, steps, TEST_MACHINE,
-                         functional=True, faults=plan, checkpoint=cfg,
+                         functional=True, faults=plan, checkpoint=store,
                          record_trace=False)
         assert ei.value.rank == 1
-        completed = cfg.store.latest_complete(4)
+        completed = store.latest_complete(4)
         assert completed >= 1, "crash happened before any coordinated snapshot"
         resumed = run_parallel("bt", "dhpf", 4, SHAPE, steps, TEST_MACHINE,
-                               functional=True, faults=plan, checkpoint=cfg,
+                               functional=True, faults=plan, checkpoint=store,
                                record_trace=False)
         assert np.array_equal(resumed.u, fault_free.u)
         # resuming from iteration `completed` does strictly less work than
@@ -486,18 +393,18 @@ class TestEndToEndResilience:
         assert resumed.time < fault_free.time
 
     def test_handmpi_checkpoint_skips_completed_iterations(self):
-        cfg = CheckpointConfig(store=CheckpointStore(), interval=1)
+        store = CheckpointStore()
         full = run_parallel("sp", "handmpi", 4, SHAPE, 3, TEST_MACHINE,
-                            checkpoint=cfg, record_trace=False)
-        assert cfg.store.latest_complete(4) == 3
+                            checkpoint=store, record_trace=False)
+        assert store.latest_complete(4) == 3
         resumed = run_parallel("sp", "handmpi", 4, SHAPE, 3, TEST_MACHINE,
-                               checkpoint=cfg, record_trace=False)
+                               checkpoint=store, record_trace=False)
         assert resumed.time < full.time  # nothing left to do but restart
 
     def test_checkpoint_rejected_for_pgi(self):
         with pytest.raises(ValueError, match="dhpf and handmpi"):
             run_parallel("sp", "pgi", 2, SHAPE, 1, TEST_MACHINE,
-                         checkpoint=CheckpointConfig(store=CheckpointStore()))
+                         checkpoint=CheckpointStore())
 
 
 class TestRealProcessChaos:
@@ -526,7 +433,7 @@ class TestRealProcessChaos:
             record_trace=False, executor="process", timeout=300,
             executor_config=cfg,
             proc_fault=ProcFault(rank=1, kind="kill", after_iteration=2),
-            checkpoint=CheckpointConfig(store=store, interval=1),
+            checkpoint=store,
         )
         assert chaotic.executor == "process"  # recovered, did not degrade
         assert chaotic.restarts >= 1  # the SIGKILL really was detected

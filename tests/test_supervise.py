@@ -156,9 +156,13 @@ class TestDrainAndReport:
 
 
 class TestLaunchAndFamily:
-    def test_unknown_start_method_is_typed(self):
+    def test_unknown_start_method_is_typed(self, monkeypatch):
+        """A platform without fork cannot run supervised workers."""
+        import multiprocessing as mp
+
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
         with pytest.raises(supervise.ExecutorUnavailable, match="start method"):
-            supervise.fork_context("no-such-method")
+            supervise.fork_context()
 
     def test_one_error_family_under_three_names(self):
         from repro import runtime
