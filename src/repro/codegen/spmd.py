@@ -25,7 +25,7 @@ from ..ir.stmt import Assign, Continue, DoLoop, IfThen, Return, Stmt
 from ..ir.visit import (
     build_parent_map, collect_array_refs, enclosing_loops, reads_of, walk_stmts,
 )
-from ..isets import BudgetExceeded, IsetBudget
+from ..isets import BudgetExceeded, IsetBudget, active_budget
 from ..isets.box import cover_of_set
 from ..isets.profile import phase as profile_phase
 from ..runtime.sim import Rank, VirtualMachine
@@ -438,9 +438,7 @@ def _output_race_reason(s: Assign, scp: StatementCP, nest, ctx) -> "str | None":
 
 
 def _replicated_nest(
-    item: DoLoop,
-    ctx: DistributionContext,
-    budget: "IsetBudget | None" = None,
+    item: DoLoop, ctx: DistributionContext,
 ) -> "tuple[dict[int, StatementCP], CommPlan]":
     """Conservative fallback plan for one nest: every rank executes every
     iteration (CP = replicated) on data made consistent by one pre-nest
@@ -463,8 +461,8 @@ def _replicated_nest(
         ref.name.lower() for ref in _stmt_array_refs(item, reads_only=True)
     }
     events: list[CommEvent] = []
-    guard = budget.suspend() if budget is not None else nullcontext()
-    with guard:
+    budget = active_budget()
+    with budget.suspend() if budget is not None else nullcontext():
         for name in sorted(read_arrays):
             layout = ctx.layout(name)
             if layout is None:
@@ -481,7 +479,6 @@ def select_program(
     ctx: DistributionContext,
     merged: Mapping[str, int],
     sink: "DiagnosticSink | None" = None,
-    budget: "IsetBudget | None" = None,
 ) -> ProgramSelection:
     """Run the rank-symbolic half of the analysis pipeline (CP selection,
     NEW/LOCALIZE propagation, comm-sensitive grouping — everything but
@@ -510,23 +507,19 @@ def select_program(
             if not lenient:
                 raise
             # degrade at specialization, never crash
-            reason = _nest_failure(exc, sink, budget, len(nests))
+            reason = _nest_failure(exc, sink, len(nests))
             nests.append(
                 NestSelection({}, set(), set(), frozenset(), failure=reason)
             )
     return ProgramSelection(ctx.nprocs, nests)
 
 
-def _nest_failure(
-    exc: Exception,
-    sink: DiagnosticSink,
-    budget: "IsetBudget | None",
-    nest_idx: int,
-) -> str:
+def _nest_failure(exc: Exception, sink: DiagnosticSink, nest_idx: int) -> str:
     """Lenient mode: why nest *nest_idx* degrades after *exc* escaped its
-    analysis.  A tripped iset budget also warns ``W-BUDGET`` and opens a
-    fresh op window for the remaining nests."""
+    analysis.  A tripped iset budget (the active one) also warns
+    ``W-BUDGET`` and opens a fresh op window for the remaining nests."""
     if isinstance(exc, BudgetExceeded):
+        budget = active_budget()
         if budget is not None:
             budget.reset_ops()
         sink.warn(str(exc), code=W_BUDGET, pass_name="isets", nest=nest_idx)
@@ -540,7 +533,6 @@ def analyze_program(
     merged: Mapping[str, int],
     selection: ProgramSelection,
     sink: "DiagnosticSink | None" = None,
-    budget: "IsetBudget | None" = None,
 ) -> "tuple[dict[int, StatementCP], list[tuple[DoLoop, CommPlan]], set[str], set[str], dict[int, str]]":
     """Specialize a *selection* (from :func:`select_program`, usually made
     at a different — canonical — processor count) to the processor count of
@@ -560,10 +552,10 @@ def analyze_program(
     With a lenient *sink* (``DiagnosticSink(strict=False)``) no verdict is
     left standing: any nest the pipeline cannot analyze soundly — a
     ``failure`` recorded by selection, a raised analysis error, a verdict
-    of the screen, or a tripped iset *budget* — degrades to the replicated
-    fallback of :func:`_replicated_nest` with an ``I-FALLBACK`` (or
-    ``W-BUDGET``) diagnostic.  Strict analysis raises what lenient
-    analysis catches.
+    of the screen, or a tripped iset budget (the active one) — degrades
+    to the replicated fallback of :func:`_replicated_nest` with an
+    ``I-FALLBACK`` (or ``W-BUDGET``) diagnostic.  Strict analysis raises
+    what lenient analysis catches.
     """
     merged = dict(merged)
     cps_all: dict[int, StatementCP] = {}
@@ -600,13 +592,13 @@ def analyze_program(
             except Exception as exc:
                 if not lenient:
                     raise
-                reason = _nest_failure(exc, sink, budget, nest_idx)
+                reason = _nest_failure(exc, sink, nest_idx)
         if reason is not None and lenient:
             sink.fallback(
                 f"nest degraded to replicated execution: {reason}",
                 pass_name="cp", nest=nest_idx,
             )
-            cps, plan = _replicated_nest(item, ctx, budget)
+            cps, plan = _replicated_nest(item, ctx)
             privs, locs = set(), set()
             degraded = True
         elif reason is not None:

@@ -14,7 +14,7 @@
 - :mod:`repro.compile.driver` — jobs, outcomes, and :func:`compile_many`
   (one batch on a transient pool).
 - :mod:`repro.compile.service` — :class:`CompileService`
-  (submit/poll/collect).
+  (submit/collect).
 - :mod:`repro.compile.serve` — the ``python -m repro.eval serve``
   subcommand (job files, ``--prewarm nas``, SIGTERM drain); imported by
   the CLI only.

@@ -9,7 +9,10 @@ magic, length, or digest check — bit rot, torn write, truncation —
 evicts the entry and reports a miss, exactly like the checkpoint store's
 corruption handling (:mod:`repro.parallel.checkpoint`).  Writes are
 atomic (temp file + ``os.replace``) so a crashed writer can never leave
-a half-entry another process would read.
+a half-entry another process would read.  There is no invalidation
+call: keys carry the compiler fingerprint, so a stale plan can never
+hit, and deleting the directory frees the disk (a live process keeps
+its LRU until it exits; its next ``put`` recreates the directory).
 
 The cache stores opaque ``bytes`` keyed by hex digests; what the bytes
 *are* (pickled parse/analysis/kernel artifacts) is the pipeline's
@@ -102,16 +105,6 @@ class PlanCacheStats:
             "io_errors": self.io_errors,
         }
 
-    def delta(self, since: "PlanCacheStats") -> dict:
-        now, then = self.as_dict(), since.as_dict()
-        return {k: now[k] - then[k] for k in now if k != "hit_rate"}
-
-    def snapshot(self) -> "PlanCacheStats":
-        return PlanCacheStats(**{
-            f.name: getattr(self, f.name)
-            for f in self.__dataclass_fields__.values()  # type: ignore[attr-defined]
-        })
-
 
 @dataclass
 class PlanCacheConfig:
@@ -147,37 +140,6 @@ class PlanCache:
             return None
         return os.path.join(self.config.directory, digest[:2], digest + ".plan")
 
-    def _generation_path(self) -> str | None:
-        if self.config.directory is None:
-            return None
-        return os.path.join(self.config.directory, "generation")
-
-    def _generation(self) -> int:
-        """Monotone clear() counter shared by every process on this cache
-        directory.  ``_disk_put`` reads it before and after its atomic
-        rename: a concurrent ``clear()`` bumps it, so a put that would
-        otherwise *resurrect* a just-cleared entry notices and removes
-        its own file instead."""
-        path = self._generation_path()
-        if path is None:
-            return 0
-        try:
-            with open(path, "rb") as fh:
-                return int(fh.read().strip() or 0)
-        except (OSError, ValueError):
-            return 0
-
-    def _bump_generation(self) -> None:
-        path = self._generation_path()
-        if path is None:
-            return
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            atomic_write(path, str(self._generation() + 1).encode())
-        except OSError:
-            with self._lock:
-                self.stats.io_errors += 1
-
     # -- lookup ------------------------------------------------------------
     def get(self, digest: str) -> bytes | None:
         """The payload for *digest*, or None.  LRU first, then disk; disk
@@ -207,9 +169,9 @@ class PlanCache:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except FileNotFoundError:
-            # a concurrent evictor (budget enforcement, clear()) unlinked
-            # the entry between the exists() check and the open — a plain
-            # miss, not an IO fault
+            # a concurrent evictor (budget enforcement, a removed cache
+            # directory) unlinked the entry between the exists() check
+            # and the open — a plain miss, not an IO fault
             return None
         except OSError:
             with self._lock:
@@ -276,7 +238,6 @@ class PlanCache:
             + b" " + str(len(payload)).encode() + b"\n"
             + payload
         )
-        generation = self._generation()
         try:
             if self.fault_hook is not None:
                 self.fault_hook("disk_put", digest)
@@ -286,15 +247,6 @@ class PlanCache:
             # a read-only or full cache dir degrades to memory-only
             with self._lock:
                 self.stats.io_errors += 1
-            return
-        if self._generation() != generation:
-            # a clear() ran concurrently with this put; honoring it means
-            # this entry must not survive ("resurrection" would hand out a
-            # plan the caller explicitly invalidated)
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
             return
         self._enforce_disk_budget()
 
@@ -309,8 +261,8 @@ class PlanCache:
             try:
                 os.unlink(path)
             except FileNotFoundError:
-                # a concurrent evictor (or clear()) already removed it —
-                # the bytes are gone either way
+                # a concurrent evictor already removed it — the bytes
+                # are gone either way
                 total -= size
                 if total <= self.config.max_disk_bytes:
                     return
@@ -354,21 +306,6 @@ class PlanCache:
     def clear_lru(self) -> None:
         with self._lock:
             self._lru.clear()
-
-    def clear(self) -> None:
-        """Drop both tiers (tests / explicit invalidation).
-
-        The generation marker is bumped *before* the sweep: an in-flight
-        ``_disk_put`` in another thread or process re-checks it after its
-        atomic rename and removes its own entry, so a concurrent put can
-        never resurrect an entry this clear was supposed to remove."""
-        self._bump_generation()
-        self.clear_lru()
-        for path, _size, _mtime in self._disk_entries():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
     def stray_tmp_files(self) -> list[str]:
         """Leftover ``*.tmp`` files under the disk tier (there should be

@@ -14,7 +14,7 @@ the fault and returns the fingerprints of the kernels that survived:
                 tiers) between put and get
 ``enospc``      ``_disk_put`` fails with ENOSPC (degrade to memory tier)
 ``eio``         ``_disk_get`` fails with EIO (degrade to recompile)
-``writers``     multi-process cache hammer: concurrent put/get/evict/clear
+``writers``     multi-process cache hammer: concurrent put/get/evict
 ==============  ==========================================================
 
 The seed picks victims and timing through a per-scenario RNG, so a
@@ -294,7 +294,7 @@ def _eio(_ref, seed: int, row, scratch: str) -> "dict[str, str]":
 
 def _writers(_ref, seed: int, row, scratch: str) -> "dict[str, str]":
     stats = run_cache_hammer(scratch, processes=3, iters=30, seed=seed)
-    row.injected = stats["puts"] + stats["clears"]
+    row.injected = stats["puts"]
     if not stats["ok"]:
         row.problems.append("hammer process died or timed out")
     if stats["corrupt_reads"]:
@@ -323,7 +323,7 @@ INJECTORS = {
 _HAMMER_KEYS = tuple(
     sha256(f"hammer-key-{i}".encode()).hexdigest() for i in range(12)
 )
-_HAMMER_COUNTS = ("puts", "gets", "hits", "corrupt_reads", "clears")
+_HAMMER_COUNTS = ("puts", "gets", "hits", "corrupt_reads")
 
 
 def _hammer_payload(key: str) -> bytes:
@@ -343,20 +343,16 @@ def _hammer_child(directory: str, rank: int, iters: int, seed: int,
     counts = dict.fromkeys(_HAMMER_COUNTS, 0)
     for _ in range(iters):
         key = _HAMMER_KEYS[rng.randrange(len(_HAMMER_KEYS))]
-        op = rng.random()
-        if op < 0.45:
+        if rng.random() < 0.45:
             cache.put(key, _hammer_payload(key))
             counts["puts"] += 1
-        elif op < 0.96:
+        else:
             got = cache.get(key)
             counts["gets"] += 1
             if got is not None:
                 counts["hits"] += 1
                 if got != _hammer_payload(key):
                     counts["corrupt_reads"] += 1
-        else:
-            cache.clear()
-            counts["clears"] += 1
     result_q.put(counts)
     sys.exit(0)
 
@@ -373,10 +369,10 @@ def run_cache_hammer(
     timeout: float = 120.0,
 ) -> dict:
     """Hammer one cache directory from *processes* forked processes, each
-    running a seeded mix of put/get/clear (evictions ride along on every
-    put via the byte budget).  Returns aggregated counters; the caller
+    running a seeded mix of put/get (evictions ride along on every put
+    via the byte budget).  Returns aggregated counters; the caller
     asserts ``corrupt_reads == 0`` — a reader must see either nothing or
-    the exact expected bytes, never a torn or resurrected entry.
+    the exact expected bytes, never a torn entry.
 
     The children are supervised by :mod:`repro.supervise`: reaped on
     every path, and by its ``atexit`` sweep if this process dies first."""

@@ -242,7 +242,7 @@ def _select_at(
     ctx = DistributionContext(sub, count, params)
     merged = {**sub.symbols.parameter_values(), **params}
     with _metered(budget):
-        selection = select_program(sub, ctx, merged, sink=sink, budget=budget)
+        selection = select_program(sub, ctx, merged, sink=sink)
     return SelectionArtifact(sub=sub, merged=merged, selection=selection)
 
 
@@ -284,10 +284,7 @@ def stage_specialize(
         ctx = DistributionContext(art.sub, nprocs, params)
         with _metered(budget):
             cps_all, nest_plans, private_arrays, localized_arrays, verdicts, nests = (
-                analyze_program(
-                    art.sub, ctx, art.merged, art.selection,
-                    sink=sink, budget=budget,
-                )
+                analyze_program(art.sub, ctx, art.merged, art.selection, sink=sink)
             )
     return AnalysisArtifact(
         sub=art.sub, ctx=ctx, merged=art.merged, cps=cps_all,

@@ -22,7 +22,7 @@ long-lived forked workers and layers the service policies the ROADMAP's
   a typed :class:`CompileQuarantined` carrying the full crash history,
   and an ``E-QUARANTINE`` diagnostic.  One poisoned job can never starve
   the queue or grind the pool through endless respawns;
-- **backpressure** — admission is bounded by ``max_queue`` distinct
+- **backpressure** — admission is bounded by :data:`MAX_QUEUE` distinct
   pending compilations; past it, :meth:`CompilePool.submit` blocks.
   Warm cache hits and coalesced duplicates are admission-free — they
   never charge a queue slot or a worker;
@@ -122,16 +122,23 @@ class AttemptRecord:
 # configuration and counters
 # ---------------------------------------------------------------------------
 
+#: admission bound: *distinct* admitted-but-unfinished compilations;
+#: :meth:`CompilePool.submit` blocks at it
+MAX_QUEUE = 64
+#: growth of the retry backoff per fatal attempt, and its cap (seconds)
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+
+
 @dataclass
 class PoolConfig:
     """Supervision and admission policy for one :class:`CompilePool`.
 
     ``max_attempts`` bounds launches per job (first try + retries);
     attempt ``k``'s backoff is
-    ``min(backoff_max, backoff_base * backoff_factor**(k-1))`` plus a
+    ``min(BACKOFF_MAX, backoff_base * BACKOFF_FACTOR**(k-1))`` plus a
     deterministic jitter in ``[0, backoff_base)`` seeded from
-    ``(jitter_seed, digest, k)``.  ``max_queue`` bounds *distinct*
-    admitted-but-unfinished compilations; admission blocks at that bound.
+    ``(jitter_seed, digest, k)``.
     """
 
     workers: int = 4
@@ -140,10 +147,7 @@ class PoolConfig:
     heartbeat_timeout: float = 15.0
     max_attempts: int = 3
     backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
     jitter_seed: int = 0
-    max_queue: int = 64
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -154,17 +158,14 @@ class PoolConfig:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff_base/backoff_factor out of range")
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be at least 1")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be non-negative")
 
     def backoff(self, digest: str, attempt: int) -> float:
         """Deterministic delay before retry *attempt* (2-based: the delay
         applied after fatal attempt ``attempt - 1``)."""
         base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 2),
+            BACKOFF_MAX, self.backoff_base * BACKOFF_FACTOR ** (attempt - 2),
         )
         jitter = random.Random(
             f"{self.jitter_seed}:{digest}:{attempt}"
@@ -348,7 +349,7 @@ class CompilePool:
         charge); quarantined digest → instant typed failure; plan-cache
         hit → instant warm ticket (no admission charge, no worker);
         otherwise (a strict job also reading the selection tier) a queue
-        slot is taken, blocking while ``max_queue`` are pending.  Raises
+        slot is taken, blocking while ``MAX_QUEUE`` are pending.  Raises
         :class:`PoolClosed` after shutdown began.
         """
         key = job.key()
@@ -400,7 +401,7 @@ class CompilePool:
             ticket = self._share_locked(digest)
             if ticket is not None:
                 return ticket
-            while len(self._queue) >= self.config.max_queue:
+            while len(self._queue) >= MAX_QUEUE:
                 self._space.wait()
                 if self._closed:
                     raise PoolClosed("compile pool is shut down")
@@ -442,7 +443,7 @@ class CompilePool:
         progress: Optional[Callable[[CompileOutcome], None]] = None,
     ) -> "list[CompileOutcome]":
         """The ``compile_many`` surface on pool workers: submit every job
-        (admission blocks at ``max_queue``), wait for all,
+        (admission blocks at ``MAX_QUEUE``), wait for all,
         return outcomes in input order with ``shared`` marked on
         duplicate-digest riders.  Always one outcome per job: when a
         drain begins mid-admission, the refused job and every later one

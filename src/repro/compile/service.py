@@ -21,8 +21,8 @@ the service is crash-only:
   backoff; after ``max_attempts`` worker kills it is quarantined with a
   typed :class:`~repro.compile.pool.CompileQuarantined` carrying the
   crash history — one poisoned submission can never starve the queue;
-- admission is bounded: past ``max_queue`` pending compilations,
-  ``submit`` blocks;
+- admission is bounded: past :data:`~repro.compile.pool.MAX_QUEUE`
+  pending compilations, ``submit`` blocks;
 - warm plan-cache hits resolve at submission without charging a queue
   slot or a worker;
 - ``shutdown(wait=True)`` stops admission, finishes in-flight and queued
@@ -38,7 +38,7 @@ exits nonzero iff any job failed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from .cache import PlanCache
 from .driver import CompileJob, CompileOutcome
@@ -51,34 +51,18 @@ from .pool import (
     PoolTicket,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..codegen.spmd import CompiledKernel
-
 
 class CompileService:
     """Submit sources for compilation; collect kernels.
 
-    Thread-safe.  ``workers`` sizes the persistent worker pool,
-    ``timeout`` is the default per-job deadline, ``cache`` defaults to
-    the active plan cache (results persist across service instances
-    through it), ``max_queue`` bounds pending compilations,
-    and ``pool_config`` overrides the whole supervision policy at once
-    (retry/backoff/quarantine/heartbeat knobs).
+    Thread-safe.  ``workers`` sizes the persistent worker pool;
+    ``cache`` defaults to the active plan cache (results persist across
+    service instances through it).  The rest of the supervision policy
+    is :class:`~repro.compile.pool.PoolConfig`'s defaults.
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        timeout: Optional[float] = None,
-        cache: Optional[PlanCache] = None,
-        max_queue: int = 64,
-        pool_config: Optional[PoolConfig] = None,
-    ):
-        if pool_config is None:
-            pool_config = PoolConfig(
-                workers=workers, timeout=timeout, max_queue=max_queue,
-            )
-        self._pool = CompilePool(pool_config, cache=cache)
+    def __init__(self, workers: int = 4, cache: Optional[PlanCache] = None):
+        self._pool = CompilePool(PoolConfig(workers=workers), cache=cache)
 
     # -- client surface ----------------------------------------------------
     def submit(
@@ -97,7 +81,7 @@ class CompileService:
 
         Identical submissions (same plan key) coalesce onto one ticket —
         including while the first is still building (single-flight).
-        Blocks while ``max_queue`` compilations are pending.  Raises
+        Blocks while ``MAX_QUEUE`` compilations are pending.  Raises
         :class:`~repro.compile.pool.PoolClosed` after shutdown.
         """
         return self._pool.submit(CompileJob(
@@ -115,24 +99,10 @@ class CompileService:
         """
         return self._pool.wait(ticket, timeout=timeout)
 
-    def compile(self, *args, **kw) -> "CompiledKernel":
-        """Synchronous convenience: submit + collect; raises the typed
-        error on failure."""
-        out = self.collect(self.submit(*args, **kw))
-        if out.error is not None:
-            raise out.error
-        assert out.kernel is not None
-        return out.kernel
-
     def stats(self) -> dict:
         """The pool's service-level counters (queue depth, retries,
         quarantines, forks, ...)."""
         return self._pool.stats.as_dict()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted compilation resolved (admission
-        stays open).  True on success, False on *timeout*."""
-        return self._pool.drain(timeout=timeout)
 
     def shutdown(self, wait: bool = True, cancel_queued: bool = False) -> None:
         """Stop accepting submissions and wind the pool down.  With

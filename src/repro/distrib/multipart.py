@@ -114,13 +114,3 @@ class MultiPartition3D:
             for cy in range(self.q):
                 for cz in range(self.q):
                     yield self.cell((cx, cy, cz))
-
-    def load_per_rank(self) -> list[int]:
-        """Total owned points per rank (balance invariant: spread <= small)."""
-        loads = [0] * self.nprocs
-        for cell in self.all_cells():
-            n = 1
-            for lo, hi in cell.ranges:
-                n *= hi - lo + 1
-            loads[self.owner_of_cell(cell.coords)] += n
-        return loads

@@ -56,9 +56,6 @@ class MachineModel:
     def msg_time(self, nbytes: int) -> float:
         return self.alpha + 2 * self.o + self.beta * nbytes
 
-    def elems_time(self, nelems: int) -> float:
-        return self.msg_time(nelems * self.word_bytes)
-
     def compute_time(self, flops: float) -> float:
         return flops * self.flop_time
 

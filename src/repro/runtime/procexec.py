@@ -195,11 +195,6 @@ class ProcRank:
             self.t += self.vm.model.compute_time(flops)
             self._beat()
 
-    def elapse(self, seconds: float) -> None:
-        if seconds > 0:
-            self.t += seconds
-            self._beat()
-
     # -- point-to-point --------------------------------------------------------
     def send(self, dst: int, data: Optional[np.ndarray] = None, tag: int = 0,
              nelems: int | None = None) -> None:

@@ -106,14 +106,6 @@ class Rank:
         self._record("compute", t0, self.t)
         self._fault_check()
 
-    def elapse(self, seconds: float) -> None:
-        """Advance the clock by a raw time amount (rarely needed)."""
-        if seconds > 0:
-            t0 = self.t
-            self.t += seconds
-            self._record("compute", t0, self.t)
-            self._fault_check()
-
     # -- point-to-point ----------------------------------------------------------
     def send(self, dst: int, data: Optional[np.ndarray] = None, tag: int = 0,
              nelems: int | None = None) -> None:

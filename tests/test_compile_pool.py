@@ -4,7 +4,7 @@ The pool must keep a fixed gang of forked workers alive across a whole
 batch (``workers`` forks, not one per job), retry jobs whose worker
 crashed with an ``I-RETRY`` diagnostic, quarantine poisoned jobs with a
 typed :class:`CompileQuarantined` and an ``E-QUARANTINE`` diagnostic,
-bound admission at ``max_queue`` (blocking), coalesce identical
+bound admission at ``MAX_QUEUE`` (blocking), coalesce identical
 submissions onto one
 build, resolve warm cache hits without charging a worker, and reap every
 child on shutdown — no exit path leaves an orphan.
@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.compile import PlanCache, PlanCacheConfig, use_cache
+from repro.compile import pool as pool_mod
 from repro.compile.driver import CompileJob
 from repro.compile.pool import (
     CompileCancelled,
@@ -59,11 +60,17 @@ def _jobs(n, timeout=None):
 
 
 def _fast_config(**kw):
-    """Pool config with backoffs short enough for tests."""
+    """Pool config with backoffs short enough for tests (at most three
+    attempts: 0.02 s and 0.04 s plus jitter, under ``BACKOFF_MAX``)."""
     kw.setdefault("workers", 2)
     kw.setdefault("backoff_base", 0.02)
-    kw.setdefault("backoff_max", 0.1)
     return PoolConfig(**kw)
+
+
+@pytest.fixture
+def queue_of_one(monkeypatch):
+    """Admission blocks past one pending compilation."""
+    monkeypatch.setattr(pool_mod, "MAX_QUEUE", 1)
 
 
 @pytest.fixture
@@ -238,14 +245,17 @@ class TestRetryAndQuarantine:
 
 
 class TestBackpressure:
-    def test_block_policy_bounds_queue_without_losing_jobs(self, cache):
-        config = _fast_config(workers=1, max_queue=1)
-        with CompilePool(config, cache=cache) as pool:
+    def test_block_policy_bounds_queue_without_losing_jobs(
+        self, cache, queue_of_one,
+    ):
+        with CompilePool(_fast_config(workers=1), cache=cache) as pool:
             outcomes = pool.run_batch(_jobs(4))
             assert all(o.ok for o in outcomes)
             assert pool.stats.peak_queue_depth <= 1
 
-    def test_warm_hits_are_admission_free(self, cache, monkeypatch):
+    def test_warm_hits_are_admission_free(
+        self, cache, monkeypatch, queue_of_one,
+    ):
         import repro.compile.driver as driver
 
         with CompilePool(_fast_config(), cache=cache) as pool:
@@ -257,8 +267,7 @@ class TestBackpressure:
             return real(job, selection)
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
-        config = _fast_config(workers=1, max_queue=1)
-        with CompilePool(config, cache=cache) as pool:
+        with CompilePool(_fast_config(workers=1), cache=cache) as pool:
             pool.submit(_jobs(3)[2])  # cold: occupies the worker
             deadline = time.monotonic() + 10
             while pool.queue_depth() and time.monotonic() < deadline:
@@ -318,10 +327,10 @@ class TestShutdown:
         assert pool.stats.cancelled == 1
 
     def test_drain_during_blocked_admission_keeps_the_batch(
-        self, cache, monkeypatch,
+        self, cache, monkeypatch, queue_of_one,
     ):
         """A drain that starts while run_batch is blocked in admission
-        (SIGTERM under ``eval serve`` with more than max_queue jobs
+        (SIGTERM under ``eval serve`` with more than MAX_QUEUE jobs
         pending) must not lose the batch to PoolClosed: the in-flight job
         finishes, the refused job and every later one come back as typed
         CompileCancelled outcomes, one outcome per job."""
@@ -337,7 +346,7 @@ class TestShutdown:
 
         monkeypatch.setattr(driver, "_build_for_job", slow)
         jobs = _jobs(5)
-        pool = CompilePool(_fast_config(workers=1, max_queue=1), cache=cache)
+        pool = CompilePool(_fast_config(workers=1), cache=cache)
         timer = threading.Timer(
             0.3, pool.shutdown, kwargs={"cancel_queued": True},
         )

@@ -184,7 +184,12 @@ class TestMultiPartition:
 
     def test_load_balance(self):
         mp = MultiPartition3D(9, (13, 17, 19))  # deliberately ragged
-        loads = mp.load_per_rank()
+        loads = [0] * mp.nprocs
+        for cell in mp.all_cells():
+            n = 1
+            for lo, hi in cell.ranges:
+                n *= hi - lo + 1
+            loads[mp.owner_of_cell(cell.coords)] += n
         assert sum(loads) == 13 * 17 * 19
         # ragged extents spread within a small factor
         assert max(loads) <= 1.5 * min(loads)

@@ -197,8 +197,7 @@ class TestTypedFailureDetection:
     def test_overall_timeout_is_typed_and_final(self):
         def slow(rank):
             for _ in range(200):
-                time.sleep(0.05)
-                rank.elapse(1e-3)  # beating, just over budget
+                time.sleep(0.05)  # the daemon thread beats meanwhile
 
         ex = ProcessExecutor(2, config=ProcConfig(**FAST))
         with pytest.raises(ExecutorTimeout):

@@ -138,7 +138,6 @@ class TestMachineModel:
         m = MachineModel("m", 1e-8, 1e-5, 1e-9)
         assert m.msg_time(0) == pytest.approx(1e-5)
         assert m.msg_time(1000) == pytest.approx(1e-5 + 1e-6)
-        assert m.elems_time(10) == pytest.approx(m.msg_time(80))
 
     def test_sp2_calibration_order_of_magnitude(self):
         # ~55 sustained MFLOPS, ~40us latency, ~35 MB/s
