@@ -28,6 +28,7 @@ from ..ir.visit import (
 from ..isets import BudgetExceeded, IsetBudget, active_budget
 from ..isets.box import cover_of_set
 from ..isets.profile import phase as profile_phase
+from ..runtime.model import MachineModel
 from ..runtime.sim import Rank, VirtualMachine
 from .guards import BoxSet, Guards
 from .pyemit import emit_assign_target, emit_expr
@@ -1306,25 +1307,15 @@ class CompiledKernel:
         scalars: Mapping[str, Any],
         init: Callable[[int, dict[str, FortranArray]], None] | None = None,
         vm: VirtualMachine | None = None,
-        executor: str = "virtual",
-        timeout: float | None = None,
     ) -> list[dict[str, FortranArray]]:
         """Execute on all ranks of a VirtualMachine; returns per-rank arrays.
 
         ``init(rank_id, arrays)`` seeds input data (every rank must seed at
         least its owned elements; seeding everything replicates the serial
-        initial state, which is the common test setup).
-
-        ``executor="process"`` runs the same node program on supervised OS
-        processes instead (:func:`repro.runtime.procexec.run_kernel`) —
-        bitwise-identical results, real parallelism.
+        initial state, which is the common test setup).  Real processes
+        run the same node program through
+        :func:`repro.runtime.procexec.run_kernel`.
         """
-        if executor == "process":
-            from ..runtime import procexec
-
-            return procexec.run_kernel(
-                self, scalars, init=init, target="mpi", timeout=timeout
-            )
         vm = vm or VirtualMachine(self.nprocs, record_trace=False)
         # the caller receives these arrays and frees them, so the caller
         # allocates them: made by the short-lived rank threads they land in
@@ -1338,9 +1329,6 @@ class CompiledKernel:
         self,
         scalars: Mapping[str, Any],
         init: Callable[[dict[str, FortranArray]], None] | None = None,
-        vm: VirtualMachine | None = None,
-        executor: str = "virtual",
-        timeout: float | None = None,
     ) -> dict[str, FortranArray]:
         """Execute the shared-memory back end: one shared array set, ranks
         as threads, barriers at the points where the MPI target would
@@ -1350,28 +1338,20 @@ class CompiledKernel:
         construction: within a nest the CP guards make cross-rank writes
         disjoint (partial replication writes identical values), and the
         generated barriers order producer nests before consumer nests.
-
-        ``executor="process"`` maps the arrays onto
-        ``multiprocessing.shared_memory`` segments and runs one real OS
-        process per rank (:func:`repro.runtime.procexec.run_kernel`).
+        :func:`repro.runtime.procexec.run_kernel` with ``target="shmem"``
+        maps the arrays onto ``multiprocessing.shared_memory`` segments
+        and runs one real OS process per rank.
         """
-        if executor == "process":
-            from ..runtime import procexec
-
-            return procexec.run_kernel(
-                self, scalars, init=init, target="shmem", timeout=timeout
-            )
-        from ..runtime.model import MachineModel
-
-        if vm is None:
-            # SMP-flavored model: sync via very-low-latency "messages"
-            smp = MachineModel("smp", flop_time=1e-9, alpha=2e-6, beta=1 / 300e6)
-            vm = VirtualMachine(self.nprocs, smp, record_trace=False)
+        vm = VirtualMachine(self.nprocs, _SMP, record_trace=False)
         shared = self.make_arrays()
         if init is not None:
             init(shared)
         vm.run(self.rank_node("shmem", scalars, shared))
         return shared
+
+
+#: the shmem target's machine: sync via very-low-latency "messages"
+_SMP = MachineModel("smp", flop_time=1e-9, alpha=2e-6, beta=1 / 300e6)
 
 
 def _integral(x) -> bool:

@@ -32,12 +32,11 @@ harness and CI assert on them):
 ``E-CONFIG``         inconsistent distribution directives / grid configuration
 ``W-BUDGET``         an iset resource budget tripped; conservative path taken
 ``I-FALLBACK``       a nest degraded to replicated execution (with the reason)
-**service / run**
+**service**
 ``I-RETRY``          a compile succeeded after its worker crashed and the
                      service retried it (carries the crash history)
 ``E-QUARANTINE``     a compile job killed its worker repeatedly and was
                      quarantined by the service (never retried again)
-``I-NOTRACE``        a requested trace is unavailable on this executor
 **verifier** (:mod:`repro.check`)
 ``E-COVERAGE``       a non-local read is neither received, owned nor
                      produced locally
@@ -90,7 +89,6 @@ W_BUDGET = "W-BUDGET"
 I_FALLBACK = "I-FALLBACK"
 I_RETRY = "I-RETRY"
 E_QUARANTINE = "E-QUARANTINE"
-I_NOTRACE = "I-NOTRACE"
 E_COVERAGE = "E-COVERAGE"
 E_LOCAL = "E-LOCAL"
 E_RACE = "E-RACE"
@@ -325,7 +323,7 @@ __all__ = [
     "Severity", "SourceSpan", "Diagnostic", "CompileError", "DiagnosticSink",
     "E_LEX", "E_PARSE", "E_NONAFFINE", "E_RECURSION", "E_UNSUPPORTED",
     "E_CONFIG", "W_BUDGET", "I_FALLBACK", "I_RETRY", "E_QUARANTINE",
-    "I_NOTRACE", "E_COVERAGE", "E_LOCAL", "E_RACE", "E_MATCH", "E_OVERLAP",
-    "W_UNPROVEN", "I_TRIP", "I_CLEAN", "W_COMM_HOT", "W_REPLICATED",
-    "W_SCALAR_WAVEFRONT", "W_IMBALANCE", "I_SCALE_LIMIT",
+    "E_COVERAGE", "E_LOCAL", "E_RACE", "E_MATCH", "E_OVERLAP", "W_UNPROVEN",
+    "I_TRIP", "I_CLEAN", "W_COMM_HOT", "W_REPLICATED", "W_SCALAR_WAVEFRONT",
+    "W_IMBALANCE", "I_SCALE_LIMIT",
 ]

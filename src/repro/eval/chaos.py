@@ -378,9 +378,7 @@ def process_subject(
             )
             row.recoveries = got.restarts
             row.injected = int(got.restarts > 0)
-            if got.executor != "process":
-                row.problems.append("degraded to the virtual machine")
-            elif not got.restarts:
+            if not got.restarts:
                 row.problems.append(
                     f"the {kind} of rank {fault.rank} after iteration "
                     f"{fault.after_iteration} never landed"

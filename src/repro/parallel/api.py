@@ -8,19 +8,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..diag import Diagnostic, I_FALLBACK, I_NOTRACE, Severity
 from ..runtime import Trace, VirtualMachine
 from ..runtime.faults import FaultPlan
 from ..runtime.model import MachineModel, TEST_MACHINE
-from ..runtime.procexec import (
-    ExecutorTimeout,
-    ExecutorUnavailable,
-    ProcConfig,
-    ProcessExecutor,
-    ProcFault,
-    WorkerCrashed,
-    WorkerTimeout,
-)
+from ..runtime.procexec import ProcConfig, ProcessExecutor, ProcFault
 from .checkpoint import CheckpointStore
 from .dhpf import DhpfOptions, make_dhpf_node
 
@@ -38,10 +29,9 @@ class RunResult:
     trace: Optional[Trace]
     u: Optional[np.ndarray] = None  # assembled global field (functional mode)
     per_rank: list = field(default_factory=list)
-    executor: str = "virtual"  # executor that actually ran ("virtual" | "process")
+    executor: str = "virtual"  # executor that ran ("virtual" | "process")
     wall_time: float = 0.0  # host seconds spent executing
     restarts: int = 0  # supervised gang restarts consumed (process executor)
-    diagnostics: list = field(default_factory=list)  # e.g. I-FALLBACK degradations
 
     @property
     def checksum(self) -> Optional[float]:
@@ -95,24 +85,22 @@ def run_parallel(
     - ``"process"`` — the supervised real-process backend
       (:mod:`repro.runtime.procexec`): one forked OS process per rank,
       heartbeat monitoring, typed crash/hang detection, bounded
-      checkpoint-based restart.  If the backend is unavailable, crashes
-      past its restart budget, or freezes, the run **degrades to the
-      virtual machine** and records an ``I-FALLBACK`` diagnostic in
-      ``RunResult.diagnostics`` (inspect ``RunResult.executor`` for what
-      actually ran); an exception raised *by the node program* is
-      deterministic and propagates directly — it is never re-run on the
-      virtual machine.  The numerics are bitwise-identical either way.
-      Event traces are a virtual-machine feature: with
-      ``record_trace=True`` the process path returns ``trace=None`` and
-      records an ``I-NOTRACE`` diagnostic.
+      checkpoint-based restart.  A backend that is unavailable, crashes
+      past its restart budget, or freezes raises its typed error
+      (:class:`~repro.runtime.procexec.ExecutorUnavailable`,
+      ``WorkerCrashed``, ``WorkerTimeout``); the run is never re-done on
+      the virtual machine, so a result labelled ``"process"`` came from
+      processes.  The numerics are bitwise-identical to the virtual
+      machine's.  Event traces are a virtual-machine feature: pass
+      ``record_trace=False`` (``True`` raises ``ValueError``).
 
-    ``timeout`` is an overall wall-clock budget in host seconds covering
-    both executors (typed :class:`~repro.runtime.procexec.ExecutorTimeout`
-    on expiry — a timeout is an exhausted budget, so it never triggers
-    restart or degradation).
+    ``timeout`` is an overall wall-clock budget in host seconds on either
+    executor (typed :class:`~repro.runtime.procexec.ExecutorTimeout` on
+    expiry — a timeout is an exhausted budget, so it never triggers
+    restart).
 
     Resilience knobs: ``faults`` injects a deterministic
-    :class:`~repro.runtime.faults.FaultPlan`, whose message faults the
+    :class:`~repro.runtime.faults.FaultPlan`, whose message drops the
     virtual machine's retransmission transport masks (a plan models
     *simulated* failures, so it requires the virtual executor);
     ``checkpoint``, a :class:`~repro.parallel.checkpoint.CheckpointStore`,
@@ -136,6 +124,11 @@ def run_parallel(
             "a FaultPlan models simulated faults in virtual time "
             "and requires executor='virtual'; real-process faults are injected "
             "via proc_fault (see repro.eval.chaos)"
+        )
+    if executor == "process" and record_trace:
+        raise ValueError(
+            "event traces are a virtual-machine feature; pass "
+            "record_trace=False with executor='process'"
         )
     if proc_fault is not None and executor != "process":
         raise ValueError("proc_fault requires executor='process'")
@@ -169,59 +162,18 @@ def run_parallel(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    diagnostics: list[Diagnostic] = []
-    used = executor
     restarts = 0
     trace: Optional[Trace] = None
-    results: Optional[list] = None
     wall0 = _time.monotonic()
-
     if executor == "process":
-        try:
-            ex = ProcessExecutor(nprocs, model, config=executor_config)
-            results = ex.run(
-                node, checkpoint=checkpoint, timeout=timeout, fault=proc_fault
-            )
-            restarts = ex.restarts
-            if record_trace:
-                # event traces are a virtual-machine feature; say so
-                # instead of silently handing back trace=None
-                diagnostics.append(Diagnostic(
-                    Severity.INFO, I_NOTRACE,
-                    "record_trace=True is unavailable on the process "
-                    "executor; RunResult.trace is None (use "
-                    "executor='virtual' for event traces)",
-                    pass_name="procexec",
-                ))
-        except ExecutorTimeout:
-            raise  # an exhausted budget is final: no retry, no fallback
-        except (ExecutorUnavailable, WorkerCrashed, WorkerTimeout) as exc:
-            # infrastructure failure — backend unavailable, crashed past
-            # its restart budget, or frozen: degrade to the deterministic
-            # virtual machine and say so with a structured diagnostic.
-            # A plain ExecutorError (the node program's own exception) is
-            # deterministic and propagates instead: re-running it on the
-            # virtual machine would only fail again, slower, while
-            # misattributing an application bug to executor degradation.
-            diagnostics.append(Diagnostic(
-                Severity.INFO, I_FALLBACK,
-                f"process executor degraded to the virtual machine after "
-                f"{type(exc).__name__}: {exc}",
-                pass_name="procexec",
-            ))
-            used = "virtual"
-
-    if results is None:
-        remaining = None
-        if timeout is not None:
-            remaining = timeout - (_time.monotonic() - wall0)
-            if remaining <= 0:
-                raise ExecutorTimeout(
-                    f"wall-clock budget of {timeout:.3g}s exhausted before the "
-                    f"virtual-machine fallback could start"
-                )
+        ex = ProcessExecutor(nprocs, model, config=executor_config)
+        results = ex.run(
+            node, checkpoint=checkpoint, timeout=timeout, fault=proc_fault
+        )
+        restarts = ex.restarts
+    else:
         vm = VirtualMachine(nprocs, model, record_trace=record_trace, faults=faults)
-        results = vm.run(node, timeout=remaining)
+        results = vm.run(node, timeout=timeout)
         trace = vm.trace
 
     wall = _time.monotonic() - wall0
@@ -229,6 +181,5 @@ def run_parallel(
     u = _assemble(shape, results) if functional and "u_own" in results[0] else None
     return RunResult(
         bench, strategy, nprocs, shape, niter, time, trace, u, results,
-        executor=used, wall_time=wall, restarts=restarts,
-        diagnostics=diagnostics,
+        executor=executor, wall_time=wall, restarts=restarts,
     )

@@ -1,17 +1,17 @@
 """Deterministic fault injection for the virtual machine.
 
 A :class:`FaultPlan` decides, from a seed and nothing else, which messages
-are dropped, duplicated, or delayed and which ranks crash or stall at a
-chosen *virtual* time.  Every decision is a pure function of
-``(seed, kind, src, dst, tag, seq, attempt)`` hashed through blake2b, so a
-plan is reproducible across runs, platforms, and host thread schedules —
-the same property the virtual clock gives timing.
+are dropped and which ranks crash at a chosen *virtual* time.  Every
+decision is a pure function of ``(seed, src, dst, tag, seq, attempt)``
+hashed through blake2b, so a plan is reproducible across runs, platforms,
+and host thread schedules — the same property the virtual clock gives
+timing.
 
 Faults are costed in virtual time: a dropped message shows up as
 retransmission backoff added to its arrival time (see
-:mod:`repro.runtime.reliable`), a stall as virtual seconds added to the
-rank's clock, and a crash as a :class:`RankCrashed` raised when the rank's
-clock crosses the fault time.  Host wall-clock time never enters.
+:mod:`repro.runtime.reliable`), and a crash as a :class:`RankCrashed`
+raised when the rank's clock crosses the fault time.  Host wall-clock time
+never enters.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 
 class RankCrashed(RuntimeError):
-    """An injected rank failure (``RankFault(kind='crash')``) fired."""
+    """An injected rank failure (:class:`RankFault`) fired."""
 
     def __init__(self, rank: int, time: float):
         super().__init__(
@@ -34,39 +34,28 @@ class RankCrashed(RuntimeError):
 
 @dataclass(frozen=True)
 class RankFault:
-    """Crash or stall one rank when its virtual clock reaches ``time``.
+    """Crash one rank when its virtual clock reaches ``time``:
+    :class:`RankCrashed` is raised out of the rank's node program.
 
-    ``kind='crash'`` raises :class:`RankCrashed` out of the rank's node
-    program; ``kind='stall'`` adds ``duration`` virtual seconds to the
-    rank's clock and continues.  With ``once=True`` (the default) the fault
-    fires a single time even if the same plan drives several runs — this is
-    what lets a checkpoint/restart harness re-run the program under the
-    same plan and have the restarted attempt survive.
+    The fault fires a single time even if the same plan drives several
+    runs — this is what lets a checkpoint/restart harness re-run the
+    program under the same plan and have the restarted attempt survive.
     """
 
     rank: int
     time: float
-    kind: str = "crash"  # 'crash' | 'stall'
-    duration: float = 0.0  # stall length in virtual seconds
-    once: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("crash", "stall"):
-            raise ValueError(f"unknown rank fault kind {self.kind!r}")
         if self.time < 0:
             raise ValueError("fault time must be a non-negative virtual time")
-        if self.kind == "stall" and self.duration <= 0:
-            raise ValueError("stall faults need a positive duration")
 
 
 class FaultPlan:
     """Seed-driven fault schedule for one virtual machine.
 
-    Message faults are rates in [0, 1): each message (identified by its
-    reliable-transport sequence number) draws its fate deterministically.
-    ``delay_time`` is the mean extra virtual latency (seconds) a delayed
-    message suffers; because the reliable transport re-sequences delivery,
-    delaying messages is also how out-of-order arrival is exercised.
+    ``drop_rate`` is in [0, 1): each transmission attempt of each message
+    (identified by its reliable-transport sequence number) draws whether
+    it is lost, deterministically.
     """
 
     def __init__(
@@ -74,25 +63,12 @@ class FaultPlan:
         seed: int = 0,
         *,
         drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        delay_time: float = 2e-4,
         rank_faults: Sequence[RankFault] = (),
     ):
-        for name, rate in (
-            ("drop_rate", drop_rate),
-            ("duplicate_rate", duplicate_rate),
-            ("delay_rate", delay_rate),
-        ):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {rate!r}")
-        if delay_time < 0:
-            raise ValueError("delay_time must be non-negative")
+        if not 0.0 <= drop_rate < 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate!r}")
         self.seed = int(seed)
         self.drop_rate = drop_rate
-        self.duplicate_rate = duplicate_rate
-        self.delay_rate = delay_rate
-        self.delay_time = delay_time
         by_rank: dict[int, RankFault] = {}
         for f in rank_faults:
             if f.rank in by_rank:
@@ -101,36 +77,14 @@ class FaultPlan:
         self._by_rank = by_rank
         self._fired: set[RankFault] = set()
 
-    # -- deterministic draws ---------------------------------------------------
-    def _draw(self, kind: str, *key: int) -> float:
-        """Uniform [0, 1) from a stable hash of (seed, kind, key)."""
-        material = f"{self.seed}|{kind}|" + "|".join(str(k) for k in key)
-        h = hashlib.blake2b(material.encode(), digest_size=8).digest()
-        return int.from_bytes(h, "big") / 2**64
-
-    @property
-    def has_message_faults(self) -> bool:
-        return max(self.drop_rate, self.duplicate_rate, self.delay_rate) > 0.0
-
     def drops(self, src: int, dst: int, tag: int, seq: int, attempt: int) -> bool:
-        """Is transmission ``attempt`` of this message lost (data or ack)?"""
+        """Is transmission ``attempt`` of this message lost (data or ack)?
+        A uniform [0, 1) draw from a stable hash of the seed and the key."""
         if self.drop_rate <= 0.0:
             return False
-        return self._draw("drop", src, dst, tag, seq, attempt) < self.drop_rate
-
-    def duplicates(self, src: int, dst: int, tag: int, seq: int) -> bool:
-        if self.duplicate_rate <= 0.0:
-            return False
-        return self._draw("dup", src, dst, tag, seq) < self.duplicate_rate
-
-    def delay(self, src: int, dst: int, tag: int, seq: int) -> float:
-        """Extra virtual latency for this message (0.0 for most)."""
-        if self.delay_rate <= 0.0:
-            return 0.0
-        if self._draw("delay?", src, dst, tag, seq) >= self.delay_rate:
-            return 0.0
-        # 0.5x .. 1.5x the mean, deterministically per message
-        return self.delay_time * (0.5 + self._draw("delay", src, dst, tag, seq))
+        material = f"{self.seed}|drop|{src}|{dst}|{tag}|{seq}|{attempt}"
+        h = hashlib.blake2b(material.encode(), digest_size=8).digest()
+        return int.from_bytes(h, "big") / 2**64 < self.drop_rate
 
     # -- rank faults -----------------------------------------------------------
     def fault_for(self, rank: int) -> Optional[RankFault]:
@@ -140,12 +94,10 @@ class FaultPlan:
         return fault in self._fired
 
     def mark_fired(self, fault: RankFault) -> None:
-        if fault.once:
-            self._fired.add(fault)
+        self._fired.add(fault)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultPlan(seed={self.seed}, drop={self.drop_rate}, "
-            f"dup={self.duplicate_rate}, delay={self.delay_rate}, "
             f"rank_faults={sorted(self._by_rank)})"
         )

@@ -89,24 +89,21 @@ class ProcFault:
     chaos harness's process-backend mode).
 
     ``kind='kill'`` SIGKILLs the worker; ``kind='stall'`` SIGSTOPs it (the
-    worker stops beating and is detected as :class:`WorkerTimeout`).  The
-    trigger is ``after_iteration`` (fires once the supervisor has seen
-    every rank's checkpoint for that iteration — guaranteeing restartable
-    progress exists: one rank's alone can arrive before another's leaves
-    its writer, and dies with it) or ``after_seconds`` of gang wall-clock.
-    Fires once per run, so the restarted gang survives.
+    worker stops beating and is detected as :class:`WorkerTimeout`).  It
+    fires once the supervisor has seen every rank's checkpoint for
+    iteration ``after_iteration`` — guaranteeing restartable progress
+    exists: one rank's alone can arrive before another's leaves its
+    writer, and dies with it.  Fires once per run, so the restarted gang
+    survives.
     """
 
     rank: int
+    after_iteration: int
     kind: str = "kill"  # 'kill' | 'stall'
-    after_iteration: Optional[int] = None
-    after_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("kill", "stall"):
             raise ValueError(f"unknown process fault kind {self.kind!r}")
-        if self.after_iteration is None and self.after_seconds is None:
-            raise ValueError("fault needs after_iteration or after_seconds")
 
 
 @dataclass
@@ -291,7 +288,6 @@ class _Gang:
         self.workers: list[supervise.Supervised] = workers  # by rank
         self.inboxes = inboxes
         self.ctrl = ctrl
-        self.t0 = time.monotonic()
         self.iters: dict[int, int] = {}   # rank -> newest checkpointed iter
 
 
@@ -442,13 +438,11 @@ class ProcessExecutor:
             elif kind == "phase":
                 phases[msg[1]] = msg[2]
 
-    def _fault_due(self, fault: ProcFault, now: float) -> bool:
+    def _fault_due(self, fault: ProcFault) -> bool:
         gang = self._gang
         assert gang is not None
-        if fault.after_iteration is not None:
-            done = min(gang.iters.get(r, 0) for r in range(self.nprocs))
-            return done >= fault.after_iteration
-        return now - gang.t0 >= (fault.after_seconds or 0.0)
+        done = min(gang.iters.get(r, 0) for r in range(self.nprocs))
+        return done >= fault.after_iteration
 
     def _fire_fault(self, fault: ProcFault) -> None:
         gang = self._gang
@@ -484,7 +478,7 @@ class ProcessExecutor:
                     last_heartbeat=gang.workers[waiting[0]].since_beat(now),
                 )
             if fault is not None and not fault_state["fired"] \
-                    and self._fault_due(fault, now):
+                    and self._fault_due(fault):
                 fault_state["fired"] = True
                 self._fire_fault(fault)
             for r, w in enumerate(gang.workers):
@@ -550,13 +544,13 @@ def run_kernel(
     scalars,
     init: Optional[Callable] = None,
     target: str = "mpi",
-    model: Optional[MachineModel] = None,
-    config: Optional[ProcConfig] = None,
     timeout: Optional[float] = None,
-    fault: Optional[ProcFault] = None,
 ):
     """Execute a :class:`~repro.codegen.spmd.CompiledKernel`'s generated
-    node program on real processes.
+    node program on real processes — the process executor's one front
+    door for compiled kernels (``CompiledKernel.run`` / ``run_shmem`` are
+    the virtual machine's), under the default :class:`ProcConfig` and the
+    test machine model.
 
     ``target='mpi'`` mirrors ``CompiledKernel.run``: every rank builds its
     own arrays (``init(rank_id, arrays)`` seeds them) and the hoisted
@@ -575,14 +569,13 @@ def run_kernel(
     """
     if target not in ("mpi", "shmem"):
         raise ValueError(f"unknown target {target!r}")
-    ex = ProcessExecutor(kernel.nprocs, model=model or TEST_MACHINE, config=config)
+    ex = ProcessExecutor(kernel.nprocs)
 
     # rank_node execs the program and binds the guards here, before the
     # fork: the children inherit both instead of redoing them per worker
     if target == "mpi":
         return ex.run(
-            kernel.rank_node("mpi", scalars, init=init),
-            timeout=timeout, fault=fault,
+            kernel.rank_node("mpi", scalars, init=init), timeout=timeout,
         )
 
     from multiprocessing import shared_memory
@@ -611,7 +604,7 @@ def run_kernel(
 
         ex.run(
             kernel.rank_node("shmem", scalars, shared),
-            timeout=timeout, fault=fault, on_restart=reset,
+            timeout=timeout, on_restart=reset,
         )
         return {
             name: FortranArray(fa.data.shape, fa.lower, data=fa.data.copy())

@@ -1,9 +1,9 @@
 """Reliable transport for the virtual machine: seq/ack/retransmit.
 
-Every message carries a per-(src, dst, tag) sequence number.  The receiver
-delivers strictly in sequence order and discards duplicates; the sender
-retransmits a lost copy after a timeout that backs off exponentially.  All
-of it is *modeled* in virtual time through the LogGP
+Every message carries a per-(src, dst, tag) sequence number, which keys
+the fault plan's drop draws; the sender retransmits a lost copy after a
+timeout that backs off exponentially.  All of it is *modeled* in virtual
+time through the LogGP
 :class:`~repro.runtime.model.MachineModel` rather than executed with real
 timers:
 
@@ -18,7 +18,10 @@ timers:
   but do not advance the sender's program clock, which has long since
   moved on — the standard zero-copy send-and-forget approximation.
 
-With no plan (or a plan with all message rates zero) every code path
+The virtual machine appends each (dst, src, tag) mailbox in send order,
+so delivery is in sequence order without a receive-side counter.
+
+With no plan (or a plan with a zero drop rate) every code path
 reduces to the seed runtime's arithmetic exactly: one attempt, arrival
 ``t_send + msg_time(nbytes)``, FIFO delivery — traces are bitwise
 identical and the transport costs nothing.
@@ -55,35 +58,23 @@ class SendSchedule:
     arrival: float  # when the first successful copy lands
     attempts: int  # 1 + number of lost copies
     resend_windows: tuple[tuple[float, float], ...]  # NIC occupancy per retry
-    duplicate_arrival: Optional[float]  # a spurious extra copy, if any
 
 
 class ReliableTransport:
-    """Per-VM transport state: send scheduling + receive sequencing.
-
-    The receive-side ``expected`` counters are mutated under the virtual
-    machine's mailbox lock; the send side is pure computation.
-    """
+    """Per-VM send scheduling: pure computation over the model and plan."""
 
     def __init__(self, model: MachineModel, plan: Optional[FaultPlan] = None):
         self.model = model
         self.plan = plan
-        self._expected: dict[tuple[int, int, int], int] = {}
 
-    @property
-    def faulty(self) -> bool:
-        return self.plan is not None and self.plan.has_message_faults
-
-    # -- send side ------------------------------------------------------------
     def schedule(
         self, src: int, dst: int, tag: int, seq: int, nbytes: int, t_send: float
     ) -> SendSchedule:
-        """Cost out one logical send, including retransmits and duplicates."""
+        """Cost out one logical send, including retransmits."""
         base = self.model.msg_time(nbytes)
-        if not self.faulty:
-            return SendSchedule(t_send + base, 1, (), None)
         plan = self.plan
-        assert plan is not None
+        if plan is None or plan.drop_rate <= 0.0:
+            return SendSchedule(t_send + base, 1, ())
         rtt = base + self.model.msg_time(ACK_BYTES)
         rto = RTO_ALPHAS * self.model.alpha + rtt
         t = t_send
@@ -94,13 +85,4 @@ class ReliableTransport:
             windows.append((t, t + self.model.beta * nbytes))
             rto *= BACKOFF
             attempt += 1
-        arrival = t + base + plan.delay(src, dst, tag, seq)
-        dup = arrival + rtt if plan.duplicates(src, dst, tag, seq) else None
-        return SendSchedule(arrival, attempt + 1, tuple(windows), dup)
-
-    # -- receive side ----------------------------------------------------------
-    def next_expected(self, key: tuple[int, int, int]) -> int:
-        return self._expected.get(key, 0)
-
-    def advance(self, key: tuple[int, int, int]) -> None:
-        self._expected[key] = self._expected.get(key, 0) + 1
+        return SendSchedule(t + base, attempt + 1, tuple(windows))

@@ -7,17 +7,16 @@ alpha + beta*bytes)`` — so wait time (white space in the paper's space-time
 diagrams) appears whenever a processor out-runs its producer, exactly the
 pipeline-fill/drain behavior the paper analyzes.
 
-Timing is deterministic: message matching is sequence-ordered per
-(src, dst, tag) in sender program order, and every clock update depends
+Timing is deterministic: each (dst, src, tag) mailbox is appended in
+sender program order and consumed FIFO, and every clock update depends
 only on program order and the model, never on host thread scheduling.
 
 Resilience (see DESIGN.md "Fault model & chaos harness"):
 
 - an optional :class:`~repro.runtime.faults.FaultPlan` injects message
-  drops/duplicates/delays and rank crashes/stalls, all costed in virtual
-  time;
-- the :class:`~repro.runtime.reliable.ReliableTransport` masks message
-  faults with sequence numbers, acks, and modeled exponential-backoff
+  drops and rank crashes, both costed in virtual time;
+- the :class:`~repro.runtime.reliable.ReliableTransport` masks drops
+  with sequence numbers, acks, and modeled exponential-backoff
   retransmission — with no plan active it is bitwise-invisible;
 - blocked receives are watched by a wait-for-graph cycle detector instead
   of a wall-clock timeout: a genuine deadlock (or a wait on a terminated
@@ -32,7 +31,7 @@ import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -55,7 +54,7 @@ class Message:
     payload: Any  # numpy array (functional mode) or None (work model)
     nbytes: int
     arrival: float  # virtual arrival time at the receiver
-    seq: int = 0  # per-(src, dst, tag) sequence number
+    seq: int = 0  # per-(src, dst, tag) sequence number (keys drop draws)
 
 
 class Rank:
@@ -82,19 +81,14 @@ class Rank:
             self._trace.add(TraceEvent(self.rank, kind, t0, t1, peer, nbytes, self.phase))
 
     def _fault_check(self) -> None:
-        """Fire a pending crash/stall fault once the clock crosses its time."""
+        """Fire a pending crash fault once the clock crosses its time."""
         f = self._fault
         if f is None or self.t < f.time or self.vm.faults.fired(f):
             return
         self._fault = None  # fire at most once per rank per run
         self.vm.faults.mark_fired(f)
-        if f.kind == "stall":
-            t0 = self.t
-            self.t += f.duration
-            self._record("stall", t0, self.t)
-        else:
-            self._record("crash", self.t, self.t)
-            raise RankCrashed(self.rank, self.t)
+        self._record("crash", self.t, self.t)
+        raise RankCrashed(self.rank, self.t)
 
     # -- compute ------------------------------------------------------------------
     def compute(self, flops: float) -> None:
@@ -134,10 +128,6 @@ class Rank:
         for r0, r1 in sched.resend_windows:
             self._record("resend", r0, r1, dst, nbytes)
         self.vm._deliver(Message(self.rank, dst, tag, payload, nbytes, sched.arrival, seq))
-        if sched.duplicate_arrival is not None:
-            self.vm._deliver(
-                Message(self.rank, dst, tag, payload, nbytes, sched.duplicate_arrival, seq)
-            )
         self._fault_check()
 
     def recv(self, src: int, tag: int = 0) -> Any:
@@ -163,6 +153,12 @@ class Rank:
         return f"<Rank {self.rank}/{self.size} t={self.t:.6f}>"
 
 
+#: host seconds a blocked receive waits before declaring a rank thread
+#: hung.  Virtual-time deadlocks never wait for it: the wait-for graph
+#: catches them at once.
+RECV_TIMEOUT = 120.0
+
+
 class VirtualMachine:
     """Runs one callable per rank on real threads with a virtual clock."""
 
@@ -171,7 +167,6 @@ class VirtualMachine:
         nprocs: int,
         model: MachineModel = TEST_MACHINE,
         record_trace: bool = True,
-        recv_timeout: float = 120.0,
         faults: Optional[FaultPlan] = None,
     ):
         if nprocs <= 0:
@@ -179,7 +174,6 @@ class VirtualMachine:
         self.nprocs = nprocs
         self.model = model
         self.trace: Optional[Trace] = Trace(nprocs) if record_trace else None
-        self.recv_timeout = recv_timeout
         self.faults = faults
         self.transport = ReliableTransport(model, faults)
         self._lock = threading.Lock()
@@ -211,38 +205,15 @@ class VirtualMachine:
             self._cond.notify_all()
 
     def _match(self, key: tuple[int, int, int], pop: bool) -> Optional[Message]:
-        """Find (and optionally consume) the next in-sequence message.
+        """The next message of a mailbox (consumed if ``pop``), or None.
 
-        Called with the mailbox lock held.  Duplicates of already-consumed
-        sequence numbers are purged as they are encountered; delivery is
-        strictly in sequence order, which restores sender program order
-        under delay/duplicate faults.  Without faults every message sits at
-        the head with the expected sequence number, so this degenerates to
-        the seed runtime's FIFO ``popleft``.
+        Called with the mailbox lock held.  The sender appends in program
+        order, so the head is always the next in sequence.
         """
         q = self._mail.get(key)
         if not q:
             return None
-        exp = self.transport.next_expected(key)
-        head = q[0]
-        if head.seq == exp:  # fast path: always taken when no faults are active
-            if pop:
-                q.popleft()
-                self.transport.advance(key)
-            return head
-        found = None
-        for m in list(q):
-            if m.seq < exp:
-                q.remove(m)  # duplicate of a message already delivered
-            elif m.seq == exp:
-                found = m
-                break
-        if found is None:
-            return None
-        if pop:
-            q.remove(found)
-            self.transport.advance(key)
-        return found
+        return q.popleft() if pop else q[0]
 
     # -- deadlock detection ------------------------------------------------------
     def _pending_keys(self, rank: int) -> list[tuple[int, int]]:
@@ -329,12 +300,12 @@ class VirtualMachine:
                     if dst in self._deadlock:
                         raise DeadlockError(self._deadlock.pop(dst))
                     self._check_wait_graph(dst)
-                    if not self._cond.wait(timeout=self.recv_timeout):
+                    if not self._cond.wait(timeout=RECV_TIMEOUT):
                         # wall-clock fallback: only a host-level hang (a
                         # stuck rank thread) can get here — virtual-time
                         # deadlocks are caught by the wait-for graph above.
                         raise DeadlockError(
-                            f"rank {dst} timed out after {self.recv_timeout}s of "
+                            f"rank {dst} timed out after {RECV_TIMEOUT}s of "
                             f"host time waiting for ({src}, tag {tag}) — no "
                             f"wait-for-graph cycle, so a rank thread is hung"
                         )
@@ -345,7 +316,6 @@ class VirtualMachine:
     def run(
         self,
         node_fn: Callable[[Rank], Any],
-        ranks: Sequence[int] | None = None,
         timeout: Optional[float] = None,
     ) -> list[Any]:
         """Execute ``node_fn(rank)`` on every rank; returns per-rank results.
@@ -363,19 +333,17 @@ class VirtualMachine:
         thread is abandoned — so a pathological kernel still cannot hang
         the harness.
         """
-        ranks = list(ranks if ranks is not None else range(self.nprocs))
-        results: list[Any] = [None] * len(ranks)
+        results: list[Any] = [None] * self.nprocs
         errors: list[tuple[int, BaseException]] = []
-        threads = []
         deadline = None if timeout is None else _time.monotonic() + timeout
         with self._cond:
-            self._done = set(range(self.nprocs)) - set(ranks)
+            self._done.clear()
             self._deadlock.clear()
             self._expired = False
 
-        def runner(idx: int, r: int) -> None:
+        def runner(r: int) -> None:
             try:
-                results[idx] = node_fn(Rank(self, r))
+                results[r] = node_fn(Rank(self, r))
             except BaseException as exc:  # noqa: BLE001 - propagate everything
                 errors.append((r, exc))
             finally:
@@ -383,9 +351,11 @@ class VirtualMachine:
                     self._done.add(r)
                     self._cond.notify_all()
 
-        for idx, r in enumerate(ranks):
-            t = threading.Thread(target=runner, args=(idx, r), daemon=True, name=f"rank-{r}")
-            threads.append(t)
+        threads = [
+            threading.Thread(target=runner, args=(r,), daemon=True, name=f"rank-{r}")
+            for r in range(self.nprocs)
+        ]
+        for t in threads:
             t.start()
         for t in threads:
             if deadline is None:
@@ -398,8 +368,8 @@ class VirtualMachine:
                 self._cond.notify_all()
             for t in threads:
                 t.join(timeout=1.0)  # grace for the unwind to finish
-            stuck = sorted(r for t, r in zip(threads, ranks) if t.is_alive())
-            unfinished = sorted(set(ranks) - self._done) or stuck
+            stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+            unfinished = sorted(set(range(self.nprocs)) - self._done) or stuck
             raise ExecutorTimeout(
                 f"virtual-machine run exceeded its {timeout:.3g}s wall-clock "
                 f"budget with rank(s) {unfinished} unfinished"

@@ -318,7 +318,7 @@ def test_reduction_degraded_on_shmem_processes():
     from repro.runtime import procexec
 
     k = compile_kernel(_REDUCTION, nprocs=4, strict=False)
-    shared = k.run_shmem({}, executor="process", timeout=60)
+    shared = procexec.run_kernel(k, {}, target="shmem", timeout=60)
     assert _shmem_mismatch(
         k, shared, _serial_reference(_REDUCTION), "process") is None
     assert mp.active_children() == []

@@ -3,9 +3,10 @@
 Covers the executor's whole contract: bitwise identity with the virtual
 machine (raw node programs and compiled kernels, both targets), typed
 crash/hang/timeout detection with rank attribution, bounded
-checkpoint-resumed restarts, graceful degradation to the virtual machine,
-and — via the autouse fixture — the no-orphans/no-leaks guarantee on
-every exit path (success, crash, timeout, Ctrl-C).
+checkpoint-resumed restarts, typed failures out of ``run_parallel`` (never
+a re-run on the virtual machine), and — via the autouse fixture — the
+no-orphans/no-leaks guarantee on every exit path (success, crash,
+timeout, Ctrl-C).
 """
 
 import multiprocessing as mp
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.codegen import compile_kernel
-from repro.diag import I_FALLBACK, I_NOTRACE
 from repro.nas import kernels
 from repro.parallel import CheckpointStore, run_parallel
 from repro.runtime import VirtualMachine, procexec
@@ -120,15 +120,6 @@ class TestBitwiseAgainstVirtualMachine:
         for name in ref:
             assert ref[name].data.tobytes() == out[name].data.tobytes()
 
-    def test_compiled_kernel_executor_kwarg(self):
-        ck = compile_kernel(kernels.LHSY_SP, nprocs=4, params={"n": 17})
-        a = ck.run(LHSY_SCALARS)
-        b = ck.run(LHSY_SCALARS, executor="process", timeout=60)
-        assert a[0]["lhs"].data.tobytes() == b[0]["lhs"].data.tobytes()
-        sa = ck.run_shmem(LHSY_SCALARS)
-        sb = ck.run_shmem(LHSY_SCALARS, executor="process", timeout=60)
-        assert sa["lhs"].data.tobytes() == sb["lhs"].data.tobytes()
-
 
 class TestTypedFailureDetection:
     def test_worker_crash_is_typed_with_rank_and_exitcode(self):
@@ -222,8 +213,8 @@ class TestTypedFailureDetection:
         with pytest.raises(ValueError, match="max_restarts"):
             ProcConfig(max_restarts=-1)
         with pytest.raises(ValueError, match="kind"):
-            ProcFault(rank=0, kind="melt", after_seconds=1.0)
-        with pytest.raises(ValueError, match="after_iteration or after_seconds"):
+            ProcFault(rank=0, kind="melt", after_iteration=1)
+        with pytest.raises(TypeError, match="after_iteration"):
             ProcFault(rank=0)
         monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
         with pytest.raises(ExecutorUnavailable, match="start method"):
@@ -348,29 +339,28 @@ class TestRunParallelIntegration:
         assert pr.executor == "process"
         assert pr.time == pytest.approx(base.time)  # same modeled makespan
 
-    def test_degrades_to_vm_with_structured_diagnostic(self, monkeypatch):
-        """Exhausted retries (or unavailability) fall back to the virtual
-        machine and record an I-FALLBACK diagnostic — never an opaque
-        error, never a hang."""
+    def test_worker_crash_propagates_without_vm_run(self, monkeypatch):
+        """Exhausted retries surface as the typed WorkerCrashed: a result
+        labelled "process" comes from processes, so the run is never
+        re-done on the virtual machine."""
 
         def always_crash(self, node_fn, **kw):
             raise WorkerCrashed("rank 1 killed by signal 9", exitcode=-9,
                                 rank=1)
 
+        def no_vm(self, node_fn, timeout=None):
+            raise AssertionError("the process run was re-done on the VM")
+
         monkeypatch.setattr(ProcessExecutor, "run", always_crash)
-        base = run_parallel("sp", "dhpf", 4, self.SHAPE, 2, functional=True,
-                            record_trace=False)
-        r = run_parallel("sp", "dhpf", 4, self.SHAPE, 2, functional=True,
+        monkeypatch.setattr(VirtualMachine, "run", no_vm)
+        with pytest.raises(WorkerCrashed, match="signal 9") as ei:
+            run_parallel("sp", "dhpf", 4, self.SHAPE, 2, functional=True,
                          record_trace=False, executor="process")
-        assert r.executor == "virtual"
-        assert any(d.code == I_FALLBACK for d in r.diagnostics)
-        assert "WorkerCrashed" in r.diagnostics[0].message
-        assert np.array_equal(base.u, r.u)  # numerics identical either way
+        assert ei.value.rank == 1
 
     def test_node_program_error_propagates_without_fallback(self, monkeypatch):
-        """A deterministic node-program exception is not an executor
-        degradation: it propagates directly, with no duplicate virtual-
-        machine run and no misattributed I-FALLBACK diagnostic."""
+        """A deterministic node-program exception propagates directly,
+        with no virtual-machine run."""
 
         def app_error(self, node_fn, **kw):
             raise ExecutorError("rank 1 raised ValueError: kaboom", rank=1)
@@ -380,15 +370,13 @@ class TestRunParallelIntegration:
             run_parallel("sp", "dhpf", 4, self.SHAPE, 2, functional=True,
                          record_trace=False, executor="process")
 
-    def test_record_trace_on_process_backend_is_diagnosed(self):
-        """record_trace=True is a virtual-machine feature; the process
-        path returns trace=None plus a typed I-NOTRACE diagnostic rather
-        than silently ignoring the request."""
-        r = run_parallel("sp", "dhpf", 4, self.SHAPE, 1, functional=False,
+    def test_record_trace_on_process_backend_is_refused(self):
+        """record_trace=True is a virtual-machine feature: the process
+        path refuses it up front instead of returning trace=None."""
+        with pytest.raises(ValueError, match="record_trace=False"):
+            run_parallel("sp", "dhpf", 4, self.SHAPE, 1, functional=False,
                          record_trace=True, executor="process", timeout=300)
-        assert r.executor == "process"
-        assert r.trace is None
-        assert any(d.code == I_NOTRACE for d in r.diagnostics)
+        assert mp.active_children() == []  # refused before any fork
 
     def test_timeout_does_not_degrade(self, monkeypatch):
         def always_timeout(self, node_fn, **kw):
@@ -409,7 +397,7 @@ class TestRunParallelIntegration:
     def test_proc_fault_requires_process_executor(self):
         with pytest.raises(ValueError, match="proc_fault"):
             run_parallel("sp", "dhpf", 4, self.SHAPE, 1,
-                         proc_fault=ProcFault(rank=0, after_seconds=1.0))
+                         proc_fault=ProcFault(rank=0, after_iteration=1))
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import DeadlockError, VirtualMachine
+from repro.runtime import DeadlockError, VirtualMachine, sim
 from repro.runtime.model import IBM_SP2, TEST_MACHINE, MachineModel
 
 
@@ -52,22 +52,24 @@ class TestVirtualMachine:
             assert candidates, "recv without any send from peer"
             assert rv.t1 >= min(s.t0 for s in candidates) + IBM_SP2.alpha - 1e-12
 
-    def test_deadlock_detection(self):
+    def test_deadlock_detection(self, monkeypatch):
         def dead(rank):
             rank.recv((rank.rank + 1) % rank.size)
 
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 5)
         with pytest.raises(DeadlockError):
-            VirtualMachine(3, TEST_MACHINE, recv_timeout=5).run(dead)
+            VirtualMachine(3, TEST_MACHINE).run(dead)
 
-    def test_exception_propagates(self):
+    def test_exception_propagates(self, monkeypatch):
         def boom(rank):
             if rank.rank == 1:
                 raise ValueError("kaboom")
             # others finish normally (no recv from the failed rank)
             rank.compute(10)
 
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 5)
         with pytest.raises(ValueError, match="kaboom"):
-            VirtualMachine(3, TEST_MACHINE, recv_timeout=5).run(boom)
+            VirtualMachine(3, TEST_MACHINE).run(boom)
 
     def test_fifo_per_tag(self):
         def prog(rank):

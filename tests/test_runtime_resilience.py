@@ -20,7 +20,7 @@ from repro.runtime import (
     RankFault,
     VirtualMachine,
 )
-from repro.runtime import reliable
+from repro.runtime import reliable, sim
 from repro.runtime.model import IBM_SP2, TEST_MACHINE, MachineModel
 from repro.runtime.reliable import ReliableTransport
 
@@ -40,16 +40,12 @@ class TestFaultPlan:
     def test_rates_validated(self):
         with pytest.raises(ValueError, match="drop_rate"):
             FaultPlan(drop_rate=1.0)
-        with pytest.raises(ValueError, match="duplicate_rate"):
-            FaultPlan(duplicate_rate=-0.1)
-        with pytest.raises(ValueError, match="delay_time"):
-            FaultPlan(delay_time=-1.0)
+        with pytest.raises(ValueError, match="drop_rate"):
+            FaultPlan(drop_rate=-0.1)
 
     def test_rank_fault_validated(self):
-        with pytest.raises(ValueError, match="kind"):
-            RankFault(rank=0, time=1.0, kind="melt")
-        with pytest.raises(ValueError, match="duration"):
-            RankFault(rank=0, time=1.0, kind="stall")
+        with pytest.raises(ValueError, match="virtual time"):
+            RankFault(rank=0, time=-1.0)
         with pytest.raises(ValueError, match="multiple faults"):
             FaultPlan(rank_faults=(
                 RankFault(rank=1, time=1.0), RankFault(rank=1, time=2.0),
@@ -86,7 +82,7 @@ class TestReliableTransport:
         tr = ReliableTransport(TEST_MACHINE, None)
         s = tr.schedule(0, 1, 5, 0, 800, 2.0)
         assert s.arrival == 2.0 + TEST_MACHINE.msg_time(800)
-        assert s.attempts == 1 and s.resend_windows == () and s.duplicate_arrival is None
+        assert s.attempts == 1 and s.resend_windows == ()
 
     def test_zero_rate_plan_matches_seed_arithmetic(self):
         tr = ReliableTransport(TEST_MACHINE, FaultPlan(seed=1))
@@ -141,59 +137,18 @@ class TestFaultyRuns:
         assert faulty.makespan() > base.makespan()  # retransmits cost time
         assert any(e.kind == "resend" for e in faulty.trace.events)
 
-    def test_duplicates_are_deduplicated(self):
-        def prog(rank):
-            if rank.rank == 0:
-                for k in range(5):
-                    rank.send(1, np.array([float(k)]), tag=7)
-                return None
-            return [float(rank.recv(0, tag=7)[0]) for _ in range(5)]
-
-        vm = VirtualMachine(2, TEST_MACHINE, faults=FaultPlan(seed=2, duplicate_rate=0.9))
-        res = vm.run(prog)
-        assert res[1] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_delays_resequenced_in_program_order(self):
-        def prog(rank):
-            if rank.rank == 0:
-                for k in range(8):
-                    rank.send(1, np.array([float(k)]), tag=3)
-                return None
-            return [float(rank.recv(0, tag=3)[0]) for _ in range(8)]
-
-        vm = VirtualMachine(
-            2, TEST_MACHINE,
-            faults=FaultPlan(seed=11, delay_rate=0.8, delay_time=5e-3),
-        )
-        res = vm.run(prog)
-        assert res[1] == [float(k) for k in range(8)]
-
-    def test_stall_adds_virtual_time(self):
-        def prog(rank):
-            rank.compute(1e6)
-            return rank.t
-
-        plain = VirtualMachine(2, TEST_MACHINE).run(prog)
-        stalled = VirtualMachine(
-            2, TEST_MACHINE,
-            faults=FaultPlan(rank_faults=(
-                RankFault(rank=1, time=0.0, kind="stall", duration=0.5),
-            )),
-        ).run(prog)
-        assert stalled[0] == plain[0]
-        assert stalled[1] == pytest.approx(plain[1] + 0.5)
-
-    def test_crash_raises_rank_crashed_not_deadlock(self):
+    def test_crash_raises_rank_crashed_not_deadlock(self, monkeypatch):
         """Peers blocked on the crashed rank die with DeadlockError, but the
         root cause surfaces (error-masking fix)."""
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 30)
         plan = FaultPlan(rank_faults=(RankFault(rank=1, time=1e-7),))
         with pytest.raises(RankCrashed) as ei:
-            VirtualMachine(4, TEST_MACHINE, faults=plan, recv_timeout=30).run(ring)
+            VirtualMachine(4, TEST_MACHINE, faults=plan).run(ring)
         assert ei.value.rank == 1
 
 
 class TestFailurePaths:
-    def test_rank_exception_propagates_over_secondary_deadlocks(self):
+    def test_rank_exception_propagates_over_secondary_deadlocks(self, monkeypatch):
         """A raising rank must surface its own exception even though rank 0
         blocks on it and dies with a secondary DeadlockError first by rank
         order (the seed runtime's masking bug)."""
@@ -205,19 +160,21 @@ class TestFailurePaths:
                 rank.recv(2, tag=5)  # never satisfied: rank 2 dies first
             return rank.rank
 
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 30)
         with pytest.raises(ValueError, match="kaboom in rank 2"):
-            VirtualMachine(3, TEST_MACHINE, recv_timeout=30).run(boom)
+            VirtualMachine(3, TEST_MACHINE).run(boom)
 
-    def test_wait_on_terminated_rank_is_diagnosed(self):
+    def test_wait_on_terminated_rank_is_diagnosed(self, monkeypatch):
         def prog(rank):
             if rank.rank == 0:
                 rank.recv(1, tag=9)  # rank 1 exits without sending
             return rank.rank
 
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 3600)
         with pytest.raises(DeadlockError, match="terminated"):
-            VirtualMachine(2, TEST_MACHINE, recv_timeout=3600).run(prog)
+            VirtualMachine(2, TEST_MACHINE).run(prog)
 
-    def test_recv_mismatch_wait_graph_diagnostic(self):
+    def test_recv_mismatch_wait_graph_diagnostic(self, monkeypatch):
         """A genuine tag mismatch produces the wait-for-graph report with
         phase, clock, awaited (src, tag), and pending mailbox keys."""
 
@@ -230,8 +187,9 @@ class TestFailurePaths:
                 rank.send(0, nelems=4, tag=7)  # wrong tag: 0 wants 6... and 1 wants 5? no
                 rank.recv(0, tag=8)  # 0 sent tag 5, never 8
 
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 3600)
         with pytest.raises(DeadlockError) as ei:
-            VirtualMachine(2, TEST_MACHINE, recv_timeout=3600).run(prog)
+            VirtualMachine(2, TEST_MACHINE).run(prog)
         msg = str(ei.value)
         assert "wait-for-graph cycle" in msg
         assert "rank 0" in msg and "rank 1" in msg
@@ -239,13 +197,14 @@ class TestFailurePaths:
         assert "tag=6" in msg or "tag=8" in msg
         assert "pending (src, tag)" in msg
 
-    def test_circular_wait_lists_all_blocked_ranks(self):
+    def test_circular_wait_lists_all_blocked_ranks(self, monkeypatch):
         def dead(rank):
             rank.set_phase("spin")
             rank.recv((rank.rank + 1) % rank.size, tag=2)
 
+        monkeypatch.setattr(sim, "RECV_TIMEOUT", 3600)
         with pytest.raises(DeadlockError) as ei:
-            VirtualMachine(5, TEST_MACHINE, recv_timeout=3600).run(dead)
+            VirtualMachine(5, TEST_MACHINE).run(dead)
         msg = str(ei.value)
         for r in range(5):
             assert f"rank {r}" in msg

@@ -564,6 +564,15 @@ def test_new_arrays_expand_into_one_nest_of_3d_blocks(key):
     assert src.count("G.boxes(") <= 4
 
 
+def _run_on(ck, executor, target, scalars, init=None):
+    """One route: the VM's ``run`` / ``run_shmem``, or
+    ``procexec.run_kernel`` on real processes."""
+    if executor == "process":
+        return procexec.run_kernel(
+            ck, scalars, init=init, target=target, timeout=120)
+    return (ck.run if target == "mpi" else ck.run_shmem)(scalars, init=init)
+
+
 @pytest.mark.parametrize("key", sorted(_NEW_KERNELS))
 def test_new_kernels_bitwise_every_route(key):
     """Scalar == vector, every array of every rank (the NEW ones too), on
@@ -579,10 +588,10 @@ def test_new_kernels_bitwise_every_route(key):
             init(0, A)
 
         for executor in ("virtual", "process"):
-            out[backend, executor] = ck.run(
-                spec.scalars, init=init, executor=executor, timeout=120)
-            shared[executor] = ck.run_shmem(
-                spec.scalars, init=init_shared, executor=executor, timeout=120)
+            out[backend, executor] = _run_on(
+                ck, executor, "mpi", spec.scalars, init)
+            shared[executor] = _run_on(
+                ck, executor, "shmem", spec.scalars, init_shared)
         out[backend, "shmem"] = [shared["virtual"], shared["process"]]
     for route in ("virtual", "process", "shmem"):
         assert bitwise_identical(out["scalar", route], out["vector", route]), route
@@ -747,15 +756,13 @@ def test_fig61_bitwise_every_route(n):
             ck = compile_kernel(
                 _fig61_inlined().get("x_solve_cell"), nprocs, params,
                 backend=backend)
-            routes = [("virtual", {})]
-            if backend == "vector":
-                routes.append(("process", {"timeout": 120}))
-            for executor, kw in routes:
+            routes = ["virtual", "process"] if backend == "vector" else ["virtual"]
+            for executor in routes:
                 label = f"{backend}/{executor}@{nprocs}"
-                shared = ck.run_shmem(params, init=seed, executor=executor, **kw)
+                shared = _run_on(ck, executor, "shmem", params, seed)
                 assert _shmem_mismatch(ck, shared, want, label) is None
-                ranks = ck.run(
-                    params, init=lambda rid, A: seed(A), executor=executor, **kw)
+                ranks = _run_on(
+                    ck, executor, "mpi", params, lambda rid, A: seed(A))
                 assert _mpi_mismatch(ck, ranks, want, label) is None
                 per_rank[backend, executor] = ranks
         assert bitwise_identical(
@@ -1080,10 +1087,9 @@ def test_no_rank_binds_its_own_guards(executor, target, monkeypatch):
         return bind(self, rank_id)
 
     monkeypatch.setattr(CompiledKernel, "bind_guards", checked)
-    run = ck.run if target == "mpi" else ck.run_shmem
     init = seed_init(ck)
-    run(spec.scalars, init=init if target == "mpi" else (lambda A: init(0, A)),
-        executor=executor, timeout=120)
+    _run_on(ck, executor, target, spec.scalars,
+            init if target == "mpi" else (lambda A: init(0, A)))
     assert sorted(ck._guard_cache) == list(range(ck.nprocs))
     assert mp.active_children() == [] and procexec.leaked_segments() == []
 
@@ -1241,10 +1247,10 @@ class TestFoldedSubscripts:
         assert fragment in ck.python_source("mpi")
         reports = list(ck.vector_report.values())
         assert reports and all(r.status == "vector" for r in reports)
-        assert bitwise_identical(
-            ck.run({}, executor="process", timeout=120), ck.run({}))
-        assert bitwise_identical(
-            ck.run_shmem({}, executor="process", timeout=120), ck.run_shmem({}))
+        assert bitwise_identical(procexec.run_kernel(
+            ck, {}, target="mpi", timeout=120), ck.run({}))
+        assert bitwise_identical(procexec.run_kernel(
+            ck, {}, target="shmem", timeout=120), ck.run_shmem({}))
         assert mp.active_children() == []
         assert procexec.leaked_segments() == []
 
