@@ -11,12 +11,12 @@ from ..analysis.privatize import check_privatizable
 from ..comm import CommAnalyzer, CommEvent, CommPlan, Placement
 from ..cp.loopdist import CPGrouper
 from ..cp.localize import propagate_localize_cps
-from ..cp.model import CP, PointSub, cp_iteration_set, cp_key
+from ..cp.model import CP, PointSub, cp_key
 from ..cp.nest import NestInfo
 from ..cp.privatizable import propagate_new_cps
 from ..cp.select import CPSelector, StatementCP
 from ..diag import E_UNSUPPORTED, W_BUDGET, DiagnosticSink
-from ..distrib.layout import DistributionContext, proc_binding
+from ..distrib.layout import PDIM, DistributionContext, proc_binding
 from ..ir.expr import ArrayRef, Var
 from ..ir.interp import FortranArray, fortran_mod, fortran_nint, fortran_sign
 from ..ir.interp import fortran_trunc_div
@@ -25,8 +25,8 @@ from ..ir.stmt import Assign, Continue, DoLoop, IfThen, Return, Stmt
 from ..ir.visit import (
     build_parent_map, collect_array_refs, enclosing_loops, reads_of, walk_stmts,
 )
-from ..isets import BudgetExceeded, IsetBudget, active_budget
-from ..isets.box import cover_of_set
+from ..isets import BudgetExceeded, ISet, IsetBudget, active_budget
+from ..isets.box import Box, cover_of_boxes, cover_of_set
 from ..isets.profile import phase as profile_phase
 from ..runtime.model import MachineModel
 from ..runtime.sim import Rank, VirtualMachine
@@ -129,14 +129,16 @@ def _comm_one_nest(
     nest: NestInfo,
     ctx: DistributionContext,
     merged: dict[str, int],
-) -> CommPlan:
+) -> "tuple[CommPlan, dict]":
     """Specialize one selected nest at a concrete processor count:
-    communication analysis under *ctx* with the skeleton's CP choices."""
+    communication analysis under *ctx* with the skeleton's CP choices.
+    Returns the plan and the analyzer's per-statement iteration sets."""
     with profile_phase("comm"):
-        return CommAnalyzer(
+        comm = CommAnalyzer(
             item, nsel.cps, ctx, merged, exclude_arrays=nsel.no_comm,
             nest=nest,
-        ).analyze()
+        )
+        return comm.analyze(), comm.iteration_sets
 
 
 def _expr_scalar_names(e) -> set[str]:
@@ -534,7 +536,7 @@ def analyze_program(
     merged: Mapping[str, int],
     selection: ProgramSelection,
     sink: "DiagnosticSink | None" = None,
-) -> "tuple[dict[int, StatementCP], list[tuple[DoLoop, CommPlan]], set[str], set[str], dict[int, str]]":
+) -> tuple:
     """Specialize a *selection* (from :func:`select_program`, usually made
     at a different — canonical — processor count) to the processor count of
     *ctx*: communication analysis of every top-level nest of *sub* under
@@ -542,9 +544,12 @@ def analyze_program(
     (:func:`_nest_degrade_reason`) over each analyzed nest.
 
     Returns ``(cps, nest_plans, private_arrays, localized_arrays,
-    verdicts, nests)``.  ``nests`` holds each nest's :class:`NestInfo`
-    (None where selection failed), dependences and all, for the vector
-    planner.  ``verdicts`` maps a nest's index to the screen's reason
+    verdicts, nests, iteration_sets)``.  ``nests`` holds each nest's
+    :class:`NestInfo` (None where selection failed), dependences and all,
+    for the vector planner; ``iteration_sets`` maps the sid of each
+    statement of an analyzed, undegraded nest to the iteration set the
+    communication analysis derived for it, which the code generator
+    reads its guards off.  ``verdicts`` maps a nest's index to the screen's reason
     why code generated from its plan would be wrong; the plan is returned
     all the same, because the static verifier and the cost model
     (:mod:`repro.check`) stop here and work on plans ``stage_codegen``
@@ -562,6 +567,7 @@ def analyze_program(
     cps_all: dict[int, StatementCP] = {}
     nest_plans: list[tuple[DoLoop, CommPlan]] = []
     infos: list = []
+    iter_sets: dict = {}
     private_arrays: set[str] = set()
     localized_arrays: set[str] = set()
     verdicts: dict[int, str] = {}
@@ -578,6 +584,7 @@ def analyze_program(
         privs = set(nsel.private_arrays)
         locs = set(nsel.localized_arrays)
         plan = nest = None
+        iters = {}
         if reason is None:
             nest = nsel.nest
             if nest is None or nest.root is not item:
@@ -585,7 +592,7 @@ def analyze_program(
                 # statement objects: its dependences do not apply here
                 nest = NestInfo(item, merged)
             try:
-                plan = _comm_one_nest(item, nsel, nest, ctx, merged)
+                plan, iters = _comm_one_nest(item, nsel, nest, ctx, merged)
                 reason = _nest_degrade_reason(
                     item, nest, cps, plan, ctx, merged, private=privs | locs,
                     top=sub.body,
@@ -602,6 +609,7 @@ def analyze_program(
             cps, plan = _replicated_nest(item, ctx)
             privs, locs = set(), set()
             degraded = True
+            iters = {}
         elif reason is not None:
             # a refusal names pipelined communication before anything else
             # the screen found in the nest: such a kernel belongs to another
@@ -610,6 +618,7 @@ def analyze_program(
         private_arrays |= privs
         localized_arrays |= locs
         cps_all.update(cps)
+        iter_sets.update(iters)
         nest_plans.append((item, plan))
         infos.append(nest)
     if degraded and (private_arrays or localized_arrays):
@@ -620,7 +629,8 @@ def analyze_program(
             "degraded nest coexists with NEW/LOCALIZE arrays; "
             "replicated execution cannot read privatized data"
         )
-    return cps_all, nest_plans, private_arrays, localized_arrays, verdicts, infos
+    return (cps_all, nest_plans, private_arrays, localized_arrays, verdicts,
+            infos, iter_sets)
 
 
 def _strip_directives(sub: Subroutine) -> Subroutine:
@@ -753,6 +763,25 @@ class _Route:
     tag: int
 
 
+def _bounded(box: Box) -> bool:
+    """Every dim of *box* has a lower and an upper bound."""
+    return all(
+        any(is_eq or a > 0 for a, _r, _t, is_eq in cons)
+        and any(is_eq or a < 0 for a, _r, _t, is_eq in cons)
+        for cons in box.bounds
+    )
+
+
+def _cover_at(boxes: tuple, binding: Mapping[str, int]) -> tuple:
+    """The canonical cover of the union of *boxes* under *binding*."""
+    flat = []
+    for box in boxes:
+        ext = box.extents(binding)
+        if ext is not None:
+            flat.append(tuple(v for lo_hi in ext for v in lo_hi))
+    return cover_of_boxes(flat)
+
+
 class CompiledKernel:
     """An executable SPMD kernel produced by :func:`compile_kernel`."""
 
@@ -785,6 +814,8 @@ class CompiledKernel:
         backend: str = "vector",
         sink: "DiagnosticSink | None" = None,
         nests: "list | None" = None,
+        *,
+        iteration_sets: "Mapping[int, Any]",
     ):
         self.sub = sub
         self.ctx = ctx
@@ -807,6 +838,10 @@ class CompiledKernel:
         #: vector planner reads them instead of a pass of its own (run-time
         #: state of the compile, not pickled: a cached kernel has emitted)
         self._nests = tuple(nests or ())
+        #: sid -> the iteration set communication analysis derived for the
+        #: statement: the guards are read off these (compile state, like
+        #: ``_nests``: not pickled)
+        self._iteration_sets = dict(iteration_sets)
         #: LOCALIZE'd arrays: partially replicated, no comm (§4.2)
         self.localized_arrays = set(localized_arrays or ())
         #: structured diagnostics collected while building this kernel
@@ -830,6 +865,8 @@ class CompiledKernel:
             self._routes: list[list[_Route]] = [
                 self._build_routes(i, plan) for i, (_, plan) in enumerate(nest_plans)
             ]
+        with profile_phase("guard-plan"):
+            self._guard_plan = self._plan_guards()
         self._guard_cache: dict[int, Guards] = {}
         self._sources: dict[str, str] = {}
         self._fns: dict[str, Callable] = {}
@@ -841,14 +878,15 @@ class CompiledKernel:
         # kernel emits bitwise-identical node programs
         state = self.__dict__.copy()
         state["_fns"] = {}
-        # bound guards (every rank's boxes and query answers) and the
-        # symbolic sets they are bound from are run-time state, not plan:
-        # they rebuild on demand.  The sets leave no key behind, so the
-        # payload is the one written before they were kept.
+        # bound guards (every rank's boxes and query answers) are run-time
+        # state: they rebind on demand from the guard plan, which is
+        # compile output and rides along.  The symbolic sets the plan was
+        # read off, the analysis nests and the vector planner's memo are
+        # compile state, dead once both node programs are emitted.
         state["_guard_cache"] = {}
-        state.pop("_guard_sets", None)
-        state.pop("_parents", None)
-        state.pop("_nests", None)
+        for name in ("_symbolic_guards", "_iteration_sets", "_parents", "_nests",
+                     "_vector_plans"):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state):
@@ -976,8 +1014,8 @@ class CompiledKernel:
         return np.copysign(np.abs(a_arr), b_arr)
 
     # -- guards ---------------------------------------------------------------
-    #: see :meth:`_guard_plan`; set on the instance at the first bind
-    _guard_sets: tuple | None = None
+    #: see :meth:`_guard_sets`; set on the instance at the first ask
+    _symbolic_guards: tuple | None = None
     #: see ``__init__``
     _nests: tuple = ()
     #: see :meth:`guard_vars`
@@ -1004,16 +1042,18 @@ class CompiledKernel:
                 return nest
         raise KeyError(stmt.sid)
 
-    def _guard_plan(self) -> tuple:
+    def _guard_sets(self) -> tuple:
         """``(group, sets)``: the symbolic iteration sets behind this
         kernel's guards — params bound, ``PDIM``s free, so one set serves
         every rank — and per statement the index of its set in *sets*
         (None: unguarded).  Statements under the same innermost loop whose
         CPs induce the same data partition (cp_key, §5) admit identical
-        iteration sets and share one.  Built at the first bind and kept on
-        the kernel object (run-time state: not pickled)."""
-        if self._guard_sets is not None:
-            return self._guard_sets
+        iteration sets and share one.  Each set is the one communication
+        analysis derived for the statement (``_iteration_sets``).  Kept on
+        the kernel object (compile state: not pickled, and read only while
+        the node programs are emitted)."""
+        if self._symbolic_guards is not None:
+            return self._symbolic_guards
         group: dict[int, int | None] = {}
         sets: list = []
         shared: dict[tuple, int] = {}
@@ -1035,31 +1075,62 @@ class CompiledKernel:
                 if key is not None and key in shared:
                     group[stmt.sid] = shared[key]
                     continue
-                bounds = nest.bounds_of(stmt)
-                if bounds is None:
+                iters = self._iteration_sets.get(stmt.sid)
+                if iters is None:  # no loop bounds: analysis derived none
                     continue
                 group[stmt.sid] = len(sets)
                 if key is not None:
                     shared[key] = len(sets)
-                sets.append(cp_iteration_set(
-                    scp.cp, nest.dims_of(stmt), bounds.bind(self.params), self.ctx
-                ).bind(self.params))
-        self._guard_sets = (group, sets)
-        return self._guard_sets
+                if not iters.params().isdisjoint(self.params):
+                    iters = iters.bind(self.params)
+                sets.append(iters)
+        self._symbolic_guards = (group, sets)
+        return self._symbolic_guards
+
+    def _plan_guards(self) -> tuple:
+        """The guard plan, ``(group, entries)``: :meth:`_guard_sets`' sid
+        map, and per set either a tuple of :class:`~repro.isets.box.Box`
+        (one per disjunct, equal disjuncts one object) — when its only free
+        names are ``PDIM``s and every dim of every disjunct is bounded on
+        both sides, so a rank's boxes are its integer bounds evaluated — or
+        the set itself (cyclic, multipartition, existentials, coupled
+        dims), which each rank binds and covers.  Compile output, carried
+        by the pickled kernel."""
+        group, sets = self._guard_sets()
+        pdims = {PDIM(g) for g in range(len(self.grid.shape))}
+        boxes: dict = {}
+        entries: list = []
+        for iters in sets:
+            entry = None
+            if iters.params() <= pdims:
+                entry = []
+                for part in iters.parts:
+                    box = boxes.get(part)
+                    if box is None:
+                        box = boxes[part] = Box.of(part)
+                    if box is None or not _bounded(box):
+                        entry = None
+                        break
+                    entry.append(box)
+            entries.append(iters if entry is None else tuple(entry))
+        return group, entries
 
     def bind_guards(self, rank_id: int) -> Guards:
-        """Per-statement concrete iteration sets for one rank (cached):
-        the rank's grid coordinates substituted into each symbolic set,
-        which is then read as the union of boxes it almost always is; a
-        set with a part that is not a box (cyclic, multipartition,
-        exists-quantified) is enumerated and its points covered."""
+        """Per-statement concrete iteration sets for one rank (cached),
+        from the guard plan: a box entry's bounds evaluated at the rank's
+        grid coordinates and covered; a set entry bound to them and read
+        by ``cover_of_set`` (its witnesses' boxes, else its points)."""
         out = self._guard_cache.get(rank_id)
         if out is not None:
             return out
         with profile_phase("bind-guards"):
-            group, sets = self._guard_plan()
+            group, entries = self._guard_plan
             pbind = proc_binding(self.grid.delinearize(rank_id))
-            bound = [BoxSet(cover_of_set(iters.bind(pbind))) for iters in sets]
+            bound = [
+                BoxSet(cover_of_set(entry.bind(pbind)) if isinstance(entry, ISet)
+                       else _cover_at(entry, pbind))
+                for entry in entries
+            ]
             out = self._guard_cache[rank_id] = Guards(
                 (sid, None if g is None else bound[g]) for sid, g in group.items()
             )

@@ -120,6 +120,10 @@ class CommAnalyzer:
         #: built, when there is one: its dependences are not re-analyzed
         self.nest = nest if nest is not None else NestInfo(root, self.params)
         self.deps = self.nest.deps
+        #: sid -> the statement's iteration set (loop bounds bound, CP
+        #: ownership params and ``PDIM``s free), filled by :meth:`analyze`:
+        #: the code generator's guards are read off these sets
+        self.iteration_sets: dict[int, ISet] = {}
 
     # -- placement ----------------------------------------------------------------
     def _read_placement(self, stmt: Assign, ref: ArrayRef) -> Placement:
@@ -169,7 +173,7 @@ class CommAnalyzer:
             if bounds is None:
                 continue
             loops = tuple(self.nest.loops_of(stmt))
-            iters = cp_iteration_set(
+            iters = self.iteration_sets[stmt.sid] = cp_iteration_set(
                 scp.cp, dims, bounds.bind(self.params), self.ctx
             )
             for ref in collect_array_refs(stmt.rhs):

@@ -149,6 +149,9 @@ class AnalysisArtifact:
     verdicts: dict = field(default_factory=dict)
     #: each nest's NestInfo (dependences computed), for the vector planner
     nests: list = field(default_factory=list)
+    #: sid -> the statement's iteration set from communication analysis
+    #: (``PDIM``s free), which codegen reads the guards off
+    iteration_sets: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -283,13 +286,14 @@ def stage_specialize(
     with profile_phase("specialize"):
         ctx = DistributionContext(art.sub, nprocs, params)
         with _metered(budget):
-            cps_all, nest_plans, private_arrays, localized_arrays, verdicts, nests = (
-                analyze_program(art.sub, ctx, art.merged, art.selection, sink=sink)
-            )
+            (cps_all, nest_plans, private_arrays, localized_arrays, verdicts,
+             nests, iteration_sets) = analyze_program(
+                art.sub, ctx, art.merged, art.selection, sink=sink)
     return AnalysisArtifact(
         sub=art.sub, ctx=ctx, merged=art.merged, cps=cps_all,
         nest_plans=nest_plans, private_arrays=private_arrays,
         localized_arrays=localized_arrays, verdicts=verdicts, nests=nests,
+        iteration_sets=iteration_sets,
     )
 
 
@@ -332,7 +336,7 @@ def stage_codegen(
     return CompiledKernel(
         art.sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
         art.private_arrays, art.localized_arrays, backend=backend,
-        sink=sink, nests=art.nests,
+        sink=sink, nests=art.nests, iteration_sets=art.iteration_sets,
     )
 
 

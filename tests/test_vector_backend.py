@@ -15,14 +15,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codegen import CodegenUnsupported, compile_kernel, spmd
+from repro.codegen import CodegenUnsupported, compile_kernel
 from repro.codegen.guards import BoxSet, Guards
-from repro.isets.box import cover_of_points, cover_of_set
+from repro.isets.box import Box, cover_of_points, cover_of_set
 from repro.codegen.spmd import CompiledKernel
+from repro.comm import analyzer
+from repro.compile import cache_disabled
+from repro.cp import model
 from repro.cp.model import cp_iteration_set
 from repro.cp.nest import NestInfo
 from repro.distrib import PDIM
-from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch
+from repro.eval.fuzz import (
+    _mpi_mismatch, _serial_reference, _shmem_mismatch, gen_spec,
+)
 from repro.frontend import parse_source
 from repro.ir import Assign, DoLoop, walk_stmts
 from repro.ir.interp import Interpreter
@@ -707,7 +712,7 @@ def test_coverage_proofs_are_not_shared_between_fresh_sets():
     nest = NestInfo(top, {"n": 8})
     writer, inside, wider = nest.assignments()
     kernel = SimpleNamespace(
-        _guard_plan=lambda: ({}, []), cps={}, params={"n": 8})
+        _guard_sets=lambda: ({}, []), cps={}, params={"n": 8})
     binding = {"j": LinExpr.var("j"), "i": LinExpr.var("i")}
     sunk = {top.sid}
     below = {lp.sid for lp in walk_stmts([top]) if isinstance(lp, DoLoop)}
@@ -1000,73 +1005,122 @@ chpf$ distribute v(multi, multi, multi) onto p
 """
 
 
+#: fuzz programs the oracle also runs on, named for the shape each adds
+_FUZZ_SEEDS = {
+    "fuzz 29 wildcard grid": 29,
+    "fuzz 14 2-d grid": 14,
+    "fuzz 1 NEW array": 1,
+}
+
+
+def _oracle_subject(name):
+    """``(kernel, scalars, init)`` of one oracle subject, compiled cold."""
+    if name in SPECS:
+        spec = SPECS[name]
+        ck = spec.compile("vector")
+        return ck, spec.scalars, seed_init(ck, spec.seed_bias)
+    if name == "guard holes":
+        return compile_kernel(*_wave_source(3, 2, -1, "one", "block", True)), {}, None
+    if name in _FUZZ_SEEDS:
+        fz = gen_spec(_FUZZ_SEEDS[name])
+        return compile_kernel(fz.render(), fz.nprocs, strict=False), {}, None
+    n = 16 if name == "cyclic" else 8
+    source = _CYCLIC if name == "cyclic" else _MULTIPARTITION
+    return compile_kernel(source, 4, params={"n": n}), {"n": n}, None
+
+
 @pytest.mark.parametrize(
-    "name", sorted(SPECS) + ["cyclic", "multipartition", "guard holes"])
+    "name",
+    sorted(SPECS) + ["cyclic", "multipartition", "guard holes"] + list(_FUZZ_SEEDS))
 def test_bound_guards_and_queries_match_the_point_oracle(name):
     """Every bound guard equals the enumerated iteration set, and every
     box query a node program makes (both targets) gets the tuple the point
-    oracle gives — on block guards (boxes read off the set), on cyclic and
-    multipartitioned ones (enumerated, not boxes) and on guards with holes
-    cut in by hand."""
-    init = None
-    if name in SPECS:
-        spec = SPECS[name]
-        ck, scalars = spec.compile("vector"), spec.scalars
-        init = seed_init(ck, spec.seed_bias)
-    elif name == "guard holes":
-        ck, scalars = compile_kernel(*_wave_source(3, 2, -1, "one", "block", True)), {}
-    else:
-        n = 16 if name == "cyclic" else 8
-        source = _CYCLIC if name == "cyclic" else _MULTIPARTITION
-        ck, scalars = compile_kernel(source, 4, params={"n": n}), {"n": n}
-    oracle = {rank: _point_guards(ck, rank) for rank in range(ck.nprocs)}
-    boxy = name in SPECS or name == "guard holes"
-    for rank, points in oracle.items():
-        guards = ck.bind_guards(rank)
-        assert guards == points and list(guards) == list(points)
-        for sid, bound in guards.items():
-            if bound is not None:
-                assert len(bound) == len(points[sid])
-                assert bound.boxes == cover_of_points(sorted(points[sid]))
-        # which constructor built them: boxes read off the set, or points
-        pbind = {PDIM(g): c for g, c in enumerate(ck.grid.delinearize(rank))}
-        for iters in ck._guard_plan()[1]:
-            assert (iters.bind(pbind).box_parts() is not None) == boxy
+    oracle gives — on block guards (integer bounds evaluated off the
+    carried plan's boxes), on cyclic and multipartitioned ones (the plan
+    carries their sets, bound and covered per rank) and on guards with
+    holes cut in by hand — on the kernel as compiled and on its warm
+    replay."""
+    cold, scalars, init = _oracle_subject(name)
+    oracle = {rank: _point_guards(cold, rank) for rank in range(cold.nprocs)}
+    boxy = name not in ("cyclic", "multipartition")
+    for ck in (cold, pickle.loads(pickle.dumps(cold))):
+        # which reading the compiler chose: boxes, or the set itself
+        _group, entries = ck._guard_plan
+        assert entries
+        for entry in entries:
+            if boxy:
+                assert isinstance(entry, tuple)
+                assert all(isinstance(box, Box) for box in entry)
+            else:
+                assert isinstance(entry, ISet)
+        for rank, points in oracle.items():
+            guards = ck.bind_guards(rank)
+            assert guards == points and list(guards) == list(points)
+            for sid, bound in guards.items():
+                if bound is not None:
+                    assert len(bound) == len(points[sid])
+                    assert bound.boxes == cover_of_points(sorted(points[sid]))
+        holes = dict(oracle)
         if name == "guard holes":
-            for sid, pts in list(points.items()):
-                if pts is not None:
-                    guards[sid] = points[sid] = frozenset(
-                        p for p in pts if (p[0] + 2 * p[1]) % 3)
-    ck.run(scalars, init=init)
-    ck.run_shmem(scalars, init=init and (lambda A: init(0, A)))
-    asked = 0
-    for rank, guards in ck._guard_cache.items():
-        for (sid, tpl, bounds), answer in guards._answers.items():
-            assert answer == _oracle_cover(oracle[rank][sid], tpl, bounds)
-            asked += 1
-    assert asked
+            for rank, points in oracle.items():
+                holes[rank] = {
+                    sid: pts and frozenset(p for p in pts if (p[0] + 2 * p[1]) % 3)
+                    for sid, pts in points.items()
+                }
+                guards = ck.bind_guards(rank)
+                for sid, pts in holes[rank].items():
+                    if pts is not None:
+                        guards[sid] = pts
+        ck.run(scalars, init=init)
+        ck.run_shmem(scalars, init=init and (lambda A: init(0, A)))
+        asked = 0
+        for rank, guards in ck._guard_cache.items():
+            for (sid, tpl, bounds), answer in guards._answers.items():
+                assert answer == _oracle_cover(holes[rank][sid], tpl, bounds)
+                asked += 1
+        assert asked
 
 
 @pytest.mark.parametrize("nprocs", [16, 8, 4])
 def test_iteration_sets_are_built_once_per_kernel(nprocs, monkeypatch):
-    """The symbolic iteration sets do not depend on the rank: a first run
-    builds one per share group (9 for SP compute_rhs), whatever the rank
-    count — not one per group per rank (144 / 72 / 36)."""
+    """The compiler builds the symbolic iteration sets and reads the guard
+    plan off them; the artifact carries the plan, so a warm replay's first
+    run neither builds an iteration set nor binds one (rebuilding them took
+    9 ``cp_iteration_set`` calls and 9 × P ``ISet.bind`` for SP
+    compute_rhs), and its guards are the cold kernel's, box for box.  A
+    cyclic kernel's plan holds its set, which each rank still binds."""
     spec = SPECS["sp compute_rhs class S"]
-    ck = compile_kernel(kernels.scaled(spec.source), nprocs, params=spec.params)
-    ck.python_source("shmem")
-    ck = pickle.loads(pickle.dumps(ck))  # nothing bound, as a warm replay
-    init = seed_init(ck, spec.seed_bias)
-    calls = []
+    cold = compile_kernel(kernels.scaled(spec.source), nprocs, params=spec.params)
+    warm = pickle.loads(pickle.dumps(cold))
+    cyclic = pickle.loads(pickle.dumps(
+        compile_kernel(_CYCLIC, 4, params={"n": 16})))
+    init = seed_init(warm, spec.seed_bias)
+    built, bound = [], []
+    bind = ISet.bind
 
-    def counted(*args):
-        calls.append(args)
+    def counted_build(*args):
+        built.append(args)
         return cp_iteration_set(*args)
 
-    monkeypatch.setattr(spmd, "cp_iteration_set", counted)
-    ck.run_shmem(spec.scalars, init=lambda A: init(0, A))
-    assert len(calls) == 9
-    assert sorted(ck._guard_cache) == list(range(nprocs))
+    def counted_bind(self, params):
+        bound.append(params)
+        return bind(self, params)
+
+    monkeypatch.setattr(analyzer, "cp_iteration_set", counted_build)
+    monkeypatch.setattr(model, "cp_iteration_set", counted_build)
+    monkeypatch.setattr(ISet, "bind", counted_bind)
+    warm.run_shmem(spec.scalars, init=lambda A: init(0, A))
+    assert built == [] and bound == []
+    assert sorted(warm._guard_cache) == list(range(nprocs))
+    cyclic.run_shmem({"n": 16})
+    assert built == [] and len(bound) == cyclic.nprocs
+    monkeypatch.undo()
+
+    def boxes(guards):
+        return {sid: g and g.boxes for sid, g in guards.items()}
+
+    for rank in range(nprocs):
+        assert boxes(warm.bind_guards(rank)) == boxes(cold.bind_guards(rank))
 
 
 @pytest.mark.parametrize("executor", ["virtual", "process"])
@@ -1095,11 +1149,16 @@ def test_no_rank_binds_its_own_guards(executor, target, monkeypatch):
 
 
 def test_guard_binding_is_a_profile_phase():
-    """Binding runs on the calling thread, so the phase profiler (whose
-    stack is not thread-safe) can attribute it: the sets once, then one
-    bind per rank, all under ``bind-guards``."""
+    """The compiler reads the guard plan once, under ``codegen`` as
+    ``guard-plan``; binding runs on the calling thread, so the phase
+    profiler (whose stack is not thread-safe) can attribute it: one
+    evaluation of the plan per rank, under ``bind-guards``."""
     spec = SPECS["fig4.1 lhsy n=17"]
-    ck = pickle.loads(pickle.dumps(spec.compile("vector")))
+    with cache_disabled(), profiled("compile") as prof:
+        cold = spec.compile("vector")
+    plan = prof.root.children["codegen"].children["guard-plan"]
+    assert plan.calls == 1 and plan.seconds > 0
+    ck = pickle.loads(pickle.dumps(cold))
     with profiled("run") as prof:
         ck.run(spec.scalars, init=seed_init(ck))
     phase = prof.root.children["bind-guards"]
