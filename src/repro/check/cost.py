@@ -15,17 +15,23 @@ algebra, in closed form in the rank count where the counts are affine —
 and folds them through the LogGP parameters into a predicted time
 ``T(nprocs)`` and speedup curve.
 
-The communication counts of a hoisted event are the volumes of its
-per-pair covers, :meth:`~repro.comm.CommEvent.flows` — per-rank need sets
-intersected with the other ranks' primary ownership sets, one sender per
-element.  The code generator's message routes hold those same covers, so
-there is one answer to "who sends what", and the tests pin it against an
-element-by-element owner oracle.  The validation mode
-(:func:`validate_against_trace`) replays a fault-free virtual-machine
-trace and asserts the static per-rank message/byte counters match the
-counters of the messages ``exec_comm`` actually sent **exactly**; a
-mismatch is an analyzer or compiler bug, and the tier-1 suite pins this
-for every affine paper kernel and the NAS class-S pipelines.
+The cost reads what the compiler built from the analysis.  A hoisted
+event's counts are the volumes of its message route's per-pair covers
+(:func:`~repro.codegen.spmd.build_routes`: :meth:`~repro.comm.CommEvent.
+flows`, per-rank need sets intersected with the other ranks' primary
+ownership sets, one sender per element — one answer to "who sends what",
+pinned against an element-by-element owner oracle).  A rank's partitioned
+iterations are the volumes of its guard-plan covers
+(:func:`~repro.codegen.guards.plan_guards`).  :func:`kernel_cost` reads
+the ones a kernel carries; :func:`analysis_cost` and :func:`sweep_cost`
+build them from an analysis with the same two functions.  What reads a
+run-time scalar gets no static count (an event so is inexact).  The
+validation mode (:func:`validate_against_trace`) replays a fault-free
+virtual-machine trace and asserts the static per-rank message/byte
+counters match the counters of the messages ``exec_comm`` actually sent
+**exactly**; a mismatch is an analyzer or compiler bug, and the tier-1
+suite pins this for every affine paper kernel and the NAS class-S
+pipelines.
 
 Advisory diagnostics (:func:`cost_advisories`) surface the findings with
 stable codes merged into :func:`repro.check.verify_kernel` reports:
@@ -39,13 +45,14 @@ statement) and ``I-SCALE-LIMIT`` (a predicted speedup knee).
 from __future__ import annotations
 
 import copy
-import hashlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Mapping, Optional, Sequence
 
+from ..codegen.guards import guard_cover, plan_guards
+from ..codegen.spmd import build_routes
 from ..comm.analyzer import CommPlan
-from ..cp.model import cp_iteration_set
-from ..cp.nest import NestInfo
+from ..cp.nest import nest_for
 from ..diag import (
     I_SCALE_LIMIT,
     W_COMM_HOT,
@@ -55,10 +62,11 @@ from ..diag import (
     Diagnostic,
     Severity,
 )
-from ..distrib.layout import DistributionContext, proc_binding
+from ..distrib.layout import PDIM, DistributionContext, proc_binding
 from ..ir.expr import BinOp, FuncCall, UnOp
 from ..ir.stmt import Assign, DoLoop
 from ..ir.visit import walk_stmts
+from ..isets import ISet
 from ..isets.box import volume
 from ..runtime.model import MachineModel
 
@@ -90,7 +98,8 @@ class EventCost:
     elems: int
     pipelined: bool = False
     #: hoisted events are exact (trace-validated); pipelined counts are
-    #: per-representative-rank lower bounds
+    #: per-representative-rank lower bounds, and an event whose data reads
+    #: a run-time scalar counts nothing
     exact: bool = True
 
 
@@ -254,9 +263,20 @@ def _cost_from_parts(
     cps: Mapping[int, object],
     nest_plans: Sequence[tuple[DoLoop, CommPlan]],
     nprocs: int,
+    routes: Sequence[Sequence],
+    guard_plan: tuple,
+    nests: Sequence = (),
     word_bytes: int = 8,
 ) -> KernelCost:
+    """The cost read off what the compiler built from one analysis: each
+    hoisted event's message routes (:func:`~repro.codegen.spmd.
+    build_routes`) give its per-pair messages and bytes, the guard plan
+    (:func:`~repro.codegen.guards.plan_guards`) each rank's partitioned
+    iterations as its covers' volumes, loop bounds the serial counts."""
     grid = ctx.the_grid()
+    group, entries = guard_plan
+    binds = [proc_binding(grid.delinearize(r)) for r in range(nprocs)]
+    pdims = {PDIM(g) for g in range(len(grid.shape))}
     cost = KernelCost(
         subject=subject,
         nprocs=nprocs,
@@ -264,61 +284,50 @@ def _cost_from_parts(
         word_bytes=word_bytes,
         ranks=[RankCost(r) for r in range(nprocs)],
     )
-    for nest_idx, (root, plan) in enumerate(nest_plans):
+    counts: dict[int, list[int] | None] = {}  # plan entry -> per-rank volumes
+    for nest_idx, ((root, plan), nest) in enumerate(zip_longest(nest_plans, nests)):
         nc = NestCost(nest_idx)
         nc.replicated = any(
             getattr(cps.get(s.sid), "is_fallback", False)
             for s in walk_stmts([root])
             if isinstance(s, Assign)
         )
+        hoisted = iter(routes[nest_idx])
         for ev in plan.live_events():
-            if ev.placement.hoisted:
-                flows = ev.flows(ctx, params, grid)
-                msgs = len(flows)
-                elems = sum(map(volume, flows.values()))
-                ec = EventCost(
-                    nest=nest_idx,
-                    array=ev.array,
-                    kind=ev.kind,
-                    stmt_sid=ev.stmt.sid if isinstance(ev.stmt, Assign) else None,
-                    level=0,
-                    messages=msgs,
-                    bytes=elems * word_bytes,
-                    elems=elems,
-                )
-                for (src, dst), cover in flows.items():
+            pipelined = not ev.placement.hoisted
+            if pipelined:
+                # Per-representative-rank rounds x volume.  Not executable
+                # by the code generator, so never trace-validated; counts
+                # are per-rank lower bounds.
+                level, exact = ev.placement.level, False
+                msgs = ev.message_count(dict(params), plan._trip)
+                elems = ev.volume(dict(params))
+                cost.wavefront_depth = max(cost.wavefront_depth, msgs)
+            elif (pairs := next(hoisted).pairs) is None:
+                # its data reads a run-time scalar: no static count
+                level, exact, msgs, elems = 0, False, 0, 0
+            else:
+                level, exact, msgs = 0, True, len(pairs)
+                elems = sum(map(volume, pairs.values()))
+                for (src, dst), cover in pairs.items():
                     n = volume(cover)
                     cost.ranks[src].sent_messages += 1
                     cost.ranks[src].sent_bytes += n * word_bytes
                     cost.ranks[dst].recv_messages += 1
                     cost.ranks[dst].recv_bytes += n * word_bytes
-            else:
-                # Pipelined: per-representative-rank rounds x volume.  Not
-                # executable by the code generator, so never trace-
-                # validated; counts are per-rank lower bounds.
-                rounds = ev.message_count(dict(params), plan._trip)
-                elems = ev.volume(dict(params))
-                ec = EventCost(
-                    nest=nest_idx,
-                    array=ev.array,
-                    kind=ev.kind,
-                    stmt_sid=ev.stmt.sid if isinstance(ev.stmt, Assign) else None,
-                    level=ev.placement.level,
-                    messages=rounds,
-                    bytes=elems * word_bytes,
-                    elems=elems,
-                    pipelined=True,
-                    exact=False,
-                )
-                cost.exact = False
-                cost.wavefront_depth = max(cost.wavefront_depth, rounds)
+            cost.exact = cost.exact and exact
+            ec = EventCost(
+                nest_idx, ev.array, ev.kind,
+                ev.stmt.sid if isinstance(ev.stmt, Assign) else None,
+                level, msgs, elems * word_bytes, elems, pipelined, exact,
+            )
             nc.events.append(ec)
             nc.messages += ec.messages
             nc.bytes += ec.bytes
             nc.elems += ec.elems
         cost.nests.append(nc)
         # -- work accounting ----------------------------------------------
-        nest = NestInfo(root, dict(params))
+        nest = nest_for(root, nest, params)
         for stmt in walk_stmts([root]):
             if not isinstance(stmt, Assign):
                 continue
@@ -335,26 +344,27 @@ def _cost_from_parts(
                 for r in cost.ranks:
                     r.flops += w * serial
                 continue
-            dims = nest.dims_of(stmt)
-            iters = cp_iteration_set(scp.cp, dims, bounds.bind(dict(params)), ctx)
-            for r in cost.ranks:
-                n_r = iters.bind(
-                    {**params, **proc_binding(grid.delinearize(r.rank))}
-                ).cardinality()
+            g = group[stmt.sid]  # partitioned with static bounds: guarded
+            if g not in counts:
+                entry = entries[g]
+                counts[g] = None if isinstance(entry, ISet) and (
+                    entry.params() - pdims
+                ) else [volume(guard_cover(entry, b)) for b in binds]
+            if counts[g] is None:
+                continue  # its set reads a run-time scalar: no static count
+            for r, n_r in zip(cost.ranks, counts[g]):
                 r.iterations += n_r
                 r.flops += w * n_r
     return cost
 
 
 def kernel_cost(kernel) -> KernelCost:
-    """Static cost of a compiled kernel (exact for hoisted plans)."""
+    """Static cost of a compiled kernel (exact for hoisted plans), read
+    off the routes and guard plan the kernel carries."""
     return _cost_from_parts(
-        kernel.sub.name,
-        kernel.ctx,
-        kernel.params,
-        kernel.cps,
-        kernel.nest_plans,
-        kernel.nprocs,
+        kernel.sub.name, kernel.ctx, kernel.params, kernel.cps,
+        kernel.nest_plans, kernel.nprocs, kernel._routes, kernel._guard_plan,
+        kernel._nests,
     )
 
 
@@ -369,9 +379,19 @@ def wildcard_grid(sub):
 
 
 def _artifact_cost(art, nprocs: int, subject: Optional[str]) -> KernelCost:
+    """The cost of an analysis: its routes and guard plan built by the
+    compiler's own builders, then read as :func:`kernel_cost` reads a
+    kernel's."""
+    grid = art.ctx.the_grid()
+    group, _sets, entries = plan_guards(
+        art.nest_plans, art.cps, art.ctx, art.merged, art.iteration_sets,
+        grid, art.nests,
+    )
     return _cost_from_parts(
         subject or art.sub.name, art.ctx, art.merged, art.cps,
         art.nest_plans, nprocs,
+        build_routes(art.nest_plans, art.ctx, art.merged, grid),
+        (group, entries), art.nests,
     )
 
 
@@ -655,57 +675,6 @@ def validate_against_trace(cost: KernelCost, trace) -> CostValidation:
     return result
 
 
-# ---------------------------------------------------------------------------
-# plan-cache integration
-# ---------------------------------------------------------------------------
-
-def _cost_digest(kernel_digest: str) -> str:
-    return hashlib.sha256(f"cost-v1|{kernel_digest}".encode()).hexdigest()
-
-
-def cached_kernel_cost(
-    source: str,
-    nprocs: int,
-    params: Mapping[str, int] | None = None,
-    backend: str = "vector",
-    strict: bool = True,
-):
-    """Compile *source* (through the plan cache) and return
-    ``(kernel, cost, cost_cached)``.  The cost record (:func:`kernel_cost`,
-    which no machine model enters) is stored in the active plan cache
-    under a digest derived from the kernel digest, so warm hits replay
-    the analysis — and therefore its advisories — without re-running the
-    iset algebra."""
-    import pickle
-
-    from ..codegen import compile_kernel
-    from ..compile.cache import active_cache
-    from ..compile.key import PlanKey
-
-    kernel = compile_kernel(
-        source, nprocs=nprocs, params=dict(params or {}),
-        backend=backend, strict=strict,
-    )
-    cache = active_cache()
-    if cache is None:
-        return kernel, kernel_cost(kernel), False
-    key = PlanKey.for_source(
-        source, nprocs, params=params, backend=backend, strict=strict
-    )
-    digest = _cost_digest(key.kernel_digest)
-    payload = cache.get(digest)
-    if payload is not None:
-        try:
-            cost = pickle.loads(payload)
-            if isinstance(cost, KernelCost):
-                return kernel, cost, True
-        except Exception:
-            pass  # corrupt payload: fall through and recompute
-    cost = kernel_cost(kernel)
-    cache.put(digest, pickle.dumps(cost, protocol=pickle.HIGHEST_PROTOCOL))
-    return kernel, cost, False
-
-
 __all__ = [
     "EventCost",
     "NestCost",
@@ -721,7 +690,6 @@ __all__ = [
     "closed_form",
     "cost_advisories",
     "validate_against_trace",
-    "cached_kernel_cost",
     "wildcard_grid",
     "CURVE_PROCS",
     "IMBALANCE_TOL",

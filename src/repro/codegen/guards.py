@@ -6,14 +6,27 @@ canonical disjoint box cover (:mod:`repro.isets.box`: ``cover_of_points``
 defines that cover, ``cover_of_boxes`` computes it from a union of boxes
 without enumerating anything, and ``cover_of_set`` reads a bound iteration
 set through whichever of the two the set allows).  :class:`Guards` is one
-rank's ``sid -> BoxSet`` map and answers ``G.boxes`` / ``K.guard``.
+rank's ``sid -> BoxSet`` map and answers ``G.boxes`` / ``K.guard``.  It is
+bound from the guard plan (:func:`plan_guards`, read once off an
+analysis), one :func:`guard_cover` per entry; the static cost reads the
+same plan.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
+from itertools import zip_longest
+from typing import Mapping
 
-from ..isets.box import cover_of_boxes, cover_of_points, cover_points, volume
+from ..cp.model import cp_key
+from ..cp.nest import nest_for
+from ..distrib.layout import PDIM
+from ..ir.stmt import Assign
+from ..ir.visit import walk_stmts
+from ..isets import ISet
+from ..isets.box import (
+    Box, cover_of_boxes, cover_of_points, cover_of_set, cover_points, volume,
+)
 
 
 class BoxSet(Set):
@@ -137,3 +150,101 @@ class Guards(dict):
             else:
                 out.append(tuple(clamped))
         return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the guard plan
+# ---------------------------------------------------------------------------
+
+def plan_guards(nest_plans, cps, ctx, params: Mapping[str, int],
+                iteration_sets, grid, nests=()) -> tuple:
+    """The guard plan of an analysis, ``(group, sets, entries)``.
+
+    *sets* are the symbolic iteration sets behind the guards — params
+    bound, ``PDIM``s free, so one set serves every rank — each the one
+    communication analysis derived for a statement (*iteration_sets*).
+    *group* maps every statement of *nest_plans* to the index of its set
+    (None: unguarded).  Statements under the same innermost loop whose CPs
+    induce the same data partition (cp_key, §5) admit identical iteration
+    sets and share one.  Per set, *entries* holds a tuple of
+    :class:`~repro.isets.box.Box` (one per disjunct, equal disjuncts one
+    object) when its only free names are ``PDIM``s and every dim of every
+    disjunct is bounded on both sides, so a rank's boxes are its integer
+    bounds evaluated; else the set itself (cyclic, multipartition,
+    existentials, coupled dims), which each rank binds and covers
+    (:func:`guard_cover`).  *nests* are the analysis's ``NestInfo``s, used
+    where they belong to the nest."""
+    pdims = {PDIM(g) for g in range(len(grid.shape))}
+    group: dict[int, int | None] = {}
+    sets: list = []
+    entries: list = []
+    shared: dict[tuple, int] = {}
+    boxes: dict = {}
+    for (root, _plan), nest in zip_longest(nest_plans, nests):
+        nest = nest_for(root, nest, params)
+        for stmt in walk_stmts([root]):
+            if not isinstance(stmt, Assign):
+                continue
+            group[stmt.sid] = None
+            scp = cps.get(stmt.sid)
+            if scp is None or scp.cp.is_replicated:
+                continue
+            key = None
+            loops = nest.loops_of(stmt)
+            if loops:
+                tkeys = [cp_key(t, ctx) for t in scp.cp.terms]
+                if all(k is not None for k in tkeys):
+                    key = (loops[-1].sid, frozenset(tkeys))
+            if key is not None and key in shared:
+                group[stmt.sid] = shared[key]
+                continue
+            iters = iteration_sets.get(stmt.sid)
+            if iters is None:  # no loop bounds: analysis derived none
+                continue
+            group[stmt.sid] = len(sets)
+            if key is not None:
+                shared[key] = len(sets)
+            if not iters.params().isdisjoint(params):
+                iters = iters.bind(params)
+            sets.append(iters)
+            entries.append(_plan_entry(iters, pdims, boxes))
+    return group, sets, entries
+
+
+def _plan_entry(iters: ISet, pdims: set, boxes: dict):
+    """*iters* read as a tuple of boxes in the ``PDIM``s (shared through
+    *boxes*, part -> Box), or *iters* itself when that reading fails."""
+    if not iters.params() <= pdims:
+        return iters
+    entry = []
+    for part in iters.parts:
+        box = boxes.get(part)
+        if box is None:
+            box = boxes[part] = Box.of(part)
+        if box is None or not _bounded(box):
+            return iters
+        entry.append(box)
+    return tuple(entry)
+
+
+def _bounded(box: Box) -> bool:
+    """Every dim of *box* has a lower and an upper bound."""
+    return all(
+        any(is_eq or a > 0 for a, _r, _t, is_eq in cons)
+        and any(is_eq or a < 0 for a, _r, _t, is_eq in cons)
+        for cons in box.bounds
+    )
+
+
+def guard_cover(entry, binding: Mapping[str, int]) -> tuple:
+    """The canonical cover of one guard-plan entry on the rank *binding*
+    names: a set entry bound and read by ``cover_of_set`` (its witnesses'
+    boxes, else its points), a box entry's bounds evaluated and covered."""
+    if isinstance(entry, ISet):
+        return cover_of_set(entry.bind(binding))
+    flat = []
+    for box in entry:
+        ext = box.extents(binding)
+        if ext is not None:
+            flat.append(tuple(v for lo_hi in ext for v in lo_hi))
+    return cover_of_boxes(flat)

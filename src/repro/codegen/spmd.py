@@ -12,7 +12,7 @@ from ..comm import CommAnalyzer, CommEvent, CommPlan, Placement
 from ..cp.loopdist import CPGrouper
 from ..cp.localize import propagate_localize_cps
 from ..cp.model import CP, PointSub, cp_key
-from ..cp.nest import NestInfo
+from ..cp.nest import NestInfo, nest_for
 from ..cp.privatizable import propagate_new_cps
 from ..cp.select import CPSelector, StatementCP
 from ..diag import E_UNSUPPORTED, W_BUDGET, DiagnosticSink
@@ -25,12 +25,11 @@ from ..ir.stmt import Assign, Continue, DoLoop, IfThen, Return, Stmt
 from ..ir.visit import (
     build_parent_map, collect_array_refs, enclosing_loops, reads_of, walk_stmts,
 )
-from ..isets import BudgetExceeded, ISet, IsetBudget, active_budget
-from ..isets.box import Box, cover_of_boxes, cover_of_set
+from ..isets import BudgetExceeded, IsetBudget, active_budget
 from ..isets.profile import phase as profile_phase
 from ..runtime.model import MachineModel
 from ..runtime.sim import Rank, VirtualMachine
-from .guards import BoxSet, Guards
+from .guards import BoxSet, Guards, guard_cover, plan_guards
 from .pyemit import emit_assign_target, emit_expr
 
 
@@ -586,11 +585,7 @@ def analyze_program(
         plan = nest = None
         iters = {}
         if reason is None:
-            nest = nsel.nest
-            if nest is None or nest.root is not item:
-                # a selection not pickled with this unit names other
-                # statement objects: its dependences do not apply here
-                nest = NestInfo(item, merged)
+            nest = nest_for(item, nsel.nest, merged)
             try:
                 plan, iters = _comm_one_nest(item, nsel, nest, ctx, merged)
                 reason = _nest_degrade_reason(
@@ -758,28 +753,31 @@ class _Route:
 
     array: str
     kind: str  # 'read' | 'writeback'
-    #: (src_rank, dst_rank) -> cover of the elements sent (``CommEvent.flows``)
-    pairs: dict[tuple[int, int], tuple]
+    #: (src_rank, dst_rank) -> cover of the elements sent (``CommEvent.flows``);
+    #: None when the event's data reads a run-time scalar
+    pairs: "dict[tuple[int, int], tuple] | None"
     tag: int
 
 
-def _bounded(box: Box) -> bool:
-    """Every dim of *box* has a lower and an upper bound."""
-    return all(
-        any(is_eq or a > 0 for a, _r, _t, is_eq in cons)
-        and any(is_eq or a < 0 for a, _r, _t, is_eq in cons)
-        for cons in box.bounds
-    )
-
-
-def _cover_at(boxes: tuple, binding: Mapping[str, int]) -> tuple:
-    """The canonical cover of the union of *boxes* under *binding*."""
-    flat = []
-    for box in boxes:
-        ext = box.extents(binding)
-        if ext is not None:
-            flat.append(tuple(v for lo_hi in ext for v in lo_hi))
-    return cover_of_boxes(flat)
+def build_routes(nest_plans, ctx: DistributionContext, params: Mapping[str, int],
+                 grid) -> "list[list[_Route]]":
+    """Each nest's message routes: per hoisted live event, its
+    ``CommEvent.flows`` on *grid* and a tag unique in the kernel.  An
+    event whose data reads a run-time scalar has no static routing
+    (``pairs`` None): only a strict analysis the screen refused holds
+    one, and no code is generated from that."""
+    pdims = {PDIM(g) for g in range(len(grid.shape))}
+    return [
+        [
+            _Route(ev.array, ev.kind,
+                   None if ev.data.params() - pdims - params.keys()
+                   else ev.flows(ctx, params, grid),
+                   1000 + nest_idx * 64 + ei)
+            for ei, ev in enumerate(plan.live_events())
+            if ev.placement.hoisted  # the others are guarded at compile time
+        ]
+        for nest_idx, (_root, plan) in enumerate(nest_plans)
+    ]
 
 
 class CompiledKernel:
@@ -838,10 +836,6 @@ class CompiledKernel:
         #: vector planner reads them instead of a pass of its own (run-time
         #: state of the compile, not pickled: a cached kernel has emitted)
         self._nests = tuple(nests or ())
-        #: sid -> the iteration set communication analysis derived for the
-        #: statement: the guards are read off these (compile state, like
-        #: ``_nests``: not pickled)
-        self._iteration_sets = dict(iteration_sets)
         #: LOCALIZE'd arrays: partially replicated, no comm (§4.2)
         self.localized_arrays = set(localized_arrays or ())
         #: structured diagnostics collected while building this kernel
@@ -862,11 +856,19 @@ class CompiledKernel:
         if self.grid.size != nprocs:
             raise ValueError(f"grid size {self.grid.size} != nprocs {nprocs}")
         with profile_phase("routes"):
-            self._routes: list[list[_Route]] = [
-                self._build_routes(i, plan) for i, (_, plan) in enumerate(nest_plans)
-            ]
+            self._routes = build_routes(nest_plans, ctx, params, self.grid)
         with profile_phase("guard-plan"):
-            self._guard_plan = self._plan_guards()
+            group, sets, entries = plan_guards(
+                nest_plans, cps, ctx, params, iteration_sets, self.grid,
+                self._nests,
+            )
+        #: ``(group, sets)``: the symbolic iteration sets behind the guards,
+        #: which the vector planner proves coverage on (compile state, like
+        #: ``_nests``: not pickled)
+        self._symbolic_guards = (group, sets)
+        #: ``(group, entries)``: what :meth:`bind_guards` evaluates per rank
+        #: (compile output, carried by the pickled kernel)
+        self._guard_plan = (group, entries)
         self._guard_cache: dict[int, Guards] = {}
         self._sources: dict[str, str] = {}
         self._fns: dict[str, Callable] = {}
@@ -884,8 +886,7 @@ class CompiledKernel:
         # read off, the analysis nests and the vector planner's memo are
         # compile state, dead once both node programs are emitted.
         state["_guard_cache"] = {}
-        for name in ("_symbolic_guards", "_iteration_sets", "_parents", "_nests",
-                     "_vector_plans"):
+        for name in ("_symbolic_guards", "_parents", "_nests", "_vector_plans"):
             state.pop(name, None)
         return state
 
@@ -1014,9 +1015,8 @@ class CompiledKernel:
         return np.copysign(np.abs(a_arr), b_arr)
 
     # -- guards ---------------------------------------------------------------
-    #: see :meth:`_guard_sets`; set on the instance at the first ask
-    _symbolic_guards: tuple | None = None
     #: see ``__init__``
+    _symbolic_guards: tuple | None = None
     _nests: tuple = ()
     #: see :meth:`guard_vars`
     _parents: dict | None = None
@@ -1037,100 +1037,20 @@ class CompiledKernel:
         for idx, (root, _plan) in enumerate(self.nest_plans):
             if any(s is stmt for s in walk_stmts([root])):
                 nest = self._nests[idx] if idx < len(self._nests) else None
-                if nest is None or nest.root is not root:
-                    nest = NestInfo(root, self.params)
-                return nest
+                return nest_for(root, nest, self.params)
         raise KeyError(stmt.sid)
 
-    def _guard_sets(self) -> tuple:
-        """``(group, sets)``: the symbolic iteration sets behind this
-        kernel's guards — params bound, ``PDIM``s free, so one set serves
-        every rank — and per statement the index of its set in *sets*
-        (None: unguarded).  Statements under the same innermost loop whose
-        CPs induce the same data partition (cp_key, §5) admit identical
-        iteration sets and share one.  Each set is the one communication
-        analysis derived for the statement (``_iteration_sets``).  Kept on
-        the kernel object (compile state: not pickled, and read only while
-        the node programs are emitted)."""
-        if self._symbolic_guards is not None:
-            return self._symbolic_guards
-        group: dict[int, int | None] = {}
-        sets: list = []
-        shared: dict[tuple, int] = {}
-        for root, _plan in self.nest_plans:
-            nest = NestInfo(root, self.params)
-            for stmt in walk_stmts([root]):
-                if not isinstance(stmt, Assign):
-                    continue
-                group[stmt.sid] = None
-                scp = self.cps.get(stmt.sid)
-                if scp is None or scp.cp.is_replicated:
-                    continue
-                key = None
-                loops = nest.loops_of(stmt)
-                if loops:
-                    tkeys = [cp_key(t, self.ctx) for t in scp.cp.terms]
-                    if all(k is not None for k in tkeys):
-                        key = (loops[-1].sid, frozenset(tkeys))
-                if key is not None and key in shared:
-                    group[stmt.sid] = shared[key]
-                    continue
-                iters = self._iteration_sets.get(stmt.sid)
-                if iters is None:  # no loop bounds: analysis derived none
-                    continue
-                group[stmt.sid] = len(sets)
-                if key is not None:
-                    shared[key] = len(sets)
-                if not iters.params().isdisjoint(self.params):
-                    iters = iters.bind(self.params)
-                sets.append(iters)
-        self._symbolic_guards = (group, sets)
-        return self._symbolic_guards
-
-    def _plan_guards(self) -> tuple:
-        """The guard plan, ``(group, entries)``: :meth:`_guard_sets`' sid
-        map, and per set either a tuple of :class:`~repro.isets.box.Box`
-        (one per disjunct, equal disjuncts one object) — when its only free
-        names are ``PDIM``s and every dim of every disjunct is bounded on
-        both sides, so a rank's boxes are its integer bounds evaluated — or
-        the set itself (cyclic, multipartition, existentials, coupled
-        dims), which each rank binds and covers.  Compile output, carried
-        by the pickled kernel."""
-        group, sets = self._guard_sets()
-        pdims = {PDIM(g) for g in range(len(self.grid.shape))}
-        boxes: dict = {}
-        entries: list = []
-        for iters in sets:
-            entry = None
-            if iters.params() <= pdims:
-                entry = []
-                for part in iters.parts:
-                    box = boxes.get(part)
-                    if box is None:
-                        box = boxes[part] = Box.of(part)
-                    if box is None or not _bounded(box):
-                        entry = None
-                        break
-                    entry.append(box)
-            entries.append(iters if entry is None else tuple(entry))
-        return group, entries
-
     def bind_guards(self, rank_id: int) -> Guards:
-        """Per-statement concrete iteration sets for one rank (cached),
-        from the guard plan: a box entry's bounds evaluated at the rank's
-        grid coordinates and covered; a set entry bound to them and read
-        by ``cover_of_set`` (its witnesses' boxes, else its points)."""
+        """Per-statement concrete iteration sets for one rank (cached): the
+        guard plan's entries covered at the rank's grid coordinates
+        (:func:`~repro.codegen.guards.guard_cover`)."""
         out = self._guard_cache.get(rank_id)
         if out is not None:
             return out
         with profile_phase("bind-guards"):
             group, entries = self._guard_plan
             pbind = proc_binding(self.grid.delinearize(rank_id))
-            bound = [
-                BoxSet(cover_of_set(entry.bind(pbind)) if isinstance(entry, ISet)
-                       else _cover_at(entry, pbind))
-                for entry in entries
-            ]
+            bound = [BoxSet(guard_cover(entry, pbind)) for entry in entries]
             out = self._guard_cache[rank_id] = Guards(
                 (sid, None if g is None else bound[g]) for sid, g in group.items()
             )
@@ -1146,14 +1066,6 @@ class CompiledKernel:
             self.bind_guards(rank_id)
 
     # -- communication routing -----------------------------------------------------
-    def _build_routes(self, nest_idx: int, plan: CommPlan) -> list[_Route]:
-        return [
-            _Route(ev.array, ev.kind, ev.flows(self.ctx, self.params, self.grid),
-                   1000 + nest_idx * 64 + ei)
-            for ei, ev in enumerate(plan.live_events())
-            if ev.placement.hoisted  # the others are guarded at compile time
-        ]
-
     def exec_comm(self, rank: Rank, A: Mapping[str, FortranArray], nest_idx: int, kind: str) -> None:
         """Execute the hoisted communication of one nest (generated code
         calls this before ['read'] and after ['writeback'] the nest).  A

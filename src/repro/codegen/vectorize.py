@@ -742,7 +742,7 @@ def _element_of(read: ArrayRef, store: ArrayRef, own: set):
 def _admitted(kernel: "CompiledKernel", nest: NestInfo, stmt: Assign):
     """A statement's symbolic iteration set on a rank (``PDIM``s free):
     its bound guard's set, or its loop bounds when unguarded."""
-    group, sets = kernel._guard_sets()
+    group, sets = kernel._symbolic_guards
     g = group.get(stmt.sid)
     if g is not None:
         return sets[g]

@@ -59,6 +59,15 @@ class NestInfo:
         return [s for s in walk_stmts([self.root]) if isinstance(s, Assign)]
 
 
+def nest_for(root: DoLoop, nest: "NestInfo | None", params) -> NestInfo:
+    """*nest* when it is the :class:`NestInfo` of *root* (the analysis's,
+    its dependences computed), else a fresh one: a nest not pickled with
+    the unit owning *root* names other statement objects."""
+    if nest is None or nest.root is not root:
+        return NestInfo(root, params)
+    return nest
+
+
 def loop_bounds_set(
     loops: Sequence[DoLoop], params: Mapping[str, int] | None = None
 ) -> Optional[ISet]:

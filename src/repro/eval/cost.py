@@ -27,7 +27,6 @@ from ..check.cost import (
     CostValidation,
     KernelCost,
     analysis_cost,
-    cached_kernel_cost,
     closed_form,
     cost_advisories,
     kernel_cost,
@@ -37,6 +36,7 @@ from ..check.cost import (
     validate_against_trace,
     wildcard_grid,
 )
+from ..codegen import compile_kernel
 from ..compile import scratch_cache
 from ..nas.specs import KernelSpec, kernel_spec, seed_init
 from ..runtime.model import IBM_SP2, MachineModel
@@ -51,13 +51,11 @@ class CostRow:
     cost: KernelCost
     validation: Optional[CostValidation] = None  # None: analysis-only
     advisories: list = None
-    cached: bool = False
 
 
 def _wildcard_spec_kernel(spec: KernelSpec, nprocs: int):
     """Compile *spec* at a rank count its declared PROCESSORS grid does
     not factor, by wildcarding the grid extents first."""
-    from ..codegen import compile_kernel
     from ..frontend import parse_source
 
     if spec.build is not None:
@@ -104,9 +102,9 @@ def cost_rows(
             progress(f"analyzing {name}")
         if wild or spec.source is None:
             ck = _wildcard_spec_kernel(spec, nprocs)
-            cost, cached = kernel_cost(ck), False
         else:
-            ck, cost, cached = cached_kernel_cost(spec.source, nprocs, spec.params)
+            ck = compile_kernel(spec.source, nprocs, spec.params)
+        cost = kernel_cost(ck)
         validation = None
         if validate:
             vm = VirtualMachine(nprocs, record_trace=True)
@@ -115,7 +113,6 @@ def cost_rows(
         rows.append(CostRow(
             name=name, nprocs=nprocs, cost=cost, validation=validation,
             advisories=cost_advisories(cost, kernel=ck, model=model),
-            cached=cached,
         ))
     # fig5.1 pipelines its communication (the code generator rejects it),
     # so it appears analysis-only: costed, never trace-validated.
@@ -141,9 +138,7 @@ def format_cost_report(rows: Sequence[CostRow], model: MachineModel) -> str:
     lines = [f"Static LogGP cost analysis (model: {model.name})", ""]
     for row in rows:
         c = row.cost
-        lines.append(
-            f"{row.name}{' [cost cached]' if row.cached else ''}"
-        )
+        lines.append(row.name)
         lines.append(
             f"  grid {'x'.join(map(str, c.grid_shape))}: "
             f"{c.messages} messages, {c.bytes} bytes"

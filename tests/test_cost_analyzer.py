@@ -6,18 +6,18 @@ counters **exactly** — the counts are the volumes of ``CommEvent.flows``,
 the trace counts what ``exec_comm`` actually sent.  ``flows`` itself is
 pinned against the per-element algorithm (every needed element, its
 owner by ``owner_coords_of``) written out here as the oracle.  Plus:
-advisory codes, the predicted scaling curve, closed forms in P, and
-plan-cache replay of cost artifacts.
+advisory codes, the predicted scaling curve and closed forms in P.  The
+cost is read off the routes and guard plan the compiler builds, so it is
+the same whether a kernel (cold or unpickled) or an analysis carries them.
 """
 
-import inspect
+import pickle
 
 import pytest
 
 from repro.check.cost import (
     CurvePoint,
     analysis_cost,
-    cached_kernel_cost,
     closed_form,
     cost_advisories,
     kernel_cost,
@@ -202,6 +202,27 @@ class TestExactTraceMatch:
             v = validate_against_trace(cost, _traced_run(ck))
             assert v.ok, v.mismatches
 
+    def test_runtime_scalar_data_is_inexact_not_an_error(self):
+        """A strict analysis whose communication (fuzz seed 42) or CP home
+        reads a run-time scalar ``m`` is costed: such an event has no
+        static count and makes the cost inexact, as the verifier reports
+        such a set W-UNPROVEN; a statement whose iteration set names
+        ``m`` gets no per-rank count."""
+        seed42 = gen_spec(42)
+        cost = analysis_cost(seed42.render(), seed42.nprocs)
+        assert not cost.exact
+        assert any(
+            not ec.exact and not ec.pipelined and ec.messages == 0
+            for nc in cost.nests for ec in nc.events
+        )
+        home = HALO_1D.replace(
+            "      do i = 2, n\n", "      m = 3\n      do i = 2, n\n"
+        ).replace("b(i) = a(i-1)", "b(m) = a(i-1) + b(m)")
+        cost = analysis_cost(home, 4)
+        assert not cost.exact
+        assert cost.serial_iterations == 15
+        assert [r.iterations for r in cost.ranks] == [0, 0, 0, 0]
+
 
 class TestAdvisories:
     def test_replicated_and_scalar_wavefront_fire_on_degraded_example(self):
@@ -374,31 +395,6 @@ class TestPipelinedAnalysis:
         assert not v.ok  # refuses to claim exactness for pipelined plans
 
 
-class TestCostCache:
-    def test_cost_artifact_replayed_on_warm_hit(self, tmp_path):
-        from repro.compile import PlanCache, PlanCacheConfig, use_cache
-
-        cache = PlanCache(PlanCacheConfig(directory=str(tmp_path / "plans")))
-        with use_cache(cache):
-            _ck1, cost1, cached1 = cached_kernel_cost(HALO_1D, 4)
-            _ck2, cost2, cached2 = cached_kernel_cost(HALO_1D, 4)
-        assert not cached1
-        assert cached2
-        assert cost1.messages == cost2.messages == 3
-        assert cost1.bytes == cost2.bytes
-        assert [r.sent_messages for r in cost1.ranks] == [
-            r.sent_messages for r in cost2.ranks]
-
-    def test_kernel_digest_alone_keys_the_cost_digest(self):
-        """The cached record is ``kernel_cost(kernel)``, which reads no
-        machine model: one kernel, one entry."""
-        from repro.check.cost import _cost_digest
-
-        assert _cost_digest("abc") == _cost_digest("abc")
-        assert _cost_digest("abc") != _cost_digest("abd")
-        assert "model" not in inspect.signature(cached_kernel_cost).parameters
-
-
 class TestTraceCounters:
     def test_trace_counters_and_series(self):
         ck = compile_kernel(HALO_1D, 4)
@@ -448,11 +444,23 @@ def _assert_flows_match_oracle(ctx, params, nest_plans):
     return npairs
 
 
+def _assert_cost_is_path_free(ck, source, params):
+    """``kernel_cost`` of *ck* unpickled (routes and guard plan as the
+    artifact carries them) equals ``analysis_cost`` of its source at the
+    same rank count, subject aside."""
+    warm = kernel_cost(pickle.loads(pickle.dumps(ck))).as_dict()
+    cold = analysis_cost(source, ck.nprocs, params).as_dict()
+    assert {**warm, "subject": None} == {**cold, "subject": None}
+
+
 class TestFlowsOracle:
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.key)
     def test_every_spec_row(self, spec):
+        """The oracle, and a compiled row's cost equal to its analysis'."""
         art = analyze_source(spec.program(), spec.nprocs, spec.params)
         _assert_flows_match_oracle(art.ctx, art.merged, art.nest_plans)
+        if not spec.pipelined:
+            _assert_cost_is_path_free(spec.compile(), spec.program(), spec.params)
 
     @pytest.mark.parametrize("source, params", [
         (REPLICATED_AXIS, {}), (CYCLIC_HALO, {}), (MULTI_HALO, {"n": 6})],
@@ -471,6 +479,7 @@ class TestFlowsOracle:
             ev.flows(ck.ctx, ck.params, grid) for ev in hoisted]
         v = validate_against_trace(kernel_cost(ck), _traced_run(ck))
         assert v.ok, v.mismatches
+        _assert_cost_is_path_free(ck, source, params)
 
     def test_fuzz_seeds(self):
         npairs = 0

@@ -712,7 +712,7 @@ def test_coverage_proofs_are_not_shared_between_fresh_sets():
     nest = NestInfo(top, {"n": 8})
     writer, inside, wider = nest.assignments()
     kernel = SimpleNamespace(
-        _guard_sets=lambda: ({}, []), cps={}, params={"n": 8})
+        _symbolic_guards=({}, []), cps={}, params={"n": 8})
     binding = {"j": LinExpr.var("j"), "i": LinExpr.var("i")}
     sunk = {top.sid}
     below = {lp.sid for lp in walk_stmts([top]) if isinstance(lp, DoLoop)}
