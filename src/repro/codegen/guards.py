@@ -1,20 +1,19 @@
 """Bound guards: what a rank's share of each statement's iterations is at
 run time, and the block queries the vector backend makes of it.
 
-A bound guard is a :class:`BoxSet` — a set of index tuples held as its
-canonical disjoint box cover (:mod:`repro.isets.box`: ``cover_of_points``
+A bound guard is its canonical disjoint box cover, a tuple of boxes
+``(a0, b0, a1, b1, ...)`` (:mod:`repro.isets.box`: ``cover_of_points``
 defines that cover, ``cover_of_boxes`` computes it from a union of boxes
 without enumerating anything, and ``cover_of_set`` reads a bound iteration
 set through whichever of the two the set allows).  :class:`Guards` is one
-rank's ``sid -> BoxSet`` map and answers ``G.boxes`` / ``K.guard``.  It is
-bound from the guard plan (:func:`plan_guards`, read once off an
-analysis), one :func:`guard_cover` per entry; the static cost reads the
-same plan.
+rank's ``sid -> cover | None`` map and answers ``G.boxes`` / ``K.guard``.
+It is bound from the guard plan (:func:`plan_guards`, read once off an
+analysis), one :func:`guard_cover` per entry; the statements of one share
+group hold the same cover.  The static cost reads the same plan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set
 from itertools import zip_longest
 from typing import Mapping
 
@@ -24,79 +23,39 @@ from ..distrib.layout import PDIM
 from ..ir.stmt import Assign
 from ..ir.visit import walk_stmts
 from ..isets import ISet
-from ..isets.box import (
-    Box, cover_of_boxes, cover_of_points, cover_of_set, cover_points, volume,
-)
-
-
-class BoxSet(Set):
-    """A finite set of integer points held as its canonical disjoint box
-    cover (``cover_of_points`` of its points): what a statement's bound
-    guard is.  Built from enumerated points, ``BoxSet(cover_of_points(points))``,
-    or straight from a union of boxes, ``BoxSet(cover_of_boxes(boxes))`` —
-    equal point sets give equal covers either way.  It is a read-only
-    ``Set`` of index tuples: membership, ``len`` (the exact point count),
-    iteration, ``==`` and ``&`` against plain sets all answer as the
-    ``frozenset`` of its points would."""
-
-    __slots__ = ("boxes", "_len", "_points")
-
-    def __init__(self, cover: tuple):
-        #: disjoint boxes ``(a0, b0, a1, b1, ...)``, canonical order
-        self.boxes = cover
-        self._len = volume(cover)
-        self._points: frozenset | None = None
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)  # results of & | - ^ are plain point sets
-
-    def points(self) -> frozenset:
-        """The points themselves, enumerated at the first ask and kept.
-        Only point-at-a-time code asks (scalar loops, which visit every
-        point of the nest anyway): a hash probe per ask, where testing the
-        boxes in Python would make each ask three times as dear."""
-        points = self._points
-        if points is None:
-            points = self._points = frozenset(self)
-        return points
-
-    def __contains__(self, point) -> bool:
-        return point in self.points()
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return cover_points(self.boxes)
-
-    def __repr__(self) -> str:
-        return f"BoxSet({self.boxes!r})"
+from ..isets.box import Box, cover_of_boxes, cover_of_set, cover_points
 
 
 class Guards(dict):
-    """Per-rank statement guards: ``sid -> BoxSet | None`` (None means
-    unguarded; a plain set of points put in by hand is accepted and turned
-    into a :class:`BoxSet` by the first block query).  Beyond the scalar
-    backend's point-membership test, this serves the vector backend's
-    *block* queries: exact covers of the admissible indices at one or more
-    vectorized loop positions by contiguous runs/boxes, for fixed outer
-    indices."""
+    """Per-rank statement guards: ``sid -> cover | None``, a cover being
+    the canonical disjoint boxes ``(a0, b0, a1, b1, ...)`` of the
+    statement's iterations on this rank (None: unguarded).  Beyond the
+    scalar backend's point-membership test, this serves the vector
+    backend's *block* queries: exact covers of the admissible indices at
+    one or more vectorized loop positions by contiguous runs/boxes, for
+    fixed outer indices."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
         self._answers: dict = {}
         #: sid -> :meth:`point_table`, for the statements asked about
         self.tables: dict = {}
+        #: cover -> its points: one table per distinct cover
+        self._points: dict = {}
 
     def point_table(self, sid: int) -> frozenset | None:
         """Statement *sid*'s guard as a hash table of points (None:
         unguarded), for ``K.guard``: scalar loops ask once per point of the
         nest, and a probe of this is the whole test.  Enumerated at the
-        first ask — by loops that visit every point anyway."""
-        points = self.get(sid)
-        if isinstance(points, BoxSet):
-            points = points.points()
+        first ask — by loops that visit every point anyway — and shared by
+        every statement with an equal cover (a share group's statements
+        hold one)."""
+        cover = self.get(sid)
+        points = None
+        if cover is not None:
+            points = self._points.get(cover)
+            if points is None:
+                points = self._points[cover] = frozenset(cover_points(cover))
         self.tables[sid] = points
         return points
 
@@ -126,16 +85,14 @@ class Guards(dict):
         for l in range(d):
             if bounds[2 * l + 1] < bounds[2 * l]:
                 return ()
-        pts = self.get(sid)
-        if pts is None:
+        guard = self.get(sid)
+        if guard is None:
             return (bounds,)
-        if not isinstance(pts, BoxSet):
-            pts = self[sid] = BoxSet(cover_of_points(list(pts)))
         free = [2 * i for i, v in enumerate(tpl) if v is None]
         fixed = [(2 * i, v) for i, v in enumerate(tpl) if v is not None]
         cover = cover_of_boxes([
             tuple(box[k + h] for k in free for h in (0, 1))
-            for box in pts.boxes
+            for box in guard
             if all(box[k] <= v <= box[k + 1] for k, v in fixed)
         ])
         out = []

@@ -29,7 +29,7 @@ from ..isets import BudgetExceeded, IsetBudget, active_budget
 from ..isets.profile import phase as profile_phase
 from ..runtime.model import MachineModel
 from ..runtime.sim import Rank, VirtualMachine
-from .guards import BoxSet, Guards, guard_cover, plan_guards
+from .guards import Guards, guard_cover, plan_guards
 from .pyemit import emit_assign_target, emit_expr
 
 
@@ -1050,7 +1050,7 @@ class CompiledKernel:
         with profile_phase("bind-guards"):
             group, entries = self._guard_plan
             pbind = proc_binding(self.grid.delinearize(rank_id))
-            bound = [BoxSet(guard_cover(entry, pbind)) for entry in entries]
+            bound = [guard_cover(entry, pbind) for entry in entries]
             out = self._guard_cache[rank_id] = Guards(
                 (sid, None if g is None else bound[g]) for sid, g in group.items()
             )

@@ -74,9 +74,10 @@ Safety argument (see DESIGN.md "Vectorizing backend"):
   positions for fixed sequential indices — for one vector level, the
   maximal runs of admissible indices — so each guarded statement is a
   short loop over slices, not over points.
-* **Statement merging.**  Consecutive vectorized statements whose guards
-  have the same canonical data partition (§5 ``cp_key``) and with no
-  carried dependence between them share one cover loop: per box they
+* **Statement merging.**  Consecutive vectorized statements of one guard
+  share group (:func:`~repro.codegen.guards.plan_guards`: same innermost
+  loop, CPs of the same canonical data partition, §5 ``cp_key``) and with
+  no carried dependence between them share one cover loop: per box they
   execute in textual order, which preserves their loop-independent
   dependences, and carried dependences between group members are excluded
   outright.
@@ -111,7 +112,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from ..cp.model import cp_key
 from ..cp.nest import NestInfo
 from ..diag import CompileError
 from ..ir.expr import ArrayRef, BinOp, Expr, FuncCall, Num, UnOp, Var, from_affine, to_affine
@@ -294,35 +294,17 @@ def _is_subseq(sub, seq) -> bool:
     return all(v in it for v in sub)
 
 
-def _guard_key(kernel: "CompiledKernel", sid: int):
-    """Canonical identity of a statement's guard iteration set.
-
-    Statements in the same loop body whose keys compare equal are admitted
-    on identical iteration sets on every rank: their guards are built from
-    the same nest bounds intersected with the union of their ON_HOME term
-    sets, and ``cp_key`` (§5) identifies terms that induce the same data
-    partition.  ``None`` means unguarded/replicated (full range)."""
-    scp = kernel.cps.get(sid)
-    if scp is None or scp.cp.is_replicated:
-        return None
-    keys = set()
-    for t in scp.cp.terms:
-        k = cp_key(t, kernel.ctx)
-        if k is None:
-            return None  # undistributed term replicates the statement
-        keys.add(k)
-    return frozenset(keys)
-
-
 def _merge_groups(kernel: "CompiledKernel", plans, carried_pairs):
-    """Partition consecutive vector statements into merge groups: equal
-    guard keys and no carried dependence between group members."""
+    """Partition consecutive vector statements into merge groups: one
+    guard-plan share group and no carried dependence between group
+    members."""
+    share = kernel._guard_plan[0]
     groups: list[list] = []
     for p in plans:
         if groups:
             g = groups[-1]
             if (
-                _guard_key(kernel, p.stmt.sid) == _guard_key(kernel, g[0].stmt.sid)
+                share[p.stmt.sid] == share[g[0].stmt.sid]
                 and not any(
                     (a.stmt.sid, p.stmt.sid) in carried_pairs
                     or (p.stmt.sid, a.stmt.sid) in carried_pairs

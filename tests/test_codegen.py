@@ -79,7 +79,7 @@ class TestCompiledLhsy:
             if isinstance(s, Assign) and s.target_name == "cv":
                 cv_sid = s.sid
         assert cv_sid is not None
-        pts0, pts1 = g0[cv_sid], g1[cv_sid]
+        pts0, pts1 = g0.point_table(cv_sid), g1.point_table(cv_sid)
         assert pts0 and pts1
         shared = pts0 & pts1
         assert shared  # the replicated boundary computations

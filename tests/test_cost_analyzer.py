@@ -394,6 +394,31 @@ class TestPipelinedAnalysis:
         v = validate_against_trace(cost, _FakeTrace())
         assert not v.ok  # refuses to claim exactness for pipelined plans
 
+    def test_kernel_filter_selects_the_analysis_only_row_by_substring(self):
+        """``--cost-kernel`` matches any substring of the row's name, the
+        analysis-only row's as every other's."""
+        from repro.eval.cost import cost_rows
+
+        name = "fig5.1 y_solve @ 4 ranks (pipelined, analysis-only)"
+        for only in ("y_solve", "fig5", "fig5.1"):
+            rows = cost_rows(validate=False, only=only)
+            assert [r.name for r in rows] == [name], only
+
+    def test_validation_table_verdicts_align_with_the_header(self):
+        """Every verdict starts at the header's ``verdict`` column, the
+        analysis-only row's (the longest name) and a validated row's."""
+        from repro.eval.cost import cost_rows, format_validation_table
+
+        fig51 = cost_rows(validate=False, only="fig5.1")
+        validated = cost_rows(only="fig4.1")
+        for rows in (fig51, validated, validated + fig51):
+            header, *body = format_validation_table(rows)[0].splitlines()[1:]
+            col = header.index("verdict")
+            assert len(body) == len(rows)
+            for line in body:
+                assert line[col - 2:col] == "  ", line
+                assert line[col:].startswith(("exact", "not validated")), line
+
 
 class TestTraceCounters:
     def test_trace_counters_and_series(self):

@@ -7,6 +7,7 @@ from repro.codegen import compile_kernel
 from repro.frontend import parse_source
 from repro.ir import Assign, walk_stmts
 from repro.ir.interp import Interpreter
+from repro.isets.box import intersect_covers
 from repro.nas import kernels
 
 
@@ -68,7 +69,7 @@ class TestLhsx:
         )
         pts0, pts3 = g0[cv_def.sid], g3[cv_def.sid]
         assert pts0 and pts3
-        assert not (pts0 & pts3)
+        assert intersect_covers(pts0, pts3) == ()
 
     def test_matches_serial(self, compiled):
         scal = {"n": 17, "c2": 0.4, "dx3": 0.2, "c1c5": 0.1, "dttx1": 0.3, "dttx2": 0.6}

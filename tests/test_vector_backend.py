@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen import CodegenUnsupported, compile_kernel
-from repro.codegen.guards import BoxSet, Guards
-from repro.isets.box import Box, cover_of_points, cover_of_set
+from repro.codegen.guards import Guards
+from repro.isets.box import (
+    Box, cover_of_points, cover_of_set, cover_points, volume,
+)
 from repro.codegen.spmd import CompiledKernel
 from repro.comm import analyzer
 from repro.compile import cache_disabled
@@ -507,6 +509,19 @@ def test_true_2d_wavefront_stays_scalar():
     assert _python_loops(ck.python_source()) == ["j", "i"]
 
 
+def _holed(points):
+    """*points* less those with ``p0 + 2 p1`` a multiple of 3: holes in
+    every row and column of the first two loops."""
+    return frozenset(p for p in points if (p[0] + 2 * p[1]) % 3)
+
+
+def _cut_holes(guards):
+    """Cut :func:`_holed`'s holes into every bound guard of *guards*."""
+    for sid, cover in list(guards.items()):
+        if cover is not None:
+            guards[sid] = cover_of_points(sorted(_holed(cover_points(cover))))
+
+
 def test_sunk_nest_with_guard_holes():
     """Guards with holes (what a cyclic partition gives) split every cover
     into several boxes.  A cyclic dimension cannot reach the vectoriser
@@ -519,11 +534,7 @@ def test_sunk_nest_with_guard_holes():
     for backend in ("scalar", "vector"):
         ck = compile_kernel(source, nprocs, backend=backend)
         for rank in range(nprocs):
-            guards = ck.bind_guards(rank)
-            for sid, points in list(guards.items()):
-                if points is not None:
-                    guards[sid] = frozenset(
-                        p for p in points if (p[0] + 2 * p[1]) % 3)
+            _cut_holes(ck.bind_guards(rank))
         ranks[backend] = ck.run({})
     assert bitwise_identical(ranks["scalar"], ranks["vector"])
     sid = max(ck.bind_guards(0))  # the recurrence statement
@@ -615,11 +626,7 @@ def test_expanded_final_values_on_a_multi_box_cover():
     for backend in ("scalar", "vector"):
         ck = spec.compile(backend)
         for rank in range(ck.nprocs):
-            guards = ck.bind_guards(rank)
-            for sid, points in list(guards.items()):
-                if points is not None:
-                    guards[sid] = frozenset(
-                        p for p in points if (p[0] + 2 * p[1]) % 3)
+            _cut_holes(ck.bind_guards(rank))
         ranks[backend] = ck.run(spec.scalars, init=seed_init(ck))
     assert bitwise_identical(ranks["scalar"], ranks["vector"])
     cv = next(s.sid for s in walk_stmts(ck.sub.body)
@@ -837,8 +844,10 @@ def test_box_cover_exact_and_ordered():
 
 
 def test_guards_boxes_clamped_and_unguarded():
-    g = Guards({1: frozenset({(0, j, k) for j in range(4) for k in range(6)}),
-                2: None})
+    g = Guards({
+        1: cover_of_points(sorted((0, j, k) for j in range(4) for k in range(6))),
+        2: None,
+    })
     # clamping an exact cover stays exact
     assert g.boxes(1, (0, None, None), 1, 2, 3, 9) == ((1, 2, 3, 5),)
     assert g.boxes(1, (0, None, None), 5, 6, 0, 5) == ()
@@ -851,12 +860,32 @@ def test_guards_boxes_clamped_and_unguarded():
 def test_guards_repeated_query_is_one_lookup():
     """A node program repeats its box queries pass after pass: the second
     ask returns the very tuple the first one built."""
-    g = Guards({1: frozenset({(i, j) for i in range(3) for j in (0, 1, 4)})})
+    g = Guards({1: cover_of_points(sorted((i, j) for i in range(3) for j in (0, 1, 4)))})
     first = g.boxes(1, (1, None), 0, 9)
     assert first == ((0, 1), (4, 4))
     assert g.boxes(1, (1, None), 0, 9) is first
     assert g.boxes(1, (1, None), 1, 9) == ((1, 1), (4, 4))  # a new query
     assert g.boxes(1, (2, None), 0, 9) is not first
+
+
+def test_guard_point_tables_are_one_per_share_group():
+    """The scalar backend's ``K.guard`` probes one point table per share
+    group and rank: the statements of a group hold one cover and share its
+    table, enumerated once (a table per statement made scalar first runs
+    a quarter slower); groups with different covers have their own."""
+    spec = SPECS["fig4.1 lhsy n=17"]
+    ck = spec.compile("scalar")
+    assert ck.python_source().count("K.guard(") == 8
+    members: dict = {}
+    for sid, g in ck._guard_plan[0].items():
+        if g is not None:
+            members.setdefault(g, []).append(sid)
+    (a, b, *_), (c, *_) = [m for m in members.values() if len(m) > 1]
+    ck.run(spec.scalars, init=seed_init(ck))
+    for guards in ck._guard_cache.values():
+        assert guards.tables[a] is guards.tables[b]
+        assert guards[a] != guards[c]
+        assert guards.tables[a] is not guards.tables[c]
 
 
 def test_pickled_kernel_leaves_bound_guards_behind():
@@ -959,17 +988,13 @@ def test_box_guards_answer_as_the_point_oracle(case):
         for pt in itertools.product(*(range(lo, hi + 1) for lo, hi in b))
     }
     assert iters.box_parts() is not None
-    bound = BoxSet(cover_of_set(iters))
-    assert bound.boxes == cover_of_points(sorted(points))
-    assert len(bound) == len(points)
-    assert bound == points and points == bound
-    assert bound & points == points
-    for pt in itertools.product(range(-1, _TOP + 2), repeat=ndim):
-        assert (pt in bound) == (pt in points)
-    expect = _oracle_cover(points, tpl, bounds)
-    # a guard set by hand as plain points answers the same
-    for guards in (Guards({1: bound}), Guards({1: frozenset(points)})):
-        assert guards.boxes(1, tpl, *bounds) == expect
+    bound = cover_of_set(iters)
+    assert bound == cover_of_points(sorted(points))
+    assert volume(bound) == len(points)
+    assert set(cover_points(bound)) == points
+    guards = Guards({1: bound})
+    assert guards.point_table(1) == points
+    assert guards.boxes(1, tpl, *bounds) == _oracle_cover(points, tpl, bounds)
 
 
 _CYCLIC = """
@@ -1055,22 +1080,20 @@ def test_bound_guards_and_queries_match_the_point_oracle(name):
                 assert isinstance(entry, ISet)
         for rank, points in oracle.items():
             guards = ck.bind_guards(rank)
-            assert guards == points and list(guards) == list(points)
+            assert list(guards) == list(points)
             for sid, bound in guards.items():
-                if bound is not None:
-                    assert len(bound) == len(points[sid])
-                    assert bound.boxes == cover_of_points(sorted(points[sid]))
+                if bound is None:
+                    assert points[sid] is None
+                else:
+                    assert volume(bound) == len(points[sid])
+                    assert bound == cover_of_points(sorted(points[sid]))
         holes = dict(oracle)
         if name == "guard holes":
             for rank, points in oracle.items():
                 holes[rank] = {
-                    sid: pts and frozenset(p for p in pts if (p[0] + 2 * p[1]) % 3)
-                    for sid, pts in points.items()
+                    sid: pts and _holed(pts) for sid, pts in points.items()
                 }
-                guards = ck.bind_guards(rank)
-                for sid, pts in holes[rank].items():
-                    if pts is not None:
-                        guards[sid] = pts
+                _cut_holes(ck.bind_guards(rank))
         ck.run(scalars, init=init)
         ck.run_shmem(scalars, init=init and (lambda A: init(0, A)))
         asked = 0
@@ -1115,12 +1138,8 @@ def test_iteration_sets_are_built_once_per_kernel(nprocs, monkeypatch):
     cyclic.run_shmem({"n": 16})
     assert built == [] and len(bound) == cyclic.nprocs
     monkeypatch.undo()
-
-    def boxes(guards):
-        return {sid: g and g.boxes for sid, g in guards.items()}
-
     for rank in range(nprocs):
-        assert boxes(warm.bind_guards(rank)) == boxes(cold.bind_guards(rank))
+        assert dict(warm.bind_guards(rank)) == dict(cold.bind_guards(rank))
 
 
 @pytest.mark.parametrize("executor", ["virtual", "process"])
