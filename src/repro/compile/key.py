@@ -137,7 +137,22 @@ class PlanKey:
         strict: bool = True,
         fingerprint: str | None = None,
     ) -> "PlanKey":
-        canonical = canonicalize_source(source)
+        return cls._for_canonical(
+            canonicalize_source(source), nprocs, params, backend, strict,
+            fingerprint,
+        )
+
+    @classmethod
+    def _for_canonical(
+        cls,
+        canonical: str,
+        nprocs: int,
+        params: Mapping[str, int] | None,
+        backend: str,
+        strict: bool,
+        fingerprint: str | None = None,
+    ) -> "PlanKey":
+        """:meth:`for_source` on an already canonicalized source."""
         return cls(
             source_sha=hashlib.sha256(canonical.encode()).hexdigest(),
             layout=layout_signature(canonical),

@@ -74,6 +74,7 @@ from typing import Callable, Optional
 from .. import supervise
 from ..diag import E_QUARANTINE, I_RETRY, Diagnostic, DiagnosticSink, Severity
 from ..supervise import ExecutorError, WorkerTimeout
+from . import key as plan_key
 from .cache import PlanCache, active_cache
 from .driver import CompileFailed, CompileJob, CompileOutcome
 from .pipeline import KernelArtifact, _loads, _replay
@@ -331,6 +332,8 @@ class CompilePool:
         self._quarantine: dict[str, CompileQuarantined] = {}
         #: analysis digest -> pickled selection, while a ticket needs it
         self._selections: dict[str, bytes] = {}
+        #: source text -> canonical form: a batch lexes each text once
+        self._canonical: dict[str, str] = {}
         self._workers: list[_Worker] = []  # forked on first need
         self._seq = 0
         self._closed = False
@@ -352,7 +355,7 @@ class CompilePool:
         slot is taken, blocking while ``MAX_QUEUE`` are pending.  Raises
         :class:`PoolClosed` after shutdown began.
         """
-        key = job.key()
+        key = self._key(job)
         digest = key.kernel_digest
         analysis = key.analysis_digest if job.strict else None
         with self._lock:
@@ -562,6 +565,16 @@ class CompilePool:
             return len(self._selections)
 
     # -- internals ---------------------------------------------------------
+    def _key(self, job: CompileJob) -> plan_key.PlanKey:
+        """``job.key()``, canonicalizing each distinct source text once."""
+        canonical = self._canonical.get(job.source)
+        if canonical is None:
+            canonical = plan_key.canonicalize_source(job.source)
+            self._canonical[job.source] = canonical
+        return plan_key.PlanKey._for_canonical(
+            canonical, job.nprocs, job.params, job.backend, job.strict
+        )
+
     def _share_locked(self, digest: str) -> Optional[PoolTicket]:
         """The existing ticket for *digest* if the submission should
         coalesce onto it (anything but a retryable failure), else None.

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import networkx as nx
-
 from ..analysis.dependence import Dependence, DependenceAnalyzer
 from ..distrib.layout import DistributionContext
+from ..ir.graph import add_edge, strongly_connected_components, topological_order
 from ..ir.stmt import Assign, DoLoop, Stmt
 from ..ir.visit import walk_stmts
 from .model import CP, cp_key
@@ -199,20 +198,16 @@ def distribute_loop(
     children = list(loop.body)
     index = {id(c): i for i, c in enumerate(children)}
 
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(children)))
+    g: dict[int, list[int]] = {n: [] for n in range(len(children))}
     for d in deps:
         a = _top_level_ancestor(loop, d.src)
         b = _top_level_ancestor(loop, d.dst)
         if a is None or b is None or a is b:
             continue
-        g.add_edge(index[id(a)], index[id(b)])
+        add_edge(g, index[id(a)], index[id(b)])
 
-    sccs = list(nx.strongly_connected_components(g))
-    scc_of: dict[int, int] = {}
-    for si, comp in enumerate(sccs):
-        for n in comp:
-            scc_of[n] = si
+    sccs = strongly_connected_components(g)
+    scc_of = {n: si for si, comp in enumerate(sccs) for n in comp}
 
     # marked pairs at child granularity
     must_separate: set[tuple[int, int]] = set()
@@ -230,8 +225,12 @@ def distribute_loop(
         return [loop]
 
     # topological order of the SCC condensation
-    cond = nx.condensation(g, sccs)
-    topo = list(nx.topological_sort(cond))
+    cond: dict[int, list[int]] = {si: [] for si in range(len(sccs))}
+    for n, succ in g.items():
+        for m in succ:
+            if scc_of[n] != scc_of[m]:
+                add_edge(cond, scc_of[n], scc_of[m])
+    topo = topological_order(cond)
 
     # greedy fusion in topo order: start a new output loop only when the SCC
     # must be separated from one already in the current fusion group.

@@ -33,9 +33,6 @@ class PhaseBreakdown:
     #: phase -> (wall duration, mean busy fraction inside the phase window)
     phases: dict[str, tuple[float, float]]
 
-    def dominant_phase(self) -> str:
-        return max(self.phases, key=lambda p: self.phases[p][0])
-
 
 def phase_breakdown(
     bench: str,

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-import networkx as nx
-
 from .directives import AlignDecl, DistributeDecl, ProcessorsDecl, TemplateDecl
+from .graph import add_edge, find_cycle, topological_order
 from .stmt import CallStmt, Stmt
 from .symbols import SymbolTable
 from .visit import walk_stmts
@@ -63,15 +62,14 @@ class Program:
                 return u
         return None
 
-    def call_graph(self) -> "nx.DiGraph":
-        """Caller -> callee digraph over units defined in this program."""
-        g = nx.DiGraph()
-        for u in self.units.values():
-            g.add_node(u.name.lower())
-        for u in self.units.values():
+    def call_graph(self) -> dict[str, list[str]]:
+        """Caller -> callees over units defined in this program, in unit
+        and then call order (see :mod:`repro.ir.graph`)."""
+        g: dict[str, list[str]] = {name: [] for name in self.units}
+        for name, u in self.units.items():
             for c in u.calls():
                 if c.name.lower() in self.units:
-                    g.add_edge(u.name.lower(), c.name.lower())
+                    add_edge(g, name, c.name.lower())
         return g
 
     def bottom_up_order(self) -> list[Subroutine]:
@@ -80,16 +78,14 @@ class Program:
         Raises on recursion — the mini-language (like F77) forbids it.
         """
         g = self.call_graph()
-        try:
-            order = list(nx.topological_sort(g))
-        except nx.NetworkXUnfeasible as exc:
+        order = topological_order(g)
+        if order is None:
             from ..diag import E_RECURSION, CompileError
 
-            cycle = nx.find_cycle(g)
-            names = [u for u, _ in cycle] + [cycle[-1][1]]
             raise CompileError(
-                f"recursive call graph is not supported: {' -> '.join(names)}",
+                "recursive call graph is not supported: "
+                + " -> ".join(find_cycle(g)),
                 code=E_RECURSION,
                 pass_name="ir",
-            ) from exc
+            )
         return [self.units[name] for name in reversed(order)]

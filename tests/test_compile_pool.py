@@ -131,6 +131,31 @@ class TestPersistence:
                 w.kernel.python_source("mpi")
 
 
+class TestKeying:
+    def test_one_text_is_canonicalized_once_per_pool(self, cache, monkeypatch):
+        """Six tickets over one source text lex it once, and key exactly
+        as ``job.key()`` does."""
+        from repro.compile import key as key_mod
+
+        source = TEMPLATE.format(const="1.0")
+        jobs = [CompileJob(source, 4, {"n": n}, backend=backend)
+                for n in (8, 9, 10) for backend in ("vector", "scalar")]
+        digests = [job.key().kernel_digest for job in jobs]
+        calls = []
+        real = key_mod.canonicalize_source
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(key_mod, "canonicalize_source", counting)
+        with CompilePool(_fast_config(), cache=cache) as pool:
+            tickets = [pool.submit(job) for job in jobs]
+            assert len(calls) == 1
+            assert [t.digest for t in tickets] == digests
+            assert all(pool.wait(t, timeout=120).ok for t in tickets)
+
+
 class TestSingleFlight:
     def test_stampede_shares_one_build(self, cache, monkeypatch, tmp_path):
         import repro.compile.driver as driver
