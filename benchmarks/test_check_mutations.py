@@ -68,5 +68,16 @@ class TestEveryMutationIsCaught:
         codes = {spec[1] for spec in MUTATIONS.values()}
         assert len(MUTATIONS) >= 4
         assert codes == {
-            "E-COVERAGE", "E-LOCAL", "E-OVERLAP", "E-MATCH", "E-RACE"
+            "E-COVERAGE", "E-LOCAL", "E-OVERLAP", "E-MATCH", "E-RACE",
+            "E-GUARD",
         }
+
+    def test_lost_guard_box_needs_the_guard_check(self, monkeypatch):
+        """Only the union check sees the lost box: with it disabled, no
+        other analysis reports an error."""
+        from repro.check import verifier
+
+        monkeypatch.setattr(verifier, "check_guards", lambda cov: [])
+        result = run_mutation("drop_guard_box")
+        assert not result.caught and result.report.ok, (
+            result.report.format(Severity.ERROR))

@@ -54,13 +54,8 @@ from ..codegen.spmd import build_routes
 from ..comm.analyzer import CommPlan
 from ..cp.nest import nest_for
 from ..diag import (
-    I_SCALE_LIMIT,
-    W_COMM_HOT,
-    W_IMBALANCE,
-    W_REPLICATED,
-    W_SCALAR_WAVEFRONT,
-    Diagnostic,
-    Severity,
+    I_SCALE_LIMIT, W_COMM_HOT, W_IMBALANCE, W_REPLICATED, W_SCALAR_WAVEFRONT,
+    Diagnostic, Severity,
 )
 from ..distrib.layout import PDIM, DistributionContext, proc_binding
 from ..ir.expr import BinOp, FuncCall, UnOp
@@ -378,20 +373,21 @@ def wildcard_grid(sub):
     return out
 
 
-def _artifact_cost(art, nprocs: int, subject: Optional[str]) -> KernelCost:
-    """The cost of an analysis: its routes and guard plan built by the
-    compiler's own builders, then read as :func:`kernel_cost` reads a
-    kernel's."""
+def compiled_plan(art) -> tuple:
+    """``(routes, guard_plan)`` of an analysis *art*, built by the compiler's
+    own ``build_routes`` and ``plan_guards``: what its kernel would carry."""
     grid = art.ctx.the_grid()
     group, _sets, entries = plan_guards(
-        art.nest_plans, art.cps, art.ctx, art.merged, art.iteration_sets,
-        grid, art.nests,
-    )
+        art.nest_plans, art.cps, art.ctx, art.merged, art.iteration_sets, grid, art.nests)
+    return build_routes(art.nest_plans, art.ctx, art.merged, grid), (group, entries)
+
+
+def _artifact_cost(art, nprocs: int, subject: Optional[str]) -> KernelCost:
+    """The cost of an analysis, read off its :func:`compiled_plan` as
+    :func:`kernel_cost` reads a kernel's."""
     return _cost_from_parts(
         subject or art.sub.name, art.ctx, art.merged, art.cps,
-        art.nest_plans, nprocs,
-        build_routes(art.nest_plans, art.ctx, art.merged, grid),
-        (group, entries), art.nests,
+        art.nest_plans, nprocs, *compiled_plan(art), art.nests,
     )
 
 
@@ -676,24 +672,9 @@ def validate_against_trace(cost: KernelCost, trace) -> CostValidation:
 
 
 __all__ = [
-    "EventCost",
-    "NestCost",
-    "RankCost",
-    "KernelCost",
-    "CurvePoint",
-    "CostValidation",
-    "kernel_cost",
-    "analysis_cost",
-    "sweep_cost",
-    "predicted_curve",
-    "scale_limit",
-    "closed_form",
-    "cost_advisories",
-    "validate_against_trace",
-    "wildcard_grid",
-    "CURVE_PROCS",
-    "IMBALANCE_TOL",
-    "COMM_HOT_SHARE",
-    "COMM_HOT_MIN_FRACTION",
-    "KNEE_GAIN",
+    "EventCost", "NestCost", "RankCost", "KernelCost", "CurvePoint",
+    "CostValidation", "kernel_cost", "analysis_cost", "sweep_cost",
+    "predicted_curve", "scale_limit", "closed_form", "cost_advisories",
+    "validate_against_trace", "wildcard_grid", "CURVE_PROCS", "IMBALANCE_TOL",
+    "COMM_HOT_SHARE", "COMM_HOT_MIN_FRACTION", "KNEE_GAIN",
 ]

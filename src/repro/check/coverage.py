@@ -1,24 +1,26 @@
-"""Communication-coverage and overlap-area checks (analyses 1 and 4).
+"""Coverage and overlap-area checks (analyses 1 and 4), and the guard check.
 
-Both are differences of canonical box covers (:mod:`repro.isets.box`)
-checked at every rank ``r`` of the grid.  For every read of a distributed
-array,
+All are differences of canonical box covers (:mod:`repro.isets.box`)
+checked at every rank ``r`` of the grid, over what the compiler built:
+a statement's iterations are its guard-plan covers, the data a reference
+touches their image through its subscripts, and messages the routes'
+pairs (:meth:`RankCovers.pairs`).  For every read of a distributed array,
 
-    need(r) ⊆ owned(r) ∪ ⋃_q flows(q → r) ∪ produced_before(r)
+    need(r) ⊆ owned(r) ∪ ⋃_q pairs(q → r) ∪ produced_before(r)
 
-where ``flows`` are the live read events' :meth:`~repro.comm.events.
-CommEvent.flows` — the covers the message routes and the cost model are
-built from — and ``produced_before`` the footprints of earlier local
-writes.  Every non-local value a statement consumes must arrive in a
-message, be computed locally under partial replication, or already be
-owned (``E-COVERAGE``).  NEW/LOCALIZE'd arrays are excluded from
-communication by construction (§4.1/§4.2), so only ``produced_before(r)``
-counts for their reads (``E-LOCAL``).
+where ``produced_before`` is the footprints of earlier local writes.
+Every non-local value a statement consumes must arrive in a message, be
+computed locally under partial replication, or already be owned
+(``E-COVERAGE``).  NEW/LOCALIZE'd arrays are excluded from communication
+by construction (§4.1/§4.2), so only ``produced_before(r)`` counts for
+their reads (``E-LOCAL``).
 
 The fourth analysis bounds what each rank receives by the array's overlap
 region (its declared bounds by default — the compiler's "overlap
 everything" storage simplification; a caller may pass tighter regions per
-array to model real overlap areas): ``⋃_q flows(q → r) ⊆ region(r)``.
+array to model real overlap areas): ``⋃_q pairs(q → r) ⊆ region(r)``.
+The guards get a check of their own: united over the ranks, each
+guard-plan entry's covers are its statement's loop bounds (``E-GUARD``).
 
 A set that cannot be evaluated at a rank (non-affine, or it does not bind
 to a finite set) is a ``W-UNPROVEN`` warning.
@@ -26,23 +28,20 @@ to a finite set) is a ``W-UNPROVEN`` warning.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
+from ..codegen.guards import guard_cover
 from ..comm.analyzer import CommPlan
-from ..cp.nest import NestInfo, statement_access_set
-from ..diag import (
-    E_COVERAGE,
-    E_LOCAL,
-    E_OVERLAP,
-    W_UNPROVEN,
-    Diagnostic,
-    Severity,
-)
-from ..distrib.layout import proc_binding
+from ..cp.nest import NestInfo
+from ..diag import E_COVERAGE, E_GUARD, E_LOCAL, E_OVERLAP, W_UNPROVEN, Diagnostic, Severity
+from ..distrib.layout import Layout, proc_binding
 from ..ir.expr import ArrayRef
 from ..ir.visit import collect_array_refs
 from ..isets import ISet, box, empty
-from ..isets.box import cover_of_set, cover_points, subtract_covers, volume
+from ..isets.box import (
+    cover_of_boxes, cover_of_set, cover_points, image_of_cover, subtract_covers, volume,
+)
 
 
 class RankCovers:
@@ -54,10 +53,8 @@ class RankCovers:
     def __init__(self, unit):
         self.unit = unit
         self.ranks = range(unit.grid.size)
-        self.binds = [
-            {**unit.params, **proc_binding(unit.grid.delinearize(r))}
-            for r in self.ranks
-        ]
+        self.binds = [{**unit.params, **proc_binding(unit.grid.delinearize(r))}
+                      for r in self.ranks]
         self.nests = [NestInfo(root, unit.params) for root, _ in unit.nest_plans]
         self._memo: dict[tuple, object] = {}
 
@@ -73,24 +70,49 @@ class RankCovers:
         except (KeyError, ValueError):
             return None
 
-    def access_set(self, nest_idx: int, stmt, ref: ArrayRef) -> Optional[ISet]:
-        """The data *ref* touches when *stmt* runs under its CP, symbolic
-        in the processor coordinates; None when non-affine or no CP."""
-        def build():
-            scp = self.unit.cps.get(stmt.sid)
-            if scp is None:
-                return None
-            return statement_access_set(
-                ref, stmt, scp.cp, self.nests[nest_idx], self.unit.ctx,
-                self.unit.params,
-            )
-        return self._once(("set", stmt.sid, ref), build)
+    def bounds(self, nest_idx: int, stmt) -> Optional[ISet]:
+        """*stmt*'s loop bounds (None when non-affine)."""
+        return self._once(("bounds", stmt.sid), lambda: self.nests[nest_idx].bounds_of(stmt))
+
+    def serial(self, nest_idx: int, stmt) -> Optional[tuple]:
+        """The cover of *stmt*'s loop bounds (the same at every rank)."""
+        bounds = self.bounds(nest_idx, stmt)
+        per = None if bounds is None else self._once(
+            ("serial", stmt.sid), lambda: self.bound(bounds))
+        return None if per is None else per[0]
+
+    def iterations(self, nest_idx: int, stmt) -> Optional[list]:
+        """What *stmt* runs at each rank: its guard-plan entry's covers, or
+        its loop bounds on every rank when it is unguarded (replicated)."""
+        group, entries = self.unit.guard_plan
+        if (g := group.get(stmt.sid)) is None:
+            serial = self.serial(nest_idx, stmt)
+            return None if serial is None else [serial for _ in self.ranks]
+        try:
+            return self._once(("guard", g), lambda: [
+                guard_cover(entries[g], b) for b in self.binds])
+        except (KeyError, ValueError):
+            return None  # it does not bind
+
+    def derived(self, nest_idx: int, stmt, ref: ArrayRef) -> bool:
+        """Communication analysis derived the data *ref* touches in
+        *stmt*: it has a CP, affine loop bounds and subscripts."""
+        return (self.unit.cps.get(stmt.sid) is not None
+                and self.bounds(nest_idx, stmt) is not None
+                and ref.affine_subscripts() is not None)
 
     def access(self, nest_idx: int, stmt, ref: ArrayRef) -> Optional[list]:
-        """:meth:`access_set` bound at each rank."""
+        """Per rank, the data *ref* touches when *stmt* runs its
+        :meth:`iterations`: their image through its subscripts."""
         def build():
-            s = self.access_set(nest_idx, stmt, ref)
-            return None if s is None else self.bound(s)
+            if not self.derived(nest_idx, stmt, ref):
+                return None
+            dims = self.nests[nest_idx].dims_of(stmt)
+            subs = [e.evaluate_partial(self.unit.params) for e in ref.affine_subscripts()]
+            iters = self.iterations(nest_idx, stmt)
+            if iters is None or any(e.vars() - set(dims) for e in subs):
+                return None  # or a subscript reads a run-time scalar
+            return [image_of_cover(c, dims, subs) for c in iters]
         return self._once(("access", stmt.sid, ref), build)
 
     def owned(self, name: str) -> Optional[list]:
@@ -108,30 +130,35 @@ class RankCovers:
                 ctx.declared_bounds_set(name))
         ))
 
-    def flows(self, nest_idx: int, ei: int) -> Optional[dict]:
-        """``CommEvent.flows`` of the nest's *ei*-th live event."""
+    def pairs(self, nest_idx: int, ei: int) -> Optional[dict]:
+        """``{(src, dst): cover}`` of the nest's *ei*-th live event: its
+        route's, what ``exec_comm`` sends, when it is hoisted; else its
+        ``CommEvent.flows``."""
         def build():
-            event = self.unit.nest_plans[nest_idx][1].live_events()[ei]
+            events = self.unit.nest_plans[nest_idx][1].live_events()
+            if events[ei].placement.hoisted:
+                k = sum(e.placement.hoisted for e in events[:ei])
+                return self.unit.routes[nest_idx][k].pairs
             try:
-                return event.flows(self.unit.ctx, self.unit.params, self.unit.grid)
+                return events[ei].flows(self.unit.ctx, self.unit.params, self.unit.grid)
             except (KeyError, ValueError):
                 return None
-        return self._once(("flows", nest_idx, ei), build)
+        return self._once(("pairs", nest_idx, ei), build)
 
     def moved(self, nest_idx: int, name: str, kind: str, ei: Optional[int] = None):
         """Per rank, the boxes of *name* the nest's live *kind* events
         (only the *ei*-th when given) move for it: what a rank receives
         (read) or returns to the owners (write-back).  None when an
-        event's flows cannot be evaluated."""
+        event's pairs cannot be evaluated."""
         def build():
             per: list[list] = [[] for _ in self.ranks]
             for i, e in enumerate(self.unit.nest_plans[nest_idx][1].live_events()):
                 if e.array != name or e.kind != kind or ei not in (None, i):
                     continue
-                flows = self.flows(nest_idx, i)
-                if flows is None:
+                pairs = self.pairs(nest_idx, i)
+                if pairs is None:
                     return None
-                for (src, dst), cover in flows.items():
+                for (src, dst), cover in pairs.items():
                     per[dst if kind == "read" else src].extend(cover)
             return per
         return self._once(("moved", nest_idx, name, kind, ei), build)
@@ -139,22 +166,24 @@ class RankCovers:
 
 def fmt_points(cover, limit: int = 4) -> str:
     """The first *limit* points of a cover, and how many more it has."""
-    shown = []
-    for p in cover_points(cover):
-        if len(shown) == limit:
-            break
-        shown.append(p)
+    shown = list(islice(cover_points(cover), limit))
     extra = volume(cover) - len(shown)
-    body = ", ".join(str(p) for p in shown)
-    return body + (f", ... (+{extra} more)" if extra > 0 else "")
+    return ", ".join(map(str, shown)) + (f", ... (+{extra} more)" if extra > 0 else "")
 
 
-def _as_set(dims, cover) -> ISet:
-    """A concrete cover as the union of its boxes over *dims*."""
+def _as_set(cover, dims=None) -> ISet:
+    """A concrete cover as the union of its boxes over *dims* (the data
+    dims ``a$k`` by default)."""
+    dims = dims or tuple(Layout.dim_name(k) for k in range(len(cover[0]) // 2))
     out = empty(dims)
     for b in cover:
         out = out.union(box(dims, list(zip(b[::2], b[1::2]))))
     return out
+
+
+def unproven(message: str, sid=None, array=None, nest=None) -> Diagnostic:
+    """A ``W-UNPROVEN`` warning: a set could not be evaluated per rank."""
+    return Diagnostic(Severity.WARN, W_UNPROVEN, message, stmt_sid=sid, array=array, nest=nest)
 
 
 def _first_bad(left: list) -> "tuple[int, tuple, int] | None":
@@ -175,21 +204,13 @@ def check_nest_coverage(
     nest: NestInfo = cov.nests[nest_idx]
     assigns = nest.assignments()
 
-    def unproven(stmt, name, message: str) -> Diagnostic:
-        return Diagnostic(
-            Severity.WARN, W_UNPROVEN, message,
-            stmt_sid=stmt.sid, array=name, nest=nest_idx,
-        )
-
     for stmt in assigns:
         if unit.cps.get(stmt.sid) is None:
             continue  # not part of the analyzed region (no CP selected)
-        if nest.bounds_of(stmt) is None:
-            diags.append(Diagnostic(
-                Severity.WARN, W_UNPROVEN,
+        if cov.bounds(nest_idx, stmt) is None:
+            diags.append(unproven(
                 "non-affine loop bounds: communication was not derived for "
-                "this statement and its reads cannot be verified",
-                stmt_sid=stmt.sid, nest=nest_idx,
+                "this statement and its reads cannot be verified", stmt.sid, nest=nest_idx,
             ))
             continue
         order = nest.order[stmt.sid]
@@ -198,27 +219,26 @@ def check_nest_coverage(
             excluded = name in plan.excluded_arrays
             if not excluded and unit.ctx.layout(name) is None:
                 continue  # replicated scalar-like array: no distribution
-            if cov.access_set(nest_idx, stmt, ref) is None:
+            if ref.affine_subscripts() is None:
                 diags.append(unproven(
-                    stmt, name, f"non-affine subscripts in {ref}: no "
-                    "communication was derived for this read and coverage "
-                    "cannot be proven",
+                    f"non-affine subscripts in {ref}: no communication was derived "
+                    "for this read and coverage cannot be proven", stmt.sid, name, nest_idx,
                 ))
                 continue
             sources = [
                 cov.access(nest_idx, w, w.lhs) for w in assigns
                 if isinstance(w.lhs, ArrayRef) and w.lhs.name.lower() == name
                 and nest.order[w.sid] < order
-                and cov.access_set(nest_idx, w, w.lhs) is not None
+                and cov.derived(nest_idx, w, w.lhs)
             ]
             if not excluded:
                 sources += [cov.owned(name), cov.moved(nest_idx, name, "read")]
             need = cov.access(nest_idx, stmt, ref)
             if need is None or None in sources:
                 diags.append(unproven(
-                    stmt, name, f"read of {name}: its footprint, the owned "
-                    "data, the messages or the earlier local writes cannot "
-                    "be evaluated per rank",
+                    f"read of {name}: its footprint, the owned data, the messages or "
+                    "the earlier local writes cannot be evaluated per rank",
+                    stmt.sid, name, nest_idx,
                 ))
                 continue
             left = [
@@ -242,7 +262,7 @@ def check_nest_coverage(
                 Severity.ERROR, E_LOCAL if excluded else E_COVERAGE,
                 f"{what} ({n_bad} of {len(left)} ranks affected)",
                 stmt_sid=stmt.sid, array=name, nest=nest_idx,
-                iset=_as_set(cov.access_set(nest_idx, stmt, ref).dims, cover),
+                iset=_as_set(cover),
             ))
     return diags
 
@@ -266,10 +286,9 @@ def check_overlap(cov: RankCovers, nest_idx: int, plan: CommPlan) -> list[Diagno
             declared if region is None else region.intersect(declared)))
         received = cov.moved(nest_idx, name, "read", ei)
         if per_rank is None or received is None:
-            diags.append(Diagnostic(
-                Severity.WARN, W_UNPROVEN,
+            diags.append(unproven(
                 f"overlap bound of {name} cannot be evaluated per rank",
-                stmt_sid=event.stmt.sid, array=name, nest=nest_idx,
+                event.stmt.sid, name, nest_idx,
             ))
             continue
         found = _first_bad([
@@ -284,6 +303,35 @@ def check_overlap(cov: RankCovers, nest_idx: int, plan: CommPlan) -> list[Diagno
                 f"rank {rank} receives {fmt_points(cover)} outside the "
                 "declared storage",
                 stmt_sid=event.stmt.sid, array=name,
-                iset=_as_set(event.data.dims, cover), nest=nest_idx,
+                iset=_as_set(cover), nest=nest_idx,
             ))
+    return diags
+
+
+def check_guards(cov: RankCovers) -> list[Diagnostic]:
+    """Each guard-plan entry's covers, united over the ranks, are its
+    statements' loop bounds: no iteration lost or invented (``E-GUARD``)."""
+    diags: list[Diagnostic] = []
+    group, seen = cov.unit.guard_plan[0], set()
+    for idx, nest in enumerate(cov.nests):
+        for stmt in nest.assignments():
+            g = group.get(stmt.sid)
+            if g is None or g in seen:
+                continue
+            seen.add(g)  # a share group's statements run under one loop
+            iters, serial = cov.iterations(idx, stmt), cov.serial(idx, stmt)
+            if iters is None or serial is None:
+                diags.append(unproven(
+                    f"guard of s{stmt.sid} cannot be evaluated per rank", stmt.sid, nest=idx))
+                continue
+            union = cover_of_boxes([b for cover in iters for b in cover])
+            lost = subtract_covers(serial, union)
+            odd = lost or subtract_covers(union, serial)
+            if odd:
+                what = "no rank runs {}" if lost else "the ranks run {} outside them"
+                diags.append(Diagnostic(
+                    Severity.ERROR, E_GUARD, f"guard of s{stmt.sid} does not "
+                    "cover its loop bounds: " + what.format(fmt_points(odd)),
+                    stmt_sid=stmt.sid, nest=idx, iset=_as_set(odd, nest.dims_of(stmt)),
+                ))
     return diags

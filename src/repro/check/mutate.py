@@ -3,7 +3,9 @@
 Each mutation seeds one representative compiler bug into a freshly
 analyzed program and re-runs the verifier; the harness asserts the
 *intended* analysis flags it (exact diagnostic code), and that the
-unmutated pipelines stay error-free.  The seven kinds:
+unmutated pipelines stay error-free.  A mutation that edits a plan or a
+CP rebuilds the routes and guard plan from it (:func:`verify_rebuilt`),
+as a compiler with that bug would emit them.  The eight kinds:
 
 ================  =============================================  ==========
 mutation          seeded bug                                     caught by
@@ -20,25 +22,33 @@ shrink_overlap    overlap areas sized to owned data only (no     E-OVERLAP
 drop_send         schedule emission loses one send endpoint      E-MATCH
 drop_writeback    non-owner writes never returned to the owner   E-RACE
                   (y_solve pipeline, §5)
+drop_guard_box    one statement's guard loses one box at an      E-GUARD
+                  interior rank of a 5×5 grid
 ================  =============================================  ==========
 
 Subjects are the paper kernels: ``compute_rhs`` (Figure 4.2, the
 LOCALIZE kernel, compiled end to end), SP ``compute_rhs`` on a 5×5 grid
-(``drop_flow``: the receiver is neither a corner nor the centre, so only
-a check at every rank sees it) and ``y_solve`` (Figure 5.1, verified at
-analysis level because its pipelined communication is not
-code-generated).  Sizes are small (class-S-like) to keep the harness
-fast; every subject is verified clean before mutation.
+(``drop_flow``, ``drop_guard_box``: the rank is neither a corner nor
+the centre, so only a check at every rank sees it) and ``y_solve``
+(Figure 5.1, verified at analysis level because its pipelined
+communication is not code-generated).  Sizes are small (class-S-like) to
+keep the harness fast; every subject is verified clean before mutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
+from ..codegen.guards import guard_cover
+from ..comm.analyzer import CommAnalyzer
 from ..cp.model import CP
-from ..diag import E_COVERAGE, E_LOCAL, E_MATCH, E_OVERLAP, E_RACE
+from ..diag import E_COVERAGE, E_GUARD, E_LOCAL, E_MATCH, E_OVERLAP, E_RACE
+from ..distrib.layout import proc_binding
 from ..ir.expr import ArrayRef
+from .cost import compiled_plan
 from .diagnostics import CheckReport
 from .schedule import StaticSchedule
 from .verifier import VerifyUnit, analyzed_unit, verify_kernel, verify_unit
@@ -49,31 +59,46 @@ FIG42_NPROCS = 8
 Y_SOLVE_PARAMS: Mapping[str, int] = {"n": 11, "m": 0}
 Y_SOLVE_NPROCS = 4
 
-_cache: dict[str, object] = {}
 
-
+@cache
 def _fig42_kernel():
     """Compiled Figure 4.2 (compute_rhs, the LOCALIZE kernel)."""
-    if "fig4.2" not in _cache:
-        from ..codegen import compile_kernel
-        from ..nas import kernels
+    from ..codegen import compile_kernel
+    from ..nas import kernels
 
-        _cache["fig4.2"] = compile_kernel(
-            kernels.COMPUTE_RHS_BT, FIG42_NPROCS, dict(FIG42_PARAMS)
-        )
-    return _cache["fig4.2"]
+    return compile_kernel(kernels.COMPUTE_RHS_BT, FIG42_NPROCS, dict(FIG42_PARAMS))
 
 
+@cache
 def _y_solve_unit() -> VerifyUnit:
     """Figure 5.1 (y_solve) at analysis level — pipelined comm."""
-    if "fig5.1" not in _cache:
-        from ..nas import kernels
+    from ..nas import kernels
 
-        _cache["fig5.1"] = analyzed_unit(
-            kernels.Y_SOLVE_SP, Y_SOLVE_NPROCS, Y_SOLVE_PARAMS,
-            subject="y_solve",
-        )
-    return _cache["fig5.1"]
+    return analyzed_unit(
+        kernels.Y_SOLVE_SP, Y_SOLVE_NPROCS, Y_SOLVE_PARAMS, subject="y_solve")
+
+
+def verify_rebuilt(s) -> CheckReport:
+    """Verify a kernel or :class:`VerifyUnit` *s* as compiled from its
+    edited plans and CPs: routes and guard plan rebuilt (:func:`~repro.check.
+    cost.compiled_plan`) from each nest analyzed again under them, its
+    excluded arrays kept.  A kernel gets its own routes and guard plan back."""
+    art = SimpleNamespace(nest_plans=s.nest_plans, cps=s.cps, ctx=s.ctx,
+                          merged=s.params, iteration_sets={}, nests=())
+    for root, plan in s.nest_plans:
+        comm = CommAnalyzer(root, s.cps, s.ctx, s.params,
+                            exclude_arrays=plan.excluded_arrays)
+        comm.analyze()
+        art.iteration_sets.update(comm.iteration_sets)
+    routes, guard_plan = compiled_plan(art)
+    if isinstance(s, VerifyUnit):
+        return verify_unit(replace(s, routes=routes, guard_plan=guard_plan))
+    saved = s._routes, s._guard_plan
+    s._routes, s._guard_plan = routes, guard_plan
+    try:
+        return verify_kernel(s)
+    finally:
+        s._routes, s._guard_plan = saved
 
 
 @dataclass
@@ -98,7 +123,7 @@ def _mut_drop_read() -> CheckReport:
             if event.kind == "read":
                 plan.events.remove(event)
                 try:
-                    return verify_kernel(kernel)
+                    return verify_rebuilt(kernel)
                 finally:
                     plan.events.append(event)
     raise RuntimeError("subject has no live read event to drop")
@@ -153,7 +178,7 @@ def _mut_widen_availability() -> CheckReport:
             if event.kind == "read":
                 event.eliminated_by_availability = True
                 try:
-                    return verify_kernel(kernel)
+                    return verify_rebuilt(kernel)
                 finally:
                     event.eliminated_by_availability = False
     raise RuntimeError("subject has no live read event to eliminate")
@@ -169,7 +194,7 @@ def _mut_skip_localize() -> CheckReport:
     if not saved:
         raise RuntimeError("subject has no LOCALIZE-propagated CPs")
     try:
-        return verify_kernel(kernel)
+        return verify_rebuilt(kernel)
     finally:
         for sid, cp in saved.items():
             kernel.cps[sid].cp = cp
@@ -199,20 +224,40 @@ def _mut_drop_send() -> CheckReport:
 
 def _mut_drop_writeback() -> CheckReport:
     unit = _y_solve_unit()
-    dropped = []
-    for _root, plan in unit.nest_plans:
-        for event in plan.live_events():
-            if event.kind == "writeback":
-                dropped.append((plan, event))
+    dropped = [(plan, event) for _root, plan in unit.nest_plans
+               for event in plan.live_events() if event.kind == "writeback"]
     if not dropped:
         raise RuntimeError("subject has no writeback events")
     for plan, event in dropped:
         plan.events.remove(event)
     try:
-        return verify_unit(unit)
+        return verify_rebuilt(unit)
     finally:
         for plan, event in dropped:
             plan.events.append(event)
+
+
+def _mut_drop_guard_box() -> CheckReport:
+    """Compile SP compute_rhs on a 5×5 grid; an interior rank loses the
+    one box guarding the last statement that has one there.  The lost
+    iterations are its own (owner-computes, so no other rank runs them),
+    and no later read in the nest misses their values."""
+    from ..codegen import compile_kernel
+    from ..compile.cache import cache_disabled
+    from ..nas import kernels
+
+    with cache_disabled():
+        kernel = compile_kernel(kernels.scaled(kernels.COMPUTE_RHS_SP), 25, {"n": 12})
+    (group, entries), (_, sets) = kernel._guard_plan, kernel._symbolic_guards
+    rank = next(r for r in range(25) if _interior(kernel.grid, r))
+    at = proc_binding(kernel.grid.delinearize(rank))
+    for sid, g in reversed(group.items()):
+        entry = None if g is None else entries[g]
+        if isinstance(entry, tuple) and len(entry) == 1 and guard_cover(entry, at):
+            lost = sets[g].subtract(sets[g].bind(at))  # empty at *rank* only
+            kernel._guard_plan = {**group, sid: len(entries)}, [*entries, lost]
+            return verify_kernel(kernel)
+    raise RuntimeError("subject guards no statement by one box at an interior rank")
 
 
 MUTATIONS: dict[str, tuple[str, str, Callable[[], CheckReport]]] = {
@@ -244,6 +289,10 @@ MUTATIONS: dict[str, tuple[str, str, Callable[[], CheckReport]]] = {
     "drop_writeback": (
         "non-owner writes are never returned to the owner",
         E_RACE, _mut_drop_writeback,
+    ),
+    "drop_guard_box": (
+        "one statement's guard loses one box at an interior rank of a 5x5 grid",
+        E_GUARD, _mut_drop_guard_box,
     ),
 }
 

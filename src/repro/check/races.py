@@ -13,7 +13,9 @@ copy was updated — p owns it, or it is in a write-back flow out of p —
 and the reader reaches it — q owns it, or it is in a read flow into q.
 Everything else is a read of a stale copy: ``E-RACE`` with the processor
 pair and the offending elements.  All of it is cover algebra
-(:mod:`repro.isets.box`) over the events' ``CommEvent.flows``.
+(:mod:`repro.isets.box`) over what the compiler built: writes and reads
+are images of the guard plan's per-rank iterations, flows the routes'
+pairs (:class:`~repro.check.coverage.RankCovers`).
 
 The same analysis enforces the *owner-update* obligation: a non-owner
 write whose element the owner does not itself produce (partial
@@ -30,21 +32,14 @@ A set that cannot be evaluated per rank is a ``W-UNPROVEN`` warning.
 from __future__ import annotations
 
 from ..analysis.dependence import DependenceAnalyzer
-from ..diag import E_RACE, W_UNPROVEN, Diagnostic, Severity
+from ..diag import E_RACE, Diagnostic, Severity
 from ..ir.expr import ArrayRef
 from ..ir.visit import walk_stmts
 from ..isets.box import cover_of_boxes, intersect_covers, subtract_covers
-from .coverage import RankCovers, fmt_points
+from .coverage import RankCovers, fmt_points, unproven
 
 #: per-dependence cap on reported pairs (one witness is enough to act on)
 _MAX_PAIRS_REPORTED = 2
-
-
-def _unproven(what: str, stmt, name: str, nest: int) -> Diagnostic:
-    return Diagnostic(
-        Severity.WARN, W_UNPROVEN, f"{what} cannot be evaluated per rank",
-        stmt_sid=stmt.sid, array=name, nest=nest,
-    )
 
 
 def check_races(cov: RankCovers) -> list[Diagnostic]:
@@ -53,23 +48,17 @@ def check_races(cov: RankCovers) -> list[Diagnostic]:
     owner's copy stale without a write-back flow (``E-RACE``)."""
     unit = cov.unit
     diags: list[Diagnostic] = []
-    nest_of = {
-        s.sid: idx
-        for idx, (root, _plan) in enumerate(unit.nest_plans)
-        for s in walk_stmts([root])
-    }
-    excluded: set[str] = set()
-    for _root, plan in unit.nest_plans:
-        excluded |= set(plan.excluded_arrays)
+    nest_of = {s.sid: idx for idx, (root, _plan) in enumerate(unit.nest_plans)
+               for s in walk_stmts([root])}
+    excluded = {a for _root, plan in unit.nest_plans for a in plan.excluded_arrays}
 
     def tracked(name: str) -> bool:
         # excluded reads are locally produced (checked by E-LOCAL); an
         # undistributed array is replicated storage every rank produces
         return name not in excluded and unit.ctx.layout(name) is not None
 
-    region = unit.region if unit.region is not None else unit.sub.body
     seen_sections: set[tuple] = set()
-    for d in DependenceAnalyzer(region, unit.params).dependences():
+    for d in DependenceAnalyzer(unit.sub.body, unit.params).dependences():
         if d.kind != "flow" or d.src_ref is None or d.dst_ref is None:
             continue
         name = d.var.lower()
@@ -84,9 +73,9 @@ def check_races(cov: RankCovers) -> list[Diagnostic]:
         rd = cov.moved(dst_idx, name, "read")
         own = cov.primary(name)
         if None in (wb, rd, own):
-            diags.append(_unproven(
-                f"flow dependence on {name} (s{d.src.sid} -> s{d.dst.sid})",
-                d.dst, name, dst_idx,
+            diags.append(unproven(
+                f"flow dependence on {name} (s{d.src.sid} -> s{d.dst.sid}) "
+                "cannot be evaluated per rank", d.dst.sid, name, dst_idx,
             ))
             continue
         has_owner = cover_of_boxes([b for cover in own for b in cover])
@@ -124,7 +113,7 @@ def check_races(cov: RankCovers) -> list[Diagnostic]:
             if not isinstance(stmt.lhs, ArrayRef):
                 continue
             name = stmt.lhs.name.lower()
-            if tracked(name) and cov.access_set(idx, stmt, stmt.lhs) is not None:
+            if tracked(name) and cov.derived(idx, stmt, stmt.lhs):
                 writes.setdefault(name, []).append(stmt)
         for name, stmts in writes.items():
             diags.extend(_check_owner_updates(cov, idx, name, stmts))
@@ -136,14 +125,16 @@ def _check_owner_updates(cov: RankCovers, idx: int, name: str, stmts) -> list[Di
     wb = cov.moved(idx, name, "writeback")
     own, owned = cov.primary(name), cov.owned(name)
     if None in (wb, own, owned):
-        return [_unproven(f"owner update of {name}", stmts[0], name, idx)]
+        return [unproven(f"owner update of {name} cannot be evaluated per rank",
+                         stmts[0].sid, name, idx)]
     covers = [cov.access(idx, stmt, stmt.lhs) for stmt in stmts]
     # everything the nest writes per rank — the owner's replicated writes
     written = [[b for w in covers if w for b in w[q]] for q in cov.ranks]
     diags: list[Diagnostic] = []
     for stmt, w in zip(stmts, covers):
         if w is None:
-            diags.append(_unproven(f"write of {name}", stmt, name, idx))
+            diags.append(unproven(
+                f"write of {name} cannot be evaluated per rank", stmt.sid, name, idx))
             continue
         for p in cov.ranks:
             non_owned = subtract_covers(w[p], owned[p])

@@ -3,21 +3,21 @@
 Entry points:
 
 - :func:`verify_kernel` — a :class:`~repro.codegen.spmd.CompiledKernel`
-  (all four analyses, including send/recv matching over the message
-  routes it will execute — each event's per-pair covers);
+  (all four analyses over the guard plan and message routes it carries
+  and will execute, send/recv matching included);
 - :func:`verify_source` — any single-unit HPF source, via the analysis
   half of the compile pipeline only, so kernels the code generator
-  rejects (pipelined communication) are still verifiable;
-- :func:`verify_nest` — one loop nest with explicit CPs and plan
-  (the granularity the unit tests and the mutation harness use).
+  rejects (pipelined communication) are still verifiable; its routes and
+  guard plan are built from the analysis as a compile would build them.
 
 Strategy: every analysis is algebra on canonical box covers checked at
-every rank (and rank pair) of the grid, with no sampling.  Messages are
-read from each live event's ``CommEvent.flows`` — the covers the routes
-and the cost model are built from — computed once per verify
-(:class:`~repro.check.coverage.RankCovers`).  A non-empty difference is an
-error; ``W-UNPROVEN`` means only that a set could not be evaluated (a
-non-affine subscript or bound, or a set that does not bind).
+every rank (and rank pair) of the grid, with no sampling, over what the
+program runs: iterations are the guard plan's covers, messages the
+routes' pairs (:class:`~repro.check.coverage.RankCovers`), and the guards
+themselves are checked against the loop bounds (``E-GUARD``).  A
+non-empty difference is an error; ``W-UNPROVEN`` means only that a set
+could not be evaluated (a non-affine subscript or bound, or a set that
+does not bind).
 
 Findings are :class:`repro.diag.Diagnostic` records (codes in the
 :mod:`repro.diag` table) collected in a
@@ -30,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from ..comm.analyzer import CommAnalyzer, CommPlan
+from ..comm.analyzer import CommPlan
 from ..cp.select import StatementCP
-from ..diag import I_CLEAN, I_TRIP, W_UNPROVEN, Diagnostic, Severity
+from ..diag import I_CLEAN, I_TRIP, Diagnostic, Severity
 from ..distrib.layout import DistributionContext
-from ..ir.stmt import DoLoop, Stmt
+from ..ir.stmt import DoLoop
 from ..isets import ISet
-from .coverage import RankCovers, check_nest_coverage, check_overlap
+from .cost import compiled_plan, cost_advisories, kernel_cost
+from .coverage import RankCovers, check_guards, check_nest_coverage, check_overlap, unproven
 from .diagnostics import CheckReport
 from .races import check_races
 from .schedule import StaticSchedule, check_matching
@@ -53,29 +54,35 @@ class VerifyUnit:
     cps: Mapping[int, StatementCP]
     nest_plans: list[tuple[DoLoop, CommPlan]]
     grid: object = None  # ProcessorGrid | None
+    #: per nest, the message routes of its hoisted live events, and the
+    #: guard plan ``(group, entries)`` (both None without a grid)
+    routes: Optional[list] = None
+    guard_plan: Optional[tuple] = None
     #: per-array overlap regions (ISet over a$ dims); defaults to the
     #: declared bounds — pass tighter boxes to model real overlap areas
     overlap: Optional[dict[str, ISet]] = None
     schedule: Optional[StaticSchedule] = None
-    #: region for dependence analysis (defaults to sub.body)
-    region: Optional[list[Stmt]] = None
 
 
 def verify_unit(unit: VerifyUnit) -> CheckReport:
-    """Run all four analyses (coverage, overlap, races, matching) over a
-    :class:`VerifyUnit` and collect the findings into a report."""
+    """Run all four analyses (coverage, overlap, races, matching) and the
+    guard check over a :class:`VerifyUnit` and collect the findings into a
+    report."""
     report = CheckReport(unit.subject)
-    cov = RankCovers(unit) if unit.grid is not None else None
-    if cov is None:
-        report.add(Diagnostic(
-            Severity.WARN, W_UNPROVEN,
+    if unit.grid is None:
+        report.add(unproven(
             "no single processor grid: coverage, overlap and races cannot "
-            "be evaluated per rank",
-        ))
-    for idx, (_root, plan) in enumerate(unit.nest_plans):
-        if cov is not None:
+            "be evaluated per rank"))
+    else:
+        cov = RankCovers(unit)
+        for idx, (_root, plan) in enumerate(unit.nest_plans):
             report.extend(check_nest_coverage(cov, idx, plan))
             report.extend(check_overlap(cov, idx, plan))
+        report.extend(check_races(cov))
+        report.extend(check_guards(cov))
+    if unit.schedule is not None:
+        report.extend(check_matching(unit.schedule))
+    for idx, (_root, plan) in enumerate(unit.nest_plans):
         for loop in plan.unknown_trip_loops(unit.params):
             report.add(Diagnostic(
                 Severity.INFO, I_TRIP,
@@ -83,11 +90,6 @@ def verify_unit(unit: VerifyUnit) -> CheckReport:
                 "message counts for events inside it are lower bounds",
                 stmt_sid=loop.sid, nest=idx,
             ))
-    if cov is not None:
-        report.extend(check_races(cov))
-    if unit.schedule is not None:
-        report.extend(check_matching(unit.schedule))
-    for idx, (_root, plan) in enumerate(unit.nest_plans):
         nest_errors = [d for d in report.errors() if d.nest == idx]
         if not plan.live_events() and not nest_errors:
             report.add(Diagnostic(
@@ -104,8 +106,8 @@ def verify_kernel(
     schedule: Optional[StaticSchedule] = None,
     cost_model=None,
 ) -> CheckReport:
-    """All four analyses over a compiled kernel (the message routes the
-    generated node program will execute are checked for matching), plus
+    """All four analyses and the guard check over a compiled kernel's
+    guard plan and message routes (what its node program executes), plus
     the static cost analyzer's performance advisories.
 
     Structural advisories (``W-REPLICATED``, ``W-SCALAR-WAVEFRONT``,
@@ -121,17 +123,16 @@ def verify_kernel(
         cps=kernel.cps,
         nest_plans=kernel.nest_plans,
         grid=kernel.grid,
+        routes=kernel._routes,
+        guard_plan=kernel._guard_plan,
         overlap=overlap,
-        schedule=schedule if schedule is not None
-        else StaticSchedule.from_kernel(kernel),
+        schedule=schedule or StaticSchedule.from_kernel(kernel),
     )
     report = verify_unit(unit)
     sink = getattr(kernel, "sink", None)
     if sink is not None:
         report.extend(sink.diagnostics)
     try:
-        from .cost import cost_advisories, kernel_cost
-
         report.extend(cost_advisories(
             kernel_cost(kernel), kernel=kernel, model=cost_model
         ))
@@ -156,6 +157,7 @@ def analyzed_unit(
         grid = art.ctx.the_grid()
     except ValueError:
         grid = None
+    routes, guard_plan = (None, None) if grid is None else compiled_plan(art)
     return VerifyUnit(
         subject=subject or art.sub.name,
         sub=art.sub,
@@ -164,6 +166,8 @@ def analyzed_unit(
         cps=art.cps,
         nest_plans=art.nest_plans,
         grid=grid,
+        routes=routes,
+        guard_plan=guard_plan,
         overlap=overlap,
     )
 
@@ -180,34 +184,3 @@ def verify_source(
     return verify_unit(
         analyzed_unit(source_or_sub, nprocs, params, overlap, subject)
     )
-
-
-def verify_nest(
-    root: DoLoop,
-    cps: Mapping[int, StatementCP],
-    ctx: DistributionContext,
-    params: Mapping[str, int] | None = None,
-    plan: Optional[CommPlan] = None,
-    subject: str = "nest",
-    overlap: Optional[dict[str, ISet]] = None,
-) -> CheckReport:
-    """Verify one loop nest (plan recomputed when not supplied)."""
-    params = dict(params or {})
-    if plan is None:
-        plan = CommAnalyzer(root, cps, ctx, params).analyze()
-    try:
-        grid = ctx.the_grid()
-    except ValueError:
-        grid = None
-    unit = VerifyUnit(
-        subject=subject,
-        sub=ctx.sub,
-        ctx=ctx,
-        params=params,
-        cps=cps,
-        nest_plans=[(root, plan)],
-        grid=grid,
-        overlap=overlap,
-        region=[root],
-    )
-    return verify_unit(unit)

@@ -89,29 +89,6 @@ def loop_bounds_set(
     return ISet(dims, [BasicSet(dims, cons)])
 
 
-def statement_access_set(
-    ref: ArrayRef,
-    stmt: Stmt,
-    cp,
-    nest: NestInfo,
-    ctx,
-    params: Mapping[str, int] | None = None,
-) -> Optional[ISet]:
-    """Data of *ref* touched by the representative processor executing
-    *stmt* under *cp* — symbolic over the ``a$k`` data dims with the
-    processor coordinates ``p$g`` free.  None when bounds or subscripts
-    are non-affine.  Shared by the comm analyzer and the static verifier
-    (:mod:`repro.check`)."""
-    from .model import cp_iteration_set
-
-    dims = nest.dims_of(stmt)
-    bounds = nest.bounds_of(stmt)
-    if bounds is None:
-        return None
-    iters = cp_iteration_set(cp, dims, bounds.bind(dict(params or {})), ctx)
-    return access_data_set(ref, iters, dims)
-
-
 def access_data_set(
     ref: ArrayRef, iter_set: ISet, loop_dims: Sequence[str]
 ) -> Optional[ISet]:

@@ -44,6 +44,7 @@ harness and CI assert on them):
 ``E-RACE``           a cross-processor dependence has no carrying message
 ``E-MATCH``          the static send/recv schedule does not balance
 ``E-OVERLAP``        a received halo exceeds the overlap region
+``E-GUARD``          the ranks' guards miss or exceed a statement's bounds
 ``W-UNPROVEN``       a set could not be evaluated per rank (non-affine, or
                      it does not bind)
 ``I-TRIP``           message counts are lower bounds (unknown trip counts)
@@ -94,6 +95,7 @@ E_LOCAL = "E-LOCAL"
 E_RACE = "E-RACE"
 E_MATCH = "E-MATCH"
 E_OVERLAP = "E-OVERLAP"
+E_GUARD = "E-GUARD"
 W_UNPROVEN = "W-UNPROVEN"
 I_TRIP = "I-TRIP"
 I_CLEAN = "I-CLEAN"
@@ -323,7 +325,7 @@ __all__ = [
     "Severity", "SourceSpan", "Diagnostic", "CompileError", "DiagnosticSink",
     "E_LEX", "E_PARSE", "E_NONAFFINE", "E_RECURSION", "E_UNSUPPORTED",
     "E_CONFIG", "W_BUDGET", "I_FALLBACK", "I_RETRY", "E_QUARANTINE",
-    "E_COVERAGE", "E_LOCAL", "E_RACE", "E_MATCH", "E_OVERLAP", "W_UNPROVEN",
-    "I_TRIP", "I_CLEAN", "W_COMM_HOT", "W_REPLICATED", "W_SCALAR_WAVEFRONT",
-    "W_IMBALANCE", "I_SCALE_LIMIT",
+    "E_COVERAGE", "E_LOCAL", "E_RACE", "E_MATCH", "E_OVERLAP", "E_GUARD",
+    "W_UNPROVEN", "I_TRIP", "I_CLEAN", "W_COMM_HOT", "W_REPLICATED",
+    "W_SCALAR_WAVEFRONT", "W_IMBALANCE", "I_SCALE_LIMIT",
 ]

@@ -20,14 +20,15 @@ Every consumer that treats a set as a box reads it through this module:
   or from a concrete set (:func:`cover_of_set`: its boxes, else the boxes
   of its existential witnesses, else its points under the active budget);
   its :func:`volume`, points (:func:`cover_points`), intersection
-  (:func:`intersect_covers`) and difference (:func:`subtract_covers`).  A
+  (:func:`intersect_covers`), difference (:func:`subtract_covers`) and
+  image through affine subscripts (:func:`image_of_cover`).  A
   concrete box is a flat tuple ``(a0, b0, a1, b1, ...)`` of inclusive
   per-dim bounds, first dim first — the layout node programs unpack from
   ``G.boxes``.  Every concrete count (``ISet.cardinality``) is the volume
   of a set's cover and every owner split (``CommEvent.flows``) an
   intersection of covers; the run-time guard views (``codegen.guards``)
   and the message routes hold covers, and the static verifier's per-rank
-  checks are differences of them.
+  checks are differences of them and of their images.
 """
 
 from __future__ import annotations
@@ -439,3 +440,30 @@ def cover_of_boxes(boxes) -> tuple:
             a0, a1, cur = lo, nxt - 1, sub
     out.extend((a0, a1) + rest for rest in cur)
     return tuple(out)
+
+
+def image_of_cover(cover, dims, exprs) -> tuple:
+    """The canonical cover of the image of *cover*'s points, over *dims*,
+    through affine *exprs* in them (``LinExpr``), one output dim each.  Box
+    by box, a dim that is the only variable of one expression and named by
+    no other, with coefficient ±1, maps as an interval; every other dim an
+    expression names is split by value."""
+    terms = [[(dims.index(v), a) for v, a in e.coeffs.items()] for e in exprs]
+    named = [k for t in terms for k, _a in t]
+    ranged = {t[0][0] for t in terms
+              if len(t) == 1 and t[0][1] in (1, -1) and named.count(t[0][0]) == 1}
+    split = sorted(set(named) - ranged)
+    boxes = []
+    for x in cover:
+        for values in itertools.product(*(range(x[2 * k], x[2 * k + 1] + 1)
+                                          for k in split)):
+            fixed, out = dict(zip(split, values)), ()
+            for t, e in zip(terms, exprs):
+                if len(t) == 1 and t[0][0] not in fixed:  # its one ranged dim
+                    (k, a), = t
+                    lo, hi = sorted((a * x[2 * k], a * x[2 * k + 1]))
+                    out += (e.constant + lo, e.constant + hi)
+                else:
+                    out += (e.constant + sum(a * fixed[k] for k, a in t),) * 2
+            boxes.append(out)
+    return cover_of_boxes(boxes)

@@ -14,7 +14,8 @@ rank of the grid point by point, too.
 import pytest
 
 from repro.compile.pipeline import analyze_source
-from repro.cp.nest import NestInfo, statement_access_set
+from repro.cp.model import cp_iteration_set
+from repro.cp.nest import NestInfo, access_data_set
 from repro.distrib import PDIM
 from repro.eval.fuzz import gen_spec
 from repro.ir.stmt import Assign
@@ -30,7 +31,11 @@ def _nonlocal(ref, stmt, cps, nest, ctx, params, excluded):
     layout = ctx.layout(ref.name)
     if scp is None or layout is None or ref.name.lower() in excluded:
         return None
-    data = statement_access_set(ref, stmt, scp.cp, nest, ctx, params)
+    dims, bounds = nest.dims_of(stmt), nest.bounds_of(stmt)
+    if bounds is None:
+        return None
+    iters = cp_iteration_set(scp.cp, dims, bounds.bind(params), ctx)
+    data = access_data_set(ref, iters, dims)
     if data is None:
         return None
     nl = data.subtract(layout.ownership())

@@ -13,6 +13,7 @@ import pytest
 
 from repro.check import (
     E_COVERAGE,
+    E_GUARD,
     E_MATCH,
     E_OVERLAP,
     CheckReport,
@@ -22,6 +23,7 @@ from repro.check import (
     verify_kernel,
     verify_source,
 )
+from repro.check.mutate import verify_rebuilt
 from repro.codegen import compile_kernel
 
 #: 1D halo exchange: boundary reads of a cross the BLOCK boundaries
@@ -94,12 +96,15 @@ class TestCleanPrograms:
 
 
 class TestCoverage:
+    """Plan edits are verified as a compiler with that bug would emit them:
+    routes and guard plan rebuilt from the edited plan."""
+
     def test_dropped_fetch_is_flagged(self, halo_kernel):
         _root, plan = halo_kernel.nest_plans[0]
         event = next(e for e in plan.live_events() if e.kind == "read")
         plan.events.remove(event)
         try:
-            report = verify_kernel(halo_kernel)
+            report = verify_rebuilt(halo_kernel)
         finally:
             plan.events.append(event)
         errors = report.by_code(E_COVERAGE)
@@ -114,10 +119,71 @@ class TestCoverage:
         event = next(e for e in plan.live_events() if e.kind == "read")
         event.eliminated_by_availability = True
         try:
-            report = verify_kernel(halo_kernel)
+            report = verify_rebuilt(halo_kernel)
         finally:
             event.eliminated_by_availability = False
         assert report.by_code(E_COVERAGE)
+
+
+class TestGuards:
+    def test_guards_cover_the_loop_bounds(self, halo_kernel):
+        assert not verify_kernel(halo_kernel).by_code(E_GUARD)
+
+    def test_lost_iterations_are_flagged(self, halo_kernel):
+        """A guard-plan entry no rank runs any box of loses its statement's
+        whole iteration space."""
+        saved = group, entries = halo_kernel._guard_plan
+        halo_kernel._guard_plan = group, [() for _ in entries]
+        try:
+            report = verify_kernel(halo_kernel)
+        finally:
+            halo_kernel._guard_plan = saved
+        errors = report.by_code(E_GUARD)
+        assert errors and "no rank runs" in errors[0].message
+        assert {d.stmt_sid for d in errors} == {
+            sid for sid, g in group.items() if g is not None
+        }
+
+
+class TestReadsTheCompiledPlan:
+    """The verifier reads the iterations and messages a kernel carries
+    (its guard plan and routes): on a warm kernel, unpickled as the plan
+    cache serves it, it derives no iteration set and no hoisted event's
+    flows."""
+
+    @pytest.mark.parametrize("key", ["fig4.2", "sp-rhs-s"])
+    def test_warm_kernel_derives_nothing(self, key, monkeypatch):
+        import pickle
+
+        from repro.comm.events import CommEvent
+        from repro.compile.cache import cache_disabled
+        from repro.cp.model import cp_iteration_set
+        from repro.nas.specs import kernel_spec
+
+        spec = kernel_spec(key)
+        with cache_disabled():
+            ck = compile_kernel(spec.program(), spec.nprocs, spec.params)
+        warm = pickle.loads(pickle.dumps(ck))
+        calls = []
+        flows = CommEvent.flows
+
+        def counted_iterations(*args, **kwargs):
+            calls.append("cp_iteration_set")
+            return cp_iteration_set(*args, **kwargs)
+
+        def counted_flows(event, *args, **kwargs):
+            if event.placement.hoisted:
+                calls.append(f"flows of {event}")
+            return flows(event, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                    module, "cp_iteration_set", None) is cp_iteration_set:
+                monkeypatch.setattr(module, "cp_iteration_set", counted_iterations)
+        monkeypatch.setattr(CommEvent, "flows", counted_flows)
+        report = verify_kernel(warm)
+        assert calls == []
+        assert report.ok, report.format(Severity.ERROR)
 
 
 class TestOverlap:
@@ -184,7 +250,7 @@ class TestDiagnostics:
         event = next(e for e in plan.live_events() if e.kind == "read")
         plan.events.remove(event)
         try:
-            report = verify_kernel(halo_kernel)
+            report = verify_rebuilt(halo_kernel)
         finally:
             plan.events.append(event)
         text = report.format()

@@ -14,7 +14,9 @@ The general engine is the oracle throughout:
 - **covers** — the cover read from boxes or from existential witnesses
   is the cover of the enumerated points, and ``ISet.cardinality`` equals
   ``count`` on witness-read sets and on unions of up to 14 boxes, the
-  latter without enumerating and within a tiny budget.
+  latter without enumerating and within a tiny budget;
+- **images** — a cover's image through affine subscripts, box by box, is
+  the cover of ``AffineMap.image`` of its set.
 """
 
 import itertools
@@ -38,12 +40,14 @@ from repro.isets.box import (
     cover_of_points,
     cover_of_set,
     cover_points,
+    image_of_cover,
     intersect_covers,
     read_bounds,
     subtract_covers,
     volume,
 )
 from repro.isets.core import _scan
+from repro.isets.relation import AffineMap
 from repro.isets.terms import E
 
 DIMS = ("i", "j")
@@ -301,3 +305,44 @@ def test_cardinality_of_many_boxes_counts_without_enumerating():
                 assert s.cardinality() == expected
             assert (stats.enum_fast, stats.enum_scan) == before
             assert budget.ops == 0 and budget.tripped is None
+
+
+#: subscript shapes over dims (i, j, k)
+SUBSCRIPTS = {
+    "shift": [E("i") + 1, E("j") - 2],
+    "reversal": [9 - E("i"), E("j")],
+    "constant": [E(3), E("i")],
+    "repeated": [E("i"), E("i"), E("j")],
+    "coefficient 2": [E("i") * 2 - 1, E("k")],
+    "i + j": [E("i") + E("j"), E("k") + 1],
+    "dropped": [E("j")],
+}
+
+
+def test_image_of_cover_is_the_cover_of_the_image():
+    """The image of a cover through affine subscripts — an interval per
+    ranged dim, the other dims split by value — is the cover of the image
+    of the cover's set: with the loop dims kept existential (exact with a
+    coefficient 2 too), and ``AffineMap.image``'s wherever that projection
+    is exact."""
+    rng = random.Random(16)
+    dims, out = ("i", "j", "k"), ("o0", "o1", "o2")
+    for name, exprs in SUBSCRIPTS.items():
+        amap = AffineMap(dims, exprs)
+        for _ in range(60):
+            parts = [_concrete_box(rng, 3, 5) for _ in range(rng.randint(1, 4))]
+            cover = cover_of_boxes([
+                tuple(v for e in p for v in e) for p in parts
+                if all(lo <= hi for lo, hi in p)
+            ])
+            boxes = [_box_set(dims, list(zip(b[::2], b[1::2]))) for b in cover]
+            witnessed = ISet(out[:len(exprs)], [BasicSet(
+                out[:len(exprs)],
+                list(b.constraints) + [Constraint.eq(E(o), e) for o, e in zip(out, exprs)],
+                frozenset(dims),
+            ) for b in boxes])
+            image = image_of_cover(cover, dims, exprs)
+            assert image == cover_of_set(witnessed), name
+            mapped = amap.image(ISet(dims, boxes))
+            if all(p.exact for p in mapped.parts):
+                assert image == cover_of_set(mapped), name
