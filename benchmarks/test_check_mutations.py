@@ -41,7 +41,7 @@ class TestUnmutatedPipelinesAreClean:
         }
         assert "read" in kinds
         assert kernel.localized_arrays
-        assert any(r for routes in kernel._routes for r in routes)
+        assert any(r for routes in kernel.routes for r in routes)
         unit = _y_solve_unit()
         kinds = {e.kind for _r, p in unit.nest_plans for e in p.live_events()}
         assert "writeback" in kinds

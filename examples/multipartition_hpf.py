@@ -71,7 +71,7 @@ def main() -> None:
 
     print("=== compile a kernel over multipartitioned arrays ===")
     kernel = compile_kernel(SOURCE, nprocs=4, params={"n": N})
-    msgs = sum(len(r.pairs) for routes in kernel._routes for r in routes)
+    msgs = sum(len(r.pairs) for routes in kernel.routes for r in routes)
     print(f"  messages required: {msgs}")
     assert msgs == 0
     results = kernel.run({"n": N}, init=lambda rid, A: A["u"].data.fill(4.0))

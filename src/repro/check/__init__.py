@@ -2,11 +2,14 @@
 
 Four analyses over a compiled program's communication plans, CP
 assignments and emitted schedule, reported as :mod:`repro.diag` records.
-Coverage, races and overlap are differences of canonical box covers
-checked at every rank (and rank pair) of the grid, over what the program
-runs: a statement's iterations are its guard-plan covers, the data a
-reference touches their image through its subscripts, and messages the
-routes' per-pair covers:
+They read one plan record — a compiled kernel or the analysis it was
+built from (:class:`~repro.compile.pipeline.AnalysisArtifact`), which
+carry the same routes, guard plan and per-nest dependences; nothing is
+derived a second time.  Coverage, races and overlap are differences of
+canonical box covers checked at every rank (and rank pair) of the grid,
+over what the program runs: a statement's iterations are its guard-plan
+covers, the data a reference touches their image through its
+subscripts, and messages the routes' per-pair covers:
 
 1. **comm coverage** — every read at rank r is owned, received in a flow
    into r, or locally produced (``E-COVERAGE`` / ``E-LOCAL``);
@@ -34,11 +37,11 @@ from .cost import (
 )
 from .diagnostics import CheckReport
 from .schedule import ScheduleOp, StaticSchedule, check_matching
-from .verifier import VerifyUnit, verify_kernel, verify_source, verify_unit
+from .verifier import verify_kernel, verify_source, verify_unit
 
 __all__ = [
     "CheckReport", "Diagnostic", "Severity", "ScheduleOp", "StaticSchedule",
-    "check_matching", "VerifyUnit", "verify_kernel", "verify_source",
+    "check_matching", "verify_kernel", "verify_source",
     "verify_unit", "E_COVERAGE", "E_GUARD", "E_LOCAL", "E_MATCH", "E_OVERLAP",
     "E_RACE", "W_UNPROVEN", "I_CLEAN", "I_FALLBACK", "I_TRIP", "W_COMM_HOT",
     "W_REPLICATED", "W_SCALAR_WAVEFRONT", "W_IMBALANCE", "I_SCALE_LIMIT",

@@ -23,8 +23,10 @@ ownership sets, one sender per element — one answer to "who sends what",
 pinned against an element-by-element owner oracle).  A rank's partitioned
 iterations are the volumes of its guard-plan covers
 (:func:`~repro.codegen.guards.plan_guards`).  :func:`kernel_cost` reads
-the ones a kernel carries; :func:`analysis_cost` and :func:`sweep_cost`
-build them from an analysis with the same two functions.  What reads a
+them off one plan record, a kernel or the
+:class:`~repro.compile.pipeline.AnalysisArtifact` it is built from (which
+builds them with the same two functions); :func:`analysis_cost` and
+:func:`sweep_cost` pass artifacts.  What reads a
 run-time scalar gets no static count (an event so is inexact).  The
 validation mode (:func:`validate_against_trace`) replays a fault-free
 virtual-machine trace and asserts the static per-rank message/byte
@@ -49,17 +51,15 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Mapping, Optional, Sequence
 
-from ..codegen.guards import guard_cover, plan_guards
-from ..codegen.spmd import build_routes
-from ..comm.analyzer import CommPlan
+from ..codegen.guards import guard_cover
 from ..cp.nest import nest_for
 from ..diag import (
     I_SCALE_LIMIT, W_COMM_HOT, W_IMBALANCE, W_REPLICATED, W_SCALAR_WAVEFRONT,
     Diagnostic, Severity,
 )
-from ..distrib.layout import PDIM, DistributionContext, proc_binding
+from ..distrib.layout import PDIM, proc_binding
 from ..ir.expr import BinOp, FuncCall, UnOp
-from ..ir.stmt import Assign, DoLoop
+from ..ir.stmt import Assign
 from ..ir.visit import walk_stmts
 from ..isets import ISet
 from ..isets.box import volume
@@ -251,51 +251,45 @@ def _stmt_flops(stmt: Assign) -> int:
     return max(n, 1)
 
 
-def _cost_from_parts(
-    subject: str,
-    ctx: DistributionContext,
-    params: Mapping[str, int],
-    cps: Mapping[int, object],
-    nest_plans: Sequence[tuple[DoLoop, CommPlan]],
-    nprocs: int,
-    routes: Sequence[Sequence],
-    guard_plan: tuple,
-    nests: Sequence = (),
-    word_bytes: int = 8,
-) -> KernelCost:
-    """The cost read off what the compiler built from one analysis: each
-    hoisted event's message routes (:func:`~repro.codegen.spmd.
-    build_routes`) give its per-pair messages and bytes, the guard plan
-    (:func:`~repro.codegen.guards.plan_guards`) each rank's partitioned
-    iterations as its covers' volumes, loop bounds the serial counts."""
-    grid = ctx.the_grid()
-    group, entries = guard_plan
+def kernel_cost(plan, subject: Optional[str] = None) -> KernelCost:
+    """Static cost of a compiled kernel or an analysis
+    (:class:`~repro.compile.pipeline.AnalysisArtifact`), exact for hoisted
+    plans, read off the plan they both carry: each hoisted event's message
+    routes (:func:`~repro.codegen.spmd.build_routes`) give its per-pair
+    messages and bytes, the guard plan (:func:`~repro.codegen.guards.
+    plan_guards`) each rank's partitioned iterations as its covers'
+    volumes, loop bounds the serial counts."""
+    params, cps, nprocs = plan.params, plan.cps, plan.nprocs
+    grid = plan.ctx.the_grid()  # ValueError: no single processor grid
+    word_bytes = 8  # double precision
+    group, entries = plan.guard_plan
     binds = [proc_binding(grid.delinearize(r)) for r in range(nprocs)]
     pdims = {PDIM(g) for g in range(len(grid.shape))}
     cost = KernelCost(
-        subject=subject,
+        subject=subject or plan.sub.name,
         nprocs=nprocs,
         grid_shape=grid.shape,
         word_bytes=word_bytes,
         ranks=[RankCost(r) for r in range(nprocs)],
     )
     counts: dict[int, list[int] | None] = {}  # plan entry -> per-rank volumes
-    for nest_idx, ((root, plan), nest) in enumerate(zip_longest(nest_plans, nests)):
+    for nest_idx, ((root, comm), nest) in enumerate(
+            zip_longest(plan.nest_plans, plan.nests)):
         nc = NestCost(nest_idx)
         nc.replicated = any(
             getattr(cps.get(s.sid), "is_fallback", False)
             for s in walk_stmts([root])
             if isinstance(s, Assign)
         )
-        hoisted = iter(routes[nest_idx])
-        for ev in plan.live_events():
+        hoisted = iter(plan.routes[nest_idx])
+        for ev in comm.live_events():
             pipelined = not ev.placement.hoisted
             if pipelined:
                 # Per-representative-rank rounds x volume.  Not executable
                 # by the code generator, so never trace-validated; counts
                 # are per-rank lower bounds.
                 level, exact = ev.placement.level, False
-                msgs = ev.message_count(dict(params), plan._trip)
+                msgs = ev.message_count(dict(params), comm._trip)
                 elems = ev.volume(dict(params))
                 cost.wavefront_depth = max(cost.wavefront_depth, msgs)
             elif (pairs := next(hoisted).pairs) is None:
@@ -353,16 +347,6 @@ def _cost_from_parts(
     return cost
 
 
-def kernel_cost(kernel) -> KernelCost:
-    """Static cost of a compiled kernel (exact for hoisted plans), read
-    off the routes and guard plan the kernel carries."""
-    return _cost_from_parts(
-        kernel.sub.name, kernel.ctx, kernel.params, kernel.cps,
-        kernel.nest_plans, kernel.nprocs, kernel._routes, kernel._guard_plan,
-        kernel._nests,
-    )
-
-
 def wildcard_grid(sub):
     """Deep copy of *sub* with every PROCESSORS extent replaced by a
     wildcard, so :class:`DistributionContext` near-square-factors any
@@ -371,24 +355,6 @@ def wildcard_grid(sub):
     for p in out.processors:
         p.shape = [None] * len(p.shape)
     return out
-
-
-def compiled_plan(art) -> tuple:
-    """``(routes, guard_plan)`` of an analysis *art*, built by the compiler's
-    own ``build_routes`` and ``plan_guards``: what its kernel would carry."""
-    grid = art.ctx.the_grid()
-    group, _sets, entries = plan_guards(
-        art.nest_plans, art.cps, art.ctx, art.merged, art.iteration_sets, grid, art.nests)
-    return build_routes(art.nest_plans, art.ctx, art.merged, grid), (group, entries)
-
-
-def _artifact_cost(art, nprocs: int, subject: Optional[str]) -> KernelCost:
-    """The cost of an analysis, read off its :func:`compiled_plan` as
-    :func:`kernel_cost` reads a kernel's."""
-    return _cost_from_parts(
-        subject or art.sub.name, art.ctx, art.merged, art.cps,
-        art.nest_plans, nprocs, *compiled_plan(art), art.nests,
-    )
 
 
 def analysis_cost(
@@ -402,9 +368,7 @@ def analysis_cost(
     rejects."""
     from ..compile.pipeline import analyze_source
 
-    return _artifact_cost(
-        analyze_source(source_or_sub, nprocs, params), nprocs, subject
-    )
+    return kernel_cost(analyze_source(source_or_sub, nprocs, params), subject)
 
 
 def sweep_cost(
@@ -423,7 +387,7 @@ def sweep_cost(
     sub = wildcard_grid(stage_parse(source_or_sub, DiagnosticSink(strict=True)))
     selection = stage_select(sub, params)
     return [
-        _artifact_cost(stage_specialize(selection, p, params), p, subject)
+        kernel_cost(stage_specialize(selection, p, params), subject)
         for p in procs
     ]
 

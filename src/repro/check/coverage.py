@@ -28,12 +28,12 @@ to a finite set) is a ``W-UNPROVEN`` warning.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Optional
 
 from ..codegen.guards import guard_cover
 from ..comm.analyzer import CommPlan
-from ..cp.nest import NestInfo
+from ..cp.nest import NestInfo, nest_for
 from ..diag import E_COVERAGE, E_GUARD, E_LOCAL, E_OVERLAP, W_UNPROVEN, Diagnostic, Severity
 from ..distrib.layout import Layout, proc_binding
 from ..ir.expr import ArrayRef
@@ -45,17 +45,23 @@ from ..isets.box import (
 
 
 class RankCovers:
-    """One unit's sets read as per-rank covers on its grid, each computed
-    once per verify and keyed by content.  A per-rank list holds rank
+    """One plan's sets read as per-rank covers on its grid, each computed
+    once per verify and keyed by content.  *plan* is a compiled kernel or
+    an analysis (the names both expose); *overlap* the per-array overlap
+    regions (declared bounds by default).  A per-rank list holds rank
     ``r``'s cover at index ``r``; it is None when the set cannot be
-    evaluated (non-affine, or it does not bind to a finite set)."""
+    evaluated (non-affine, or it does not bind to a finite set).
+    ``nests`` are the plan's own ``NestInfo``s where it carries them (their
+    dependences computed once per compile), else fresh ones."""
 
-    def __init__(self, unit):
-        self.unit = unit
-        self.ranks = range(unit.grid.size)
-        self.binds = [{**unit.params, **proc_binding(unit.grid.delinearize(r))}
+    def __init__(self, plan, overlap: Optional[dict] = None):
+        self.plan = plan
+        self.overlap = overlap or {}
+        self.ranks = range(plan.grid.size)
+        self.binds = [{**plan.params, **proc_binding(plan.grid.delinearize(r))}
                       for r in self.ranks]
-        self.nests = [NestInfo(root, unit.params) for root, _ in unit.nest_plans]
+        self.nests = [nest_for(root, nest, plan.params) for (root, _), nest
+                      in zip_longest(plan.nest_plans, plan.nests)]
         self._memo: dict[tuple, object] = {}
 
     def _once(self, key: tuple, build):
@@ -84,7 +90,7 @@ class RankCovers:
     def iterations(self, nest_idx: int, stmt) -> Optional[list]:
         """What *stmt* runs at each rank: its guard-plan entry's covers, or
         its loop bounds on every rank when it is unguarded (replicated)."""
-        group, entries = self.unit.guard_plan
+        group, entries = self.plan.guard_plan
         if (g := group.get(stmt.sid)) is None:
             serial = self.serial(nest_idx, stmt)
             return None if serial is None else [serial for _ in self.ranks]
@@ -97,7 +103,7 @@ class RankCovers:
     def derived(self, nest_idx: int, stmt, ref: ArrayRef) -> bool:
         """Communication analysis derived the data *ref* touches in
         *stmt*: it has a CP, affine loop bounds and subscripts."""
-        return (self.unit.cps.get(stmt.sid) is not None
+        return (self.plan.cps.get(stmt.sid) is not None
                 and self.bounds(nest_idx, stmt) is not None
                 and ref.affine_subscripts() is not None)
 
@@ -108,7 +114,7 @@ class RankCovers:
             if not self.derived(nest_idx, stmt, ref):
                 return None
             dims = self.nests[nest_idx].dims_of(stmt)
-            subs = [e.evaluate_partial(self.unit.params) for e in ref.affine_subscripts()]
+            subs = [e.evaluate_partial(self.plan.params) for e in ref.affine_subscripts()]
             iters = self.iterations(nest_idx, stmt)
             if iters is None or any(e.vars() - set(dims) for e in subs):
                 return None  # or a subscript reads a run-time scalar
@@ -117,14 +123,14 @@ class RankCovers:
 
     def owned(self, name: str) -> Optional[list]:
         """Every element a rank holds (replicas included) within bounds."""
-        ctx = self.unit.ctx
+        ctx = self.plan.ctx
         return self._once(("owned", name), lambda: self.bound(
             ctx.layout(name).ownership().intersect(ctx.declared_bounds_set(name))
         ))
 
     def primary(self, name: str) -> Optional[list]:
         """The elements a rank is the one owner of (``owner_coords_of``)."""
-        ctx = self.unit.ctx
+        ctx = self.plan.ctx
         return self._once(("primary", name), lambda: self.bound(
             ctx.layout(name).primary_ownership().intersect(
                 ctx.declared_bounds_set(name))
@@ -135,12 +141,12 @@ class RankCovers:
         route's, what ``exec_comm`` sends, when it is hoisted; else its
         ``CommEvent.flows``."""
         def build():
-            events = self.unit.nest_plans[nest_idx][1].live_events()
+            events = self.plan.nest_plans[nest_idx][1].live_events()
             if events[ei].placement.hoisted:
                 k = sum(e.placement.hoisted for e in events[:ei])
-                return self.unit.routes[nest_idx][k].pairs
+                return self.plan.routes[nest_idx][k].pairs
             try:
-                return events[ei].flows(self.unit.ctx, self.unit.params, self.unit.grid)
+                return events[ei].flows(self.plan.ctx, self.plan.params, self.plan.grid)
             except (KeyError, ValueError):
                 return None
         return self._once(("pairs", nest_idx, ei), build)
@@ -152,7 +158,7 @@ class RankCovers:
         event's pairs cannot be evaluated."""
         def build():
             per: list[list] = [[] for _ in self.ranks]
-            for i, e in enumerate(self.unit.nest_plans[nest_idx][1].live_events()):
+            for i, e in enumerate(self.plan.nest_plans[nest_idx][1].live_events()):
                 if e.array != name or e.kind != kind or ei not in (None, i):
                     continue
                 pairs = self.pairs(nest_idx, i)
@@ -194,18 +200,18 @@ def _first_bad(left: list) -> "tuple[int, tuple, int] | None":
 
 
 def check_nest_coverage(
-    cov: RankCovers, nest_idx: int, plan: CommPlan
+    cov: RankCovers, nest_idx: int, comm: CommPlan
 ) -> list[Diagnostic]:
     """Every read in the nest is covered at every rank: its footprint
     minus owned, minus received, minus locally produced earlier is empty
     (``E-COVERAGE``; ``E-LOCAL`` for LOCALIZE'd arrays)."""
-    unit = cov.unit
+    plan = cov.plan
     diags: list[Diagnostic] = []
     nest: NestInfo = cov.nests[nest_idx]
     assigns = nest.assignments()
 
     for stmt in assigns:
-        if unit.cps.get(stmt.sid) is None:
+        if plan.cps.get(stmt.sid) is None:
             continue  # not part of the analyzed region (no CP selected)
         if cov.bounds(nest_idx, stmt) is None:
             diags.append(unproven(
@@ -216,8 +222,8 @@ def check_nest_coverage(
         order = nest.order[stmt.sid]
         for ref in collect_array_refs(stmt.rhs):
             name = ref.name.lower()
-            excluded = name in plan.excluded_arrays
-            if not excluded and unit.ctx.layout(name) is None:
+            excluded = name in comm.excluded_arrays
+            if not excluded and plan.ctx.layout(name) is None:
                 continue  # replicated scalar-like array: no distribution
             if ref.affine_subscripts() is None:
                 diags.append(unproven(
@@ -267,21 +273,19 @@ def check_nest_coverage(
     return diags
 
 
-def check_overlap(cov: RankCovers, nest_idx: int, plan: CommPlan) -> list[Diagnostic]:
+def check_overlap(cov: RankCovers, nest_idx: int, comm: CommPlan) -> list[Diagnostic]:
     """Analysis 4: every element a rank receives falls inside the array's
     overlap region on that rank (storage exists for it there)."""
-    unit = cov.unit
     diags: list[Diagnostic] = []
-    overlap = unit.overlap or {}
-    for ei, event in enumerate(plan.live_events()):
+    for ei, event in enumerate(comm.live_events()):
         if event.kind != "read":
             continue
         name = event.array
         try:
-            declared = unit.ctx.declared_bounds_set(name)
+            declared = cov.plan.ctx.declared_bounds_set(name)
         except (KeyError, ValueError):
             continue
-        region = overlap.get(name)
+        region = cov.overlap.get(name)
         per_rank = cov._once(("region", name), lambda: cov.bound(
             declared if region is None else region.intersect(declared)))
         received = cov.moved(nest_idx, name, "read", ei)
@@ -312,7 +316,7 @@ def check_guards(cov: RankCovers) -> list[Diagnostic]:
     """Each guard-plan entry's covers, united over the ranks, are its
     statements' loop bounds: no iteration lost or invented (``E-GUARD``)."""
     diags: list[Diagnostic] = []
-    group, seen = cov.unit.guard_plan[0], set()
+    group, seen = cov.plan.guard_plan[0], set()
     for idx, nest in enumerate(cov.nests):
         for stmt in nest.assignments():
             g = group.get(stmt.sid)

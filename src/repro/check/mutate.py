@@ -37,21 +37,20 @@ keep the harness fast; every subject is verified clean before mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
-from types import SimpleNamespace
 from typing import Callable, Mapping
 
 from ..codegen.guards import guard_cover
 from ..comm.analyzer import CommAnalyzer
+from ..compile.pipeline import AnalysisArtifact, analyze_source
 from ..cp.model import CP
 from ..diag import E_COVERAGE, E_GUARD, E_LOCAL, E_MATCH, E_OVERLAP, E_RACE
 from ..distrib.layout import proc_binding
 from ..ir.expr import ArrayRef
-from .cost import compiled_plan
 from .diagnostics import CheckReport
 from .schedule import StaticSchedule
-from .verifier import VerifyUnit, analyzed_unit, verify_kernel, verify_unit
+from .verifier import kernel_findings, verify_kernel, verify_unit
 
 #: harness problem sizes — small but large enough that halos cross ranks
 FIG42_PARAMS: Mapping[str, int] = {"n": 9}
@@ -70,35 +69,30 @@ def _fig42_kernel():
 
 
 @cache
-def _y_solve_unit() -> VerifyUnit:
+def _y_solve_unit() -> AnalysisArtifact:
     """Figure 5.1 (y_solve) at analysis level — pipelined comm."""
     from ..nas import kernels
 
-    return analyzed_unit(
-        kernels.Y_SOLVE_SP, Y_SOLVE_NPROCS, Y_SOLVE_PARAMS, subject="y_solve")
+    return analyze_source(kernels.Y_SOLVE_SP, Y_SOLVE_NPROCS, Y_SOLVE_PARAMS)
 
 
 def verify_rebuilt(s) -> CheckReport:
-    """Verify a kernel or :class:`VerifyUnit` *s* as compiled from its
-    edited plans and CPs: routes and guard plan rebuilt (:func:`~repro.check.
-    cost.compiled_plan`) from each nest analyzed again under them, its
-    excluded arrays kept.  A kernel gets its own routes and guard plan back."""
-    art = SimpleNamespace(nest_plans=s.nest_plans, cps=s.cps, ctx=s.ctx,
-                          merged=s.params, iteration_sets={}, nests=())
+    """Verify a kernel or analysis *s* as compiled from its edited plans
+    and CPs: a fresh :class:`~repro.compile.pipeline.AnalysisArtifact` of
+    each nest analyzed again under them (its excluded arrays kept), whose
+    routes and guard plan the compiler's own builders read off.  A kernel
+    adds its sink's records and the cost advisories on that plan."""
+    art = AnalysisArtifact(s.sub, s.ctx, s.params, s.cps, s.nest_plans, s.nprocs,
+                           s.private_arrays, s.localized_arrays, nests=list(s.nests))
     for root, plan in s.nest_plans:
         comm = CommAnalyzer(root, s.cps, s.ctx, s.params,
                             exclude_arrays=plan.excluded_arrays)
         comm.analyze()
         art.iteration_sets.update(comm.iteration_sets)
-    routes, guard_plan = compiled_plan(art)
-    if isinstance(s, VerifyUnit):
-        return verify_unit(replace(s, routes=routes, guard_plan=guard_plan))
-    saved = s._routes, s._guard_plan
-    s._routes, s._guard_plan = routes, guard_plan
-    try:
-        return verify_kernel(s)
-    finally:
-        s._routes, s._guard_plan = saved
+    report = verify_unit(art)
+    if not isinstance(s, AnalysisArtifact):
+        report.extend(kernel_findings(s, art, None))
+    return report
 
 
 @dataclass
@@ -248,14 +242,14 @@ def _mut_drop_guard_box() -> CheckReport:
 
     with cache_disabled():
         kernel = compile_kernel(kernels.scaled(kernels.COMPUTE_RHS_SP), 25, {"n": 12})
-    (group, entries), (_, sets) = kernel._guard_plan, kernel._symbolic_guards
+    (group, entries), (_, sets) = kernel.guard_plan, kernel._symbolic_guards
     rank = next(r for r in range(25) if _interior(kernel.grid, r))
     at = proc_binding(kernel.grid.delinearize(rank))
     for sid, g in reversed(group.items()):
         entry = None if g is None else entries[g]
         if isinstance(entry, tuple) and len(entry) == 1 and guard_cover(entry, at):
             lost = sets[g].subtract(sets[g].bind(at))  # empty at *rank* only
-            kernel._guard_plan = {**group, sid: len(entries)}, [*entries, lost]
+            kernel.guard_plan = {**group, sid: len(entries)}, [*entries, lost]
             return verify_kernel(kernel)
     raise RuntimeError("subject guards no statement by one box at an interior rank")
 

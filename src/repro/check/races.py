@@ -15,7 +15,10 @@ Everything else is a read of a stale copy: ``E-RACE`` with the processor
 pair and the offending elements.  All of it is cover algebra
 (:mod:`repro.isets.box`) over what the compiler built: writes and reads
 are images of the guard plan's per-rank iterations, flows the routes'
-pairs (:class:`~repro.check.coverage.RankCovers`).
+pairs (:class:`~repro.check.coverage.RankCovers`).  The dependences are
+the plan's too: within a nest the analysis's own (``NestInfo.deps``),
+across nests every write paired with every later nest's read of the same
+array whose covers, united over the ranks, meet.
 
 The same analysis enforces the *owner-update* obligation: a non-owner
 write whose element the owner does not itself produce (partial
@@ -31,10 +34,11 @@ A set that cannot be evaluated per rank is a ``W-UNPROVEN`` warning.
 
 from __future__ import annotations
 
-from ..analysis.dependence import DependenceAnalyzer
+from ..analysis.dependence import LI, Dependence
 from ..diag import E_RACE, Diagnostic, Severity
 from ..ir.expr import ArrayRef
-from ..ir.visit import walk_stmts
+from ..ir.stmt import Assign
+from ..ir.visit import reads_of, walk_stmts
 from ..isets.box import cover_of_boxes, intersect_covers, subtract_covers
 from .coverage import RankCovers, fmt_points, unproven
 
@@ -42,29 +46,73 @@ from .coverage import RankCovers, fmt_points, unproven
 _MAX_PAIRS_REPORTED = 2
 
 
+def _spread(cov: RankCovers, idx: int, stmt, ref: ArrayRef):
+    """The elements *ref* touches in *stmt* on any rank (None when that
+    cannot be evaluated per rank)."""
+    per = cov.access(idx, stmt, ref)
+    return None if per is None else cov._once(
+        ("spread", stmt.sid, ref), lambda: cover_of_boxes([b for c in per for b in c]))
+
+
+def _nest_flows(cov: RankCovers, idx: int) -> dict:
+    """The nest's flow dependences by array, in the order its analysis
+    lists them (``NestInfo.deps``: computed once per compile, or once here
+    for a plan that does not carry them)."""
+    def build():
+        out: dict[str, list] = {}
+        for d in cov.nests[idx].deps:
+            if d.kind == "flow":
+                out.setdefault(d.var, []).append(d)
+        return out
+    return cov._once(("flows", idx), build)
+
+
+def _flow_dependences(cov: RankCovers, tracked):
+    """``(source nest, sink nest, dependence)`` for every flow dependence
+    on a *tracked* array between statements of the plan's nests, in the
+    order a dependence analysis of the whole unit lists them: array by
+    first reference, then write, read and level.  Within a nest they are
+    the nest's own.  Across nests every write is paired with every later
+    nest's read of the same array (level LI), unless what the two touch,
+    united over all ranks, is disjoint or cannot be evaluated."""
+    plan = cov.plan
+    nest_of = {s.sid: idx for idx, (root, _comm) in enumerate(plan.nest_plans)
+               for s in walk_stmts([root])}
+    sites: dict[str, list] = {}  # array -> (nest, stmt, ref, is_write), in order
+    for stmt in walk_stmts(plan.sub.body):
+        if isinstance(stmt, Assign):
+            for ref in (stmt.lhs, *reads_of(stmt)):
+                if isinstance(ref, ArrayRef) and tracked(ref.name.lower()):
+                    sites.setdefault(ref.name.lower(), []).append(
+                        (nest_of.get(stmt.sid), stmt, ref, ref is stmt.lhs))
+    for name, refs in sites.items():
+        refs = [site for site in refs if site[0] is not None]
+        for i, src, w, _ in (site for site in refs if site[3]):
+            for d in _nest_flows(cov, i).get(name, ()):
+                if d.src_ref is w:
+                    yield i, i, d
+            for j, dst, r, _ in (site for site in refs if site[0] > i and not site[3]):
+                ws, rs = _spread(cov, i, src, w), _spread(cov, j, dst, r)
+                if ws is not None and rs is not None and intersect_covers(ws, rs):
+                    yield i, j, Dependence(src, dst, name, "flow", LI, w, r)
+
+
 def check_races(cov: RankCovers) -> list[Diagnostic]:
     """Flag cross-processor flow dependences that are neither replicated
     nor routed through the owner, and non-owner writes that leave the
     owner's copy stale without a write-back flow (``E-RACE``)."""
-    unit = cov.unit
+    plan = cov.plan
     diags: list[Diagnostic] = []
-    nest_of = {s.sid: idx for idx, (root, _plan) in enumerate(unit.nest_plans)
-               for s in walk_stmts([root])}
-    excluded = {a for _root, plan in unit.nest_plans for a in plan.excluded_arrays}
+    excluded = {a for _root, comm in plan.nest_plans for a in comm.excluded_arrays}
 
     def tracked(name: str) -> bool:
         # excluded reads are locally produced (checked by E-LOCAL); an
         # undistributed array is replicated storage every rank produces
-        return name not in excluded and unit.ctx.layout(name) is not None
+        return name not in excluded and plan.ctx.layout(name) is not None
 
     seen_sections: set[tuple] = set()
-    for d in DependenceAnalyzer(unit.sub.body, unit.params).dependences():
-        if d.kind != "flow" or d.src_ref is None or d.dst_ref is None:
-            continue
+    for src_idx, dst_idx, d in _flow_dependences(cov, tracked):
         name = d.var.lower()
-        src_idx, dst_idx = nest_of.get(d.src.sid), nest_of.get(d.dst.sid)
-        if not tracked(name) or src_idx is None or dst_idx is None:
-            continue
         w = cov.access(src_idx, d.src, d.src_ref)
         r = cov.access(dst_idx, d.dst, d.dst_ref)
         if w is None or r is None:

@@ -45,7 +45,7 @@ class StaticSchedule:
     @classmethod
     def from_kernel(cls, kernel) -> "StaticSchedule":
         ops: list[ScheduleOp] = []
-        for nest_idx, routes in enumerate(kernel._routes):
+        for nest_idx, routes in enumerate(kernel.routes):
             for route in routes:
                 for (src, dst), cover in sorted(route.pairs.items()):
                     ops.append(ScheduleOp(src, "send", dst, route.tag,

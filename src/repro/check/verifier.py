@@ -2,13 +2,18 @@
 
 Entry points:
 
+- :func:`verify_unit` — a compiled kernel or an analysis
+  (:class:`~repro.compile.pipeline.AnalysisArtifact`): the one plan record
+  both carry, its routes and guard plan built by the compiler's own
+  ``build_routes`` and ``plan_guards`` and its dependences the analysis's
+  per-nest ``NestInfo``;
 - :func:`verify_kernel` — a :class:`~repro.codegen.spmd.CompiledKernel`
   (all four analyses over the guard plan and message routes it carries
-  and will execute, send/recv matching included);
+  and will execute, send/recv matching of its schedule included, plus
+  its sink's records and the cost advisories);
 - :func:`verify_source` — any single-unit HPF source, via the analysis
   half of the compile pipeline only, so kernels the code generator
-  rejects (pipelined communication) are still verifiable; its routes and
-  guard plan are built from the analysis as a compile would build them.
+  rejects (pipelined communication) are still verifiable.
 
 Strategy: every analysis is algebra on canonical box covers checked at
 every rank (and rank pair) of the grid, with no sampling, over what the
@@ -27,63 +32,46 @@ sink records are appended to its report as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from ..comm.analyzer import CommPlan
-from ..cp.select import StatementCP
 from ..diag import I_CLEAN, I_TRIP, Diagnostic, Severity
-from ..distrib.layout import DistributionContext
-from ..ir.stmt import DoLoop
 from ..isets import ISet
-from .cost import compiled_plan, cost_advisories, kernel_cost
+from .cost import cost_advisories, kernel_cost
 from .coverage import RankCovers, check_guards, check_nest_coverage, check_overlap, unproven
 from .diagnostics import CheckReport
 from .races import check_races
 from .schedule import StaticSchedule, check_matching
 
 
-@dataclass
-class VerifyUnit:
-    """Everything the four analyses need about one program unit."""
-
-    subject: str
-    sub: object  # Subroutine
-    ctx: DistributionContext
-    params: dict[str, int]
-    cps: Mapping[int, StatementCP]
-    nest_plans: list[tuple[DoLoop, CommPlan]]
-    grid: object = None  # ProcessorGrid | None
-    #: per nest, the message routes of its hoisted live events, and the
-    #: guard plan ``(group, entries)`` (both None without a grid)
-    routes: Optional[list] = None
-    guard_plan: Optional[tuple] = None
-    #: per-array overlap regions (ISet over a$ dims); defaults to the
-    #: declared bounds — pass tighter boxes to model real overlap areas
-    overlap: Optional[dict[str, ISet]] = None
-    schedule: Optional[StaticSchedule] = None
-
-
-def verify_unit(unit: VerifyUnit) -> CheckReport:
-    """Run all four analyses (coverage, overlap, races, matching) and the
-    guard check over a :class:`VerifyUnit` and collect the findings into a
-    report."""
-    report = CheckReport(unit.subject)
-    if unit.grid is None:
+def verify_unit(
+    plan,
+    subject: Optional[str] = None,
+    overlap: Optional[dict[str, ISet]] = None,
+    schedule: Optional[StaticSchedule] = None,
+) -> CheckReport:
+    """Run the coverage, overlap and race analyses and the guard check over
+    a compiled kernel or an analysis (:class:`~repro.compile.pipeline.
+    AnalysisArtifact`: the plan both carry), plus send/recv matching when
+    a *schedule* is given, and collect the findings into a report.
+    *overlap* gives per-array overlap regions (an ISet over the ``a$``
+    dims); the declared bounds by default — pass tighter boxes to model
+    real overlap areas."""
+    report = CheckReport(subject or plan.sub.name)
+    if plan.grid is None:
         report.add(unproven(
             "no single processor grid: coverage, overlap and races cannot "
             "be evaluated per rank"))
     else:
-        cov = RankCovers(unit)
-        for idx, (_root, plan) in enumerate(unit.nest_plans):
-            report.extend(check_nest_coverage(cov, idx, plan))
-            report.extend(check_overlap(cov, idx, plan))
+        cov = RankCovers(plan, overlap)
+        for idx, (_root, comm) in enumerate(plan.nest_plans):
+            report.extend(check_nest_coverage(cov, idx, comm))
+            report.extend(check_overlap(cov, idx, comm))
         report.extend(check_races(cov))
         report.extend(check_guards(cov))
-    if unit.schedule is not None:
-        report.extend(check_matching(unit.schedule))
-    for idx, (_root, plan) in enumerate(unit.nest_plans):
-        for loop in plan.unknown_trip_loops(unit.params):
+    if schedule is not None:
+        report.extend(check_matching(schedule))
+    for idx, (_root, comm) in enumerate(plan.nest_plans):
+        for loop in comm.unknown_trip_loops(plan.params):
             report.add(Diagnostic(
                 Severity.INFO, I_TRIP,
                 f"trip count of loop {loop.var} is not statically known — "
@@ -91,13 +79,28 @@ def verify_unit(unit: VerifyUnit) -> CheckReport:
                 stmt_sid=loop.sid, nest=idx,
             ))
         nest_errors = [d for d in report.errors() if d.nest == idx]
-        if not plan.live_events() and not nest_errors:
+        if not comm.live_events() and not nest_errors:
             report.add(Diagnostic(
                 Severity.INFO, I_CLEAN,
                 "nest is communication-free and every read is proven local",
                 nest=idx,
             ))
     return report
+
+
+def kernel_findings(kernel, plan, cost_model) -> list[Diagnostic]:
+    """What a compiled *kernel* adds to its plan's report: its own sink's
+    records as they are, and the static cost analyzer's advisories on
+    *plan* (the kernel's, or one rebuilt from it) under *cost_model*
+    (None: the structural ones only).  The advisory layer is
+    best-effort: a failure inside it never turns a verifiable kernel into
+    a failed report."""
+    out = list(kernel.diagnostics)
+    try:
+        out += cost_advisories(kernel_cost(plan), kernel=kernel, model=cost_model)
+    except Exception:  # advisories must never break verification
+        pass
+    return out
 
 
 def verify_kernel(
@@ -113,63 +116,11 @@ def verify_kernel(
     Structural advisories (``W-REPLICATED``, ``W-SCALAR-WAVEFRONT``,
     ``W-IMBALANCE``) always run; pass a :class:`~repro.runtime.model.
     MachineModel` as *cost_model* to additionally get the model-dependent
-    ones (``W-COMM-HOT``).  The advisory layer is best-effort: a failure
-    inside it never turns a verifiable kernel into a failed report."""
-    unit = VerifyUnit(
-        subject=kernel.sub.name,
-        sub=kernel.sub,
-        ctx=kernel.ctx,
-        params=dict(kernel.params),
-        cps=kernel.cps,
-        nest_plans=kernel.nest_plans,
-        grid=kernel.grid,
-        routes=kernel._routes,
-        guard_plan=kernel._guard_plan,
-        overlap=overlap,
-        schedule=schedule or StaticSchedule.from_kernel(kernel),
-    )
-    report = verify_unit(unit)
-    sink = getattr(kernel, "sink", None)
-    if sink is not None:
-        report.extend(sink.diagnostics)
-    try:
-        report.extend(cost_advisories(
-            kernel_cost(kernel), kernel=kernel, model=cost_model
-        ))
-    except Exception:  # advisories must never break verification
-        pass
+    ones (``W-COMM-HOT``)."""
+    report = verify_unit(kernel, overlap=overlap,
+                         schedule=schedule or StaticSchedule.from_kernel(kernel))
+    report.extend(kernel_findings(kernel, kernel, cost_model))
     return report
-
-
-def analyzed_unit(
-    source_or_sub,
-    nprocs: int,
-    params: Mapping[str, int] | None = None,
-    overlap: Optional[dict[str, ISet]] = None,
-    subject: Optional[str] = None,
-) -> VerifyUnit:
-    """The :class:`VerifyUnit` of a source analyzed but not code-generated
-    (:func:`repro.compile.pipeline.analyze_source`)."""
-    from ..compile.pipeline import analyze_source
-
-    art = analyze_source(source_or_sub, nprocs, params)
-    try:
-        grid = art.ctx.the_grid()
-    except ValueError:
-        grid = None
-    routes, guard_plan = (None, None) if grid is None else compiled_plan(art)
-    return VerifyUnit(
-        subject=subject or art.sub.name,
-        sub=art.sub,
-        ctx=art.ctx,
-        params=art.merged,
-        cps=art.cps,
-        nest_plans=art.nest_plans,
-        grid=grid,
-        routes=routes,
-        guard_plan=guard_plan,
-        overlap=overlap,
-    )
 
 
 def verify_source(
@@ -181,6 +132,6 @@ def verify_source(
 ) -> CheckReport:
     """Analyze and verify without generating code — this path accepts the
     pipelined-communication kernels ``compile_kernel`` rejects (§5)."""
-    return verify_unit(
-        analyzed_unit(source_or_sub, nprocs, params, overlap, subject)
-    )
+    from ..compile.pipeline import analyze_source
+
+    return verify_unit(analyze_source(source_or_sub, nprocs, params), subject, overlap)

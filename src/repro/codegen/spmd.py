@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -29,8 +29,11 @@ from ..isets import BudgetExceeded, IsetBudget, active_budget
 from ..isets.profile import phase as profile_phase
 from ..runtime.model import MachineModel
 from ..runtime.sim import Rank, VirtualMachine
-from .guards import Guards, guard_cover, plan_guards
+from .guards import Guards, guard_cover
 from .pyemit import emit_assign_target, emit_expr
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..compile.pipeline import AnalysisArtifact
 
 
 class CodegenUnsupported(Exception):
@@ -799,28 +802,10 @@ class CompiledKernel:
         tan = staticmethod(np.tan)
         atan = staticmethod(np.arctan)
 
-    def __init__(
-        self,
-        sub: Subroutine,
-        ctx: DistributionContext,
-        params: dict[str, int],
-        cps: dict[int, StatementCP],
-        nest_plans: list[tuple[DoLoop, CommPlan]],
-        nprocs: int,
-        private_arrays: "set[str] | None" = None,
-        localized_arrays: "set[str] | None" = None,
-        backend: str = "vector",
-        sink: "DiagnosticSink | None" = None,
-        nests: "list | None" = None,
-        *,
-        iteration_sets: "Mapping[int, Any]",
-    ):
-        self.sub = sub
-        self.ctx = ctx
-        self.params = params
-        self.cps = cps
-        self.nest_plans = nest_plans
-        self.nprocs = nprocs
+    def __init__(self, art: "AnalysisArtifact", backend: str = "vector",
+                 sink: "DiagnosticSink | None" = None):
+        self.sub, self.ctx, self.params = art.sub, art.ctx, art.params
+        self.cps, self.nest_plans, self.nprocs = art.cps, art.nest_plans, art.nprocs
         #: node-code emission strategy ("vector" | "scalar")
         self.backend = backend
         #: per-innermost-loop vectorization decisions, filled during emission
@@ -831,44 +816,40 @@ class CompiledKernel:
         #: into its subscripts (checked by :meth:`rank_node`)
         self.folded_lower: dict[str, tuple] = {}
         #: NEW (privatizable) arrays: per-rank private in the shmem target
-        self.private_arrays = set(private_arrays or ())
+        self.private_arrays = set(art.private_arrays)
         #: each nest's NestInfo from analysis, dependences computed: the
-        #: vector planner reads them instead of a pass of its own (run-time
-        #: state of the compile, not pickled: a cached kernel has emitted)
-        self._nests = tuple(nests or ())
+        #: vector planner and the verifier read them instead of a pass of
+        #: their own (run-time state of the compile, not pickled)
+        self.nests = tuple(art.nests)
         #: LOCALIZE'd arrays: partially replicated, no comm (§4.2)
-        self.localized_arrays = set(localized_arrays or ())
+        self.localized_arrays = set(art.localized_arrays)
         #: structured diagnostics collected while building this kernel
         self.sink = sink
         #: True when built under a lenient (strict=False) sink
         self.lenient = sink is not None and not sink.strict
         #: indices into nest_plans whose statements run replicated (fallback)
-        fallback = {sid for sid, scp in cps.items() if scp.source == "fallback"}
+        fallback = {sid for sid, scp in self.cps.items() if scp.source == "fallback"}
         self.degraded_nests = {
             idx
-            for idx, (item, _) in enumerate(nest_plans)
+            for idx, (item, _) in enumerate(self.nest_plans)
             if fallback and any(s.sid in fallback for s in walk_stmts([item]))
         }
         #: iset resource budget charged during analysis (set by compile_kernel)
         self.budget: "IsetBudget | None" = None
         self._dropped_sids: set[int] = set()
-        self.grid = ctx.the_grid()
-        if self.grid.size != nprocs:
-            raise ValueError(f"grid size {self.grid.size} != nprocs {nprocs}")
-        with profile_phase("routes"):
-            self._routes = build_routes(nest_plans, ctx, params, self.grid)
-        with profile_phase("guard-plan"):
-            group, sets, entries = plan_guards(
-                nest_plans, cps, ctx, params, iteration_sets, self.grid,
-                self._nests,
-            )
+        self.grid = self.ctx.the_grid()
+        if self.grid.size != self.nprocs:
+            raise ValueError(f"grid size {self.grid.size} != nprocs {self.nprocs}")
+        #: per nest, the message routes of its hoisted live events
+        self.routes = art.routes
+        group, sets, entries = art.guards
         #: ``(group, sets)``: the symbolic iteration sets behind the guards,
         #: which the vector planner proves coverage on (compile state, like
-        #: ``_nests``: not pickled)
+        #: ``nests``: not pickled)
         self._symbolic_guards = (group, sets)
         #: ``(group, entries)``: what :meth:`bind_guards` evaluates per rank
         #: (compile output, carried by the pickled kernel)
-        self._guard_plan = (group, entries)
+        self.guard_plan = (group, entries)
         self._guard_cache: dict[int, Guards] = {}
         self._sources: dict[str, str] = {}
         self._fns: dict[str, Callable] = {}
@@ -886,7 +867,7 @@ class CompiledKernel:
         # read off, the analysis nests and the vector planner's memo are
         # compile state, dead once both node programs are emitted.
         state["_guard_cache"] = {}
-        for name in ("_symbolic_guards", "_parents", "_nests", "_vector_plans"):
+        for name in ("_symbolic_guards", "_parents", "nests", "_vector_plans"):
             state.pop(name, None)
         return state
 
@@ -1017,7 +998,7 @@ class CompiledKernel:
     # -- guards ---------------------------------------------------------------
     #: see ``__init__``
     _symbolic_guards: tuple | None = None
-    _nests: tuple = ()
+    nests: tuple = ()
     #: see :meth:`guard_vars`
     _parents: dict | None = None
 
@@ -1036,7 +1017,7 @@ class CompiledKernel:
         kernel has it, else a fresh one."""
         for idx, (root, _plan) in enumerate(self.nest_plans):
             if any(s is stmt for s in walk_stmts([root])):
-                nest = self._nests[idx] if idx < len(self._nests) else None
+                nest = self.nests[idx] if idx < len(self.nests) else None
                 return nest_for(root, nest, self.params)
         raise KeyError(stmt.sid)
 
@@ -1048,7 +1029,7 @@ class CompiledKernel:
         if out is not None:
             return out
         with profile_phase("bind-guards"):
-            group, entries = self._guard_plan
+            group, entries = self.guard_plan
             pbind = proc_binding(self.grid.delinearize(rank_id))
             bound = [guard_cover(entry, pbind) for entry in entries]
             out = self._guard_cache[rank_id] = Guards(
@@ -1071,7 +1052,7 @@ class CompiledKernel:
         calls this before ['read'] and after ['writeback'] the nest).  A
         message is its cover's box views, each raveled, in cover order."""
         me = rank.rank
-        for route in self._routes[nest_idx]:
+        for route in self.routes[nest_idx]:
             if route.kind != kind:
                 continue
             arr = A[route.array]

@@ -298,7 +298,7 @@ def _merge_groups(kernel: "CompiledKernel", plans, carried_pairs):
     """Partition consecutive vector statements into merge groups: one
     guard-plan share group and no carried dependence between group
     members."""
-    share = kernel._guard_plan[0]
+    share = kernel.guard_plan[0]
     groups: list[list] = []
     for p in plans:
         if groups:

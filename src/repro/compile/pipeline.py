@@ -23,11 +23,15 @@ each with a serializable artifact and a content-addressed key
    screen over each analyzed nest, yielding the full analysis bundle
    ``(ctx, cps, nest_plans, private_arrays, localized_arrays, verdicts)``
    as an in-memory :class:`AnalysisArtifact` (never cached on its own —
-   it is cheap to regenerate from a selection hit).
-4. **codegen** — the executable :class:`~repro.codegen.spmd.CompiledKernel`,
-   refused if the screen left a verdict; :func:`build_kernel` then emits
-   both node-program texts (mpi + shmem).  Artifact:
-   :class:`KernelArtifact` keyed by ``key.kernel_digest``.
+   it is cheap to regenerate from a selection hit).  It is the one plan
+   record: it builds the message routes and the guard plan at their
+   first read, and the kernel, the static cost and the verifier all read
+   them (and its per-nest dependences) from it or from the kernel.
+4. **codegen** — the executable :class:`~repro.codegen.spmd.CompiledKernel`
+   built from the artifact, refused if the screen left a verdict;
+   :func:`build_kernel` then emits both node-program texts (mpi +
+   shmem).  Artifact: :class:`KernelArtifact` keyed by
+   ``key.kernel_digest``.
 
 The screen (:func:`repro.codegen.spmd.screen_program` before analysis,
 ``_nest_degrade_reason`` per nest after it) runs in every compile and the
@@ -80,6 +84,7 @@ from __future__ import annotations
 import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..diag import DiagnosticSink
@@ -132,15 +137,22 @@ class SelectionArtifact:
 
 @dataclass
 class AnalysisArtifact:
-    """Specialize-stage output: the backend-independent analysis bundle
-    at one concrete ``nprocs``.  ``ctx`` rides along so codegen-only
-    reconstruction never re-derives the distribution context."""
+    """Specialize-stage output, and the one plan record: the
+    backend-independent analysis at one concrete ``nprocs`` plus the
+    message routes and guard plan code is generated from.  It exposes the
+    names a :class:`~repro.codegen.spmd.CompiledKernel` exposes (``sub``,
+    ``ctx``, ``params``, ``cps``, ``nest_plans``, ``nprocs``, ``grid``,
+    ``routes``, ``guard_plan``, ``nests``), so the static cost and the
+    verifier read either.  ``routes`` and the guard plan are built at
+    their first read (by codegen, or by an analysis-only caller), outside
+    any iset budget the analysis was metered by."""
 
     sub: "Subroutine"
     ctx: object
-    merged: dict
+    params: dict
     cps: dict
     nest_plans: list
+    nprocs: int
     private_arrays: set
     localized_arrays: set
     #: nest index -> the soundness screen's reason why code generated from
@@ -148,10 +160,43 @@ class AnalysisArtifact:
     #: one has degraded the nest instead)
     verdicts: dict = field(default_factory=dict)
     #: each nest's NestInfo (dependences computed), for the vector planner
+    #: and the verifier
     nests: list = field(default_factory=list)
     #: sid -> the statement's iteration set from communication analysis
-    #: (``PDIM``s free), which codegen reads the guards off
+    #: (``PDIM``s free), which the guard plan is read off
     iteration_sets: dict = field(default_factory=dict)
+
+    @cached_property
+    def grid(self):
+        """The program's processor grid; None when it has more than one."""
+        try:
+            return self.ctx.the_grid()
+        except ValueError:
+            return None
+
+    @cached_property
+    def routes(self) -> list:
+        """Each nest's message routes (:func:`~repro.codegen.spmd.build_routes`)."""
+        from ..codegen.spmd import build_routes
+
+        with profile_phase("routes"):
+            return build_routes(self.nest_plans, self.ctx, self.params, self.grid)
+
+    @cached_property
+    def guards(self) -> tuple:
+        """``(group, sets, entries)`` of :func:`~repro.codegen.guards.plan_guards`:
+        the symbolic iteration sets behind the guards besides the plan."""
+        from ..codegen.guards import plan_guards
+
+        with profile_phase("guard-plan"):
+            return plan_guards(self.nest_plans, self.cps, self.ctx, self.params,
+                               self.iteration_sets, self.grid, self.nests)
+
+    @property
+    def guard_plan(self) -> tuple:
+        """``(group, entries)``: what a rank binds its guards from."""
+        group, _sets, entries = self.guards
+        return group, entries
 
 
 @dataclass
@@ -290,8 +335,8 @@ def stage_specialize(
              nests, iteration_sets) = analyze_program(
                 art.sub, ctx, art.merged, art.selection, sink=sink)
     return AnalysisArtifact(
-        sub=art.sub, ctx=ctx, merged=art.merged, cps=cps_all,
-        nest_plans=nest_plans, private_arrays=private_arrays,
+        sub=art.sub, ctx=ctx, params=art.merged, cps=cps_all,
+        nest_plans=nest_plans, nprocs=nprocs, private_arrays=private_arrays,
         localized_arrays=localized_arrays, verdicts=verdicts, nests=nests,
         iteration_sets=iteration_sets,
     )
@@ -324,20 +369,17 @@ def stage_codegen(
     backend: str,
     sink: DiagnosticSink,
 ) -> "CompiledKernel":
-    """Codegen stage: build the executable kernel, or refuse an analysis
-    the soundness screen left a verdict on, with the screen's reason (the
-    text of a lenient compile's ``I-FALLBACK``).  Refused here, not in
-    analysis, so such a plan can still be verified and costed, and a
-    selection-tier cache hit fails exactly like a cold compile."""
+    """Codegen stage: build the executable kernel from *art* (specialized
+    at *nprocs*), or refuse an analysis the soundness screen left a
+    verdict on, with the screen's reason (the text of a lenient compile's
+    ``I-FALLBACK``).  Refused here, not in analysis, so such a plan can
+    still be verified and costed, and a selection-tier cache hit fails
+    exactly like a cold compile."""
     from ..codegen.spmd import CodegenUnsupported, CompiledKernel
 
     if art.verdicts:
         raise CodegenUnsupported(next(iter(art.verdicts.values())))
-    return CompiledKernel(
-        art.sub, art.ctx, art.merged, art.cps, art.nest_plans, nprocs,
-        art.private_arrays, art.localized_arrays, backend=backend,
-        sink=sink, nests=art.nests, iteration_sets=art.iteration_sets,
-    )
+    return CompiledKernel(art, backend, sink)
 
 
 @dataclass

@@ -33,8 +33,10 @@ class AffineMap:
         """Apply the map to a set: ``{ f(x) : x in s }``.
 
         Implemented by introducing output dims constrained to the coordinate
-        expressions and projecting away the inputs.  Exact when projection is
-        exact (unit coefficients — always true for HPF subscripts).
+        expressions and projecting away the inputs.  Where that projection
+        would be inexact (a coefficient other than ±1: ``2*i - 1`` hits only
+        every other element) an exact part keeps the inputs as existential
+        witnesses instead, so the image stays exact.
         """
         if s.dims != self.in_dims:
             s = s.with_dims(self.in_dims)
@@ -45,7 +47,10 @@ class AffineMap:
             for od, e in zip(out_dims, self.exprs):
                 cons.append(Constraint.eq(E(od), e))
             combined = BasicSet(tuple(self.in_dims) + out_dims, cons, p.exists, p.exact)
-            parts.append(combined.project_out(self.in_dims))
+            image = combined.project_out(self.in_dims)
+            if p.exact and not image.exact:
+                image = BasicSet(out_dims, cons, p.exists | set(self.in_dims))
+            parts.append(image)
         return ISet(out_dims, parts)
 
     def __eq__(self, other: object) -> bool:

@@ -65,7 +65,7 @@ def _covered_on_every_rank(read, write, ctx, params) -> bool:
 
 def _check(art) -> "tuple[int, int]":
     """Assert the oracle over one analysis; (reads checked, eliminated)."""
-    ctx, params, cps = art.ctx, art.merged, art.cps
+    ctx, params, cps = art.ctx, art.params, art.cps
     checked = eliminated = 0
     for item, plan in art.nest_plans:
         nest = NestInfo(item, params)  # a dependence analysis of its own

@@ -22,9 +22,12 @@ from repro.check import (
     StaticSchedule,
     verify_kernel,
     verify_source,
+    verify_unit,
 )
 from repro.check.mutate import verify_rebuilt
 from repro.codegen import compile_kernel
+from repro.compile.pipeline import analyze_source
+from repro.nas.specs import all_specs
 
 #: 1D halo exchange: boundary reads of a cross the BLOCK boundaries
 HALO = """
@@ -132,12 +135,12 @@ class TestGuards:
     def test_lost_iterations_are_flagged(self, halo_kernel):
         """A guard-plan entry no rank runs any box of loses its statement's
         whole iteration space."""
-        saved = group, entries = halo_kernel._guard_plan
-        halo_kernel._guard_plan = group, [() for _ in entries]
+        saved = group, entries = halo_kernel.guard_plan
+        halo_kernel.guard_plan = group, [() for _ in entries]
         try:
             report = verify_kernel(halo_kernel)
         finally:
-            halo_kernel._guard_plan = saved
+            halo_kernel.guard_plan = saved
         errors = report.by_code(E_GUARD)
         assert errors and "no rank runs" in errors[0].message
         assert {d.stmt_sid for d in errors} == {
@@ -184,6 +187,22 @@ class TestReadsTheCompiledPlan:
         report = verify_kernel(warm)
         assert calls == []
         assert report.ok, report.format(Severity.ERROR)
+
+
+class TestOnePlanRecord:
+    """An analysis and the kernel compiled from it carry one plan (routes,
+    guard plan, dependences): the verifier's twin of ``kernel_cost ==
+    analysis_cost``."""
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in all_specs() if not s.pipelined], ids=lambda s: s.key)
+    def test_analysis_and_kernel_verify_the_same(self, spec):
+        def rows(report):
+            return [(d.code, d.array, d.stmt_sid, d.nest, d.procs, d.message)
+                    for d in report.diagnostics]
+
+        art = analyze_source(spec.program(), spec.nprocs, spec.params)
+        assert rows(verify_unit(art)) == rows(verify_unit(spec.compile()))
 
 
 class TestOverlap:

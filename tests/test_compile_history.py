@@ -17,9 +17,9 @@ import sys
 
 import pytest
 
-from repro.check.verifier import analyzed_unit
 from repro.codegen import CodegenUnsupported, compile_kernel
 from repro.compile import PlanCache, PlanCacheConfig, cache_disabled, use_cache
+from repro.compile.pipeline import analyze_source
 from repro.isets import IsetBudget
 from repro.nas import kernels
 from repro.nas.specs import all_specs, kernel_spec
@@ -109,8 +109,8 @@ def test_analysis_sids_do_not_depend_on_history():
     """A source analyzed without code generation numbers its statements
     from 1, whatever compiled before it in the process."""
     def live_sids():
-        unit = analyzed_unit(kernels.Y_SOLVE_SP, 4, {"n": 12, "m": 0})
-        return [ev.stmt.sid for _root, plan in unit.nest_plans
+        art = analyze_source(kernels.Y_SOLVE_SP, 4, {"n": 12, "m": 0})
+        return [ev.stmt.sid for _root, plan in art.nest_plans
                 for ev in plan.live_events()]
 
     first = live_sids()

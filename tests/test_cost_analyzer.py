@@ -38,7 +38,7 @@ from repro.check import (
 from repro.codegen import compile_kernel
 from repro.compile.pipeline import analyze_source
 from repro.distrib.layout import proc_binding
-from repro.eval.fuzz import _mpi_mismatch, _serial_reference, gen_spec
+from repro.eval.fuzz import _mpi_mismatch, _serial_reference, _shmem_mismatch, gen_spec
 from repro.isets.box import cover_of_points, cover_points
 from repro.nas.specs import all_specs
 from repro.runtime.model import MachineModel, TEST_MACHINE
@@ -85,6 +85,25 @@ CYCLIC_HALO = """
 !hpf$ distribute b(cyclic) onto p
       do i = 2, n
          b(i) = a(i - 1) + a(i)
+      enddo
+      end
+"""
+
+#: a subscript with coefficient 2: ``a`` is read at odd indices only
+STRIDE_TWO = """
+      program stride
+      parameter (n = 16)
+      real a(n), b(n), c(n)
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+!hpf$ distribute c(block) onto p
+      do i = 1, n
+         a(i) = i * 0.5
+         c(i) = i * 1.5
+      enddo
+      do i = 1, 8
+         b(i) = a(2*i - 1) + c(i) + c(i + 1)
       enddo
       end
 """
@@ -162,6 +181,28 @@ class TestExactTraceMatch:
         assert v.ok, v.mismatches
         ref = _serial_reference(REPLICATED_AXIS)
         assert _mpi_mismatch(ck, ck.run({}), ref, "replicated") is None
+
+    def test_stride_two_subscript_moves_only_what_is_read(self):
+        """``a(2*i - 1)`` reads every other element of ``a``: the routes
+        move those alone (the subscript's image keeps ``i`` as its
+        witness), the run is bitwise the interpreter's on both targets,
+        and the static cost is the trace's."""
+        ck = compile_kernel(STRIDE_TWO, 4)
+        moved = {
+            (route.array, pair): sorted(cover_points(cover))
+            for routes in ck.routes for route in routes
+            for pair, cover in route.pairs.items()
+        }
+        assert moved == {
+            ("a", (1, 0)): [(5,), (7,)], ("a", (2, 1)): [(9,), (11,)],
+            ("a", (3, 1)): [(13,), (15,)],
+            ("c", (1, 0)): [(5,)], ("c", (2, 1)): [(9,)],
+        }
+        ref = _serial_reference(STRIDE_TWO)
+        assert _mpi_mismatch(ck, ck.run({}), ref, "stride") is None
+        assert _shmem_mismatch(ck, ck.run_shmem({}), ref, "stride") is None
+        v = validate_against_trace(kernel_cost(ck), _traced_run(ck))
+        assert v.ok, v.mismatches
 
     def test_degraded_kernel_broadcasts_are_counted_exactly(self):
         from repro.check.targets import DEGRADED_EXAMPLE
@@ -483,7 +524,7 @@ class TestFlowsOracle:
     def test_every_spec_row(self, spec):
         """The oracle, and a compiled row's cost equal to its analysis'."""
         art = analyze_source(spec.program(), spec.nprocs, spec.params)
-        _assert_flows_match_oracle(art.ctx, art.merged, art.nest_plans)
+        _assert_flows_match_oracle(art.ctx, art.params, art.nest_plans)
         if not spec.pipelined:
             _assert_cost_is_path_free(spec.compile(), spec.program(), spec.params)
 
@@ -500,7 +541,7 @@ class TestFlowsOracle:
             ev for _root, plan in ck.nest_plans for ev in plan.live_events()
             if ev.placement.hoisted
         ]
-        assert [r.pairs for routes in ck._routes for r in routes] == [
+        assert [r.pairs for routes in ck.routes for r in routes] == [
             ev.flows(ck.ctx, ck.params, grid) for ev in hoisted]
         v = validate_against_trace(kernel_cost(ck), _traced_run(ck))
         assert v.ok, v.mismatches

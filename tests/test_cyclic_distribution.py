@@ -45,7 +45,7 @@ class TestCyclicCompile:
         survive analysis; the element router then proves every "needed"
         element is owner==self and emits zero messages.)"""
         ck = compile_kernel(SRC, nprocs=4, params={"n": 16})
-        for nest_routes in ck._routes:
+        for nest_routes in ck.routes:
             for route in nest_routes:
                 assert not route.pairs, f"unexpected messages: {route.pairs}"
         results = ck.run({"n": 16}, init=lambda rid, A: A["b"].data.fill(3.0))

@@ -4,7 +4,8 @@
 screen all read the dependences of a nest from its one ``NestInfo``.
 Selection hands that object to specialization, and it rides in the
 selection's pickle: a selection served from the plan cache analyzes no
-dependences again.
+dependences again.  The kernel keeps the nests, so verifying it in the
+process that compiled it analyzes none again either.
 """
 
 import pickle
@@ -12,6 +13,7 @@ import pickle
 import pytest
 
 from repro.analysis.dependence import DependenceAnalyzer
+from repro.check import verify_kernel
 from repro.codegen import compile_kernel
 from repro.comm import CommAnalyzer
 from repro.compile import PlanCache, PlanCacheConfig, pipeline, use_cache
@@ -29,6 +31,24 @@ KERNELS = [
         kernels.scaled(kernels.COMPUTE_RHS_SP), {"n": 12, "nx": 12}, id="sp_compute_rhs"
     ),
 ]
+
+
+#: two nests: the race check pairs the first's writes with the second's reads
+TWO_NESTS = """
+      program halo
+      parameter (n = 16)
+      real a(n), b(n)
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(block) onto p
+      do i = 1, n
+         a(i) = i * 0.5
+      enddo
+      do i = 2, n
+         b(i) = a(i - 1) + a(i)
+      enddo
+      end
+"""
 
 
 class _Recorder:
@@ -76,6 +96,28 @@ def test_cold_compile_analyzes_each_nest_once(source, params, analysis_calls):
     nests = _nests(ck)
     assert nests and len(analysis_calls.roots) == len(nests)
     assert all(a is b for a, b in zip(analysis_calls.roots, nests))
+
+
+@pytest.mark.parametrize("source, params", [
+    *KERNELS, pytest.param(TWO_NESTS, {}, id="two_nests")])
+def test_compile_and_verify_analyze_each_nest_once(source, params, monkeypatch):
+    """Verifying a kernel in the process that compiled it reads the
+    dependences its analysis computed: the race check takes a nest's from
+    its ``NestInfo`` and pairs writes with later nests' reads itself, so
+    compile and verify together analyze each nest once."""
+    roots = []
+    dependences = DependenceAnalyzer.dependences
+
+    def counting(self, *args, **kwargs):
+        roots.append(self.region[0])
+        return dependences(self, *args, **kwargs)
+
+    monkeypatch.setattr(DependenceAnalyzer, "dependences", counting)
+    with use_cache(None):
+        ck = compile_kernel(source, 4, params)
+    assert verify_kernel(ck).ok
+    nests = _nests(ck)
+    assert len(roots) == len(nests) and all(a is b for a, b in zip(roots, nests))
 
 
 @pytest.mark.parametrize("source, params", KERNELS)

@@ -113,8 +113,8 @@ class TestMultiOwnershipSets:
                 for ck in (direct, aligned) for _root, plan in ck.nest_plans
             ]
             assert events[0] == events[1]
-            assert [r.pairs for rs in aligned._routes for r in rs] == [
-                r.pairs for rs in direct._routes for r in rs]
+            assert [r.pairs for rs in aligned.routes for r in rs] == [
+                r.pairs for rs in direct.routes for r in rs]
         assert any(events[0])  # the halo kernel communicates
 
     @pytest.mark.parametrize("target", ["t(j, i, k)", "t(i + 1, j, k)"])
@@ -136,7 +136,7 @@ class TestMultiCompilation:
         element router proves no messages are needed — multipartitioning
         exploited without any source-level expression of it."""
         ck = compile_kernel(SRC, nprocs=4, params={"n": 12})
-        for nest_routes in ck._routes:
+        for nest_routes in ck.routes:
             for route in nest_routes:
                 assert not route.pairs
         # guards follow the diagonal cell structure

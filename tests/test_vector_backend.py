@@ -877,7 +877,7 @@ def test_guard_point_tables_are_one_per_share_group():
     ck = spec.compile("scalar")
     assert ck.python_source().count("K.guard(") == 8
     members: dict = {}
-    for sid, g in ck._guard_plan[0].items():
+    for sid, g in ck.guard_plan[0].items():
         if g is not None:
             members.setdefault(g, []).append(sid)
     (a, b, *_), (c, *_) = [m for m in members.values() if len(m) > 1]
@@ -1070,7 +1070,7 @@ def test_bound_guards_and_queries_match_the_point_oracle(name):
     boxy = name not in ("cyclic", "multipartition")
     for ck in (cold, pickle.loads(pickle.dumps(cold))):
         # which reading the compiler chose: boxes, or the set itself
-        _group, entries = ck._guard_plan
+        _group, entries = ck.guard_plan
         assert entries
         for entry in entries:
             if boxy:
